@@ -11,6 +11,7 @@ relevant minor is singular.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,12 +49,19 @@ class LdpcCode:
         cw = self.encode(gf2.BitIndex(k_word, self.n_info))
         return np.array(cw.bits(), dtype=np.uint8)
 
+    @cached_property
+    def _h_dense(self) -> np.ndarray:
+        dense = self.h.to_dense()
+        dense.flags.writeable = False
+        return dense
+
     def h_dense(self) -> np.ndarray:
-        return self.h.to_dense()
+        """H as a read-only uint8 array, built once per code."""
+        return self._h_dense
 
     def save(self, path) -> None:
         """Sparse listing: header then one ``row col`` line per H entry."""
-        dense = self.h.to_dense()
+        dense = self.h_dense()
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"n_info={self.n_info} n_block={self.n_block}\n")
             for r, c in zip(*np.nonzero(dense)):

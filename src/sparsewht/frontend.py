@@ -2,10 +2,12 @@
 
 A plan holds C subsampling matrices M_c (n x b, full column rank); the
 hash of coefficient k in group c is j = M_c^T k. Observations are built
-by gathering the B = 2^b samples u[M_c l + d] for each offset row d,
+by reading the B = 2^b samples u[M_c l + d] for each offset row d,
 applying a B-point unnormalized butterfly and scaling by sqrt(N)/B, which
 yields U_{c,p}[j] = sum_{M_c^T k = j} X[k] (-1)^<d_{c,p}, k> plus noise of
-variance N sigma^2 / B per entry.
+variance N sigma^2 / B per entry. An access that can read a group's whole
+(P, B) block of samples at once (``take_cosets``) is asked for that block;
+any other access is read point by point through ``take``.
 """
 from __future__ import annotations
 
@@ -54,10 +56,7 @@ class SubsamplingPlan:
         return self.matrices[c].transpose_apply_word(k_word)
 
     def bins_of_many(self, c: int, k_words: np.ndarray) -> np.ndarray:
-        cols = self.matrices[c].col_words_u64()
-        par = kernels.parity_words(np.asarray(k_words, dtype=np.uint64)[:, None] & cols[None, :])
-        weights = np.uint64(1) << np.arange(self.b, dtype=np.uint64)
-        return (par.astype(np.uint64) * weights).sum(axis=1)
+        return kernels.hash_words(k_words, self.matrices[c].col_words_u64())
 
     def coset(self, c: int, j_word: int) -> np.ndarray:
         """All k hashing to bin j in group c, as packed uint64 words."""
@@ -88,12 +87,7 @@ class SubsamplingPlan:
 
     def sample_positions(self, c: int) -> np.ndarray:
         """Packed words M_c l for l in F_2^b, indexed by the word of l."""
-        cols = self.matrices[c].col_words
-        out = np.zeros(self.bins, dtype=np.uint64)
-        for t, col in enumerate(cols):
-            half = 1 << t
-            out[half : 2 * half] = out[:half] ^ np.uint64(col)
-        return out
+        return gf2.span_words(self.matrices[c].col_words)
 
 
 def _window_positions(n: int, b: int, c_groups: int, spread: bool) -> list:
@@ -160,6 +154,7 @@ def build_plan(n: int, k: int, regime: str = "auto", profile: str = "theory",
     b = ceil(log2 K) regardless of delta. Passing ``b`` overrides the
     bin-count sizing rule of the window designs.
     """
+    gf2.check_bits(n)
     if not 1 <= k <= (1 << n):
         raise PlanError(f"need 1 <= K <= 2^n, got K={k}, n={n}")
     delta = math.log2(max(k, 2)) / n
@@ -349,7 +344,12 @@ class BinObservations:
 
 
 def observe(access, plan: SubsamplingPlan, offsets: OffsetPlan) -> BinObservations:
-    """Compute all bin observations via small WHTs (one per offset row)."""
+    """Compute all bin observations via small WHTs (one per offset row).
+
+    ``access`` needs ``take(positions)`` and ``samples_queried``; when it
+    also has ``take_cosets(cols, rows)`` (as ``NoisyAccess`` does), each
+    group's sample block is read through that in one call.
+    """
     if offsets.n != plan.n:
         raise PlanError("plan and offsets disagree on n")
     if len(offsets.groups) != plan.c_groups:
@@ -357,13 +357,16 @@ def observe(access, plan: SubsamplingPlan, offsets: OffsetPlan) -> BinObservatio
     size = 1 << plan.n
     bins = plan.bins
     scale = math.sqrt(size) / bins
+    take_cosets = getattr(access, "take_cosets", None)
     before = access.samples_queried
     data = np.empty((plan.c_groups, bins, offsets.rows), dtype=np.float64)
     for c in range(plan.c_groups):
-        base = plan.sample_positions(c)
         rows = offsets.rows_u64(c)
-        positions = rows[:, None] ^ base[None, :]
-        samples = access.take(positions.reshape(-1)).reshape(len(rows), bins)
+        if take_cosets is not None:
+            samples = take_cosets(plan.matrices[c].col_words_u64(), rows)
+        else:
+            positions = rows[:, None] ^ plan.sample_positions(c)[None, :]
+            samples = access.take(positions.reshape(-1)).reshape(len(rows), bins)
         kernels.fwht_rows_inplace(samples)
         samples *= scale
         data[c] = samples.T

@@ -15,6 +15,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+MAX_BITS = 63  # index words are packed into uint64 and drawn as int64
+
+
+def check_bits(n: int) -> int:
+    """Return ``n`` when it is a supported index length (1..MAX_BITS)."""
+    if not 1 <= n <= MAX_BITS:
+        raise ValueError(f"n={n} is outside 1..{MAX_BITS}, the range of packed index words")
+    return n
+
+
 class DimensionError(ValueError):
     """Operands have incompatible GF(2) dimensions."""
 

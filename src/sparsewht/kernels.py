@@ -7,7 +7,9 @@ set to ``1``/``true``. Every public function also accepts an explicit
 other (see ``sparsewht.cli bench kernels``).
 
 All GF(2) index words are carried as ``uint64``; only parities of ANDed
-words are ever needed, computed branch-free by an xor-fold.
+words are ever needed. The numpy path takes them from ``np.bitwise_count``
+(a hardware popcount where the CPU has one); the numba kernels use a
+branch-free xor-fold.
 """
 from __future__ import annotations
 
@@ -78,14 +80,18 @@ def _fwht_rows_numba(mat):  # pragma: no cover - compiled
 
 def _fwht_rows_numpy(mat):
     rows, size = mat.shape
+    # butterflies on a transposed copy: every stage then streams runs of
+    # h * rows contiguous values instead of h-long pieces of each row
+    work = np.ascontiguousarray(mat.T)
     h = 1
     while h < size:
-        view = mat.reshape(rows, size // (2 * h), 2, h)
-        a = view[:, :, 0, :].copy()
-        b = view[:, :, 1, :]
-        view[:, :, 0, :] = a + b
-        view[:, :, 1, :] = a - b
+        view = work.reshape(size // (2 * h), 2, h * rows)
+        a = view[:, 0, :].copy()
+        b = view[:, 1, :]
+        np.add(a, b, out=view[:, 0, :])
+        np.subtract(a, b, out=b)
         h *= 2
+    mat[...] = work.T
     return mat
 
 
@@ -128,10 +134,16 @@ def _parity_u64(v):  # pragma: no cover - compiled
 
 def parity_words(words: np.ndarray) -> np.ndarray:
     """Elementwise parity (popcount mod 2) of a uint64 array, numpy path."""
-    v = words.astype(np.uint64, copy=True)
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> np.uint64(shift)
-    return (v & np.uint64(1)).astype(np.uint8)
+    par = np.bitwise_count(np.asarray(words).astype(np.uint64, copy=False))
+    np.bitwise_and(par, 1, out=par)
+    return par
+
+
+def hash_words(k_words: np.ndarray, col_words: np.ndarray) -> np.ndarray:
+    """Bin words M^T k of packed k words: bit t is the parity of col_t & k."""
+    par = parity_words(np.asarray(k_words, dtype=np.uint64)[:, None] & col_words[None, :])
+    weights = np.uint64(1) << np.arange(len(col_words), dtype=np.uint64)
+    return (par.astype(np.uint64) * weights).sum(axis=1)
 
 
 @njit(cache=True)

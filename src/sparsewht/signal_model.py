@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import gf2, kernels
 from .fwht import synthesize_many
 
 _DENSE_NOISE_LIMIT = 24  # full-array noise cache; 2^24 doubles = 128 MiB
@@ -78,7 +79,7 @@ class SparseSpectrum:
 
 def draw_spectrum(n: int, k: int, rho: float, rng, constellation: bool = True) -> SparseSpectrum:
     """K distinct uniform support indices with +/-rho (or continuous) values."""
-    size = 1 << n
+    size = 1 << gf2.check_bits(n)
     if not 0 <= k <= size:
         raise ValueError(f"K={k} exceeds 2^n={size}")
     if rho <= 0:
@@ -113,6 +114,14 @@ def snr_from_db(snr_db: float) -> float:
 class NoisyAccess:
     """Noise-corrupted sample access u[m] = x[m] + w[m], w ~ N(0, sigma^2).
 
+    ``take`` reads arbitrary positions, synthesizing each in O(K).
+    ``take_cosets`` reads whole coset blocks u[M l + d] for all l and
+    computes them through the aliasing identity instead: the B samples of
+    one offset row d are the B-point unnormalized WHT of the alias vector
+    a_d[j] = sum_{M^T k = j} X[k] (-1)^<d,k>, divided by sqrt(N), so a row
+    costs O(K + B log B) rather than O(B K). Both read paths agree (exactly
+    for constellation values) and share the noise and the read accounting.
+
     The full noise realization is drawn lazily from the seeded generator,
     so repeated queries of one position agree and results do not depend
     on query order. Single-writer: concurrent experiments should use
@@ -120,6 +129,7 @@ class NoisyAccess:
     """
 
     def __init__(self, spectrum: SparseSpectrum, sigma: float, rng):
+        gf2.check_bits(spectrum.n)
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
         if sigma > 0 and spectrum.n > _DENSE_NOISE_LIMIT:
@@ -146,17 +156,45 @@ class NoisyAccess:
         if self.sigma > 0:
             self._noise_array()
 
-    def take(self, positions) -> np.ndarray:
-        """Vectorized sample reads at packed index words."""
-        positions = np.asarray(positions, dtype=np.uint64)
-        values = synthesize_many(self.spectrum, positions)
+    def _read(self, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Add the noise at ``positions`` to clean ``values`` (same shape)
+        and record the positions as read."""
         if self.sigma > 0:
             values = values + self._noise_array()[positions.astype(np.int64)]
         if self._queried is not None:
             self._queried[positions.astype(np.int64)] = True
         else:
-            self._queried_set.update(int(p) for p in positions)
+            self._queried_set.update(int(p) for p in positions.reshape(-1))
         return values
+
+    def take(self, positions) -> np.ndarray:
+        """Vectorized sample reads at packed index words."""
+        positions = np.asarray(positions, dtype=np.uint64)
+        return self._read(positions, synthesize_many(self.spectrum, positions))
+
+    def take_cosets(self, cols, rows) -> np.ndarray:
+        """The (P, B) block of samples u[M l + d] for the b column words
+        ``cols`` of M and the P offset words ``rows``.
+
+        Row p holds offset ``rows[p]``; column l is ordered by the word of
+        l, as in ``SubsamplingPlan.sample_positions``.
+        """
+        cols = np.asarray(cols, dtype=np.uint64)
+        rows = np.asarray(rows, dtype=np.uint64)
+        p, bins = len(rows), 1 << len(cols)
+        k_words, values = self.spectrum.as_arrays()
+        if len(k_words):
+            # alias[j, p] sums the signed coefficients X[k] (-1)^<d_p,k> of every k hashing to j
+            signed = kernels.sign_matrix(k_words, rows) * values[:, None]
+            cells = kernels.hash_words(k_words, cols).astype(np.intp)[:, None] * p + np.arange(p)
+            alias = np.bincount(cells.reshape(-1), weights=signed.reshape(-1), minlength=bins * p)
+            block = np.ascontiguousarray(alias.reshape(bins, p).T)
+            kernels.fwht_rows_inplace(block)
+            block /= math.sqrt(2.0**self.n)
+        else:
+            block = np.zeros((p, bins), dtype=np.float64)
+        positions = rows[:, None] ^ gf2.span_words(cols.tolist())[None, :]
+        return self._read(positions, block)
 
     def query(self, m) -> float:
         word = m if isinstance(m, (int, np.integer)) else m.word

@@ -17,6 +17,14 @@ def test_regular_degrees(code):
     assert dense.shape == (14, 28)
 
 
+def test_dense_h_is_cached_and_read_only(code):
+    dense = code.h_dense()
+    assert dense is code.h_dense()
+    assert np.array_equal(dense, code.h.to_dense())
+    with pytest.raises(ValueError):
+        dense[0, 0] ^= 1
+
+
 def test_systematic_prefix(code):
     rng = np.random.default_rng(1)
     for _ in range(20):

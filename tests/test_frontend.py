@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsewht import NoisyAccess, SparseSpectrum, draw_spectrum
+from sparsewht import NoisyAccess, SparseSpectrum, build_regular_ldpc, draw_spectrum, sigma_for_snr
 from sparsewht.frontend import (
     BinObservations,
     PlanError,
@@ -234,3 +234,40 @@ def test_observations_serialization_round_trip(tmp_path):
     loaded = BinObservations.load(path)
     assert np.array_equal(loaded.data, obs.data)
     assert (loaded.n, loaded.b, loaded.variant) == (obs.n, obs.b, obs.variant)
+
+
+class _PointReads:
+    """An oracle that answers point reads only, backed by a NoisyAccess."""
+
+    def __init__(self, access):
+        self._access = access
+
+    def take(self, positions):
+        return self._access.take(positions)
+
+    @property
+    def samples_queried(self):
+        return self._access.samples_queried
+
+
+@pytest.mark.parametrize("variant,n,k,constellation", [
+    ("nso", 17, 40, True),
+    ("so", 17, 40, True),
+    ("near-linear", 16, 32, True),
+    ("nso", 12, 10, False),
+])
+def test_observe_coset_and_point_reads_agree(variant, n, k, constellation):
+    rng = np.random.default_rng(20)
+    spectrum = draw_spectrum(n, k, 1.0, rng, constellation=constellation)
+    sigma = sigma_for_snr(1.0, k, 1 << n, 10.0)
+    plan = build_plan(n, k, profile="benchmark")
+    code = build_regular_ldpc(n, rng) if variant == "so" else None
+    offsets = build_offsets(variant, plan, code=code, rng=rng)
+    by_coset = observe(NoisyAccess(spectrum, sigma, np.random.default_rng(21)), plan, offsets)
+    by_point = observe(_PointReads(NoisyAccess(spectrum, sigma, np.random.default_rng(21))), plan, offsets)
+    if constellation:
+        assert np.array_equal(by_coset.data, by_point.data)
+    else:
+        assert np.max(np.abs(by_coset.data - by_point.data)) <= 1e-12
+    assert (by_coset.distinct_samples, by_coset.nominal_samples) == (by_point.distinct_samples,
+                                                                     by_point.nominal_samples)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sparsewht import kernels
+from sparsewht.gf2 import parity
 
 
 def test_fwht_rows_small_known_values():
@@ -14,9 +15,31 @@ def test_fwht_rows_small_known_values():
     assert np.array_equal(mat[0], [10.0, -2.0, -4.0, 0.0])
 
 
+def _butterflies_reference(row):
+    out = row.copy()
+    h = 1
+    while h < len(out):
+        for start in range(0, len(out), 2 * h):
+            for i in range(start, start + h):
+                out[i], out[i + h] = out[i] + out[i + h], out[i] - out[i + h]
+        h *= 2
+    return out
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 2), (5, 16), (7, 64), (2, 256)])
+def test_fwht_rows_numpy_matches_loop_butterflies(shape):
+    mat = np.random.default_rng(shape[1]).standard_normal(shape)
+    expected = np.array([_butterflies_reference(row) for row in mat])
+    kernels.fwht_rows_inplace(mat, backend="numpy")
+    assert np.array_equal(mat, expected)
+
+
 def test_parity_words():
-    words = np.array([0, 1, 3, 7, 0xFFFF], dtype=np.uint64)
-    assert list(kernels.parity_words(words)) == [0, 1, 0, 1, 0]
+    words = np.array([0, 1, 3, 7, 0xFFFF, 1 << 63, (1 << 64) - 1], dtype=np.uint64)
+    assert list(kernels.parity_words(words)) == [0, 1, 0, 1, 0, 1, 0]
+    rng = np.random.default_rng(0)
+    words = rng.integers(0, 1 << 64, size=200, dtype=np.uint64)
+    assert [int(p) for p in kernels.parity_words(words)] == [parity(int(w)) for w in words]
 
 
 def test_sign_matrix_numpy_values():

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparsewht import NoisyAccess, SparseSpectrum, draw_spectrum, sigma_for_snr, synthesize_many
+from sparsewht import NoisyAccess, SparseSpectrum, build_plan, draw_spectrum, sigma_for_snr, synthesize_many
 from sparsewht.fwht import densify, fwht
 from sparsewht.signal_model import snr_from_db
 
@@ -113,3 +115,71 @@ def test_spectrum_serialization_round_trip(tmp_path):
 def test_spectrum_drops_exact_zeros():
     spec = SparseSpectrum(4, {3: 0.0, 5: 1.0})
     assert spec.support() == {5}
+
+
+def _coset_positions(cols, rows):
+    """u[M l + d] read positions, one row per offset d, by direct XOR sums."""
+    span = [0] * (1 << len(cols))
+    for word in range(len(span)):
+        for t, col in enumerate(cols):
+            if word >> t & 1:
+                span[word] ^= int(col)
+    return np.array([[int(d) ^ m for m in span] for d in rows], dtype=np.uint64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 12), b=st.integers(1, 6), k=st.integers(0, 12), p=st.integers(1, 8),
+       zero_rows=st.integers(0, 3), sigma=st.sampled_from([0.0, 0.4]),
+       rho=st.sampled_from([1.0, 0.5, 2.5]), constellation=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_take_cosets_matches_pointwise_take(n, b, k, p, zero_rows, sigma, rho, constellation, seed):
+    rng = np.random.default_rng(seed)
+    k = min(k, 1 << n)
+    spectrum = draw_spectrum(n, k, rho, rng, constellation=constellation)
+    cols = rng.integers(0, 1 << n, size=min(b, n), dtype=np.int64).astype(np.uint64)
+    # random offsets plus repeated zero rows, as in the SO layout
+    rows = np.concatenate([rng.integers(0, 1 << n, size=p, dtype=np.int64),
+                           np.zeros(zero_rows, dtype=np.int64)]).astype(np.uint64)
+    coset_access = NoisyAccess(spectrum, sigma, np.random.default_rng(seed))
+    point_access = NoisyAccess(spectrum, sigma, np.random.default_rng(seed))
+
+    block = coset_access.take_cosets(cols, rows)
+    positions = _coset_positions(cols, rows)
+    expected = point_access.take(positions.reshape(-1)).reshape(positions.shape)
+    assert block.shape == positions.shape
+    if constellation:
+        # sums of +/-rho are exact, so both paths round identically
+        assert np.array_equal(block, expected)
+    else:
+        assert np.max(np.abs(block - expected)) <= 1e-12
+    assert coset_access.samples_queried == point_access.samples_queried == len(np.unique(positions))
+    # a second read of the same block sees the same noise and no new samples
+    assert np.array_equal(coset_access.take_cosets(cols, rows), block)
+    assert coset_access.samples_queried == point_access.samples_queried
+
+
+def test_take_cosets_noiseless_beyond_dense_bitmap():
+    # n > 24 keeps read positions in a set instead of a 2^n bitmap
+    n = 40
+    spectrum = draw_spectrum(n, 6, 1.0, np.random.default_rng(12))
+    access = NoisyAccess(spectrum, 0.0, np.random.default_rng(13))
+    cols = np.array([1 << 3, 1 << 17, (1 << 39) | 5], dtype=np.uint64)
+    rows = np.array([0, 0, 1 << 38, 12345], dtype=np.uint64)
+    block = access.take_cosets(cols, rows)
+    positions = _coset_positions(cols, rows)
+    assert np.array_equal(block, synthesize_many(spectrum, positions.reshape(-1)).reshape(positions.shape))
+    assert access.samples_queried == len(np.unique(positions)) == 3 * 8
+
+
+@pytest.mark.parametrize("n", [0, 64, 70])
+def test_index_length_outside_packed_words_is_rejected(n):
+    with pytest.raises(ValueError, match="outside 1..63"):
+        draw_spectrum(n, 1, 1.0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="outside 1..63"):
+        NoisyAccess(SparseSpectrum(n, {}), 0.0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="outside 1..63"):
+        build_plan(n, 1)
+
+
+def test_draw_at_widest_index_length():
+    spec = draw_spectrum(63, 5, 1.0, np.random.default_rng(14))
+    assert spec.sparsity == 5 and all(0 <= k < 1 << 63 for k in spec.entries)
