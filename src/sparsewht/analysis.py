@@ -2,15 +2,16 @@
 
 The recursion p_i = (1 - exp(-p_{i-1} / eta))^(C-1) tracks the expected
 fraction of unresolved edges per peeling round at redundancy eta = B/K
-with C groups; the minimum workable eta for each C is found by bisecting
-on convergence of the recursion.
+with C groups. It converges iff eta exceeds the threshold
+eta*(C) = sup_{y>0} (1 - e^-y)^(C-1) / y (the recursion stalls at a
+positive fixed point p = eta y exactly when some y > 0 has
+(1 - e^-y)^(C-1) = eta y), so the minimum workable redundancy is that
+one-dimensional maximum rather than a search over eta.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .kernels import njit
 
 
 @dataclass(frozen=True)
@@ -37,42 +38,32 @@ def density_evolution(c_groups: int, eta: float, max_iters: int = 10_000, tol: f
     return DeTrace(c_groups, eta, tuple(probs), p < tol)
 
 
-@njit(cache=True)
-def _converges(c_minus_1: int, eta: float, max_iters: int, tol: float) -> bool:  # pragma: no cover
-    p = 1.0
-    for _ in range(max_iters):
-        p = (1.0 - math.exp(-p / eta)) ** c_minus_1
-        if p < tol:
-            return True
-    return False
+def min_eta(c_groups: int) -> float:
+    """Threshold redundancy eta*(C) below which the recursion stalls.
 
-
-def min_eta(c_groups: int, bisection_tol: float = 1e-4, max_iters: int = 1_000_000, tol: float = 1e-12) -> float:
-    """Threshold redundancy below which the recursion stalls.
-
-    Convergence slows critically near the threshold (for C = 2 the tail
-    contracts only geometrically at rate eta^-1), so the iteration budget
-    here is much larger than a casual deep run of
-    :func:`density_evolution` needs.
+    For C = 2, (1 - e^-y) / y decreases in y, so the supremum is its
+    y -> 0 limit, 1. For C >= 3 the maximum sits where the log-derivative
+    vanishes, (C - 1) y = e^y - 1; that root is found by Newton steps
+    from the right, where the convex left side converges monotonically.
     """
     if c_groups < 2:
         raise ValueError("need at least two groups")
-    lo, hi = 0.05, 2.5
-    if not _converges(c_groups - 1, hi, max_iters, tol):
-        raise RuntimeError("upper bracket does not converge")
-    while hi - lo > bisection_tol:
-        mid = 0.5 * (lo + hi)
-        if _converges(c_groups - 1, mid, max_iters, tol):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    if c_groups == 2:
+        return 1.0
+    a = c_groups - 1
+    y = 2.0 * math.log(a) + 2.0  # right of the root, where e^y - 1 > a y
+    for _ in range(100):
+        step = (math.expm1(y) - a * y) / (math.exp(y) - a)
+        y -= step
+        if step <= 1e-15 * y:
+            break
+    return (-math.expm1(-y)) ** a / y
 
 
-def de_table(c_values=(2, 3, 4, 5, 6), bisection_tol: float = 1e-4):
+def de_table(c_values=(2, 3, 4, 5, 6)):
     """Rows (C, eta_min, C * eta_min) for the redundancy table."""
     rows = []
     for c in c_values:
-        eta = min_eta(c, bisection_tol=bisection_tol)
+        eta = min_eta(c)
         rows.append((c, eta, c * eta))
     return rows

@@ -1,13 +1,16 @@
 """Bin classification: zero-ton / single-ton / multi-ton tests.
 
 Four variants share the same contract. The noiseless detector reads the
-index bits from sign ratios against the zero-offset reference row; the
-near-linear detector correlates the column against every candidate
-signature in the bin's hash coset; the two structured variants recover
-the index through repetition voting or channel decoding and then verify
-with the random rows. Anything failing verification is classified
-multi-ton: multi-tons need no action during peeling, so erring toward
-them only delays recovery, never corrupts it.
+index bits from sign ratios against the zero-offset reference row. The
+near-linear detector scores every candidate in the bin's hash coset with
+one small Walsh-Hadamard transform (a coset is an affine subspace, so
+its signature correlations are a transform of the column, see
+``kernels.singleton_search``) and classifies all pending bins of a group
+at once. The two structured variants recover the index through
+repetition voting or channel decoding and then verify with the random
+rows. Anything failing verification is classified multi-ton: multi-tons
+need no action during peeling, so erring toward them only delays
+recovery, never corrupts it.
 
 Sign convention: sgn(x) = 1 for x < 0 and 0 for x > 0 (sgn(0) = 0), so
 that x = |x| * (-1)^sgn(x).
@@ -109,36 +112,65 @@ def detect_noiseless(u: np.ndarray, j_word: int, c: int, plan, cfg: DetectorConf
     return Detection(SINGLE_TON, k_word, value)
 
 
-def _energy_is_zero_ton(u: np.ndarray, cfg: DetectorConfig) -> bool:
-    return float(np.mean(u * u)) <= (1.0 + cfg.gamma) * cfg.nu2
+def _within_noise(u: np.ndarray, cfg: DetectorConfig):
+    """Per row of ``u``: is the mean energy at most (1 + gamma) nu^2?"""
+    return np.mean(u * u, axis=-1) <= (1.0 + cfg.gamma) * cfg.nu2
 
 
-def _estimate_value(score: float, rows: int, cfg: DetectorConfig) -> float:
+def _estimate_value(score, rows: int, cfg: DetectorConfig):
+    """Per entry of ``score``, the value of the single-ton it correlates with."""
     if cfg.constellation:
-        return cfg.rho if score >= 0 else -cfg.rho
+        return np.where(score >= 0, cfg.rho, -cfg.rho)
     return score / rows
 
 
-def _verified_single(u: np.ndarray, row_words: np.ndarray, k_word: int, value: float,
-                     cfg: DetectorConfig) -> Detection:
+def _verified(u: np.ndarray, signs: np.ndarray, values, cfg: DetectorConfig):
+    """Per row: does the residual after removing ``values * signs`` stay
+    within the noise level?"""
+    return _within_noise(u - np.asarray(values)[..., None] * signs, cfg)
+
+
+def _confirm_single(u: np.ndarray, row_words: np.ndarray, k_word: int, cfg: DetectorConfig) -> Detection:
     signs = kernels.sign_matrix(np.array([k_word], dtype=np.uint64), row_words)[0]
-    resid = u - value * signs
-    if float(np.mean(resid * resid)) <= (1.0 + cfg.gamma) * cfg.nu2:
-        return Detection(SINGLE_TON, int(k_word), float(value))
+    value = float(_estimate_value(float(signs @ u), len(u), cfg))
+    if _verified(u, signs, value, cfg):
+        return Detection(SINGLE_TON, int(k_word), value)
     return _MULTI
 
 
+def _near_linear(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig) -> list:
+    live = np.flatnonzero(~_within_noise(cols, cfg))
+    found = {}
+    if len(live):
+        u = cols[live]
+        rows = offsets.rows_u64(c)
+        part = plan.particular_words(c)[js[live]]
+        idx, score = kernels.singleton_search(u, rows, plan.coset_basis(c), part)
+        k_words = part ^ plan.coset_span(c)[idx]
+        values = _estimate_value(score, len(rows), cfg)
+        single = _verified(u, kernels.sign_matrix(k_words, rows), values, cfg)
+        for r, k, v, ok in zip(live.tolist(), k_words.tolist(), values.tolist(), single.tolist()):
+            found[r] = Detection(SINGLE_TON, k, v) if ok else _MULTI
+    return [found.get(r, _ZERO) for r in range(len(js))]
+
+
+def detect_near_linear_many(block: np.ndarray, js, c: int, plan, offsets, cfg: DetectorConfig) -> list:
+    """Matched-filter search over the hash cosets of the bins ``js`` at once.
+
+    ``block`` holds group c's columns by bin word, shape (B, P). Rows
+    whose energy is within (1 + gamma) nu^2 are zero-tons. Every other
+    row takes its best coset candidate from one batched
+    ``kernels.singleton_search`` and is a single-ton only if the residual
+    after removing that candidate stays within the same level.
+    """
+    js = np.asarray(js, dtype=np.int64)
+    return _near_linear(block[js], js, c, plan, offsets, cfg)
+
+
 def detect_near_linear(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig) -> Detection:
-    """Exhaustive matched-filter search over the bin's hash coset."""
+    """The one-column case of :func:`detect_near_linear_many`."""
     u = np.asarray(u, dtype=np.float64)
-    if _energy_is_zero_ton(u, cfg):
-        return _ZERO
-    rows = offsets.rows_u64(c)
-    cands = plan.coset(c, j_word)
-    idx, score = kernels.singleton_search(u, rows, cands)
-    k_word = int(cands[idx])
-    value = _estimate_value(score, len(rows), cfg)
-    return _verified_single(u, rows, k_word, value, cfg)
+    return _near_linear(u[None, :], np.array([j_word], dtype=np.int64), c, plan, offsets, cfg)[0]
 
 
 def detect_nso(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig) -> Detection:
@@ -147,7 +179,7 @@ def detect_nso(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorC
     p1 = offsets.layout["p1"]
     n = plan.n
     base = u[:p1]
-    if _energy_is_zero_ton(base, cfg):
+    if _within_noise(base, cfg):
         return _ZERO
     base_sign = (base < 0)
     block_sign = (u[p1:].reshape(p1, n) < 0)
@@ -158,10 +190,7 @@ def detect_nso(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorC
             k_word |= 1 << q
     if plan.bin_of(c, k_word) != j_word:
         return _MULTI
-    base_rows = offsets.rows_u64(c)[:p1]
-    signs = kernels.sign_matrix(np.array([k_word], dtype=np.uint64), base_rows)[0]
-    value = _estimate_value(float(signs @ base), p1, cfg)
-    return _verified_single(base, base_rows, k_word, value, cfg)
+    return _confirm_single(base, offsets.rows_u64(c)[:p1], k_word, cfg)
 
 
 def detect_so(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig, code=None) -> Detection:
@@ -173,7 +202,7 @@ def detect_so(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorCo
     z0, z1 = offsets.layout["zero"]
     c0, c1 = offsets.layout["coded"]
     rand = u[r0:r1]
-    if _energy_is_zero_ton(rand, cfg):
+    if _within_noise(rand, cfg):
         return _ZERO
     zero_signs = (u[z0:z1] < 0)
     ref_sign = 1 if 2 * int(zero_signs.sum()) > (z1 - z0) else 0
@@ -184,21 +213,24 @@ def detect_so(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorCo
     k_word = decoded.word
     if plan.bin_of(c, k_word) != j_word:
         return _MULTI
-    rand_rows = offsets.rows_u64(c)[r0:r1]
-    signs = kernels.sign_matrix(np.array([k_word], dtype=np.uint64), rand_rows)[0]
-    value = _estimate_value(float(signs @ rand), r1 - r0, cfg)
-    return _verified_single(rand, rand_rows, k_word, value, cfg)
+    return _confirm_single(rand, offsets.rows_u64(c)[r0:r1], k_word, cfg)
 
 
 def make_detector(plan, offsets, cfg: DetectorConfig, code=None):
-    """Bind a variant-appropriate ``(u, j, c) -> Detection`` callable."""
+    """Bind a variant-appropriate ``(block, js, c) -> [Detection]`` callable.
+
+    ``block`` is group c's (B, P) observations and ``js`` the bin words to
+    classify; the result holds one detection per word of ``js``, in order.
+    The near-linear variant classifies them in one batch, the others one
+    column at a time.
+    """
     variant = offsets.variant
     if variant == "noiseless":
-        return lambda u, j, c: detect_noiseless(u, j, c, plan, cfg)
+        return lambda block, js, c: [detect_noiseless(block[j], j, c, plan, cfg) for j in js]
     if variant == "near-linear":
-        return lambda u, j, c: detect_near_linear(u, j, c, plan, offsets, cfg)
+        return lambda block, js, c: detect_near_linear_many(block, js, c, plan, offsets, cfg)
     if variant == "nso":
-        return lambda u, j, c: detect_nso(u, j, c, plan, offsets, cfg)
+        return lambda block, js, c: [detect_nso(block[j], j, c, plan, offsets, cfg) for j in js]
     if variant == "so":
-        return lambda u, j, c: detect_so(u, j, c, plan, offsets, cfg, code=code)
+        return lambda block, js, c: [detect_so(block[j], j, c, plan, offsets, cfg, code=code) for j in js]
     raise ValueError(f"unknown offset variant {variant!r}")

@@ -153,13 +153,15 @@ def _cmd_bench_kernels(args) -> int:
             ns = timed(lambda: kernels.fwht_rows_inplace(work, backend=backend), args.reps)
             rows.append({"kernel": "fwht_rows", "backend": backend, "size": f"64x{1 << b}",
                          "reps": args.reps, "ns_per_call": ns})
-    for q in (1 << 8, 1 << 12):
-        cands = rng.integers(0, 1 << 20, size=q).astype(np.uint64)
+    for d in (8, 12):
+        # 32 bin columns of 48 rows, each searched over a 2^d-word coset
+        basis = rng.integers(0, 1 << 20, size=d).astype(np.uint64)
+        parts = rng.integers(0, 1 << 20, size=32).astype(np.uint64)
         offs = rng.integers(0, 1 << 20, size=48).astype(np.uint64)
-        u = rng.standard_normal(48)
+        cols = rng.standard_normal((32, 48))
         for backend in backends:
-            ns = timed(lambda: kernels.singleton_search(u, offs, cands, backend=backend), args.reps)
-            rows.append({"kernel": "singleton_search", "backend": backend, "size": str(q),
+            ns = timed(lambda: kernels.singleton_search(cols, offs, basis, parts, backend=backend), args.reps)
+            rows.append({"kernel": "singleton_search", "backend": backend, "size": f"32x{1 << d}",
                          "reps": args.reps, "ns_per_call": ns})
     columns = ("kernel", "backend", "size", "reps", "ns_per_call")
     write_csv(args.out, rows, columns)

@@ -59,17 +59,25 @@ class SubsamplingPlan:
         return kernels.hash_words(k_words, self.matrices[c].col_words_u64())
 
     def coset(self, c: int, j_word: int) -> np.ndarray:
-        """All k hashing to bin j in group c, as packed uint64 words."""
-        span, units = self._coset_parts(c)
-        part = np.uint64(0)
-        t = 0
-        j = j_word
-        while j:
-            if j & 1:
-                part ^= units[t]
-            j >>= 1
-            t += 1
-        return span ^ part
+        """All k hashing to bin j in group c, as packed uint64 words.
+
+        Word alpha is ``particular_words(c)[j] ^ coset_span(c)[alpha]``.
+        """
+        span, particular = self._coset_parts(c)
+        return span ^ particular[j_word]
+
+    def coset_span(self, c: int) -> np.ndarray:
+        """The null space of M_c^T, the XOR-combinations of ``coset_basis(c)``
+        in ``gf2.span_words`` order: bit i of alpha selects basis word i."""
+        return self._coset_parts(c)[0]
+
+    def coset_basis(self, c: int) -> np.ndarray:
+        """The n - b words spanning the null space of M_c^T."""
+        return self.coset_span(c)[1 << np.arange(self.n - self.b)]
+
+    def particular_words(self, c: int) -> np.ndarray:
+        """One solution of M_c^T k = j per bin word j, indexed by j."""
+        return self._coset_parts(c)[1]
 
     def _coset_parts(self, c: int):
         if c not in self._coset_cache:
@@ -78,11 +86,8 @@ class SubsamplingPlan:
             m = self.matrices[c]
             _, basis = gf2.solve_affine(m, gf2.BitIndex(0, self.b))
             span = gf2.span_words([v.word for v in basis])
-            units = np.zeros(self.b, dtype=np.uint64)
-            for t in range(self.b):
-                particular, _ = gf2.solve_affine(m, gf2.BitIndex(1 << t, self.b))
-                units[t] = particular.word
-            self._coset_cache[c] = (span, units)
+            units = [gf2.solve_affine(m, gf2.BitIndex(1 << t, self.b))[0].word for t in range(self.b)]
+            self._coset_cache[c] = (span, gf2.span_words(units))
         return self._coset_cache[c]
 
     def sample_positions(self, c: int) -> np.ndarray:

@@ -168,45 +168,37 @@ def sign_matrix(k_words: np.ndarray, offset_words: np.ndarray, backend=None) -> 
     return 1.0 - 2.0 * par.astype(np.float64)
 
 
-@njit(cache=True)
-def _singleton_search_numba(u, offset_words, cand_words):  # pragma: no cover - compiled
-    p = u.shape[0]
-    best = 0
-    best_abs = -1.0
-    best_score = 0.0
-    for i in range(cand_words.shape[0]):
-        kw = cand_words[i]
-        score = 0.0
-        for j in range(p):
-            if _parity_u64(kw & offset_words[j]):
-                score -= u[j]
-            else:
-                score += u[j]
-        a = abs(score)
-        if a > best_abs:
-            best_abs = a
-            best = i
-            best_score = score
-    return best, best_score
+def singleton_search(cols: np.ndarray, offset_words: np.ndarray, basis_words: np.ndarray,
+                     part_words: np.ndarray, backend=None):
+    """Best match of each bin column against its hash coset's signatures.
 
+    Row r of ``cols`` (shape (m, P)) is a bin column whose candidates are
+    the coset k = part_r xor span(v_1..v_d), with ``part_words[r]`` the
+    bin's particular word and ``basis_words`` the d null-space words v_i.
+    Candidate alpha is ``part_r ^ gf2.span_words(basis_words)[alpha]``.
+    The scores over a coset are one d-point Walsh-Hadamard transform:
 
-def singleton_search(u: np.ndarray, offset_words: np.ndarray, cand_words: np.ndarray, backend=None):
-    """Best match of the bin column against the signature codebook.
+        s_k^T u = sum_p u_p (-1)^<d_p, part> (-1)^<alpha, y_p>,
 
-    Returns ``(index, score)`` where ``index`` selects the candidate word
-    maximizing |s_k^T u| and ``score`` is that (signed) correlation. The
-    residual argmin over candidates reduces to this argmax because
-    ||u - (s^T u / P) s||^2 = ||u||^2 - (s^T u)^2 / P.
+    where bit i of y_p is <d_p, v_i>. So the P signed values are summed
+    into 2^d slots at y_p and one butterfly pass gives every score.
+
+    Returns ``(idx, score)`` arrays of length m: ``idx[r]`` selects the
+    candidate maximizing |s_k^T u| and ``score[r]`` is that (signed)
+    correlation. The residual argmin over candidates reduces to this
+    argmax because ||u - (s^T u / P) s||^2 = ||u||^2 - (s^T u)^2 / P.
     """
-    u = np.ascontiguousarray(u, dtype=np.float64)
+    cols = np.asarray(cols, dtype=np.float64)
     offset_words = np.ascontiguousarray(offset_words, dtype=np.uint64)
-    cand_words = np.ascontiguousarray(cand_words, dtype=np.uint64)
-    if _pick(backend):
-        return _singleton_search_numba(u, offset_words, cand_words)
-    signs = sign_matrix(cand_words, offset_words, backend="numpy")
-    scores = signs @ u
-    idx = int(np.argmax(np.abs(scores)))
-    return idx, float(scores[idx])
+    basis_words = np.ascontiguousarray(basis_words, dtype=np.uint64)
+    rows, size = cols.shape[0], 1 << len(basis_words)
+    slots = hash_words(offset_words, basis_words).astype(np.int64)
+    signed = cols * sign_matrix(part_words, offset_words, backend=backend)
+    at = (np.arange(rows, dtype=np.int64)[:, None] * size + slots[None, :]).reshape(-1)
+    scores = np.bincount(at, weights=signed.reshape(-1), minlength=rows * size).reshape(rows, size)
+    fwht_rows_inplace(scores, backend=backend)
+    idx = np.argmax(np.abs(scores), axis=1)
+    return idx, scores[np.arange(rows), idx]
 
 
 def warmup() -> None:
@@ -215,4 +207,4 @@ def warmup() -> None:
     fwht_rows_inplace(mat)
     w = np.arange(4, dtype=np.uint64)
     sign_matrix(w, w)
-    singleton_search(np.ones(4), w, w)
+    singleton_search(np.ones((2, 4)), w, w[1:3], w[:2])

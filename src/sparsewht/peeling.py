@@ -63,8 +63,15 @@ def decode(obs, plan, offsets, detector, max_iters: int | None = None,
            stall_energy: float | None = None, sweep_hook=None):
     """Run peeling until fixed point; returns (spectrum, report).
 
-    ``detector`` maps ``(column, bin_word, group) -> Detection`` and must
-    match the offsets the observations were generated with.
+    ``detector`` maps ``(block, js, group) -> [Detection]``: ``block`` is
+    the group's (B, P) observations (a view into the working copy), ``js``
+    its sorted pending bin words, and the result has one detection per
+    word. It must match the offsets the observations were generated with.
+    A group's pending bins are classified in one call and the single-tons
+    peeled afterwards, in ``js`` order. This equals classifying and
+    peeling one bin at a time: a coefficient hashes to exactly one bin
+    per group and a single-ton is only reported for its own bin, so a
+    peel made during group c's pass never changes another bin of group c.
     ``stall_energy`` is the residual-energy level above which a stopped
     decode is flagged as stalled (defaults to a float-noise allowance).
     ``max_iters`` caps the sweep count (default 2 C B + 10).
@@ -85,10 +92,11 @@ def decode(obs, plan, offsets, detector, max_iters: int | None = None,
             break
         sweep_peels = 0
         for c in range(c_groups):
-            todo = sorted(pending[c])
+            js = sorted(pending[c])
             pending[c].clear()
-            for j in todo:
-                det = detector(data[c, j], j, c)
+            if not js:
+                continue
+            for det in detector(data[c], js, c):
                 if det.kind != SINGLE_TON:
                     continue
                 k_word, value = det.index, det.value

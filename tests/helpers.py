@@ -3,7 +3,7 @@ import numpy as np
 
 from sparsewht import SparseSpectrum
 from sparsewht.frontend import SubsamplingPlan
-from sparsewht.gf2 import selection_matrix
+from sparsewht.gf2 import random_full_column_rank, selection_matrix
 
 
 def bits(s: str) -> int:
@@ -25,6 +25,12 @@ def golden_plan() -> SubsamplingPlan:
     m1 = selection_matrix(4, [2, 3])
     m2 = selection_matrix(4, [0, 1])
     return SubsamplingPlan(4, 2, 2, (m1, m2), "window")
+
+
+def random_plan(n: int, b: int, c_groups: int, rng) -> SubsamplingPlan:
+    """A plan of uniformly random full-column-rank hash matrices."""
+    mats = tuple(random_full_column_rank(n, b, rng) for _ in range(c_groups))
+    return SubsamplingPlan(n, b, c_groups, mats, "window")
 
 
 # aliasing sums of the worked instance, per group and bin word

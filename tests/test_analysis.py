@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sparsewht.analysis import de_table, density_evolution, min_eta
+from sparsewht.frontend import MIN_REDUNDANCY
 
 TABLE_ETA = {2: 1.0000, 3: 0.4073, 4: 0.3237, 5: 0.2850, 6: 0.2616}
 TABLE_C_ETA = [2.0000, 1.2219, 1.2948, 1.4250, 1.5696]
@@ -43,6 +44,18 @@ def test_min_eta_matches_table(c, eta):
     assert min_eta(c) == pytest.approx(eta, abs=1e-3)
 
 
+@pytest.mark.parametrize("c", sorted(MIN_REDUNDANCY))
+def test_min_eta_rounds_to_redundancy_constants(c):
+    assert round(min_eta(c), 4) == MIN_REDUNDANCY[c]
+
+
+@pytest.mark.parametrize("c", [3, 4, 5, 6])
+def test_threshold_separates_convergence_from_stall(c):
+    eta = min_eta(c)
+    assert density_evolution(c, 1.01 * eta).converged
+    assert not density_evolution(c, 0.99 * eta).converged
+
+
 def test_c_eta_row():
     rows = de_table()
     got = [row[2] for row in rows]
@@ -54,3 +67,5 @@ def test_input_validation():
         density_evolution(1, 0.5)
     with pytest.raises(ValueError):
         density_evolution(3, 0.0)
+    with pytest.raises(ValueError):
+        min_eta(1)

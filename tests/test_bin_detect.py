@@ -10,6 +10,7 @@ from sparsewht.bin_detect import (
     ZERO_TON,
     DetectorConfig,
     detect_near_linear,
+    detect_near_linear_many,
     detect_noiseless,
     detect_nso,
     detect_so,
@@ -87,6 +88,27 @@ def test_near_linear_zero_column_is_zero_ton():
     offsets = build_offsets("near-linear", plan, p1=20, rng=np.random.default_rng(2))
     cfg = DetectorConfig(gamma=0.5, nu2=0.3)
     assert detect_near_linear(np.zeros(20), 0, 0, plan, offsets, cfg).kind == ZERO_TON
+
+
+def test_near_linear_batch_matches_one_column_at_a_time():
+    # 12 coefficients in 8 bins at 10 dB: zero-, single- and multi-ton bins
+    n, k_sparsity = 10, 12
+    rng = np.random.default_rng(13)
+    plan = build_plan(n, 8, regime="window", c_groups=2, b=3)
+    spectrum = draw_spectrum(n, k_sparsity, 1.0, rng)
+    sigma = sigma_for_snr(1.0, k_sparsity, 1 << n, 10.0)
+    offsets = build_offsets("near-linear", plan, rng=rng)
+    obs = observe(NoisyAccess(spectrum, sigma, rng), plan, offsets)
+    cfg = DetectorConfig(gamma=DetectorConfig.default_gamma(10.0), nu2=(1 << n) * sigma**2 / plan.bins)
+    kinds = set()
+    for c in range(plan.c_groups):
+        block = obs.data[c]
+        js = [0, 2, 3, 5, 6, 7]
+        batch = detect_near_linear_many(block, js, c, plan, offsets, cfg)
+        assert batch == [detect_near_linear(block[j], j, c, plan, offsets, cfg) for j in js]
+        kinds.update(det.kind for det in batch)
+        assert detect_near_linear_many(block, [], c, plan, offsets, cfg) == []
+    assert kinds == {ZERO_TON, SINGLE_TON, MULTI_TON}
 
 
 def test_near_linear_monte_carlo_accuracy():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsewht import NoisyAccess, SparseSpectrum, build_regular_ldpc, draw_spectrum, sigma_for_snr
 from sparsewht.frontend import (
@@ -9,10 +11,10 @@ from sparsewht.frontend import (
     build_plan,
     observe,
 )
-from sparsewht.gf2 import rank_transpose
+from sparsewht.gf2 import BitIndex, rank_transpose, solve_affine, span_words
 from sparsewht.kernels import sign_matrix
 
-from helpers import GOLDEN_BINS_G1, GOLDEN_BINS_G2, golden_plan, golden_spectrum
+from helpers import GOLDEN_BINS_G1, GOLDEN_BINS_G2, golden_plan, golden_spectrum, random_plan
 
 
 def _window_cols(plan):
@@ -271,3 +273,39 @@ def test_observe_coset_and_point_reads_agree(variant, n, k, constellation):
         assert np.max(np.abs(by_coset.data - by_point.data)) <= 1e-12
     assert (by_coset.distinct_samples, by_coset.nominal_samples) == (by_point.distinct_samples,
                                                                      by_point.nominal_samples)
+
+
+_plans = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, n), st.integers(1, 3), st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan_args=_plans)
+def test_bins_of_many_agrees_with_bin_of(plan_args):
+    n, b, c_groups, seed = plan_args
+    rng = np.random.default_rng(seed)
+    plan = random_plan(n, b, c_groups, rng)
+    words = rng.integers(0, 1 << n, size=20, dtype=np.int64).astype(np.uint64)
+    for c in range(c_groups):
+        assert [int(j) for j in plan.bins_of_many(c, words)] == [plan.bin_of(c, int(k)) for k in words]
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan_args=_plans)
+def test_coset_is_the_bin_preimage(plan_args):
+    n, b, c_groups, seed = plan_args
+    rng = np.random.default_rng(seed)
+    plan = random_plan(n, b, c_groups, rng)
+    c = c_groups - 1
+    span = plan.coset(c, 0)
+    for j in rng.integers(0, plan.bins, size=4).tolist():
+        words = plan.coset(c, j)
+        assert len(np.unique(words)) == len(words) == 1 << (n - b)
+        assert np.all(plan.bins_of_many(c, words) == j)
+        # the cached particular word is solve_affine's, up to the span
+        particular, _ = solve_affine(plan.matrices[c], BitIndex(j, b))
+        assert int(plan.particular_words(c)[j]) ^ particular.word in set(span.tolist())
+    # the basis words generate the null space, the bin-0 coset
+    basis = plan.coset_basis(c)
+    assert len(basis) == n - b and np.all(plan.bins_of_many(c, basis) == 0)
+    assert set(span_words(basis.tolist()).tolist()) == set(span.tolist())

@@ -4,9 +4,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparsewht import kernels
-from sparsewht.gf2 import parity
+from sparsewht.gf2 import parity, span_words
+
+from helpers import random_plan
 
 
 def test_fwht_rows_small_known_values():
@@ -49,14 +53,50 @@ def test_sign_matrix_numpy_values():
     assert list(got) == [-1.0, 1.0, -1.0, 1.0]
 
 
+def _random_coset(n, d, rng):
+    """d independent basis words and a particular word in GF(2)^n."""
+    while True:
+        basis = rng.integers(0, 1 << n, size=d, dtype=np.int64).astype(np.uint64)
+        if len(np.unique(span_words(basis.tolist()))) == 1 << d:
+            return basis, np.uint64(rng.integers(0, 1 << n))
+
+
 def test_singleton_search_prefers_strongest_candidate():
     rng = np.random.default_rng(0)
     offs = rng.integers(0, 1 << 10, size=24, dtype=np.int64).astype(np.uint64)
-    cands = rng.integers(0, 1 << 10, size=50, dtype=np.int64).astype(np.uint64)
+    basis, part = _random_coset(10, 6, rng)
+    cands = span_words(basis.tolist()) ^ part
     true_k = cands[17]
-    u = -3.0 * kernels.sign_matrix(np.array([true_k]), offs)[0]
-    idx, score = kernels.singleton_search(u, offs, cands, backend="numpy")
-    assert cands[idx] == true_k and score == pytest.approx(-3.0 * 24)
+    u = -3.0 * kernels.sign_matrix(np.array([true_k]), offs)
+    idx, score = kernels.singleton_search(u, offs, basis, np.array([part]), backend="numpy")
+    assert cands[idx[0]] == true_k and score[0] == pytest.approx(-3.0 * 24)
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 10), b=st.integers(1, 10), p=st.integers(1, 12), m=st.integers(0, 5),
+       integer_cols=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=6, b=6, p=5, m=3, integer_cols=False, seed=1)  # one candidate per bin
+@example(n=7, b=3, p=1, m=4, integer_cols=False, seed=2)  # a single offset row
+@example(n=7, b=3, p=6, m=0, integer_cols=False, seed=3)  # no pending bins
+def test_singleton_search_matches_brute_force(n, b, p, m, integer_cols, seed):
+    b = min(b, n)  # b == n leaves one candidate per bin
+    rng = np.random.default_rng(seed)
+    plan = random_plan(n, b, 1, rng)
+    rows = rng.integers(0, 1 << n, size=p, dtype=np.int64).astype(np.uint64)
+    js = rng.integers(0, plan.bins, size=m)  # bins may repeat
+    # small integers make exact ties common; they must still pick a best
+    cols = (rng.integers(-2, 3, size=(m, p)).astype(np.float64) if integer_cols
+            else rng.standard_normal((m, p)))
+    idx, score = kernels.singleton_search(cols, rows, plan.coset_basis(0), plan.particular_words(0)[js])
+    assert idx.shape == score.shape == (m,)
+    for r, j in enumerate(js):
+        brute = kernels.sign_matrix(plan.coset(0, int(j)), rows) @ cols[r]
+        tol = 1e-9 * p * float(np.max(np.abs(cols[r])))
+        assert abs(score[r] - brute[idx[r]]) <= tol
+        best = np.max(np.abs(brute))
+        assert abs(abs(brute[idx[r]]) - best) <= tol
+        if np.sum(np.abs(brute) >= best - tol) == 1:
+            assert idx[r] == np.argmax(np.abs(brute))
 
 
 @pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
@@ -72,15 +112,19 @@ def test_backends_agree_on_random_inputs():
     offs = rng.integers(0, 1 << 30, size=16, dtype=np.int64).astype(np.uint64)
     assert np.array_equal(kernels.sign_matrix(words, offs, backend="numba"),
                           kernels.sign_matrix(words, offs, backend="numpy"))
-    u = rng.standard_normal(16)
-    idx_a, score_a = kernels.singleton_search(u, offs, words, backend="numba")
-    idx_b, score_b = kernels.singleton_search(u, offs, words, backend="numpy")
-    assert idx_a == idx_b
-    assert score_a == pytest.approx(score_b, rel=1e-12)  # summation order differs
+    u = rng.standard_normal((3, 16))
+    basis, parts = words[:5], words[5:8]
+    idx_a, score_a = kernels.singleton_search(u, offs, basis, parts, backend="numba")
+    idx_b, score_b = kernels.singleton_search(u, offs, basis, parts, backend="numpy")
+    assert np.array_equal(idx_a, idx_b)
+    assert score_a == pytest.approx(score_b, rel=1e-12)
 
 
 def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, SPARSEWHT_DISABLE_NUMBA="1")
+    # the child imports the same package this process loaded
+    src = os.path.dirname(os.path.dirname(kernels.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, SPARSEWHT_DISABLE_NUMBA="1", PYTHONPATH=path)
     code = (
         "from sparsewht import kernels, fwht\n"
         "import numpy as np\n"

@@ -1,12 +1,25 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sparsewht import NoisyAccess, SparseSpectrum, draw_spectrum, verify_support
-from sparsewht.bin_detect import DetectorConfig, make_detector
+from sparsewht import NoisyAccess, SparseSpectrum, build_regular_ldpc, draw_spectrum, sigma_for_snr, verify_support
+from sparsewht.bin_detect import (
+    MULTI_TON,
+    SINGLE_TON,
+    ZERO_TON,
+    Detection,
+    DetectorConfig,
+    detect_near_linear,
+    detect_noiseless,
+    detect_nso,
+    detect_so,
+    make_detector,
+)
 from sparsewht.frontend import build_offsets, build_plan, observe
 from sparsewht.fwht import densify, fwht
 from sparsewht.kernels import sign_matrix
-from sparsewht.peeling import decode
+from sparsewht.peeling import DecodeReport, decode
 
 from helpers import golden_plan, golden_spectrum
 
@@ -158,3 +171,130 @@ def test_report_json_round_trip():
     assert set(parsed) == {"sweeps", "peels", "conflicts", "stalled",
                            "residual_energy", "samples_used"}
     assert parsed["samples_used"] == obs.distinct_samples
+
+
+def _coset_enumeration_near_linear(u, j, c, plan, offsets, cfg):
+    """Near-linear detection by scoring every coset candidate's signature."""
+    rows = offsets.rows_u64(c)
+    limit = (1.0 + cfg.gamma) * cfg.nu2
+    if np.mean(u * u) <= limit:
+        return Detection(ZERO_TON)
+    candidates = plan.coset(c, j)
+    scores = sign_matrix(candidates, rows) @ u
+    best = int(np.argmax(np.abs(scores)))
+    k_word, score = int(candidates[best]), float(scores[best])
+    if cfg.constellation:
+        value = cfg.rho if score >= 0 else -cfg.rho
+    else:
+        value = score / len(rows)
+    resid = u - value * sign_matrix(np.array([k_word], dtype=np.uint64), rows)[0]
+    if np.mean(resid * resid) <= limit:
+        return Detection(SINGLE_TON, k_word, value)
+    return Detection(MULTI_TON)
+
+
+def _reference_decode(obs, plan, offsets, column_detector, max_iters, stall_energy):
+    """Peeling that classifies and peels one bin at a time."""
+    data = obs.data.copy()
+    c_groups, bins, _ = data.shape
+    recovered = {}
+    sweeps = peels = conflicts = 0
+    pending = [set(range(bins)) for _ in range(c_groups)]
+    while sweeps < max_iters:
+        sweep_peels = 0
+        for c in range(c_groups):
+            todo = sorted(pending[c])
+            pending[c].clear()
+            for j in todo:
+                det = column_detector(data[c, j], j, c)
+                if det.kind != "single-ton":
+                    continue
+                k_word, value = det.index, det.value
+                conflicts += recovered.get(k_word, 0.0) != 0.0
+                total = recovered.get(k_word, 0.0) + value
+                if total == 0.0:
+                    recovered.pop(k_word, None)
+                else:
+                    recovered[k_word] = total
+                peels += 1
+                sweep_peels += 1
+                for c2 in range(c_groups):
+                    signs = sign_matrix(np.array([k_word], dtype=np.uint64), offsets.rows_u64(c2))[0]
+                    j2 = plan.bin_of(c2, k_word)
+                    data[c2, j2] -= value * signs
+                    pending[c2].add(j2)
+        sweeps += 1
+        if sweep_peels == 0:
+            break
+    residual = float((data * data).mean(axis=2).sum())
+    report = DecodeReport(sweeps, peels, conflicts, residual > stall_energy, residual, obs.distinct_samples)
+    return recovered, report
+
+
+def _seeded_instances(variant, n, k, snr_db, constellation, seeds=range(6)):
+    """Seeded observations with the detector settings of the benchmark."""
+    plan = build_plan(n, k, profile="benchmark")
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        spectrum = draw_spectrum(n, k, 1.0, rng, constellation=constellation)
+        snr = None if snr_db is None else 10 ** (snr_db / 10)
+        sigma = 0.0 if snr is None else sigma_for_snr(1.0, k, 1 << n, snr)
+        access = NoisyAccess(spectrum, sigma, rng)
+        code = build_regular_ldpc(n, rng) if variant == "so" else None
+        offsets = build_offsets(variant, plan, code=code, rng=rng)
+        nu2 = max((1 << n) * sigma * sigma / plan.bins, 1e-18)
+        cfg = DetectorConfig(gamma=1.0 if snr is None else DetectorConfig.default_gamma(snr), nu2=nu2,
+                             constellation=constellation, zero_tol=1e-9 * 2 ** (n / 2))
+        obs = observe(access, plan, offsets)
+        stall_energy = plan.c_groups * plan.bins * (1.0 + cfg.gamma) * nu2
+        yield spectrum, plan, offsets, cfg, code, obs, stall_energy
+
+
+@pytest.mark.parametrize("variant,n,k,snr_db,constellation", [
+    ("noiseless", 10, 8, None, True),
+    ("near-linear", 12, 16, 5.0, True),
+    ("near-linear", 14, 10, 20.0, False),
+    ("nso", 12, 10, 5.0, True),
+    ("so", 12, 10, 5.0, True),
+])
+def test_batched_decode_equals_one_bin_at_a_time(variant, n, k, snr_db, constellation):
+    column_detectors = {
+        "noiseless": lambda u, j, c: detect_noiseless(u, j, c, plan, cfg),
+        "near-linear": lambda u, j, c: detect_near_linear(u, j, c, plan, offsets, cfg),
+        "nso": lambda u, j, c: detect_nso(u, j, c, plan, offsets, cfg),
+        "so": lambda u, j, c: detect_so(u, j, c, plan, offsets, cfg, code=code),
+    }
+    recovered_supports = 0
+    for spectrum, plan, offsets, cfg, code, obs, stall_energy in _seeded_instances(
+            variant, n, k, snr_db, constellation):
+        recovered, report = decode(obs, plan, offsets, make_detector(plan, offsets, cfg, code=code),
+                                   max_iters=2 * k + 10, stall_energy=stall_energy)
+        expected, expected_report = _reference_decode(obs, plan, offsets, column_detectors[variant],
+                                                      2 * k + 10, stall_energy)
+        assert recovered.entries == expected and report == expected_report
+        recovered_supports += recovered.support() == spectrum.support()
+    assert recovered_supports > 0  # the instances exercise full recoveries, not only stalls
+
+
+@pytest.mark.parametrize("n,k,snr_db,constellation", [
+    (12, 16, 5.0, True),
+    (14, 10, 20.0, False),
+    (16, 32, 10.0, True),
+])
+def test_near_linear_decode_matches_coset_enumeration(n, k, snr_db, constellation):
+    # The coset transform sums in another order than the signature matmul,
+    # so estimated values and the residual may differ in the last bits.
+    recovered_supports = 0
+    for spectrum, plan, offsets, cfg, _, obs, stall_energy in _seeded_instances(
+            "near-linear", n, k, snr_db, constellation, seeds=range(4)):
+        recovered, report = decode(obs, plan, offsets, make_detector(plan, offsets, cfg),
+                                   max_iters=2 * k + 10, stall_energy=stall_energy)
+        enumerate_cosets = lambda u, j, c: _coset_enumeration_near_linear(u, j, c, plan, offsets, cfg)
+        expected, expected_report = _reference_decode(obs, plan, offsets, enumerate_cosets,
+                                                      2 * k + 10, stall_energy)
+        assert recovered.entries == pytest.approx(expected, rel=1e-12)
+        assert report.residual_energy == pytest.approx(expected_report.residual_energy, rel=1e-9)
+        assert dataclasses.replace(report, residual_energy=0.0) == \
+            dataclasses.replace(expected_report, residual_energy=0.0)
+        recovered_supports += recovered.support() == spectrum.support()
+    assert recovered_supports > 0
