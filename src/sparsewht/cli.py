@@ -1,9 +1,16 @@
 """Command-line harness.
 
-Subcommands: synth, wht, recover, bench (snr | scaling | kernels),
-de-table, sketch. Experiment settings come from an optional JSON config
-file with flag overrides; exit code is 0 on completion and 2 on a
-configuration error.
+Subcommands: synth, wht, recover, bench (snr | scaling), de-table,
+sketch. Experiment settings come from an optional JSON config file with
+flag overrides.
+
+``recover`` takes the value model from the spectrum file: when every
+coefficient has the same magnitude rho the values are decoded as the
++/-rho constellation, otherwise as continuous amplitudes.
+
+Exit codes: 0 on completion; 1 when ``recover`` stalls or returns a
+support other than the file's; 2 on a configuration error or an
+unreadable or malformed input, reported as one ``error:`` line.
 """
 from __future__ import annotations
 
@@ -11,23 +18,22 @@ import argparse
 import json
 import math
 import sys
-import time
 
 import numpy as np
 
-from . import analysis, kernels, peeling, sketch
+from . import analysis, peeling, sketch
 from .fwht import fwht
-from .bin_detect import DetectorConfig, make_detector
 from .experiments import (
     SCALING_COLUMNS,
     SNR_COLUMNS,
-    ConfigError,
     ExperimentConfig,
+    noise_sigma,
+    recover,
     run_scaling_sweep,
     run_snr_sweep,
     write_csv,
 )
-from .signal_model import SparseSpectrum, draw_spectrum
+from .signal_model import NoisyAccess, SparseSpectrum, draw_spectrum
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -83,39 +89,25 @@ def _cmd_wht(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    from . import codes, frontend
-    from .signal_model import NoisyAccess, sigma_for_snr, snr_from_db
-
     truth = SparseSpectrum.load(args.spectrum)
     n, k = truth.n, truth.sparsity
     ss = np.random.SeedSequence(entropy=args.seed or 0)
     rng_noise, rng_offsets, rng_code = (np.random.default_rng(s) for s in ss.spawn(3))
-    rho = max(abs(v) for v in truth.entries.values()) if truth.entries else 1.0
-    if args.snr_db is None:
-        sigma, snr_linear = 0.0, math.inf
-    else:
-        snr_linear = snr_from_db(args.snr_db[0])
-        sigma = sigma_for_snr(rho, k, 1 << n, snr_linear)
-    access = NoisyAccess(truth, sigma, rng_noise)
-    plan = frontend.build_plan(n, max(k, 1), profile="benchmark")
-    algo = args.algo or ("noiseless" if sigma == 0 else "nso")
-    code = codes.build_regular_ldpc(n, rng_code) if algo == "so" else None
-    offsets = frontend.build_offsets(algo, plan, code=code, rng=rng_offsets)
-    nu2 = max((1 << n) * sigma * sigma / plan.bins, (1e-9 * rho) ** 2)
-    gamma = 1.0 if sigma == 0 else DetectorConfig.default_gamma(snr_linear)
-    cfg = DetectorConfig(gamma=gamma, nu2=nu2, rho=rho,
-                         zero_tol=1e-9 * math.sqrt(1 << n) * rho)
-    obs = frontend.observe(access, plan, offsets)
-    recovered, report = peeling.decode(obs, plan, offsets, make_detector(plan, offsets, cfg, code=code),
-                                       max_iters=2 * k + 10,
-                                       stall_energy=plan.c_groups * plan.bins * (1 + gamma) * nu2)
+    magnitudes = {abs(v) for v in truth.entries.values()}
+    rho = max(magnitudes, default=1.0)
+    snr_db = None if args.snr_db is None else args.snr_db[0]
+    access = NoisyAccess(truth, noise_sigma(rho, k, n, snr_db), rng_noise)
+    algo = args.algo or ("noiseless" if snr_db is None else "nso")
+    recovered, report, _, _ = recover(access, k, algo, snr_db=snr_db, rho=rho,
+                                      constellation=len(magnitudes) <= 1,
+                                      rng_offsets=rng_offsets, rng_code=rng_code)
     recovered.save(args.out)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(report.to_json() + "\n")
     check = peeling.verify_support(recovered, truth)
     print(f"recovered {recovered.sparsity}/{k} coefficients; support match: {check.support_match}")
-    return 0
+    return 0 if check.support_match and not report.stalled else 1
 
 
 def _cmd_bench_snr(args) -> int:
@@ -129,44 +121,6 @@ def _cmd_bench_scaling(args) -> int:
     rows = run_scaling_sweep(_load_config(args))
     write_csv(args.out, rows, SCALING_COLUMNS)
     print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
-
-
-def _cmd_bench_kernels(args) -> int:
-    """Time the hot kernels on the numba path against the numpy path."""
-    backends = ["numpy"] + (["numba"] if kernels.HAS_NUMBA else [])
-    if "numba" in backends:
-        kernels.warmup()
-    rng = np.random.default_rng(0)
-    rows = []
-
-    def timed(fn, reps):
-        t0 = time.perf_counter_ns()
-        for _ in range(reps):
-            fn()
-        return (time.perf_counter_ns() - t0) / reps
-
-    for b in (8, 12):
-        mat = rng.standard_normal((64, 1 << b))
-        for backend in backends:
-            work = mat.copy()
-            ns = timed(lambda: kernels.fwht_rows_inplace(work, backend=backend), args.reps)
-            rows.append({"kernel": "fwht_rows", "backend": backend, "size": f"64x{1 << b}",
-                         "reps": args.reps, "ns_per_call": ns})
-    for d in (8, 12):
-        # 32 bin columns of 48 rows, each searched over a 2^d-word coset
-        basis = rng.integers(0, 1 << 20, size=d).astype(np.uint64)
-        parts = rng.integers(0, 1 << 20, size=32).astype(np.uint64)
-        offs = rng.integers(0, 1 << 20, size=48).astype(np.uint64)
-        cols = rng.standard_normal((32, 48))
-        for backend in backends:
-            ns = timed(lambda: kernels.singleton_search(cols, offs, basis, parts, backend=backend), args.reps)
-            rows.append({"kernel": "singleton_search", "backend": backend, "size": f"32x{1 << d}",
-                         "reps": args.reps, "ns_per_call": ns})
-    columns = ("kernel", "backend", "size", "reps", "ns_per_call")
-    write_csv(args.out, rows, columns)
-    for row in rows:
-        print(f"{row['kernel']:>17} {row['backend']:>6} {row['size']:>8} {row['ns_per_call']:>14.0f} ns")
     return 0
 
 
@@ -232,10 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = bench_sub.add_parser("scaling", help="runtime and samples over n")
     _add_experiment_flags(p)
     p.set_defaults(fn=_cmd_bench_scaling)
-    p = bench_sub.add_parser("kernels", help="numba vs numpy kernel timings")
-    p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_bench_kernels)
 
     p = sub.add_parser("de-table", help="minimum-redundancy table as CSV")
     p.add_argument("--cs", type=int, nargs="+", default=[2, 3, 4, 5, 6])
@@ -256,8 +206,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,9 +1,11 @@
 """Seeded Monte-Carlo sweeps: success-vs-SNR curves and scaling runs.
 
-Every trial derives its own generator streams from (seed, trial index),
-so results are reproducible and independent of how trials are distributed
-over workers. Runtime covers observation generation plus decoding only;
-drawing the spectrum and the noise realization is excluded.
+``recover`` is the one recovery pipeline; the trials here and the
+``recover`` command both run it. Every trial derives its own generator
+streams from (seed, trial index), so results are reproducible and
+independent of how trials are distributed over workers. Runtime covers
+observation generation plus decoding only; drawing the spectrum and the
+noise realization is excluded.
 """
 from __future__ import annotations
 
@@ -111,37 +113,40 @@ def nominal_sample_count(algorithm: str, n: int, k: int, c_groups: int = 3,
     raise ConfigError(f"unknown algorithm {algorithm!r}")
 
 
-def run_trial(config: ExperimentConfig, n: int, k: int, snr_db: float | None, trial: int) -> TrialResult:
-    """One seeded draw-observe-decode-verify round."""
-    ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(n, k, trial))
-    rng_spec, rng_noise, rng_offsets, rng_code = (np.random.default_rng(s) for s in ss.spawn(4))
-
-    spectrum = draw_spectrum(n, k, config.rho, rng_spec)
-    size = 1 << n
+def noise_sigma(rho: float, k: int, n: int, snr_db: float | None) -> float:
+    """Sample noise sigma of a K-sparse amplitude-rho spectrum over 2^n
+    points at ``snr_db``; 0 when ``snr_db`` is None (noise-free)."""
     if snr_db is None:
-        sigma, snr_linear = 0.0, math.inf
-    else:
-        snr_linear = snr_from_db(snr_db)
-        sigma = sigma_for_snr(config.rho, k, size, snr_linear)
-    access = NoisyAccess(spectrum, sigma, rng_noise)
-    access.prepare()
+        return 0.0
+    return sigma_for_snr(rho, k, 1 << n, snr_from_db(snr_db))
 
-    plan = frontend.build_plan(n, k, profile=config.profile)
-    code = codes.build_regular_ldpc(n, rng_code) if config.algorithm == "so" else None
-    offsets = frontend.build_offsets(config.algorithm, plan, p1=config.p1, p2=config.p2,
-                                     p3=config.p3, code=code, rng=rng_offsets)
 
-    nu2 = max(size * sigma * sigma / plan.bins, (1e-9 * config.rho) ** 2)
-    gamma = config.gamma
+def recover(access, k: int, algorithm: str, *, snr_db: float | None, rho: float,
+            constellation: bool = True, rng_offsets, rng_code, profile: str = "benchmark",
+            p1: int | None = None, p2: int | None = None, p3: int | None = None,
+            gamma: float | None = None, decode_rounds: int = 30):
+    """Hash, classify and peel a K-sparse spectrum read through ``access``.
+
+    The detector thresholds follow from the noise level: the per-bin noise
+    variance nu^2 = N sigma^2 / B (floored for noise-free runs), the slack
+    ``gamma`` (default: centred in its valid window for ``snr_db``) and a
+    stall level of C B (1 + gamma) nu^2 of residual energy. ``constellation``
+    says whether every coefficient is +/-``rho`` or the values are
+    continuous. Returns ``(spectrum, report, obs, runtime_ns)``;
+    ``runtime_ns`` covers observing and decoding only, not the set-up.
+    """
+    n = access.n
+    size = 1 << n
+    sigma = noise_sigma(rho, k, n, snr_db)
+    plan = frontend.build_plan(n, max(k, 1), profile=profile)
+    code = codes.build_regular_ldpc(n, rng_code) if algorithm == "so" else None
+    offsets = frontend.build_offsets(algorithm, plan, p1=p1, p2=p2, p3=p3, code=code, rng=rng_offsets)
+
+    nu2 = max(size * sigma * sigma / plan.bins, (1e-9 * rho) ** 2)
     if gamma is None:
-        gamma = 1.0 if snr_db is None else DetectorConfig.default_gamma(snr_linear)
-    cfg = DetectorConfig(
-        gamma=gamma,
-        nu2=nu2,
-        rho=config.rho,
-        zero_tol=1e-9 * math.sqrt(size) * config.rho,
-        decode_rounds=config.decode_rounds,
-    )
+        gamma = 1.0 if snr_db is None else DetectorConfig.default_gamma(snr_from_db(snr_db))
+    cfg = DetectorConfig(gamma=gamma, nu2=nu2, rho=rho, constellation=constellation,
+                         zero_tol=1e-9 * math.sqrt(size) * rho, decode_rounds=decode_rounds)
     detector = make_detector(plan, offsets, cfg, code=code)
     stall_energy = plan.c_groups * plan.bins * (1.0 + gamma) * nu2
 
@@ -149,7 +154,21 @@ def run_trial(config: ExperimentConfig, n: int, k: int, snr_db: float | None, tr
     obs = frontend.observe(access, plan, offsets)
     recovered, report = peeling.decode(obs, plan, offsets, detector,
                                        max_iters=2 * k + 10, stall_energy=stall_energy)
-    runtime_ns = time.perf_counter_ns() - t0
+    return recovered, report, obs, time.perf_counter_ns() - t0
+
+
+def run_trial(config: ExperimentConfig, n: int, k: int, snr_db: float | None, trial: int) -> TrialResult:
+    """One seeded draw-observe-decode-verify round."""
+    ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(n, k, trial))
+    rng_spec, rng_noise, rng_offsets, rng_code = (np.random.default_rng(s) for s in ss.spawn(4))
+
+    spectrum = draw_spectrum(n, k, config.rho, rng_spec)
+    access = NoisyAccess(spectrum, noise_sigma(config.rho, k, n, snr_db), rng_noise)
+    access.prepare()
+    recovered, report, obs, runtime_ns = recover(
+        access, k, config.algorithm, snr_db=snr_db, rho=config.rho, rng_offsets=rng_offsets,
+        rng_code=rng_code, profile=config.profile, p1=config.p1, p2=config.p2, p3=config.p3,
+        gamma=config.gamma, decode_rounds=config.decode_rounds)
 
     check = peeling.verify_support(recovered, spectrum)
     return TrialResult(check.support_match, check.values_match, runtime_ns,

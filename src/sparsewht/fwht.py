@@ -22,19 +22,15 @@ def _check_length(x: np.ndarray) -> int:
     return n
 
 
-def fwht(x: np.ndarray, backend=None) -> np.ndarray:
+def fwht(x: np.ndarray) -> np.ndarray:
     """Orthonormal transform, N log N butterflies on a copy of the input."""
-    size = _check_length(x)
-    out = np.array(x, dtype=np.float64, copy=True)
-    kernels.fwht_inplace(out, backend=backend)
-    out *= 1.0 / math.sqrt(size)
-    return out
+    return fwht_inplace(np.array(x, dtype=np.float64, copy=True))
 
 
-def fwht_inplace(x: np.ndarray, backend=None) -> np.ndarray:
+def fwht_inplace(x: np.ndarray) -> np.ndarray:
     """In-place variant of :func:`fwht`; the caller owns the buffer."""
     size = _check_length(x)
-    kernels.fwht_inplace(x, backend=backend)
+    kernels.fwht_rows_inplace(x.reshape(1, -1))
     x *= 1.0 / math.sqrt(size)
     return x
 

@@ -61,19 +61,33 @@ class SparseSpectrum:
 
     @classmethod
     def load(cls, path) -> "SparseSpectrum":
+        """Read the :meth:`save` format; a malformed line raises ValueError
+        naming the file and the line."""
         with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().split()
-            meta = dict(item.split("=") for item in header)
-            n = int(meta["n"])
+            header = fh.readline()
+            try:
+                meta = dict(item.split("=") for item in header.split())
+                n = gf2.check_bits(int(meta["n"]))
+                declared = int(meta["K"]) if "K" in meta else None
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"{path} line 1: expected 'n=<n> K=<K>' with 1 <= n <= {gf2.MAX_BITS}, "
+                                 f"got {header.strip()!r}") from exc
             entries = {}
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
-                bits, value = line.split()
-                entries[int(bits, 2)] = float(value)
+                try:
+                    bits, value = line.split()
+                    k = int(bits, 2)
+                    if k >> n:
+                        raise ValueError(f"index exceeds n={n} bits")
+                    entries[k] = float(value)
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {lineno}: expected '<{n}-bit string> <value>', "
+                                     f"got {line.strip()!r}") from exc
         spec = cls(n, entries)
-        if "K" in meta and spec.sparsity != int(meta["K"]):
-            raise ValueError("entry count does not match header K")
+        if declared is not None and spec.sparsity != declared:
+            raise ValueError(f"{path}: {spec.sparsity} nonzero entries, header says K={declared}")
         return spec
 
 
@@ -103,7 +117,7 @@ def draw_spectrum(n: int, k: int, rho: float, rng, constellation: bool = True) -
 def sigma_for_snr(rho: float, k: int, total: int, snr_linear: float) -> float:
     """Noise sigma so that rho^2 / (sigma^2 N / K) equals the target SNR."""
     if min(rho, k, total, snr_linear) <= 0:
-        raise ValueError("all arguments must be positive")
+        raise ValueError(f"rho, K, N and SNR must be positive, got {rho}, {k}, {total}, {snr_linear}")
     return rho * math.sqrt(k / (total * snr_linear))
 
 

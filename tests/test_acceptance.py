@@ -23,7 +23,7 @@ from sparsewht.bin_detect import DetectorConfig, make_detector
 from sparsewht.experiments import ExperimentConfig, nominal_sample_count, run_trial
 from sparsewht.frontend import SubsamplingPlan, build_offsets, build_plan, observe
 from sparsewht.gf2 import selection_matrix
-from sparsewht.kernels import sign_matrix, warmup
+from sparsewht.kernels import sign_matrix
 from sparsewht.peeling import decode
 from sparsewht.sketch import (
     analytic_spectrum,
@@ -131,7 +131,6 @@ def test_criterion_04_redundancy_table():
 
 
 def test_criterion_05_noiseless_recovery():
-    warmup()
     cfg = ExperimentConfig(algorithm="noiseless", trials=200, seed=2024)
     results = [run_trial(cfg, 14, 40, None, t) for t in range(200)]
     rate = sum(r.support_ok for r in results) / 200
@@ -163,7 +162,6 @@ def _monotone_within_bands(rates, trials):
 
 
 def test_criterion_06_nso_noise_robustness():
-    warmup()
     cfg = ExperimentConfig(algorithm="nso", trials=200, seed=606)
     hits = sum(run_trial(cfg, 14, 10, 10.0, t).support_ok for t in range(200))
     gate = hits / 200
@@ -175,7 +173,6 @@ def test_criterion_06_nso_noise_robustness():
 
 
 def test_criterion_07_so_noise_robustness():
-    warmup()
     cfg = ExperimentConfig(algorithm="so", trials=200, seed=707)
     hits = sum(run_trial(cfg, 14, 10, 10.0, t).support_ok for t in range(200))
     gate = hits / 200
@@ -222,7 +219,6 @@ def test_criterion_09_sample_count_formulas():
 
 
 def test_criterion_10_sublinear_scaling():
-    warmup()
     cfg = ExperimentConfig(algorithm="nso", trials=1, seed=1010)
     run_trial(cfg, 12, 20, 10.0, 0)  # warm path end to end
     times = {}

@@ -52,6 +52,47 @@ def test_recover_noisy_nso(tmp_path):
     assert SparseSpectrum.load(out).support() == SparseSpectrum.load(spec_path).support()
 
 
+def test_recover_continuous_spectrum(tmp_path, capsys):
+    # values not all of one magnitude are decoded as continuous, not as +/-rho
+    spec_path = tmp_path / "truth.txt"
+    out = tmp_path / "recovered.txt"
+    main(["synth", "--n", "12", "--k", "8", "--seed", "1", "--continuous", "--out", str(spec_path)])
+    code = main(["recover", "--spectrum", str(spec_path), "--snr-db", "20",
+                 "--algo", "nso", "--seed", "1", "--out", str(out)])
+    assert code == 0
+    assert "recovered 8/8" in capsys.readouterr().out
+    assert SparseSpectrum.load(out).support() == SparseSpectrum.load(spec_path).support()
+
+
+def test_recover_failure_exits_1(tmp_path):
+    # the noiseless detector under noise finds nothing and stalls
+    spec_path = tmp_path / "truth.txt"
+    out = tmp_path / "recovered.txt"
+    report = tmp_path / "report.json"
+    main(["synth", "--n", "12", "--k", "8", "--seed", "2", "--out", str(spec_path)])
+    code = main(["recover", "--spectrum", str(spec_path), "--algo", "noiseless", "--snr-db", "10",
+                 "--seed", "1", "--out", str(out), "--report", str(report)])
+    assert code == 1
+    assert json.loads(report.read_text())["stalled"] is True
+
+
+@pytest.mark.parametrize("content, extra", [
+    ("n=70 K=1\n", []),
+    ("garbage\n", []),
+    ("n=12 K=1\n000000000001 one\n", []),
+    (None, []),
+    ("n=12 K=0\n", ["--snr-db", "10"]),
+])
+def test_recover_bad_input_exits_2(tmp_path, capsys, content, extra):
+    spec_path = tmp_path / "truth.txt"
+    if content is not None:
+        spec_path.write_text(content)
+    code = main(["recover", "--spectrum", str(spec_path), "--out", str(tmp_path / "r.txt"), *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_de_table_command(tmp_path):
     out = tmp_path / "table.csv"
     assert main(["de-table", "--cs", "2", "3", "--out", str(out)]) == 0
@@ -78,14 +119,6 @@ def test_bench_rejects_bad_config(tmp_path):
     cfg_path.write_text(json.dumps({"algorithm": "wat"}))
     out = tmp_path / "rows.csv"
     assert main(["bench", "snr", "--config", str(cfg_path), "--out", str(out)]) == 2
-
-
-def test_bench_kernels_smoke(tmp_path):
-    out = tmp_path / "kernels.csv"
-    assert main(["bench", "kernels", "--reps", "1", "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "kernel,backend,size,reps,ns_per_call"
-    assert len(lines) > 1
 
 
 def test_sketch_command(tmp_path, capsys):

@@ -48,6 +48,34 @@ def test_near_linear_full_pipeline():
     assert hits >= 9
 
 
+# (support_ok, values_ok, samples_distinct, samples_nominal, sweeps, peels, stalled, conflicts)
+# of trials 0..4 at seed 5, n=12, K=10, 10 dB (noiseless: noise-free)
+PINNED_TRIALS = {
+    "noiseless": [(True, True, 358, 624, 2, 10, False, 0)] * 5,
+    "near-linear": [(True, True, 1398, 1728, 2, 10, False, 0), (True, True, 1406, 1728, 2, 10, False, 0),
+                    (True, True, 1414, 1728, 2, 10, False, 0), (True, True, 1450, 1728, 2, 10, False, 0),
+                    (True, True, 1434, 1728, 2, 10, False, 0)],
+    "nso": [(True, True, 3789, 13824, 2, 10, False, 0), (True, True, 3796, 13824, 2, 10, False, 0),
+            (True, True, 3810, 13824, 2, 10, False, 0), (True, True, 3808, 13824, 2, 10, False, 0),
+            (True, True, 3852, 13824, 2, 10, False, 0)],
+    "so": [(True, True, 1255, 2304, 2, 10, False, 0), (True, True, 1272, 2304, 2, 10, False, 0),
+           (True, True, 1282, 2304, 2, 10, False, 0), (True, True, 1206, 2304, 2, 10, False, 0),
+           (True, True, 1191, 2304, 2, 10, False, 0)],
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(PINNED_TRIALS))
+def test_seeded_trials_pinned(algorithm):
+    cfg = ExperimentConfig(algorithm=algorithm, seed=5)
+    snr_db = None if algorithm == "noiseless" else 10.0
+    got = []
+    for t in range(5):
+        r = run_trial(cfg, 12, 10, snr_db, t)
+        got.append((r.support_ok, r.values_ok, r.samples_distinct, r.samples_nominal,
+                    r.sweeps, r.peels, r.stalled, r.conflicts))
+    assert got == PINNED_TRIALS[algorithm]
+
+
 def test_single_trial_noiseless_deterministic():
     cfg = ExperimentConfig(algorithm="noiseless", trials=1, seed=5)
     a = run_trial(cfg, 10, 6, None, 0)

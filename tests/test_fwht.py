@@ -5,7 +5,6 @@ import pytest
 
 from sparsewht import SparseSpectrum, fwht, naive_wht, synthesize_at, synthesize_many
 from sparsewht.fwht import densify, fwht_inplace
-from sparsewht.kernels import HAS_NUMBA
 
 from helpers import golden_spectrum
 
@@ -81,9 +80,3 @@ def test_synthesize_matches_dense_inverse():
     got = synthesize_many(spectrum, np.arange(16, dtype=np.uint64))
     assert np.max(np.abs(got - dense_samples)) < 1e-12
 
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-def test_backends_agree():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(1 << 9)
-    assert np.array_equal(fwht(x, backend="numba"), fwht(x, backend="numpy"))

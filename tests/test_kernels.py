@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +11,7 @@ from helpers import random_plan
 
 def test_fwht_rows_small_known_values():
     mat = np.array([[1.0, 2.0, 3.0, 4.0]])
-    kernels.fwht_rows_inplace(mat, backend="numpy")
+    kernels.fwht_rows_inplace(mat)
     assert np.array_equal(mat[0], [10.0, -2.0, -4.0, 0.0])
 
 
@@ -34,7 +30,7 @@ def _butterflies_reference(row):
 def test_fwht_rows_numpy_matches_loop_butterflies(shape):
     mat = np.random.default_rng(shape[1]).standard_normal(shape)
     expected = np.array([_butterflies_reference(row) for row in mat])
-    kernels.fwht_rows_inplace(mat, backend="numpy")
+    kernels.fwht_rows_inplace(mat)
     assert np.array_equal(mat, expected)
 
 
@@ -49,7 +45,7 @@ def test_parity_words():
 def test_sign_matrix_numpy_values():
     k = np.array([0b101], dtype=np.uint64)
     offs = np.array([0b001, 0b010, 0b100, 0b111], dtype=np.uint64)
-    got = kernels.sign_matrix(k, offs, backend="numpy")[0]
+    got = kernels.sign_matrix(k, offs)[0]
     assert list(got) == [-1.0, 1.0, -1.0, 1.0]
 
 
@@ -68,7 +64,7 @@ def test_singleton_search_prefers_strongest_candidate():
     cands = span_words(basis.tolist()) ^ part
     true_k = cands[17]
     u = -3.0 * kernels.sign_matrix(np.array([true_k]), offs)
-    idx, score = kernels.singleton_search(u, offs, basis, np.array([part]), backend="numpy")
+    idx, score = kernels.singleton_search(u, offs, basis, np.array([part]))
     assert cands[idx[0]] == true_k and score[0] == pytest.approx(-3.0 * 24)
 
 
@@ -99,46 +95,6 @@ def test_singleton_search_matches_brute_force(n, b, p, m, integer_cols, seed):
             assert idx[r] == np.argmax(np.abs(brute))
 
 
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-def test_backends_agree_on_random_inputs():
-    rng = np.random.default_rng(1)
-    mat = rng.standard_normal((8, 64))
-    a, b = mat.copy(), mat.copy()
-    kernels.fwht_rows_inplace(a, backend="numba")
-    kernels.fwht_rows_inplace(b, backend="numpy")
-    assert np.array_equal(a, b)
-
-    words = rng.integers(0, 1 << 30, size=40, dtype=np.int64).astype(np.uint64)
-    offs = rng.integers(0, 1 << 30, size=16, dtype=np.int64).astype(np.uint64)
-    assert np.array_equal(kernels.sign_matrix(words, offs, backend="numba"),
-                          kernels.sign_matrix(words, offs, backend="numpy"))
-    u = rng.standard_normal((3, 16))
-    basis, parts = words[:5], words[5:8]
-    idx_a, score_a = kernels.singleton_search(u, offs, basis, parts, backend="numba")
-    idx_b, score_b = kernels.singleton_search(u, offs, basis, parts, backend="numpy")
-    assert np.array_equal(idx_a, idx_b)
-    assert score_a == pytest.approx(score_b, rel=1e-12)
-
-
-def test_env_flag_selects_numpy_backend():
-    # the child imports the same package this process loaded
-    src = os.path.dirname(os.path.dirname(kernels.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, SPARSEWHT_DISABLE_NUMBA="1", PYTHONPATH=path)
-    code = (
-        "from sparsewht import kernels, fwht\n"
-        "import numpy as np\n"
-        "assert kernels.backend_name() == 'numpy'\n"
-        "x = np.arange(8.0)\n"
-        "assert np.max(np.abs(fwht(fwht(x)) - x)) < 1e-12\n"
-        "print('ok')\n"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.returncode == 0 and out.stdout.strip() == "ok"
-
-
-def test_invalid_backend_rejected():
+def test_non_power_of_two_rows_rejected():
     with pytest.raises(ValueError):
-        kernels.fwht_rows_inplace(np.ones((1, 2)), backend="fortran")
-    with pytest.raises(ValueError):
-        kernels.fwht_rows_inplace(np.ones((1, 3)), backend="numpy")
+        kernels.fwht_rows_inplace(np.ones((1, 3)))
