@@ -1,16 +1,18 @@
 """Bin classification: zero-ton / single-ton / multi-ton tests.
 
-Four variants share the same contract. The noiseless detector reads the
-index bits from sign ratios against the zero-offset reference row. The
-near-linear detector scores every candidate in the bin's hash coset with
-one small Walsh-Hadamard transform (a coset is an affine subspace, so
-its signature correlations are a transform of the column, see
-``kernels.singleton_search``) and classifies all pending bins of a group
-at once. The two structured variants recover the index through
-repetition voting or channel decoding and then verify with the random
-rows. Anything failing verification is classified multi-ton: multi-tons
-need no action during peeling, so erring toward them only delays
-recovery, never corrupts it.
+Four variants share the same contract, and each classifies all pending
+bins of a group in one call (``detect_*_many``); the one-column
+``detect_*`` functions are the one-row case of that call. The noiseless
+detector reads the index bits from sign ratios against the zero-offset
+reference row. The near-linear detector scores every candidate in the
+bin's hash coset with one small Walsh-Hadamard transform (a coset is an
+affine subspace, so its signature correlations are a transform of the
+column, see ``kernels.singleton_search``). The two structured variants
+recover the index through repetition voting over an (m, P1, n) sign
+array or through batched channel decoding, then check the hashes and
+verify with the random rows. Anything failing verification is
+classified multi-ton: multi-tons need no action during peeling, so
+erring toward them only delays recovery, never corrupts it.
 
 Sign convention: sgn(x) = 1 for x < 0 and 0 for x > 0 (sgn(0) = 0), so
 that x = |x| * (-1)^sgn(x).
@@ -78,40 +80,6 @@ def crossover_bound(eta: float, snr_linear: float) -> float:
     return math.exp(-0.5 * eta * snr_linear)
 
 
-def _snap(value: float, grid: float | None) -> float:
-    if grid is None:
-        return value
-    return round(value / grid) * grid
-
-
-def detect_noiseless(u: np.ndarray, j_word: int, c: int, plan, cfg: DetectorConfig) -> Detection:
-    """Ratio test against the zero-offset reference row.
-
-    Expects the noiseless offset layout: row 0 is the reference, rows
-    1..n are the unit offsets, so sgn(u_t) xor sgn(u_0) is bit t of k.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    tol = cfg.zero_tol
-    if np.all(np.abs(u) <= tol):
-        return _ZERO
-    ref = u[0]
-    if abs(ref) <= tol:
-        return _MULTI
-    ratios = u[1:] / ref
-    if np.any(np.abs(np.abs(ratios) - 1.0) > cfg.ratio_tol):
-        return _MULTI
-    k_word = 0
-    ref_sign = sgn(ref)
-    for t, val in enumerate(u[1:]):
-        k_word |= (sgn(val) ^ ref_sign) << t
-    if plan.bin_of(c, k_word) != j_word:
-        return _MULTI
-    value = _snap(float(ref), cfg.value_grid)
-    if value == 0.0:
-        return _MULTI
-    return Detection(SINGLE_TON, k_word, value)
-
-
 def _within_noise(u: np.ndarray, cfg: DetectorConfig):
     """Per row of ``u``: is the mean energy at most (1 + gamma) nu^2?"""
     return np.mean(u * u, axis=-1) <= (1.0 + cfg.gamma) * cfg.nu2
@@ -127,31 +95,156 @@ def _estimate_value(score, rows: int, cfg: DetectorConfig):
 def _verified(u: np.ndarray, signs: np.ndarray, values, cfg: DetectorConfig):
     """Per row: does the residual after removing ``values * signs`` stay
     within the noise level?"""
-    return _within_noise(u - np.asarray(values)[..., None] * signs, cfg)
+    return _within_noise(u - values[..., None] * signs, cfg)
 
 
-def _confirm_single(u: np.ndarray, row_words: np.ndarray, k_word: int, cfg: DetectorConfig) -> Detection:
-    signs = kernels.sign_matrix(np.array([k_word], dtype=np.uint64), row_words)[0]
-    value = float(_estimate_value(float(signs @ u), len(u), cfg))
-    if _verified(u, signs, value, cfg):
-        return Detection(SINGLE_TON, int(k_word), value)
-    return _MULTI
+def _one_column(u, j_word: int):
+    """``(block, at, js)`` presenting the column ``u`` of bin ``j_word`` to a batched detector."""
+    block = np.asarray(u, dtype=np.float64)[None, :]
+    return block, np.zeros(1, dtype=np.int64), np.array([j_word], dtype=np.int64)
 
 
-def _near_linear(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig) -> list:
+def _confirm(u: np.ndarray, rows: np.ndarray, k_words: np.ndarray, js: np.ndarray, c: int, plan,
+             cfg: DetectorConfig):
+    """Values and single-ton flags of the candidates ``k_words`` for the
+    columns ``u`` (one row each) of the bins ``js``: a candidate is a
+    single-ton when it hashes back to its bin and the residual after
+    removing it stays within the noise level."""
+    signs = kernels.sign_matrix(k_words, rows)
+    # a stack of row-by-column products sums each row as one vector dot does
+    score = np.matmul(signs[:, None, :], u[:, :, None])[:, 0, 0]
+    values = _estimate_value(score, len(rows), cfg)
+    single = (plan.bins_of_many(c, k_words).astype(np.int64) == js) & _verified(u, signs, values, cfg)
+    return values, single
+
+
+def _classify(count: int, live: np.ndarray, k_words: np.ndarray, values, single: np.ndarray) -> list:
+    """One detection per row: rows outside ``live`` are zero-tons, row
+    ``live[i]`` is the single-ton (k_words[i], values[i]) where
+    ``single[i]`` holds and a multi-ton otherwise."""
+    out = [_ZERO] * count
+    for r, k, v, ok in zip(live.tolist(), k_words.tolist(), values.tolist(), single.tolist()):
+        out[r] = Detection(SINGLE_TON, k, v) if ok else _MULTI
+    return out
+
+
+def _noiseless(block: np.ndarray, at: np.ndarray, js: np.ndarray, c: int, plan, cfg: DetectorConfig) -> list:
+    u = block[at]
+    tol = cfg.zero_tol
+    live = np.flatnonzero(~np.all(np.abs(u) <= tol, axis=1))
+    u = u[live]
+    ref = u[:, 0]
+    single = np.abs(ref) > tol
+    # a reference within zero_tol already fails; divide those rows by 1 instead
+    ratios = u[:, 1:] / np.where(single, ref, 1.0)[:, None]
+    single &= ~np.any(np.abs(np.abs(ratios) - 1.0) > cfg.ratio_tol, axis=1)
+    neg = u < 0
+    k_words = kernels.pack_rows(neg[:, 1:] ^ neg[:, :1])
+    single &= plan.bins_of_many(c, k_words).astype(np.int64) == js[live]
+    values = ref if cfg.value_grid is None else np.round(ref / cfg.value_grid) * cfg.value_grid
+    return _classify(len(js), live, k_words, values, single & (values != 0.0))
+
+
+def detect_noiseless_many(block: np.ndarray, js, c: int, plan, cfg: DetectorConfig) -> list:
+    """Ratio tests against the zero-offset reference row, for the bins ``js`` at once.
+
+    Expects the noiseless offset layout: row 0 is the reference, rows
+    1..n are the unit offsets, so sgn(u_t) xor sgn(u_0) is bit t of k.
+    ``block`` holds group c's columns by bin word, shape (B, n + 1). A
+    column within ``zero_tol`` everywhere is a zero-ton. A single-ton
+    needs a reference outside ``zero_tol``, every ratio u_t / u_0 within
+    ``ratio_tol`` of +/-1, an index that hashes back to its bin and a
+    nonzero value after snapping to ``value_grid``.
+    """
+    js = np.asarray(js, dtype=np.int64)
+    return _noiseless(block, js, js, c, plan, cfg)
+
+
+def detect_noiseless(u: np.ndarray, j_word: int, c: int, plan, cfg: DetectorConfig) -> Detection:
+    """The one-column case of :func:`detect_noiseless_many`."""
+    return _noiseless(*_one_column(u, j_word), c, plan, cfg)[0]
+
+
+def _nso(block: np.ndarray, at: np.ndarray, js: np.ndarray, c: int, plan, offsets,
+         cfg: DetectorConfig) -> list:
+    p1, n = offsets.layout["p1"], plan.n
+    live = np.flatnonzero(~_within_noise(block[at, :p1], cfg))
+    rows = at[live]
+    # sign copies only: the modulated rows are read as P1 x n bool blocks
+    neg = (block < 0)[rows]
+    votes = (neg[:, p1:].reshape(-1, p1, n) ^ neg[:, :p1, None]).sum(axis=1)
+    k_words = kernels.pack_rows(2 * votes > p1)
+    values, single = _confirm(block[rows, :p1], offsets.rows_u64(c)[:p1], k_words, js[live], c, plan, cfg)
+    return _classify(len(js), live, k_words, values, single)
+
+
+def detect_nso_many(block: np.ndarray, js, c: int, plan, offsets, cfg: DetectorConfig) -> list:
+    """Majority vote per index bit over the modulated offset blocks, for
+    the bins ``js`` at once.
+
+    ``block`` holds group c's columns by bin word, shape (B, P1 + P1 n).
+    A bin whose P1 base rows are within (1 + gamma) nu^2 is a zero-ton.
+    For any other bin, bit q of the index is set when more than half of
+    the base rows change sign under the unit offset e_q; the index must
+    hash back to its bin and leave a residual within the same level on
+    the base rows.
+    """
+    js = np.asarray(js, dtype=np.int64)
+    return _nso(block, js, js, c, plan, offsets, cfg)
+
+
+def detect_nso(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig) -> Detection:
+    """The one-column case of :func:`detect_nso_many`."""
+    return _nso(*_one_column(u, j_word), c, plan, offsets, cfg)[0]
+
+
+def _so(block: np.ndarray, at: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig,
+        code) -> list:
+    r0, r1 = offsets.layout["random"]
+    z0, z1 = offsets.layout["zero"]
+    c0, c1 = offsets.layout["coded"]
+    live = np.flatnonzero(~_within_noise(block[at, r0:r1], cfg))
+    u = block[at[live]]
+    neg = u < 0
+    ref = 2 * neg[:, z0:z1].sum(axis=1) > (z1 - z0)
+    bits, decoded = codes.bitflip_decode_many(code, neg[:, c0:c1] ^ ref[:, None], cfg.decode_rounds)
+    k_words = kernels.pack_rows(bits[:, : code.n_info])
+    values, single = _confirm(u[:, r0:r1], offsets.rows_u64(c)[r0:r1], k_words, js[live], c, plan, cfg)
+    return _classify(len(js), live, k_words, values, decoded & single)
+
+
+def detect_so_many(block: np.ndarray, js, c: int, plan, offsets, cfg: DetectorConfig, code=None) -> list:
+    """Channel-decode the coded offset signs of the bins ``js`` at once,
+    after removing the sign reference estimated from the zero-offset rows.
+
+    ``block`` holds group c's columns by bin word. A bin whose random rows
+    are within (1 + gamma) nu^2 is a zero-ton. Every other bin's coded
+    signs, flipped by the majority sign of its zero-offset rows, go
+    through one batched :func:`codes.bitflip_decode_many`; a decoded index
+    must hash back to its bin and leave a residual within the same level
+    on the random rows.
+    """
+    js = np.asarray(js, dtype=np.int64)
+    return _so(block, js, js, c, plan, offsets, cfg, code or offsets.code)
+
+
+def detect_so(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig, code=None) -> Detection:
+    """The one-column case of :func:`detect_so_many`."""
+    return _so(*_one_column(u, j_word), c, plan, offsets, cfg, code or offsets.code)[0]
+
+
+def _near_linear(block: np.ndarray, at: np.ndarray, js: np.ndarray, c: int, plan, offsets,
+                 cfg: DetectorConfig) -> list:
+    cols = block[at]
     live = np.flatnonzero(~_within_noise(cols, cfg))
-    found = {}
-    if len(live):
-        u = cols[live]
-        rows = offsets.rows_u64(c)
-        part = plan.particular_words(c)[js[live]]
-        idx, score = kernels.singleton_search(u, rows, plan.coset_basis(c), part)
-        k_words = part ^ plan.coset_span(c)[idx]
-        values = _estimate_value(score, len(rows), cfg)
-        single = _verified(u, kernels.sign_matrix(k_words, rows), values, cfg)
-        for r, k, v, ok in zip(live.tolist(), k_words.tolist(), values.tolist(), single.tolist()):
-            found[r] = Detection(SINGLE_TON, k, v) if ok else _MULTI
-    return [found.get(r, _ZERO) for r in range(len(js))]
+    u = cols[live]
+    rows = offsets.rows_u64(c)
+    part = plan.particular_words(c)[js[live]]
+    idx, score = kernels.singleton_search(u, rows, plan.coset_basis(c), part)
+    k_words = part ^ plan.coset_span(c)[idx]
+    values = _estimate_value(score, len(rows), cfg)
+    single = _verified(u, kernels.sign_matrix(k_words, rows), values, cfg)
+    return _classify(len(js), live, k_words, values, single)
 
 
 def detect_near_linear_many(block: np.ndarray, js, c: int, plan, offsets, cfg: DetectorConfig) -> list:
@@ -164,56 +257,12 @@ def detect_near_linear_many(block: np.ndarray, js, c: int, plan, offsets, cfg: D
     after removing that candidate stays within the same level.
     """
     js = np.asarray(js, dtype=np.int64)
-    return _near_linear(block[js], js, c, plan, offsets, cfg)
+    return _near_linear(block, js, js, c, plan, offsets, cfg)
 
 
 def detect_near_linear(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig) -> Detection:
     """The one-column case of :func:`detect_near_linear_many`."""
-    u = np.asarray(u, dtype=np.float64)
-    return _near_linear(u[None, :], np.array([j_word], dtype=np.int64), c, plan, offsets, cfg)[0]
-
-
-def detect_nso(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig) -> Detection:
-    """Majority vote per index bit over the modulated offset blocks."""
-    u = np.asarray(u, dtype=np.float64)
-    p1 = offsets.layout["p1"]
-    n = plan.n
-    base = u[:p1]
-    if _within_noise(base, cfg):
-        return _ZERO
-    base_sign = (base < 0)
-    block_sign = (u[p1:].reshape(p1, n) < 0)
-    votes = (block_sign ^ base_sign[:, None]).sum(axis=0)
-    k_word = 0
-    for q in range(n):
-        if 2 * int(votes[q]) > p1:
-            k_word |= 1 << q
-    if plan.bin_of(c, k_word) != j_word:
-        return _MULTI
-    return _confirm_single(base, offsets.rows_u64(c)[:p1], k_word, cfg)
-
-
-def detect_so(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig, code=None) -> Detection:
-    """Channel-decode the coded offset signs after removing the sign
-    reference estimated from the zero-offset rows."""
-    u = np.asarray(u, dtype=np.float64)
-    code = code or offsets.code
-    r0, r1 = offsets.layout["random"]
-    z0, z1 = offsets.layout["zero"]
-    c0, c1 = offsets.layout["coded"]
-    rand = u[r0:r1]
-    if _within_noise(rand, cfg):
-        return _ZERO
-    zero_signs = (u[z0:z1] < 0)
-    ref_sign = 1 if 2 * int(zero_signs.sum()) > (z1 - z0) else 0
-    received = ((u[c0:c1] < 0).astype(np.uint8)) ^ ref_sign
-    decoded = codes.bitflip_decode(code, received, max_rounds=cfg.decode_rounds)
-    if decoded is None:
-        return _MULTI
-    k_word = decoded.word
-    if plan.bin_of(c, k_word) != j_word:
-        return _MULTI
-    return _confirm_single(rand, offsets.rows_u64(c)[r0:r1], k_word, cfg)
+    return _near_linear(*_one_column(u, j_word), c, plan, offsets, cfg)[0]
 
 
 def make_detector(plan, offsets, cfg: DetectorConfig, code=None):
@@ -221,16 +270,15 @@ def make_detector(plan, offsets, cfg: DetectorConfig, code=None):
 
     ``block`` is group c's (B, P) observations and ``js`` the bin words to
     classify; the result holds one detection per word of ``js``, in order.
-    The near-linear variant classifies them in one batch, the others one
-    column at a time.
+    Every variant classifies them in one batched call.
     """
     variant = offsets.variant
     if variant == "noiseless":
-        return lambda block, js, c: [detect_noiseless(block[j], j, c, plan, cfg) for j in js]
+        return lambda block, js, c: detect_noiseless_many(block, js, c, plan, cfg)
     if variant == "near-linear":
         return lambda block, js, c: detect_near_linear_many(block, js, c, plan, offsets, cfg)
     if variant == "nso":
-        return lambda block, js, c: [detect_nso(block[j], j, c, plan, offsets, cfg) for j in js]
+        return lambda block, js, c: detect_nso_many(block, js, c, plan, offsets, cfg)
     if variant == "so":
-        return lambda block, js, c: [detect_so(block[j], j, c, plan, offsets, cfg, code=code) for j in js]
+        return lambda block, js, c: detect_so_many(block, js, c, plan, offsets, cfg, code=code)
     raise ValueError(f"unknown offset variant {variant!r}")

@@ -6,7 +6,9 @@ parity sockets always divide evenly: 3 * 2q variable sockets against
 model; duplicate edges are repaired by degree-preserving swaps and short
 cycles are reduced best-effort the same way. The systematic generator is
 derived by GF(2) elimination, retrying with a fresh graph whenever the
-relevant minor is singular.
+relevant minor is singular. Construction works on rows and columns held
+as Python-int bitmasks. Bit flipping decodes a batch of received words
+at once.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import gf2
+from . import gf2, kernels
 
 
 class CodeConstructionError(RuntimeError):
@@ -78,7 +80,7 @@ class LdpcCode:
                     r, c = map(int, line.split())
                     dense[r, c] = 1
         h = gf2.BitMatrix.from_dense(dense)
-        g = _systematic_generator(dense)
+        g = _systematic_generator(h)
         if g is None:
             raise CodeConstructionError("stored parity matrix has a singular minor")
         return cls(n_info, n_block, h, g)
@@ -105,66 +107,81 @@ def _repair_duplicates(var_of_edge, chk_of_edge, rng, max_attempts=10_000):
     return False
 
 
-def _break_four_cycles(dense, rng, passes=4):
-    """Best-effort reduction of 4-cycles by swapping column entries."""
-    m, n = dense.shape
+def _lowest_bit(word: int) -> int:
+    return (word & -word).bit_length() - 1
+
+
+def _break_four_cycles(rows: list, n_block: int, rng, passes: int = 4) -> None:
+    """Best-effort reduction of 4-cycles by swapping column entries.
+
+    ``rows`` holds H's rows as column bitmasks and is updated in place.
+    Each pass lists, in row-major order, the row pairs (r1, r2) sharing at
+    least two columns. For a pair that still does, the first shared
+    column ``col`` of r1 trades places with a column ``col2`` that
+    neither r1 nor r2 holds, tried in a shuffled order: the first row r3
+    holding ``col2`` takes ``col`` instead, unless it already holds it.
+    The swap keeps every row and column weight.
+    """
+    m = len(rows)
+    cols = list(gf2.BitMatrix.from_rows(rows, n_block).col_words)
     for _ in range(passes):
-        overlap = (dense @ dense.T) - np.diag((dense * dense).sum(axis=1))
-        pairs = np.argwhere(np.triu(overlap, 1) >= 2)
-        if len(pairs) == 0:
+        pairs = [(r1, r2) for r1 in range(m) for r2 in range(r1 + 1, m)
+                 if (rows[r1] & rows[r2]).bit_count() >= 2]
+        if not pairs:
             return
         for r1, r2 in pairs:
-            shared = np.nonzero(dense[r1] & dense[r2])[0]
-            if len(shared) < 2:
+            shared = rows[r1] & rows[r2]
+            if shared.bit_count() < 2:
                 continue
-            col = int(shared[0])
-            targets = np.nonzero(~dense[r1].astype(bool))[0]
+            col = _lowest_bit(shared)
+            targets = np.array([t for t in range(n_block) if not (rows[r1] >> t) & 1], dtype=np.int64)
             rng.shuffle(targets)
-            for col2 in targets:
-                # swap memberships of col/col2 in row r1, preserving weights
-                if dense[r1, col2] == 0 and dense[r2, col2] == 0:
-                    rows_with_col2 = np.nonzero(dense[:, col2])[0]
-                    if len(rows_with_col2) == 0:
-                        continue
-                    r3 = int(rows_with_col2[0])
-                    if dense[r3, col]:
-                        continue
-                    dense[r1, col], dense[r1, col2] = 0, 1
-                    dense[r3, col2], dense[r3, col] = 0, 1
-                    break
+            for col2 in targets.tolist():
+                if ((rows[r1] | rows[r2]) >> col2) & 1 or not cols[col2]:
+                    continue
+                r3 = _lowest_bit(cols[col2])
+                if (rows[r3] >> col) & 1:
+                    continue
+                rows[r1] ^= (1 << col) | (1 << col2)
+                rows[r3] ^= (1 << col) | (1 << col2)
+                cols[col] ^= (1 << r1) | (1 << r3)
+                cols[col2] ^= (1 << r1) | (1 << r3)
+                break
 
 
-def _gf2_inverse(mat: np.ndarray):
-    q = mat.shape[0]
-    work = mat.astype(np.uint8).copy()
-    inv = np.eye(q, dtype=np.uint8)
+def _gf2_inverse(rows: list):
+    """Inverse of a square GF(2) matrix given and returned as row bitmasks;
+    None when it is singular."""
+    q = len(rows)
+    # Gauss-Jordan on [M | I], the identity held in bits q..2q-1
+    work = [word | (1 << (q + r)) for r, word in enumerate(rows)]
     for col in range(q):
-        pivots = np.nonzero(work[col:, col])[0]
-        if len(pivots) == 0:
+        bit = 1 << col
+        p = next((r for r in range(col, q) if work[r] & bit), None)
+        if p is None:
             return None
-        p = col + int(pivots[0])
-        if p != col:
-            work[[col, p]] = work[[p, col]]
-            inv[[col, p]] = inv[[p, col]]
-        hits = np.nonzero(work[:, col])[0]
-        for r in hits:
-            if r != col:
+        work[col], work[p] = work[p], work[col]
+        for r in range(q):
+            if r != col and work[r] & bit:
                 work[r] ^= work[col]
-                inv[r] ^= inv[col]
-    return inv
+    return [word >> q for word in work]
 
 
-def _systematic_generator(dense: np.ndarray):
+def _systematic_generator(h: gf2.BitMatrix):
     """G = [I; B^{-1} A] for H = [A | B]; None when B is singular."""
-    m, n_block = dense.shape
-    n_info = n_block - m
-    a = dense[:, :n_info]
-    b_inv = _gf2_inverse(dense[:, n_info:])
+    n_info = h.cols - h.rows
+    b_inv = _gf2_inverse([word >> n_info for word in h.row_words])
     if b_inv is None:
         return None
-    parity_part = (b_inv @ a) % 2
-    g = np.vstack([np.eye(n_info, dtype=np.uint8), parity_part.astype(np.uint8)])
-    return gf2.BitMatrix.from_dense(g)
+    a = [word & ((1 << n_info) - 1) for word in h.row_words]
+    parity_rows = []
+    for word in b_inv:
+        acc = 0
+        while word:
+            acc ^= a[_lowest_bit(word)]
+            word &= word - 1
+        parity_rows.append(acc)
+    return gf2.BitMatrix.from_rows([1 << t for t in range(n_info)] + parity_rows, n_info)
 
 
 def build_regular_ldpc(n_info: int, rng, max_retries: int = 200) -> LdpcCode:
@@ -175,42 +192,58 @@ def build_regular_ldpc(n_info: int, rng, max_retries: int = 200) -> LdpcCode:
     n_block = 2 * n_info
     m = n_info
     for _ in range(max_retries):
-        var_of_edge = list(np.repeat(np.arange(n_block), 3))
+        var_of_edge = np.repeat(np.arange(n_block), 3).tolist()
         perm = rng.permutation(6 * m)
-        chk_of_edge = list(perm // 6)
+        chk_of_edge = (perm // 6).tolist()
         if not _repair_duplicates(var_of_edge, chk_of_edge, rng):
             continue
-        dense = np.zeros((m, n_block), dtype=np.uint8)
+        rows = [0] * m
         for v, c in zip(var_of_edge, chk_of_edge):
-            dense[c, v] = 1
-        _break_four_cycles(dense, rng)
-        if not ((dense.sum(axis=0) == 3).all() and (dense.sum(axis=1) == 6).all()):
+            rows[c] |= 1 << v
+        _break_four_cycles(rows, n_block, rng)
+        h = gf2.BitMatrix.from_rows(rows, n_block)
+        if any(w.bit_count() != 6 for w in h.row_words) or any(w.bit_count() != 3 for w in h.col_words):
             continue
-        g = _systematic_generator(dense)
+        g = _systematic_generator(h)
         if g is None:
             continue
-        return LdpcCode(n_info, n_block, gf2.BitMatrix.from_dense(dense), g)
+        return LdpcCode(n_info, n_block, h, g)
     raise CodeConstructionError(f"no valid (3,6) code after {max_retries} attempts")
 
 
-def bitflip_decode(code: LdpcCode, y, max_rounds: int = 30):
-    """Gallager bit flipping; returns the information word or None.
+def bitflip_decode_many(code: LdpcCode, bits, max_rounds: int = 30):
+    """Gallager bit flipping on every received word (row) of ``bits`` at once.
 
-    Every round flips all bits tied at the maximum count of failing
-    checks; a valid codeword is returned unchanged in round zero.
+    Each round computes every row's syndrome and flips, in each row that
+    still fails a check, all bits tied at that row's maximum count of
+    failing checks; a row that satisfies every check is left alone from
+    then on, so a valid codeword comes back unchanged in round zero.
+    Returns ``(words, ok)``: the (m, n_block) uint8 words after flipping,
+    and whether each row reached a codeword within ``max_rounds`` flips.
+    The first ``n_info`` bits of a decoded word are its information word.
     """
-    if isinstance(y, gf2.BitIndex):
-        bits = np.array(y.bits(), dtype=np.uint8)
-    else:
-        bits = np.asarray(y, dtype=np.uint8).copy()
-    if bits.shape[0] != code.n_block:
-        raise gf2.DimensionError(f"expected {code.n_block} received bits")
-    h = code.h_dense()
+    words = np.array(bits, dtype=np.uint8, ndmin=2)
+    if words.shape[1] != code.n_block:
+        raise gf2.DimensionError(f"expected {code.n_block} received bits per word")
+    # 0/1 products and their small sums are exact in float64, where matmul runs on BLAS
+    h = code.h_dense().astype(np.float64)
     for _ in range(max_rounds + 1):
-        syndrome = (h @ bits) & 1
-        if not syndrome.any():
-            info = bits[: code.n_info]
-            return gf2.BitIndex(int(sum(int(v) << t for t, v in enumerate(info))), code.n_info)
-        counts = h.T @ syndrome
-        bits ^= (counts == counts.max()).astype(np.uint8)
-    return None
+        syndrome = (words @ h.T) % 2
+        failing = syndrome.any(axis=1)
+        if not failing.any():
+            break
+        counts = syndrome @ h
+        words ^= (counts == counts.max(axis=1, keepdims=True)) & failing[:, None]
+    return words, ~failing
+
+
+def bitflip_decode(code: LdpcCode, y, max_rounds: int = 30):
+    """The one-word case of :func:`bitflip_decode_many`; returns the
+    information word as a ``BitIndex``, or None when decoding fails."""
+    bits = np.asarray(y.bits() if isinstance(y, gf2.BitIndex) else y, dtype=np.uint8)
+    if bits.shape != (code.n_block,):
+        raise gf2.DimensionError(f"expected {code.n_block} received bits")
+    words, ok = bitflip_decode_many(code, bits, max_rounds)
+    if not ok[0]:
+        return None
+    return gf2.BitIndex(int(kernels.pack_rows(words[:, : code.n_info])[0]), code.n_info)

@@ -57,6 +57,12 @@ def parity_words(words: np.ndarray) -> np.ndarray:
     return par
 
 
+def pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Row r of a (m, t) 0/1 array as the packed word sum_t bits[r, t] 2^t."""
+    weights = np.uint64(1) << np.arange(bits.shape[1], dtype=np.uint64)
+    return (np.asarray(bits).astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+
+
 def hash_words(k_words: np.ndarray, col_words: np.ndarray) -> np.ndarray:
     """Bin words M^T k of packed k words: bit t is the parity of col_t & k."""
     par = parity_words(np.asarray(k_words, dtype=np.uint64)[:, None] & col_words[None, :])

@@ -1,9 +1,10 @@
 """Iterative peeling decoder over bin observations.
 
-Every detected single-ton is peeled immediately: its contribution is
-subtracted from the matching bin of every group and its value is
-accumulated into the running spectrum. Accumulation (rather than
-insert-once) matters: a multi-ton whose column aliases exactly onto a
+Every single-ton detected in a group's pass is peeled before the next
+group is classified: its contribution is subtracted from the matching
+bin of every group, all of the pass's peels in one scatter per group,
+and its value is accumulated into the running spectrum. Accumulation
+(rather than insert-once) matters: a multi-ton whose column aliases exactly onto a
 valid signature triggers a false peel, but the resulting ghost later
 isolates as the same index with the opposite value and the second peel
 cancels the first everywhere, so the net-zero entry drops out of the
@@ -59,6 +60,17 @@ def _per_bin_energy(data: np.ndarray) -> np.ndarray:
     return (data * data).mean(axis=2)
 
 
+def _peel(data: np.ndarray, plan, offsets, k_words: np.ndarray, values: np.ndarray, pending: list) -> None:
+    """Subtract the single-tons (k_words, values) from their bin in every
+    group and mark those bins pending. ``np.subtract.at`` applies repeated
+    bins in the order given, so the floats equal one peel at a time."""
+    for c2 in range(data.shape[0]):
+        j2 = plan.bins_of_many(c2, k_words).astype(np.intp)
+        signs = kernels.sign_matrix(k_words, offsets.rows_u64(c2))
+        np.subtract.at(data[c2], j2, values[:, None] * signs)
+        pending[c2].update(j2.tolist())
+
+
 def decode(obs, plan, offsets, detector, max_iters: int | None = None,
            stall_energy: float | None = None, sweep_hook=None):
     """Run peeling until fixed point; returns (spectrum, report).
@@ -68,8 +80,9 @@ def decode(obs, plan, offsets, detector, max_iters: int | None = None,
     its sorted pending bin words, and the result has one detection per
     word. It must match the offsets the observations were generated with.
     A group's pending bins are classified in one call and the single-tons
-    peeled afterwards, in ``js`` order. This equals classifying and
-    peeling one bin at a time: a coefficient hashes to exactly one bin
+    peeled afterwards, in ``js`` order, by one ``np.subtract.at`` per
+    group, which applies repeated bins in that order. This equals
+    classifying and peeling one bin at a time: a coefficient hashes to exactly one bin
     per group and a single-ton is only reported for its own bin, so a
     peel made during group c's pass never changes another bin of group c.
     ``stall_energy`` is the residual-energy level above which a stopped
@@ -96,6 +109,7 @@ def decode(obs, plan, offsets, detector, max_iters: int | None = None,
             pending[c].clear()
             if not js:
                 continue
+            peeled_k, peeled_v = [], []
             for det in detector(data[c], js, c):
                 if det.kind != SINGLE_TON:
                     continue
@@ -107,14 +121,12 @@ def decode(obs, plan, offsets, detector, max_iters: int | None = None,
                     recovered.pop(k_word, None)
                 else:
                     recovered[k_word] = total
-                report.peels += 1
-                sweep_peels += 1
-                kw = np.array([k_word], dtype=np.uint64)
-                for c2 in range(c_groups):
-                    j2 = plan.bin_of(c2, k_word)
-                    signs = kernels.sign_matrix(kw, offsets.rows_u64(c2))[0]
-                    data[c2, j2] -= value * signs
-                    pending[c2].add(j2)
+                peeled_k.append(k_word)
+                peeled_v.append(value)
+            if peeled_k:
+                _peel(data, plan, offsets, np.array(peeled_k, dtype=np.uint64), np.array(peeled_v), pending)
+            report.peels += len(peeled_k)
+            sweep_peels += len(peeled_k)
         report.sweeps += 1
         if sweep_hook is not None:
             sweep_hook(data, dict(recovered), report.sweeps)

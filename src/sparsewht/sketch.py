@@ -6,7 +6,9 @@ s - sum_e 2^(1-|e|) and, for every edge e and every nonempty
 even-cardinality subset S of e, a coefficient -2^(1-|e|) at the index
 supported on S (contributions from overlapping edges accumulate). Cut
 values are integers and noiseless, so the exact-arithmetic detector with
-value snapping recovers the expansion from Theta(K n) queries.
+value snapping recovers the expansion from Theta(K n) queries. The cut
+oracle is asked once per distinct position; ``CutQueryAccess`` keeps the
+words read so far as a sorted array and answers repeats from it.
 
 Vertices are numbered 1..n and vertex i maps to index position i.
 """
@@ -31,12 +33,9 @@ class Hypergraph:
     def __post_init__(self):
         seen = set()
         for e in self.edges:
-            if not 2 <= len(e):
-                raise ValueError("edges need at least two vertices")
-            if not all(1 <= v <= self.n for v in e):
-                raise ValueError("vertex id outside 1..n")
-            if e in seen:
-                raise ValueError("duplicate edge")
+            problem = _edge_problem(e, self.n, seen)
+            if problem:
+                raise ValueError(problem)
             seen.add(e)
 
     @classmethod
@@ -58,10 +57,46 @@ class Hypergraph:
 
     @classmethod
     def load(cls, path) -> "Hypergraph":
+        """Read the :meth:`save` format; a malformed line raises ValueError
+        naming the file and the line."""
         with open(path, "r", encoding="utf-8") as fh:
-            n = int(fh.readline().split("=")[1])
-            edges = [frozenset(map(int, line.split())) for line in fh if line.strip()]
-        return cls.from_edge_lists(n, edges)
+            header = fh.readline()
+            key, _, value = header.strip().partition("=")
+            try:
+                if key != "n":
+                    raise ValueError("missing n=")
+                n = gf2.check_bits(int(value))
+            except ValueError as exc:
+                raise ValueError(f"{path} line 1: expected 'n=<n>' with 1 <= n <= {gf2.MAX_BITS}, "
+                                 f"got {header.strip()!r}") from exc
+            edges = []
+            seen = set()
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                try:
+                    edge = frozenset(int(v) for v in line.split())
+                except ValueError:
+                    problem = "vertex ids must be integers"
+                else:
+                    problem = _edge_problem(edge, n, seen)
+                if problem:
+                    raise ValueError(f"{path} line {lineno}: {problem}, got {line.strip()!r}")
+                seen.add(edge)
+                edges.append(edge)
+        return cls(n, tuple(edges))
+
+
+def _edge_problem(edge: frozenset, n: int, seen: set) -> str | None:
+    """Why ``edge`` cannot join a hypergraph on vertices 1..n that already
+    holds the edges ``seen``; None when it can."""
+    if len(edge) < 2:
+        return "edges need at least two vertices"
+    if not all(1 <= v <= n for v in edge):
+        return f"vertex id outside 1..{n}"
+    if edge in seen:
+        return "duplicate edge"
+    return None
 
 
 def cut_value(h: Hypergraph, m) -> int:
@@ -114,7 +149,13 @@ def random_disjoint_hypergraph(n: int, s: int, rng, min_size: int = 2, max_size:
 
 
 class CutQueryAccess:
-    """Sample access backed by a cut oracle, one cached query per position."""
+    """Sample access backed by a cut oracle, queried once per distinct position.
+
+    The read log is two arrays: the distinct words read so far, sorted,
+    and their values. ``take`` asks the oracle only for the positions not
+    yet in the log, once each and in ascending order, and answers every
+    position by binary search in the log.
+    """
 
     def __init__(self, source, n: int | None = None):
         if isinstance(source, Hypergraph):
@@ -126,15 +167,25 @@ class CutQueryAccess:
             self.n = n
             self._oracle = source
         self.sigma = 0.0
-        self._cache: dict = {}
+        self._words = np.zeros(0, dtype=np.uint64)
+        self._values = np.zeros(0, dtype=np.float64)
 
     def take(self, positions) -> np.ndarray:
         positions = np.asarray(positions, dtype=np.uint64)
-        missing = [int(p) for p in np.unique(positions) if int(p) not in self._cache]
-        if missing:
-            fresh = np.asarray(self._oracle(np.array(missing, dtype=np.uint64)), dtype=np.float64)
-            self._cache.update(zip(missing, fresh))
-        return np.array([self._cache[int(p)] for p in positions], dtype=np.float64)
+        # dedup by sort: np.unique hashes uint64 words, which costs more here
+        distinct = np.sort(positions, axis=None)
+        keep = np.ones(len(distinct), dtype=bool)
+        np.not_equal(distinct[1:], distinct[:-1], out=keep[1:])
+        distinct = distinct[keep]
+        at = np.searchsorted(self._words, distinct)
+        seen = at < len(self._words)
+        seen[seen] = self._words[at[seen]] == distinct[seen]
+        fresh = distinct[~seen]
+        if len(fresh):
+            values = np.asarray(self._oracle(fresh), dtype=np.float64)
+            self._words = np.insert(self._words, at[~seen], fresh)
+            self._values = np.insert(self._values, at[~seen], values)
+        return self._values[np.searchsorted(self._words, positions)]
 
     def query(self, m) -> float:
         word = m if isinstance(m, (int, np.integer)) else m.word
@@ -142,7 +193,7 @@ class CutQueryAccess:
 
     @property
     def samples_queried(self) -> int:
-        return len(self._cache)
+        return len(self._words)
 
 
 @dataclass

@@ -1,8 +1,10 @@
-"""Shared fixtures: the four-coefficient worked instance and bit helpers."""
+"""Shared fixtures: the four-coefficient worked instance, bit helpers and
+seeded pipeline instances."""
 import numpy as np
 
-from sparsewht import SparseSpectrum
-from sparsewht.frontend import SubsamplingPlan
+from sparsewht import NoisyAccess, SparseSpectrum, build_regular_ldpc, draw_spectrum, sigma_for_snr
+from sparsewht.bin_detect import DetectorConfig
+from sparsewht.frontend import SubsamplingPlan, build_offsets, build_plan, observe
 from sparsewht.gf2 import random_full_column_rank, selection_matrix
 
 
@@ -36,3 +38,22 @@ def random_plan(n: int, b: int, c_groups: int, rng) -> SubsamplingPlan:
 # aliasing sums of the worked instance, per group and bin word
 GOLDEN_BINS_G1 = np.array([2.0, 5.0, 0.0, 1.0])
 GOLDEN_BINS_G2 = np.array([0.0, 1.0, 6.0, 1.0])
+
+
+def seeded_instances(variant, n, k, snr_db, constellation, seeds=range(6)):
+    """Seeded observations with the detector settings of the benchmark."""
+    plan = build_plan(n, k, profile="benchmark")
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        spectrum = draw_spectrum(n, k, 1.0, rng, constellation=constellation)
+        snr = None if snr_db is None else 10 ** (snr_db / 10)
+        sigma = 0.0 if snr is None else sigma_for_snr(1.0, k, 1 << n, snr)
+        access = NoisyAccess(spectrum, sigma, rng)
+        code = build_regular_ldpc(n, rng) if variant == "so" else None
+        offsets = build_offsets(variant, plan, code=code, rng=rng)
+        nu2 = max((1 << n) * sigma * sigma / plan.bins, 1e-18)
+        cfg = DetectorConfig(gamma=1.0 if snr is None else DetectorConfig.default_gamma(snr), nu2=nu2,
+                             constellation=constellation, zero_tol=1e-9 * 2 ** (n / 2))
+        obs = observe(access, plan, offsets)
+        stall_energy = plan.c_groups * plan.bins * (1.0 + cfg.gamma) * nu2
+        yield spectrum, plan, offsets, cfg, code, obs, stall_energy

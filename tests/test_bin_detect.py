@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,8 +13,11 @@ from sparsewht.bin_detect import (
     detect_near_linear,
     detect_near_linear_many,
     detect_noiseless,
+    detect_noiseless_many,
     detect_nso,
+    detect_nso_many,
     detect_so,
+    detect_so_many,
     sgn,
 )
 from sparsewht.codes import build_regular_ldpc
@@ -21,7 +25,8 @@ from sparsewht.frontend import SubsamplingPlan, build_offsets, build_plan, obser
 from sparsewht.gf2 import selection_matrix
 from sparsewht.kernels import sign_matrix
 
-from helpers import bits, golden_plan
+import references
+from helpers import bits, golden_plan, seeded_instances
 
 
 NOISELESS_CFG = DetectorConfig(zero_tol=1e-9 * 4.0 * 4.0)
@@ -109,6 +114,68 @@ def test_near_linear_batch_matches_one_column_at_a_time():
         kinds.update(det.kind for det in batch)
         assert detect_near_linear_many(block, [], c, plan, offsets, cfg) == []
     assert kinds == {ZERO_TON, SINGLE_TON, MULTI_TON}
+
+
+@pytest.mark.parametrize("variant,n,k_sparsity,snr_db", [
+    ("noiseless", 10, 12, None),
+    ("nso", 12, 16, 5.0),
+    ("nso", 12, 16, 0.0),
+    ("so", 12, 16, 5.0),
+    ("so", 12, 16, 0.0),
+])
+def test_batched_detectors_equal_column_loops(monkeypatch, variant, n, k_sparsity, snr_db):
+    # each bin is classified by the batch and by the old one-column loop;
+    # a second block moves every column to the bin j ^ 1, where a
+    # single-ton's index no longer hashes to the bin it sits in
+    decodes = []
+    loop_bitflip = references.bitflip_decode_loop
+
+    def recorded_decode(code, received, max_rounds):
+        decoded = loop_bitflip(code, received, max_rounds)
+        decodes.append((decoded, loop_bitflip(code, received, 0)))
+        return decoded
+
+    monkeypatch.setattr(references, "bitflip_decode_loop", recorded_decode)
+    kinds, moved_singles = set(), 0
+    for seed, (_, plan, offsets, cfg, code, obs, _) in enumerate(
+            seeded_instances(variant, n, k_sparsity, snr_db, True, seeds=range(3))):
+        many, loop = {
+            "noiseless": (lambda block, js, c: detect_noiseless_many(block, js, c, plan, cfg),
+                          lambda u, j, c: references.detect_noiseless_loop(u, j, c, plan, cfg)),
+            "nso": (lambda block, js, c: detect_nso_many(block, js, c, plan, offsets, cfg),
+                    lambda u, j, c: references.detect_nso_loop(u, j, c, plan, offsets, cfg)),
+            "so": (lambda block, js, c: detect_so_many(block, js, c, plan, offsets, cfg, code=code),
+                   lambda u, j, c: references.detect_so_loop(u, j, c, plan, offsets, cfg, code)),
+        }[variant]
+        js = np.arange(plan.bins)
+        for c in range(plan.c_groups):
+            block = obs.data[c]
+            batch = many(block, js.tolist(), c)
+            assert batch == [loop(block[j], j, c) for j in js]
+            moved = np.ascontiguousarray(block[js ^ 1])
+            moved_batch = many(moved, js, c)
+            assert moved_batch == [loop(moved[j], j, c) for j in js]
+            # columns of random signs: ties in the sign votes and the SO reference
+            signs = np.where(np.random.default_rng(seed).random(block.shape) < 0.5, -1.0, 1.0)
+            noise = np.abs(block).mean() * signs
+            assert many(noise, js, c) == [loop(noise[j], j, c) for j in js]
+            assert many(block, [], c) == []
+            kinds.update(det.kind for det in batch)
+            moved_singles += sum(det.kind == SINGLE_TON and moved_batch[j ^ 1].kind == MULTI_TON
+                                 for j, det in enumerate(batch))
+    assert kinds == {ZERO_TON, SINGLE_TON, MULTI_TON}
+    assert moved_singles > 0
+    if variant == "noiseless":
+        # snapping to a grid coarser than every value leaves no single-ton
+        coarse = dataclasses.replace(cfg, value_grid=4.0 * np.abs(obs.data).max())
+        block = obs.data[0]
+        assert SINGLE_TON in {det.kind for det in detect_noiseless_many(block, js, 0, plan, cfg)}
+        snapped = detect_noiseless_many(block, js, 0, plan, coarse)
+        assert snapped == [references.detect_noiseless_loop(block[j], j, 0, plan, coarse) for j in js]
+        assert SINGLE_TON not in {det.kind for det in snapped}
+    if variant == "so":
+        assert any(decoded is None for decoded, _ in decodes)
+        assert any(decoded is not None and first is None for decoded, first in decodes)
 
 
 def test_near_linear_monte_carlo_accuracy():

@@ -132,6 +132,22 @@ def test_sketch_command(tmp_path, capsys):
     assert "edge: 1 2 3" in printed and "edge: 5 6" in printed
 
 
+@pytest.mark.parametrize("content, line", [
+    ("garbage\n", 1),
+    ("n=x\n", 1),
+    ("n=5\n1 2\n1 two\n", 3),
+    ("n=5\n1 9\n", 2),
+])
+def test_sketch_bad_graph_exits_2(tmp_path, capsys, content, line):
+    graph_path = tmp_path / "graph.txt"
+    graph_path.write_text(content)
+    code = main(["sketch", "--graph", str(graph_path), "--out", str(tmp_path / "o.txt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"{graph_path} line {line}:" in err
+
+
 def test_scaling_command(tmp_path):
     out = tmp_path / "scaling.csv"
     code = main(["bench", "scaling", "--algo", "noiseless", "--n", "9", "10",

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparsewht.codes import LdpcCode, bitflip_decode, build_regular_ldpc
+from sparsewht.codes import LdpcCode, bitflip_decode, bitflip_decode_many, build_regular_ldpc
 from sparsewht.gf2 import BitIndex
+from sparsewht.kernels import pack_rows
+
+from references import bitflip_decode_loop, build_regular_ldpc_loop
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +139,67 @@ def test_serialization_round_trip(tmp_path, code):
 def test_min_info_length():
     with pytest.raises(ValueError):
         build_regular_ldpc(4, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n_info", [6, 12, 17, 20])
+def test_construction_matches_loop_reference(n_info):
+    # the bitmask construction makes the same RNG draws as the dense loops,
+    # so every seeded code and the generator's state after it are unchanged
+    for seed in range(200):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        code = build_regular_ldpc(n_info, rng)
+        h, g = build_regular_ldpc_loop(n_info, ref_rng)
+        assert np.array_equal(code.h_dense(), h)
+        assert np.array_equal(code.g.to_dense(), g)
+        assert rng.integers(0, 1 << 62) == ref_rng.integers(0, 1 << 62)
+
+
+def test_bitflip_many_stops_after_max_rounds():
+    # received words that need exactly 1..4 flip rounds, decoded in one batch
+    rng = np.random.default_rng(8)
+    by_rounds = {}
+    while len(by_rounds) < 4:
+        bits = _shared.encode_bits(int(rng.integers(0, 1 << 14)))
+        bits[rng.choice(28, size=3, replace=False)] ^= 1
+        need = next((r for r in range(6) if bitflip_decode_loop(_shared, bits, r) is not None), None)
+        if need in (1, 2, 3, 4):
+            by_rounds.setdefault(need, bits)
+    need = np.array(sorted(by_rounds))
+    received = np.array([by_rounds[r] for r in need])
+    for max_rounds in range(6):
+        _, ok = bitflip_decode_many(_shared, received, max_rounds)
+        assert ok.tolist() == (need <= max_rounds).tolist()
+
+
+_CODES = (_shared, build_regular_ldpc(6, np.random.default_rng(3)))
+
+
+@st.composite
+def _received_words(draw):
+    """A code and up to 10 received words: codewords with any set of bits flipped."""
+    code = draw(st.sampled_from(_CODES))
+    rows = draw(st.lists(st.tuples(st.integers(0, (1 << code.n_info) - 1),
+                                   st.sets(st.integers(0, code.n_block - 1))), max_size=10))
+    received = np.zeros((len(rows), code.n_block), dtype=np.uint8)
+    for r, (k, flips) in enumerate(rows):
+        received[r] = code.encode_bits(k)
+        received[r, sorted(flips)] ^= 1
+    return code, received
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_received_words(), max_rounds=st.integers(0, 30))
+def test_bitflip_many_equals_one_word_loop(case, max_rounds):
+    code, received = case
+    before = received.copy()
+    words, ok = bitflip_decode_many(code, received, max_rounds)
+    assert np.array_equal(received, before)
+    info = pack_rows(words[:, : code.n_info]).tolist()
+    for r in range(len(received)):
+        expected = bitflip_decode_loop(code, received[r], max_rounds)
+        assert ok[r] == (expected is not None)
+        if ok[r]:
+            assert info[r] == expected
+            assert not ((code.h_dense() @ words[r]) & 1).any()
+        one = bitflip_decode(code, received[r], max_rounds)
+        assert (one is None) == (expected is None) and (one is None or one.word == expected)

@@ -12,6 +12,7 @@ from sparsewht.experiments import (
     run_trial,
     write_csv,
 )
+from sparsewht.sketch import random_disjoint_hypergraph, sketch_recover
 
 
 def test_nominal_formulas_exact():
@@ -74,6 +75,39 @@ def test_seeded_trials_pinned(algorithm):
         got.append((r.support_ok, r.values_ok, r.samples_distinct, r.samples_nominal,
                     r.sweeps, r.peels, r.stalled, r.conflicts))
     assert got == PINNED_TRIALS[algorithm]
+
+
+# (spectrum, queries, (sweeps, peels, conflicts, stalled, residual_energy, samples_used), partial)
+# of sketch_recover on 3 disjoint edges of sizes 2..4 over n=20 vertices, seeds 0..4, budget 8
+PINNED_SKETCHES = [
+    ({68: -0.25, 2050: -0.25, 2056: -0.25, 4160: -0.25},
+     462, (3, 4, 0, True, 15672466.285714285, 462), True),
+    ({0: 2.375, 66: -0.25, 2050: -0.25, 2112: -0.25, 4224: -0.25, 32896: -0.25, 36864: -0.25,
+      65540: -0.125, 131076: -0.125, 196608: -0.125, 524292: -0.125, 589824: -0.125, 655360: -0.125,
+      720900: -0.125},
+     462, (2, 14, 0, False, 0.0, 462), False),
+    ({0: 1.875, 66: -0.5, 16640: -0.125, 65664: -0.5, 262400: -0.125, 278528: -0.125,
+      524544: -0.125, 540672: -0.125, 786432: -0.125, 803072: -0.125},
+     462, (2, 10, 0, False, 0.0, 462), False),
+    ({40960: -0.5, 524296: -0.5},
+     462, (2, 2, 0, True, 9249938.285714285, 462), True),
+    ({160: -0.125, 384: -0.125, 513: -0.125, 8320: -0.125, 8608: -0.125, 32769: -0.125,
+      33280: -0.125, 524289: -0.125, 524800: -0.125, 557056: -0.125},
+     462, (3, 10, 0, True, 20046214.095238093, 462), True),
+]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_seeded_sketches_pinned(seed):
+    graph = random_disjoint_hypergraph(20, 3, np.random.default_rng(seed), max_size=4)
+    result = sketch_recover(graph, sparsity_budget=8, seed=seed, coeff_resolution=2.0 ** (1 - 4))
+    entries, queries, (sweeps, peels, conflicts, stalled, residual, samples), partial = PINNED_SKETCHES[seed]
+    report = result.report
+    assert result.spectrum.entries == entries
+    assert (result.queries, result.partial) == (queries, partial)
+    assert (report.sweeps, report.peels, report.conflicts, report.stalled, report.samples_used) == \
+        (sweeps, peels, conflicts, stalled, samples)
+    assert report.residual_energy == pytest.approx(residual, rel=1e-12)
 
 
 def test_single_trial_noiseless_deterministic():

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sparsewht import NoisyAccess, SparseSpectrum, build_regular_ldpc, draw_spectrum, sigma_for_snr, verify_support
+from sparsewht import NoisyAccess, SparseSpectrum, draw_spectrum, verify_support
 from sparsewht.bin_detect import (
     MULTI_TON,
     SINGLE_TON,
@@ -11,9 +11,6 @@ from sparsewht.bin_detect import (
     Detection,
     DetectorConfig,
     detect_near_linear,
-    detect_noiseless,
-    detect_nso,
-    detect_so,
     make_detector,
 )
 from sparsewht.frontend import build_offsets, build_plan, observe
@@ -21,7 +18,8 @@ from sparsewht.fwht import densify, fwht
 from sparsewht.kernels import sign_matrix
 from sparsewht.peeling import DecodeReport, decode
 
-from helpers import golden_plan, golden_spectrum
+import references
+from helpers import golden_plan, golden_spectrum, seeded_instances
 
 
 def _noiseless_setup(spectrum, plan, seed=0):
@@ -231,23 +229,15 @@ def _reference_decode(obs, plan, offsets, column_detector, max_iters, stall_ener
     return recovered, report
 
 
-def _seeded_instances(variant, n, k, snr_db, constellation, seeds=range(6)):
-    """Seeded observations with the detector settings of the benchmark."""
-    plan = build_plan(n, k, profile="benchmark")
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        spectrum = draw_spectrum(n, k, 1.0, rng, constellation=constellation)
-        snr = None if snr_db is None else 10 ** (snr_db / 10)
-        sigma = 0.0 if snr is None else sigma_for_snr(1.0, k, 1 << n, snr)
-        access = NoisyAccess(spectrum, sigma, rng)
-        code = build_regular_ldpc(n, rng) if variant == "so" else None
-        offsets = build_offsets(variant, plan, code=code, rng=rng)
-        nu2 = max((1 << n) * sigma * sigma / plan.bins, 1e-18)
-        cfg = DetectorConfig(gamma=1.0 if snr is None else DetectorConfig.default_gamma(snr), nu2=nu2,
-                             constellation=constellation, zero_tol=1e-9 * 2 ** (n / 2))
-        obs = observe(access, plan, offsets)
-        stall_energy = plan.c_groups * plan.bins * (1.0 + cfg.gamma) * nu2
-        yield spectrum, plan, offsets, cfg, code, obs, stall_energy
+def _column_detector(variant, plan, offsets, cfg, code):
+    """The one-column detector of ``variant``: the old loops, and for
+    near-linear the one-column case of the batch."""
+    return {
+        "noiseless": lambda u, j, c: references.detect_noiseless_loop(u, j, c, plan, cfg),
+        "near-linear": lambda u, j, c: detect_near_linear(u, j, c, plan, offsets, cfg),
+        "nso": lambda u, j, c: references.detect_nso_loop(u, j, c, plan, offsets, cfg),
+        "so": lambda u, j, c: references.detect_so_loop(u, j, c, plan, offsets, cfg, code),
+    }[variant]
 
 
 @pytest.mark.parametrize("variant,n,k,snr_db,constellation", [
@@ -258,22 +248,41 @@ def _seeded_instances(variant, n, k, snr_db, constellation, seeds=range(6)):
     ("so", 12, 10, 5.0, True),
 ])
 def test_batched_decode_equals_one_bin_at_a_time(variant, n, k, snr_db, constellation):
-    column_detectors = {
-        "noiseless": lambda u, j, c: detect_noiseless(u, j, c, plan, cfg),
-        "near-linear": lambda u, j, c: detect_near_linear(u, j, c, plan, offsets, cfg),
-        "nso": lambda u, j, c: detect_nso(u, j, c, plan, offsets, cfg),
-        "so": lambda u, j, c: detect_so(u, j, c, plan, offsets, cfg, code=code),
-    }
     recovered_supports = 0
-    for spectrum, plan, offsets, cfg, code, obs, stall_energy in _seeded_instances(
+    for spectrum, plan, offsets, cfg, code, obs, stall_energy in seeded_instances(
             variant, n, k, snr_db, constellation):
         recovered, report = decode(obs, plan, offsets, make_detector(plan, offsets, cfg, code=code),
                                    max_iters=2 * k + 10, stall_energy=stall_energy)
-        expected, expected_report = _reference_decode(obs, plan, offsets, column_detectors[variant],
+        expected, expected_report = _reference_decode(obs, plan, offsets,
+                                                      _column_detector(variant, plan, offsets, cfg, code),
                                                       2 * k + 10, stall_energy)
         assert recovered.entries == expected and report == expected_report
         recovered_supports += recovered.support() == spectrum.support()
     assert recovered_supports > 0  # the instances exercise full recoveries, not only stalls
+
+
+def _assert_same_decode_up_to_sums(report, expected_report, recovered, expected):
+    """Equal supports and counts; values within rel 1e-12 and residual
+    energy within rel 1e-9, for sums taken in another order."""
+    assert recovered.entries == pytest.approx(expected, rel=1e-12)
+    assert report.residual_energy == pytest.approx(expected_report.residual_energy, rel=1e-9)
+    assert dataclasses.replace(report, residual_energy=0.0) == \
+        dataclasses.replace(expected_report, residual_energy=0.0)
+
+
+def test_nso_continuous_decode_matches_loop():
+    # continuous values take the row dot product's value; the batch may sum it in another order
+    recovered_supports = 0
+    for spectrum, plan, offsets, cfg, code, obs, stall_energy in seeded_instances(
+            "nso", 12, 10, 20.0, False):
+        recovered, report = decode(obs, plan, offsets, make_detector(plan, offsets, cfg),
+                                   max_iters=30, stall_energy=stall_energy)
+        expected, expected_report = _reference_decode(obs, plan, offsets,
+                                                      _column_detector("nso", plan, offsets, cfg, code),
+                                                      30, stall_energy)
+        _assert_same_decode_up_to_sums(report, expected_report, recovered, expected)
+        recovered_supports += recovered.support() == spectrum.support()
+    assert recovered_supports > 0
 
 
 @pytest.mark.parametrize("n,k,snr_db,constellation", [
@@ -285,16 +294,13 @@ def test_near_linear_decode_matches_coset_enumeration(n, k, snr_db, constellatio
     # The coset transform sums in another order than the signature matmul,
     # so estimated values and the residual may differ in the last bits.
     recovered_supports = 0
-    for spectrum, plan, offsets, cfg, _, obs, stall_energy in _seeded_instances(
+    for spectrum, plan, offsets, cfg, _, obs, stall_energy in seeded_instances(
             "near-linear", n, k, snr_db, constellation, seeds=range(4)):
         recovered, report = decode(obs, plan, offsets, make_detector(plan, offsets, cfg),
                                    max_iters=2 * k + 10, stall_energy=stall_energy)
         enumerate_cosets = lambda u, j, c: _coset_enumeration_near_linear(u, j, c, plan, offsets, cfg)
         expected, expected_report = _reference_decode(obs, plan, offsets, enumerate_cosets,
                                                       2 * k + 10, stall_energy)
-        assert recovered.entries == pytest.approx(expected, rel=1e-12)
-        assert report.residual_energy == pytest.approx(expected_report.residual_energy, rel=1e-9)
-        assert dataclasses.replace(report, residual_energy=0.0) == \
-            dataclasses.replace(expected_report, residual_energy=0.0)
+        _assert_same_decode_up_to_sums(report, expected_report, recovered, expected)
         recovered_supports += recovered.support() == spectrum.support()
     assert recovered_supports > 0

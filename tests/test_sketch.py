@@ -103,6 +103,27 @@ def test_cut_query_access_caches():
     assert access.samples_queried == 2
 
 
+def test_cut_query_access_reads_each_position_once():
+    h = Hypergraph.from_edge_lists(9, [{1, 2, 3}, {4, 8}])
+    asked = []
+
+    def oracle(words):
+        asked.append(words.tolist())
+        return cut_values(h, words)
+
+    access = CutQueryAccess(oracle, n=9)
+    rng = np.random.default_rng(8)
+    for size in (40, 0, 300, 1):
+        positions = rng.integers(0, 1 << 9, size=size, dtype=np.int64).astype(np.uint64)
+        assert np.array_equal(access.take(positions), cut_values(h, positions).astype(np.float64))
+    flat = [w for call in asked for w in call]
+    assert all(call == sorted(set(call)) for call in asked)
+    assert len(flat) == len(set(flat)) == access.samples_queried
+    calls = len(asked)
+    assert access.query(int(positions[0])) == cut_value(h, int(positions[0]))
+    assert len(asked) == calls  # a repeat is answered from the log
+
+
 def test_reconstruct_edges_from_analytic():
     rng = np.random.default_rng(2)
     for trial in range(5):
