@@ -5,7 +5,14 @@ into small bins, robust bin detectors classify each bin and read off
 single coefficients, and a peeling decoder subtracts what it finds until
 the spectrum is recovered. Includes exact brute-force oracles, the
 redundancy-threshold analysis, and a hypergraph cut-sketching front end.
+
+Importing the package fixes glibc's malloc thresholds (see ``_malloc``)
+so that repeated trials reuse heap pages instead of re-faulting them.
 """
+
+from . import _malloc
+
+_malloc.fix_thresholds()
 
 from .analysis import DeTrace, de_table, density_evolution, min_eta
 from .bin_detect import (
