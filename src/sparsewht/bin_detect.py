@@ -30,6 +30,9 @@ ZERO_TON = "zero-ton"
 SINGLE_TON = "single-ton"
 MULTI_TON = "multi-ton"
 
+# a noiseless single-ton's ratios u_t / u_0 are +/-1 up to rounding
+RATIO_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Detection:
@@ -48,9 +51,9 @@ class DetectorConfig:
 
     ``gamma`` is the verification slack (must sit in (0, SNR/2));
     ``nu2`` the per-entry bin noise variance N sigma^2 / B; ``rho`` the
-    constellation amplitude. ``zero_tol``/``ratio_tol`` serve the exact
-    noiseless tests, and ``value_grid`` optionally snaps detected values
-    to a lattice (used by the integer-valued cut-sketching path).
+    constellation amplitude. ``zero_tol`` serves the exact noiseless
+    tests, and ``value_grid`` optionally snaps detected values to a
+    lattice (used by the integer-valued cut-sketching path).
     """
 
     gamma: float = 1.0
@@ -58,7 +61,6 @@ class DetectorConfig:
     rho: float = 1.0
     constellation: bool = True
     zero_tol: float = 0.0
-    ratio_tol: float = 1e-6
     value_grid: float | None = None
     decode_rounds: int = 30
 
@@ -137,7 +139,7 @@ def _noiseless(block: np.ndarray, at: np.ndarray, js: np.ndarray, c: int, plan, 
     single = np.abs(ref) > tol
     # a reference within zero_tol already fails; divide those rows by 1 instead
     ratios = u[:, 1:] / np.where(single, ref, 1.0)[:, None]
-    single &= ~np.any(np.abs(np.abs(ratios) - 1.0) > cfg.ratio_tol, axis=1)
+    single &= ~np.any(np.abs(np.abs(ratios) - 1.0) > RATIO_TOL, axis=1)
     neg = u < 0
     k_words = kernels.pack_rows(neg[:, 1:] ^ neg[:, :1])
     single &= plan.bins_of_many(c, k_words).astype(np.int64) == js[live]
@@ -153,7 +155,7 @@ def detect_noiseless_many(block: np.ndarray, js, c: int, plan, cfg: DetectorConf
     ``block`` holds group c's columns by bin word, shape (B, n + 1). A
     column within ``zero_tol`` everywhere is a zero-ton. A single-ton
     needs a reference outside ``zero_tol``, every ratio u_t / u_0 within
-    ``ratio_tol`` of +/-1, an index that hashes back to its bin and a
+    ``RATIO_TOL`` of +/-1, an index that hashes back to its bin and a
     nonzero value after snapping to ``value_grid``.
     """
     js = np.asarray(js, dtype=np.int64)
@@ -201,12 +203,14 @@ def detect_nso(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorC
 def _so(block: np.ndarray, at: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig,
         code) -> list:
     r0, r1 = offsets.layout["random"]
-    z0, z1 = offsets.layout["zero"]
+    z0 = offsets.layout["zero"][0]
     c0, c1 = offsets.layout["coded"]
     live = np.flatnonzero(~_within_noise(block[at, r0:r1], cfg))
     u = block[at[live]]
     neg = u < 0
-    ref = 2 * neg[:, z0:z1].sum(axis=1) > (z1 - z0)
+    # every zero-offset row reads the same B samples, so the rows are
+    # identical and the first one's sign is their majority sign
+    ref = neg[:, z0]
     bits, decoded = codes.bitflip_decode_many(code, neg[:, c0:c1] ^ ref[:, None], cfg.decode_rounds)
     k_words = kernels.pack_rows(bits[:, : code.n_info])
     values, single = _confirm(u[:, r0:r1], offsets.rows_u64(c)[r0:r1], k_words, js[live], c, plan, cfg)
@@ -215,14 +219,14 @@ def _so(block: np.ndarray, at: np.ndarray, js: np.ndarray, c: int, plan, offsets
 
 def detect_so_many(block: np.ndarray, js, c: int, plan, offsets, cfg: DetectorConfig, code=None) -> list:
     """Channel-decode the coded offset signs of the bins ``js`` at once,
-    after removing the sign reference estimated from the zero-offset rows.
+    after removing the sign reference read from the zero-offset row.
 
     ``block`` holds group c's columns by bin word. A bin whose random rows
     are within (1 + gamma) nu^2 is a zero-ton. Every other bin's coded
-    signs, flipped by the majority sign of its zero-offset rows, go
-    through one batched :func:`codes.bitflip_decode_many`; a decoded index
-    must hash back to its bin and leave a residual within the same level
-    on the random rows.
+    signs, flipped by the sign of its zero-offset row, go through one
+    batched :func:`codes.bitflip_decode_many`; a decoded index must hash
+    back to its bin and leave a residual within the same level on the
+    random rows.
     """
     js = np.asarray(js, dtype=np.int64)
     return _so(block, js, js, c, plan, offsets, cfg, code or offsets.code)

@@ -61,30 +61,6 @@ class LdpcCode:
         """H as a read-only uint8 array, built once per code."""
         return self._h_dense
 
-    def save(self, path) -> None:
-        """Sparse listing: header then one ``row col`` line per H entry."""
-        dense = self.h_dense()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"n_info={self.n_info} n_block={self.n_block}\n")
-            for r, c in zip(*np.nonzero(dense)):
-                fh.write(f"{r} {c}\n")
-
-    @classmethod
-    def load(cls, path) -> "LdpcCode":
-        with open(path, "r", encoding="utf-8") as fh:
-            meta = dict(item.split("=") for item in fh.readline().split())
-            n_info, n_block = int(meta["n_info"]), int(meta["n_block"])
-            dense = np.zeros((n_block - n_info, n_block), dtype=np.uint8)
-            for line in fh:
-                if line.strip():
-                    r, c = map(int, line.split())
-                    dense[r, c] = 1
-        h = gf2.BitMatrix.from_dense(dense)
-        g = _systematic_generator(h)
-        if g is None:
-            raise CodeConstructionError("stored parity matrix has a singular minor")
-        return cls(n_info, n_block, h, g)
-
 
 def _repair_duplicates(var_of_edge, chk_of_edge, rng, max_attempts=10_000):
     """Degree-preserving swaps until the multigraph is simple."""
@@ -222,6 +198,8 @@ def bitflip_decode_many(code: LdpcCode, bits, max_rounds: int = 30):
     and whether each row reached a codeword within ``max_rounds`` flips.
     The first ``n_info`` bits of a decoded word are its information word.
     """
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
     words = np.array(bits, dtype=np.uint8, ndmin=2)
     if words.shape[1] != code.n_block:
         raise gf2.DimensionError(f"expected {code.n_block} received bits per word")

@@ -44,8 +44,6 @@ class ExperimentConfig:
     rho: float = 1.0
     profile: str = "benchmark"
     p1: int | None = None
-    p2: int | None = None
-    p3: int | None = None
     gamma: float | None = None
     decode_rounds: int = 30
     workers: int = 1
@@ -65,6 +63,14 @@ class ExperimentConfig:
             raise ConfigError("profile must be 'benchmark' or 'theory'")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.p1 is not None and self.p1 < 1:
+            raise ConfigError("p1 must be >= 1 or unset")
+        if self.decode_rounds < 0:
+            raise ConfigError("decode_rounds must be >= 0")
+        if self.gamma is not None and not self.gamma > 0:
+            raise ConfigError("gamma must be > 0 or unset")
+        if not 0 < self.success_threshold <= 1:
+            raise ConfigError("success_threshold must be in (0, 1]")
         return self
 
     @classmethod
@@ -93,19 +99,17 @@ class TrialResult:
     conflicts: int
 
 
-def nominal_sample_count(algorithm: str, n: int, k: int, c_groups: int = 3,
-                         p1: int | None = None, p2: int | None = None, p3: int | None = None) -> int:
-    """The configured sample-cost formula value C * B * P_nominal."""
+def nominal_sample_count(algorithm: str, n: int, k: int, c_groups: int = 3, p1: int | None = None) -> int:
+    """The configured sample-cost formula value C * B * P_nominal.
+
+    NSO modulates each of its P1 base rows by the n unit offsets; SO
+    reads P1 random rows, n zero rows and the 2n coded rows.
+    """
     bins = 1 << max(1, math.ceil(math.log2(k)))
     if algorithm == "nso":
-        p1 = p1 or 2 * n
-        p2 = p2 or n
-        return c_groups * bins * p1 * p2
+        return c_groups * bins * (p1 or 2 * n) * n
     if algorithm == "so":
-        p1 = p1 or n
-        p2 = p2 or n
-        p3 = p3 or 2 * n
-        return c_groups * bins * (p1 + p2 + p3)
+        return c_groups * bins * ((p1 or n) + n + 2 * n)
     if algorithm == "noiseless":
         return c_groups * bins * (n + 1)
     if algorithm == "near-linear":
@@ -123,8 +127,7 @@ def noise_sigma(rho: float, k: int, n: int, snr_db: float | None) -> float:
 
 def recover(access, k: int, algorithm: str, *, snr_db: float | None, rho: float,
             constellation: bool = True, rng_offsets, rng_code, profile: str = "benchmark",
-            p1: int | None = None, p2: int | None = None, p3: int | None = None,
-            gamma: float | None = None, decode_rounds: int = 30):
+            p1: int | None = None, gamma: float | None = None, decode_rounds: int = 30):
     """Hash, classify and peel a K-sparse spectrum read through ``access``.
 
     The detector thresholds follow from the noise level: the per-bin noise
@@ -140,7 +143,7 @@ def recover(access, k: int, algorithm: str, *, snr_db: float | None, rho: float,
     sigma = noise_sigma(rho, k, n, snr_db)
     plan = frontend.build_plan(n, max(k, 1), profile=profile)
     code = codes.build_regular_ldpc(n, rng_code) if algorithm == "so" else None
-    offsets = frontend.build_offsets(algorithm, plan, p1=p1, p2=p2, p3=p3, code=code, rng=rng_offsets)
+    offsets = frontend.build_offsets(algorithm, plan, p1=p1, code=code, rng=rng_offsets)
 
     nu2 = max(size * sigma * sigma / plan.bins, (1e-9 * rho) ** 2)
     if gamma is None:
@@ -167,8 +170,8 @@ def run_trial(config: ExperimentConfig, n: int, k: int, snr_db: float | None, tr
     access.prepare()
     recovered, report, obs, runtime_ns = recover(
         access, k, config.algorithm, snr_db=snr_db, rho=config.rho, rng_offsets=rng_offsets,
-        rng_code=rng_code, profile=config.profile, p1=config.p1, p2=config.p2, p3=config.p3,
-        gamma=config.gamma, decode_rounds=config.decode_rounds)
+        rng_code=rng_code, profile=config.profile, p1=config.p1, gamma=config.gamma,
+        decode_rounds=config.decode_rounds)
 
     check = peeling.verify_support(recovered, spectrum)
     return TrialResult(check.support_match, check.values_match, runtime_ns,
@@ -228,8 +231,7 @@ def run_scaling_sweep(config: ExperimentConfig) -> list:
                 "algorithm": config.algorithm,
                 "success_rate": rate,
                 "samples": float(np.mean([r.samples_distinct for r in results])),
-                "nominal_samples": nominal_sample_count(config.algorithm, n, k,
-                                                        p1=config.p1, p2=config.p2, p3=config.p3),
+                "nominal_samples": nominal_sample_count(config.algorithm, n, k, p1=config.p1),
                 "runtime_ns": float(np.mean([r.runtime_ns for r in results])),
                 "meets_threshold": int(rate >= config.success_threshold),
             })

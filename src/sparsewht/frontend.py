@@ -11,7 +11,6 @@ any other access is read point by point through ``take``.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -227,7 +226,7 @@ class OffsetPlan:
     """Per-group offset matrices D_c, stored as packed row words.
 
     ``layout`` names row ranges by role; ``nominal_rows`` is the row
-    count entering the sample-cost formulas (P1*P2 for the modulated
+    count entering the sample-cost formulas (P1 n for the modulated
     variant, the actual row count otherwise).
     """
 
@@ -250,15 +249,16 @@ def _random_words(n: int, count: int, rng) -> np.ndarray:
     return rng.integers(0, 1 << n, size=count, dtype=np.int64).astype(np.uint64)
 
 
-def build_offsets(variant: str, plan: SubsamplingPlan, p1: int | None = None, p2: int | None = None,
-                  p3: int | None = None, code=None, rng=None) -> OffsetPlan:
+def build_offsets(variant: str, plan: SubsamplingPlan, p1: int | None = None, code=None,
+                  rng=None) -> OffsetPlan:
     """Construct the offset rows for one detector variant.
 
     noiseless: n+1 rows, the zero reference then the n unit rows.
     near-linear: p1 fully random rows (default 3n).
     nso: p1 random base rows (default 2n) each followed later by its n
         modulated rows d_p xor e_q, ordered [bases..., block_1, block_2, ...].
-    so: p1 random rows, p2 zero rows, then the code generator rows.
+    so: p1 random rows (default n), n zero rows, then the 2n generator
+        rows of the rate-1/2 code.
     """
     n = plan.n
     if variant not in VARIANTS:
@@ -280,17 +280,14 @@ def build_offsets(variant: str, plan: SubsamplingPlan, p1: int | None = None, p2
 
     if variant == "nso":
         p1 = p1 or 2 * n
-        p2 = n if p2 is None else p2
-        if p2 != n:
-            raise ValueError(f"nso requires P2 = n modulated rows per base, got {p2}")
         groups = []
         for _ in range(plan.c_groups):
             base = _random_words(n, p1, rng)
             units = np.uint64(1) << np.arange(n, dtype=np.uint64)
             blocks = base[:, None] ^ units[None, :]
             groups.append(np.concatenate([base, blocks.reshape(-1)]))
-        layout = {"base": (0, p1), "p1": p1, "p2": p2}
-        return OffsetPlan(variant, n, tuple(groups), layout, p1 * p2)
+        layout = {"base": (0, p1), "p1": p1}
+        return OffsetPlan(variant, n, tuple(groups), layout, p1 * n)
 
     # so
     if code is None:
@@ -298,17 +295,14 @@ def build_offsets(variant: str, plan: SubsamplingPlan, p1: int | None = None, p2
     if code.n_info != n:
         raise ValueError(f"code has {code.n_info} information bits, plan needs {n}")
     p1 = p1 or n
-    p2 = n if p2 is None else p2
-    p3 = code.n_block if p3 is None else p3
-    if p3 != code.n_block:
-        raise ValueError("P3 must equal the code block length")
     coded = np.array(code.generator_rows(), dtype=np.uint64)
     groups = []
     for _ in range(plan.c_groups):
         rand = _random_words(n, p1, rng)
-        groups.append(np.concatenate([rand, np.zeros(p2, dtype=np.uint64), coded]))
-    layout = {"random": (0, p1), "zero": (p1, p1 + p2), "coded": (p1 + p2, p1 + p2 + p3)}
-    return OffsetPlan("so", n, tuple(groups), layout, p1 + p2 + p3, code=code)
+        groups.append(np.concatenate([rand, np.zeros(n, dtype=np.uint64), coded]))
+    z1 = p1 + n
+    layout = {"random": (0, p1), "zero": (p1, z1), "coded": (z1, z1 + code.n_block)}
+    return OffsetPlan("so", n, tuple(groups), layout, z1 + code.n_block, code=code)
 
 
 @dataclass
@@ -329,23 +323,6 @@ class BinObservations:
     @property
     def rows(self) -> int:
         return self.data.shape[2]
-
-    def save(self, path) -> None:
-        """Raw little-endian float64 in (c, j, p) order plus a JSON sidecar."""
-        path = str(path)
-        self.data.astype("<f8").tofile(path)
-        header = {"n": self.n, "b": self.b, "C": self.c_groups, "P": self.rows, "variant": self.variant}
-        with open(path + ".json", "w", encoding="utf-8") as fh:
-            json.dump(header, fh)
-
-    @classmethod
-    def load(cls, path) -> "BinObservations":
-        path = str(path)
-        with open(path + ".json", "r", encoding="utf-8") as fh:
-            header = json.load(fh)
-        flat = np.fromfile(path, dtype="<f8")
-        data = flat.reshape(header["C"], 1 << header["b"], header["P"]).astype(np.float64)
-        return cls(data, header["n"], header["b"], header["variant"], 0, 0)
 
 
 def observe(access, plan: SubsamplingPlan, offsets: OffsetPlan) -> BinObservations:

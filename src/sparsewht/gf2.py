@@ -56,10 +56,6 @@ class BitIndex:
             raise DimensionError(f"word {self.word} out of range for n={self.n}")
 
     @classmethod
-    def from_int(cls, value: int, n: int) -> "BitIndex":
-        return cls(value, n)
-
-    @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "BitIndex":
         """Build from components in position order (position 1 first)."""
         word = 0
@@ -131,12 +127,6 @@ class BitMatrix:
     def from_rows(cls, words: Iterable[int], cols: int) -> "BitMatrix":
         words = tuple(int(w) for w in words)
         return cls(len(words), cols, words)
-
-    @classmethod
-    def from_dense(cls, arr) -> "BitMatrix":
-        arr = np.asarray(arr)
-        words = [int(sum((int(v) & 1) << t for t, v in enumerate(row))) for row in arr]
-        return cls(arr.shape[0], arr.shape[1], tuple(words))
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":

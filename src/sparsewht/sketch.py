@@ -166,7 +166,6 @@ class CutQueryAccess:
                 raise ValueError("n is required for a callable oracle")
             self.n = n
             self._oracle = source
-        self.sigma = 0.0
         self._words = np.zeros(0, dtype=np.uint64)
         self._values = np.zeros(0, dtype=np.float64)
 
@@ -288,7 +287,6 @@ def sketch_recover(source, n: int | None = None, sparsity_budget: int = 1, seed:
     root_n = math.sqrt(2.0**n)
     cfg = DetectorConfig(
         zero_tol=1e-9 * root_n,
-        ratio_tol=1e-6,
         constellation=False,
         value_grid=None if coeff_resolution is None else coeff_resolution * root_n,
     )

@@ -6,7 +6,7 @@ code is checked against independent code rather than against itself.
 """
 import numpy as np
 
-from sparsewht.bin_detect import MULTI_TON, SINGLE_TON, ZERO_TON, Detection, sgn
+from sparsewht.bin_detect import MULTI_TON, RATIO_TOL, SINGLE_TON, ZERO_TON, Detection, sgn
 from sparsewht.kernels import sign_matrix
 
 
@@ -35,7 +35,7 @@ def detect_noiseless_loop(u, j_word, c, plan, cfg):
     if abs(ref) <= tol:
         return Detection(MULTI_TON)
     ratios = u[1:] / ref
-    if np.any(np.abs(np.abs(ratios) - 1.0) > cfg.ratio_tol):
+    if np.any(np.abs(np.abs(ratios) - 1.0) > RATIO_TOL):
         return Detection(MULTI_TON)
     k_word = 0
     ref_sign = sgn(ref)

@@ -121,6 +121,18 @@ def test_bench_rejects_bad_config(tmp_path):
     assert main(["bench", "snr", "--config", str(cfg_path), "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("cfg", [{"decode_rounds": -1}, {"p1": 0}, {"gamma": -1.0}, {"p2": 12}, {"p3": 24}])
+def test_bench_bad_setting_exits_2(tmp_path, capsys, cfg):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"algorithm": "so", "n_values": [12], "k_values": [10], "trials": 1, **cfg}))
+    out = tmp_path / "rows.csv"
+    assert main(["bench", "snr", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert next(iter(cfg)) in err
+    assert not out.exists()
+
+
 def test_sketch_command(tmp_path, capsys):
     h = Hypergraph.from_edge_lists(12, [{1, 2, 3}, {5, 6}])
     graph_path = tmp_path / "graph.txt"

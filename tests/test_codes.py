@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsewht.codes import LdpcCode, bitflip_decode, bitflip_decode_many, build_regular_ldpc
+from sparsewht.codes import bitflip_decode, bitflip_decode_many, build_regular_ldpc
 from sparsewht.gf2 import BitIndex
 from sparsewht.kernels import pack_rows
 
@@ -124,16 +124,9 @@ def test_nonconvergence_returns_none(code):
     assert bitflip_decode(code, bits, max_rounds=0) is None
 
 
-def test_serialization_round_trip(tmp_path, code):
-    path = tmp_path / "code.txt"
-    code.save(path)
-    loaded = LdpcCode.load(path)
-    assert np.array_equal(loaded.h_dense(), code.h_dense())
-    assert loaded.generator_rows() == code.generator_rows()
-    # byte-for-byte reproducible listing
-    path2 = tmp_path / "code2.txt"
-    loaded.save(path2)
-    assert path.read_bytes() == path2.read_bytes()
+def test_negative_round_cap_rejected(code):
+    with pytest.raises(ValueError, match="max_rounds"):
+        bitflip_decode_many(code, np.zeros((2, code.n_block), dtype=np.uint8), -1)
 
 
 def test_min_info_length():

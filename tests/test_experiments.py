@@ -33,6 +33,25 @@ def test_config_validation():
         ExperimentConfig.from_dict({"nonsense": 1})
     cfg = ExperimentConfig.from_dict({"algorithm": "nso", "n_values": [10], "k_values": [4]})
     assert cfg.n_values == (10,)
+    ExperimentConfig.from_dict({"decode_rounds": 0, "p1": 1, "gamma": 1e-3, "success_threshold": 1.0})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("decode_rounds", -1),
+    ("p1", -3),
+    ("p1", 0),
+    ("gamma", -1.0),
+    ("gamma", 0.0),
+    ("success_threshold", 7.0),
+    ("success_threshold", 0.0),
+    # fixed row counts, not settings: NSO modulates by the n unit offsets,
+    # SO reads n zero rows and the 2n rows of its rate-1/2 code
+    ("p2", 12),
+    ("p3", 24),
+])
+def test_config_rejects_bad_setting(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ExperimentConfig.from_dict({field: value})
 
 
 def test_trial_nominal_matches_formula():

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from sparsewht import NoisyAccess, SparseSpectrum, build_regular_ldpc, draw_spectrum, sigma_for_snr
 from sparsewht.frontend import (
-    BinObservations,
     PlanError,
     build_offsets,
     build_plan,
@@ -107,12 +106,6 @@ def test_nso_offsets_modulation():
         for q in range(n):
             assert blocks[p, q] == base[p] ^ np.uint64(1 << q)
     assert offsets.nominal_rows == p1 * n
-
-
-def test_nso_requires_full_modulation():
-    plan = build_plan(6, 4, regime="window", c_groups=2)
-    with pytest.raises(ValueError):
-        build_offsets("nso", plan, p1=4, p2=3, rng=np.random.default_rng(0))
 
 
 def test_so_requires_code():
@@ -224,18 +217,6 @@ def test_sample_counts():
     assert obs.nominal_samples == 2 * 4 * 5
     assert obs.distinct_samples == access.samples_queried
     assert obs.distinct_samples <= obs.nominal_samples
-
-
-def test_observations_serialization_round_trip(tmp_path):
-    plan = build_plan(8, 4, regime="window")
-    spectrum = draw_spectrum(8, 4, 1.0, np.random.default_rng(10))
-    obs = observe(NoisyAccess(spectrum, 0.1, np.random.default_rng(11)), plan,
-                  build_offsets("near-linear", plan, p1=6, rng=np.random.default_rng(12)))
-    path = tmp_path / "obs.bin"
-    obs.save(path)
-    loaded = BinObservations.load(path)
-    assert np.array_equal(loaded.data, obs.data)
-    assert (loaded.n, loaded.b, loaded.variant) == (obs.n, obs.b, obs.variant)
 
 
 class _PointReads:

@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparsewht import NoisyAccess, SparseSpectrum, draw_spectrum, verify_support
+from sparsewht import NoisyAccess, SparseSpectrum, build_regular_ldpc, draw_spectrum, verify_support
 from sparsewht.bin_detect import (
     MULTI_TON,
     SINGLE_TON,
@@ -304,3 +306,37 @@ def test_near_linear_decode_matches_coset_enumeration(n, k, snr_db, constellatio
         _assert_same_decode_up_to_sums(report, expected_report, recovered, expected)
         recovered_supports += recovered.support() == spectrum.support()
     assert recovered_supports > 0
+
+
+def _rows_identical(rows: np.ndarray) -> bool:
+    """Are the columns of ``rows`` (one per offset row) equal bit for bit?"""
+    words = np.ascontiguousarray(rows).view(np.uint64)
+    return bool(np.all(words == words[..., :1]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(6, 14), log_k=st.integers(0, 5), sigma=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_so_zero_offset_rows_stay_identical(n, log_k, sigma, seed):
+    # the SO detector reads its sign reference from the first zero-offset
+    # row; that is exact only while all of them hold the same values
+    k = min(1 << log_k, 1 << (n - 1))
+    rng = np.random.default_rng(seed)
+    plan = build_plan(n, k, profile="benchmark")
+    spectrum = draw_spectrum(n, k, 1.0, rng)
+    access = NoisyAccess(spectrum, sigma, rng)
+    code = build_regular_ldpc(n, rng)
+    offsets = build_offsets("so", plan, code=code, rng=rng)
+    z0, z1 = offsets.layout["zero"]
+    assert z1 - z0 == n
+    obs = observe(access, plan, offsets)
+    assert _rows_identical(obs.data[:, :, z0:z1])
+    sweeps = []
+
+    def check(data, recovered, sweep):
+        assert _rows_identical(data[:, :, z0:z1])
+        sweeps.append(sweep)
+
+    nu2 = max((1 << n) * sigma * sigma / plan.bins, 1e-18)
+    detector = make_detector(plan, offsets, DetectorConfig(gamma=1.0, nu2=nu2), code=code)
+    decode(obs, plan, offsets, detector, max_iters=2 * k + 10, sweep_hook=check)
+    assert sweeps
