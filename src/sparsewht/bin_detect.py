@@ -169,7 +169,7 @@ def detect_noiseless(u: np.ndarray, j_word: int, c: int, plan, cfg: DetectorConf
 
 def _nso(block: np.ndarray, at: np.ndarray, js: np.ndarray, c: int, plan, offsets,
          cfg: DetectorConfig) -> list:
-    p1, n = offsets.layout["p1"], plan.n
+    p1, n = offsets.layout["base"][1], plan.n
     live = np.flatnonzero(~_within_noise(block[at, :p1], cfg))
     rows = at[live]
     # sign copies only: the modulated rows are read as P1 x n bool blocks
@@ -200,41 +200,38 @@ def detect_nso(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorC
     return _nso(*_one_column(u, j_word), c, plan, offsets, cfg)[0]
 
 
-def _so(block: np.ndarray, at: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig,
-        code) -> list:
+def _so(block: np.ndarray, at: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig) -> list:
+    code = offsets.code
     r0, r1 = offsets.layout["random"]
-    z0 = offsets.layout["zero"][0]
     c0, c1 = offsets.layout["coded"]
     live = np.flatnonzero(~_within_noise(block[at, r0:r1], cfg))
     u = block[at[live]]
     neg = u < 0
-    # every zero-offset row reads the same B samples, so the rows are
-    # identical and the first one's sign is their majority sign
-    ref = neg[:, z0]
+    ref = neg[:, offsets.layout["reference"]]
     bits, decoded = codes.bitflip_decode_many(code, neg[:, c0:c1] ^ ref[:, None], cfg.decode_rounds)
     k_words = kernels.pack_rows(bits[:, : code.n_info])
     values, single = _confirm(u[:, r0:r1], offsets.rows_u64(c)[r0:r1], k_words, js[live], c, plan, cfg)
     return _classify(len(js), live, k_words, values, decoded & single)
 
 
-def detect_so_many(block: np.ndarray, js, c: int, plan, offsets, cfg: DetectorConfig, code=None) -> list:
+def detect_so_many(block: np.ndarray, js, c: int, plan, offsets, cfg: DetectorConfig) -> list:
     """Channel-decode the coded offset signs of the bins ``js`` at once,
     after removing the sign reference read from the zero-offset row.
 
     ``block`` holds group c's columns by bin word. A bin whose random rows
     are within (1 + gamma) nu^2 is a zero-ton. Every other bin's coded
     signs, flipped by the sign of its zero-offset row, go through one
-    batched :func:`codes.bitflip_decode_many`; a decoded index must hash
-    back to its bin and leave a residual within the same level on the
-    random rows.
+    batched :func:`codes.bitflip_decode_many` with ``offsets.code``; a
+    decoded index must hash back to its bin and leave a residual within
+    the same level on the random rows.
     """
     js = np.asarray(js, dtype=np.int64)
-    return _so(block, js, js, c, plan, offsets, cfg, code or offsets.code)
+    return _so(block, js, js, c, plan, offsets, cfg)
 
 
-def detect_so(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig, code=None) -> Detection:
+def detect_so(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig) -> Detection:
     """The one-column case of :func:`detect_so_many`."""
-    return _so(*_one_column(u, j_word), c, plan, offsets, cfg, code or offsets.code)[0]
+    return _so(*_one_column(u, j_word), c, plan, offsets, cfg)[0]
 
 
 def _near_linear(block: np.ndarray, at: np.ndarray, js: np.ndarray, c: int, plan, offsets,
@@ -269,7 +266,7 @@ def detect_near_linear(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: D
     return _near_linear(*_one_column(u, j_word), c, plan, offsets, cfg)[0]
 
 
-def make_detector(plan, offsets, cfg: DetectorConfig, code=None):
+def make_detector(plan, offsets, cfg: DetectorConfig):
     """Bind a variant-appropriate ``(block, js, c) -> [Detection]`` callable.
 
     ``block`` is group c's (B, P) observations and ``js`` the bin words to
@@ -284,5 +281,5 @@ def make_detector(plan, offsets, cfg: DetectorConfig, code=None):
     if variant == "nso":
         return lambda block, js, c: detect_nso_many(block, js, c, plan, offsets, cfg)
     if variant == "so":
-        return lambda block, js, c: detect_so_many(block, js, c, plan, offsets, cfg, code=code)
+        return lambda block, js, c: detect_so_many(block, js, c, plan, offsets, cfg)
     raise ValueError(f"unknown offset variant {variant!r}")

@@ -26,6 +26,7 @@ from .fwht import fwht
 from .experiments import (
     SCALING_COLUMNS,
     SNR_COLUMNS,
+    ConfigError,
     ExperimentConfig,
     noise_sigma,
     recover,
@@ -36,25 +37,18 @@ from .experiments import (
 from .signal_model import NoisyAccess, SparseSpectrum, draw_spectrum
 
 
-def _load_config(args) -> ExperimentConfig:
-    raw = {}
+def _load_config(args, **defaults) -> ExperimentConfig:
+    raw = dict(defaults)
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    if args.algo is not None:
-        raw["algorithm"] = args.algo
-    if args.n is not None:
-        raw["n_values"] = args.n
-    if args.k is not None:
-        raw["k_values"] = args.k
-    if args.snr_db is not None:
-        raw["snr_db_values"] = args.snr_db
-    if args.trials is not None:
-        raw["trials"] = args.trials
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
-        raw["workers"] = args.workers
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"{args.config}: a config file holds one JSON object")
+        raw.update(loaded)
+    # each flag's dest is the config key it overrides
+    for key in ("algorithm", "n_values", "k_values", "snr_db_values", "trials", "seed", "workers"):
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
     return ExperimentConfig.from_dict(raw)
 
 
@@ -63,10 +57,10 @@ def _add_experiment_flags(parser) -> None:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--trials", type=int)
     parser.add_argument("--out", required=True, help="output CSV path")
-    parser.add_argument("--algo", choices=("noiseless", "near-linear", "nso", "so"))
-    parser.add_argument("--snr-db", type=float, nargs="+")
-    parser.add_argument("--n", type=int, nargs="+")
-    parser.add_argument("--k", type=int, nargs="+")
+    parser.add_argument("--algo", dest="algorithm", choices=("noiseless", "near-linear", "nso", "so"))
+    parser.add_argument("--snr-db", dest="snr_db_values", type=float, nargs="+")
+    parser.add_argument("--n", dest="n_values", type=int, nargs="+")
+    parser.add_argument("--k", dest="k_values", type=int, nargs="+")
     parser.add_argument("--workers", type=int)
 
 
@@ -118,7 +112,7 @@ def _cmd_bench_snr(args) -> int:
 
 
 def _cmd_bench_scaling(args) -> int:
-    rows = run_scaling_sweep(_load_config(args))
+    rows = run_scaling_sweep(_load_config(args, n_values=list(range(7, 18))))
     write_csv(args.out, rows, SCALING_COLUMNS)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

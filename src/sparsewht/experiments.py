@@ -49,24 +49,25 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self) -> "ExperimentConfig":
+        for name, low in (("trials", 1), ("seed", 0), ("decode_rounds", 0), ("workers", 1), ("p1", 1)):
+            value = getattr(self, name)
+            # type(), not isinstance(): a JSON true or false is a bool, an int subclass
+            if not ((type(value) is int and value >= low) or (name == "p1" and value is None)):
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("rho", "success_threshold", "gamma"):
+            value = getattr(self, name)
+            if not (type(value) in (int, float) or (name == "gamma" and value is None)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not all(v is None or (type(v) in (int, float) and math.isfinite(v)) for v in self.snr_db_values or ()):
+            raise ConfigError(f"snr_db_values must be finite numbers or null, got {list(self.snr_db_values)}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if not self.n_values or not self.k_values:
-            raise ConfigError("need at least one n and one K")
-        if any(not isinstance(v, int) or v < 1 for v in self.n_values):
-            raise ConfigError("n values must be positive integers")
-        if any(not isinstance(v, int) or v < 1 for v in self.k_values):
-            raise ConfigError("K values must be positive integers")
+        for name in ("n_values", "k_values"):
+            values = getattr(self, name)
+            if not values or not all(type(v) is int and v >= 1 for v in values):
+                raise ConfigError(f"{name} must list one or more positive integers, got {values!r}")
         if self.profile not in ("benchmark", "theory"):
             raise ConfigError("profile must be 'benchmark' or 'theory'")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if self.p1 is not None and self.p1 < 1:
-            raise ConfigError("p1 must be >= 1 or unset")
-        if self.decode_rounds < 0:
-            raise ConfigError("decode_rounds must be >= 0")
         if self.gamma is not None and not self.gamma > 0:
             raise ConfigError("gamma must be > 0 or unset")
         if not 0 < self.success_threshold <= 1:
@@ -82,6 +83,8 @@ class ExperimentConfig:
         clean = dict(raw)
         for key in ("n_values", "k_values", "snr_db_values"):
             if key in clean and clean[key] is not None:
+                if not isinstance(clean[key], (list, tuple)):
+                    raise ConfigError(f"{key} must be a list, got {clean[key]!r}")
                 clean[key] = tuple(clean[key])
         return cls(**clean).validate()
 
@@ -103,7 +106,8 @@ def nominal_sample_count(algorithm: str, n: int, k: int, c_groups: int = 3, p1: 
     """The configured sample-cost formula value C * B * P_nominal.
 
     NSO modulates each of its P1 base rows by the n unit offsets; SO
-    reads P1 random rows, n zero rows and the 2n coded rows.
+    counts P1 random rows, n zero-offset rows (stored once, see
+    ``frontend.OffsetPlan``) and the 2n coded rows.
     """
     bins = 1 << max(1, math.ceil(math.log2(k)))
     if algorithm == "nso":
@@ -150,7 +154,7 @@ def recover(access, k: int, algorithm: str, *, snr_db: float | None, rho: float,
         gamma = 1.0 if snr_db is None else DetectorConfig.default_gamma(snr_from_db(snr_db))
     cfg = DetectorConfig(gamma=gamma, nu2=nu2, rho=rho, constellation=constellation,
                          zero_tol=1e-9 * math.sqrt(size) * rho, decode_rounds=decode_rounds)
-    detector = make_detector(plan, offsets, cfg, code=code)
+    detector = make_detector(plan, offsets, cfg)
     stall_energy = plan.c_groups * plan.bins * (1.0 + gamma) * nu2
 
     t0 = time.perf_counter_ns()
@@ -215,14 +219,16 @@ def run_snr_sweep(config: ExperimentConfig) -> list:
 
 
 def run_scaling_sweep(config: ExperimentConfig) -> list:
-    """Runtime/sample rows over n at fixed K, flagging points below the
-    success threshold; nominal counts come from the cost formulas."""
+    """Runtime/sample rows over ``config.n_values`` at fixed K and one SNR
+    (None or no value: noise-free), flagging points below the success
+    threshold; nominal counts come from the cost formulas."""
     config.validate()
-    n_values = config.n_values if len(config.n_values) > 1 else tuple(range(7, 18))
+    snr_db, *more = config.snr_db_values or (None,)
+    if more:
+        raise ConfigError(f"snr_db_values: a scaling sweep runs at one SNR, got {list(config.snr_db_values)}")
     rows = []
     for k in config.k_values:
-        for n in n_values:
-            snr_db = (config.snr_db_values or (10.0,))[0]
+        for n in config.n_values:
             results = _run_trials(config, n, k, snr_db)
             rate = sum(r.support_ok for r in results) / config.trials
             rows.append({

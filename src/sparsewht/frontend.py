@@ -225,9 +225,12 @@ def build_plan(n: int, k: int, regime: str = "auto", profile: str = "theory",
 class OffsetPlan:
     """Per-group offset matrices D_c, stored as packed row words.
 
-    ``layout`` names row ranges by role; ``nominal_rows`` is the row
-    count entering the sample-cost formulas (P1 n for the modulated
-    variant, the actual row count otherwise).
+    ``layout`` names each row role once, by row index or range;
+    ``nominal_rows`` is the row count entering the sample-cost formulas
+    (P1 n for NSO, P1 + 3n for SO, the stored row count otherwise). SO's
+    formula counts n zero-offset reads, as in the paper's design; the
+    plan stores that row once, since every read of a position returns
+    the same sample. ``code`` is the LDPC code SO's detector decodes.
     """
 
     variant: str
@@ -257,8 +260,8 @@ def build_offsets(variant: str, plan: SubsamplingPlan, p1: int | None = None, co
     near-linear: p1 fully random rows (default 3n).
     nso: p1 random base rows (default 2n) each followed later by its n
         modulated rows d_p xor e_q, ordered [bases..., block_1, block_2, ...].
-    so: p1 random rows (default n), n zero rows, then the 2n generator
-        rows of the rate-1/2 code.
+    so: p1 random rows (default n), the zero-offset reference row, then
+        the 2n generator rows of the rate-1/2 code.
     """
     n = plan.n
     if variant not in VARIANTS:
@@ -286,7 +289,7 @@ def build_offsets(variant: str, plan: SubsamplingPlan, p1: int | None = None, co
             units = np.uint64(1) << np.arange(n, dtype=np.uint64)
             blocks = base[:, None] ^ units[None, :]
             groups.append(np.concatenate([base, blocks.reshape(-1)]))
-        layout = {"base": (0, p1), "p1": p1}
+        layout = {"base": (0, p1)}
         return OffsetPlan(variant, n, tuple(groups), layout, p1 * n)
 
     # so
@@ -299,10 +302,9 @@ def build_offsets(variant: str, plan: SubsamplingPlan, p1: int | None = None, co
     groups = []
     for _ in range(plan.c_groups):
         rand = _random_words(n, p1, rng)
-        groups.append(np.concatenate([rand, np.zeros(n, dtype=np.uint64), coded]))
-    z1 = p1 + n
-    layout = {"random": (0, p1), "zero": (p1, z1), "coded": (z1, z1 + code.n_block)}
-    return OffsetPlan("so", n, tuple(groups), layout, z1 + code.n_block, code=code)
+        groups.append(np.concatenate([rand, np.zeros(1, dtype=np.uint64), coded]))
+    layout = {"random": (0, p1), "reference": p1, "coded": (p1 + 1, p1 + 1 + code.n_block)}
+    return OffsetPlan("so", n, tuple(groups), layout, p1 + n + code.n_block, code=code)
 
 
 @dataclass

@@ -56,4 +56,4 @@ def seeded_instances(variant, n, k, snr_db, constellation, seeds=range(6)):
                              constellation=constellation, zero_tol=1e-9 * 2 ** (n / 2))
         obs = observe(access, plan, offsets)
         stall_energy = plan.c_groups * plan.bins * (1.0 + cfg.gamma) * nu2
-        yield spectrum, plan, offsets, cfg, code, obs, stall_energy
+        yield spectrum, plan, offsets, cfg, obs, stall_energy

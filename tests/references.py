@@ -53,7 +53,7 @@ def detect_noiseless_loop(u, j_word, c, plan, cfg):
 
 def detect_nso_loop(u, j_word, c, plan, offsets, cfg):
     u = np.asarray(u, dtype=np.float64)
-    p1 = offsets.layout["p1"]
+    p1 = offsets.layout["base"][1]
     n = plan.n
     base = u[:p1]
     if _within_noise(base, cfg):
@@ -70,18 +70,16 @@ def detect_nso_loop(u, j_word, c, plan, offsets, cfg):
     return _confirm_single(base, offsets.rows_u64(c)[:p1], k_word, cfg)
 
 
-def detect_so_loop(u, j_word, c, plan, offsets, cfg, code):
+def detect_so_loop(u, j_word, c, plan, offsets, cfg):
     u = np.asarray(u, dtype=np.float64)
     r0, r1 = offsets.layout["random"]
-    z0, z1 = offsets.layout["zero"]
     c0, c1 = offsets.layout["coded"]
     rand = u[r0:r1]
     if _within_noise(rand, cfg):
         return Detection(ZERO_TON)
-    zero_signs = u[z0:z1] < 0
-    ref_sign = 1 if 2 * int(zero_signs.sum()) > (z1 - z0) else 0
+    ref_sign = sgn(u[offsets.layout["reference"]])
     received = (u[c0:c1] < 0).astype(np.uint8) ^ ref_sign
-    decoded = bitflip_decode_loop(code, received, max_rounds=cfg.decode_rounds)
+    decoded = bitflip_decode_loop(offsets.code, received, max_rounds=cfg.decode_rounds)
     if decoded is None:
         return Detection(MULTI_TON)
     if plan.bin_of(c, decoded) != j_word:

@@ -137,15 +137,15 @@ def test_batched_detectors_equal_column_loops(monkeypatch, variant, n, k_sparsit
 
     monkeypatch.setattr(references, "bitflip_decode_loop", recorded_decode)
     kinds, moved_singles = set(), 0
-    for seed, (_, plan, offsets, cfg, code, obs, _) in enumerate(
+    for seed, (_, plan, offsets, cfg, obs, _) in enumerate(
             seeded_instances(variant, n, k_sparsity, snr_db, True, seeds=range(3))):
         many, loop = {
             "noiseless": (lambda block, js, c: detect_noiseless_many(block, js, c, plan, cfg),
                           lambda u, j, c: references.detect_noiseless_loop(u, j, c, plan, cfg)),
             "nso": (lambda block, js, c: detect_nso_many(block, js, c, plan, offsets, cfg),
                     lambda u, j, c: references.detect_nso_loop(u, j, c, plan, offsets, cfg)),
-            "so": (lambda block, js, c: detect_so_many(block, js, c, plan, offsets, cfg, code=code),
-                   lambda u, j, c: references.detect_so_loop(u, j, c, plan, offsets, cfg, code)),
+            "so": (lambda block, js, c: detect_so_many(block, js, c, plan, offsets, cfg),
+                   lambda u, j, c: references.detect_so_loop(u, j, c, plan, offsets, cfg)),
         }[variant]
         js = np.arange(plan.bins)
         for c in range(plan.c_groups):
@@ -158,12 +158,6 @@ def test_batched_detectors_equal_column_loops(monkeypatch, variant, n, k_sparsit
             # columns of random signs: ties in the sign votes
             signs = np.where(np.random.default_rng(seed).random(block.shape) < 0.5, -1.0, 1.0)
             noise = np.abs(block).mean() * signs
-            if variant == "so":
-                # observed zero-offset rows are identical (see
-                # test_so_zero_offset_rows_stay_identical), so the batch reads
-                # the first where the loop takes the majority
-                z0, z1 = offsets.layout["zero"]
-                noise[:, z0:z1] = noise[:, z0:z0 + 1]
             assert many(noise, js, c) == [loop(noise[j], j, c) for j in js]
             assert many(block, [], c) == []
             kinds.update(det.kind for det in batch)
@@ -265,7 +259,7 @@ def test_so_exact_decode_no_noise():
 
 
 def test_so_negative_coefficient_sign_reference():
-    # zero-offset rows all read the nuisance sign; decoding still lands on k
+    # the zero-offset row reads the nuisance sign; decoding still lands on k
     n = 10
     plan = build_plan(n, 8, regime="window", c_groups=2)
     rng = np.random.default_rng(8)
@@ -274,8 +268,7 @@ def test_so_negative_coefficient_sign_reference():
     cfg = DetectorConfig(gamma=1.0, nu2=1e-12, rho=1.0)
     k = 345
     col = _single_ton_column(plan, offsets, 0, k, -1.0, 0.0, rng)
-    z0, z1 = offsets.layout["zero"]
-    assert np.all(col[z0:z1] == -1.0)
+    assert col[offsets.layout["reference"]] == -1.0
     det = detect_so(col, plan.bin_of(0, k), 0, plan, offsets, cfg)
     assert det.kind == SINGLE_TON and det.index == k and det.value == -1.0
 

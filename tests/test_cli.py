@@ -121,7 +121,20 @@ def test_bench_rejects_bad_config(tmp_path):
     assert main(["bench", "snr", "--config", str(cfg_path), "--out", str(out)]) == 2
 
 
-@pytest.mark.parametrize("cfg", [{"decode_rounds": -1}, {"p1": 0}, {"gamma": -1.0}, {"p2": 12}, {"p3": 24}])
+def test_bench_config_not_an_object_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps([1, 2]))
+    assert main(["bench", "snr", "--config", str(cfg_path), "--trials", "1", "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("cfg", [
+    {"decode_rounds": -1}, {"p1": 0}, {"gamma": -1.0}, {"p2": 12}, {"p3": 24},
+    # values of the wrong type
+    {"p1": "7"}, {"decode_rounds": 1.5}, {"trials": 2.5}, {"workers": "2"}, {"snr_db_values": ["x"]},
+    {"n_values": 12}, {"snr_db_values": [float("nan")]}, {"trials": True},
+])
 def test_bench_bad_setting_exits_2(tmp_path, capsys, cfg):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"algorithm": "so", "n_values": [12], "k_values": [10], "trials": 1, **cfg}))
@@ -167,3 +180,29 @@ def test_scaling_command(tmp_path):
     assert code == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("flags, cfg, ns", [
+    (["--n", "12"], None, [12]),
+    ([], {"n_values": [9]}, [9]),
+    ([], None, list(range(7, 18))),
+])
+def test_scaling_runs_the_requested_n(tmp_path, flags, cfg, ns):
+    # 7..17 only when neither a flag nor the config file names n
+    if cfg is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        flags = [*flags, "--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "scaling.csv"
+    assert main(["bench", "scaling", "--algo", "noiseless", "--k", "4", "--trials", "1",
+                 "--out", str(out), *flags]) == 0
+    assert [int(line.split(",")[0]) for line in out.read_text().splitlines()[1:]] == ns
+
+
+def test_scaling_rejects_several_snrs(tmp_path, capsys):
+    out = tmp_path / "scaling.csv"
+    code = main(["bench", "scaling", "--algo", "noiseless", "--n", "9", "--k", "4", "--snr-db", "0", "30",
+                 "--trials", "1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: snr_db_values") and len(err.splitlines()) == 1
+    assert not out.exists()

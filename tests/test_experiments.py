@@ -45,7 +45,7 @@ def test_config_validation():
     ("success_threshold", 7.0),
     ("success_threshold", 0.0),
     # fixed row counts, not settings: NSO modulates by the n unit offsets,
-    # SO reads n zero rows and the 2n rows of its rate-1/2 code
+    # SO reads one zero-offset row and the 2n rows of its rate-1/2 code
     ("p2", 12),
     ("p3", 24),
 ])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,13 +123,39 @@ def test_so_layout_and_zero_rows():
     code = build_regular_ldpc(8, np.random.default_rng(1))
     offsets = build_offsets("so", plan, code=code, rng=np.random.default_rng(2))
     r0, r1 = offsets.layout["random"]
-    z0, z1 = offsets.layout["zero"]
+    ref = offsets.layout["reference"]
     c0, c1 = offsets.layout["coded"]
     rows = offsets.rows_u64(0)
-    assert (r1 - r0, z1 - z0, c1 - c0) == (8, 8, 16)
-    assert np.all(rows[z0:z1] == 0)
+    assert (r1 - r0, c0 - ref, c1 - c0) == (8, 1, 16)
+    assert (r1, offsets.rows) == (ref, c1)
+    assert rows[ref] == 0
     assert list(rows[c0:c1]) == list(code.generator_rows())
+    # the formula counts n zero-offset reads; the plan stores one row
     assert offsets.nominal_rows == 32
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(6, 14), log_k=st.integers(0, 5), sigma=st.floats(0.01, 0.5),
+       seed=st.integers(0, 2**32 - 1))
+def test_so_single_reference_row_observes_like_n_copies(n, log_k, sigma, seed):
+    # SO's paper layout reads the zero offset n times; a repeated position
+    # returns the same sample, so storing it once loses nothing
+    k = min(1 << log_k, 1 << (n - 1))
+    rng = np.random.default_rng(seed)
+    plan = build_plan(n, k, profile="benchmark")
+    spectrum = draw_spectrum(n, k, 1.0, rng)
+    offsets = build_offsets("so", plan, code=build_regular_ldpc(n, rng), rng=rng)
+    ref = offsets.layout["reference"]
+    copies = dataclasses.replace(offsets, groups=tuple(
+        np.insert(g, ref, np.zeros(n - 1, dtype=np.uint64)) for g in offsets.groups))
+    assert copies.rows == offsets.rows + n - 1
+    one = observe(NoisyAccess(spectrum, sigma, np.random.default_rng(seed)), plan, offsets)
+    many = observe(NoisyAccess(spectrum, sigma, np.random.default_rng(seed)), plan, copies)
+    shared = np.r_[0:ref + 1, ref + n:copies.rows]
+    assert np.array_equal(one.data.view(np.uint64), many.data[:, :, shared].view(np.uint64))
+    assert np.array_equal(many.data[:, :, ref:ref + n].view(np.uint64),
+                          np.repeat(one.data[:, :, ref:ref + 1], n, axis=2).view(np.uint64))
+    assert (one.distinct_samples, one.nominal_samples) == (many.distinct_samples, many.nominal_samples)
 
 
 def test_observe_golden_sums():

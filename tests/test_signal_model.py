@@ -136,7 +136,7 @@ def test_take_cosets_matches_pointwise_take(n, b, k, p, zero_rows, sigma, rho, c
     k = min(k, 1 << n)
     spectrum = draw_spectrum(n, k, rho, rng, constellation=constellation)
     cols = rng.integers(0, 1 << n, size=min(b, n), dtype=np.int64).astype(np.uint64)
-    # random offsets plus repeated zero rows, as in the SO layout
+    # random offsets plus repeated zero rows: a repeated position reads the same sample
     rows = np.concatenate([rng.integers(0, 1 << n, size=p, dtype=np.int64),
                            np.zeros(zero_rows, dtype=np.int64)]).astype(np.uint64)
     coset_access = NoisyAccess(spectrum, sigma, np.random.default_rng(seed))
