@@ -27,8 +27,8 @@ from .bin_detect import (
 )
 from .codes import LdpcCode, bitflip_decode, build_regular_ldpc
 from .frontend import BinObservations, OffsetPlan, SubsamplingPlan, build_offsets, build_plan, observe
-from .fwht import fwht, naive_wht, synthesize_at, synthesize_many
-from .gf2 import BitIndex, BitMatrix, inner_product, mat_transpose_vec, solve_affine
+from .fwht import fwht, naive_wht, synthesize_many
+from .gf2 import BitMatrix, solve_affine
 from .peeling import DecodeReport, SupportCheck, decode, verify_support
 from .signal_model import NoisyAccess, SparseSpectrum, draw_spectrum, sigma_for_snr
 from .sketch import Hypergraph, analytic_spectrum, cut_value, sketch_recover
@@ -36,7 +36,6 @@ from .sketch import Hypergraph, analytic_spectrum, cut_value, sketch_recover
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitIndex",
     "BitMatrix",
     "BinObservations",
     "DecodeReport",
@@ -66,16 +65,13 @@ __all__ = [
     "detect_so",
     "draw_spectrum",
     "fwht",
-    "inner_product",
     "make_detector",
-    "mat_transpose_vec",
     "min_eta",
     "naive_wht",
     "observe",
     "sigma_for_snr",
     "sketch_recover",
     "solve_affine",
-    "synthesize_at",
     "synthesize_many",
     "verify_support",
 ]

@@ -1,4 +1,4 @@
-"""(3,6)-regular LDPC construction, systematic encoding, bit-flip decoding.
+"""(3,6)-regular LDPC construction, systematic generator rows, bit-flip decoding.
 
 Rate is fixed at 1/2 (block length 2 q for q information bits), so the
 parity sockets always divide evenly: 3 * 2q variable sockets against
@@ -20,6 +20,9 @@ import numpy as np
 from . import gf2, kernels
 
 
+MIN_INFO_BITS = 6  # the smallest information length a (3,6)-regular code is built for
+
+
 class CodeConstructionError(RuntimeError):
     pass
 
@@ -34,22 +37,6 @@ class LdpcCode:
     def generator_rows(self) -> tuple:
         """Rows of G as packed n_info-bit words (the coded offsets)."""
         return self.g.row_words
-
-    def encode(self, k) -> gf2.BitIndex:
-        """Codeword G k; the first n_info bits equal the information word."""
-        word = k.word if isinstance(k, gf2.BitIndex) else int(k)
-        if isinstance(k, gf2.BitIndex) and k.n != self.n_info:
-            raise gf2.DimensionError(f"expected {self.n_info} information bits")
-        if not 0 <= word < (1 << self.n_info):
-            raise gf2.DimensionError("information word out of range")
-        out = 0
-        for p, row in enumerate(self.g.row_words):
-            out |= gf2.parity(row & word) << p
-        return gf2.BitIndex(out, self.n_block)
-
-    def encode_bits(self, k_word: int) -> np.ndarray:
-        cw = self.encode(gf2.BitIndex(k_word, self.n_info))
-        return np.array(cw.bits(), dtype=np.uint8)
 
     @cached_property
     def _h_dense(self) -> np.ndarray:
@@ -162,8 +149,8 @@ def _systematic_generator(h: gf2.BitMatrix):
 
 def build_regular_ldpc(n_info: int, rng, max_retries: int = 200) -> LdpcCode:
     """Sample a (3,6)-regular rate-1/2 code with a systematic generator."""
-    if n_info < 6:
-        raise ValueError("n_info must be at least 6")
+    if n_info < MIN_INFO_BITS:
+        raise ValueError(f"n_info must be at least {MIN_INFO_BITS}")
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     n_block = 2 * n_info
     m = n_info
@@ -215,13 +202,13 @@ def bitflip_decode_many(code: LdpcCode, bits, max_rounds: int = 30):
     return words, ~failing
 
 
-def bitflip_decode(code: LdpcCode, y, max_rounds: int = 30):
-    """The one-word case of :func:`bitflip_decode_many`; returns the
-    information word as a ``BitIndex``, or None when decoding fails."""
-    bits = np.asarray(y.bits() if isinstance(y, gf2.BitIndex) else y, dtype=np.uint8)
+def bitflip_decode(code: LdpcCode, bits, max_rounds: int = 30):
+    """The one-word case of :func:`bitflip_decode_many` on a 0/1 array;
+    returns the information word as an int, or None when decoding fails."""
+    bits = np.asarray(bits, dtype=np.uint8)
     if bits.shape != (code.n_block,):
         raise gf2.DimensionError(f"expected {code.n_block} received bits")
     words, ok = bitflip_decode_many(code, bits, max_rounds)
     if not ok[0]:
         return None
-    return gf2.BitIndex(int(kernels.pack_rows(words[:, : code.n_info])[0]), code.n_info)
+    return int(kernels.pack_rows(words[:, : code.n_info])[0])

@@ -66,6 +66,8 @@ class ExperimentConfig:
             values = getattr(self, name)
             if not values or not all(type(v) is int and v >= 1 for v in values):
                 raise ConfigError(f"{name} must list one or more positive integers, got {values!r}")
+        if self.algorithm == "so" and min(self.n_values) < codes.MIN_INFO_BITS:
+            raise ConfigError(f"n_values must be >= {codes.MIN_INFO_BITS} for so, got {list(self.n_values)}")
         if self.profile not in ("benchmark", "theory"):
             raise ConfigError("profile must be 'benchmark' or 'theory'")
         if self.gamma is not None and not self.gamma > 0:

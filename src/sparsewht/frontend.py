@@ -51,9 +51,6 @@ class SubsamplingPlan:
     def bins(self) -> int:
         return 1 << self.b
 
-    def bin_of(self, c: int, k_word: int) -> int:
-        return self.matrices[c].transpose_apply_word(k_word)
-
     def bins_of_many(self, c: int, k_words: np.ndarray) -> np.ndarray:
         return kernels.hash_words(k_words, self.matrices[c].col_words_u64())
 
@@ -83,9 +80,8 @@ class SubsamplingPlan:
             if self.n - self.b > 24:
                 raise PlanError("coset enumeration limited to n - b <= 24")
             m = self.matrices[c]
-            _, basis = gf2.solve_affine(m, gf2.BitIndex(0, self.b))
-            span = gf2.span_words([v.word for v in basis])
-            units = [gf2.solve_affine(m, gf2.BitIndex(1 << t, self.b))[0].word for t in range(self.b)]
+            span = gf2.span_words(gf2.solve_affine(m, 0)[1])
+            units = [gf2.solve_affine(m, 1 << t)[0] for t in range(self.b)]
             self._coset_cache[c] = (span, gf2.span_words(units))
         return self._coset_cache[c]
 

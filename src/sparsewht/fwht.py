@@ -72,12 +72,6 @@ def synthesize_many(spectrum, m_words) -> np.ndarray:
     return (signs @ values) / math.sqrt(2.0**spectrum.n)
 
 
-def synthesize_at(spectrum, m) -> float:
-    """Single-point expansion (1/sqrt(N)) sum_k X[k] (-1)^<m,k>."""
-    word = m if isinstance(m, (int, np.integer)) else m.word
-    return float(synthesize_many(spectrum, np.array([word], dtype=np.uint64))[0])
-
-
 def densify(spectrum) -> np.ndarray:
     """Dense coefficient vector of a sparse spectrum (small n only)."""
     size = 1 << spectrum.n

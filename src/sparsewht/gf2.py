@@ -33,82 +33,12 @@ class InconsistentSystemError(ValueError):
     """The affine system has no solution."""
 
 
-def parity(word: int) -> int:
-    """Parity of the set bits of a nonnegative integer."""
-    return bin(word).count("1") & 1
-
-
-@dataclass(frozen=True)
-class BitIndex:
-    """An n-tuple over GF(2), packed into an integer word.
-
-    Round-trips losslessly with the integer in [0, 2^n) it represents;
-    ``word`` IS that integer.
-    """
-
-    word: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise DimensionError("negative dimension")
-        if not 0 <= self.word < (1 << self.n):
-            raise DimensionError(f"word {self.word} out of range for n={self.n}")
-
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "BitIndex":
-        """Build from components in position order (position 1 first)."""
-        word = 0
-        for t, bit in enumerate(bits):
-            if bit not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            word |= bit << t
-        return cls(word, len(bits))
-
-    @classmethod
-    def from_bitstring(cls, s: str) -> "BitIndex":
-        """Parse a standard binary numeral (most significant bit first)."""
-        return cls(int(s, 2) if s else 0, len(s))
-
-    def to_int(self) -> int:
-        return self.word
-
-    def bits(self) -> tuple:
-        """Components in position order (position 1 first)."""
-        return tuple((self.word >> t) & 1 for t in range(self.n))
-
-    def bit(self, t: int) -> int:
-        """Component at 1-based position t."""
-        if not 1 <= t <= self.n:
-            raise DimensionError(f"position {t} outside 1..{self.n}")
-        return (self.word >> (t - 1)) & 1
-
-    def to_bitstring(self) -> str:
-        """Standard binary numeral, most significant bit first."""
-        return format(self.word, f"0{self.n}b") if self.n else ""
-
-    def __xor__(self, other: "BitIndex") -> "BitIndex":
-        if self.n != other.n:
-            raise DimensionError("length mismatch")
-        return BitIndex(self.word ^ other.word, self.n)
-
-    def __str__(self) -> str:
-        return self.to_bitstring()
-
-
-def inner_product(i: BitIndex, j: BitIndex) -> int:
-    """<i, j> over GF(2); operands must have equal length."""
-    if i.n != j.n:
-        raise DimensionError(f"length mismatch: {i.n} vs {j.n}")
-    return parity(i.word & j.word)
-
-
 @dataclass(frozen=True)
 class BitMatrix:
     """A rows x cols matrix over GF(2), rows packed into integer words.
 
     Row word r carries entry (r, t) at bit t. Columns are derived lazily
-    as packed n-bit words for the transpose-apply hot path.
+    as packed words, which is what hashing k to M^T k reads.
     """
 
     rows: int
@@ -127,14 +57,6 @@ class BitMatrix:
     def from_rows(cls, words: Iterable[int], cols: int) -> "BitMatrix":
         words = tuple(int(w) for w in words)
         return cls(len(words), cols, words)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, tuple(1 << t for t in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, (0,) * rows)
 
     @cached_property
     def col_words(self) -> tuple:
@@ -157,20 +79,6 @@ class BitMatrix:
             for t in range(self.cols):
                 out[r, t] = (w >> t) & 1
         return out
-
-    def transpose_apply_word(self, k: int) -> int:
-        """M^T k for k in GF(2)^rows, as a cols-bit packed word."""
-        out = 0
-        for t, col in enumerate(self.col_words):
-            out |= parity(col & k) << t
-        return out
-
-
-def mat_transpose_vec(m: BitMatrix, k: BitIndex) -> BitIndex:
-    """M^T k: component t is the inner product of column t of M with k."""
-    if m.rows != k.n:
-        raise DimensionError(f"matrix has {m.rows} rows, index has length {k.n}")
-    return BitIndex(m.transpose_apply_word(k.word), m.cols)
 
 
 def selection_matrix(n: int, positions: Sequence[int]) -> BitMatrix:
@@ -233,17 +141,17 @@ def rank_transpose(m: BitMatrix) -> int:
     return len(rows)
 
 
-def solve_affine(m: BitMatrix, j: BitIndex):
-    """Solve M^T k = j over GF(2)^rows.
+def solve_affine(m: BitMatrix, j: int):
+    """Solve M^T k = j over GF(2)^rows for the cols-bit word ``j``.
 
-    Returns ``(particular, basis)``: every solution is the particular
-    point XORed with a GF(2)-combination of the basis; the basis has
-    exactly rows - rank(M) elements.
+    Returns ``(particular, basis)`` as packed words: every solution is the
+    particular word XORed with a GF(2)-combination of the basis words; the
+    basis has exactly rows - rank(M) elements.
     """
-    if m.cols != j.n:
-        raise DimensionError(f"matrix has {m.cols} cols, rhs has length {j.n}")
+    if not 0 <= j < (1 << m.cols):
+        raise DimensionError(f"rhs word {j} is out of range for {m.cols} cols")
     n = m.rows
-    system = [(col, (j.word >> t) & 1) for t, col in enumerate(m.col_words)]
+    system = [(col, (j >> t) & 1) for t, col in enumerate(m.col_words)]
     pivot_rows, pivot_rhs = _eliminate(system, n)
     particular = 0
     for pbit, rhs in pivot_rhs.items():
@@ -254,8 +162,8 @@ def solve_affine(m: BitMatrix, j: BitIndex):
         vec = 1 << f
         for pbit, prow in pivot_rows.items():
             vec |= ((prow >> f) & 1) << pbit
-        basis.append(BitIndex(vec, n))
-    return BitIndex(particular, n), basis
+        basis.append(vec)
+    return particular, basis
 
 
 def span_words(basis_words: Sequence[int]) -> np.ndarray:
@@ -264,9 +172,3 @@ def span_words(basis_words: Sequence[int]) -> np.ndarray:
     for w in basis_words:
         out = np.concatenate([out, out ^ np.uint64(w)])
     return out
-
-
-def coset_words(m: BitMatrix, j: BitIndex) -> np.ndarray:
-    """All k with M^T k = j, enumerated as packed uint64 words."""
-    particular, basis = solve_affine(m, j)
-    return span_words([b.word for b in basis]) ^ np.uint64(particular.word)

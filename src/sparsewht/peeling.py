@@ -15,7 +15,7 @@ sweep with no peel) or at the sweep cap.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,16 +34,7 @@ class DecodeReport:
     samples_used: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "sweeps": self.sweeps,
-                "peels": self.peels,
-                "conflicts": self.conflicts,
-                "stalled": self.stalled,
-                "residual_energy": self.residual_energy,
-                "samples_used": self.samples_used,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 @dataclass(frozen=True)

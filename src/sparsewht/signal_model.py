@@ -210,10 +210,6 @@ class NoisyAccess:
         positions = rows[:, None] ^ gf2.span_words(cols.tolist())[None, :]
         return self._read(positions, block)
 
-    def query(self, m) -> float:
-        word = m if isinstance(m, (int, np.integer)) else m.word
-        return float(self.take(np.array([word], dtype=np.uint64))[0])
-
     @property
     def samples_queried(self) -> int:
         """Distinct positions read so far (shared samples counted once)."""

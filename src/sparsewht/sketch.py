@@ -31,6 +31,7 @@ class Hypergraph:
     edges: tuple  # frozensets of vertex ids in 1..n
 
     def __post_init__(self):
+        gf2.check_bits(self.n)
         seen = set()
         for e in self.edges:
             problem = _edge_problem(e, self.n, seen)
@@ -43,8 +44,6 @@ class Hypergraph:
         return cls(n, tuple(frozenset(e) for e in edges))
 
     def edge_masks(self) -> np.ndarray:
-        if self.n > 63:
-            raise ValueError("packed cut evaluation limited to n <= 63")
         masks = [sum(1 << (v - 1) for v in e) for e in self.edges]
         return np.array(masks, dtype=np.uint64)
 
@@ -99,10 +98,9 @@ def _edge_problem(edge: frozenset, n: int, seen: set) -> str | None:
     return None
 
 
-def cut_value(h: Hypergraph, m) -> int:
-    """Number of edges with vertices on both sides of the partition m."""
-    word = m if isinstance(m, (int, np.integer)) else m.word
-    return int(cut_values(h, np.array([word], dtype=np.uint64))[0])
+def cut_value(h: Hypergraph, m: int) -> int:
+    """Number of edges with vertices on both sides of the partition word m."""
+    return int(cut_values(h, np.array([m], dtype=np.uint64))[0])
 
 
 def cut_values(h: Hypergraph, m_words: np.ndarray) -> np.ndarray:
@@ -185,10 +183,6 @@ class CutQueryAccess:
             self._words = np.insert(self._words, at[~seen], fresh)
             self._values = np.insert(self._values, at[~seen], values)
         return self._values[np.searchsorted(self._words, positions)]
-
-    def query(self, m) -> float:
-        word = m if isinstance(m, (int, np.integer)) else m.word
-        return float(self.take(np.array([word], dtype=np.uint64))[0])
 
     @property
     def samples_queried(self) -> int:

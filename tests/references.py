@@ -1,13 +1,35 @@
-"""Loop references for the batched detectors, bit-flip decoder and LDPC set-up.
+"""Loop references for the hash, the encoder, the batched detectors, the
+bit-flip decoder and LDPC set-up.
 
 These are the one-column (and one-word) bodies the library ran before it
-classified a group's bins in one call. They stay here so that the batched
-code is checked against independent code rather than against itself.
+classified a group's bins in one call and before it carried indices only
+as packed words. They stay here so that the batched code is checked
+against independent code rather than against itself.
 """
 import numpy as np
 
 from sparsewht.bin_detect import MULTI_TON, RATIO_TOL, SINGLE_TON, ZERO_TON, Detection, sgn
 from sparsewht.kernels import sign_matrix
+
+
+def parity(word: int) -> int:
+    """Parity of the set bits of a nonnegative integer."""
+    return bin(word).count("1") & 1
+
+
+def bin_of_loop(plan, c, k_word):
+    """The bin word M_c^T k, one column at a time: bit t is the parity of
+    column t of M_c ANDed with k."""
+    out = 0
+    for t, col in enumerate(plan.matrices[c].col_words):
+        out |= parity(col & k_word) << t
+    return out
+
+
+def codeword_bits(code, k_word):
+    """The codeword G k as a 0/1 array: bit p is the parity of generator
+    row p ANDed with k."""
+    return np.array([parity(row & k_word) for row in code.g.row_words], dtype=np.uint8)
 
 
 def _within_noise(u, cfg):
@@ -41,7 +63,7 @@ def detect_noiseless_loop(u, j_word, c, plan, cfg):
     ref_sign = sgn(ref)
     for t, val in enumerate(u[1:]):
         k_word |= (sgn(val) ^ ref_sign) << t
-    if plan.bin_of(c, k_word) != j_word:
+    if bin_of_loop(plan, c, k_word) != j_word:
         return Detection(MULTI_TON)
     value = float(ref)
     if cfg.value_grid is not None:
@@ -65,7 +87,7 @@ def detect_nso_loop(u, j_word, c, plan, offsets, cfg):
     for q in range(n):
         if 2 * int(votes[q]) > p1:
             k_word |= 1 << q
-    if plan.bin_of(c, k_word) != j_word:
+    if bin_of_loop(plan, c, k_word) != j_word:
         return Detection(MULTI_TON)
     return _confirm_single(base, offsets.rows_u64(c)[:p1], k_word, cfg)
 
@@ -82,7 +104,7 @@ def detect_so_loop(u, j_word, c, plan, offsets, cfg):
     decoded = bitflip_decode_loop(offsets.code, received, max_rounds=cfg.decode_rounds)
     if decoded is None:
         return Detection(MULTI_TON)
-    if plan.bin_of(c, decoded) != j_word:
+    if bin_of_loop(plan, c, decoded) != j_word:
         return Detection(MULTI_TON)
     return _confirm_single(rand, offsets.rows_u64(c)[r0:r1], decoded, cfg)
 

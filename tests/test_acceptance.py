@@ -197,7 +197,7 @@ def test_criterion_08_bsc_reduction():
         expected = np.sign(spectrum.entries[k]) * signs
         for trial in range(300):
             access = NoisyAccess(spectrum, sigma, np.random.default_rng(8800 + trial))
-            col = observe(access, plan, offsets).data[0, plan.bin_of(0, k)]
+            col = observe(access, plan, offsets).data[0, plan.bins_of_many(0, np.array([k]))[0]]
             flips += int(np.sum(np.sign(col) != expected))
             total += len(col)
         rate = flips / total

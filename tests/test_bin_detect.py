@@ -41,7 +41,7 @@ def test_noiseless_single_ton_from_worked_instance():
     column = 2.0 * np.array([1.0, 1.0, -1.0, 1.0, 1.0])
     k = bits("0100")
     plan = golden_plan()
-    j = plan.bin_of(0, k)
+    j = references.bin_of_loop(plan, 0, k)
     det = detect_noiseless(column, j, 0, plan, NOISELESS_CFG)
     assert det.kind == SINGLE_TON and det.index == k and det.value == 2.0
 
@@ -57,7 +57,7 @@ def test_noiseless_multi_ton_two_coefficients():
     rows = np.array([0, 1, 2, 4, 8], dtype=np.uint64)
     col = 4.0 * sign_matrix(np.array([bits("0110")], dtype=np.uint64), rows)[0]
     col += 1.0 * sign_matrix(np.array([bits("1010")], dtype=np.uint64), rows)[0]
-    det = detect_noiseless(col, plan.bin_of(0, bits("0110")), 0, plan, NOISELESS_CFG)
+    det = detect_noiseless(col, references.bin_of_loop(plan, 0, bits("0110")), 0, plan, NOISELESS_CFG)
     assert det.kind == MULTI_TON
 
 
@@ -65,7 +65,7 @@ def test_noiseless_rejects_hash_inconsistent_column():
     plan = golden_plan()
     k = bits("0100")
     column = 2.0 * np.array([1.0, 1.0, -1.0, 1.0, 1.0])
-    wrong_bin = plan.bin_of(0, k) ^ 1
+    wrong_bin = references.bin_of_loop(plan, 0, k) ^ 1
     assert detect_noiseless(column, wrong_bin, 0, plan, NOISELESS_CFG).kind == MULTI_TON
 
 
@@ -81,10 +81,10 @@ def test_near_linear_exact_codeword():
     k = 173
     col = _single_ton_column(plan, offsets, 0, k, 2.0, 0.0, np.random.default_rng(1))
     cfg = DetectorConfig(gamma=1.0, nu2=1e-12, rho=2.0)
-    det = detect_near_linear(col, plan.bin_of(0, k), 0, plan, offsets, cfg)
+    det = detect_near_linear(col, references.bin_of_loop(plan, 0, k), 0, plan, offsets, cfg)
     assert det.kind == SINGLE_TON and det.index == k and det.value == 2.0
     cfg_cont = DetectorConfig(gamma=1.0, nu2=1e-12, constellation=False)
-    det = detect_near_linear(col, plan.bin_of(0, k), 0, plan, offsets, cfg_cont)
+    det = detect_near_linear(col, references.bin_of_loop(plan, 0, k), 0, plan, offsets, cfg_cont)
     assert det.value == pytest.approx(2.0)
 
 
@@ -193,7 +193,7 @@ def test_near_linear_monte_carlo_accuracy():
         k = int(rng.integers(0, 1 << n))
         value = 1.0 if rng.integers(0, 2) else -1.0
         col = _single_ton_column(plan, offsets, 0, k, value, nu, rng)
-        det = detect_near_linear(col, plan.bin_of(0, k), 0, plan, offsets, cfg)
+        det = detect_near_linear(col, references.bin_of_loop(plan, 0, k), 0, plan, offsets, cfg)
         hits += det.kind == SINGLE_TON and det.index == k and det.value == value
     assert hits / trials >= 0.99
 
@@ -211,7 +211,7 @@ def test_nso_exact_recovery_no_noise():
     cfg = DetectorConfig(gamma=1.0, nu2=1e-12, rho=1.0)
     for k in (0, 7, 201, 255):
         col = _single_ton_column(plan, offsets, 0, k, -1.0, 0.0, rng)
-        det = detect_nso(col, plan.bin_of(0, k), 0, plan, offsets, cfg)
+        det = detect_nso(col, references.bin_of_loop(plan, 0, k), 0, plan, offsets, cfg)
         assert det.kind == SINGLE_TON and det.index == k and det.value == -1.0
 
 
@@ -223,7 +223,7 @@ def test_nso_hash_inconsistency_goes_multi():
     cfg = DetectorConfig(gamma=1.0, nu2=1e-12, rho=1.0)
     k = 201
     col = _single_ton_column(plan, offsets, 0, k, 1.0, 0.0, rng)
-    det = detect_nso(col, plan.bin_of(0, k) ^ 1, 0, plan, offsets, cfg)
+    det = detect_nso(col, references.bin_of_loop(plan, 0, k) ^ 1, 0, plan, offsets, cfg)
     assert det.kind == MULTI_TON
 
 
@@ -240,7 +240,7 @@ def test_nso_monte_carlo_accuracy():
     for _ in range(trials):
         k = int(rng.integers(0, 1 << n))
         col = _single_ton_column(plan, offsets, 0, k, 1.0, nu, rng)
-        det = detect_nso(col, plan.bin_of(0, k), 0, plan, offsets, cfg)
+        det = detect_nso(col, references.bin_of_loop(plan, 0, k), 0, plan, offsets, cfg)
         hits += det.kind == SINGLE_TON and det.index == k
     assert hits / trials >= 0.99
 
@@ -254,7 +254,7 @@ def test_so_exact_decode_no_noise():
     cfg = DetectorConfig(gamma=1.0, nu2=1e-12, rho=1.0)
     k = 777
     col = _single_ton_column(plan, offsets, 0, k, 1.0, 0.0, rng)
-    det = detect_so(col, plan.bin_of(0, k), 0, plan, offsets, cfg)
+    det = detect_so(col, references.bin_of_loop(plan, 0, k), 0, plan, offsets, cfg)
     assert det.kind == SINGLE_TON and det.index == k and det.value == 1.0
 
 
@@ -269,7 +269,7 @@ def test_so_negative_coefficient_sign_reference():
     k = 345
     col = _single_ton_column(plan, offsets, 0, k, -1.0, 0.0, rng)
     assert col[offsets.layout["reference"]] == -1.0
-    det = detect_so(col, plan.bin_of(0, k), 0, plan, offsets, cfg)
+    det = detect_so(col, references.bin_of_loop(plan, 0, k), 0, plan, offsets, cfg)
     assert det.kind == SINGLE_TON and det.index == k and det.value == -1.0
 
 
@@ -287,7 +287,7 @@ def test_so_monte_carlo_accuracy():
     for _ in range(trials):
         k = int(rng.integers(0, 1 << n))
         col = _single_ton_column(plan, offsets, 0, k, 1.0, nu, rng)
-        det = detect_so(col, plan.bin_of(0, k), 0, plan, offsets, cfg)
+        det = detect_so(col, references.bin_of_loop(plan, 0, k), 0, plan, offsets, cfg)
         hits += det.kind == SINGLE_TON and det.index == k
     assert hits / trials >= 0.95
 
@@ -325,7 +325,7 @@ def test_crossover_bound_dominates_empirical_flip_rate():
         for trial in range(200):
             access = NoisyAccess(spectrum, sigma, np.random.default_rng(5000 + trial))
             obs = observe(access, plan, offsets)
-            j = plan.bin_of(0, k)
+            j = references.bin_of_loop(plan, 0, k)
             col = obs.data[0, j]
             signs = sign_matrix(np.array([k], dtype=np.uint64), offsets.rows_u64(0))[0]
             expected_sign = np.sign(spectrum.entries[k]) * signs

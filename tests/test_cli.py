@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from sparsewht import cli
 from sparsewht.cli import main
+from sparsewht.peeling import DecodeReport
 from sparsewht.fwht import densify, fwht
 from sparsewht.signal_model import SparseSpectrum
 from sparsewht.sketch import Hypergraph
@@ -41,6 +44,27 @@ def test_recover_round_trip(tmp_path, capsys):
     parsed = json.loads(report.read_text())
     assert parsed["stalled"] is False
 
+
+def test_recover_report_carries_every_field(tmp_path, monkeypatch):
+    # the --report file holds exactly the DecodeReport that recover returned
+    reports = []
+    original = cli.recover
+
+    def recover_and_keep(*args, **kwargs):
+        result = original(*args, **kwargs)
+        reports.append(result[1])
+        return result
+
+    monkeypatch.setattr(cli, "recover", recover_and_keep)
+    spec_path = tmp_path / "truth.txt"
+    report = tmp_path / "report.json"
+    main(["synth", "--n", "12", "--k", "8", "--seed", "2", "--out", str(spec_path)])
+    main(["recover", "--spectrum", str(spec_path), "--snr-db", "10", "--algo", "nso", "--seed", "1",
+          "--out", str(tmp_path / "recovered.txt"), "--report", str(report)])
+    parsed = json.loads(report.read_text())
+    assert list(parsed) == [f.name for f in dataclasses.fields(DecodeReport)]
+    assert len(reports) == 1 and parsed == dataclasses.asdict(reports[0])
+    assert parsed["residual_energy"] > 0 and parsed["samples_used"] > 0
 
 def test_recover_noisy_nso(tmp_path):
     spec_path = tmp_path / "truth.txt"
@@ -134,6 +158,8 @@ def test_bench_config_not_an_object_exits_2(tmp_path, capsys):
     # values of the wrong type
     {"p1": "7"}, {"decode_rounds": 1.5}, {"trials": 2.5}, {"workers": "2"}, {"snr_db_values": ["x"]},
     {"n_values": 12}, {"snr_db_values": [float("nan")]}, {"trials": True},
+    # SO's rate-1/2 code needs n >= codes.MIN_INFO_BITS
+    {"n_values": [5]},
 ])
 def test_bench_bad_setting_exits_2(tmp_path, capsys, cfg):
     cfg_path = tmp_path / "cfg.json"

@@ -12,10 +12,11 @@ from sparsewht.frontend import (
     build_plan,
     observe,
 )
-from sparsewht.gf2 import BitIndex, rank_transpose, solve_affine, span_words
+from sparsewht.gf2 import rank_transpose, solve_affine, span_words
 from sparsewht.kernels import sign_matrix
 
 from helpers import GOLDEN_BINS_G1, GOLDEN_BINS_G2, golden_plan, golden_spectrum, random_plan
+from references import bin_of_loop
 
 
 def _window_cols(plan):
@@ -229,7 +230,7 @@ def test_observation_energy_constant_across_offsets_when_bins_isolated():
     # per bin the per-row energy is identical for every offset row
     plan = build_plan(10, 16, regime="window")
     spectrum = SparseSpectrum(10, {0b001001001: 1.0, 0b010010010: -1.0, 0b100100100: 1.0})
-    bins_used = [set(plan.bin_of(c, k) for k in spectrum.entries) for c in range(plan.c_groups)]
+    bins_used = [set(bin_of_loop(plan, c, k) for k in spectrum.entries) for c in range(plan.c_groups)]
     assert all(len(b) == spectrum.sparsity for b in bins_used)
     offsets = build_offsets("near-linear", plan, p1=12, rng=np.random.default_rng(9))
     obs = observe(NoisyAccess(spectrum, 0.0, np.random.default_rng(0)), plan, offsets)
@@ -296,7 +297,7 @@ def test_bins_of_many_agrees_with_bin_of(plan_args):
     plan = random_plan(n, b, c_groups, rng)
     words = rng.integers(0, 1 << n, size=20, dtype=np.int64).astype(np.uint64)
     for c in range(c_groups):
-        assert [int(j) for j in plan.bins_of_many(c, words)] == [plan.bin_of(c, int(k)) for k in words]
+        assert [int(j) for j in plan.bins_of_many(c, words)] == [bin_of_loop(plan, c, int(k)) for k in words]
 
 
 @settings(max_examples=60, deadline=None)
@@ -312,8 +313,8 @@ def test_coset_is_the_bin_preimage(plan_args):
         assert len(np.unique(words)) == len(words) == 1 << (n - b)
         assert np.all(plan.bins_of_many(c, words) == j)
         # the cached particular word is solve_affine's, up to the span
-        particular, _ = solve_affine(plan.matrices[c], BitIndex(j, b))
-        assert int(plan.particular_words(c)[j]) ^ particular.word in set(span.tolist())
+        particular, _ = solve_affine(plan.matrices[c], j)
+        assert int(plan.particular_words(c)[j]) ^ particular in set(span.tolist())
     # the basis words generate the null space, the bin-0 coset
     basis = plan.coset_basis(c)
     assert len(basis) == n - b and np.all(plan.bins_of_many(c, basis) == 0)

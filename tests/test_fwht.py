@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sparsewht import SparseSpectrum, fwht, naive_wht, synthesize_at, synthesize_many
+from sparsewht import SparseSpectrum, fwht, naive_wht, synthesize_many
 from sparsewht.fwht import densify, fwht_inplace
 
 from helpers import golden_spectrum
@@ -68,10 +68,9 @@ def test_fwht_inplace_owns_buffer():
 
 def test_synthesize_empty_and_dc():
     empty = SparseSpectrum(4, {})
-    assert synthesize_at(empty, 9) == 0.0
+    assert synthesize_many(empty, np.array([9], dtype=np.uint64)).tolist() == [0.0]
     dc = SparseSpectrum(4, {0: 4.0})  # X[0] = sqrt(N)
-    for m in range(16):
-        assert synthesize_at(dc, m) == pytest.approx(1.0)
+    assert synthesize_many(dc, np.arange(16, dtype=np.uint64)) == pytest.approx(np.ones(16))
 
 
 def test_synthesize_matches_dense_inverse():

@@ -4,9 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsewht import kernels
-from sparsewht.gf2 import parity, span_words
+from sparsewht.gf2 import span_words
 
 from helpers import random_plan
+from references import parity
 
 
 def test_fwht_rows_small_known_values():

@@ -102,7 +102,7 @@ def test_idempotent_on_peeled_tensor():
     recovered, _ = decode(obs, plan, offsets, detector)
     for k, v in recovered.entries.items():
         for c in range(plan.c_groups):
-            j = plan.bin_of(c, k)
+            j = references.bin_of_loop(plan, c, k)
             signs = sign_matrix(np.array([k], dtype=np.uint64), offsets.rows_u64(c))[0]
             obs.data[c, j] -= v * signs
     again, report = decode(obs, plan, offsets, detector)
@@ -218,7 +218,7 @@ def _reference_decode(obs, plan, offsets, column_detector, max_iters, stall_ener
                 sweep_peels += 1
                 for c2 in range(c_groups):
                     signs = sign_matrix(np.array([k_word], dtype=np.uint64), offsets.rows_u64(c2))[0]
-                    j2 = plan.bin_of(c2, k_word)
+                    j2 = references.bin_of_loop(plan, c2, k_word)
                     data[c2, j2] -= value * signs
                     pending[c2].add(j2)
         sweeps += 1

@@ -87,6 +87,14 @@ def test_hypergraph_validation():
         Hypergraph.from_edge_lists(3, [{1, 2}, {2, 1}])
 
 
+def test_hypergraph_rejects_n_beyond_index_words():
+    # vertex v is bit v - 1 of a uint64 word, so n is checked when the graph is built
+    with pytest.raises(ValueError, match=r"1\.\.63"):
+        Hypergraph.from_edge_lists(70, [[1, 2]])
+    h = Hypergraph.from_edge_lists(63, [[1, 63]])
+    assert cut_value(h, 1 << 62) == 1 and cut_value(h, (1 << 63) - 1) == 0
+
+
 def test_hypergraph_file_round_trip(tmp_path):
     h = Hypergraph.from_edge_lists(7, [{1, 2}, {3, 5, 6}])
     path = tmp_path / "graph.txt"
@@ -120,7 +128,7 @@ def test_cut_query_access_reads_each_position_once():
     assert all(call == sorted(set(call)) for call in asked)
     assert len(flat) == len(set(flat)) == access.samples_queried
     calls = len(asked)
-    assert access.query(int(positions[0])) == cut_value(h, int(positions[0]))
+    assert access.take(positions[:1]).tolist() == [cut_value(h, int(positions[0]))]
     assert len(asked) == calls  # a repeat is answered from the log
 
 
