@@ -23,7 +23,6 @@ from .bin_detect import (
     detect_noiseless,
     detect_nso,
     detect_so,
-    make_detector,
 )
 from .codes import LdpcCode, bitflip_decode, build_regular_ldpc
 from .frontend import BinObservations, OffsetPlan, SubsamplingPlan, build_offsets, build_plan, observe
@@ -65,7 +64,6 @@ __all__ = [
     "detect_so",
     "draw_spectrum",
     "fwht",
-    "make_detector",
     "min_eta",
     "naive_wht",
     "observe",

@@ -1,18 +1,31 @@
 """Bin classification: zero-ton / single-ton / multi-ton tests.
 
-Four variants share the same contract, and each classifies all pending
-bins of a group in one call (``detect_*_many``); the one-column
-``detect_*`` functions are the one-row case of that call. The noiseless
-detector reads the index bits from sign ratios against the zero-offset
-reference row. The near-linear detector scores every candidate in the
-bin's hash coset with one small Walsh-Hadamard transform (a coset is an
-affine subspace, so its signature correlations are a transform of the
-column, see ``kernels.singleton_search``). The two structured variants
-recover the index through repetition voting over an (m, P1, n) sign
-array or through batched channel decoding, then check the hashes and
-verify with the random rows. Anything failing verification is
-classified multi-ton: multi-tons need no action during peeling, so
-erring toward them only delays recovery, never corrupts it.
+The four variants share one array contract, and each classifies a batch
+of bins in one call:
+
+    detect_<variant>_many(cols, js, c, plan, offsets, cfg) -> (live, k_words, values, single)
+
+Row i of ``cols`` is the (P,) column of group c's bin ``js[i]`` (an
+integer array); the caller selects the rows. ``live`` indexes the rows
+above the noise level, in increasing order; every other row is a
+zero-ton. For row ``live[i]`` the detector returns its candidate index
+``k_words[i]`` (uint64), the candidate's value ``values[i]`` and whether
+it verified, ``single[i]``. A live row that did not verify is a
+multi-ton. ``DETECTORS`` holds the four functions by variant. The
+one-column ``detect_*`` functions are the one-row case, returned as a
+:class:`Detection`.
+
+The noiseless detector reads the index bits from sign ratios against the
+zero-offset reference row (it takes ``offsets`` only to share the
+signature). The near-linear detector scores every candidate in the bin's
+hash coset with one small Walsh-Hadamard transform (a coset is an affine
+subspace, so its signature correlations are a transform of the column,
+see ``kernels.singleton_search``). The two structured variants recover
+the index through repetition voting over an (m, P1, n) sign array or
+through batched channel decoding, then check the hashes and verify with
+the random rows. Anything failing verification is classified multi-ton:
+multi-tons need no action during peeling, so erring toward them only
+delays recovery, never corrupts it.
 
 Sign convention: sgn(x) = 1 for x < 0 and 0 for x > 0 (sgn(0) = 0), so
 that x = |x| * (-1)^sgn(x).
@@ -100,12 +113,6 @@ def _verified(u: np.ndarray, signs: np.ndarray, values, cfg: DetectorConfig):
     return _within_noise(u - values[..., None] * signs, cfg)
 
 
-def _one_column(u, j_word: int):
-    """``(block, at, js)`` presenting the column ``u`` of bin ``j_word`` to a batched detector."""
-    block = np.asarray(u, dtype=np.float64)[None, :]
-    return block, np.zeros(1, dtype=np.int64), np.array([j_word], dtype=np.int64)
-
-
 def _confirm(u: np.ndarray, rows: np.ndarray, k_words: np.ndarray, js: np.ndarray, c: int, plan,
              cfg: DetectorConfig):
     """Values and single-ton flags of the candidates ``k_words`` for the
@@ -120,21 +127,27 @@ def _confirm(u: np.ndarray, rows: np.ndarray, k_words: np.ndarray, js: np.ndarra
     return values, single
 
 
-def _classify(count: int, live: np.ndarray, k_words: np.ndarray, values, single: np.ndarray) -> list:
-    """One detection per row: rows outside ``live`` are zero-tons, row
-    ``live[i]`` is the single-ton (k_words[i], values[i]) where
-    ``single[i]`` holds and a multi-ton otherwise."""
-    out = [_ZERO] * count
-    for r, k, v, ok in zip(live.tolist(), k_words.tolist(), values.tolist(), single.tolist()):
-        out[r] = Detection(SINGLE_TON, k, v) if ok else _MULTI
-    return out
+def _as_detection(result) -> Detection:
+    """The detection of the one row a batched detector was given."""
+    live, k_words, values, single = result
+    if not len(live):
+        return _ZERO
+    return Detection(SINGLE_TON, k_words[0].item(), values[0].item()) if single[0] else _MULTI
 
 
-def _noiseless(block: np.ndarray, at: np.ndarray, js: np.ndarray, c: int, plan, cfg: DetectorConfig) -> list:
-    u = block[at]
+def detect_noiseless_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig):
+    """Ratio tests against the zero-offset reference row.
+
+    Expects the noiseless offset layout: row 0 is the reference, rows
+    1..n are the unit offsets, so sgn(u_t) xor sgn(u_0) is bit t of k.
+    A column within ``zero_tol`` everywhere is a zero-ton. A single-ton
+    needs a reference outside ``zero_tol``, every ratio u_t / u_0 within
+    ``RATIO_TOL`` of +/-1, an index that hashes back to its bin and a
+    nonzero value after snapping to ``value_grid``.
+    """
     tol = cfg.zero_tol
-    live = np.flatnonzero(~np.all(np.abs(u) <= tol, axis=1))
-    u = u[live]
+    live = np.flatnonzero(~np.all(np.abs(cols) <= tol, axis=1))
+    u = cols[live]
     ref = u[:, 0]
     single = np.abs(ref) > tol
     # a reference within zero_tol already fails; divide those rows by 1 instead
@@ -144,99 +157,74 @@ def _noiseless(block: np.ndarray, at: np.ndarray, js: np.ndarray, c: int, plan, 
     k_words = kernels.pack_rows(neg[:, 1:] ^ neg[:, :1])
     single &= plan.bins_of_many(c, k_words).astype(np.int64) == js[live]
     values = ref if cfg.value_grid is None else np.round(ref / cfg.value_grid) * cfg.value_grid
-    return _classify(len(js), live, k_words, values, single & (values != 0.0))
-
-
-def detect_noiseless_many(block: np.ndarray, js, c: int, plan, cfg: DetectorConfig) -> list:
-    """Ratio tests against the zero-offset reference row, for the bins ``js`` at once.
-
-    Expects the noiseless offset layout: row 0 is the reference, rows
-    1..n are the unit offsets, so sgn(u_t) xor sgn(u_0) is bit t of k.
-    ``block`` holds group c's columns by bin word, shape (B, n + 1). A
-    column within ``zero_tol`` everywhere is a zero-ton. A single-ton
-    needs a reference outside ``zero_tol``, every ratio u_t / u_0 within
-    ``RATIO_TOL`` of +/-1, an index that hashes back to its bin and a
-    nonzero value after snapping to ``value_grid``.
-    """
-    js = np.asarray(js, dtype=np.int64)
-    return _noiseless(block, js, js, c, plan, cfg)
+    return live, k_words, values, single & (values != 0.0)
 
 
 def detect_noiseless(u: np.ndarray, j_word: int, c: int, plan, cfg: DetectorConfig) -> Detection:
     """The one-column case of :func:`detect_noiseless_many`."""
-    return _noiseless(*_one_column(u, j_word), c, plan, cfg)[0]
+    return _as_detection(detect_noiseless_many(np.array([u], dtype=float), np.array([j_word]), c, plan, None, cfg))
 
 
-def _nso(block: np.ndarray, at: np.ndarray, js: np.ndarray, c: int, plan, offsets,
-         cfg: DetectorConfig) -> list:
+def detect_nso_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig):
+    """Majority vote per index bit over the modulated offset blocks.
+
+    Columns have P1 + P1 n rows. A bin whose P1 base rows are within
+    (1 + gamma) nu^2 is a zero-ton. For any other bin, bit q of the index
+    is set when more than half of the base rows change sign under the
+    unit offset e_q; the index must hash back to its bin and leave a
+    residual within the same level on the base rows.
+    """
     p1, n = offsets.layout["base"][1], plan.n
-    live = np.flatnonzero(~_within_noise(block[at, :p1], cfg))
-    rows = at[live]
+    live = np.flatnonzero(~_within_noise(cols[:, :p1], cfg))
     # sign copies only: the modulated rows are read as P1 x n bool blocks
-    neg = (block < 0)[rows]
+    neg = (cols < 0)[live]
     votes = (neg[:, p1:].reshape(-1, p1, n) ^ neg[:, :p1, None]).sum(axis=1)
     k_words = kernels.pack_rows(2 * votes > p1)
-    values, single = _confirm(block[rows, :p1], offsets.rows_u64(c)[:p1], k_words, js[live], c, plan, cfg)
-    return _classify(len(js), live, k_words, values, single)
-
-
-def detect_nso_many(block: np.ndarray, js, c: int, plan, offsets, cfg: DetectorConfig) -> list:
-    """Majority vote per index bit over the modulated offset blocks, for
-    the bins ``js`` at once.
-
-    ``block`` holds group c's columns by bin word, shape (B, P1 + P1 n).
-    A bin whose P1 base rows are within (1 + gamma) nu^2 is a zero-ton.
-    For any other bin, bit q of the index is set when more than half of
-    the base rows change sign under the unit offset e_q; the index must
-    hash back to its bin and leave a residual within the same level on
-    the base rows.
-    """
-    js = np.asarray(js, dtype=np.int64)
-    return _nso(block, js, js, c, plan, offsets, cfg)
+    values, single = _confirm(cols[live, :p1], offsets.rows_u64(c)[:p1], k_words, js[live], c, plan, cfg)
+    return live, k_words, values, single
 
 
 def detect_nso(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig) -> Detection:
     """The one-column case of :func:`detect_nso_many`."""
-    return _nso(*_one_column(u, j_word), c, plan, offsets, cfg)[0]
+    return _as_detection(detect_nso_many(np.array([u], dtype=float), np.array([j_word]), c, plan, offsets, cfg))
 
 
-def _so(block: np.ndarray, at: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig) -> list:
+def detect_so_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig):
+    """Channel-decode the coded offset signs, after removing the sign
+    reference read from the zero-offset row.
+
+    A bin whose random rows are within (1 + gamma) nu^2 is a zero-ton.
+    Every other bin's coded signs, flipped by the sign of its zero-offset
+    row, go through one batched :func:`codes.bitflip_decode_many` with
+    ``offsets.code``; a decoded index must hash back to its bin and leave
+    a residual within the same level on the random rows.
+    """
     code = offsets.code
     r0, r1 = offsets.layout["random"]
     c0, c1 = offsets.layout["coded"]
-    live = np.flatnonzero(~_within_noise(block[at, r0:r1], cfg))
-    u = block[at[live]]
+    live = np.flatnonzero(~_within_noise(cols[:, r0:r1], cfg))
+    u = cols[live]
     neg = u < 0
     ref = neg[:, offsets.layout["reference"]]
     bits, decoded = codes.bitflip_decode_many(code, neg[:, c0:c1] ^ ref[:, None], cfg.decode_rounds)
     k_words = kernels.pack_rows(bits[:, : code.n_info])
     values, single = _confirm(u[:, r0:r1], offsets.rows_u64(c)[r0:r1], k_words, js[live], c, plan, cfg)
-    return _classify(len(js), live, k_words, values, decoded & single)
-
-
-def detect_so_many(block: np.ndarray, js, c: int, plan, offsets, cfg: DetectorConfig) -> list:
-    """Channel-decode the coded offset signs of the bins ``js`` at once,
-    after removing the sign reference read from the zero-offset row.
-
-    ``block`` holds group c's columns by bin word. A bin whose random rows
-    are within (1 + gamma) nu^2 is a zero-ton. Every other bin's coded
-    signs, flipped by the sign of its zero-offset row, go through one
-    batched :func:`codes.bitflip_decode_many` with ``offsets.code``; a
-    decoded index must hash back to its bin and leave a residual within
-    the same level on the random rows.
-    """
-    js = np.asarray(js, dtype=np.int64)
-    return _so(block, js, js, c, plan, offsets, cfg)
+    return live, k_words, values, decoded & single
 
 
 def detect_so(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig) -> Detection:
     """The one-column case of :func:`detect_so_many`."""
-    return _so(*_one_column(u, j_word), c, plan, offsets, cfg)[0]
+    return _as_detection(detect_so_many(np.array([u], dtype=float), np.array([j_word]), c, plan, offsets, cfg))
 
 
-def _near_linear(block: np.ndarray, at: np.ndarray, js: np.ndarray, c: int, plan, offsets,
-                 cfg: DetectorConfig) -> list:
-    cols = block[at]
+def detect_near_linear_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig):
+    """Matched-filter search over the hash cosets of the bins.
+
+    Rows whose energy is within (1 + gamma) nu^2 are zero-tons. Every
+    other row takes its best coset candidate from one batched
+    ``kernels.singleton_search`` and is a single-ton only if the residual
+    after removing that candidate stays within the same level.
+    """
     live = np.flatnonzero(~_within_noise(cols, cfg))
     u = cols[live]
     rows = offsets.rows_u64(c)
@@ -244,42 +232,17 @@ def _near_linear(block: np.ndarray, at: np.ndarray, js: np.ndarray, c: int, plan
     idx, score = kernels.singleton_search(u, rows, plan.coset_basis(c), part)
     k_words = part ^ plan.coset_span(c)[idx]
     values = _estimate_value(score, len(rows), cfg)
-    single = _verified(u, kernels.sign_matrix(k_words, rows), values, cfg)
-    return _classify(len(js), live, k_words, values, single)
-
-
-def detect_near_linear_many(block: np.ndarray, js, c: int, plan, offsets, cfg: DetectorConfig) -> list:
-    """Matched-filter search over the hash cosets of the bins ``js`` at once.
-
-    ``block`` holds group c's columns by bin word, shape (B, P). Rows
-    whose energy is within (1 + gamma) nu^2 are zero-tons. Every other
-    row takes its best coset candidate from one batched
-    ``kernels.singleton_search`` and is a single-ton only if the residual
-    after removing that candidate stays within the same level.
-    """
-    js = np.asarray(js, dtype=np.int64)
-    return _near_linear(block, js, js, c, plan, offsets, cfg)
+    return live, k_words, values, _verified(u, kernels.sign_matrix(k_words, rows), values, cfg)
 
 
 def detect_near_linear(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig) -> Detection:
     """The one-column case of :func:`detect_near_linear_many`."""
-    return _near_linear(*_one_column(u, j_word), c, plan, offsets, cfg)[0]
+    return _as_detection(detect_near_linear_many(np.array([u], dtype=float), np.array([j_word]), c, plan, offsets, cfg))
 
 
-def make_detector(plan, offsets, cfg: DetectorConfig):
-    """Bind a variant-appropriate ``(block, js, c) -> [Detection]`` callable.
-
-    ``block`` is group c's (B, P) observations and ``js`` the bin words to
-    classify; the result holds one detection per word of ``js``, in order.
-    Every variant classifies them in one batched call.
-    """
-    variant = offsets.variant
-    if variant == "noiseless":
-        return lambda block, js, c: detect_noiseless_many(block, js, c, plan, cfg)
-    if variant == "near-linear":
-        return lambda block, js, c: detect_near_linear_many(block, js, c, plan, offsets, cfg)
-    if variant == "nso":
-        return lambda block, js, c: detect_nso_many(block, js, c, plan, offsets, cfg)
-    if variant == "so":
-        return lambda block, js, c: detect_so_many(block, js, c, plan, offsets, cfg)
-    raise ValueError(f"unknown offset variant {variant!r}")
+DETECTORS = {
+    "noiseless": detect_noiseless_many,
+    "near-linear": detect_near_linear_many,
+    "nso": detect_nso_many,
+    "so": detect_so_many,
+}

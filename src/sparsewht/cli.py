@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, peeling, sketch
+from . import analysis, codes, frontend, peeling, sketch
 from .fwht import fwht
 from .experiments import (
     SCALING_COLUMNS,
@@ -57,7 +57,7 @@ def _add_experiment_flags(parser) -> None:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--trials", type=int)
     parser.add_argument("--out", required=True, help="output CSV path")
-    parser.add_argument("--algo", dest="algorithm", choices=("noiseless", "near-linear", "nso", "so"))
+    parser.add_argument("--algo", dest="algorithm", choices=frontend.VARIANTS)
     parser.add_argument("--snr-db", dest="snr_db_values", type=float, nargs="+")
     parser.add_argument("--n", dest="n_values", type=int, nargs="+")
     parser.add_argument("--k", dest="k_values", type=int, nargs="+")
@@ -85,13 +85,15 @@ def _cmd_wht(args) -> int:
 def _cmd_recover(args) -> int:
     truth = SparseSpectrum.load(args.spectrum)
     n, k = truth.n, truth.sparsity
+    algo = args.algo or ("noiseless" if args.snr_db is None else "nso")
+    if algo == "so" and n < codes.MIN_INFO_BITS:
+        raise ValueError(f"--algo so needs n >= {codes.MIN_INFO_BITS}, but {args.spectrum} has n={n}")
     ss = np.random.SeedSequence(entropy=args.seed or 0)
     rng_noise, rng_offsets, rng_code = (np.random.default_rng(s) for s in ss.spawn(3))
     magnitudes = {abs(v) for v in truth.entries.values()}
     rho = max(magnitudes, default=1.0)
     snr_db = None if args.snr_db is None else args.snr_db[0]
     access = NoisyAccess(truth, noise_sigma(rho, k, n, snr_db), rng_noise)
-    algo = args.algo or ("noiseless" if snr_db is None else "nso")
     recovered, report, _, _ = recover(access, k, algo, snr_db=snr_db, rho=rho,
                                       constellation=len(magnitudes) <= 1,
                                       rng_offsets=rng_offsets, rng_code=rng_code)
@@ -166,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="recover a spectrum through the sparse pipeline")
     p.add_argument("--spectrum", required=True, help="ground-truth spectrum file")
     p.add_argument("--snr-db", type=float, nargs=1)
-    p.add_argument("--algo", choices=("noiseless", "near-linear", "nso", "so"))
+    p.add_argument("--algo", choices=frontend.VARIANTS)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--report")

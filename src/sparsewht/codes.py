@@ -112,33 +112,16 @@ def _break_four_cycles(rows: list, n_block: int, rng, passes: int = 4) -> None:
                 break
 
 
-def _gf2_inverse(rows: list):
-    """Inverse of a square GF(2) matrix given and returned as row bitmasks;
-    None when it is singular."""
-    q = len(rows)
-    # Gauss-Jordan on [M | I], the identity held in bits q..2q-1
-    work = [word | (1 << (q + r)) for r, word in enumerate(rows)]
-    for col in range(q):
-        bit = 1 << col
-        p = next((r for r in range(col, q) if work[r] & bit), None)
-        if p is None:
-            return None
-        work[col], work[p] = work[p], work[col]
-        for r in range(q):
-            if r != col and work[r] & bit:
-                work[r] ^= work[col]
-    return [word >> q for word in work]
-
-
 def _systematic_generator(h: gf2.BitMatrix):
     """G = [I; B^{-1} A] for H = [A | B]; None when B is singular."""
     n_info = h.cols - h.rows
-    b_inv = _gf2_inverse([word >> n_info for word in h.row_words])
-    if b_inv is None:
+    try:
+        _, b_inv = gf2.eliminate([(word >> n_info, 1 << r) for r, word in enumerate(h.row_words)])
+    except gf2.InconsistentSystemError:
         return None
     a = [word & ((1 << n_info) - 1) for word in h.row_words]
     parity_rows = []
-    for word in b_inv:
+    for word in (b_inv[p] for p in range(h.rows)):
         acc = 0
         while word:
             acc ^= a[_lowest_bit(word)]

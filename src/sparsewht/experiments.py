@@ -17,10 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codes, frontend, peeling
-from .bin_detect import DetectorConfig, make_detector
+from .bin_detect import DetectorConfig
 from .signal_model import NoisyAccess, draw_spectrum, sigma_for_snr, snr_from_db
-
-ALGORITHMS = ("noiseless", "near-linear", "nso", "so")
 
 SNR_COLUMNS = ("n", "K", "snr_db", "algorithm", "trials", "successes", "success_rate",
                "mean_samples", "mean_runtime_ns")
@@ -60,8 +58,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be a number, got {value!r}")
         if not all(v is None or (type(v) in (int, float) and math.isfinite(v)) for v in self.snr_db_values or ()):
             raise ConfigError(f"snr_db_values must be finite numbers or null, got {list(self.snr_db_values)}")
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"algorithm must be one of {ALGORITHMS}")
+        if self.algorithm not in frontend.VARIANTS:
+            raise ConfigError(f"algorithm must be one of {frontend.VARIANTS}")
         for name in ("n_values", "k_values"):
             values = getattr(self, name)
             if not values or not all(type(v) is int and v >= 1 for v in values):
@@ -156,12 +154,11 @@ def recover(access, k: int, algorithm: str, *, snr_db: float | None, rho: float,
         gamma = 1.0 if snr_db is None else DetectorConfig.default_gamma(snr_from_db(snr_db))
     cfg = DetectorConfig(gamma=gamma, nu2=nu2, rho=rho, constellation=constellation,
                          zero_tol=1e-9 * math.sqrt(size) * rho, decode_rounds=decode_rounds)
-    detector = make_detector(plan, offsets, cfg)
     stall_energy = plan.c_groups * plan.bins * (1.0 + gamma) * nu2
 
     t0 = time.perf_counter_ns()
     obs = frontend.observe(access, plan, offsets)
-    recovered, report = peeling.decode(obs, plan, offsets, detector,
+    recovered, report = peeling.decode(obs, plan, offsets, cfg,
                                        max_iters=2 * k + 10, stall_energy=stall_energy)
     return recovered, report, obs, time.perf_counter_ns() - t0
 

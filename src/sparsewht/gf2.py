@@ -108,11 +108,14 @@ def random_full_column_rank(n: int, b: int, rng) -> BitMatrix:
             return m
 
 
-def _eliminate(system_rows, n):
-    """Row-reduce packed equations (word over n vars, rhs bit) to RREF.
+def eliminate(system_rows):
+    """Row-reduce packed equations ``(word, rhs)`` to RREF.
 
     Returns (pivots, rhs_by_pivot) where pivots maps pivot bit -> reduced
-    row word. Raises on inconsistency.
+    row word. Raises ``InconsistentSystemError`` on inconsistency. The
+    right-hand sides may be words as well: given each row r of a square
+    matrix with rhs ``1 << r``, a nonsingular matrix reduces to unit rows
+    and ``rhs_by_pivot[p]`` is row p of its inverse.
     """
     pivot_rows = {}
     pivot_rhs = {}
@@ -137,7 +140,7 @@ def _eliminate(system_rows, n):
 
 def rank_transpose(m: BitMatrix) -> int:
     """Rank of M^T (equals rank of M); operates on packed column words."""
-    rows, _ = _eliminate([(w, 0) for w in m.col_words], m.rows)
+    rows, _ = eliminate([(w, 0) for w in m.col_words])
     return len(rows)
 
 
@@ -152,7 +155,7 @@ def solve_affine(m: BitMatrix, j: int):
         raise DimensionError(f"rhs word {j} is out of range for {m.cols} cols")
     n = m.rows
     system = [(col, (j >> t) & 1) for t, col in enumerate(m.col_words)]
-    pivot_rows, pivot_rhs = _eliminate(system, n)
+    pivot_rows, pivot_rhs = eliminate(system)
     particular = 0
     for pbit, rhs in pivot_rhs.items():
         particular |= rhs << pbit

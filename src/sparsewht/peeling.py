@@ -19,8 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import kernels
-from .bin_detect import SINGLE_TON
+from . import bin_detect, kernels
 from .signal_model import SparseSpectrum
 
 
@@ -51,7 +50,7 @@ def _per_bin_energy(data: np.ndarray) -> np.ndarray:
     return (data * data).mean(axis=2)
 
 
-def _peel(data: np.ndarray, plan, offsets, k_words: np.ndarray, values: np.ndarray, pending: list) -> None:
+def _peel(data: np.ndarray, plan, offsets, k_words: np.ndarray, values: np.ndarray, pending: np.ndarray) -> None:
     """Subtract the single-tons (k_words, values) from their bin in every
     group and mark those bins pending. ``np.subtract.at`` applies repeated
     bins in the order given, so the floats equal one peel at a time."""
@@ -59,52 +58,49 @@ def _peel(data: np.ndarray, plan, offsets, k_words: np.ndarray, values: np.ndarr
         j2 = plan.bins_of_many(c2, k_words).astype(np.intp)
         signs = kernels.sign_matrix(k_words, offsets.rows_u64(c2))
         np.subtract.at(data[c2], j2, values[:, None] * signs)
-        pending[c2].update(j2.tolist())
+        pending[c2, j2] = True
 
 
-def decode(obs, plan, offsets, detector, max_iters: int | None = None,
+def decode(obs, plan, offsets, cfg, max_iters: int | None = None,
            stall_energy: float | None = None, sweep_hook=None):
     """Run peeling until fixed point; returns (spectrum, report).
 
-    ``detector`` maps ``(block, js, group) -> [Detection]``: ``block`` is
-    the group's (B, P) observations (a view into the working copy), ``js``
-    its sorted pending bin words, and the result has one detection per
-    word. It must match the offsets the observations were generated with.
-    A group's pending bins are classified in one call and the single-tons
-    peeled afterwards, in ``js`` order, by one ``np.subtract.at`` per
-    group, which applies repeated bins in that order. This equals
-    classifying and peeling one bin at a time: a coefficient hashes to exactly one bin
-    per group and a single-ton is only reported for its own bin, so a
-    peel made during group c's pass never changes another bin of group c.
+    Each group's pending bins, in increasing bin order, go to the
+    detector of ``offsets.variant`` (``bin_detect.DETECTORS``) in one
+    call with the thresholds ``cfg``; ``offsets`` must be the ones the
+    observations were generated with. The detector answers in arrays,
+    and the verified single-tons (index, value) are peeled afterwards, in
+    bin order, by one ``np.subtract.at`` per group, which applies
+    repeated bins in that order. This equals classifying and peeling one
+    bin at a time: a coefficient hashes to exactly one bin per group and
+    a single-ton is only reported for its own bin, so a peel made during
+    group c's pass never changes another bin of group c.
     ``stall_energy`` is the residual-energy level above which a stopped
     decode is flagged as stalled (defaults to a float-noise allowance).
     ``max_iters`` caps the sweep count (default 2 C B + 10).
     """
+    detect = bin_detect.DETECTORS[offsets.variant]
     data = obs.data.copy()
     c_groups, bins, _ = data.shape
     recovered: dict = {}
     report = DecodeReport(samples_used=obs.distinct_samples)
     # only bins touched since their last classification need revisiting
-    pending = [set(range(bins)) for _ in range(c_groups)]
+    pending = np.ones((c_groups, bins), dtype=bool)
     if max_iters is None:
         # aliased multi-tons can re-trigger after partial re-exposure, so
         # the sweep count needs a structural cap, not just a fixed point
         max_iters = 2 * c_groups * bins + 10
 
-    while True:
-        if report.sweeps >= max_iters:
-            break
+    while report.sweeps < max_iters:
         sweep_peels = 0
         for c in range(c_groups):
-            js = sorted(pending[c])
-            pending[c].clear()
-            if not js:
+            js = np.flatnonzero(pending[c])
+            pending[c] = False
+            if not len(js):
                 continue
-            peeled_k, peeled_v = [], []
-            for det in detector(data[c], js, c):
-                if det.kind != SINGLE_TON:
-                    continue
-                k_word, value = det.index, det.value
+            _, k_words, values, single = detect(data[c][js], js, c, plan, offsets, cfg)
+            k_words, values = k_words[single], values[single]
+            for k_word, value in zip(k_words.tolist(), values.tolist()):
                 if recovered.get(k_word, 0.0) != 0.0:
                     report.conflicts += 1
                 total = recovered.get(k_word, 0.0) + value
@@ -112,12 +108,10 @@ def decode(obs, plan, offsets, detector, max_iters: int | None = None,
                     recovered.pop(k_word, None)
                 else:
                     recovered[k_word] = total
-                peeled_k.append(k_word)
-                peeled_v.append(value)
-            if peeled_k:
-                _peel(data, plan, offsets, np.array(peeled_k, dtype=np.uint64), np.array(peeled_v), pending)
-            report.peels += len(peeled_k)
-            sweep_peels += len(peeled_k)
+            if len(k_words):
+                _peel(data, plan, offsets, k_words, values, pending)
+            report.peels += len(k_words)
+            sweep_peels += len(k_words)
         report.sweeps += 1
         if sweep_hook is not None:
             sweep_hook(data, dict(recovered), report.sweeps)

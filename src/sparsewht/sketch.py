@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from . import frontend, gf2, peeling
-from .bin_detect import DetectorConfig, make_detector
+from .bin_detect import DetectorConfig
 from .signal_model import SparseSpectrum
 
 
@@ -284,8 +284,7 @@ def sketch_recover(source, n: int | None = None, sparsity_budget: int = 1, seed:
         constellation=False,
         value_grid=None if coeff_resolution is None else coeff_resolution * root_n,
     )
-    detector = make_detector(plan, offsets, cfg)
-    machine, report = peeling.decode(obs, plan, offsets, detector,
+    machine, report = peeling.decode(obs, plan, offsets, cfg,
                                      stall_energy=c_groups * plan.bins * cfg.zero_tol**2)
     entries = {k: v / root_n for k, v in machine.entries.items()}
     if coeff_resolution is not None:

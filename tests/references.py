@@ -48,6 +48,20 @@ def _confirm_single(u, row_words, k_word, cfg):
     return Detection(MULTI_TON)
 
 
+def as_detections(result, count):
+    """The batched detector result ``(live, k_words, values, single)`` over
+    ``count`` rows as one detection per row, in the form the loops return.
+    Also checks the shape of the result: ``live`` increasing, one uint64
+    index, value and flag per live row."""
+    live, k_words, values, single = result
+    assert len(k_words) == len(values) == len(single) == len(live) <= count
+    assert k_words.dtype == np.uint64 and single.dtype == bool and np.all(np.diff(live) > 0)
+    out = [Detection(ZERO_TON)] * count
+    for r, k_word, value, ok in zip(live.tolist(), k_words.tolist(), values.tolist(), single.tolist()):
+        out[r] = Detection(SINGLE_TON, k_word, value) if ok else Detection(MULTI_TON)
+    return out
+
+
 def detect_noiseless_loop(u, j_word, c, plan, cfg):
     u = np.asarray(u, dtype=np.float64)
     tol = cfg.zero_tol
@@ -169,7 +183,7 @@ def _break_four_cycles_loop(dense, rng, passes=4):
                     break
 
 
-def _gf2_inverse_loop(mat):
+def gf2_inverse_loop(mat):
     q = mat.shape[0]
     work = mat.astype(np.uint8).copy()
     inv = np.eye(q, dtype=np.uint8)
@@ -205,7 +219,7 @@ def build_regular_ldpc_loop(n_info, rng, max_retries=200):
         _break_four_cycles_loop(dense, rng)
         if not ((dense.sum(axis=0) == 3).all() and (dense.sum(axis=1) == 6).all()):
             continue
-        b_inv = _gf2_inverse_loop(dense[:, n_info:])
+        b_inv = gf2_inverse_loop(dense[:, n_info:])
         if b_inv is None:
             continue
         parity_part = (b_inv @ dense[:, :n_info]) % 2

@@ -19,7 +19,7 @@ from sparsewht import (
     naive_wht,
     sigma_for_snr,
 )
-from sparsewht.bin_detect import DetectorConfig, make_detector
+from sparsewht.bin_detect import DetectorConfig
 from sparsewht.experiments import ExperimentConfig, nominal_sample_count, run_trial
 from sparsewht.frontend import SubsamplingPlan, build_offsets, build_plan, observe
 from sparsewht.gf2 import selection_matrix
@@ -113,7 +113,7 @@ def test_criterion_03_golden_worked_instance():
     sums_ok = (np.array_equal(obs.data[0, :, 0], GOLDEN_BINS_G1)
                and np.array_equal(obs.data[1, :, 0], GOLDEN_BINS_G2))
     cfg = DetectorConfig(zero_tol=1e-9 * 4.0 * 4.0)
-    recovered, report = decode(obs, plan, offsets, make_detector(plan, offsets, cfg))
+    recovered, report = decode(obs, plan, offsets, cfg)
     decode_ok = recovered.entries == spectrum.entries and not report.stalled
     _report(3, "golden worked instance", sums_ok and decode_ok,
             f"eight aliasing sums exact={sums_ok}, all four decoded={decode_ok}")

@@ -9,8 +9,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import sparsewht
-from sparsewht import kernels
+from sparsewht import bin_detect, build_offsets, build_plan, build_regular_ldpc, kernels
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -40,6 +42,29 @@ def test_benchmark_recorders_install_and_uninstall(monkeypatch):
             recorder.uninstall()
         assert all(w is o for w, o in zip(wrapped, originals))
         assert all(getattr(owner, attr) is o for (owner, attr, _, _), o in zip(recorder.points, originals))
+
+
+def test_detector_hooks_count_each_kind(monkeypatch):
+    # the layer recorder counts each one-column detection by its kind
+    pipeline = _load_pipeline(monkeypatch)
+    recorder = pipeline.layer_recorder()
+    rng = np.random.default_rng(0)
+    plan = build_plan(8, 4, profile="benchmark")
+    offsets = {v: build_offsets(v, plan, code=build_regular_ldpc(8, rng) if v == "so" else None, rng=rng)
+               for v in ("noiseless", "near-linear", "nso", "so")}
+    zero = {v: np.zeros(len(o.rows_u64(0))) for v, o in offsets.items()}
+    cfg = bin_detect.DetectorConfig()
+    recorder.install()
+    try:
+        recorder.begin(0)
+        bin_detect.detect_noiseless(zero["noiseless"], 0, 0, plan, cfg)
+        bin_detect.detect_near_linear(zero["near-linear"], 0, 0, plan, offsets["near-linear"], cfg)
+        bin_detect.detect_nso(zero["nso"], 0, 0, plan, offsets["nso"], cfg)
+        bin_detect.detect_so(zero["so"], 0, 0, plan, offsets["so"], cfg)
+    finally:
+        recorder.uninstall()
+    assert recorder.counts["bin_detect.calls"] == 4
+    assert recorder.counts["bin_detect.zero_ton"] == 4
 
 
 def test_backend_name_resolves():

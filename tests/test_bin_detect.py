@@ -6,6 +6,7 @@ import pytest
 
 from sparsewht import NoisyAccess, crossover_bound, draw_spectrum, sigma_for_snr
 from sparsewht.bin_detect import (
+    DETECTORS,
     MULTI_TON,
     SINGLE_TON,
     ZERO_TON,
@@ -13,15 +14,12 @@ from sparsewht.bin_detect import (
     detect_near_linear,
     detect_near_linear_many,
     detect_noiseless,
-    detect_noiseless_many,
     detect_nso,
-    detect_nso_many,
     detect_so,
-    detect_so_many,
     sgn,
 )
 from sparsewht.codes import build_regular_ldpc
-from sparsewht.frontend import SubsamplingPlan, build_offsets, build_plan, observe
+from sparsewht.frontend import VARIANTS, SubsamplingPlan, build_offsets, build_plan, observe
 from sparsewht.gf2 import selection_matrix
 from sparsewht.kernels import sign_matrix
 
@@ -30,6 +28,10 @@ from helpers import bits, golden_plan, seeded_instances
 
 
 NOISELESS_CFG = DetectorConfig(zero_tol=1e-9 * 4.0 * 4.0)
+
+
+def test_detectors_cover_every_variant():
+    assert tuple(DETECTORS) == VARIANTS
 
 
 def test_sgn_convention():
@@ -108,11 +110,12 @@ def test_near_linear_batch_matches_one_column_at_a_time():
     kinds = set()
     for c in range(plan.c_groups):
         block = obs.data[c]
-        js = [0, 2, 3, 5, 6, 7]
-        batch = detect_near_linear_many(block, js, c, plan, offsets, cfg)
+        js = np.array([0, 2, 3, 5, 6, 7])
+        batch = references.as_detections(detect_near_linear_many(block[js], js, c, plan, offsets, cfg), len(js))
         assert batch == [detect_near_linear(block[j], j, c, plan, offsets, cfg) for j in js]
         kinds.update(det.kind for det in batch)
-        assert detect_near_linear_many(block, [], c, plan, offsets, cfg) == []
+        empty = js[:0]
+        assert references.as_detections(detect_near_linear_many(block[empty], empty, c, plan, offsets, cfg), 0) == []
     assert kinds == {ZERO_TON, SINGLE_TON, MULTI_TON}
 
 
@@ -124,9 +127,10 @@ def test_near_linear_batch_matches_one_column_at_a_time():
     ("so", 12, 16, 0.0),
 ])
 def test_batched_detectors_equal_column_loops(monkeypatch, variant, n, k_sparsity, snr_db):
-    # each bin is classified by the batch and by the old one-column loop;
-    # a second block moves every column to the bin j ^ 1, where a
-    # single-ton's index no longer hashes to the bin it sits in
+    # each bin is classified by the batch, by the one-column case of the
+    # batch and by the old one-column loop; a second block moves every
+    # column to the bin j ^ 1, where a single-ton's index no longer hashes
+    # to the bin it sits in
     decodes = []
     loop_bitflip = references.bitflip_decode_loop
 
@@ -139,27 +143,32 @@ def test_batched_detectors_equal_column_loops(monkeypatch, variant, n, k_sparsit
     kinds, moved_singles = set(), 0
     for seed, (_, plan, offsets, cfg, obs, _) in enumerate(
             seeded_instances(variant, n, k_sparsity, snr_db, True, seeds=range(3))):
-        many, loop = {
-            "noiseless": (lambda block, js, c: detect_noiseless_many(block, js, c, plan, cfg),
+        one, loop = {
+            "noiseless": (lambda u, j, c: detect_noiseless(u, j, c, plan, cfg),
                           lambda u, j, c: references.detect_noiseless_loop(u, j, c, plan, cfg)),
-            "nso": (lambda block, js, c: detect_nso_many(block, js, c, plan, offsets, cfg),
+            "nso": (lambda u, j, c: detect_nso(u, j, c, plan, offsets, cfg),
                     lambda u, j, c: references.detect_nso_loop(u, j, c, plan, offsets, cfg)),
-            "so": (lambda block, js, c: detect_so_many(block, js, c, plan, offsets, cfg),
+            "so": (lambda u, j, c: detect_so(u, j, c, plan, offsets, cfg),
                    lambda u, j, c: references.detect_so_loop(u, j, c, plan, offsets, cfg)),
         }[variant]
+
+        def many(cols, js, c):
+            return references.as_detections(DETECTORS[variant](cols, js, c, plan, offsets, cfg), len(js))
+
+        # js holds every bin in order, so row j of a block is the column of bin j
         js = np.arange(plan.bins)
         for c in range(plan.c_groups):
             block = obs.data[c]
-            batch = many(block, js.tolist(), c)
-            assert batch == [loop(block[j], j, c) for j in js]
+            batch = many(block, js, c)
+            assert batch == [loop(block[j], j, c) for j in js] == [one(block[j], j, c) for j in js]
             moved = np.ascontiguousarray(block[js ^ 1])
             moved_batch = many(moved, js, c)
-            assert moved_batch == [loop(moved[j], j, c) for j in js]
+            assert moved_batch == [loop(moved[j], j, c) for j in js] == [one(moved[j], j, c) for j in js]
             # columns of random signs: ties in the sign votes
             signs = np.where(np.random.default_rng(seed).random(block.shape) < 0.5, -1.0, 1.0)
             noise = np.abs(block).mean() * signs
-            assert many(noise, js, c) == [loop(noise[j], j, c) for j in js]
-            assert many(block, [], c) == []
+            assert many(noise, js, c) == [loop(noise[j], j, c) for j in js] == [one(noise[j], j, c) for j in js]
+            assert many(block[:0], js[:0], c) == []
             kinds.update(det.kind for det in batch)
             moved_singles += sum(det.kind == SINGLE_TON and moved_batch[j ^ 1].kind == MULTI_TON
                                  for j, det in enumerate(batch))
@@ -169,8 +178,8 @@ def test_batched_detectors_equal_column_loops(monkeypatch, variant, n, k_sparsit
         # snapping to a grid coarser than every value leaves no single-ton
         coarse = dataclasses.replace(cfg, value_grid=4.0 * np.abs(obs.data).max())
         block = obs.data[0]
-        assert SINGLE_TON in {det.kind for det in detect_noiseless_many(block, js, 0, plan, cfg)}
-        snapped = detect_noiseless_many(block, js, 0, plan, coarse)
+        assert SINGLE_TON in {det.kind for det in many(block, js, 0)}
+        snapped = references.as_detections(DETECTORS["noiseless"](block, js, 0, plan, offsets, coarse), len(js))
         assert snapped == [references.detect_noiseless_loop(block[j], j, 0, plan, coarse) for j in js]
         assert SINGLE_TON not in {det.kind for det in snapped}
     if variant == "so":

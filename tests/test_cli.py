@@ -117,6 +117,17 @@ def test_recover_bad_input_exits_2(tmp_path, capsys, content, extra):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_recover_so_below_code_length_exits_2(tmp_path, capsys):
+    # SO's code needs n >= 6; the error names the flag, the file and its n
+    spec_path = tmp_path / "truth.txt"
+    main(["synth", "--n", "5", "--k", "2", "--out", str(spec_path)])
+    code = main(["recover", "--spectrum", str(spec_path), "--algo", "so", "--snr-db", "10",
+                 "--out", str(tmp_path / "r.txt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --algo so needs n >= 6, but {spec_path} has n=5\n"
+
+
 def test_de_table_command(tmp_path):
     out = tmp_path / "table.csv"
     assert main(["de-table", "--cs", "2", "3", "--out", str(out)]) == 0

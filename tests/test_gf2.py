@@ -5,6 +5,7 @@ from sparsewht.gf2 import (
     BitMatrix,
     DimensionError,
     InconsistentSystemError,
+    eliminate,
     rank_transpose,
     selection_matrix,
     solve_affine,
@@ -12,6 +13,7 @@ from sparsewht.gf2 import (
 )
 from sparsewht.kernels import hash_words, pack_rows, parity_words
 
+import references
 from helpers import bits
 
 
@@ -125,6 +127,26 @@ def test_solve_affine_inconsistent():
     m = BitMatrix.from_rows([0] * 4, 2)  # the 4 x 2 zero matrix
     with pytest.raises(InconsistentSystemError):
         solve_affine(m, 1)
+
+
+def test_eliminate_with_unit_rhs_inverts():
+    # row r of a square matrix with rhs 1 << r: the rhs of pivot p is row p of the inverse
+    rng = np.random.default_rng(14)
+    singular = 0
+    for _ in range(300):
+        q = int(rng.integers(1, 12))
+        dense = rng.integers(0, 2, size=(q, q)).astype(np.uint8)
+        expected = references.gf2_inverse_loop(dense)
+        system = [(int(w), 1 << r) for r, w in enumerate(pack_rows(dense))]
+        if expected is None:
+            singular += 1
+            with pytest.raises(InconsistentSystemError):
+                eliminate(system)
+            continue
+        pivots, rhs = eliminate(system)
+        assert pivots == {p: 1 << p for p in range(q)}
+        assert [rhs[p] for p in range(q)] == pack_rows(expected).tolist()
+    assert 0 < singular < 300
 
 
 def test_span_words():

@@ -11,7 +11,6 @@ from sparsewht.bin_detect import (
     Detection,
     DetectorConfig,
     detect_near_linear,
-    make_detector,
 )
 from sparsewht.frontend import build_offsets, build_plan, observe
 from sparsewht.fwht import densify, fwht
@@ -27,20 +26,20 @@ def _noiseless_setup(spectrum, plan, seed=0):
     offsets = build_offsets("noiseless", plan)
     obs = observe(access, plan, offsets)
     cfg = DetectorConfig(zero_tol=1e-9 * (2.0 ** (plan.n / 2)) * 4.0)
-    return obs, offsets, make_detector(plan, offsets, cfg)
+    return obs, offsets, cfg
 
 
 def test_decode_worked_instance():
     spectrum = golden_spectrum()
     plan = golden_plan()
-    obs, offsets, detector = _noiseless_setup(spectrum, plan)
+    obs, offsets, cfg = _noiseless_setup(spectrum, plan)
     first_sweep = {}
 
     def hook(data, recovered, sweep):
         if sweep == 1:
             first_sweep.update(recovered)
 
-    recovered, report = decode(obs, plan, offsets, detector, sweep_hook=hook)
+    recovered, report = decode(obs, plan, offsets, cfg, sweep_hook=hook)
     assert recovered.entries == spectrum.entries
     assert not report.stalled and report.conflicts == 0
     assert report.residual_energy < 1e-16
@@ -50,8 +49,8 @@ def test_decode_worked_instance():
 
 def test_zero_spectrum_decodes_empty():
     plan = golden_plan()
-    obs, offsets, detector = _noiseless_setup(SparseSpectrum(4, {}), plan)
-    recovered, report = decode(obs, plan, offsets, detector)
+    obs, offsets, cfg = _noiseless_setup(SparseSpectrum(4, {}), plan)
+    recovered, report = decode(obs, plan, offsets, cfg)
     assert recovered.sparsity == 0 and report.sweeps == 1 and report.peels == 0
 
 
@@ -64,8 +63,8 @@ def test_noiseless_recovery_against_dense_oracle():
     for seed in range(500):
         rng = np.random.default_rng(seed)
         spectrum = draw_spectrum(n, k, 1.0, rng)
-        obs, offsets, detector = _noiseless_setup(spectrum, plan, seed=seed)
-        recovered, _ = decode(obs, plan, offsets, detector)
+        obs, offsets, cfg = _noiseless_setup(spectrum, plan, seed=seed)
+        recovered, _ = decode(obs, plan, offsets, cfg)
         # oracle: dense transform of the synthesized signal
         dense_truth = fwht(fwht(densify(spectrum)))  # involution sanity
         truth_entries = {i: v for i, v in enumerate(dense_truth) if abs(v) > 1e-9}
@@ -78,7 +77,7 @@ def test_conservation_of_bin_sums():
     # creates it: sum_j U_{c,p}[j] + sum_k X[k] (-1)^<d_cp,k> is constant
     spectrum = golden_spectrum()
     plan = golden_plan()
-    obs, offsets, detector = _noiseless_setup(spectrum, plan)
+    obs, offsets, cfg = _noiseless_setup(spectrum, plan)
     baseline = obs.data.sum(axis=1)  # (C, P)
     checks = []
 
@@ -91,21 +90,21 @@ def test_conservation_of_bin_sums():
                 current[c] += v * signs
         checks.append(np.max(np.abs(current - baseline)))
 
-    decode(obs, plan, offsets, detector, sweep_hook=hook)
+    decode(obs, plan, offsets, cfg, sweep_hook=hook)
     assert checks and max(checks) < 1e-8
 
 
 def test_idempotent_on_peeled_tensor():
     spectrum = golden_spectrum()
     plan = golden_plan()
-    obs, offsets, detector = _noiseless_setup(spectrum, plan)
-    recovered, _ = decode(obs, plan, offsets, detector)
+    obs, offsets, cfg = _noiseless_setup(spectrum, plan)
+    recovered, _ = decode(obs, plan, offsets, cfg)
     for k, v in recovered.entries.items():
         for c in range(plan.c_groups):
             j = references.bin_of_loop(plan, c, k)
             signs = sign_matrix(np.array([k], dtype=np.uint64), offsets.rows_u64(c))[0]
             obs.data[c, j] -= v * signs
-    again, report = decode(obs, plan, offsets, detector)
+    again, report = decode(obs, plan, offsets, cfg)
     assert again.sparsity == 0 and report.peels == 0
 
 
@@ -113,10 +112,10 @@ def test_decode_deterministic():
     n, k = 10, 8
     plan = build_plan(n, k, regime="window")
     spectrum = draw_spectrum(n, k, 1.0, np.random.default_rng(123))
-    obs1, offsets, detector = _noiseless_setup(spectrum, plan, seed=9)
+    obs1, offsets, cfg = _noiseless_setup(spectrum, plan, seed=9)
     obs2, _, _ = _noiseless_setup(spectrum, plan, seed=9)
-    r1, rep1 = decode(obs1, plan, offsets, detector)
-    r2, rep2 = decode(obs2, plan, offsets, detector)
+    r1, rep1 = decode(obs1, plan, offsets, cfg)
+    r2, rep2 = decode(obs2, plan, offsets, cfg)
     assert r1.entries == r2.entries and rep1 == rep2
 
 
@@ -129,8 +128,8 @@ def test_phantom_peel_self_heals():
     hit = None
     for seed in range(40):
         spectrum = draw_spectrum(n, k, 1.0, np.random.default_rng(seed))
-        obs, offsets, detector = _noiseless_setup(spectrum, plan, seed=seed)
-        recovered, report = decode(obs, plan, offsets, detector)
+        obs, offsets, cfg = _noiseless_setup(spectrum, plan, seed=seed)
+        recovered, report = decode(obs, plan, offsets, cfg)
         if report.conflicts > 0 and recovered.entries == spectrum.entries:
             hit = seed
             break
@@ -140,8 +139,8 @@ def test_phantom_peel_self_heals():
 def test_max_iters_caps_sweeps():
     spectrum = golden_spectrum()
     plan = golden_plan()
-    obs, offsets, detector = _noiseless_setup(spectrum, plan)
-    _, report = decode(obs, plan, offsets, detector, max_iters=1)
+    obs, offsets, cfg = _noiseless_setup(spectrum, plan)
+    _, report = decode(obs, plan, offsets, cfg, max_iters=1)
     assert report.sweeps == 1
 
 
@@ -163,8 +162,8 @@ def test_report_json_round_trip():
 
     spectrum = golden_spectrum()
     plan = golden_plan()
-    obs, offsets, detector = _noiseless_setup(spectrum, plan)
-    _, report = decode(obs, plan, offsets, detector)
+    obs, offsets, cfg = _noiseless_setup(spectrum, plan)
+    _, report = decode(obs, plan, offsets, cfg)
     parsed = json.loads(report.to_json())
     assert set(parsed) == {"sweeps", "peels", "conflicts", "stalled",
                            "residual_energy", "samples_used"}
@@ -251,8 +250,7 @@ def test_batched_decode_equals_one_bin_at_a_time(variant, n, k, snr_db, constell
     recovered_supports = 0
     for spectrum, plan, offsets, cfg, obs, stall_energy in seeded_instances(
             variant, n, k, snr_db, constellation):
-        recovered, report = decode(obs, plan, offsets, make_detector(plan, offsets, cfg),
-                                   max_iters=2 * k + 10, stall_energy=stall_energy)
+        recovered, report = decode(obs, plan, offsets, cfg, max_iters=2 * k + 10, stall_energy=stall_energy)
         expected, expected_report = _reference_decode(obs, plan, offsets,
                                                       _column_detector(variant, plan, offsets, cfg),
                                                       2 * k + 10, stall_energy)
@@ -275,8 +273,7 @@ def test_nso_continuous_decode_matches_loop():
     recovered_supports = 0
     for spectrum, plan, offsets, cfg, obs, stall_energy in seeded_instances(
             "nso", 12, 10, 20.0, False):
-        recovered, report = decode(obs, plan, offsets, make_detector(plan, offsets, cfg),
-                                   max_iters=30, stall_energy=stall_energy)
+        recovered, report = decode(obs, plan, offsets, cfg, max_iters=30, stall_energy=stall_energy)
         expected, expected_report = _reference_decode(obs, plan, offsets,
                                                       _column_detector("nso", plan, offsets, cfg),
                                                       30, stall_energy)
@@ -296,8 +293,7 @@ def test_near_linear_decode_matches_coset_enumeration(n, k, snr_db, constellatio
     recovered_supports = 0
     for spectrum, plan, offsets, cfg, obs, stall_energy in seeded_instances(
             "near-linear", n, k, snr_db, constellation, seeds=range(4)):
-        recovered, report = decode(obs, plan, offsets, make_detector(plan, offsets, cfg),
-                                   max_iters=2 * k + 10, stall_energy=stall_energy)
+        recovered, report = decode(obs, plan, offsets, cfg, max_iters=2 * k + 10, stall_energy=stall_energy)
         enumerate_cosets = lambda u, j, c: _coset_enumeration_near_linear(u, j, c, plan, offsets, cfg)
         expected, expected_report = _reference_decode(obs, plan, offsets, enumerate_cosets,
                                                       2 * k + 10, stall_energy)
