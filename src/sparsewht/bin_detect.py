@@ -60,13 +60,14 @@ _MULTI = Detection(MULTI_TON)
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Thresholds shared by the robust detectors.
+    """Thresholds shared by the detectors and the decoder's stall flag.
 
     ``gamma`` is the verification slack (must sit in (0, SNR/2));
     ``nu2`` the per-entry bin noise variance N sigma^2 / B; ``rho`` the
     constellation amplitude. ``zero_tol`` serves the exact noiseless
     tests, and ``value_grid`` optionally snaps detected values to a
     lattice (used by the integer-valued cut-sketching path).
+    :meth:`for_noise` derives the thresholds from the noise level.
     """
 
     gamma: float = 1.0
@@ -75,12 +76,29 @@ class DetectorConfig:
     constellation: bool = True
     zero_tol: float = 0.0
     value_grid: float | None = None
-    decode_rounds: int = 30
 
     @staticmethod
     def default_gamma(snr_linear: float) -> float:
         # centered inside the valid window (0, SNR/2)
         return min(1.0, snr_linear / 4.0)
+
+    @classmethod
+    def for_noise(cls, n: int, bins: int, sigma: float, rho: float, snr_linear: float | None,
+                  constellation: bool = True) -> "DetectorConfig":
+        """Thresholds for B = ``bins`` bins of N = 2^n samples with noise
+        ``sigma`` at linear SNR ``snr_linear`` (None: noise-free): nu^2 =
+        N sigma^2 / B floored at (1e-9 rho)^2, gamma from :meth:`default_gamma`
+        (1 when noise-free), and zero_tol = 1e-9 sqrt(N) rho for round-off."""
+        size = 1 << n
+        return cls(gamma=1.0 if snr_linear is None else cls.default_gamma(snr_linear),
+                   nu2=max(size * sigma * sigma / bins, (1e-9 * rho) ** 2), rho=rho,
+                   constellation=constellation, zero_tol=1e-9 * math.sqrt(size) * rho)
+
+    @property
+    def zero_ton_level(self) -> float:
+        """The larger zero-ton level of mean bin energy: (1 + gamma) nu^2
+        (robust detectors) or zero_tol^2 (noiseless); ``decode``'s stall level."""
+        return max((1.0 + self.gamma) * self.nu2, self.zero_tol**2)
 
 
 def sgn(x: float) -> int:
@@ -206,7 +224,7 @@ def detect_so_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg:
     u = cols[live]
     neg = u < 0
     ref = neg[:, offsets.layout["reference"]]
-    bits, decoded = codes.bitflip_decode_many(code, neg[:, c0:c1] ^ ref[:, None], cfg.decode_rounds)
+    bits, decoded = codes.bitflip_decode_many(code, neg[:, c0:c1] ^ ref[:, None])
     k_words = kernels.pack_rows(bits[:, : code.n_info])
     values, single = _confirm(u[:, r0:r1], offsets.rows_u64(c)[r0:r1], k_words, js[live], c, plan, cfg)
     return live, k_words, values, decoded & single

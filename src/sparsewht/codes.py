@@ -21,6 +21,7 @@ from . import gf2, kernels
 
 
 MIN_INFO_BITS = 6  # the smallest information length a (3,6)-regular code is built for
+DECODE_ROUNDS = 30  # bit-flip rounds before a received word counts as undecodable
 
 
 class CodeConstructionError(RuntimeError):
@@ -157,7 +158,7 @@ def build_regular_ldpc(n_info: int, rng, max_retries: int = 200) -> LdpcCode:
     raise CodeConstructionError(f"no valid (3,6) code after {max_retries} attempts")
 
 
-def bitflip_decode_many(code: LdpcCode, bits, max_rounds: int = 30):
+def bitflip_decode_many(code: LdpcCode, bits, max_rounds: int = DECODE_ROUNDS):
     """Gallager bit flipping on every received word (row) of ``bits`` at once.
 
     Each round computes every row's syndrome and flips, in each row that
@@ -185,7 +186,7 @@ def bitflip_decode_many(code: LdpcCode, bits, max_rounds: int = 30):
     return words, ~failing
 
 
-def bitflip_decode(code: LdpcCode, bits, max_rounds: int = 30):
+def bitflip_decode(code: LdpcCode, bits, max_rounds: int = DECODE_ROUNDS):
     """The one-word case of :func:`bitflip_decode_many` on a 0/1 array;
     returns the information word as an int, or None when decoding fails."""
     bits = np.asarray(bits, dtype=np.uint8)

@@ -1,11 +1,12 @@
 """Seeded Monte-Carlo sweeps: success-vs-SNR curves and scaling runs.
 
 ``recover`` is the one recovery pipeline; the trials here and the
-``recover`` command both run it. Every trial derives its own generator
-streams from (seed, trial index), so results are reproducible and
-independent of how trials are distributed over workers. Runtime covers
-observation generation plus decoding only; drawing the spectrum and the
-noise realization is excluded.
+``recover`` command both run it, on the benchmark plan with thresholds
+derived from the noise level. A trial draws a +/-1 spectrum and derives
+its own generator streams from (seed, trial index), so results are
+reproducible and independent of how trials are distributed over
+workers. Runtime covers observation generation plus decoding only;
+drawing the spectrum and the noise realization is excluded.
 """
 from __future__ import annotations
 
@@ -39,23 +40,16 @@ class ExperimentConfig:
     trials: int = 200
     seed: int = 0
     success_threshold: float = 0.95
-    rho: float = 1.0
-    profile: str = "benchmark"
-    p1: int | None = None
-    gamma: float | None = None
-    decode_rounds: int = 30
     workers: int = 1
 
     def validate(self) -> "ExperimentConfig":
-        for name, low in (("trials", 1), ("seed", 0), ("decode_rounds", 0), ("workers", 1), ("p1", 1)):
+        for name, low in (("trials", 1), ("seed", 0), ("workers", 1)):
             value = getattr(self, name)
             # type(), not isinstance(): a JSON true or false is a bool, an int subclass
-            if not ((type(value) is int and value >= low) or (name == "p1" and value is None)):
+            if not (type(value) is int and value >= low):
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        for name in ("rho", "success_threshold", "gamma"):
-            value = getattr(self, name)
-            if not (type(value) in (int, float) or (name == "gamma" and value is None)):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not (type(self.success_threshold) in (int, float) and 0 < self.success_threshold <= 1):
+            raise ConfigError(f"success_threshold must be a number in (0, 1], got {self.success_threshold!r}")
         if not all(v is None or (type(v) in (int, float) and math.isfinite(v)) for v in self.snr_db_values or ()):
             raise ConfigError(f"snr_db_values must be finite numbers or null, got {list(self.snr_db_values)}")
         if self.algorithm not in frontend.VARIANTS:
@@ -66,12 +60,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must list one or more positive integers, got {values!r}")
         if self.algorithm == "so" and min(self.n_values) < codes.MIN_INFO_BITS:
             raise ConfigError(f"n_values must be >= {codes.MIN_INFO_BITS} for so, got {list(self.n_values)}")
-        if self.profile not in ("benchmark", "theory"):
-            raise ConfigError("profile must be 'benchmark' or 'theory'")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ConfigError("gamma must be > 0 or unset")
-        if not 0 < self.success_threshold <= 1:
-            raise ConfigError("success_threshold must be in (0, 1]")
         return self
 
     @classmethod
@@ -102,23 +90,12 @@ class TrialResult:
     conflicts: int
 
 
-def nominal_sample_count(algorithm: str, n: int, k: int, c_groups: int = 3, p1: int | None = None) -> int:
-    """The configured sample-cost formula value C * B * P_nominal.
-
-    NSO modulates each of its P1 base rows by the n unit offsets; SO
-    counts P1 random rows, n zero-offset rows (stored once, see
-    ``frontend.OffsetPlan``) and the 2n coded rows.
-    """
-    bins = 1 << max(1, math.ceil(math.log2(k)))
-    if algorithm == "nso":
-        return c_groups * bins * (p1 or 2 * n) * n
-    if algorithm == "so":
-        return c_groups * bins * ((p1 or n) + n + 2 * n)
-    if algorithm == "noiseless":
-        return c_groups * bins * (n + 1)
-    if algorithm == "near-linear":
-        return c_groups * bins * (p1 or 3 * n)
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
+def nominal_sample_count(algorithm: str, n: int, k: int) -> int:
+    """The sample-cost formula value C B P of ``recover``'s design: C
+    groups of B bins from ``frontend.benchmark_shape`` and P offset rows
+    per group from ``frontend.nominal_rows``."""
+    c_groups, b = frontend.benchmark_shape(k)
+    return c_groups * (1 << b) * frontend.nominal_rows(algorithm, n)
 
 
 def noise_sigma(rho: float, k: int, n: int, snr_db: float | None) -> float:
@@ -130,36 +107,27 @@ def noise_sigma(rho: float, k: int, n: int, snr_db: float | None) -> float:
 
 
 def recover(access, k: int, algorithm: str, *, snr_db: float | None, rho: float,
-            constellation: bool = True, rng_offsets, rng_code, profile: str = "benchmark",
-            p1: int | None = None, gamma: float | None = None, decode_rounds: int = 30):
+            constellation: bool = True, rng_offsets, rng_code):
     """Hash, classify and peel a K-sparse spectrum read through ``access``.
 
-    The detector thresholds follow from the noise level: the per-bin noise
-    variance nu^2 = N sigma^2 / B (floored for noise-free runs), the slack
-    ``gamma`` (default: centred in its valid window for ``snr_db``) and a
-    stall level of C B (1 + gamma) nu^2 of residual energy. ``constellation``
-    says whether every coefficient is +/-``rho`` or the values are
-    continuous. Returns ``(spectrum, report, obs, runtime_ns)``;
-    ``runtime_ns`` covers observing and decoding only, not the set-up.
+    The plan is the benchmark design for K, and the offsets take their
+    default row counts. ``DetectorConfig.for_noise`` derives every
+    threshold from the noise level of amplitude ``rho`` at ``snr_db``
+    (None: noise-free), the stall level included. ``constellation`` says
+    whether every coefficient is +/-``rho`` or the values are continuous.
+    Returns ``(spectrum, report, obs, runtime_ns)``; ``runtime_ns``
+    covers observing and decoding only, not the set-up.
     """
     n = access.n
-    size = 1 << n
-    sigma = noise_sigma(rho, k, n, snr_db)
-    plan = frontend.build_plan(n, max(k, 1), profile=profile)
+    plan = frontend.build_plan(n, max(k, 1), profile="benchmark")
     code = codes.build_regular_ldpc(n, rng_code) if algorithm == "so" else None
-    offsets = frontend.build_offsets(algorithm, plan, p1=p1, code=code, rng=rng_offsets)
-
-    nu2 = max(size * sigma * sigma / plan.bins, (1e-9 * rho) ** 2)
-    if gamma is None:
-        gamma = 1.0 if snr_db is None else DetectorConfig.default_gamma(snr_from_db(snr_db))
-    cfg = DetectorConfig(gamma=gamma, nu2=nu2, rho=rho, constellation=constellation,
-                         zero_tol=1e-9 * math.sqrt(size) * rho, decode_rounds=decode_rounds)
-    stall_energy = plan.c_groups * plan.bins * (1.0 + gamma) * nu2
+    offsets = frontend.build_offsets(algorithm, plan, code=code, rng=rng_offsets)
+    cfg = DetectorConfig.for_noise(n, plan.bins, noise_sigma(rho, k, n, snr_db), rho,
+                                   None if snr_db is None else snr_from_db(snr_db), constellation)
 
     t0 = time.perf_counter_ns()
     obs = frontend.observe(access, plan, offsets)
-    recovered, report = peeling.decode(obs, plan, offsets, cfg,
-                                       max_iters=2 * k + 10, stall_energy=stall_energy)
+    recovered, report = peeling.decode(obs, plan, offsets, cfg, max_iters=2 * k + 10)
     return recovered, report, obs, time.perf_counter_ns() - t0
 
 
@@ -168,13 +136,11 @@ def run_trial(config: ExperimentConfig, n: int, k: int, snr_db: float | None, tr
     ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(n, k, trial))
     rng_spec, rng_noise, rng_offsets, rng_code = (np.random.default_rng(s) for s in ss.spawn(4))
 
-    spectrum = draw_spectrum(n, k, config.rho, rng_spec)
-    access = NoisyAccess(spectrum, noise_sigma(config.rho, k, n, snr_db), rng_noise)
+    spectrum = draw_spectrum(n, k, 1.0, rng_spec)
+    access = NoisyAccess(spectrum, noise_sigma(1.0, k, n, snr_db), rng_noise)
     access.prepare()
-    recovered, report, obs, runtime_ns = recover(
-        access, k, config.algorithm, snr_db=snr_db, rho=config.rho, rng_offsets=rng_offsets,
-        rng_code=rng_code, profile=config.profile, p1=config.p1, gamma=config.gamma,
-        decode_rounds=config.decode_rounds)
+    recovered, report, obs, runtime_ns = recover(access, k, config.algorithm, snr_db=snr_db, rho=1.0,
+                                                 rng_offsets=rng_offsets, rng_code=rng_code)
 
     check = peeling.verify_support(recovered, spectrum)
     return TrialResult(check.support_match, check.values_match, runtime_ns,
@@ -236,7 +202,7 @@ def run_scaling_sweep(config: ExperimentConfig) -> list:
                 "algorithm": config.algorithm,
                 "success_rate": rate,
                 "samples": float(np.mean([r.samples_distinct for r in results])),
-                "nominal_samples": nominal_sample_count(config.algorithm, n, k, p1=config.p1),
+                "nominal_samples": nominal_sample_count(config.algorithm, n, k),
                 "runtime_ns": float(np.mean([r.runtime_ns for r in results])),
                 "meets_threshold": int(rate >= config.success_threshold),
             })

@@ -16,13 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gf2, kernels
-
-# minimum redundancy B/K that lets peeling finish, by group count
-MIN_REDUNDANCY = {2: 1.0000, 3: 0.4073, 4: 0.3237, 5: 0.2850, 6: 0.2616, 8: 0.2336}
+from . import analysis, gf2, kernels
 
 REGIMES = ("window", "cyclic-drop", "common-prefix-6", "common-prefix-8", "common-prefix-dense")
 VARIANTS = ("noiseless", "near-linear", "nso", "so")
+# random offset rows per bit of n that each randomized variant draws by default
+_P1_PER_BIT = {"near-linear": 3, "nso": 2, "so": 1}
 
 
 class PlanError(ValueError):
@@ -139,6 +138,19 @@ def _common_prefix_plan(n: int, b_req: int, groups_kept: list, n_segments: int, 
     return SubsamplingPlan(n, b, len(groups_kept), tuple(matrices), regime)
 
 
+def _min_redundancy(c_groups: int) -> float:
+    """The least redundancy B/K at which peeling over C groups finishes,
+    eta*(C) rounded to the four places of the published table: unrounded,
+    it would move b = ceil(log2(eta K)) at 557 values of K below 2^20."""
+    return round(analysis.min_eta(c_groups), 4)
+
+
+def benchmark_shape(k: int) -> tuple:
+    """(C, b) of the benchmark design for sparsity K: three groups of
+    B = 2^b bins with b = ceil(log2 K), at least 1."""
+    return 3, max(1, math.ceil(math.log2(k)))
+
+
 # which equal-size segments each group's hash keeps (1-based), before the
 # shared prefix segment that every hash keeps
 _KEPT_6 = [(2, 3), (1, 3), (1, 2), (5, 6), (4, 6), (4, 5)]
@@ -160,8 +172,8 @@ def build_plan(n: int, k: int, regime: str = "auto", profile: str = "theory",
     delta = math.log2(max(k, 2)) / n
 
     if profile == "benchmark":
-        c = c_groups or 3
-        b = b or max(1, math.ceil(math.log2(k)))
+        shape_c, shape_b = benchmark_shape(k)
+        c, b = c_groups or shape_c, b or shape_b
         if b >= n:
             raise PlanError("benchmark profile needs b < n")
         spread = c * b > n
@@ -184,7 +196,7 @@ def build_plan(n: int, k: int, regime: str = "auto", profile: str = "theory",
 
     if regime == "window":
         c = c_groups or 3
-        b = b or max(1, math.ceil(math.log2(MIN_REDUNDANCY.get(c, MIN_REDUNDANCY[3]) * k)))
+        b = b or max(1, math.ceil(math.log2(_min_redundancy(c) * k)))
         if c * b > n:
             raise PlanError(f"window regime needs C*b <= n (C={c}, b={b}, n={n})")
         mats = tuple(gf2.selection_matrix(n, pos) for pos in _window_positions(n, b, c, spread=False))
@@ -202,15 +214,15 @@ def build_plan(n: int, k: int, regime: str = "auto", profile: str = "theory",
         return SubsamplingPlan(n, (c - 1) * t, c, tuple(mats), "cyclic-drop")
 
     if regime == "common-prefix-6":
-        b_req = max(1, math.ceil(math.log2(MIN_REDUNDANCY[6] * k)))
+        b_req = max(1, math.ceil(math.log2(_min_redundancy(6) * k)))
         return _common_prefix_plan(n, b_req, [list(g) for g in _KEPT_6], 6, regime)
 
     if regime == "common-prefix-8":
-        b_req = max(1, math.ceil(math.log2(MIN_REDUNDANCY[8] * k)))
+        b_req = max(1, math.ceil(math.log2(_min_redundancy(8) * k)))
         return _common_prefix_plan(n, b_req, [list(g) for g in _KEPT_8], 8, regime)
 
     if regime == "common-prefix-dense":
-        b_req = max(1, math.ceil(math.log2(MIN_REDUNDANCY[8] * k)))
+        b_req = max(1, math.ceil(math.log2(_min_redundancy(8) * k)))
         kept = [[s for s in range(1, 9) if s != drop] for drop in range(1, 9)]
         return _common_prefix_plan(n, b_req, kept, 8, regime)
 
@@ -222,11 +234,8 @@ class OffsetPlan:
     """Per-group offset matrices D_c, stored as packed row words.
 
     ``layout`` names each row role once, by row index or range;
-    ``nominal_rows`` is the row count entering the sample-cost formulas
-    (P1 n for NSO, P1 + 3n for SO, the stored row count otherwise). SO's
-    formula counts n zero-offset reads, as in the paper's design; the
-    plan stores that row once, since every read of a position returns
-    the same sample. ``code`` is the LDPC code SO's detector decodes.
+    ``nominal_rows`` is the row count entering the sample-cost formula
+    (:func:`nominal_rows`). ``code`` is the LDPC code SO's detector decodes.
     """
 
     variant: str
@@ -242,6 +251,16 @@ class OffsetPlan:
 
     def rows_u64(self, c: int) -> np.ndarray:
         return self.groups[c]
+
+
+def nominal_rows(variant: str, n: int, p1: int | None = None) -> int:
+    """Offset rows per group in the sample cost C B P: n + 1 (noiseless),
+    p1 (near-linear), p1 n (NSO) and p1 + 3n (SO, which counts n reads of
+    its one stored zero-offset row, as in the paper's design)."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    p1 = p1 or _P1_PER_BIT.get(variant, 0) * n
+    return {"noiseless": n + 1, "near-linear": p1, "nso": p1 * n, "so": p1 + 3 * n}[variant]
 
 
 def _random_words(n: int, count: int, rng) -> np.ndarray:
@@ -260,25 +279,23 @@ def build_offsets(variant: str, plan: SubsamplingPlan, p1: int | None = None, co
         the 2n generator rows of the rate-1/2 code.
     """
     n = plan.n
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    nominal = nominal_rows(variant, n, p1)
     if variant == "noiseless":
         words = np.zeros(n + 1, dtype=np.uint64)
         words[1:] = np.uint64(1) << np.arange(n, dtype=np.uint64)
         groups = tuple(words.copy() for _ in range(plan.c_groups))
         layout = {"reference": 0, "units": (1, n + 1)}
-        return OffsetPlan(variant, n, groups, layout, n + 1)
+        return OffsetPlan(variant, n, groups, layout, nominal)
 
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    p1 = p1 or _P1_PER_BIT[variant] * n
 
     if variant == "near-linear":
-        p1 = p1 or 3 * n
         groups = tuple(_random_words(n, p1, rng) for _ in range(plan.c_groups))
         layout = {"random": (0, p1)}
-        return OffsetPlan(variant, n, groups, layout, p1)
+        return OffsetPlan(variant, n, groups, layout, nominal)
 
     if variant == "nso":
-        p1 = p1 or 2 * n
         groups = []
         for _ in range(plan.c_groups):
             base = _random_words(n, p1, rng)
@@ -286,21 +303,20 @@ def build_offsets(variant: str, plan: SubsamplingPlan, p1: int | None = None, co
             blocks = base[:, None] ^ units[None, :]
             groups.append(np.concatenate([base, blocks.reshape(-1)]))
         layout = {"base": (0, p1)}
-        return OffsetPlan(variant, n, tuple(groups), layout, p1 * n)
+        return OffsetPlan(variant, n, tuple(groups), layout, nominal)
 
     # so
     if code is None:
         raise ValueError("so offsets require a linear code")
     if code.n_info != n:
         raise ValueError(f"code has {code.n_info} information bits, plan needs {n}")
-    p1 = p1 or n
     coded = np.array(code.generator_rows(), dtype=np.uint64)
     groups = []
     for _ in range(plan.c_groups):
         rand = _random_words(n, p1, rng)
         groups.append(np.concatenate([rand, np.zeros(1, dtype=np.uint64), coded]))
     layout = {"random": (0, p1), "reference": p1, "coded": (p1 + 1, p1 + 1 + code.n_block)}
-    return OffsetPlan("so", n, tuple(groups), layout, p1 + n + code.n_block, code=code)
+    return OffsetPlan("so", n, tuple(groups), layout, nominal, code=code)
 
 
 @dataclass

@@ -45,11 +45,6 @@ class SupportCheck:
         return self.support_match
 
 
-def _per_bin_energy(data: np.ndarray) -> np.ndarray:
-    # per-bin mean square over offset rows, comparable to nu^2
-    return (data * data).mean(axis=2)
-
-
 def _peel(data: np.ndarray, plan, offsets, k_words: np.ndarray, values: np.ndarray, pending: np.ndarray) -> None:
     """Subtract the single-tons (k_words, values) from their bin in every
     group and mark those bins pending. ``np.subtract.at`` applies repeated
@@ -61,8 +56,7 @@ def _peel(data: np.ndarray, plan, offsets, k_words: np.ndarray, values: np.ndarr
         pending[c2, j2] = True
 
 
-def decode(obs, plan, offsets, cfg, max_iters: int | None = None,
-           stall_energy: float | None = None, sweep_hook=None):
+def decode(obs, plan, offsets, cfg, max_iters: int | None = None, sweep_hook=None):
     """Run peeling until fixed point; returns (spectrum, report).
 
     Each group's pending bins, in increasing bin order, go to the
@@ -75,8 +69,8 @@ def decode(obs, plan, offsets, cfg, max_iters: int | None = None,
     bin at a time: a coefficient hashes to exactly one bin per group and
     a single-ton is only reported for its own bin, so a peel made during
     group c's pass never changes another bin of group c.
-    ``stall_energy`` is the residual-energy level above which a stopped
-    decode is flagged as stalled (defaults to a float-noise allowance).
+    A stopped decode is flagged as stalled when the residual energy
+    summed over the C B bins exceeds C B ``cfg.zero_ton_level``.
     ``max_iters`` caps the sweep count (default 2 C B + 10).
     """
     detect = bin_detect.DETECTORS[offsets.variant]
@@ -118,13 +112,9 @@ def decode(obs, plan, offsets, cfg, max_iters: int | None = None,
         if sweep_peels == 0:
             break
 
-    per_bin = _per_bin_energy(data)
-    report.residual_energy = float(per_bin.sum())
-    if stall_energy is None:
-        # without a configured noise allowance, take the median bin as the
-        # floor: stuck bins sit far above it, a clean noisy residual does not
-        stall_energy = c_groups * bins * max(1e-12, 4.0 * float(np.median(per_bin)))
-    report.stalled = report.residual_energy > stall_energy
+    # each bin's mean square over its offset rows is comparable to nu^2
+    report.residual_energy = float((data * data).mean(axis=2).sum())
+    report.stalled = report.residual_energy > c_groups * bins * cfg.zero_ton_level
     return SparseSpectrum(obs.n, recovered), report
 
 

@@ -15,7 +15,7 @@ Vertices are numbered 1..n and vertex i maps to index position i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -258,20 +258,21 @@ def reconstruct_edges(spectrum: SparseSpectrum, tol: float = 1e-9):
 
 
 def sketch_recover(source, n: int | None = None, sparsity_budget: int = 1, seed: int = 0,
-                   coeff_resolution: float | None = None, c_groups: int = 3) -> SketchResult:
+                   coeff_resolution: float | None = None) -> SketchResult:
     """Recover the cut spectrum (and, when possible, the edges) by the
     sparse-transform pipeline over the noiseless cut oracle.
 
     ``sparsity_budget`` must dominate the true spectral sparsity (at most
     s 2^(d-1) for s edges of size at most d); ``coeff_resolution`` snaps
     recovered coefficients to multiples of it (2^(1-d) for cut spectra).
-    Structured supports are not uniformly spread, so the subsampling
-    matrices here are drawn random full-column-rank.
+    The plan has the benchmark shape for the budget, but structured
+    supports are not uniformly spread, so its matrices are drawn random
+    full-column-rank.
     """
     access = CutQueryAccess(source, n)
     n = access.n
     rng = np.random.default_rng(seed)
-    b = max(1, math.ceil(math.log2(max(2, sparsity_budget))))
+    c_groups, b = frontend.benchmark_shape(max(2, sparsity_budget))
     if b >= n:
         raise ValueError("sparsity budget needs b < n")
     mats = tuple(gf2.random_full_column_rank(n, b, rng) for _ in range(c_groups))
@@ -279,13 +280,9 @@ def sketch_recover(source, n: int | None = None, sparsity_budget: int = 1, seed:
     offsets = frontend.build_offsets("noiseless", plan)
     obs = frontend.observe(access, plan, offsets)
     root_n = math.sqrt(2.0**n)
-    cfg = DetectorConfig(
-        zero_tol=1e-9 * root_n,
-        constellation=False,
-        value_grid=None if coeff_resolution is None else coeff_resolution * root_n,
-    )
-    machine, report = peeling.decode(obs, plan, offsets, cfg,
-                                     stall_energy=c_groups * plan.bins * cfg.zero_tol**2)
+    cfg = replace(DetectorConfig.for_noise(n, plan.bins, 0.0, 1.0, None, constellation=False),
+                  value_grid=None if coeff_resolution is None else coeff_resolution * root_n)
+    machine, report = peeling.decode(obs, plan, offsets, cfg)
     entries = {k: v / root_n for k, v in machine.entries.items()}
     if coeff_resolution is not None:
         entries = {k: round(v / coeff_resolution) * coeff_resolution for k, v in entries.items()}

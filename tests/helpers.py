@@ -41,7 +41,8 @@ GOLDEN_BINS_G2 = np.array([0.0, 1.0, 6.0, 1.0])
 
 
 def seeded_instances(variant, n, k, snr_db, constellation, seeds=range(6)):
-    """Seeded observations with the detector settings of the benchmark."""
+    """Seeded observations with the detector settings of the benchmark:
+    (spectrum, plan, offsets, cfg, obs) per seed."""
     plan = build_plan(n, k, profile="benchmark")
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -51,9 +52,5 @@ def seeded_instances(variant, n, k, snr_db, constellation, seeds=range(6)):
         access = NoisyAccess(spectrum, sigma, rng)
         code = build_regular_ldpc(n, rng) if variant == "so" else None
         offsets = build_offsets(variant, plan, code=code, rng=rng)
-        nu2 = max((1 << n) * sigma * sigma / plan.bins, 1e-18)
-        cfg = DetectorConfig(gamma=1.0 if snr is None else DetectorConfig.default_gamma(snr), nu2=nu2,
-                             constellation=constellation, zero_tol=1e-9 * 2 ** (n / 2))
-        obs = observe(access, plan, offsets)
-        stall_energy = plan.c_groups * plan.bins * (1.0 + cfg.gamma) * nu2
-        yield spectrum, plan, offsets, cfg, obs, stall_energy
+        cfg = DetectorConfig.for_noise(n, plan.bins, sigma, 1.0, snr, constellation)
+        yield spectrum, plan, offsets, cfg, observe(access, plan, offsets)

@@ -1,5 +1,5 @@
 """Loop references for the hash, the encoder, the batched detectors, the
-bit-flip decoder and LDPC set-up.
+bit-flip decoder, the stall level and LDPC set-up.
 
 These are the one-column (and one-word) bodies the library ran before it
 classified a group's bins in one call and before it carried indices only
@@ -9,6 +9,7 @@ against independent code rather than against itself.
 import numpy as np
 
 from sparsewht.bin_detect import MULTI_TON, RATIO_TOL, SINGLE_TON, ZERO_TON, Detection, sgn
+from sparsewht.codes import DECODE_ROUNDS
 from sparsewht.kernels import sign_matrix
 
 
@@ -34,6 +35,13 @@ def codeword_bits(code, k_word):
 
 def _within_noise(u, cfg):
     return np.mean(u * u) <= (1.0 + cfg.gamma) * cfg.nu2
+
+
+def stall_energy(cfg, c_groups, bins):
+    """The summed residual energy above which a stopped decode is stalled:
+    C B times the larger zero-ton level, (1 + gamma) nu^2 of the robust
+    detectors or zero_tol^2 of the noiseless one."""
+    return c_groups * bins * max((1.0 + cfg.gamma) * cfg.nu2, cfg.zero_tol ** 2)
 
 
 def _confirm_single(u, row_words, k_word, cfg):
@@ -115,7 +123,7 @@ def detect_so_loop(u, j_word, c, plan, offsets, cfg):
         return Detection(ZERO_TON)
     ref_sign = sgn(u[offsets.layout["reference"]])
     received = (u[c0:c1] < 0).astype(np.uint8) ^ ref_sign
-    decoded = bitflip_decode_loop(offsets.code, received, max_rounds=cfg.decode_rounds)
+    decoded = bitflip_decode_loop(offsets.code, received, max_rounds=DECODE_ROUNDS)
     if decoded is None:
         return Detection(MULTI_TON)
     if bin_of_loop(plan, c, decoded) != j_word:

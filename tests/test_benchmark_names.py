@@ -67,6 +67,23 @@ def test_detector_hooks_count_each_kind(monkeypatch):
     assert recorder.counts["bin_detect.zero_ton"] == 4
 
 
+def test_benchmark_trials_run_at_tiny_sizes(monkeypatch):
+    # one trial of each workload through the benchmark's own calls: the
+    # ExperimentConfig and sketch_recover keywords it passes and
+    # nominal_sample_count(variant, n, k) in its nominal-count check
+    pipeline = _load_pipeline(monkeypatch)
+    boundary = pipeline.boundary_recorder()
+    boundary.install()
+    try:
+        attempts = {name: pipeline._attempt(wl, 5, 0, boundary) for name, wl in pipeline.TINY.items()}
+    finally:
+        boundary.uninstall()
+    assert len(attempts) == 4
+    for name, attempt in attempts.items():
+        assert attempt.outcome is not None, name
+        assert attempt.outcome.problems == (), name
+
+
 def test_backend_name_resolves():
     # perfbench/run.py records it with every result; no library code calls it
     assert kernels.backend_name() == "numpy"

@@ -22,6 +22,7 @@ from sparsewht.codes import build_regular_ldpc
 from sparsewht.frontend import VARIANTS, SubsamplingPlan, build_offsets, build_plan, observe
 from sparsewht.gf2 import selection_matrix
 from sparsewht.kernels import sign_matrix
+from sparsewht.signal_model import snr_from_db
 
 import references
 from helpers import bits, golden_plan, seeded_instances
@@ -32,6 +33,36 @@ NOISELESS_CFG = DetectorConfig(zero_tol=1e-9 * 4.0 * 4.0)
 
 def test_detectors_cover_every_variant():
     assert tuple(DETECTORS) == VARIANTS
+
+
+@pytest.mark.parametrize("n,k,snr_db,rho", [
+    (12, 10, 10.0, 1.0), (17, 40, 0.0, 1.0), (14, 20, 1.0, 2.5), (13, 16, 3.0, 0.5),
+    (24, 100, 30.0, 1.0), (12, 10, None, 1.0), (15, 30, None, 3.0),
+])
+def test_for_noise_matches_the_separate_formulas(n, k, snr_db, rho):
+    # the thresholds and stall levels that recover, sketch_recover and the
+    # seeded test instances each used to compute for themselves
+    plan = build_plan(n, k, profile="benchmark")
+    c_bins, size = plan.c_groups * plan.bins, 1 << n
+    snr = None if snr_db is None else snr_from_db(snr_db)
+    sigma = 0.0 if snr is None else sigma_for_snr(rho, k, size, snr)
+    cfg = DetectorConfig.for_noise(n, plan.bins, sigma, rho, snr, constellation=False)
+    nu2 = max(size * sigma * sigma / plan.bins, (1e-9 * rho) ** 2)
+    gamma = 1.0 if snr is None else DetectorConfig.default_gamma(snr)
+    assert cfg == DetectorConfig(gamma=gamma, nu2=nu2, rho=rho, constellation=False,
+                                 zero_tol=1e-9 * math.sqrt(size) * rho)
+    if rho == 1.0:
+        # the seeded test instances' spelling of the same two formulas
+        assert cfg.zero_tol == 1e-9 * 2 ** (n / 2) and cfg.nu2 == max(size * sigma * sigma / plan.bins, 1e-18)
+    if snr is None:
+        # noise-free: the noiseless detector's level, far above the float floor of nu^2
+        assert c_bins * cfg.zero_ton_level == c_bins * cfg.zero_tol ** 2 > c_bins * (1.0 + gamma) * nu2
+    else:
+        assert c_bins * cfg.zero_ton_level == pytest.approx(c_bins * (1.0 + gamma) * nu2, rel=1e-15)
+    # a sketch: noise-free, unit scale, continuous values
+    sketch = DetectorConfig.for_noise(n, plan.bins, 0.0, 1.0, None, constellation=False)
+    assert sketch.zero_tol == 1e-9 * math.sqrt(2.0**n) and not sketch.constellation
+    assert c_bins * sketch.zero_ton_level == c_bins * sketch.zero_tol**2
 
 
 def test_sgn_convention():
@@ -141,7 +172,7 @@ def test_batched_detectors_equal_column_loops(monkeypatch, variant, n, k_sparsit
 
     monkeypatch.setattr(references, "bitflip_decode_loop", recorded_decode)
     kinds, moved_singles = set(), 0
-    for seed, (_, plan, offsets, cfg, obs, _) in enumerate(
+    for seed, (_, plan, offsets, cfg, obs) in enumerate(
             seeded_instances(variant, n, k_sparsity, snr_db, True, seeds=range(3))):
         one, loop = {
             "noiseless": (lambda u, j, c: detect_noiseless(u, j, c, plan, cfg),

@@ -166,6 +166,8 @@ def test_bench_config_not_an_object_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("cfg", [
     {"decode_rounds": -1}, {"p1": 0}, {"gamma": -1.0}, {"p2": 12}, {"p3": 24},
+    # fixed or derived in the library, not settings
+    {"profile": "theory"}, {"rho": 2.0},
     # values of the wrong type
     {"p1": "7"}, {"decode_rounds": 1.5}, {"trials": 2.5}, {"workers": "2"}, {"snr_db_values": ["x"]},
     {"n_values": 12}, {"snr_db_values": [float("nan")]}, {"trials": True},

@@ -33,7 +33,11 @@ def test_config_validation():
         ExperimentConfig.from_dict({"nonsense": 1})
     cfg = ExperimentConfig.from_dict({"algorithm": "nso", "n_values": [10], "k_values": [4]})
     assert cfg.n_values == (10,)
-    ExperimentConfig.from_dict({"decode_rounds": 0, "p1": 1, "gamma": 1e-3, "success_threshold": 1.0})
+    ExperimentConfig.from_dict({"success_threshold": 1.0})
+    # one value each, derived or fixed in the library: not config keys
+    for key, value in (("decode_rounds", 0), ("p1", 1), ("gamma", 1e-3), ("profile", "theory"), ("rho", 2.0)):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict({key: value})
 
 
 @pytest.mark.parametrize("field, value", [

@@ -54,6 +54,12 @@ def test_window_regime_rejects_oversize():
         build_plan(8, 200, regime="window")
 
 
+def test_window_regime_sizes_bins_from_each_group_count():
+    # eta*(7) = 0.2456 gives b = ceil(log2(0.2456 K)), not C = 3's 0.4073
+    assert build_plan(56, 200, regime="window", c_groups=7).b == 6
+    assert build_plan(40, 100, regime="window", c_groups=7).b == 5
+
+
 def test_cyclic_drop_layout():
     plan = build_plan(9, 64, regime="cyclic-drop")
     assert plan.b == 6

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sparsewht import NoisyAccess, SparseSpectrum, draw_spectrum, verify_support
+from sparsewht import NoisyAccess, SparseSpectrum, draw_spectrum, sigma_for_snr, verify_support
 from sparsewht.bin_detect import (
     MULTI_TON,
     SINGLE_TON,
@@ -144,6 +144,27 @@ def test_max_iters_caps_sweeps():
     assert report.sweeps == 1
 
 
+def test_stall_flag_sees_a_stuck_multi_ton():
+    # bits 6..9 lie outside both hash windows, so coefficients that differ
+    # only there share their bin in every group and never peel
+    n, snr = 10, 10.0
+    plan = build_plan(n, 8, regime="window", c_groups=2)
+    assert plan.b == 3
+    stuck = SparseSpectrum(n, {1 << 6: 1.0, 1 << 7: 1.0, 5: -1.0})
+    exact = SparseSpectrum(n, {1 << 6: 1.0, 5: -1.0})
+    sigma = sigma_for_snr(1.0, 3, 1 << n, snr)
+    for variant, sigma, cfg in (
+            ("nso", sigma, DetectorConfig.for_noise(n, plan.bins, sigma, 1.0, snr)),
+            ("noiseless", 0.0, DetectorConfig.for_noise(n, plan.bins, 0.0, 1.0, None))):
+        offsets = build_offsets(variant, plan, rng=np.random.default_rng(0))
+        for spectrum, stalled in ((stuck, True), (exact, False)):
+            obs = observe(NoisyAccess(spectrum, sigma, np.random.default_rng(1)), plan, offsets)
+            recovered, report = decode(obs, plan, offsets, cfg)
+            assert (recovered.support() == spectrum.support()) != stalled
+            assert report.stalled == stalled, (variant, spectrum.entries)
+            assert report.stalled == (report.residual_energy > references.stall_energy(cfg, 2, plan.bins))
+
+
 def test_verify_support_cases():
     a = SparseSpectrum(4, {1: 1.0, 2: -1.0})
     assert verify_support(a, a).support_match and verify_support(a, a).values_match
@@ -190,8 +211,9 @@ def _coset_enumeration_near_linear(u, j, c, plan, offsets, cfg):
     return Detection(MULTI_TON)
 
 
-def _reference_decode(obs, plan, offsets, column_detector, max_iters, stall_energy):
-    """Peeling that classifies and peels one bin at a time."""
+def _reference_decode(obs, plan, offsets, column_detector, max_iters, cfg):
+    """Peeling that classifies and peels one bin at a time; ``cfg`` sets
+    the stall level through ``references.stall_energy``."""
     data = obs.data.copy()
     c_groups, bins, _ = data.shape
     recovered = {}
@@ -224,7 +246,8 @@ def _reference_decode(obs, plan, offsets, column_detector, max_iters, stall_ener
         if sweep_peels == 0:
             break
     residual = float((data * data).mean(axis=2).sum())
-    report = DecodeReport(sweeps, peels, conflicts, residual > stall_energy, residual, obs.distinct_samples)
+    stalled = residual > references.stall_energy(cfg, c_groups, bins)
+    report = DecodeReport(sweeps, peels, conflicts, stalled, residual, obs.distinct_samples)
     return recovered, report
 
 
@@ -248,12 +271,12 @@ def _column_detector(variant, plan, offsets, cfg):
 ])
 def test_batched_decode_equals_one_bin_at_a_time(variant, n, k, snr_db, constellation):
     recovered_supports = 0
-    for spectrum, plan, offsets, cfg, obs, stall_energy in seeded_instances(
+    for spectrum, plan, offsets, cfg, obs in seeded_instances(
             variant, n, k, snr_db, constellation):
-        recovered, report = decode(obs, plan, offsets, cfg, max_iters=2 * k + 10, stall_energy=stall_energy)
+        recovered, report = decode(obs, plan, offsets, cfg, max_iters=2 * k + 10)
         expected, expected_report = _reference_decode(obs, plan, offsets,
                                                       _column_detector(variant, plan, offsets, cfg),
-                                                      2 * k + 10, stall_energy)
+                                                      2 * k + 10, cfg)
         assert recovered.entries == expected and report == expected_report
         recovered_supports += recovered.support() == spectrum.support()
     assert recovered_supports > 0  # the instances exercise full recoveries, not only stalls
@@ -271,12 +294,12 @@ def _assert_same_decode_up_to_sums(report, expected_report, recovered, expected)
 def test_nso_continuous_decode_matches_loop():
     # continuous values take the row dot product's value; the batch may sum it in another order
     recovered_supports = 0
-    for spectrum, plan, offsets, cfg, obs, stall_energy in seeded_instances(
+    for spectrum, plan, offsets, cfg, obs in seeded_instances(
             "nso", 12, 10, 20.0, False):
-        recovered, report = decode(obs, plan, offsets, cfg, max_iters=30, stall_energy=stall_energy)
+        recovered, report = decode(obs, plan, offsets, cfg, max_iters=30)
         expected, expected_report = _reference_decode(obs, plan, offsets,
                                                       _column_detector("nso", plan, offsets, cfg),
-                                                      30, stall_energy)
+                                                      30, cfg)
         _assert_same_decode_up_to_sums(report, expected_report, recovered, expected)
         recovered_supports += recovered.support() == spectrum.support()
     assert recovered_supports > 0
@@ -291,12 +314,12 @@ def test_near_linear_decode_matches_coset_enumeration(n, k, snr_db, constellatio
     # The coset transform sums in another order than the signature matmul,
     # so estimated values and the residual may differ in the last bits.
     recovered_supports = 0
-    for spectrum, plan, offsets, cfg, obs, stall_energy in seeded_instances(
+    for spectrum, plan, offsets, cfg, obs in seeded_instances(
             "near-linear", n, k, snr_db, constellation, seeds=range(4)):
-        recovered, report = decode(obs, plan, offsets, cfg, max_iters=2 * k + 10, stall_energy=stall_energy)
+        recovered, report = decode(obs, plan, offsets, cfg, max_iters=2 * k + 10)
         enumerate_cosets = lambda u, j, c: _coset_enumeration_near_linear(u, j, c, plan, offsets, cfg)
         expected, expected_report = _reference_decode(obs, plan, offsets, enumerate_cosets,
-                                                      2 * k + 10, stall_energy)
+                                                      2 * k + 10, cfg)
         _assert_same_decode_up_to_sums(report, expected_report, recovered, expected)
         recovered_supports += recovered.support() == spectrum.support()
     assert recovered_supports > 0
