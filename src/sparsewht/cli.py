@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, codes, frontend, peeling, sketch
+from . import analysis, codes, frontend, gf2, peeling, sketch
 from .fwht import fwht
 from .experiments import (
     SCALING_COLUMNS,
@@ -74,8 +74,11 @@ def _cmd_synth(args) -> int:
 
 def _cmd_wht(args) -> int:
     values = np.loadtxt(args.infile, dtype=np.float64, ndmin=1)
-    transformed = fwht(values)
-    n = int(math.log2(len(values)))
+    try:
+        transformed = fwht(values)
+        n = gf2.check_bits(len(values).bit_length() - 1)
+    except ValueError as exc:
+        raise ValueError(f"{args.infile}: {exc}") from exc
     entries = {i: float(v) for i, v in enumerate(transformed) if abs(v) > args.tol}
     SparseSpectrum(n, entries).save(args.out)
     print(f"wrote {len(entries)} coefficients above |{args.tol}| to {args.out}")
@@ -93,6 +96,8 @@ def _cmd_recover(args) -> int:
     magnitudes = {abs(v) for v in truth.entries.values()}
     rho = max(magnitudes, default=1.0)
     snr_db = None if args.snr_db is None else args.snr_db[0]
+    if snr_db is not None and not math.isfinite(snr_db):
+        raise ValueError(f"--snr-db must be a finite number, got {snr_db}")
     access = NoisyAccess(truth, noise_sigma(rho, k, n, snr_db), rng_noise)
     recovered, report, _, _ = recover(access, k, algo, snr_db=snr_db, rho=rho,
                                       constellation=len(magnitudes) <= 1,
@@ -131,7 +136,8 @@ def _cmd_de_table(args) -> int:
 
 def _cmd_sketch(args) -> int:
     graph = sketch.Hypergraph.load(args.graph)
-    budget = args.budget or sum(1 << (len(e) - 1) for e in graph.edges)
+    # the cut spectrum has at most 2^(|e|-1) coefficients per edge
+    budget = max(1, sum(1 << (len(e) - 1) for e in graph.edges)) if args.budget is None else args.budget
     max_edge = max((len(e) for e in graph.edges), default=2)
     result = sketch.sketch_recover(graph, sparsity_budget=budget, seed=args.seed or 0,
                                    coeff_resolution=2.0 ** (1 - max_edge))

@@ -119,7 +119,7 @@ def recover(access, k: int, algorithm: str, *, snr_db: float | None, rho: float,
     covers observing and decoding only, not the set-up.
     """
     n = access.n
-    plan = frontend.build_plan(n, max(k, 1), profile="benchmark")
+    plan = frontend.build_plan(n, max(k, 1))
     code = codes.build_regular_ldpc(n, rng_code) if algorithm == "so" else None
     offsets = frontend.build_offsets(algorithm, plan, code=code, rng=rng_offsets)
     cfg = DetectorConfig.for_noise(n, plan.bins, noise_sigma(rho, k, n, snr_db), rho,

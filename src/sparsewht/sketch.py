@@ -262,13 +262,17 @@ def sketch_recover(source, n: int | None = None, sparsity_budget: int = 1, seed:
     """Recover the cut spectrum (and, when possible, the edges) by the
     sparse-transform pipeline over the noiseless cut oracle.
 
-    ``sparsity_budget`` must dominate the true spectral sparsity (at most
-    s 2^(d-1) for s edges of size at most d); ``coeff_resolution`` snaps
-    recovered coefficients to multiples of it (2^(1-d) for cut spectra).
+    ``sparsity_budget`` must be at least 1 and dominate the true spectral
+    sparsity (at most s 2^(d-1) for s edges of size at most d); with a
+    smaller one, bins stay unresolved and the result is partial.
+    ``coeff_resolution`` snaps recovered coefficients to multiples of it
+    (2^(1-d) for cut spectra).
     The plan has the benchmark shape for the budget, but structured
     supports are not uniformly spread, so its matrices are drawn random
     full-column-rank.
     """
+    if sparsity_budget < 1:
+        raise ValueError(f"sparsity budget must be >= 1, got {sparsity_budget}")
     access = CutQueryAccess(source, n)
     n = access.n
     rng = np.random.default_rng(seed)
@@ -276,7 +280,7 @@ def sketch_recover(source, n: int | None = None, sparsity_budget: int = 1, seed:
     if b >= n:
         raise ValueError("sparsity budget needs b < n")
     mats = tuple(gf2.random_full_column_rank(n, b, rng) for _ in range(c_groups))
-    plan = frontend.SubsamplingPlan(n, b, c_groups, mats, "random")
+    plan = frontend.SubsamplingPlan(n, b, c_groups, mats)
     offsets = frontend.build_offsets("noiseless", plan)
     obs = frontend.observe(access, plan, offsets)
     root_n = math.sqrt(2.0**n)

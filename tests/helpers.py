@@ -26,13 +26,25 @@ def golden_plan() -> SubsamplingPlan:
     # group 1 hashes the two high positions, group 2 the two low ones
     m1 = selection_matrix(4, [2, 3])
     m2 = selection_matrix(4, [0, 1])
-    return SubsamplingPlan(4, 2, 2, (m1, m2), "window")
+    return SubsamplingPlan(4, 2, 2, (m1, m2))
 
 
 def random_plan(n: int, b: int, c_groups: int, rng) -> SubsamplingPlan:
     """A plan of uniformly random full-column-rank hash matrices."""
     mats = tuple(random_full_column_rank(n, b, rng) for _ in range(c_groups))
-    return SubsamplingPlan(n, b, c_groups, mats, "window")
+    return SubsamplingPlan(n, b, c_groups, mats)
+
+
+def window_plan(n: int, b: int, c_groups: int) -> SubsamplingPlan:
+    """C groups hashing k to b consecutive bits of its index: windows at
+    bits c b when they fit side by side, else spread evenly over 0..n-b.
+    Gives fixtures a window plan of any shape, not only build_plan's."""
+    if c_groups * b <= n:
+        starts = [c * b for c in range(c_groups)]
+    else:
+        starts = [round((n - b) * c / (c_groups - 1)) for c in range(c_groups)]
+    mats = tuple(selection_matrix(n, list(range(s, s + b))) for s in starts)
+    return SubsamplingPlan(n, b, c_groups, mats)
 
 
 # aliasing sums of the worked instance, per group and bin word
@@ -43,7 +55,7 @@ GOLDEN_BINS_G2 = np.array([0.0, 1.0, 6.0, 1.0])
 def seeded_instances(variant, n, k, snr_db, constellation, seeds=range(6)):
     """Seeded observations with the detector settings of the benchmark:
     (spectrum, plan, offsets, cfg, obs) per seed."""
-    plan = build_plan(n, k, profile="benchmark")
+    plan = build_plan(n, k)
     for seed in seeds:
         rng = np.random.default_rng(seed)
         spectrum = draw_spectrum(n, k, 1.0, rng, constellation=constellation)

@@ -21,8 +21,7 @@ from sparsewht import (
 )
 from sparsewht.bin_detect import DetectorConfig
 from sparsewht.experiments import ExperimentConfig, nominal_sample_count, run_trial
-from sparsewht.frontend import SubsamplingPlan, build_offsets, build_plan, observe
-from sparsewht.gf2 import selection_matrix
+from sparsewht.frontend import build_offsets, build_plan, observe
 from sparsewht.kernels import sign_matrix
 from sparsewht.peeling import decode
 from sparsewht.sketch import (
@@ -32,7 +31,7 @@ from sparsewht.sketch import (
     sketch_recover,
 )
 
-from helpers import GOLDEN_BINS_G1, GOLDEN_BINS_G2, golden_plan, golden_spectrum
+from helpers import GOLDEN_BINS_G1, GOLDEN_BINS_G2, golden_plan, golden_spectrum, window_plan
 
 
 def _report(num, name, ok, detail):
@@ -81,14 +80,14 @@ def test_criterion_02_observation_model():
     worst = 0.0
     for n, k, variant in ((8, 6, "noiseless"), (9, 12, "nso"), (10, 10, "near-linear")):
         spectrum = draw_spectrum(n, k, 1.0, rng)
-        plan = build_plan(n, k, profile="benchmark")
+        plan = build_plan(n, k)
         offsets = build_offsets(variant, plan, rng=rng)
         obs = observe(NoisyAccess(spectrum, 0.0, rng), plan, offsets)
         expected = _exhaustive_bin_sums(spectrum, plan, offsets)
         worst = max(worst, float(np.max(np.abs(obs.data - expected))))
     sums_ok = worst < 1e-9
 
-    plan = build_plan(6, 4, profile="benchmark")
+    plan = build_plan(6, 4)
     sigma = 0.8
     nu2 = (1 << 6) * sigma**2 / plan.bins
     offsets = build_offsets("near-linear", plan, p1=8, rng=rng)
@@ -182,7 +181,7 @@ def test_criterion_07_so_noise_robustness():
 
 def test_criterion_08_bsc_reduction():
     n, k_sparsity, b = 12, 8, 3  # eta = B/K = 1
-    plan = SubsamplingPlan(n, b, 1, (selection_matrix(n, list(range(b))),), "window")
+    plan = window_plan(n, b, 1)
     rng = np.random.default_rng(88)
     spectrum = draw_spectrum(n, 1, 1.0, rng)
     k = next(iter(spectrum.entries))

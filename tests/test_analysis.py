@@ -3,8 +3,8 @@ import pytest
 
 from sparsewht.analysis import de_table, density_evolution, min_eta
 
-# the published four-place minimum-redundancy table; frontend sizes its
-# window and common-prefix plans from min_eta rounded to four places
+# the published four-place minimum-redundancy table, which min_eta
+# reproduces when rounded to four places
 MIN_REDUNDANCY = {2: 1.0000, 3: 0.4073, 4: 0.3237, 5: 0.2850, 6: 0.2616, 8: 0.2336}
 TABLE_ETA = {2: 1.0000, 3: 0.4073, 4: 0.3237, 5: 0.2850, 6: 0.2616}
 TABLE_C_ETA = [2.0000, 1.2219, 1.2948, 1.4250, 1.5696]

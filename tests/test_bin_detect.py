@@ -19,13 +19,12 @@ from sparsewht.bin_detect import (
     sgn,
 )
 from sparsewht.codes import build_regular_ldpc
-from sparsewht.frontend import VARIANTS, SubsamplingPlan, build_offsets, build_plan, observe
-from sparsewht.gf2 import selection_matrix
+from sparsewht.frontend import VARIANTS, build_offsets, build_plan, observe
 from sparsewht.kernels import sign_matrix
 from sparsewht.signal_model import snr_from_db
 
 import references
-from helpers import bits, golden_plan, seeded_instances
+from helpers import bits, golden_plan, seeded_instances, window_plan
 
 
 NOISELESS_CFG = DetectorConfig(zero_tol=1e-9 * 4.0 * 4.0)
@@ -42,7 +41,7 @@ def test_detectors_cover_every_variant():
 def test_for_noise_matches_the_separate_formulas(n, k, snr_db, rho):
     # the thresholds and stall levels that recover, sketch_recover and the
     # seeded test instances each used to compute for themselves
-    plan = build_plan(n, k, profile="benchmark")
+    plan = build_plan(n, k)
     c_bins, size = plan.c_groups * plan.bins, 1 << n
     snr = None if snr_db is None else snr_from_db(snr_db)
     sigma = 0.0 if snr is None else sigma_for_snr(rho, k, size, snr)
@@ -109,7 +108,7 @@ def _single_ton_column(plan, offsets, c, k, value, nu, rng):
 
 
 def test_near_linear_exact_codeword():
-    plan = build_plan(8, 8, regime="window", c_groups=2)
+    plan = window_plan(8, 3, 2)
     offsets = build_offsets("near-linear", plan, p1=20, rng=np.random.default_rng(0))
     k = 173
     col = _single_ton_column(plan, offsets, 0, k, 2.0, 0.0, np.random.default_rng(1))
@@ -122,7 +121,7 @@ def test_near_linear_exact_codeword():
 
 
 def test_near_linear_zero_column_is_zero_ton():
-    plan = build_plan(8, 8, regime="window", c_groups=2)
+    plan = window_plan(8, 3, 2)
     offsets = build_offsets("near-linear", plan, p1=20, rng=np.random.default_rng(2))
     cfg = DetectorConfig(gamma=0.5, nu2=0.3)
     assert detect_near_linear(np.zeros(20), 0, 0, plan, offsets, cfg).kind == ZERO_TON
@@ -132,7 +131,7 @@ def test_near_linear_batch_matches_one_column_at_a_time():
     # 12 coefficients in 8 bins at 10 dB: zero-, single- and multi-ton bins
     n, k_sparsity = 10, 12
     rng = np.random.default_rng(13)
-    plan = build_plan(n, 8, regime="window", c_groups=2, b=3)
+    plan = window_plan(n, 3, 2)
     spectrum = draw_spectrum(n, k_sparsity, 1.0, rng)
     sigma = sigma_for_snr(1.0, k_sparsity, 1 << n, 10.0)
     offsets = build_offsets("near-linear", plan, rng=rng)
@@ -221,7 +220,7 @@ def test_batched_detectors_equal_column_loops(monkeypatch, variant, n, k_sparsit
 def test_near_linear_monte_carlo_accuracy():
     # single-ton bins at 10 dB with eta = B/K = 4: nu^2 = rho^2 / (eta snr)
     n, b, k_sparsity = 10, 6, 16
-    plan = SubsamplingPlan(n, b, 1, (selection_matrix(n, list(range(b))),), "window")
+    plan = window_plan(n, b, 1)
     rng = np.random.default_rng(3)
     offsets = build_offsets("near-linear", plan, p1=3 * n, rng=rng)
     eta, snr = (1 << b) / k_sparsity, 10.0
@@ -245,7 +244,7 @@ def test_nso_majority_example():
 
 def test_nso_exact_recovery_no_noise():
     n = 8
-    plan = build_plan(n, 8, regime="window", c_groups=2)
+    plan = window_plan(n, 3, 2)
     rng = np.random.default_rng(4)
     offsets = build_offsets("nso", plan, p1=6, rng=rng)
     cfg = DetectorConfig(gamma=1.0, nu2=1e-12, rho=1.0)
@@ -257,7 +256,7 @@ def test_nso_exact_recovery_no_noise():
 
 def test_nso_hash_inconsistency_goes_multi():
     n = 8
-    plan = build_plan(n, 8, regime="window", c_groups=2)
+    plan = window_plan(n, 3, 2)
     rng = np.random.default_rng(5)
     offsets = build_offsets("nso", plan, p1=6, rng=rng)
     cfg = DetectorConfig(gamma=1.0, nu2=1e-12, rho=1.0)
@@ -269,7 +268,7 @@ def test_nso_hash_inconsistency_goes_multi():
 
 def test_nso_monte_carlo_accuracy():
     n, k_sparsity = 14, 20
-    plan = build_plan(n, k_sparsity, profile="benchmark")
+    plan = build_plan(n, k_sparsity)
     rng = np.random.default_rng(6)
     offsets = build_offsets("nso", plan, p1=2 * n, rng=rng)
     eta, snr = plan.bins / k_sparsity, 10.0
@@ -287,7 +286,7 @@ def test_nso_monte_carlo_accuracy():
 
 def test_so_exact_decode_no_noise():
     n = 10
-    plan = build_plan(n, 8, regime="window", c_groups=2)
+    plan = window_plan(n, 3, 2)
     rng = np.random.default_rng(7)
     code = build_regular_ldpc(n, rng)
     offsets = build_offsets("so", plan, code=code, rng=rng)
@@ -301,7 +300,7 @@ def test_so_exact_decode_no_noise():
 def test_so_negative_coefficient_sign_reference():
     # the zero-offset row reads the nuisance sign; decoding still lands on k
     n = 10
-    plan = build_plan(n, 8, regime="window", c_groups=2)
+    plan = window_plan(n, 3, 2)
     rng = np.random.default_rng(8)
     code = build_regular_ldpc(n, rng)
     offsets = build_offsets("so", plan, code=code, rng=rng)
@@ -315,7 +314,7 @@ def test_so_negative_coefficient_sign_reference():
 
 def test_so_monte_carlo_accuracy():
     n, k_sparsity = 14, 20
-    plan = build_plan(n, k_sparsity, profile="benchmark")
+    plan = build_plan(n, k_sparsity)
     rng = np.random.default_rng(9)
     eta, snr = plan.bins / k_sparsity, 10.0
     nu = math.sqrt(1.0 / (eta * snr))
@@ -356,7 +355,7 @@ def test_crossover_bound_dominates_empirical_flip_rate():
     for snr_db in (5.0, 10.0):
         snr = 10 ** (snr_db / 10)
         sigma = sigma_for_snr(1.0, k_sparsity, 1 << n, snr)
-        plan = SubsamplingPlan(n, b, 1, (selection_matrix(n, list(range(b))),), "window")
+        plan = window_plan(n, b, 1)
         eta = plan.bins / k_sparsity
         assert eta == 1.0
         offsets = build_offsets("near-linear", plan, p1=64, rng=rng)

@@ -30,6 +30,18 @@ def test_wht_command(tmp_path):
     assert SparseSpectrum.load(out).entries == pytest.approx(golden_spectrum().entries)
 
 
+@pytest.mark.parametrize("samples", [[1.0], [1.0, 2.0, 3.0]])
+def test_wht_rejects_a_length_without_index_bits(tmp_path, capsys, samples):
+    # one sample would give n = 0, which no spectrum file may hold
+    infile = tmp_path / "signal.txt"
+    np.savetxt(infile, samples)
+    out = tmp_path / "spec.txt"
+    assert main(["wht", str(infile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {infile}: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_recover_round_trip(tmp_path, capsys):
     spec_path = tmp_path / "truth.txt"
     out = tmp_path / "recovered.txt"
@@ -106,6 +118,7 @@ def test_recover_failure_exits_1(tmp_path):
     ("n=12 K=1\n000000000001 one\n", []),
     (None, []),
     ("n=12 K=0\n", ["--snr-db", "10"]),
+    ("n=12 K=1\n000000000001 1.0\n", ["--snr-db", "nan"]),
 ])
 def test_recover_bad_input_exits_2(tmp_path, capsys, content, extra):
     spec_path = tmp_path / "truth.txt"
@@ -194,6 +207,15 @@ def test_sketch_command(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "queries:" in printed
     assert "edge: 1 2 3" in printed and "edge: 5 6" in printed
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_sketch_budget_below_one_exits_2(tmp_path, capsys, budget):
+    graph_path = tmp_path / "graph.txt"
+    Hypergraph.from_edge_lists(12, [{1, 2, 3}, {5, 6}]).save(graph_path)
+    code = main(["sketch", "--graph", str(graph_path), "--budget", budget, "--out", str(tmp_path / "o.txt")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: sparsity budget must be >= 1, got {budget}\n"
 
 
 @pytest.mark.parametrize("content, line", [

@@ -15,83 +15,54 @@ from sparsewht.frontend import (
 from sparsewht.gf2 import rank_transpose, solve_affine, span_words
 from sparsewht.kernels import sign_matrix
 
-from helpers import GOLDEN_BINS_G1, GOLDEN_BINS_G2, golden_plan, golden_spectrum, random_plan
+from helpers import GOLDEN_BINS_G1, GOLDEN_BINS_G2, golden_plan, golden_spectrum, random_plan, window_plan
 from references import bin_of_loop
 
 
-def _window_cols(plan):
-    return {tuple(m.col_words) for m in plan.matrices}
-
-
-def test_window_plan_matches_worked_example_pair():
-    plan = build_plan(4, 4, regime="window", c_groups=2)
-    expected = {tuple((1 << 2, 1 << 3)), tuple((1 << 0, 1 << 1))}
-    assert _window_cols(plan) == expected
+def _window_bits(m):
+    """The index bits a selection matrix's columns pick, in column order."""
+    assert all(bin(col).count("1") == 1 for col in m.col_words)
+    return [col.bit_length() - 1 for col in m.col_words]
 
 
 def test_auto_very_sparse_uses_disjoint_windows():
     plan = build_plan(12, 16)  # delta = 1/3
-    assert plan.regime == "window" and plan.c_groups == 3
-    covered = []
-    for m in plan.matrices:
-        for col in m.col_words:
-            assert bin(col).count("1") == 1
-            covered.append(col.bit_length() - 1)
+    assert plan.c_groups == 3
+    covered = [t for m in plan.matrices for t in _window_bits(m)]
     assert len(set(covered)) == len(covered)  # disjoint bit windows
 
 
 def test_benchmark_profile_overlapping_windows_cover_all_bits():
-    plan = build_plan(14, 40, profile="benchmark")
+    plan = build_plan(14, 40)
     assert plan.b == 6 and plan.c_groups == 3
-    covered = set()
-    for m in plan.matrices:
-        covered |= {col.bit_length() - 1 for col in m.col_words}
+    covered = {t for m in plan.matrices for t in _window_bits(m)}
     assert covered == set(range(14))
 
 
 def test_window_regime_rejects_oversize():
     with pytest.raises(PlanError):
-        build_plan(8, 200, regime="window")
+        build_plan(8, 200)
 
 
-def test_window_regime_sizes_bins_from_each_group_count():
-    # eta*(7) = 0.2456 gives b = ceil(log2(0.2456 K)), not C = 3's 0.4073
-    assert build_plan(56, 200, regime="window", c_groups=7).b == 6
-    assert build_plan(40, 100, regime="window", c_groups=7).b == 5
-
-
-def test_cyclic_drop_layout():
-    plan = build_plan(9, 64, regime="cyclic-drop")
-    assert plan.b == 6
-    for drop, m in enumerate(plan.matrices):
-        kept = {col.bit_length() - 1 for col in m.col_words}
-        dropped = set(range(3 * drop, 3 * drop + 3))
-        assert kept == set(range(9)) - dropped
-
-
-def test_cyclic_drop_needs_divisibility():
-    with pytest.raises(PlanError):
-        build_plan(10, 64, regime="cyclic-drop")
-
-
-@pytest.mark.parametrize("n,k,regime,c_expected", [
-    (18, 128, "common-prefix-6", 6),
-    (16, 7132, "common-prefix-8", 8),
-    (16, 21619, "common-prefix-dense", 8),
-])
-def test_common_prefix_layouts(n, k, regime, c_expected):
-    plan = build_plan(n, k, regime=regime)
-    assert plan.c_groups == c_expected
-    for m in plan.matrices:
-        assert rank_transpose(m) == plan.b
-
-
-def test_auto_regime_selection():
-    assert build_plan(18, 128).regime == "common-prefix-6"
-    assert build_plan(16, 7132).regime == "common-prefix-8"
-    assert build_plan(16, 21619).regime == "common-prefix-dense"
-    with pytest.raises(PlanError):
-        build_plan(10, 1015)  # delta > 0.99
+@settings(max_examples=200, deadline=None)
+@given(n_k=st.integers(2, 63).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 1 << min(n, 30)))))
+def test_build_plan_is_the_window_design(n_k):
+    n, k = n_k
+    b = (k - 1).bit_length()  # ceil(log2 K)
+    if b >= n:
+        with pytest.raises(PlanError):
+            build_plan(n, k)
+        return
+    plan = build_plan(n, k)
+    assert (plan.c_groups, len(plan.matrices), plan.b) == (3, 3, max(b, 1))
+    assert all(rank_transpose(m) == plan.b for m in plan.matrices)
+    windows = [_window_bits(m) for m in plan.matrices]
+    assert all(w == list(range(w[0], w[0] + plan.b)) for w in windows)
+    covered = [t for w in windows for t in w]
+    if 3 * plan.b <= n:
+        assert len(set(covered)) == len(covered)
+    else:
+        assert set(covered) == set(range(n))
 
 
 def test_noiseless_offsets_layout():
@@ -104,7 +75,7 @@ def test_noiseless_offsets_layout():
 
 
 def test_nso_offsets_modulation():
-    plan = build_plan(6, 4, regime="window", c_groups=2)
+    plan = window_plan(6, 2, 2)
     offsets = build_offsets("nso", plan, p1=3, rng=np.random.default_rng(0))
     rows = offsets.rows_u64(0)
     p1, n = 3, 6
@@ -118,7 +89,7 @@ def test_nso_offsets_modulation():
 
 
 def test_so_requires_code():
-    plan = build_plan(8, 4, regime="window", c_groups=2)
+    plan = window_plan(8, 2, 2)
     with pytest.raises(ValueError):
         build_offsets("so", plan, rng=np.random.default_rng(0))
 
@@ -126,7 +97,7 @@ def test_so_requires_code():
 def test_so_layout_and_zero_rows():
     from sparsewht.codes import build_regular_ldpc
 
-    plan = build_plan(8, 4, regime="window", c_groups=2)
+    plan = window_plan(8, 2, 2)
     code = build_regular_ldpc(8, np.random.default_rng(1))
     offsets = build_offsets("so", plan, code=code, rng=np.random.default_rng(2))
     r0, r1 = offsets.layout["random"]
@@ -149,7 +120,7 @@ def test_so_single_reference_row_observes_like_n_copies(n, log_k, sigma, seed):
     # returns the same sample, so storing it once loses nothing
     k = min(1 << log_k, 1 << (n - 1))
     rng = np.random.default_rng(seed)
-    plan = build_plan(n, k, profile="benchmark")
+    plan = build_plan(n, k)
     spectrum = draw_spectrum(n, k, 1.0, rng)
     offsets = build_offsets("so", plan, code=build_regular_ldpc(n, rng), rng=rng)
     ref = offsets.layout["reference"]
@@ -173,7 +144,7 @@ def test_observe_golden_sums():
 
 
 def test_observe_zero_spectrum_noiseless():
-    plan = build_plan(8, 4, regime="window")
+    plan = window_plan(8, 1, 3)
     access = NoisyAccess(SparseSpectrum(8, {}), 0.0, np.random.default_rng(0))
     obs = observe(access, plan, build_offsets("noiseless", plan))
     assert np.all(obs.data == 0)
@@ -200,7 +171,7 @@ def _exhaustive_bin_sums(spectrum, plan, offsets):
 def test_observe_matches_exhaustive_sum(variant):
     rng = np.random.default_rng(6)
     spectrum = draw_spectrum(8, 6, 1.0, rng)
-    plan = build_plan(8, 6, regime="window", c_groups=2)
+    plan = window_plan(8, 3, 2)
     offsets = build_offsets(variant, plan, rng=rng)
     obs = observe(NoisyAccess(spectrum, 0.0, rng), plan, offsets)
     expected = _exhaustive_bin_sums(spectrum, plan, offsets)
@@ -209,7 +180,7 @@ def test_observe_matches_exhaustive_sum(variant):
 
 def test_hash_pattern_invariant_to_offsets():
     # which k feeds which bin depends on M only, never on the offset row
-    plan = build_plan(8, 6, regime="window", c_groups=2)
+    plan = window_plan(8, 3, 2)
     rng = np.random.default_rng(7)
     words = rng.integers(0, 256, size=64, dtype=np.int64).astype(np.uint64)
     base = plan.bins_of_many(0, words)
@@ -218,7 +189,7 @@ def test_hash_pattern_invariant_to_offsets():
 
 
 def test_observe_noise_variance_calibration():
-    plan = build_plan(6, 4, regime="window")
+    plan = window_plan(6, 1, 3)
     sigma = 0.7
     nu2 = (1 << 6) * sigma**2 / plan.bins
     offsets = build_offsets("near-linear", plan, p1=8, rng=np.random.default_rng(8))
@@ -234,7 +205,7 @@ def test_observe_noise_variance_calibration():
 def test_observation_energy_constant_across_offsets_when_bins_isolated():
     # offsets only flip signs inside bins, so with at most one coefficient
     # per bin the per-row energy is identical for every offset row
-    plan = build_plan(10, 16, regime="window")
+    plan = window_plan(10, 3, 3)
     spectrum = SparseSpectrum(10, {0b001001001: 1.0, 0b010010010: -1.0, 0b100100100: 1.0})
     bins_used = [set(bin_of_loop(plan, c, k) for k in spectrum.entries) for c in range(plan.c_groups)]
     assert all(len(b) == spectrum.sparsity for b in bins_used)
@@ -278,7 +249,7 @@ def test_observe_coset_and_point_reads_agree(variant, n, k, constellation):
     rng = np.random.default_rng(20)
     spectrum = draw_spectrum(n, k, 1.0, rng, constellation=constellation)
     sigma = sigma_for_snr(1.0, k, 1 << n, 10.0)
-    plan = build_plan(n, k, profile="benchmark")
+    plan = build_plan(n, k)
     code = build_regular_ldpc(n, rng) if variant == "so" else None
     offsets = build_offsets(variant, plan, code=code, rng=rng)
     by_coset = observe(NoisyAccess(spectrum, sigma, np.random.default_rng(21)), plan, offsets)

@@ -18,7 +18,7 @@ from sparsewht.kernels import sign_matrix
 from sparsewht.peeling import DecodeReport, decode
 
 import references
-from helpers import golden_plan, golden_spectrum, seeded_instances
+from helpers import golden_plan, golden_spectrum, seeded_instances, window_plan
 
 
 def _noiseless_setup(spectrum, plan, seed=0):
@@ -58,7 +58,7 @@ def test_noiseless_recovery_against_dense_oracle():
     # b = 4 spread windows cover all ten positions; smaller windows leave
     # uncovered bits where support pairs would collide in every group
     n, k = 10, 8
-    plan = build_plan(n, k, profile="benchmark", b=4)
+    plan = window_plan(n, 4, 3)
     successes = 0
     for seed in range(500):
         rng = np.random.default_rng(seed)
@@ -110,7 +110,7 @@ def test_idempotent_on_peeled_tensor():
 
 def test_decode_deterministic():
     n, k = 10, 8
-    plan = build_plan(n, k, regime="window")
+    plan = window_plan(n, 2, 3)
     spectrum = draw_spectrum(n, k, 1.0, np.random.default_rng(123))
     obs1, offsets, cfg = _noiseless_setup(spectrum, plan, seed=9)
     obs2, _, _ = _noiseless_setup(spectrum, plan, seed=9)
@@ -124,7 +124,7 @@ def test_phantom_peel_self_heals():
     # valid signature: the decoder peels the phantom, later re-detects it
     # with the opposite value, and the cancellation drops it
     n, k = 14, 40
-    plan = build_plan(n, k, profile="benchmark")
+    plan = build_plan(n, k)
     hit = None
     for seed in range(40):
         spectrum = draw_spectrum(n, k, 1.0, np.random.default_rng(seed))
@@ -148,7 +148,7 @@ def test_stall_flag_sees_a_stuck_multi_ton():
     # bits 6..9 lie outside both hash windows, so coefficients that differ
     # only there share their bin in every group and never peel
     n, snr = 10, 10.0
-    plan = build_plan(n, 8, regime="window", c_groups=2)
+    plan = window_plan(n, 3, 2)
     assert plan.b == 3
     stuck = SparseSpectrum(n, {1 << 6: 1.0, 1 << 7: 1.0, 5: -1.0})
     exact = SparseSpectrum(n, {1 << 6: 1.0, 5: -1.0})
