@@ -8,7 +8,8 @@ supported on S (contributions from overlapping edges accumulate). Cut
 values are integers and noiseless, so the exact-arithmetic detector with
 value snapping recovers the expansion from Theta(K n) queries. The cut
 oracle is asked once per distinct position; ``CutQueryAccess`` keeps the
-words read so far as a sorted array and answers repeats from it.
+words read so far as a sorted array, answers repeats from it and merges
+each read's fresh words into it.
 
 Vertices are numbered 1..n and vertex i maps to index position i.
 """
@@ -146,13 +147,28 @@ def random_disjoint_hypergraph(n: int, s: int, rng, min_size: int = 2, max_size:
     return Hypergraph(n, tuple(edges))
 
 
+def _merge(log: np.ndarray, old: np.ndarray, fresh: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """``log`` and ``fresh`` laid into one array: ``fresh`` at ``slots``, the
+    log in order where ``old`` is set."""
+    merged = np.empty(len(old), dtype=log.dtype)
+    merged[old] = log
+    merged[slots] = fresh
+    return merged
+
+
 class CutQueryAccess:
     """Sample access backed by a cut oracle, queried once per distinct position.
 
     The read log is two arrays: the distinct words read so far, sorted,
-    and their values. ``take`` asks the oracle only for the positions not
-    yet in the log, once each and in ascending order, and answers every
-    position by binary search in the log.
+    and their values. ``take`` argsorts its positions once, dedupes them
+    in that order and finds the distinct words in the log by one sorted
+    search. It asks the oracle only for the words not yet in the log,
+    once each and in ascending order, merges them into the log and
+    answers every position through the inverse of the one sort.
+
+    The oracle must return one finite value per word asked, and every
+    position must fit in n bits; otherwise ``take`` raises ValueError and
+    the log is left as it was.
     """
 
     def __init__(self, source, n: int | None = None):
@@ -162,27 +178,44 @@ class CutQueryAccess:
         else:
             if n is None:
                 raise ValueError("n is required for a callable oracle")
-            self.n = n
+            self.n = gf2.check_bits(n)
             self._oracle = source
         self._words = np.zeros(0, dtype=np.uint64)
         self._values = np.zeros(0, dtype=np.float64)
 
     def take(self, positions) -> np.ndarray:
         positions = np.asarray(positions, dtype=np.uint64)
-        # dedup by sort: np.unique hashes uint64 words, which costs more here
-        distinct = np.sort(positions, axis=None)
-        keep = np.ones(len(distinct), dtype=bool)
-        np.not_equal(distinct[1:], distinct[:-1], out=keep[1:])
-        distinct = distinct[keep]
+        # one argsort gives the distinct words in order and, inverted, the
+        # distinct word behind each position
+        distinct, inverse = np.unique(positions, return_inverse=True)
+        if len(distinct) and distinct[-1] >> self.n:
+            raise ValueError(f"position {int(distinct[-1])} has a bit at or above n={self.n}")
         at = np.searchsorted(self._words, distinct)
         seen = at < len(self._words)
         seen[seen] = self._words[at[seen]] == distinct[seen]
-        fresh = distinct[~seen]
-        if len(fresh):
-            values = np.asarray(self._oracle(fresh), dtype=np.float64)
-            self._words = np.insert(self._words, at[~seen], fresh)
-            self._values = np.insert(self._values, at[~seen], values)
-        return self._values[np.searchsorted(self._words, positions)]
+        fresh = ~seen
+        if fresh.any():
+            # a distinct word's slot in the merged log is its slot in the old
+            # log plus the number of fresh words below it
+            at += np.cumsum(fresh) - fresh
+            slots = at[fresh]
+            words = distinct[fresh]
+            values = self._ask(words)
+            old = np.ones(len(self._words) + len(words), dtype=bool)
+            old[slots] = False
+            self._words = _merge(self._words, old, words, slots)
+            self._values = _merge(self._values, old, values, slots)
+        return self._values[at[inverse]].reshape(positions.shape)
+
+    def _ask(self, words: np.ndarray) -> np.ndarray:
+        """The oracle's values for the sorted distinct ``words``, one finite
+        value per word."""
+        values = np.asarray(self._oracle(words), dtype=np.float64)
+        if values.shape != words.shape:
+            raise ValueError(f"the oracle returned shape {values.shape} for {len(words)} words")
+        if not np.isfinite(values).all():
+            raise ValueError("the oracle returned a value that is not finite")
+        return values
 
     @property
     def samples_queried(self) -> int:
@@ -228,19 +261,17 @@ def reconstruct_edges(spectrum: SparseSpectrum, tol: float = 1e-9):
     -2^(1-|e|); the edge is that union. Returns None when any component
     fails the pattern or the DC term is inconsistent.
     """
-    supports = []
+    by_support = {}
     dc = 0.0
     for word, value in spectrum.entries.items():
         if word == 0:
             dc = value
             continue
-        supports.append(frozenset(t + 1 for t in range(spectrum.n) if (word >> t) & 1))
-    if not supports:
+        by_support[frozenset(t + 1 for t in range(spectrum.n) if (word >> t) & 1)] = value
+    if not by_support:
         return [] if abs(dc) <= tol else None
     edges = []
-    by_support = {frozenset(t + 1 for t in range(spectrum.n) if (w >> t) & 1): v
-                  for w, v in spectrum.entries.items() if w != 0}
-    for component in _components(supports):
+    for component in _components(by_support):
         union = frozenset().union(*component)
         size = len(union)
         expected_count = (1 << (size - 1)) - 1

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsewht.fwht import synthesize_many
 from sparsewht.sketch import (
@@ -130,6 +132,92 @@ def test_cut_query_access_reads_each_position_once():
     calls = len(asked)
     assert access.take(positions[:1]).tolist() == [cut_value(h, int(positions[0]))]
     assert len(asked) == calls  # a repeat is answered from the log
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda words: 1.0,  # a scalar would broadcast over the words
+    lambda words: np.zeros(len(words) + 1),
+    lambda words: np.zeros((len(words), 1)),
+    lambda words: np.full(len(words), np.nan),
+    lambda words: np.full(len(words), np.inf),
+], ids=["scalar", "one-too-many", "column", "nan", "inf"])
+def test_cut_query_access_rejects_bad_oracle_answers(oracle):
+    access = CutQueryAccess(oracle, n=5)
+    with pytest.raises(ValueError, match="oracle returned"):
+        access.take([1, 2, 3])
+    assert access.samples_queried == 0  # a refused answer leaves the log as it was
+
+
+def test_cut_query_access_rejects_positions_beyond_n():
+    h = Hypergraph.from_edge_lists(5, [{1, 2}])
+    access = CutQueryAccess(h)
+    for word in (1 << 40, 1 << 5, (1 << 64) - 1):
+        with pytest.raises(ValueError, match="at or above n=5"):
+            access.take([3, word, 1])
+    assert access.samples_queried == 0
+    assert access.take([(1 << 5) - 1]).tolist() == [0.0]
+    with pytest.raises(ValueError, match="1..63"):
+        CutQueryAccess(lambda words: words, n=64)
+
+
+@st.composite
+def _read_sequences(draw):
+    """n, then up to six batches of words: 1-D or 2-D, empty or not, with
+    repeats inside a batch and across batches."""
+    n = draw(st.integers(3, 7))
+    batches = []
+    for _ in range(draw(st.integers(1, 6))):
+        rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 12))
+        words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=rows * cols, max_size=rows * cols))
+        batch = np.array(words, dtype=np.uint64)
+        batches.append(batch.reshape(rows, cols) if draw(st.booleans()) else batch)
+    return n, batches
+
+
+@settings(max_examples=150, deadline=None)
+@given(_read_sequences())
+def test_cut_query_access_take_matches_cut_values(sequence):
+    n, batches = sequence
+    h = Hypergraph.from_edge_lists(n, [{1, 2}, set(range(2, n + 1))])
+    asked = []
+
+    def oracle(words):
+        asked.append(words.tolist())
+        return cut_values(h, words)
+
+    access = CutQueryAccess(oracle, n=n)
+    read = set()
+    for batch in batches:
+        values = access.take(batch)
+        assert values.shape == batch.shape and values.dtype == np.float64
+        assert np.array_equal(values, cut_values(h, batch.reshape(-1)).reshape(batch.shape))
+        read.update(batch.reshape(-1).tolist())
+        words = access._words
+        assert np.all(words[1:] > words[:-1])  # the log stays strictly increasing
+        assert access.samples_queried == len(read)
+    assert all(call == sorted(set(call)) for call in asked)
+    flat = [w for call in asked for w in call]
+    assert len(flat) == len(set(flat)) == len(read)  # no word is asked twice
+
+
+# (queries, sweeps, peels, conflicts, stalled) per seed, recorded with the
+# unsorted-search read log that the one-sort read log replaced
+_SKETCH_50_3 = {
+    0: (19482, 2, 54, 0, False),
+    1: (19482, 2, 30, 0, False),
+    2: (19482, 2, 36, 0, False),
+    3: (19482, 2, 34, 0, False),
+    4: (19482, 2, 78, 0, False),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_SKETCH_50_3))
+def test_sketch_recover_pinned_at_benchmark_size(seed):
+    h = random_disjoint_hypergraph(50, 3, np.random.default_rng(seed), max_size=6)
+    result = sketch_recover(h, sparsity_budget=3 << 5, seed=seed, coeff_resolution=2.0 ** -5)
+    assert result.spectrum.entries == analytic_spectrum(h).entries
+    report = result.report
+    assert (result.queries, report.sweeps, report.peels, report.conflicts, report.stalled) == _SKETCH_50_3[seed]
 
 
 def test_reconstruct_edges_from_analytic():
