@@ -6,8 +6,9 @@ by reading the B = 2^b samples u[M_c l + d] for each offset row d,
 applying a B-point unnormalized butterfly and scaling by sqrt(N)/B, which
 yields U_{c,p}[j] = sum_{M_c^T k = j} X[k] (-1)^<d_{c,p}, k> plus noise of
 variance N sigma^2 / B per entry. An access that can read a group's whole
-(P, B) block of samples at once (``take_cosets``) is asked for that block;
-any other access is read point by point through ``take``.
+(B, P) block of samples at once (``take_cosets``) is asked for that block;
+any other access is read point by point through ``take``. The block stays
+bins-major, one column per offset row, from the read to the peel.
 """
 from __future__ import annotations
 
@@ -76,10 +77,8 @@ class SubsamplingPlan:
         if c not in self._coset_cache:
             if self.n - self.b > 24:
                 raise PlanError("coset enumeration limited to n - b <= 24")
-            m = self.matrices[c]
-            span = gf2.span_words(gf2.solve_affine(m, 0)[1])
-            units = [gf2.solve_affine(m, 1 << t)[0] for t in range(self.b)]
-            self._coset_cache[c] = (span, gf2.span_words(units))
+            units, basis = gf2.solve_units(self.matrices[c])
+            self._coset_cache[c] = (gf2.span_words(basis), gf2.span_words(units))
         return self._coset_cache[c]
 
     def sample_positions(self, c: int) -> np.ndarray:
@@ -232,7 +231,9 @@ def observe(access, plan: SubsamplingPlan, offsets: OffsetPlan) -> BinObservatio
 
     ``access`` needs ``take(positions)`` and ``samples_queried``; when it
     also has ``take_cosets(cols, rows)`` (as ``NoisyAccess`` does), each
-    group's sample block is read through that in one call.
+    group's (B, P) sample block is read through that in one call, else
+    through ``take``. The butterflies run down the block's columns in
+    place and the scaled block is written into ``data[c]``.
     """
     if offsets.n != plan.n:
         raise PlanError("plan and offsets disagree on n")
@@ -249,11 +250,11 @@ def observe(access, plan: SubsamplingPlan, offsets: OffsetPlan) -> BinObservatio
         if take_cosets is not None:
             samples = take_cosets(plan.matrices[c].col_words_u64(), rows)
         else:
-            positions = rows[:, None] ^ plan.sample_positions(c)[None, :]
-            samples = access.take(positions.reshape(-1)).reshape(len(rows), bins)
+            positions = plan.sample_positions(c)[:, None] ^ rows[None, :]
+            samples = np.ascontiguousarray(access.take(positions.reshape(-1)), dtype=np.float64)
+            samples = samples.reshape(bins, len(rows))
         kernels.fwht_rows_inplace(samples)
-        samples *= scale
-        data[c] = samples.T
+        np.multiply(samples, scale, out=data[c])
     distinct = access.samples_queried - before
     nominal = plan.c_groups * bins * offsets.nominal_rows
     return BinObservations(data, plan.n, plan.b, offsets.variant, nominal, distinct)

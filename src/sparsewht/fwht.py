@@ -28,10 +28,17 @@ def fwht(x: np.ndarray) -> np.ndarray:
 
 
 def fwht_inplace(x: np.ndarray) -> np.ndarray:
-    """In-place variant of :func:`fwht`; the caller owns the buffer."""
+    """In-place variant of :func:`fwht`; the caller owns the buffer.
+
+    A strided or non-float64 ``x`` is transformed in a contiguous copy
+    that is written back.
+    """
     size = _check_length(x)
-    kernels.fwht_rows_inplace(x.reshape(1, -1))
-    x *= 1.0 / math.sqrt(size)
+    work = np.ascontiguousarray(x, dtype=np.float64)
+    kernels.fwht_rows_inplace(work.reshape(-1, 1))
+    work *= 1.0 / math.sqrt(size)
+    if work is not x:
+        x[...] = work
     return x
 
 

@@ -144,6 +144,19 @@ def rank_transpose(m: BitMatrix) -> int:
     return len(rows)
 
 
+def _null_basis(pivot_rows: dict, n: int) -> list:
+    """The n - rank null-space words of a reduced system: one per free bit."""
+    basis = []
+    for f in range(n):
+        if f in pivot_rows:
+            continue
+        vec = 1 << f
+        for pbit, prow in pivot_rows.items():
+            vec |= ((prow >> f) & 1) << pbit
+        basis.append(vec)
+    return basis
+
+
 def solve_affine(m: BitMatrix, j: int):
     """Solve M^T k = j over GF(2)^rows for the cols-bit word ``j``.
 
@@ -153,20 +166,28 @@ def solve_affine(m: BitMatrix, j: int):
     """
     if not 0 <= j < (1 << m.cols):
         raise DimensionError(f"rhs word {j} is out of range for {m.cols} cols")
-    n = m.rows
     system = [(col, (j >> t) & 1) for t, col in enumerate(m.col_words)]
     pivot_rows, pivot_rhs = eliminate(system)
     particular = 0
     for pbit, rhs in pivot_rhs.items():
         particular |= rhs << pbit
-    free_bits = [t for t in range(n) if t not in pivot_rows]
-    basis = []
-    for f in free_bits:
-        vec = 1 << f
-        for pbit, prow in pivot_rows.items():
-            vec |= ((prow >> f) & 1) << pbit
-        basis.append(vec)
-    return particular, basis
+    return particular, _null_basis(pivot_rows, m.rows)
+
+
+def solve_units(m: BitMatrix):
+    """Solve M^T k = 1 << t for every column t of a full-column-rank M in
+    one elimination, the right-hand sides carried as words.
+
+    Returns ``(particulars, basis)``: ``particulars[t]`` is the word
+    ``solve_affine(m, 1 << t)`` returns, since the pivots do not depend
+    on the right-hand side, and ``basis`` is its null-space basis.
+    """
+    pivot_rows, pivot_rhs = eliminate((col, 1 << t) for t, col in enumerate(m.col_words))
+    particulars = [0] * m.cols
+    for pbit, rhs in pivot_rhs.items():
+        for t in range(m.cols):
+            particulars[t] |= ((rhs >> t) & 1) << pbit
+    return particulars, _null_basis(pivot_rows, m.rows)
 
 
 def span_words(basis_words: Sequence[int]) -> np.ndarray:

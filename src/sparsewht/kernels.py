@@ -21,27 +21,27 @@ def backend_name() -> str:
 
 
 def fwht_rows_inplace(mat: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard butterflies applied to every row in place.
+    """Unnormalized Walsh-Hadamard butterflies applied to every column in place.
 
-    ``mat`` must be C-contiguous float64 of shape (rows, 2**b).
+    ``mat`` must be C-contiguous float64 of shape (2**b, m): one
+    transform runs down each of its m columns. Raises ValueError for any
+    other array, since a reshape of it would be a copy that the
+    butterflies left untouched.
     """
-    if mat.ndim != 2:
-        raise ValueError("expected a 2-D array")
-    rows, size = mat.shape
+    if mat.ndim != 2 or mat.dtype != np.float64 or not mat.flags.c_contiguous:
+        raise ValueError("expected a C-contiguous 2-D float64 array")
+    size, cols = mat.shape
     if size & (size - 1):
-        raise ValueError("row length must be a power of two")
-    # butterflies on a transposed copy: every stage then streams runs of
-    # h * rows contiguous values instead of h-long pieces of each row
-    work = np.ascontiguousarray(mat.T)
+        raise ValueError("column length must be a power of two")
+    # bins-major: every stage streams runs of h * cols contiguous values
     h = 1
     while h < size:
-        view = work.reshape(size // (2 * h), 2, h * rows)
+        view = mat.reshape(size // (2 * h), 2, h * cols)
         a = view[:, 0, :].copy()
         b = view[:, 1, :]
         np.add(a, b, out=view[:, 0, :])
         np.subtract(a, b, out=b)
         h *= 2
-    mat[...] = work.T
     return mat
 
 
@@ -91,7 +91,8 @@ def singleton_search(cols: np.ndarray, offset_words: np.ndarray, basis_words: np
         s_k^T u = sum_p u_p (-1)^<d_p, part> (-1)^<alpha, y_p>,
 
     where bit i of y_p is <d_p, v_i>. So the P signed values are summed
-    into 2^d slots at y_p and one butterfly pass gives every score.
+    into 2^d slots at y_p, column r of a (2^d, m) score block, and one
+    butterfly pass down the columns gives every score.
 
     Returns ``(idx, score)`` arrays of length m: ``idx[r]`` selects the
     candidate maximizing |s_k^T u| and ``score[r]`` is that (signed)
@@ -104,9 +105,9 @@ def singleton_search(cols: np.ndarray, offset_words: np.ndarray, basis_words: np
     rows, size = cols.shape[0], 1 << len(basis_words)
     slots = hash_words(offset_words, basis_words).astype(np.int64)
     signed = cols * sign_matrix(part_words, offset_words)
-    at = (np.arange(rows, dtype=np.int64)[:, None] * size + slots[None, :]).reshape(-1)
-    scores = np.bincount(at, weights=signed.reshape(-1), minlength=rows * size).reshape(rows, size)
-    fwht_rows_inplace(scores)
-    idx = np.argmax(np.abs(scores), axis=1)
-    return idx, scores[np.arange(rows), idx]
-
+    at = (slots[None, :] * rows + np.arange(rows, dtype=np.int64)[:, None]).reshape(-1)
+    scores = np.bincount(at, weights=signed.reshape(-1), minlength=size * rows)
+    # bincount of no cells is int64 whatever the weights
+    scores = fwht_rows_inplace(scores.astype(np.float64, copy=False).reshape(size, rows))
+    idx = np.argmax(np.abs(scores), axis=0)
+    return idx, scores[idx, np.arange(rows)]

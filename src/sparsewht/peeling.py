@@ -47,12 +47,16 @@ class SupportCheck:
 
 def _peel(data: np.ndarray, plan, offsets, k_words: np.ndarray, values: np.ndarray, pending: np.ndarray) -> None:
     """Subtract the single-tons (k_words, values) from their bin in every
-    group and mark those bins pending. ``np.subtract.at`` applies repeated
-    bins in the order given, so the floats equal one peel at a time."""
+    group and mark those bins pending. Each group's (B, P) slice is
+    scattered flat, at cells j P + p, by one 1-D ``np.subtract.at``; it
+    applies repeated bins in the order given, so the floats equal one
+    peel at a time."""
+    rows = data.shape[2]
     for c2 in range(data.shape[0]):
         j2 = plan.bins_of_many(c2, k_words).astype(np.intp)
         signs = kernels.sign_matrix(k_words, offsets.rows_u64(c2))
-        np.subtract.at(data[c2], j2, values[:, None] * signs)
+        cells = j2[:, None] * rows + np.arange(rows)
+        np.subtract.at(data[c2].reshape(-1), cells.reshape(-1), (values[:, None] * signs).reshape(-1))
         pending[c2, j2] = True
 
 
@@ -64,11 +68,12 @@ def decode(obs, plan, offsets, cfg, max_iters: int | None = None, sweep_hook=Non
     call with the thresholds ``cfg``; ``offsets`` must be the ones the
     observations were generated with. The detector answers in arrays,
     and the verified single-tons (index, value) are peeled afterwards, in
-    bin order, by one ``np.subtract.at`` per group, which applies
-    repeated bins in that order. This equals classifying and peeling one
-    bin at a time: a coefficient hashes to exactly one bin per group and
-    a single-ton is only reported for its own bin, so a peel made during
-    group c's pass never changes another bin of group c.
+    bin order, by one flat ``np.subtract.at`` per group over its (B, P)
+    slice, which applies repeated bins in that order. This equals
+    classifying and peeling one bin at a time: a coefficient hashes to
+    exactly one bin per group and a single-ton is only reported for its
+    own bin, so a peel made during group c's pass never changes another
+    bin of group c.
     A stopped decode is flagged as stalled when the residual energy
     summed over the C B bins exceeds C B ``cfg.zero_ton_level``.
     ``max_iters`` caps the sweep count (default 2 C B + 10).

@@ -171,12 +171,13 @@ class NoisyAccess:
             self._noise_array()
 
     def _read(self, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Add the noise at ``positions`` to clean ``values`` (same shape)
-        and record the positions as read."""
+        """Add the noise at ``positions`` to the clean ``values`` (same
+        shape) in place and record the positions as read."""
+        at = positions.astype(np.intp)
         if self.sigma > 0:
-            values = values + self._noise_array()[positions.astype(np.int64)]
+            values += self._noise_array()[at]
         if self._queried is not None:
-            self._queried[positions.astype(np.int64)] = True
+            self._queried[at] = True
         else:
             self._queried_set.update(int(p) for p in positions.reshape(-1))
         return values
@@ -187,11 +188,12 @@ class NoisyAccess:
         return self._read(positions, synthesize_many(self.spectrum, positions))
 
     def take_cosets(self, cols, rows) -> np.ndarray:
-        """The (P, B) block of samples u[M l + d] for the b column words
+        """The (B, P) block of samples u[M l + d] for the b column words
         ``cols`` of M and the P offset words ``rows``.
 
-        Row p holds offset ``rows[p]``; column l is ordered by the word of
-        l, as in ``SubsamplingPlan.sample_positions``.
+        Row l is ordered by the word of l, as in
+        ``SubsamplingPlan.sample_positions``; column p holds offset
+        ``rows[p]``.
         """
         cols = np.asarray(cols, dtype=np.uint64)
         rows = np.asarray(rows, dtype=np.uint64)
@@ -202,12 +204,11 @@ class NoisyAccess:
             signed = kernels.sign_matrix(k_words, rows) * values[:, None]
             cells = kernels.hash_words(k_words, cols).astype(np.intp)[:, None] * p + np.arange(p)
             alias = np.bincount(cells.reshape(-1), weights=signed.reshape(-1), minlength=bins * p)
-            block = np.ascontiguousarray(alias.reshape(bins, p).T)
-            kernels.fwht_rows_inplace(block)
+            block = kernels.fwht_rows_inplace(alias.reshape(bins, p))
             block /= math.sqrt(2.0**self.n)
         else:
-            block = np.zeros((p, bins), dtype=np.float64)
-        positions = rows[:, None] ^ gf2.span_words(cols.tolist())[None, :]
+            block = np.zeros((bins, p), dtype=np.float64)
+        positions = gf2.span_words(cols.tolist())[:, None] ^ rows[None, :]
         return self._read(positions, block)
 
     @property

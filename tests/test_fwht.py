@@ -66,6 +66,15 @@ def test_fwht_inplace_owns_buffer():
     assert out is x and np.allclose(x, [math.sqrt(2), 0.0])
 
 
+def test_fwht_inplace_transforms_a_strided_view():
+    base = np.arange(16.0)
+    view = base[::2]
+    expected = naive_wht(view.copy())
+    assert fwht_inplace(view) is view
+    assert np.max(np.abs(view - expected)) < 1e-12
+    assert np.array_equal(base[1::2], np.arange(1.0, 16.0, 2.0))  # the skipped entries are untouched
+
+
 def test_synthesize_empty_and_dc():
     empty = SparseSpectrum(4, {})
     assert synthesize_many(empty, np.array([9], dtype=np.uint64)).tolist() == [0.0]

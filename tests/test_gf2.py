@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparsewht.gf2 import (
     BitMatrix,
     DimensionError,
     InconsistentSystemError,
     eliminate,
+    random_full_column_rank,
     rank_transpose,
     selection_matrix,
     solve_affine,
+    solve_units,
     span_words,
 )
 from sparsewht.kernels import hash_words, pack_rows, parity_words
@@ -147,6 +151,19 @@ def test_eliminate_with_unit_rhs_inverts():
         assert pivots == {p: 1 << p for p in range(q)}
         assert [rhs[p] for p in range(q)] == pack_rows(expected).tolist()
     assert 0 < singular < 300
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 20), b=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+@example(n=6, b=6, seed=0)  # square: an empty null space
+@example(n=9, b=1, seed=1)  # one unit target
+def test_solve_units_matches_per_unit_solve_affine(n, b, seed):
+    m = random_full_column_rank(n, min(b, n), np.random.default_rng(seed))
+    particulars, basis = solve_units(m)
+    # same pivots, so the same particular words, not just words in the same coset
+    assert particulars == [solve_affine(m, 1 << t)[0] for t in range(m.cols)]
+    assert basis == solve_affine(m, 0)[1]
+    assert all(_hash(m, [w]) == [1 << t] for t, w in enumerate(particulars))
 
 
 def test_span_words():

@@ -11,13 +11,13 @@ from references import parity
 
 
 def test_fwht_rows_small_known_values():
-    mat = np.array([[1.0, 2.0, 3.0, 4.0]])
+    mat = np.array([[1.0], [2.0], [3.0], [4.0]])
     kernels.fwht_rows_inplace(mat)
-    assert np.array_equal(mat[0], [10.0, -2.0, -4.0, 0.0])
+    assert np.array_equal(mat[:, 0], [10.0, -2.0, -4.0, 0.0])
 
 
-def _butterflies_reference(row):
-    out = row.copy()
+def _butterflies_reference(col):
+    out = col.copy()
     h = 1
     while h < len(out):
         for start in range(0, len(out), 2 * h):
@@ -27,11 +27,27 @@ def _butterflies_reference(row):
     return out
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (3, 2), (5, 16), (7, 64), (2, 256)])
+def _columns_reference(mat):
+    return np.array([_butterflies_reference(col) for col in mat.T]).T
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (16, 5), (64, 7), (256, 2)])
 def test_fwht_rows_numpy_matches_loop_butterflies(shape):
-    mat = np.random.default_rng(shape[1]).standard_normal(shape)
-    expected = np.array([_butterflies_reference(row) for row in mat])
+    mat = np.random.default_rng(shape[0]).standard_normal(shape)
+    expected = _columns_reference(mat)
     kernels.fwht_rows_inplace(mat)
+    assert np.array_equal(mat, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.integers(0, 7), m=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+@example(b=0, m=1, seed=0)  # one bin, one column
+@example(b=5, m=1, seed=1)  # one column
+@example(b=0, m=6, seed=2)  # one bin
+def test_fwht_rows_every_column_matches_loop_butterflies(b, m, seed):
+    mat = np.random.default_rng(seed).standard_normal((1 << b, m))
+    expected = _columns_reference(mat)
+    assert kernels.fwht_rows_inplace(mat) is mat
     assert np.array_equal(mat, expected)
 
 
@@ -97,5 +113,18 @@ def test_singleton_search_matches_brute_force(n, b, p, m, integer_cols, seed):
 
 
 def test_non_power_of_two_rows_rejected():
-    with pytest.raises(ValueError):
-        kernels.fwht_rows_inplace(np.ones((1, 3)))
+    with pytest.raises(ValueError, match="power of two"):
+        kernels.fwht_rows_inplace(np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("mat", [
+    np.asfortranarray(np.ones((4, 3))),  # a reshape of it would be a copy
+    np.ones((8, 2))[::2],  # strided rows
+    np.ones((4, 3), dtype=np.float32),
+    np.ones(4),
+], ids=["fortran-order", "strided", "float32", "1-d"])
+def test_fwht_rows_rejects_arrays_it_cannot_transform_in_place(mat):
+    before = mat.copy()
+    with pytest.raises(ValueError, match="C-contiguous 2-D float64"):
+        kernels.fwht_rows_inplace(mat)
+    assert np.array_equal(mat, before)

@@ -1,0 +1,77 @@
+"""Seeded outputs pinned to literals, one small trial per variant (n=10
+or 12, K=16, seed 5) and one n=50 cut sketch.
+
+A layout or speed change must leave every float the pipeline computes
+as it was. Each case pins a sha256 of the observation tensor's bytes, a
+sha256 of the recovered entries and the decode counts (sweeps, peels,
+conflicts, stall flag). ``residual_energy`` is left out: it is a
+pairwise sum, whose rounding may differ between numpy builds.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from sparsewht import experiments, frontend, sketch
+from sparsewht.signal_model import NoisyAccess, draw_spectrum
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _entries_sha(entries: dict) -> str:
+    return _sha(repr(sorted((k, float(v).hex()) for k, v in entries.items())).encode())
+
+
+def _counts(report) -> tuple:
+    return report.sweeps, report.peels, report.conflicts, report.stalled
+
+
+# sha256 of the recovered entries, which equal the drawn spectrum: one
+# spectrum at n=10 and one at n=12, shared by the three noisy variants
+_SPECTRUM_10 = "46d391b0269ad7c6239496e0cc87ea209efd9cd82e48eacb27a93a67f5fabae4"
+_SPECTRUM_12 = "72aaea6e2471e6996dd71275e295f8b2d023ffa0ce2ba25506e2d0c15b41fa08"
+
+
+@pytest.mark.parametrize("variant,n,snr_db,data_sha,entries_sha", [
+    ("noiseless", 10, None, "65c09611957b599e87a13e1c415f8a45a50fcc1ef204a760871afec935555d68", _SPECTRUM_10),
+    ("near-linear", 12, 10.0, "45c2b13b11c88e845f0770cd0adce40a15e31b0664b5a185683925fc00f7f17e", _SPECTRUM_12),
+    ("nso", 12, 10.0, "f79032a923370c8f105325abdff8e82316472b70735d3f370f731399185a9220", _SPECTRUM_12),
+    ("so", 12, 10.0, "cf64477d6f63a5962112a7ffd77a8d0cfd72642f2b653aa54c94b73994e6ddfa", _SPECTRUM_12),
+])
+def test_seeded_trial_outputs_are_pinned(variant, n, snr_db, data_sha, entries_sha):
+    k = 16
+    ss = np.random.SeedSequence(entropy=5, spawn_key=(n, k, 0))
+    rng_spec, rng_noise, rng_offsets, rng_code = (np.random.default_rng(s) for s in ss.spawn(4))
+    spectrum = draw_spectrum(n, k, 1.0, rng_spec)
+    access = NoisyAccess(spectrum, experiments.noise_sigma(1.0, k, n, snr_db), rng_noise)
+    recovered, report, obs, _ = experiments.recover(access, k, variant, snr_db=snr_db, rho=1.0,
+                                                    rng_offsets=rng_offsets, rng_code=rng_code)
+    assert _sha(obs.data.tobytes()) == data_sha
+    assert _entries_sha(recovered.entries) == entries_sha
+    assert recovered.entries == spectrum.entries
+    assert _counts(report) == (3, 16, 0, False)
+
+
+def test_seeded_sketch_outputs_are_pinned(monkeypatch):
+    observed = []
+    observe = frontend.observe
+
+    def recording_observe(*args, **kwargs):
+        observed.append(observe(*args, **kwargs))
+        return observed[-1]
+
+    monkeypatch.setattr(frontend, "observe", recording_observe)
+    edges = [[11, 48, 27, 38, 22, 13], [17, 1, 25, 7, 20], [5, 43, 23, 28, 41]]
+    graph = sketch.Hypergraph.from_edge_lists(50, edges)
+    result = sketch.sketch_recover(graph, sparsity_budget=3 << 5, seed=11, coeff_resolution=2.0**-5)
+    (obs,) = observed
+    assert obs.data.shape == (3, 128, 51)
+    assert _sha(obs.data.tobytes()) == "f1ab5deef9960b92a93c05065ab027c91f892a2ecfeefd5c07a66d769f5c354e"
+    assert _entries_sha(result.spectrum.entries) == \
+        "ff9b48d8b6f994dc49f7905f5538234fdf7ead2b15b6b566e9a8190a64dc6c37"
+    assert result.spectrum.entries == sketch.analytic_spectrum(graph).entries
+    assert result.queries == 19482
+    assert _counts(result.report) == (2, 62, 0, False)
+    assert set(map(frozenset, result.edges)) == set(graph.edges)

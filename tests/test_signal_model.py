@@ -118,13 +118,14 @@ def test_spectrum_drops_exact_zeros():
 
 
 def _coset_positions(cols, rows):
-    """u[M l + d] read positions, one row per offset d, by direct XOR sums."""
+    """u[M l + d] read positions, one row per word l and one column per
+    offset d, by direct XOR sums."""
     span = [0] * (1 << len(cols))
     for word in range(len(span)):
         for t, col in enumerate(cols):
             if word >> t & 1:
                 span[word] ^= int(col)
-    return np.array([[int(d) ^ m for m in span] for d in rows], dtype=np.uint64)
+    return np.array([[m ^ int(d) for d in rows] for m in span], dtype=np.uint64)
 
 
 @settings(max_examples=80, deadline=None)
