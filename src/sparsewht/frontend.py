@@ -5,9 +5,8 @@ hash of coefficient k in group c is j = M_c^T k. Observations are built
 by reading the B = 2^b samples u[M_c l + d] for each offset row d,
 applying a B-point unnormalized butterfly and scaling by sqrt(N)/B, which
 yields U_{c,p}[j] = sum_{M_c^T k = j} X[k] (-1)^<d_{c,p}, k> plus noise of
-variance N sigma^2 / B per entry. An access that can read a group's whole
-(B, P) block of samples at once (``take_cosets``) is asked for that block;
-any other access is read point by point through ``take``. The block stays
+variance N sigma^2 / B per entry. Each group's (B, P) block of samples is
+one ``take_cosets`` read, the only read ``observe`` makes. The block stays
 bins-major, one column per offset row, from the read to the peel.
 """
 from __future__ import annotations
@@ -80,10 +79,6 @@ class SubsamplingPlan:
             units, basis = gf2.solve_units(self.matrices[c])
             self._coset_cache[c] = (gf2.span_words(basis), gf2.span_words(units))
         return self._coset_cache[c]
-
-    def sample_positions(self, c: int) -> np.ndarray:
-        """Packed words M_c l for l in F_2^b, indexed by the word of l."""
-        return gf2.span_words(self.matrices[c].col_words)
 
 
 def benchmark_shape(k: int) -> tuple:
@@ -212,28 +207,18 @@ class BinObservations:
 
     data: np.ndarray
     n: int
-    b: int
-    variant: str
     nominal_samples: int
     distinct_samples: int
-
-    @property
-    def c_groups(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[2]
 
 
 def observe(access, plan: SubsamplingPlan, offsets: OffsetPlan) -> BinObservations:
     """Compute all bin observations via small WHTs (one per offset row).
 
-    ``access`` needs ``take(positions)`` and ``samples_queried``; when it
-    also has ``take_cosets(cols, rows)`` (as ``NoisyAccess`` does), each
-    group's (B, P) sample block is read through that in one call, else
-    through ``take``. The butterflies run down the block's columns in
-    place and the scaled block is written into ``data[c]``.
+    ``access`` needs ``take_cosets(cols, rows)``, which returns each
+    group's (B, P) sample block as a C-contiguous float64 array the
+    caller owns, and ``samples_queried``. The butterflies run down the
+    block's columns in place and the scaled block is written into
+    ``data[c]``.
     """
     if offsets.n != plan.n:
         raise PlanError("plan and offsets disagree on n")
@@ -242,19 +227,12 @@ def observe(access, plan: SubsamplingPlan, offsets: OffsetPlan) -> BinObservatio
     size = 1 << plan.n
     bins = plan.bins
     scale = math.sqrt(size) / bins
-    take_cosets = getattr(access, "take_cosets", None)
     before = access.samples_queried
     data = np.empty((plan.c_groups, bins, offsets.rows), dtype=np.float64)
     for c in range(plan.c_groups):
-        rows = offsets.rows_u64(c)
-        if take_cosets is not None:
-            samples = take_cosets(plan.matrices[c].col_words_u64(), rows)
-        else:
-            positions = plan.sample_positions(c)[:, None] ^ rows[None, :]
-            samples = np.ascontiguousarray(access.take(positions.reshape(-1)), dtype=np.float64)
-            samples = samples.reshape(bins, len(rows))
+        samples = access.take_cosets(plan.matrices[c].col_words_u64(), offsets.rows_u64(c))
         kernels.fwht_rows_inplace(samples)
         np.multiply(samples, scale, out=data[c])
     distinct = access.samples_queried - before
     nominal = plan.c_groups * bins * offsets.nominal_rows
-    return BinObservations(data, plan.n, plan.b, offsets.variant, nominal, distinct)
+    return BinObservations(data, plan.n, nominal, distinct)

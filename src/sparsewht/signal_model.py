@@ -5,6 +5,11 @@ sparsity; independent draws could collide and silently reduce sparsity)
 and, in the default constellation mode, coefficient values +/-rho with
 equal probability. Noise attaches to the sample, not the query: a
 position read twice returns one consistent realization.
+
+Every sample oracle answers ``take_cosets(cols, rows)``, the (B, P) block
+of samples u[M l + d], and ``samples_queried``, the distinct positions
+read so far. An oracle that logs its reads as a sorted array of distinct
+words merges each read into it with :func:`merge_reads`.
 """
 from __future__ import annotations
 
@@ -125,21 +130,45 @@ def snr_from_db(snr_db: float) -> float:
     return 10.0 ** (snr_db / 10.0)
 
 
+def merge_reads(log: np.ndarray, positions) -> tuple:
+    """Merge the read ``positions`` into ``log``, the sorted distinct words
+    read so far, without changing ``log``.
+
+    Returns ``(words, at, fresh)``: the new log, the slot in it of each
+    position in ``positions.reshape(-1)`` order, and a mask over ``words``
+    of the words not in ``log``. One sort dedupes the positions; one
+    stable argsort of the log and the distinct words, two sorted runs that
+    timsort merges, lays them into one log, where a word in both keeps the
+    log's copy.
+    """
+    distinct, inverse = np.unique(np.asarray(positions, dtype=np.uint64).reshape(-1), return_inverse=True)
+    both = np.concatenate([log, distinct])
+    order = np.argsort(both, kind="stable")
+    merged = both[order]
+    keep = np.ones(len(merged), dtype=bool)
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    slots = np.empty(len(both), dtype=np.intp)
+    slots[order] = np.cumsum(keep) - 1
+    return merged[keep], slots[len(log):][inverse], (order >= len(log))[keep]
+
+
 class NoisyAccess:
     """Noise-corrupted sample access u[m] = x[m] + w[m], w ~ N(0, sigma^2).
 
-    ``take`` reads arbitrary positions, synthesizing each in O(K).
-    ``take_cosets`` reads whole coset blocks u[M l + d] for all l and
-    computes them through the aliasing identity instead: the B samples of
-    one offset row d are the B-point unnormalized WHT of the alias vector
+    ``take_cosets`` reads whole coset blocks u[M l + d] for all l through
+    the aliasing identity: the B samples of one offset row d are the
+    B-point unnormalized WHT of the alias vector
     a_d[j] = sum_{M^T k = j} X[k] (-1)^<d,k>, divided by sqrt(N), so a row
-    costs O(K + B log B) rather than O(B K). Both read paths agree (exactly
+    costs O(K + B log B) rather than O(B K). ``take`` reads arbitrary
+    positions, synthesizing each in O(K). Both read paths agree (exactly
     for constellation values) and share the noise and the read accounting.
 
     The full noise realization is drawn lazily from the seeded generator,
     so repeated queries of one position agree and results do not depend
-    on query order. Single-writer: concurrent experiments should use
-    independent instances with independent seeds.
+    on query order. Reads are counted in a 2^n bitmap for n up to 24 and,
+    above that, where only noiseless reads are allowed, in a sorted read
+    log (:func:`merge_reads`). Single-writer: concurrent experiments
+    should use independent instances with independent seeds.
     """
 
     def __init__(self, spectrum: SparseSpectrum, sigma: float, rng):
@@ -153,7 +182,7 @@ class NoisyAccess:
         self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
         self._noise = None
         self._queried = np.zeros(1 << spectrum.n, dtype=bool) if spectrum.n <= _DENSE_NOISE_LIMIT else None
-        self._queried_set = set() if self._queried is None else None
+        self._log = np.zeros(0, dtype=np.uint64)
 
     @property
     def n(self) -> int:
@@ -179,7 +208,7 @@ class NoisyAccess:
         if self._queried is not None:
             self._queried[at] = True
         else:
-            self._queried_set.update(int(p) for p in positions.reshape(-1))
+            self._log = merge_reads(self._log, positions)[0]
         return values
 
     def take(self, positions) -> np.ndarray:
@@ -191,9 +220,9 @@ class NoisyAccess:
         """The (B, P) block of samples u[M l + d] for the b column words
         ``cols`` of M and the P offset words ``rows``.
 
-        Row l is ordered by the word of l, as in
-        ``SubsamplingPlan.sample_positions``; column p holds offset
-        ``rows[p]``.
+        Row l is ordered by the word of l, as in ``gf2.span_words``;
+        column p holds offset ``rows[p]``. The block is C-contiguous
+        float64 and the caller's to keep.
         """
         cols = np.asarray(cols, dtype=np.uint64)
         rows = np.asarray(rows, dtype=np.uint64)
@@ -203,7 +232,9 @@ class NoisyAccess:
             # alias[j, p] sums the signed coefficients X[k] (-1)^<d_p,k> of every k hashing to j
             signed = kernels.sign_matrix(k_words, rows) * values[:, None]
             cells = kernels.hash_words(k_words, cols).astype(np.intp)[:, None] * p + np.arange(p)
+            # bincount of no cells is int64 whatever the weights
             alias = np.bincount(cells.reshape(-1), weights=signed.reshape(-1), minlength=bins * p)
+            alias = alias.astype(np.float64, copy=False)
             block = kernels.fwht_rows_inplace(alias.reshape(bins, p))
             block /= math.sqrt(2.0**self.n)
         else:
@@ -216,4 +247,4 @@ class NoisyAccess:
         """Distinct positions read so far (shared samples counted once)."""
         if self._queried is not None:
             return int(np.count_nonzero(self._queried))
-        return len(self._queried_set)
+        return len(self._log)

@@ -7,9 +7,10 @@ even-cardinality subset S of e, a coefficient -2^(1-|e|) at the index
 supported on S (contributions from overlapping edges accumulate). Cut
 values are integers and noiseless, so the exact-arithmetic detector with
 value snapping recovers the expansion from Theta(K n) queries. The cut
-oracle is asked once per distinct position; ``CutQueryAccess`` keeps the
-words read so far as a sorted array, answers repeats from it and merges
-each read's fresh words into it.
+oracle is asked once per distinct position: ``CutQueryAccess`` answers
+repeats from its sorted read log and merges each read's fresh words into
+it with ``signal_model.merge_reads``, the log ``NoisyAccess`` keeps above
+n = 24.
 
 Vertices are numbered 1..n and vertex i maps to index position i.
 """
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import frontend, gf2, peeling
 from .bin_detect import DetectorConfig
-from .signal_model import SparseSpectrum
+from .signal_model import SparseSpectrum, merge_reads
 
 
 @dataclass(frozen=True)
@@ -147,24 +148,15 @@ def random_disjoint_hypergraph(n: int, s: int, rng, min_size: int = 2, max_size:
     return Hypergraph(n, tuple(edges))
 
 
-def _merge(log: np.ndarray, old: np.ndarray, fresh: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """``log`` and ``fresh`` laid into one array: ``fresh`` at ``slots``, the
-    log in order where ``old`` is set."""
-    merged = np.empty(len(old), dtype=log.dtype)
-    merged[old] = log
-    merged[slots] = fresh
-    return merged
-
-
 class CutQueryAccess:
     """Sample access backed by a cut oracle, queried once per distinct position.
 
-    The read log is two arrays: the distinct words read so far, sorted,
-    and their values. ``take`` argsorts its positions once, dedupes them
-    in that order and finds the distinct words in the log by one sorted
-    search. It asks the oracle only for the words not yet in the log,
-    once each and in ascending order, merges them into the log and
-    answers every position through the inverse of the one sort.
+    The read log is the sorted distinct words read so far
+    (:func:`signal_model.merge_reads`) with their values beside it.
+    ``take`` merges its positions into a new log, asks the oracle only for
+    the fresh words, once each and in ascending order, and commits the
+    new log and values once the oracle has answered. ``take_cosets``
+    reads a (B, P) coset block through ``take``.
 
     The oracle must return one finite value per word asked, and every
     position must fit in n bits; otherwise ``take`` raises ValueError and
@@ -185,27 +177,19 @@ class CutQueryAccess:
 
     def take(self, positions) -> np.ndarray:
         positions = np.asarray(positions, dtype=np.uint64)
-        # one argsort gives the distinct words in order and, inverted, the
-        # distinct word behind each position
-        distinct, inverse = np.unique(positions, return_inverse=True)
-        if len(distinct) and distinct[-1] >> self.n:
-            raise ValueError(f"position {int(distinct[-1])} has a bit at or above n={self.n}")
-        at = np.searchsorted(self._words, distinct)
-        seen = at < len(self._words)
-        seen[seen] = self._words[at[seen]] == distinct[seen]
-        fresh = ~seen
+        words, at, fresh = merge_reads(self._words, positions)
+        if len(words) and words[-1] >> self.n:
+            raise ValueError(f"position {int(words[-1])} has a bit at or above n={self.n}")
         if fresh.any():
-            # a distinct word's slot in the merged log is its slot in the old
-            # log plus the number of fresh words below it
-            at += np.cumsum(fresh) - fresh
-            slots = at[fresh]
-            words = distinct[fresh]
-            values = self._ask(words)
-            old = np.ones(len(self._words) + len(words), dtype=bool)
-            old[slots] = False
-            self._words = _merge(self._words, old, words, slots)
-            self._values = _merge(self._values, old, values, slots)
-        return self._values[at[inverse]].reshape(positions.shape)
+            values = np.empty(len(words), dtype=np.float64)
+            values[fresh] = self._ask(words[fresh])
+            values[~fresh] = self._values
+            self._words, self._values = words, values
+        return self._values[at].reshape(positions.shape)
+
+    def take_cosets(self, cols, rows) -> np.ndarray:
+        """The (B, P) block of samples u[M l + d], as ``NoisyAccess.take_cosets``."""
+        return self.take(gf2.span_words(cols)[:, None] ^ np.asarray(rows, dtype=np.uint64)[None, :])
 
     def _ask(self, words: np.ndarray) -> np.ndarray:
         """The oracle's values for the sorted distinct ``words``, one finite

@@ -14,6 +14,7 @@ from sparsewht.frontend import (
 )
 from sparsewht.gf2 import rank_transpose, solve_affine, span_words
 from sparsewht.kernels import sign_matrix
+from sparsewht.sketch import CutQueryAccess
 
 from helpers import GOLDEN_BINS_G1, GOLDEN_BINS_G2, golden_plan, golden_spectrum, random_plan, window_plan
 from references import bin_of_loop
@@ -225,20 +226,6 @@ def test_sample_counts():
     assert obs.distinct_samples <= obs.nominal_samples
 
 
-class _PointReads:
-    """An oracle that answers point reads only, backed by a NoisyAccess."""
-
-    def __init__(self, access):
-        self._access = access
-
-    def take(self, positions):
-        return self._access.take(positions)
-
-    @property
-    def samples_queried(self):
-        return self._access.samples_queried
-
-
 @pytest.mark.parametrize("variant,n,k,constellation", [
     ("nso", 17, 40, True),
     ("so", 17, 40, True),
@@ -246,6 +233,7 @@ class _PointReads:
     ("nso", 12, 10, False),
 ])
 def test_observe_coset_and_point_reads_agree(variant, n, k, constellation):
+    # the point side reads each coset block through a cut-query log over NoisyAccess.take
     rng = np.random.default_rng(20)
     spectrum = draw_spectrum(n, k, 1.0, rng, constellation=constellation)
     sigma = sigma_for_snr(1.0, k, 1 << n, 10.0)
@@ -253,7 +241,8 @@ def test_observe_coset_and_point_reads_agree(variant, n, k, constellation):
     code = build_regular_ldpc(n, rng) if variant == "so" else None
     offsets = build_offsets(variant, plan, code=code, rng=rng)
     by_coset = observe(NoisyAccess(spectrum, sigma, np.random.default_rng(21)), plan, offsets)
-    by_point = observe(_PointReads(NoisyAccess(spectrum, sigma, np.random.default_rng(21))), plan, offsets)
+    point = NoisyAccess(spectrum, sigma, np.random.default_rng(21))
+    by_point = observe(CutQueryAccess(point.take, n=n), plan, offsets)
     if constellation:
         assert np.array_equal(by_coset.data, by_point.data)
     else:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sparsewht import NoisyAccess, SparseSpectrum, build_plan, draw_spectrum, sigma_for_snr, synthesize_many
 from sparsewht.fwht import densify, fwht
 from sparsewht.signal_model import snr_from_db
+from sparsewht.sketch import CutQueryAccess
 
 
 def test_draw_empty_and_determinism():
@@ -159,7 +160,7 @@ def test_take_cosets_matches_pointwise_take(n, b, k, p, zero_rows, sigma, rho, c
 
 
 def test_take_cosets_noiseless_beyond_dense_bitmap():
-    # n > 24 keeps read positions in a set instead of a 2^n bitmap
+    # n > 24 keeps read positions in a sorted read log instead of a 2^n bitmap
     n = 40
     spectrum = draw_spectrum(n, 6, 1.0, np.random.default_rng(12))
     access = NoisyAccess(spectrum, 0.0, np.random.default_rng(13))
@@ -169,6 +170,55 @@ def test_take_cosets_noiseless_beyond_dense_bitmap():
     positions = _coset_positions(cols, rows)
     assert np.array_equal(block, synthesize_many(spectrum, positions.reshape(-1)).reshape(positions.shape))
     assert access.samples_queried == len(np.unique(positions)) == 3 * 8
+
+
+@st.composite
+def _sparse_reads(draw):
+    """n above the bitmap limit, a spectrum seed, and up to six reads, each
+    ``take`` or ``take_cosets``, over a small pool of words so that reads
+    repeat positions inside a read and across reads."""
+    n = draw(st.integers(25, 63))
+    pool = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=5))
+    word = st.sampled_from(pool)
+    reads = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            pairs = draw(st.lists(st.tuples(word, word), max_size=10))
+            reads.append((np.array([a ^ b for a, b in pairs], dtype=np.uint64),))
+        else:
+            cols = np.array(draw(st.lists(word, max_size=3)), dtype=np.uint64)
+            reads.append((cols, np.array(draw(st.lists(word, max_size=4)), dtype=np.uint64)))
+    return n, draw(st.integers(0, 2**32 - 1)), reads
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_reads())
+def test_sparse_read_log_counts_distinct_positions(case):
+    n, seed, reads = case
+    spectrum = draw_spectrum(n, 5, 1.0, np.random.default_rng(seed))
+    access = NoisyAccess(spectrum, 0.0, np.random.default_rng(seed))
+    read = set()
+    for args in reads:
+        if len(args) == 1:
+            positions, values = args[0], access.take(args[0])
+        else:
+            positions, values = _coset_positions(*args), access.take_cosets(*args)
+        assert np.array_equal(values, synthesize_many(spectrum, positions.reshape(-1)).reshape(positions.shape))
+        read.update(positions.reshape(-1).tolist())
+        assert access.samples_queried == len(read)
+
+
+@pytest.mark.parametrize("make", [
+    lambda spec: NoisyAccess(spec, 0.5, np.random.default_rng(15)),
+    lambda spec: CutQueryAccess(lambda words: synthesize_many(spec, words), n=spec.n),
+], ids=["noisy", "cut-query"])
+def test_take_cosets_with_no_rows_reads_nothing(make):
+    access = make(draw_spectrum(8, 3, 1.0, np.random.default_rng(16)))
+    cols = np.array([1, 6], dtype=np.uint64)
+    access.take_cosets(cols, np.array([3], dtype=np.uint64))
+    block = access.take_cosets(cols, np.zeros(0, dtype=np.uint64))
+    assert block.shape == (4, 0) and block.dtype == np.float64
+    assert access.samples_queried == 4
 
 
 @pytest.mark.parametrize("n", [0, 64, 70])
