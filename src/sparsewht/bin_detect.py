@@ -65,9 +65,9 @@ class DetectorConfig:
     ``gamma`` is the verification slack (must sit in (0, SNR/2));
     ``nu2`` the per-entry bin noise variance N sigma^2 / B; ``rho`` the
     constellation amplitude. ``zero_tol`` serves the exact noiseless
-    tests, and ``value_grid`` optionally snaps detected values to a
-    lattice (used by the integer-valued cut-sketching path).
-    :meth:`for_noise` derives the thresholds from the noise level.
+    tests; ``constellation`` says whether values are +/-``rho`` or
+    continuous. :meth:`for_noise` derives the thresholds from the noise
+    level.
     """
 
     gamma: float = 1.0
@@ -75,7 +75,6 @@ class DetectorConfig:
     rho: float = 1.0
     constellation: bool = True
     zero_tol: float = 0.0
-    value_grid: float | None = None
 
     @staticmethod
     def default_gamma(snr_linear: float) -> float:
@@ -160,8 +159,8 @@ def detect_noiseless_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offset
     1..n are the unit offsets, so sgn(u_t) xor sgn(u_0) is bit t of k.
     A column within ``zero_tol`` everywhere is a zero-ton. A single-ton
     needs a reference outside ``zero_tol``, every ratio u_t / u_0 within
-    ``RATIO_TOL`` of +/-1, an index that hashes back to its bin and a
-    nonzero value after snapping to ``value_grid``.
+    ``RATIO_TOL`` of +/-1 and an index that hashes back to its bin; its
+    value is the reference row's.
     """
     tol = cfg.zero_tol
     live = np.flatnonzero(~np.all(np.abs(cols) <= tol, axis=1))
@@ -174,8 +173,7 @@ def detect_noiseless_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offset
     neg = u < 0
     k_words = kernels.pack_rows(neg[:, 1:] ^ neg[:, :1])
     single &= plan.bins_of_many(c, k_words).astype(np.int64) == js[live]
-    values = ref if cfg.value_grid is None else np.round(ref / cfg.value_grid) * cfg.value_grid
-    return live, k_words, values, single & (values != 0.0)
+    return live, k_words, ref, single
 
 
 def detect_noiseless(u: np.ndarray, j_word: int, c: int, plan, cfg: DetectorConfig) -> Detection:

@@ -1,12 +1,12 @@
 """Seeded Monte-Carlo sweeps: success-vs-SNR curves and scaling runs.
 
-``recover`` is the one recovery pipeline; the trials here and the
-``recover`` command both run it, on the benchmark plan with thresholds
-derived from the noise level. A trial draws a +/-1 spectrum and derives
-its own generator streams from (seed, trial index), so results are
-reproducible and independent of how trials are distributed over
-workers. Runtime covers observation generation plus decoding only;
-drawing the spectrum and the noise realization is excluded.
+``recover`` is the one recovery pipeline, with thresholds derived from
+the noise level: the trials here and the ``recover`` command run it on
+the window plan, ``sketch.sketch_recover`` on a random plan. A trial
+draws a +/-1 spectrum and derives its own generator streams from (seed,
+trial index), so results are reproducible and independent of how trials
+are distributed over workers. Runtime covers observing and decoding
+only, not drawing the spectrum and the noise realization.
 """
 from __future__ import annotations
 
@@ -107,11 +107,11 @@ def noise_sigma(rho: float, k: int, n: int, snr_db: float | None) -> float:
 
 
 def recover(access, k: int, algorithm: str, *, snr_db: float | None, rho: float,
-            constellation: bool = True, rng_offsets, rng_code):
+            constellation: bool = True, rng_offsets, rng_code, plan=None):
     """Hash, classify and peel a K-sparse spectrum read through ``access``.
 
-    The plan is the benchmark design for K, and the offsets take their
-    default row counts. ``DetectorConfig.for_noise`` derives every
+    ``plan`` defaults to the window design for K, and the offsets take
+    their default row counts. ``DetectorConfig.for_noise`` derives every
     threshold from the noise level of amplitude ``rho`` at ``snr_db``
     (None: noise-free), the stall level included. ``constellation`` says
     whether every coefficient is +/-``rho`` or the values are continuous.
@@ -119,7 +119,8 @@ def recover(access, k: int, algorithm: str, *, snr_db: float | None, rho: float,
     covers observing and decoding only, not the set-up.
     """
     n = access.n
-    plan = frontend.build_plan(n, max(k, 1))
+    if plan is None:
+        plan = frontend.build_plan(n, max(k, 1))
     code = codes.build_regular_ldpc(n, rng_code) if algorithm == "so" else None
     offsets = frontend.build_offsets(algorithm, plan, code=code, rng=rng_offsets)
     cfg = DetectorConfig.for_noise(n, plan.bins, noise_sigma(rho, k, n, snr_db), rho,

@@ -12,7 +12,8 @@ bins-major, one column per offset row, from the read to the peel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,6 @@ class SubsamplingPlan:
     b: int
     c_groups: int
     matrices: tuple  # C BitMatrix values, each n x b
-    _coset_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.matrices) != self.c_groups:
@@ -56,13 +56,13 @@ class SubsamplingPlan:
 
         Word alpha is ``particular_words(c)[j] ^ coset_span(c)[alpha]``.
         """
-        span, particular = self._coset_parts(c)
+        span, particular = self._cosets[c]
         return span ^ particular[j_word]
 
     def coset_span(self, c: int) -> np.ndarray:
         """The null space of M_c^T, the XOR-combinations of ``coset_basis(c)``
         in ``gf2.span_words`` order: bit i of alpha selects basis word i."""
-        return self._coset_parts(c)[0]
+        return self._cosets[c][0]
 
     def coset_basis(self, c: int) -> np.ndarray:
         """The n - b words spanning the null space of M_c^T."""
@@ -70,15 +70,15 @@ class SubsamplingPlan:
 
     def particular_words(self, c: int) -> np.ndarray:
         """One solution of M_c^T k = j per bin word j, indexed by j."""
-        return self._coset_parts(c)[1]
+        return self._cosets[c][1]
 
-    def _coset_parts(self, c: int):
-        if c not in self._coset_cache:
-            if self.n - self.b > 24:
-                raise PlanError("coset enumeration limited to n - b <= 24")
-            units, basis = gf2.solve_units(self.matrices[c])
-            self._coset_cache[c] = (gf2.span_words(basis), gf2.span_words(units))
-        return self._coset_cache[c]
+    @cached_property
+    def _cosets(self) -> tuple:
+        """Per group, the null-space span and the particular words, built once."""
+        if self.n - self.b > 24:
+            raise PlanError("coset enumeration limited to n - b <= 24")
+        solved = (gf2.solve_units(m) for m in self.matrices)
+        return tuple((gf2.span_words(basis), gf2.span_words(units)) for units, basis in solved)
 
 
 def benchmark_shape(k: int) -> tuple:
@@ -214,14 +214,14 @@ class BinObservations:
 def observe(access, plan: SubsamplingPlan, offsets: OffsetPlan) -> BinObservations:
     """Compute all bin observations via small WHTs (one per offset row).
 
-    ``access`` needs ``take_cosets(cols, rows)``, which returns each
-    group's (B, P) sample block as a C-contiguous float64 array the
-    caller owns, and ``samples_queried``. The butterflies run down the
-    block's columns in place and the scaled block is written into
-    ``data[c]``.
+    ``access`` needs ``n``, which must equal the plan's,
+    ``take_cosets(cols, rows)``, which returns each group's (B, P) sample
+    block as a C-contiguous float64 array the caller owns, and
+    ``samples_queried``. The butterflies run down the block's columns in
+    place and the scaled block is written into ``data[c]``.
     """
-    if offsets.n != plan.n:
-        raise PlanError("plan and offsets disagree on n")
+    if not access.n == offsets.n == plan.n:
+        raise PlanError(f"access, plan and offsets disagree on n: {access.n}, {plan.n}, {offsets.n}")
     if len(offsets.groups) != plan.c_groups:
         raise PlanError("plan and offsets disagree on group count")
     size = 1 << plan.n

@@ -167,8 +167,9 @@ class NoisyAccess:
     so repeated queries of one position agree and results do not depend
     on query order. Reads are counted in a 2^n bitmap for n up to 24 and,
     above that, where only noiseless reads are allowed, in a sorted read
-    log (:func:`merge_reads`). Single-writer: concurrent experiments
-    should use independent instances with independent seeds.
+    log (:func:`merge_reads`). Either refuses a position with a bit at or
+    above n and leaves the count as it was. Single-writer: concurrent
+    experiments should use independent instances with independent seeds.
     """
 
     def __init__(self, spectrum: SparseSpectrum, sigma: float, rng):
@@ -208,7 +209,10 @@ class NoisyAccess:
         if self._queried is not None:
             self._queried[at] = True
         else:
-            self._log = merge_reads(self._log, positions)[0]
+            words = merge_reads(self._log, positions)[0]
+            if len(words) and words[-1] >> self.n:
+                raise ValueError(f"position {int(words[-1])} has a bit at or above n={self.n}")
+            self._log = words
         return values
 
     def take(self, positions) -> np.ndarray:

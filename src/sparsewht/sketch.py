@@ -5,25 +5,25 @@ indicators m, has a sparse unnormalized Walsh expansion: a DC term
 s - sum_e 2^(1-|e|) and, for every edge e and every nonempty
 even-cardinality subset S of e, a coefficient -2^(1-|e|) at the index
 supported on S (contributions from overlapping edges accumulate). Cut
-values are integers and noiseless, so the exact-arithmetic detector with
-value snapping recovers the expansion from Theta(K n) queries. The cut
-oracle is asked once per distinct position: ``CutQueryAccess`` answers
-repeats from its sorted read log and merges each read's fresh words into
-it with ``signal_model.merge_reads``, the log ``NoisyAccess`` keeps above
-n = 24.
+values are integers and noiseless, so ``experiments.recover``'s
+noiseless pipeline, on a random plan, recovers the expansion from
+Theta(K n) queries. The cut oracle is asked once per distinct position:
+``CutQueryAccess`` answers repeats from its sorted read log and merges
+each read's fresh words into it with ``signal_model.merge_reads``, the
+log ``NoisyAccess`` keeps above n = 24.
 
 Vertices are numbered 1..n and vertex i maps to index position i.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from . import frontend, gf2, peeling
-from .bin_detect import DetectorConfig
+from .experiments import recover
 from .signal_model import SparseSpectrum, merge_reads
 
 
@@ -274,34 +274,30 @@ def reconstruct_edges(spectrum: SparseSpectrum, tol: float = 1e-9):
 
 def sketch_recover(source, n: int | None = None, sparsity_budget: int = 1, seed: int = 0,
                    coeff_resolution: float | None = None) -> SketchResult:
-    """Recover the cut spectrum (and, when possible, the edges) by the
-    sparse-transform pipeline over the noiseless cut oracle.
+    """Recover the cut spectrum (and, when possible, the edges) by
+    ``experiments.recover``'s noiseless pipeline over the cut oracle.
 
     ``sparsity_budget`` must be at least 1 and dominate the true spectral
     sparsity (at most s 2^(d-1) for s edges of size at most d); with a
     smaller one, bins stay unresolved and the result is partial.
     ``coeff_resolution`` snaps recovered coefficients to multiples of it
-    (2^(1-d) for cut spectra).
-    The plan has the benchmark shape for the budget, but structured
-    supports are not uniformly spread, so its matrices are drawn random
-    full-column-rank.
+    (2^(1-d) for cut spectra). The plan has the benchmark shape for the
+    budget, but its matrices are random full-column-rank: a window plan
+    hashes all of an edge that no window touches to bin 0 of every group.
     """
     if sparsity_budget < 1:
         raise ValueError(f"sparsity budget must be >= 1, got {sparsity_budget}")
     access = CutQueryAccess(source, n)
     n = access.n
     rng = np.random.default_rng(seed)
-    c_groups, b = frontend.benchmark_shape(max(2, sparsity_budget))
+    c_groups, b = frontend.benchmark_shape(sparsity_budget)
     if b >= n:
         raise ValueError("sparsity budget needs b < n")
     mats = tuple(gf2.random_full_column_rank(n, b, rng) for _ in range(c_groups))
     plan = frontend.SubsamplingPlan(n, b, c_groups, mats)
-    offsets = frontend.build_offsets("noiseless", plan)
-    obs = frontend.observe(access, plan, offsets)
+    machine, report, _, _ = recover(access, sparsity_budget, "noiseless", snr_db=None, rho=1.0,
+                                    constellation=False, rng_offsets=None, rng_code=None, plan=plan)
     root_n = math.sqrt(2.0**n)
-    cfg = replace(DetectorConfig.for_noise(n, plan.bins, 0.0, 1.0, None, constellation=False),
-                  value_grid=None if coeff_resolution is None else coeff_resolution * root_n)
-    machine, report = peeling.decode(obs, plan, offsets, cfg)
     entries = {k: v / root_n for k, v in machine.entries.items()}
     if coeff_resolution is not None:
         entries = {k: round(v / coeff_resolution) * coeff_resolution for k, v in entries.items()}

@@ -87,12 +87,7 @@ def detect_noiseless_loop(u, j_word, c, plan, cfg):
         k_word |= (sgn(val) ^ ref_sign) << t
     if bin_of_loop(plan, c, k_word) != j_word:
         return Detection(MULTI_TON)
-    value = float(ref)
-    if cfg.value_grid is not None:
-        value = round(value / cfg.value_grid) * cfg.value_grid
-    if value == 0.0:
-        return Detection(MULTI_TON)
-    return Detection(SINGLE_TON, k_word, value)
+    return Detection(SINGLE_TON, k_word, float(ref))
 
 
 def detect_nso_loop(u, j_word, c, plan, offsets, cfg):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -204,14 +203,6 @@ def test_batched_detectors_equal_column_loops(monkeypatch, variant, n, k_sparsit
                                  for j, det in enumerate(batch))
     assert kinds == {ZERO_TON, SINGLE_TON, MULTI_TON}
     assert moved_singles > 0
-    if variant == "noiseless":
-        # snapping to a grid coarser than every value leaves no single-ton
-        coarse = dataclasses.replace(cfg, value_grid=4.0 * np.abs(obs.data).max())
-        block = obs.data[0]
-        assert SINGLE_TON in {det.kind for det in many(block, js, 0)}
-        snapped = references.as_detections(DETECTORS["noiseless"](block, js, 0, plan, offsets, coarse), len(js))
-        assert snapped == [references.detect_noiseless_loop(block[j], j, 0, plan, coarse) for j in js]
-        assert SINGLE_TON not in {det.kind for det in snapped}
     if variant == "so":
         assert any(decoded is None for decoded, _ in decodes)
         assert any(decoded is not None and first is None for decoded, first in decodes)

@@ -1,3 +1,9 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -184,3 +190,12 @@ def test_csv_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     parsed = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
     assert [(int(r["a"]), float(r["b"])) for r in parsed] == [(1, 2.5), (3, -1.0)]
+
+
+def test_readme_library_example_runs(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    (block,) = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(encoding="utf-8"), re.S)
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    run = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("True DecodeReport(")

@@ -45,6 +45,22 @@ def test_window_regime_rejects_oversize():
         build_plan(8, 200)
 
 
+@pytest.mark.parametrize("plan_n", [8, 12])
+def test_observe_refuses_an_access_of_another_n(plan_n):
+    rng = np.random.default_rng(plan_n)
+    access = NoisyAccess(draw_spectrum(10, 4, 1.0, rng), 0.0, rng)
+    plan = build_plan(plan_n, 4)
+    with pytest.raises(PlanError, match="disagree on n"):
+        observe(access, plan, build_offsets("noiseless", plan))
+    assert access.samples_queried == 0
+
+
+def test_coset_enumeration_refuses_more_than_24_free_bits():
+    plan = random_plan(31, 6, 2, np.random.default_rng(0))
+    with pytest.raises(PlanError, match="n - b <= 24"):
+        plan.coset_span(1)
+
+
 @settings(max_examples=200, deadline=None)
 @given(n_k=st.integers(2, 63).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 1 << min(n, 30)))))
 def test_build_plan_is_the_window_design(n_k):

@@ -272,6 +272,25 @@ def test_sketch_recover_callable_oracle_and_query_count():
     assert result.queries == sum(calls)
 
 
+def test_sketch_recover_is_exact_or_flagged_at_odd_and_even_n():
+    # at odd n, sqrt(N) is irrational, so the recovered values carry round-off
+    exact = 0
+    for n in range(9, 24):
+        rng = np.random.default_rng(n)
+        for trial in range(30):
+            h = random_disjoint_hypergraph(n, int(rng.integers(1, 4)), rng, max_size=6)
+            truth = analytic_spectrum(h)
+            size = max(len(e) for e in h.edges)
+            result = sketch_recover(h, sparsity_budget=truth.sparsity, seed=trial,
+                                    coeff_resolution=2.0 ** (1 - size))
+            if result.partial:
+                continue
+            assert result.spectrum.entries == truth.entries, (n, trial)
+            assert set(map(frozenset, result.edges)) == set(h.edges), (n, trial)
+            exact += 1
+    assert exact >= 300
+
+
 def test_sketch_recover_partial_when_budget_too_small():
     rng = np.random.default_rng(6)
     h = random_disjoint_hypergraph(16, 3, rng, min_size=4, max_size=5)
