@@ -92,7 +92,7 @@ def _cmd_recover(args) -> int:
     if algo == "so" and n < codes.MIN_INFO_BITS:
         raise ValueError(f"--algo so needs n >= {codes.MIN_INFO_BITS}, but {args.spectrum} has n={n}")
     ss = np.random.SeedSequence(entropy=args.seed or 0)
-    rng_noise, rng_offsets, rng_code = (np.random.default_rng(s) for s in ss.spawn(3))
+    rng_noise, rng_offsets = (np.random.default_rng(s) for s in ss.spawn(2))
     magnitudes = {abs(v) for v in truth.entries.values()}
     rho = max(magnitudes, default=1.0)
     snr_db = None if args.snr_db is None else args.snr_db[0]
@@ -101,7 +101,7 @@ def _cmd_recover(args) -> int:
     access = NoisyAccess(truth, noise_sigma(rho, k, n, snr_db), rng_noise)
     recovered, report, _, _ = recover(access, k, algo, snr_db=snr_db, rho=rho,
                                       constellation=len(magnitudes) <= 1,
-                                      rng_offsets=rng_offsets, rng_code=rng_code)
+                                      rng_offsets=rng_offsets)
     recovered.save(args.out)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

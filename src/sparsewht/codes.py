@@ -6,14 +6,14 @@ parity sockets always divide evenly: 3 * 2q variable sockets against
 model; duplicate edges are repaired by degree-preserving swaps and short
 cycles are reduced best-effort the same way. The systematic generator is
 derived by GF(2) elimination, retrying with a fresh graph whenever the
-relevant minor is singular. Construction works on rows and columns held
-as Python-int bitmasks. Bit flipping decodes a batch of received words
-at once.
+relevant minor is singular. Construction works on Python-int bitmask
+rows and columns; :func:`code_for` builds the design's one code per n
+once per process. Bit flipping decodes a batch of received words at once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -156,6 +156,12 @@ def build_regular_ldpc(n_info: int, rng, max_retries: int = 200) -> LdpcCode:
             continue
         return LdpcCode(n_info, n_block, h, g)
     raise CodeConstructionError(f"no valid (3,6) code after {max_retries} attempts")
+
+
+@cache
+def code_for(n_info: int) -> LdpcCode:
+    """The one code of the design for ``n_info`` bits, seeded by n_info; built once per process."""
+    return build_regular_ldpc(n_info, np.random.default_rng(n_info))
 
 
 def bitflip_decode_many(code: LdpcCode, bits, max_rounds: int = DECODE_ROUNDS):

@@ -3,10 +3,10 @@
 ``recover`` is the one recovery pipeline, with thresholds derived from
 the noise level: the trials here and the ``recover`` command run it on
 the window plan, ``sketch.sketch_recover`` on a random plan. A trial
-draws a +/-1 spectrum and derives its own generator streams from (seed,
-trial index), so results are reproducible and independent of how trials
-are distributed over workers. Runtime covers observing and decoding
-only, not drawing the spectrum and the noise realization.
+draws a +/-1 spectrum, noise and offsets from streams of (seed, trial
+index); SO's code depends on n alone. So results are reproducible and
+independent of how trials are distributed over workers. Runtime covers
+observing and decoding only, not drawing the spectrum and the noise.
 """
 from __future__ import annotations
 
@@ -107,21 +107,22 @@ def noise_sigma(rho: float, k: int, n: int, snr_db: float | None) -> float:
 
 
 def recover(access, k: int, algorithm: str, *, snr_db: float | None, rho: float,
-            constellation: bool = True, rng_offsets, rng_code, plan=None):
+            constellation: bool = True, rng_offsets, plan=None):
     """Hash, classify and peel a K-sparse spectrum read through ``access``.
 
-    ``plan`` defaults to the window design for K, and the offsets take
-    their default row counts. ``DetectorConfig.for_noise`` derives every
-    threshold from the noise level of amplitude ``rho`` at ``snr_db``
-    (None: noise-free), the stall level included. ``constellation`` says
-    whether every coefficient is +/-``rho`` or the values are continuous.
-    Returns ``(spectrum, report, obs, runtime_ns)``; ``runtime_ns``
-    covers observing and decoding only, not the set-up.
+    ``plan`` defaults to the window design for K; the offsets take their
+    default row counts, and SO's are coded by ``codes.code_for(n)``.
+    ``DetectorConfig.for_noise`` derives every threshold, the stall level
+    included, from the noise level of amplitude ``rho`` at ``snr_db``
+    (None: noise-free). ``constellation`` says whether every coefficient
+    is +/-``rho`` or the values are continuous. Returns ``(spectrum,
+    report, obs, runtime_ns)``; ``runtime_ns`` times observing and
+    decoding only, not the set-up.
     """
     n = access.n
     if plan is None:
         plan = frontend.build_plan(n, max(k, 1))
-    code = codes.build_regular_ldpc(n, rng_code) if algorithm == "so" else None
+    code = codes.code_for(n) if algorithm == "so" else None
     offsets = frontend.build_offsets(algorithm, plan, code=code, rng=rng_offsets)
     cfg = DetectorConfig.for_noise(n, plan.bins, noise_sigma(rho, k, n, snr_db), rho,
                                    None if snr_db is None else snr_from_db(snr_db), constellation)
@@ -133,15 +134,15 @@ def recover(access, k: int, algorithm: str, *, snr_db: float | None, rho: float,
 
 
 def run_trial(config: ExperimentConfig, n: int, k: int, snr_db: float | None, trial: int) -> TrialResult:
-    """One seeded draw-observe-decode-verify round."""
+    """One seeded draw-observe-decode-verify round (SO's code depends on n alone)."""
     ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(n, k, trial))
-    rng_spec, rng_noise, rng_offsets, rng_code = (np.random.default_rng(s) for s in ss.spawn(4))
+    rng_spec, rng_noise, rng_offsets = (np.random.default_rng(s) for s in ss.spawn(3))
 
     spectrum = draw_spectrum(n, k, 1.0, rng_spec)
     access = NoisyAccess(spectrum, noise_sigma(1.0, k, n, snr_db), rng_noise)
     access.prepare()
     recovered, report, obs, runtime_ns = recover(access, k, config.algorithm, snr_db=snr_db, rho=1.0,
-                                                 rng_offsets=rng_offsets, rng_code=rng_code)
+                                                 rng_offsets=rng_offsets)
 
     check = peeling.verify_support(recovered, spectrum)
     return TrialResult(check.support_match, check.values_match, runtime_ns,

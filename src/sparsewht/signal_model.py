@@ -167,9 +167,9 @@ class NoisyAccess:
     so repeated queries of one position agree and results do not depend
     on query order. Reads are counted in a 2^n bitmap for n up to 24 and,
     above that, where only noiseless reads are allowed, in a sorted read
-    log (:func:`merge_reads`). Either refuses a position with a bit at or
-    above n and leaves the count as it was. Single-writer: concurrent
-    experiments should use independent instances with independent seeds.
+    log (:func:`merge_reads`). A position with a bit at or above n is
+    refused before any noise or count is touched. Single-writer:
+    concurrent experiments should use independent instances and seeds.
     """
 
     def __init__(self, spectrum: SparseSpectrum, sigma: float, rng):
@@ -203,16 +203,15 @@ class NoisyAccess:
     def _read(self, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Add the noise at ``positions`` to the clean ``values`` (same
         shape) in place and record the positions as read."""
+        if positions.size and int(positions.max()) >> self.n:
+            raise ValueError(f"position {int(positions.max())} has a bit at or above n={self.n}")
         at = positions.astype(np.intp)
         if self.sigma > 0:
             values += self._noise_array()[at]
         if self._queried is not None:
             self._queried[at] = True
         else:
-            words = merge_reads(self._log, positions)[0]
-            if len(words) and words[-1] >> self.n:
-                raise ValueError(f"position {int(words[-1])} has a bit at or above n={self.n}")
-            self._log = words
+            self._log = merge_reads(self._log, positions)[0]
         return values
 
     def take(self, positions) -> np.ndarray:

@@ -296,7 +296,7 @@ def sketch_recover(source, n: int | None = None, sparsity_budget: int = 1, seed:
     mats = tuple(gf2.random_full_column_rank(n, b, rng) for _ in range(c_groups))
     plan = frontend.SubsamplingPlan(n, b, c_groups, mats)
     machine, report, _, _ = recover(access, sparsity_budget, "noiseless", snr_db=None, rho=1.0,
-                                    constellation=False, rng_offsets=None, rng_code=None, plan=plan)
+                                    constellation=False, rng_offsets=None, plan=plan)
     root_n = math.sqrt(2.0**n)
     entries = {k: v / root_n for k, v in machine.entries.items()}
     if coeff_resolution is not None:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsewht import codes, gf2
 from sparsewht.codes import bitflip_decode, bitflip_decode_many, build_regular_ldpc
 from sparsewht.kernels import pack_rows
 
@@ -141,6 +142,17 @@ def test_construction_matches_loop_reference(n_info):
         assert np.array_equal(code.h_dense(), h)
         assert np.array_equal(code.g.to_dense(), g)
         assert rng.integers(0, 1 << 62) == ref_rng.integers(0, 1 << 62)
+
+
+def test_code_for_builds_one_seeded_code_per_n():
+    for n in range(codes.MIN_INFO_BITS, gf2.MAX_BITS + 1):
+        code = codes.code_for(n)
+        assert codes.code_for(n) is code
+        assert code.h.row_words == build_regular_ldpc(n, np.random.default_rng(n)).h.row_words
+        dense = code.h_dense().astype(np.int64)
+        assert np.all(dense.sum(axis=0) == 3) and np.all(dense.sum(axis=1) == 6)
+        # H G = 0: the codeword of every information bit satisfies every check
+        assert not ((dense @ code.g.to_dense()) & 1).any()
 
 
 def test_bitflip_many_stops_after_max_rounds():

@@ -38,16 +38,16 @@ _SPECTRUM_12 = "72aaea6e2471e6996dd71275e295f8b2d023ffa0ce2ba25506e2d0c15b41fa08
     ("noiseless", 10, None, "65c09611957b599e87a13e1c415f8a45a50fcc1ef204a760871afec935555d68", _SPECTRUM_10),
     ("near-linear", 12, 10.0, "45c2b13b11c88e845f0770cd0adce40a15e31b0664b5a185683925fc00f7f17e", _SPECTRUM_12),
     ("nso", 12, 10.0, "f79032a923370c8f105325abdff8e82316472b70735d3f370f731399185a9220", _SPECTRUM_12),
-    ("so", 12, 10.0, "cf64477d6f63a5962112a7ffd77a8d0cfd72642f2b653aa54c94b73994e6ddfa", _SPECTRUM_12),
+    ("so", 12, 10.0, "f7044fbad6be8db5e7571787be14d442e0388b12efcdc40518598c6eda03d636", _SPECTRUM_12),
 ])
 def test_seeded_trial_outputs_are_pinned(variant, n, snr_db, data_sha, entries_sha):
     k = 16
     ss = np.random.SeedSequence(entropy=5, spawn_key=(n, k, 0))
-    rng_spec, rng_noise, rng_offsets, rng_code = (np.random.default_rng(s) for s in ss.spawn(4))
+    rng_spec, rng_noise, rng_offsets = (np.random.default_rng(s) for s in ss.spawn(3))
     spectrum = draw_spectrum(n, k, 1.0, rng_spec)
     access = NoisyAccess(spectrum, experiments.noise_sigma(1.0, k, n, snr_db), rng_noise)
     recovered, report, obs, _ = experiments.recover(access, k, variant, snr_db=snr_db, rho=1.0,
-                                                    rng_offsets=rng_offsets, rng_code=rng_code)
+                                                    rng_offsets=rng_offsets)
     assert _sha(obs.data.tobytes()) == data_sha
     assert _entries_sha(recovered.entries) == entries_sha
     assert recovered.entries == spectrum.entries

@@ -208,15 +208,17 @@ def test_sparse_read_log_counts_distinct_positions(case):
         assert access.samples_queried == len(read)
 
 
-def test_sparse_read_log_refuses_positions_beyond_n():
-    access = NoisyAccess(draw_spectrum(30, 5, 1.0, np.random.default_rng(17)), 0.0, np.random.default_rng(17))
+# n=30 counts reads in the sorted log, n=8 in the bitmap, where a word cast to intp could alias
+@pytest.mark.parametrize("n,sigma", [(30, 0.0), (8, 0.5)])
+def test_sparse_read_log_refuses_positions_beyond_n(n, sigma):
+    access = NoisyAccess(draw_spectrum(n, 5, 1.0, np.random.default_rng(17)), sigma, np.random.default_rng(17))
     access.take(np.array([3, 5], dtype=np.uint64))
-    for word in (1 << 30, 1 << 40, (1 << 64) - 1):
-        with pytest.raises(ValueError, match="at or above n=30"):
+    for word in (1 << n, 1 << 40, (1 << 64) - 1):
+        with pytest.raises(ValueError, match=f"position {word} has a bit at or above n={n}"):
             access.take(np.array([3, word, 1], dtype=np.uint64))
-        with pytest.raises(ValueError, match="at or above n=30"):
+        with pytest.raises(ValueError, match=f"at or above n={n}"):
             access.take_cosets(np.array([word], dtype=np.uint64), np.array([0], dtype=np.uint64))
-    assert access.samples_queried == 2  # a refused read leaves the log as it was
+    assert access.samples_queried == 2  # a refused read leaves the count as it was
 
 
 @pytest.mark.parametrize("make", [
