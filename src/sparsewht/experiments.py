@@ -129,7 +129,7 @@ def recover(access, k: int, algorithm: str, *, snr_db: float | None, rho: float,
 
     t0 = time.perf_counter_ns()
     obs = frontend.observe(access, plan, offsets)
-    recovered, report = peeling.decode(obs, plan, offsets, cfg, max_iters=2 * k + 10)
+    recovered, report = peeling.decode(obs, plan, offsets, cfg)
     return recovered, report, obs, time.perf_counter_ns() - t0
 
 

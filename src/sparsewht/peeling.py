@@ -9,8 +9,8 @@ valid signature triggers a false peel, but the resulting ghost later
 isolates as the same index with the opposite value and the second peel
 cancels the first everywhere, so the net-zero entry drops out of the
 result. Re-peels of an index holding a nonzero value are still counted
-as conflicts for diagnostics. The decoder stops at a fixed point (a full
-sweep with no peel) or at the sweep cap.
+as conflicts for diagnostics. The decoder stops at a fixed point: the
+first full sweep that leaves the recovered spectrum unchanged.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import bin_detect, kernels
+from .frontend import PlanError
 from .signal_model import SparseSpectrum
 
 
@@ -60,7 +61,7 @@ def _peel(data: np.ndarray, plan, offsets, k_words: np.ndarray, values: np.ndarr
         pending[c2, j2] = True
 
 
-def decode(obs, plan, offsets, cfg, max_iters: int | None = None, sweep_hook=None):
+def decode(obs, plan, offsets, cfg, sweep_hook=None):
     """Run peeling until fixed point; returns (spectrum, report).
 
     Each group's pending bins, in increasing bin order, go to the
@@ -74,10 +75,19 @@ def decode(obs, plan, offsets, cfg, max_iters: int | None = None, sweep_hook=Non
     exactly one bin per group and a single-ton is only reported for its
     own bin, so a peel made during group c's pass never changes another
     bin of group c.
+    The loop ends after the first sweep that leaves the recovered
+    spectrum unchanged: peels only move value between bins and spectrum,
+    so the bins are unchanged too and every later sweep would replay it.
+    A decode whose spectrum never settles stops after 2 C B + 10 sweeps.
     A stopped decode is flagged as stalled when the residual energy
     summed over the C B bins exceeds C B ``cfg.zero_ton_level``.
-    ``max_iters`` caps the sweep count (default 2 C B + 10).
+    Raises PlanError when ``obs`` was not built for ``plan`` and ``offsets``.
     """
+    if not obs.n == plan.n == offsets.n:
+        raise PlanError(f"observations, plan and offsets disagree on n: {obs.n}, {plan.n}, {offsets.n}")
+    if obs.data.shape != (plan.c_groups, plan.bins, offsets.rows):
+        raise PlanError(f"observations of shape {obs.data.shape} do not fit the plan and offsets, "
+                        f"which need {(plan.c_groups, plan.bins, offsets.rows)}")
     detect = bin_detect.DETECTORS[offsets.variant]
     data = obs.data.copy()
     c_groups, bins, _ = data.shape
@@ -85,13 +95,11 @@ def decode(obs, plan, offsets, cfg, max_iters: int | None = None, sweep_hook=Non
     report = DecodeReport(samples_used=obs.distinct_samples)
     # only bins touched since their last classification need revisiting
     pending = np.ones((c_groups, bins), dtype=bool)
-    if max_iters is None:
-        # aliased multi-tons can re-trigger after partial re-exposure, so
-        # the sweep count needs a structural cap, not just a fixed point
-        max_iters = 2 * c_groups * bins + 10
+    # a guard, not a setting: aliased multi-tons may keep re-triggering
+    max_sweeps = 2 * c_groups * bins + 10
 
-    while report.sweeps < max_iters:
-        sweep_peels = 0
+    while report.sweeps < max_sweeps:
+        before = dict(recovered)
         for c in range(c_groups):
             js = np.flatnonzero(pending[c])
             pending[c] = False
@@ -110,11 +118,10 @@ def decode(obs, plan, offsets, cfg, max_iters: int | None = None, sweep_hook=Non
             if len(k_words):
                 _peel(data, plan, offsets, k_words, values, pending)
             report.peels += len(k_words)
-            sweep_peels += len(k_words)
         report.sweeps += 1
         if sweep_hook is not None:
             sweep_hook(data, dict(recovered), report.sweeps)
-        if sweep_peels == 0:
+        if recovered == before:
             break
 
     # each bin's mean square over its offset rows is comparable to nu^2

@@ -160,11 +160,14 @@ class CutQueryAccess:
 
     The oracle must return one finite value per word asked, and every
     position must fit in n bits; otherwise ``take`` raises ValueError and
-    the log is left as it was.
+    the log is left as it was. A callable oracle needs ``n``; for a
+    ``Hypergraph`` it is optional and, when given, must equal the graph's.
     """
 
     def __init__(self, source, n: int | None = None):
         if isinstance(source, Hypergraph):
+            if n is not None and n != source.n:
+                raise ValueError(f"n={n} disagrees with the hypergraph's n={source.n}")
             self.n = source.n
             self._oracle = lambda words: cut_values(source, words)
         else:

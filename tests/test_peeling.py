@@ -12,7 +12,8 @@ from sparsewht.bin_detect import (
     DetectorConfig,
     detect_near_linear,
 )
-from sparsewht.frontend import build_offsets, build_plan, observe
+from sparsewht.experiments import noise_sigma, recover
+from sparsewht.frontend import PlanError, build_offsets, build_plan, observe
 from sparsewht.fwht import densify, fwht
 from sparsewht.kernels import sign_matrix
 from sparsewht.peeling import DecodeReport, decode
@@ -136,12 +137,31 @@ def test_phantom_peel_self_heals():
     assert hit is not None, "expected at least one self-healed phantom in 40 seeds"
 
 
-def test_max_iters_caps_sweeps():
-    spectrum = golden_spectrum()
-    plan = golden_plan()
-    obs, offsets, cfg = _noiseless_setup(spectrum, plan)
-    _, report = decode(obs, plan, offsets, cfg, max_iters=1)
-    assert report.sweeps == 1
+def test_unsettled_decode_stops_at_the_guard():
+    # a continuous-amplitude NSO decode at 0 dB whose spectrum keeps
+    # changing from sweep to sweep: only the structural guard stops it
+    n, k, snr_db = 12, 10, 0.0
+    rng = np.random.default_rng([91, n, k, 6, 0])
+    spectrum = draw_spectrum(n, k, 1.0, rng, constellation=False)
+    access = NoisyAccess(spectrum, noise_sigma(1.0, k, n, snr_db), rng)
+    access.prepare()
+    _, report, _, _ = recover(access, k, "nso", snr_db=snr_db, rho=1.0, constellation=False,
+                              rng_offsets=rng)
+    plan = build_plan(n, k)
+    assert report.sweeps == 2 * plan.c_groups * plan.bins + 10
+
+
+def test_cancelling_sweeps_end_the_decode():
+    # at 0 dB a sweep can re-isolate a recovered index with the opposite
+    # sign and then with its own; the two peels cancel and the spectrum is
+    # unchanged, so the decode ends instead of replaying that sweep
+    n, k = 13, 16
+    exact = []
+    for spectrum, plan, offsets, cfg, obs in seeded_instances("near-linear", n, k, 0.0, True):
+        recovered, report = decode(obs, plan, offsets, cfg)
+        assert report.sweeps < 2 * k + 10
+        exact.append(recovered.support() == spectrum.support())
+    assert exact == [True, False, True, False, False, False]
 
 
 def test_stall_flag_sees_a_stuck_multi_ton():
@@ -163,6 +183,21 @@ def test_stall_flag_sees_a_stuck_multi_ton():
             assert (recovered.support() == spectrum.support()) != stalled
             assert report.stalled == stalled, (variant, spectrum.entries)
             assert report.stalled == (report.residual_energy > references.stall_energy(cfg, 2, plan.bins))
+
+
+def test_decode_refuses_observations_of_another_plan():
+    n = 12
+    spectrum = draw_spectrum(n, 40, 1.0, np.random.default_rng(4))
+    plan = build_plan(n, 40)
+    obs, offsets, cfg = _noiseless_setup(spectrum, plan)
+    assert plan.bins == 64
+    with pytest.raises(PlanError, match=r"shape \(3, 64, 13\).*\(3, 32, 13\)"):
+        decode(obs, build_plan(n, 20), offsets, cfg)
+    nso = build_offsets("nso", plan, rng=np.random.default_rng(0))
+    with pytest.raises(PlanError, match=rf"\(3, 64, {nso.rows}\)"):
+        decode(obs, plan, nso, cfg)
+    with pytest.raises(PlanError, match="disagree on n: 12, 13, 12"):
+        decode(obs, build_plan(13, 40), offsets, cfg)
 
 
 def test_verify_support_cases():
@@ -211,16 +246,17 @@ def _coset_enumeration_near_linear(u, j, c, plan, offsets, cfg):
     return Detection(MULTI_TON)
 
 
-def _reference_decode(obs, plan, offsets, column_detector, max_iters, cfg):
-    """Peeling that classifies and peels one bin at a time; ``cfg`` sets
-    the stall level through ``references.stall_energy``."""
+def _reference_decode(obs, plan, offsets, column_detector, cfg):
+    """Peeling that classifies and peels one bin at a time until a sweep
+    leaves the recovered spectrum unchanged, or for at most 2 C B + 10
+    sweeps; ``cfg`` sets the stall level through ``references.stall_energy``."""
     data = obs.data.copy()
     c_groups, bins, _ = data.shape
     recovered = {}
     sweeps = peels = conflicts = 0
     pending = [set(range(bins)) for _ in range(c_groups)]
-    while sweeps < max_iters:
-        sweep_peels = 0
+    while sweeps < 2 * c_groups * bins + 10:
+        before = dict(recovered)
         for c in range(c_groups):
             todo = sorted(pending[c])
             pending[c].clear()
@@ -236,14 +272,13 @@ def _reference_decode(obs, plan, offsets, column_detector, max_iters, cfg):
                 else:
                     recovered[k_word] = total
                 peels += 1
-                sweep_peels += 1
                 for c2 in range(c_groups):
                     signs = sign_matrix(np.array([k_word], dtype=np.uint64), offsets.rows_u64(c2))[0]
                     j2 = references.bin_of_loop(plan, c2, k_word)
                     data[c2, j2] -= value * signs
                     pending[c2].add(j2)
         sweeps += 1
-        if sweep_peels == 0:
+        if recovered == before:
             break
     residual = float((data * data).mean(axis=2).sum())
     stalled = residual > references.stall_energy(cfg, c_groups, bins)
@@ -268,15 +303,16 @@ def _column_detector(variant, plan, offsets, cfg):
     ("near-linear", 14, 10, 20.0, False),
     ("nso", 12, 10, 5.0, True),
     ("so", 12, 10, 5.0, True),
+    # peels that cancel within a sweep
+    ("near-linear", 13, 16, 0.0, True),
 ])
 def test_batched_decode_equals_one_bin_at_a_time(variant, n, k, snr_db, constellation):
     recovered_supports = 0
     for spectrum, plan, offsets, cfg, obs in seeded_instances(
             variant, n, k, snr_db, constellation):
-        recovered, report = decode(obs, plan, offsets, cfg, max_iters=2 * k + 10)
+        recovered, report = decode(obs, plan, offsets, cfg)
         expected, expected_report = _reference_decode(obs, plan, offsets,
-                                                      _column_detector(variant, plan, offsets, cfg),
-                                                      2 * k + 10, cfg)
+                                                      _column_detector(variant, plan, offsets, cfg), cfg)
         assert recovered.entries == expected and report == expected_report
         recovered_supports += recovered.support() == spectrum.support()
     assert recovered_supports > 0  # the instances exercise full recoveries, not only stalls
@@ -296,10 +332,9 @@ def test_nso_continuous_decode_matches_loop():
     recovered_supports = 0
     for spectrum, plan, offsets, cfg, obs in seeded_instances(
             "nso", 12, 10, 20.0, False):
-        recovered, report = decode(obs, plan, offsets, cfg, max_iters=30)
+        recovered, report = decode(obs, plan, offsets, cfg)
         expected, expected_report = _reference_decode(obs, plan, offsets,
-                                                      _column_detector("nso", plan, offsets, cfg),
-                                                      30, cfg)
+                                                      _column_detector("nso", plan, offsets, cfg), cfg)
         _assert_same_decode_up_to_sums(report, expected_report, recovered, expected)
         recovered_supports += recovered.support() == spectrum.support()
     assert recovered_supports > 0
@@ -316,10 +351,9 @@ def test_near_linear_decode_matches_coset_enumeration(n, k, snr_db, constellatio
     recovered_supports = 0
     for spectrum, plan, offsets, cfg, obs in seeded_instances(
             "near-linear", n, k, snr_db, constellation, seeds=range(4)):
-        recovered, report = decode(obs, plan, offsets, cfg, max_iters=2 * k + 10)
+        recovered, report = decode(obs, plan, offsets, cfg)
         enumerate_cosets = lambda u, j, c: _coset_enumeration_near_linear(u, j, c, plan, offsets, cfg)
-        expected, expected_report = _reference_decode(obs, plan, offsets, enumerate_cosets,
-                                                      2 * k + 10, cfg)
+        expected, expected_report = _reference_decode(obs, plan, offsets, enumerate_cosets, cfg)
         _assert_same_decode_up_to_sums(report, expected_report, recovered, expected)
         recovered_supports += recovered.support() == spectrum.support()
     assert recovered_supports > 0

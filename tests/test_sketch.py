@@ -113,6 +113,15 @@ def test_cut_query_access_caches():
     assert access.samples_queried == 2
 
 
+def test_cut_query_access_refuses_an_n_the_graph_does_not_have():
+    h = Hypergraph.from_edge_lists(10, [{1, 2}])
+    assert CutQueryAccess(h, n=10).n == 10
+    with pytest.raises(ValueError, match="n=12 disagrees with the hypergraph's n=10"):
+        CutQueryAccess(h, n=12)
+    with pytest.raises(ValueError, match="n=12"):
+        sketch_recover(h, n=12, sparsity_budget=2)
+
+
 def test_cut_query_access_reads_each_position_once():
     h = Hypergraph.from_edge_lists(9, [{1, 2, 3}, {4, 8}])
     asked = []
