@@ -83,15 +83,20 @@ class DetectorConfig:
 
     @classmethod
     def for_noise(cls, n: int, bins: int, sigma: float, rho: float, snr_linear: float | None,
-                  constellation: bool = True) -> "DetectorConfig":
+                  scale: float, constellation: bool = True) -> "DetectorConfig":
         """Thresholds for B = ``bins`` bins of N = 2^n samples with noise
         ``sigma`` at linear SNR ``snr_linear`` (None: noise-free): nu^2 =
         N sigma^2 / B floored at (1e-9 rho)^2, gamma from :meth:`default_gamma`
-        (1 when noise-free), and zero_tol = 1e-9 sqrt(N) rho for round-off."""
-        size = 1 << n
+        (1 when noise-free), and zero_tol = 1e-9 ``scale`` for round-off.
+
+        ``scale`` is the largest |value| of the observations. The
+        orthonormal transforms and the peels keep round-off within a few
+        ulps of the values they combine, so 1e-9 ``scale`` sits far above
+        it and, whatever N, far below a single-ton's value. A tolerance of
+        1e-9 sqrt(N) rho outgrows a single-ton's value once n >= 60."""
         return cls(gamma=1.0 if snr_linear is None else cls.default_gamma(snr_linear),
-                   nu2=max(size * sigma * sigma / bins, (1e-9 * rho) ** 2), rho=rho,
-                   constellation=constellation, zero_tol=1e-9 * math.sqrt(size) * rho)
+                   nu2=max((1 << n) * sigma * sigma / bins, (1e-9 * rho) ** 2), rho=rho,
+                   constellation=constellation, zero_tol=1e-9 * scale)
 
     @property
     def zero_ton_level(self) -> float:

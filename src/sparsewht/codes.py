@@ -1,14 +1,11 @@
 """(3,6)-regular LDPC construction, systematic generator rows, bit-flip decoding.
 
-Rate is fixed at 1/2 (block length 2 q for q information bits), so the
-parity sockets always divide evenly: 3 * 2q variable sockets against
-6 * q check sockets. The parity graph comes from a random configuration
-model; duplicate edges are repaired by degree-preserving swaps and short
-cycles are reduced best-effort the same way. The systematic generator is
-derived by GF(2) elimination, retrying with a fresh graph whenever the
-relevant minor is singular. Construction works on Python-int bitmask
-rows and columns; :func:`code_for` builds the design's one code per n
-once per process. Bit flipping decodes a batch of received words at once.
+Rate is fixed at 1/2 (block length 2 q for q information bits), so 3 * 2q
+variable sockets meet 6 * q check sockets. The graph grows by progressive
+edge growth, which keeps short cycles out, and one GF(2) elimination gives
+the systematic generator. Construction works on Python-int bitmask rows
+and columns; :func:`code_for` builds the design's one code per n once per
+process. Bit flipping decodes a batch of received words at once.
 """
 from __future__ import annotations
 
@@ -22,6 +19,7 @@ from . import gf2, kernels
 
 MIN_INFO_BITS = 6  # the smallest information length a (3,6)-regular code is built for
 DECODE_ROUNDS = 30  # bit-flip rounds before a received word counts as undecodable
+GRAPH_DRAWS = 20  # graphs drawn before construction gives up
 
 
 class CodeConstructionError(RuntimeError):
@@ -50,112 +48,75 @@ class LdpcCode:
         return self._h_dense
 
 
-def _repair_duplicates(var_of_edge, chk_of_edge, rng, max_attempts=10_000):
-    """Degree-preserving swaps until the multigraph is simple."""
-    for _ in range(max_attempts):
-        seen = {}
-        dup = None
-        for e, (v, c) in enumerate(zip(var_of_edge, chk_of_edge)):
-            if (v, c) in seen:
-                dup = e
-                break
-            seen[(v, c)] = e
-        if dup is None:
-            return True
-        other = int(rng.integers(0, len(var_of_edge)))
-        v1, c1 = var_of_edge[dup], chk_of_edge[dup]
-        v2, c2 = var_of_edge[other], chk_of_edge[other]
-        if (v1, c2) in seen or (v2, c1) in seen or other == dup:
-            continue
-        chk_of_edge[dup], chk_of_edge[other] = c2, c1
-    return False
+def _union(words: list, mask: int) -> int:
+    """OR of ``words[i]`` over the set bits i of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= words[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
-def _lowest_bit(word: int) -> int:
-    return (word & -word).bit_length() - 1
+def _peg_rows(n_info: int, rng) -> list:
+    """H's rows as column bitmasks, by progressive edge growth; None when
+    a variable finds no open check it is not already joined to."""
+    rows, cols = [0] * n_info, [0] * (2 * n_info)
+    for v in range(2 * n_info):
+        for _ in range(3):
+            far = sum(1 << c for c, row in enumerate(rows) if row.bit_count() < 6) & ~cols[v]
+            if not far:
+                return None
+            # breadth-first from v: keep the open checks first reached at the last depth
+            reached = frontier = cols[v]
+            while frontier:
+                frontier = _union(cols, _union(rows, frontier)) & ~reached
+                reached |= frontier
+                if not far & ~reached:
+                    break
+                far &= ~reached
+            degree = {c: rows[c].bit_count() for c in range(n_info) if (far >> c) & 1}
+            low = min(degree.values())
+            ties = [c for c, d in degree.items() if d == low]
+            c = ties[int(rng.integers(len(ties)))]
+            rows[c] |= 1 << v
+            cols[v] |= 1 << c
+    return rows
 
 
-def _break_four_cycles(rows: list, n_block: int, rng, passes: int = 4) -> None:
-    """Best-effort reduction of 4-cycles by swapping column entries.
+def build_regular_ldpc(n_info: int, rng) -> LdpcCode:
+    """A (3,6)-regular rate-1/2 code with a systematic generator.
 
-    ``rows`` holds H's rows as column bitmasks and is updated in place.
-    Each pass lists, in row-major order, the row pairs (r1, r2) sharing at
-    least two columns. For a pair that still does, the first shared
-    column ``col`` of r1 trades places with a column ``col2`` that
-    neither r1 nor r2 holds, tried in a shuffled order: the first row r3
-    holding ``col2`` takes ``col`` instead, unless it already holds it.
-    The swap keeps every row and column weight.
+    The graph comes from progressive edge growth (Hu, Eleftheriou and
+    Arnold, IEEE Trans. IT 2005). The 2 n_info variables are visited in
+    order and take their 3 edges one at a time. An edge goes to the
+    farthest open check (fewer than 6 edges, not yet joined to the
+    variable): one the variable cannot reach, else one a breadth-first
+    search reaches only at its last depth. Ties go to the lowest check
+    degree, then to a draw from ``rng``.
+
+    One GF(2) elimination of H's rows finds its pivot columns, which are
+    moved after the n_info free columns. The reduced H is then [R | I],
+    and G = [I; R]: row p of R is the reduced pivot row p on the free
+    columns. A graph is drawn again, at most ``GRAPH_DRAWS`` times, only
+    when H lacks full rank (or the growth runs out of open checks).
     """
-    m = len(rows)
-    cols = list(gf2.BitMatrix.from_rows(rows, n_block).col_words)
-    for _ in range(passes):
-        pairs = [(r1, r2) for r1 in range(m) for r2 in range(r1 + 1, m)
-                 if (rows[r1] & rows[r2]).bit_count() >= 2]
-        if not pairs:
-            return
-        for r1, r2 in pairs:
-            shared = rows[r1] & rows[r2]
-            if shared.bit_count() < 2:
-                continue
-            col = _lowest_bit(shared)
-            targets = np.array([t for t in range(n_block) if not (rows[r1] >> t) & 1], dtype=np.int64)
-            rng.shuffle(targets)
-            for col2 in targets.tolist():
-                if ((rows[r1] | rows[r2]) >> col2) & 1 or not cols[col2]:
-                    continue
-                r3 = _lowest_bit(cols[col2])
-                if (rows[r3] >> col) & 1:
-                    continue
-                rows[r1] ^= (1 << col) | (1 << col2)
-                rows[r3] ^= (1 << col) | (1 << col2)
-                cols[col] ^= (1 << r1) | (1 << r3)
-                cols[col2] ^= (1 << r1) | (1 << r3)
-                break
-
-
-def _systematic_generator(h: gf2.BitMatrix):
-    """G = [I; B^{-1} A] for H = [A | B]; None when B is singular."""
-    n_info = h.cols - h.rows
-    try:
-        _, b_inv = gf2.eliminate([(word >> n_info, 1 << r) for r, word in enumerate(h.row_words)])
-    except gf2.InconsistentSystemError:
-        return None
-    a = [word & ((1 << n_info) - 1) for word in h.row_words]
-    parity_rows = []
-    for word in (b_inv[p] for p in range(h.rows)):
-        acc = 0
-        while word:
-            acc ^= a[_lowest_bit(word)]
-            word &= word - 1
-        parity_rows.append(acc)
-    return gf2.BitMatrix.from_rows([1 << t for t in range(n_info)] + parity_rows, n_info)
-
-
-def build_regular_ldpc(n_info: int, rng, max_retries: int = 200) -> LdpcCode:
-    """Sample a (3,6)-regular rate-1/2 code with a systematic generator."""
     if n_info < MIN_INFO_BITS:
         raise ValueError(f"n_info must be at least {MIN_INFO_BITS}")
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     n_block = 2 * n_info
-    m = n_info
-    for _ in range(max_retries):
-        var_of_edge = np.repeat(np.arange(n_block), 3).tolist()
-        perm = rng.permutation(6 * m)
-        chk_of_edge = (perm // 6).tolist()
-        if not _repair_duplicates(var_of_edge, chk_of_edge, rng):
+    for _ in range(GRAPH_DRAWS):
+        rows = _peg_rows(n_info, rng)
+        pivots, _ = gf2.eliminate((row, 0) for row in rows or [])
+        if len(pivots) < n_info:
             continue
-        rows = [0] * m
-        for v, c in zip(var_of_edge, chk_of_edge):
-            rows[c] |= 1 << v
-        _break_four_cycles(rows, n_block, rng)
-        h = gf2.BitMatrix.from_rows(rows, n_block)
-        if any(w.bit_count() != 6 for w in h.row_words) or any(w.bit_count() != 3 for w in h.col_words):
-            continue
-        g = _systematic_generator(h)
-        if g is None:
-            continue
-        return LdpcCode(n_info, n_block, h, g)
-    raise CodeConstructionError(f"no valid (3,6) code after {max_retries} attempts")
+        pivot_cols = sorted(pivots)
+        order = [t for t in range(n_block) if t not in pivots] + pivot_cols
+        h = [sum(((row >> t) & 1) << i for i, t in enumerate(order)) for row in rows]
+        parity = [sum(((pivots[p] >> t) & 1) << i for i, t in enumerate(order[:n_info])) for p in pivot_cols]
+        g = gf2.BitMatrix.from_rows([1 << t for t in range(n_info)] + parity, n_info)
+        return LdpcCode(n_info, n_block, gf2.BitMatrix.from_rows(h, n_block), g)
+    raise CodeConstructionError(f"no full-rank (3,6) code after {GRAPH_DRAWS} graphs")
 
 
 @cache

@@ -114,7 +114,8 @@ def recover(access, k: int, algorithm: str, *, snr_db: float | None, rho: float,
     default row counts, and SO's are coded by ``codes.code_for(n)``.
     ``DetectorConfig.for_noise`` derives every threshold, the stall level
     included, from the noise level of amplitude ``rho`` at ``snr_db``
-    (None: noise-free). ``constellation`` says whether every coefficient
+    (None: noise-free) and the round-off tolerance from the largest
+    observed |value|. ``constellation`` says whether every coefficient
     is +/-``rho`` or the values are continuous. Returns ``(spectrum,
     report, obs, runtime_ns)``; ``runtime_ns`` times observing and
     decoding only, not the set-up.
@@ -124,11 +125,12 @@ def recover(access, k: int, algorithm: str, *, snr_db: float | None, rho: float,
         plan = frontend.build_plan(n, max(k, 1))
     code = codes.code_for(n) if algorithm == "so" else None
     offsets = frontend.build_offsets(algorithm, plan, code=code, rng=rng_offsets)
-    cfg = DetectorConfig.for_noise(n, plan.bins, noise_sigma(rho, k, n, snr_db), rho,
-                                   None if snr_db is None else snr_from_db(snr_db), constellation)
 
     t0 = time.perf_counter_ns()
     obs = frontend.observe(access, plan, offsets)
+    cfg = DetectorConfig.for_noise(n, plan.bins, noise_sigma(rho, k, n, snr_db), rho,
+                                   None if snr_db is None else snr_from_db(snr_db),
+                                   float(max(obs.data.max(), -obs.data.min())), constellation)
     recovered, report = peeling.decode(obs, plan, offsets, cfg)
     return recovered, report, obs, time.perf_counter_ns() - t0
 

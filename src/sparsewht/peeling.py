@@ -78,9 +78,10 @@ def decode(obs, plan, offsets, cfg, sweep_hook=None):
     The loop ends after the first sweep that leaves the recovered
     spectrum unchanged: peels only move value between bins and spectrum,
     so the bins are unchanged too and every later sweep would replay it.
-    A decode whose spectrum never settles stops after 2 C B + 10 sweeps.
-    A stopped decode is flagged as stalled when the residual energy
-    summed over the C B bins exceeds C B ``cfg.zero_ton_level``.
+    A decode whose spectrum never settles stops after 2 C B + 10 sweeps
+    and is flagged as stalled. A settled decode is flagged when the
+    residual energy summed over the C B bins exceeds C B
+    ``cfg.zero_ton_level``.
     Raises PlanError when ``obs`` was not built for ``plan`` and ``offsets``.
     """
     if not obs.n == plan.n == offsets.n:
@@ -126,7 +127,8 @@ def decode(obs, plan, offsets, cfg, sweep_hook=None):
 
     # each bin's mean square over its offset rows is comparable to nu^2
     report.residual_energy = float((data * data).mean(axis=2).sum())
-    report.stalled = report.residual_energy > c_groups * bins * cfg.zero_ton_level
+    # the last sweep changed the spectrum only when the guard ended the loop
+    report.stalled = recovered != before or report.residual_energy > c_groups * bins * cfg.zero_ton_level
     return SparseSpectrum(obs.n, recovered), report
 
 

@@ -64,5 +64,6 @@ def seeded_instances(variant, n, k, snr_db, constellation, seeds=range(6)):
         access = NoisyAccess(spectrum, sigma, rng)
         code = build_regular_ldpc(n, rng) if variant == "so" else None
         offsets = build_offsets(variant, plan, code=code, rng=rng)
-        cfg = DetectorConfig.for_noise(n, plan.bins, sigma, 1.0, snr, constellation)
-        yield spectrum, plan, offsets, cfg, observe(access, plan, offsets)
+        obs = observe(access, plan, offsets)
+        cfg = DetectorConfig.for_noise(n, plan.bins, sigma, 1.0, snr, np.abs(obs.data).max(), constellation)
+        yield spectrum, plan, offsets, cfg, obs

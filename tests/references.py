@@ -4,7 +4,8 @@ bit-flip decoder, the stall level and LDPC set-up.
 These are the one-column (and one-word) bodies the library ran before it
 classified a group's bins in one call and before it carried indices only
 as packed words. They stay here so that the batched code is checked
-against independent code rather than against itself.
+against independent code rather than against itself. The LDPC set-up is
+the library's bitmask construction redone on dense arrays.
 """
 import numpy as np
 
@@ -139,93 +140,62 @@ def bitflip_decode_loop(code, bits, max_rounds=30):
     return None
 
 
-def _repair_duplicates_loop(var_of_edge, chk_of_edge, rng, max_attempts=10_000):
-    for _ in range(max_attempts):
-        seen = {}
-        dup = None
-        for e, (v, c) in enumerate(zip(var_of_edge, chk_of_edge)):
-            if (v, c) in seen:
-                dup = e
-                break
-            seen[(v, c)] = e
-        if dup is None:
-            return True
-        other = int(rng.integers(0, len(var_of_edge)))
-        v1, c1 = var_of_edge[dup], chk_of_edge[dup]
-        v2, c2 = var_of_edge[other], chk_of_edge[other]
-        if (v1, c2) in seen or (v2, c1) in seen or other == dup:
+def gf2_rref_loop(mat):
+    """The reduced row echelon form of a dense 0/1 matrix over GF(2), by
+    column-wise Gauss-Jordan; returns (reduced rows, pivot columns)."""
+    work = np.array(mat, dtype=np.uint8)
+    pivots = []
+    for col in range(work.shape[1]):
+        r = len(pivots)
+        hits = np.flatnonzero(work[r:, col])
+        if not len(hits):
             continue
-        chk_of_edge[dup], chk_of_edge[other] = c2, c1
-    return False
+        work[[r, r + hits[0]]] = work[[r + hits[0], r]]
+        for other in np.flatnonzero(work[:, col]):
+            if other != r:
+                work[other] ^= work[r]
+        pivots.append(col)
+    return work[: len(pivots)], pivots
 
 
-def _break_four_cycles_loop(dense, rng, passes=4):
-    m, n = dense.shape
-    for _ in range(passes):
-        overlap = (dense @ dense.T) - np.diag((dense * dense).sum(axis=1))
-        pairs = np.argwhere(np.triu(overlap, 1) >= 2)
-        if len(pairs) == 0:
-            return
-        for r1, r2 in pairs:
-            shared = np.nonzero(dense[r1] & dense[r2])[0]
-            if len(shared) < 2:
-                continue
-            col = int(shared[0])
-            targets = np.nonzero(~dense[r1].astype(bool))[0]
-            rng.shuffle(targets)
-            for col2 in targets:
-                if dense[r1, col2] == 0 and dense[r2, col2] == 0:
-                    rows_with_col2 = np.nonzero(dense[:, col2])[0]
-                    if len(rows_with_col2) == 0:
-                        continue
-                    r3 = int(rows_with_col2[0])
-                    if dense[r3, col]:
-                        continue
-                    dense[r1, col], dense[r1, col2] = 0, 1
-                    dense[r3, col2], dense[r3, col] = 0, 1
-                    break
-
-
-def gf2_inverse_loop(mat):
-    q = mat.shape[0]
-    work = mat.astype(np.uint8).copy()
-    inv = np.eye(q, dtype=np.uint8)
-    for col in range(q):
-        pivots = np.nonzero(work[col:, col])[0]
-        if len(pivots) == 0:
-            return None
-        p = col + int(pivots[0])
-        if p != col:
-            work[[col, p]] = work[[p, col]]
-            inv[[col, p]] = inv[[p, col]]
-        hits = np.nonzero(work[:, col])[0]
-        for r in hits:
-            if r != col:
-                work[r] ^= work[col]
-                inv[r] ^= inv[col]
-    return inv
-
-
-def build_regular_ldpc_loop(n_info, rng, max_retries=200):
-    """(H, G) as dense uint8 arrays, or None after ``max_retries`` graphs."""
+def peg_loop(n_info, rng):
+    """Progressive edge growth on a dense H, with a breadth-first search of
+    boolean masks per edge; the draws are made in the library's order.
+    Returns None when a variable finds no open check."""
     n_block = 2 * n_info
-    m = n_info
-    for _ in range(max_retries):
-        var_of_edge = list(np.repeat(np.arange(n_block), 3))
-        perm = rng.permutation(6 * m)
-        chk_of_edge = list(perm // 6)
-        if not _repair_duplicates_loop(var_of_edge, chk_of_edge, rng):
+    h = np.zeros((n_info, n_block), dtype=np.uint8)
+    for v in range(n_block):
+        for _ in range(3):
+            degree = h.sum(axis=1)
+            joined = h[:, v].astype(bool)
+            far = (degree < 6) & ~joined
+            if not far.any():
+                return None
+            reached = joined.copy()
+            frontier = joined.copy()
+            while frontier.any():
+                frontier = h[:, h[frontier].any(axis=0)].any(axis=1) & ~reached
+                reached |= frontier
+                if not (far & ~reached).any():
+                    break
+                far &= ~reached
+            ties = np.flatnonzero(far & (degree == degree[far].min()))
+            h[ties[rng.integers(len(ties))], v] = 1
+    return h
+
+
+def build_regular_ldpc_loop(n_info, rng, draws):
+    """(H, G) as dense uint8 arrays, or None after ``draws`` graphs: PEG,
+    then the pivot columns of H's reduced form moved after the free ones,
+    and G = [I; R] for the reduced H = [R | I]."""
+    for _ in range(draws):
+        h = peg_loop(n_info, rng)
+        if h is None:
             continue
-        dense = np.zeros((m, n_block), dtype=np.uint8)
-        for v, c in zip(var_of_edge, chk_of_edge):
-            dense[c, v] = 1
-        _break_four_cycles_loop(dense, rng)
-        if not ((dense.sum(axis=0) == 3).all() and (dense.sum(axis=1) == 6).all()):
+        reduced, pivots = gf2_rref_loop(h)
+        if len(pivots) < n_info:
             continue
-        b_inv = gf2_inverse_loop(dense[:, n_info:])
-        if b_inv is None:
-            continue
-        parity_part = (b_inv @ dense[:, :n_info]) % 2
-        g = np.vstack([np.eye(n_info, dtype=np.uint8), parity_part.astype(np.uint8)])
-        return dense, g
+        order = [t for t in range(2 * n_info) if t not in pivots] + pivots
+        g = np.vstack([np.eye(n_info, dtype=np.uint8), reduced[:, order[:n_info]]])
+        return h[:, order], g
     return None

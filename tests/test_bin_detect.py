@@ -44,21 +44,21 @@ def test_for_noise_matches_the_separate_formulas(n, k, snr_db, rho):
     c_bins, size = plan.c_groups * plan.bins, 1 << n
     snr = None if snr_db is None else snr_from_db(snr_db)
     sigma = 0.0 if snr is None else sigma_for_snr(rho, k, size, snr)
-    cfg = DetectorConfig.for_noise(n, plan.bins, sigma, rho, snr, constellation=False)
+    scale = 3.0 * rho  # the largest observed |value|: three coefficients in one bin
+    cfg = DetectorConfig.for_noise(n, plan.bins, sigma, rho, snr, scale, constellation=False)
     nu2 = max(size * sigma * sigma / plan.bins, (1e-9 * rho) ** 2)
     gamma = 1.0 if snr is None else DetectorConfig.default_gamma(snr)
-    assert cfg == DetectorConfig(gamma=gamma, nu2=nu2, rho=rho, constellation=False,
-                                 zero_tol=1e-9 * math.sqrt(size) * rho)
+    assert cfg == DetectorConfig(gamma=gamma, nu2=nu2, rho=rho, constellation=False, zero_tol=1e-9 * scale)
     if rho == 1.0:
-        # the seeded test instances' spelling of the same two formulas
-        assert cfg.zero_tol == 1e-9 * 2 ** (n / 2) and cfg.nu2 == max(size * sigma * sigma / plan.bins, 1e-18)
+        # the seeded test instances' spelling of the same formula
+        assert cfg.nu2 == max(size * sigma * sigma / plan.bins, 1e-18)
     if snr is None:
-        # noise-free: the noiseless detector's level, far above the float floor of nu^2
+        # noise-free: the noiseless detector's level, above the float floor of nu^2
         assert c_bins * cfg.zero_ton_level == c_bins * cfg.zero_tol ** 2 > c_bins * (1.0 + gamma) * nu2
     else:
         assert c_bins * cfg.zero_ton_level == pytest.approx(c_bins * (1.0 + gamma) * nu2, rel=1e-15)
-    # a sketch: noise-free, unit scale, continuous values
-    sketch = DetectorConfig.for_noise(n, plan.bins, 0.0, 1.0, None, constellation=False)
+    # a sketch: noise-free, unit amplitude, continuous values carrying sqrt(N)
+    sketch = DetectorConfig.for_noise(n, plan.bins, 0.0, 1.0, None, math.sqrt(2.0**n), constellation=False)
     assert sketch.zero_tol == 1e-9 * math.sqrt(2.0**n) and not sketch.constellation
     assert c_bins * sketch.zero_ton_level == c_bins * sketch.zero_tol**2
 

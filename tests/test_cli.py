@@ -57,6 +57,17 @@ def test_recover_round_trip(tmp_path, capsys):
     assert parsed["stalled"] is False
 
 
+def test_recover_noise_free_at_n62(tmp_path):
+    # a round-off tolerance that grew with sqrt(N) once called every bin a zero-ton here
+    spec_path = tmp_path / "truth.txt"
+    out = tmp_path / "recovered.txt"
+    report = tmp_path / "report.json"
+    assert main(["synth", "--n", "62", "--k", "10", "--seed", "3", "--out", str(spec_path)]) == 0
+    assert main(["recover", "--spectrum", str(spec_path), "--out", str(out), "--report", str(report)]) == 0
+    assert SparseSpectrum.load(out).entries == SparseSpectrum.load(spec_path).entries
+    assert json.loads(report.read_text())["stalled"] is False
+
+
 def test_recover_report_carries_every_field(tmp_path, monkeypatch):
     # the --report file holds exactly the DecodeReport that recover returned
     reports = []

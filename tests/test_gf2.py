@@ -140,7 +140,9 @@ def test_eliminate_with_unit_rhs_inverts():
     for _ in range(300):
         q = int(rng.integers(1, 12))
         dense = rng.integers(0, 2, size=(q, q)).astype(np.uint8)
-        expected = references.gf2_inverse_loop(dense)
+        # [M | I] reduces to [I | M^-1] exactly when M is nonsingular
+        reduced, pivots = references.gf2_rref_loop(np.hstack([dense, np.eye(q, dtype=np.uint8)]))
+        expected = reduced[:, q:] if pivots == list(range(q)) else None
         system = [(int(w), 1 << r) for r, w in enumerate(pack_rows(dense))]
         if expected is None:
             singular += 1
