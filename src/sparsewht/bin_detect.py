@@ -227,8 +227,7 @@ def detect_so_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg:
     u = cols[live]
     neg = u < 0
     ref = neg[:, offsets.layout["reference"]]
-    bits, decoded = codes.bitflip_decode_many(code, neg[:, c0:c1] ^ ref[:, None])
-    k_words = kernels.pack_rows(bits[:, : code.n_info])
+    k_words, decoded = codes.bitflip_decode_many(code, neg[:, c0:c1] ^ ref[:, None])
     values, single = _confirm(u[:, r0:r1], offsets.rows_u64(c)[r0:r1], k_words, js[live], c, plan, cfg)
     return live, k_words, values, decoded & single
 

@@ -5,7 +5,8 @@ variable sockets meet 6 * q check sockets. The graph grows by progressive
 edge growth, which keeps short cycles out, and one GF(2) elimination gives
 the systematic generator. Construction works on Python-int bitmask rows
 and columns; :func:`code_for` builds the design's one code per n once per
-process. Bit flipping decodes a batch of received words at once.
+process. Bit flipping runs on each received word's syndrome, as an
+integer mask, until the word decodes, cycles or reaches the round cap.
 """
 from __future__ import annotations
 
@@ -65,6 +66,11 @@ def _peg_rows(n_info: int, rng) -> list:
     for v in range(2 * n_info):
         for _ in range(3):
             far = sum(1 << c for c, row in enumerate(rows) if row.bit_count() < 6) & ~cols[v]
+            if cols[v].bit_count() == 2:
+                # no third edge that gives v another variable's three checks
+                for u in range(v):
+                    if cols[u] & cols[v] == cols[v]:
+                        far &= ~cols[u]
             if not far:
                 return None
             # breadth-first from v: keep the open checks first reached at the last depth
@@ -91,9 +97,11 @@ def build_regular_ldpc(n_info: int, rng) -> LdpcCode:
     Arnold, IEEE Trans. IT 2005). The 2 n_info variables are visited in
     order and take their 3 edges one at a time. An edge goes to the
     farthest open check (fewer than 6 edges, not yet joined to the
-    variable): one the variable cannot reach, else one a breadth-first
-    search reaches only at its last depth. Ties go to the lowest check
-    degree, then to a draw from ``rng``.
+    variable, and not one that would give the variable the same three
+    checks as another, which would make two columns of H equal and the
+    minimum distance 2): one the variable cannot reach, else one a
+    breadth-first search reaches only at its last depth. Ties go to the
+    lowest check degree, then to a draw from ``rng``.
 
     One GF(2) elimination of H's rows finds its pivot columns, which are
     moved after the n_info free columns. The reduced H is then [R | I],
@@ -125,32 +133,66 @@ def code_for(n_info: int) -> LdpcCode:
     return build_regular_ldpc(n_info, np.random.default_rng(n_info))
 
 
-def bitflip_decode_many(code: LdpcCode, bits, max_rounds: int = DECODE_ROUNDS):
-    """Gallager bit flipping on every received word (row) of ``bits`` at once.
+def _xor(words, mask: int) -> int:
+    """XOR of ``words[i]`` over the set bits i of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out ^= words[low.bit_length() - 1]
+        mask ^= low
+    return out
 
-    Each round computes every row's syndrome and flips, in each row that
-    still fails a check, all bits tied at that row's maximum count of
-    failing checks; a row that satisfies every check is left alone from
-    then on, so a valid codeword comes back unchanged in round zero.
-    Returns ``(words, ok)``: the (m, n_block) uint8 words after flipping,
-    and whether each row reached a codeword within ``max_rounds`` flips.
-    The first ``n_info`` bits of a decoded word are its information word.
+
+def bitflip_decode_many(code: LdpcCode, bits, max_rounds: int = DECODE_ROUNDS):
+    """Gallager bit flipping on every received word (row) of ``bits``.
+
+    Each round flips every bit tied at the word's maximum count of
+    failing checks. That set depends only on the syndrome s, and the
+    next syndrome is s xor H f for the flip set f, so each word runs on
+    its n-bit syndrome alone. Since every column of H has weight 3, the
+    counts are three bit-sliced masks over the failing checks' rows, and
+    the flip set is the first nonempty of count >= 3, >= 2, >= 1. A word
+    stops when s = 0 (a valid codeword stops in round zero), when s
+    equals its value two flips back (a cycle that never reaches 0), or
+    after ``max_rounds`` flips.
+
+    Returns ``(info, ok)``: whether each row reached a codeword within
+    ``max_rounds`` flips and, where it did, its information word (the
+    first ``n_info`` bits of that codeword) as a uint64.
     """
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
     words = np.array(bits, dtype=np.uint8, ndmin=2)
     if words.shape[1] != code.n_block:
         raise gf2.DimensionError(f"expected {code.n_block} received bits per word")
-    # 0/1 products and their small sums are exact in float64, where matmul runs on BLAS
-    h = code.h_dense().astype(np.float64)
-    for _ in range(max_rounds + 1):
-        syndrome = (words @ h.T) % 2
-        failing = syndrome.any(axis=1)
-        if not failing.any():
-            break
-        counts = syndrome @ h
-        words ^= (counts == counts.max(axis=1, keepdims=True)) & failing[:, None]
-    return words, ~failing
+    n = code.n_info
+    # info and syndrome packed apart: each fits a uint64, the 2n-bit word may not
+    info = kernels.pack_rows(words[:, :n])
+    syndromes = kernels.pack_rows((words @ code.h_dense().T) & 1).tolist()
+    rows, cols, info_mask = code.h.row_words, code.h.col_words, (1 << n) - 1
+    ok, fixes = [], []
+    for s in syndromes:
+        flips, last, before = 0, -1, -1
+        for _ in range(max_rounds):
+            if not s or s == before:
+                break
+            c1 = c2 = c3 = 0
+            failing = s
+            while failing:
+                low = failing & -failing
+                row = rows[low.bit_length() - 1]
+                c3 |= c2 & row
+                c2 |= c1 & row
+                c1 |= row
+                failing ^= low
+            flip = c3 or c2 or c1
+            flips ^= flip
+            before, last = last, s
+            s ^= _xor(cols, flip)
+        ok.append(not s)
+        fixes.append(flips & info_mask)
+    info ^= np.array(fixes, dtype=np.uint64)
+    return info, np.array(ok, dtype=bool)
 
 
 def bitflip_decode(code: LdpcCode, bits, max_rounds: int = DECODE_ROUNDS):
@@ -159,7 +201,5 @@ def bitflip_decode(code: LdpcCode, bits, max_rounds: int = DECODE_ROUNDS):
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.shape != (code.n_block,):
         raise gf2.DimensionError(f"expected {code.n_block} received bits")
-    words, ok = bitflip_decode_many(code, bits, max_rounds)
-    if not ok[0]:
-        return None
-    return int(kernels.pack_rows(words[:, : code.n_info])[0])
+    info, ok = bitflip_decode_many(code, bits, max_rounds)
+    return int(info[0]) if ok[0] else None

@@ -127,16 +127,25 @@ def detect_so_loop(u, j_word, c, plan, offsets, cfg):
     return _confirm_single(rand, offsets.rows_u64(c)[r0:r1], decoded, cfg)
 
 
+def bitflip_round_loop(code, bits):
+    """One bit-flip round on a 0/1 word: every bit tied at the largest
+    count of failing checks flipped, or None when no check fails."""
+    h = code.h_dense()
+    syndrome = (h @ bits) & 1
+    if not syndrome.any():
+        return None
+    counts = h.T @ syndrome
+    return bits ^ (counts == counts.max()).astype(np.uint8)
+
+
 def bitflip_decode_loop(code, bits, max_rounds=30):
     """Gallager bit flipping on one received word; the information word or None."""
-    bits = np.asarray(bits, dtype=np.uint8).copy()
-    h = code.h_dense()
+    bits = np.asarray(bits, dtype=np.uint8)
     for _ in range(max_rounds + 1):
-        syndrome = (h @ bits) & 1
-        if not syndrome.any():
+        flipped = bitflip_round_loop(code, bits)
+        if flipped is None:
             return int(sum(int(v) << t for t, v in enumerate(bits[: code.n_info])))
-        counts = h.T @ syndrome
-        bits ^= (counts == counts.max()).astype(np.uint8)
+        bits = flipped
     return None
 
 
@@ -169,6 +178,10 @@ def peg_loop(n_info, rng):
             degree = h.sum(axis=1)
             joined = h[:, v].astype(bool)
             far = (degree < 6) & ~joined
+            if joined.sum() == 2:
+                # the checks of every earlier variable joined to both of v's
+                shares = h[joined, :v].all(axis=0)
+                far &= ~h[:, :v][:, shares].any(axis=1)
             if not far.any():
                 return None
             reached = joined.copy()

@@ -7,7 +7,8 @@ from sparsewht import codes, gf2
 from sparsewht.codes import bitflip_decode, bitflip_decode_many, build_regular_ldpc
 from sparsewht.kernels import pack_rows
 
-from references import bitflip_decode_loop, build_regular_ldpc_loop, codeword_bits, gf2_rref_loop
+from references import (bitflip_decode_loop, bitflip_round_loop, build_regular_ldpc_loop, codeword_bits,
+                        gf2_rref_loop)
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +160,13 @@ def test_code_for_builds_one_seeded_code_per_n():
         assert not ((dense @ code.g.to_dense()) & 1).any()
 
 
+def test_code_for_has_distinct_columns():
+    # two equal columns of H would give the code minimum distance 2
+    for n in range(codes.MIN_INFO_BITS, gf2.MAX_BITS + 1):
+        cols = codes.code_for(n).h.col_words
+        assert len(set(cols)) == len(cols), n
+
+
 def test_code_for_has_few_four_cycles():
     # row pairs of H sharing two or more columns close a 4-cycle; the
     # configuration model with a best-effort swap pass left 319 of them
@@ -187,7 +195,36 @@ def test_bitflip_many_stops_after_max_rounds():
         assert ok.tolist() == (need <= max_rounds).tolist()
 
 
-_CODES = (_shared, build_regular_ldpc(6, np.random.default_rng(3)))
+def test_bitflip_many_fails_a_word_in_a_two_cycle():
+    # a received word that two flip rounds return to itself never reaches a codeword
+    rng = np.random.default_rng(9)
+    while True:
+        word = codeword_bits(_shared, int(rng.integers(0, 1 << 14)))
+        word[rng.choice(28, size=4, replace=False)] ^= 1
+        for _ in range(30):
+            word = bitflip_round_loop(_shared, word)
+            if word is None:
+                break
+        if word is None:
+            continue
+        once = bitflip_round_loop(_shared, word)
+        if not np.array_equal(once, word) and np.array_equal(bitflip_round_loop(_shared, once), word):
+            break
+    received = np.array([word, codeword_bits(_shared, 77)])
+    for max_rounds in range(31):
+        assert bitflip_decode_loop(_shared, word, max_rounds) is None
+        info, ok = bitflip_decode_many(_shared, received, max_rounds)
+        assert ok.tolist() == [False, True] and info[1] == 77
+
+
+def test_bitflip_many_of_no_words(code):
+    info, ok = bitflip_decode_many(code, np.zeros((0, code.n_block), dtype=np.uint8))
+    assert info.shape == ok.shape == (0,)
+    assert info.dtype == np.uint64 and ok.dtype == bool
+
+
+# n = 40: the 80-bit words have flips on both sides of bit 64
+_CODES = (_shared, build_regular_ldpc(6, np.random.default_rng(3)), codes.code_for(40))
 
 
 @st.composite
@@ -208,13 +245,12 @@ def _received_words(draw):
 def test_bitflip_many_equals_one_word_loop(case, max_rounds):
     code, received = case
     before = received.copy()
-    words, ok = bitflip_decode_many(code, received, max_rounds)
+    info, ok = bitflip_decode_many(code, received, max_rounds)
     assert np.array_equal(received, before)
-    info = pack_rows(words[:, : code.n_info]).tolist()
+    assert info.dtype == np.uint64 and info.shape == ok.shape == (len(received),)
     for r in range(len(received)):
         expected = bitflip_decode_loop(code, received[r], max_rounds)
         assert ok[r] == (expected is not None)
         if ok[r]:
             assert info[r] == expected
-            assert not ((code.h_dense() @ words[r]) & 1).any()
         assert bitflip_decode(code, received[r], max_rounds) == expected
