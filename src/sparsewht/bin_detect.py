@@ -201,7 +201,7 @@ def detect_nso_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg
     neg = (cols < 0)[live]
     votes = (neg[:, p1:].reshape(-1, p1, n) ^ neg[:, :p1, None]).sum(axis=1)
     k_words = kernels.pack_rows(2 * votes > p1)
-    values, single = _confirm(cols[live, :p1], offsets.rows_u64(c)[:p1], k_words, js[live], c, plan, cfg)
+    values, single = _confirm(cols[live, :p1], offsets.groups[c, :p1], k_words, js[live], c, plan, cfg)
     return live, k_words, values, single
 
 
@@ -228,7 +228,7 @@ def detect_so_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg:
     neg = u < 0
     ref = neg[:, offsets.layout["reference"]]
     k_words, decoded = codes.bitflip_decode_many(code, neg[:, c0:c1] ^ ref[:, None])
-    values, single = _confirm(u[:, r0:r1], offsets.rows_u64(c)[r0:r1], k_words, js[live], c, plan, cfg)
+    values, single = _confirm(u[:, r0:r1], offsets.groups[c, r0:r1], k_words, js[live], c, plan, cfg)
     return live, k_words, values, decoded & single
 
 
@@ -247,7 +247,7 @@ def detect_near_linear_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offs
     """
     live = np.flatnonzero(~_within_noise(cols, cfg))
     u = cols[live]
-    rows = offsets.rows_u64(c)
+    rows = offsets.groups[c]
     part = plan.particular_words(c)[js[live]]
     idx, score = kernels.singleton_search(u, rows, plan.coset_basis(c), part)
     k_words = part ^ plan.coset_span(c)[idx]

@@ -5,9 +5,9 @@ hash of coefficient k in group c is j = M_c^T k. Observations are built
 by reading the B = 2^b samples u[M_c l + d] for each offset row d,
 applying a B-point unnormalized butterfly and scaling by sqrt(N)/B, which
 yields U_{c,p}[j] = sum_{M_c^T k = j} X[k] (-1)^<d_{c,p}, k> plus noise of
-variance N sigma^2 / B per entry. Each group's (B, P) block of samples is
-one ``take_cosets`` read, the only read ``observe`` makes. The block stays
-bins-major, one column per offset row, from the read to the peel.
+variance N sigma^2 / B per entry. The (C, B, P) tensor of samples of all
+groups is one ``take_cosets`` read, the only read ``observe`` makes. It
+stays bins-major, one column per offset row, from the read to the peel.
 """
 from __future__ import annotations
 
@@ -36,6 +36,7 @@ class SubsamplingPlan:
     matrices: tuple  # C BitMatrix values, each n x b
 
     def __post_init__(self):
+        gf2.check_bits(self.n)
         if len(self.matrices) != self.c_groups:
             raise PlanError("group count does not match matrices")
         for m in self.matrices:
@@ -48,8 +49,13 @@ class SubsamplingPlan:
     def bins(self) -> int:
         return 1 << self.b
 
+    @cached_property
+    def col_words(self) -> np.ndarray:
+        """The (C, b) uint64 column words of the M_c, group c in row c."""
+        return np.array([m.col_words for m in self.matrices], dtype=np.uint64).reshape(self.c_groups, self.b)
+
     def bins_of_many(self, c: int, k_words: np.ndarray) -> np.ndarray:
-        return kernels.hash_words(k_words, self.matrices[c].col_words_u64())
+        return kernels.hash_words(k_words, self.col_words[c])
 
     def coset(self, c: int, j_word: int) -> np.ndarray:
         """All k hashing to bin j in group c, as packed uint64 words.
@@ -113,7 +119,8 @@ def build_plan(n: int, k: int) -> SubsamplingPlan:
 
 @dataclass(frozen=True)
 class OffsetPlan:
-    """Per-group offset matrices D_c, stored as packed row words.
+    """Per-group offset matrices D_c: row c of the (C, P) uint64 array
+    ``groups`` holds the packed offset words of group c.
 
     ``layout`` names each row role once, by row index or range;
     ``nominal_rows`` is the row count entering the sample-cost formula
@@ -122,17 +129,14 @@ class OffsetPlan:
 
     variant: str
     n: int
-    groups: tuple  # per group, uint64 array of offset row words
+    groups: np.ndarray  # (C, P) uint64 offset words, group c in row c
     layout: dict
     nominal_rows: int
     code: object = None
 
     @property
     def rows(self) -> int:
-        return len(self.groups[0])
-
-    def rows_u64(self, c: int) -> np.ndarray:
-        return self.groups[c]
+        return self.groups.shape[1]
 
 
 def nominal_rows(variant: str, n: int, p1: int | None = None) -> int:
@@ -165,7 +169,7 @@ def build_offsets(variant: str, plan: SubsamplingPlan, p1: int | None = None, co
     if variant == "noiseless":
         words = np.zeros(n + 1, dtype=np.uint64)
         words[1:] = np.uint64(1) << np.arange(n, dtype=np.uint64)
-        groups = tuple(words.copy() for _ in range(plan.c_groups))
+        groups = np.tile(words, (plan.c_groups, 1))
         layout = {"reference": 0, "units": (1, n + 1)}
         return OffsetPlan(variant, n, groups, layout, nominal)
 
@@ -173,7 +177,7 @@ def build_offsets(variant: str, plan: SubsamplingPlan, p1: int | None = None, co
     p1 = p1 or _P1_PER_BIT[variant] * n
 
     if variant == "near-linear":
-        groups = tuple(_random_words(n, p1, rng) for _ in range(plan.c_groups))
+        groups = np.stack([_random_words(n, p1, rng) for _ in range(plan.c_groups)])
         layout = {"random": (0, p1)}
         return OffsetPlan(variant, n, groups, layout, nominal)
 
@@ -185,7 +189,7 @@ def build_offsets(variant: str, plan: SubsamplingPlan, p1: int | None = None, co
             blocks = base[:, None] ^ units[None, :]
             groups.append(np.concatenate([base, blocks.reshape(-1)]))
         layout = {"base": (0, p1)}
-        return OffsetPlan(variant, n, tuple(groups), layout, nominal)
+        return OffsetPlan(variant, n, np.stack(groups), layout, nominal)
 
     # so
     if code is None:
@@ -198,7 +202,7 @@ def build_offsets(variant: str, plan: SubsamplingPlan, p1: int | None = None, co
         rand = _random_words(n, p1, rng)
         groups.append(np.concatenate([rand, np.zeros(1, dtype=np.uint64), coded]))
     layout = {"random": (0, p1), "reference": p1, "coded": (p1 + 1, p1 + 1 + code.n_block)}
-    return OffsetPlan("so", n, tuple(groups), layout, nominal, code=code)
+    return OffsetPlan("so", n, np.stack(groups), layout, nominal, code=code)
 
 
 @dataclass
@@ -215,24 +219,19 @@ def observe(access, plan: SubsamplingPlan, offsets: OffsetPlan) -> BinObservatio
     """Compute all bin observations via small WHTs (one per offset row).
 
     ``access`` needs ``n``, which must equal the plan's,
-    ``take_cosets(cols, rows)``, which returns each group's (B, P) sample
-    block as a C-contiguous float64 array the caller owns, and
-    ``samples_queried``. The butterflies run down the block's columns in
-    place and the scaled block is written into ``data[c]``.
+    ``take_cosets(cols, rows)``, which returns the (C, B, P) sample tensor
+    of the (C, b) column words ``plan.col_words`` and the (C, P) offset
+    words ``offsets.groups`` as a C-contiguous float64 array the caller
+    owns, and ``samples_queried``. The butterflies run down the tensor's
+    columns and the scaling follows, both in place.
     """
     if not access.n == offsets.n == plan.n:
         raise PlanError(f"access, plan and offsets disagree on n: {access.n}, {plan.n}, {offsets.n}")
     if len(offsets.groups) != plan.c_groups:
         raise PlanError("plan and offsets disagree on group count")
-    size = 1 << plan.n
-    bins = plan.bins
-    scale = math.sqrt(size) / bins
     before = access.samples_queried
-    data = np.empty((plan.c_groups, bins, offsets.rows), dtype=np.float64)
-    for c in range(plan.c_groups):
-        samples = access.take_cosets(plan.matrices[c].col_words_u64(), offsets.rows_u64(c))
-        kernels.fwht_rows_inplace(samples)
-        np.multiply(samples, scale, out=data[c])
+    data = kernels.fwht_rows_inplace(access.take_cosets(plan.col_words, offsets.groups))
+    data *= math.sqrt(1 << plan.n) / plan.bins
     distinct = access.samples_queried - before
-    nominal = plan.c_groups * bins * offsets.nominal_rows
+    nominal = plan.c_groups * plan.bins * offsets.nominal_rows
     return BinObservations(data, plan.n, nominal, distinct)

@@ -68,11 +68,6 @@ class BitMatrix:
                 w &= w - 1
         return tuple(cols)
 
-    def col_words_u64(self) -> np.ndarray:
-        if self.rows > 64:
-            raise DimensionError("packed uint64 view limited to 64 rows")
-        return np.array(self.col_words, dtype=np.uint64)
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols), dtype=np.uint8)
         for r, w in enumerate(self.row_words):
@@ -190,9 +185,14 @@ def solve_units(m: BitMatrix):
     return particulars, _null_basis(pivot_rows, m.rows)
 
 
-def span_words(basis_words: Sequence[int]) -> np.ndarray:
-    """All 2^len XOR-combinations of the given words, as uint64."""
-    out = np.zeros(1, dtype=np.uint64)
-    for w in basis_words:
-        out = np.concatenate([out, out ^ np.uint64(w)])
+def span_words(basis_words) -> np.ndarray:
+    """All 2^len XOR-combinations of the given words, as uint64.
+
+    Combination alpha XORs the words that the set bits of alpha select.
+    A (C, d) stack of words gives the (C, 2^d) spans of its rows.
+    """
+    basis_words = np.asarray(basis_words, dtype=np.uint64)
+    out = np.zeros(basis_words.shape[:-1] + (1,), dtype=np.uint64)
+    for t in range(basis_words.shape[-1]):
+        out = np.concatenate([out, out ^ basis_words[..., t:t + 1]], axis=-1)
     return out

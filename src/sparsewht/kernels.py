@@ -7,6 +7,8 @@ from ``np.bitwise_count`` (a hardware popcount where the CPU has one).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -23,20 +25,21 @@ def backend_name() -> str:
 def fwht_rows_inplace(mat: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard butterflies applied to every column in place.
 
-    ``mat`` must be C-contiguous float64 of shape (2**b, m): one
-    transform runs down each of its m columns. Raises ValueError for any
-    other array, since a reshape of it would be a copy that the
-    butterflies left untouched.
+    ``mat`` must be C-contiguous float64 of shape (..., 2**b, m): one
+    transform runs down each of its m columns, in every slice of the
+    leading axes. Raises ValueError for any other array, since a reshape
+    of it would be a copy that the butterflies left untouched.
     """
-    if mat.ndim != 2 or mat.dtype != np.float64 or not mat.flags.c_contiguous:
-        raise ValueError("expected a C-contiguous 2-D float64 array")
-    size, cols = mat.shape
+    if mat.ndim < 2 or mat.dtype != np.float64 or not mat.flags.c_contiguous:
+        raise ValueError("expected a C-contiguous float64 array of two or more dimensions")
+    size, cols = mat.shape[-2:]
+    rows = math.prod(mat.shape[:-1])
     if size & (size - 1):
         raise ValueError("column length must be a power of two")
     # bins-major: every stage streams runs of h * cols contiguous values
     h = 1
     while h < size:
-        view = mat.reshape(size // (2 * h), 2, h * cols)
+        view = mat.reshape(rows // (2 * h), 2, h * cols)
         a = view[:, 0, :].copy()
         b = view[:, 1, :]
         np.add(a, b, out=view[:, 0, :])
@@ -64,10 +67,16 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
 
 
 def hash_words(k_words: np.ndarray, col_words: np.ndarray) -> np.ndarray:
-    """Bin words M^T k of packed k words: bit t is the parity of col_t & k."""
-    par = parity_words(np.asarray(k_words, dtype=np.uint64)[:, None] & col_words[None, :])
-    weights = np.uint64(1) << np.arange(len(col_words), dtype=np.uint64)
-    return (par.astype(np.uint64) * weights).sum(axis=1)
+    """Bin words M^T k of packed k words: bit t is the parity of col_t & k.
+
+    ``col_words`` holds the b column words of one M, or a (C, b) stack of
+    them; the result has shape (K,) or (K, C).
+    """
+    col_words = np.asarray(col_words, dtype=np.uint64)
+    k_words = np.asarray(k_words, dtype=np.uint64).reshape((-1,) + (1,) * col_words.ndim)
+    par = parity_words(k_words & col_words)
+    weights = np.uint64(1) << np.arange(col_words.shape[-1], dtype=np.uint64)
+    return (par.astype(np.uint64) * weights).sum(axis=-1)
 
 
 def sign_matrix(k_words: np.ndarray, offset_words: np.ndarray) -> np.ndarray:
@@ -76,6 +85,29 @@ def sign_matrix(k_words: np.ndarray, offset_words: np.ndarray) -> np.ndarray:
     offset_words = np.ascontiguousarray(offset_words, dtype=np.uint64)
     par = parity_words(k_words[:, None] & offset_words[None, :])
     return 1.0 - 2.0 * par.astype(np.float64)
+
+
+def scatter_signed(out: np.ndarray, k_words: np.ndarray, values: np.ndarray, col_words: np.ndarray,
+                   offset_words: np.ndarray) -> np.ndarray:
+    """Add the alias terms values[i] (-1)^<d_{c,p}, k_i> into
+    ``out[c, M_c^T k_i, p]`` for every group c and offset row p.
+
+    ``out`` is the C-contiguous float64 (C, B, P) bin tensor,
+    ``col_words`` the (C, b) column words of the M_c and ``offset_words``
+    the (C, P) offset words d_{c,p}. One ``np.add.at`` over the flat
+    tensor applies the terms in index order, so a cell hit by several
+    indices sums them in the order given. Returns the (K, C) bins.
+    """
+    if out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError("expected a C-contiguous float64 bin tensor")
+    c_groups, bins, rows = out.shape
+    k_words = np.asarray(k_words, dtype=np.uint64)
+    js = hash_words(k_words, col_words).astype(np.intp)
+    terms = sign_matrix(k_words, offset_words.reshape(-1)).reshape(len(k_words), c_groups, rows)
+    terms *= values[:, None, None]
+    cells = (js + np.arange(c_groups) * bins)[:, :, None] * rows + np.arange(rows)
+    np.add.at(out.reshape(-1), cells.reshape(-1), terms.reshape(-1))
+    return js
 
 
 def singleton_search(cols: np.ndarray, offset_words: np.ndarray, basis_words: np.ndarray,

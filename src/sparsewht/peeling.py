@@ -2,13 +2,13 @@
 
 Every single-ton detected in a group's pass is peeled before the next
 group is classified: its contribution is subtracted from the matching
-bin of every group, all of the pass's peels in one scatter per group,
-and its value is accumulated into the running spectrum. Accumulation
-(rather than insert-once) matters: a multi-ton whose column aliases exactly onto a
-valid signature triggers a false peel, but the resulting ghost later
-isolates as the same index with the opposite value and the second peel
-cancels the first everywhere, so the net-zero entry drops out of the
-result. Re-peels of an index holding a nonzero value are still counted
+bin of every group, all of the pass's peels in one scatter over the C
+groups, and its value is accumulated into the running spectrum.
+Accumulation (rather than insert-once) matters: a multi-ton whose column
+aliases exactly onto a valid signature triggers a false peel, but the
+resulting ghost later isolates as the same index with the opposite value
+and the second peel cancels the first everywhere, so the net-zero entry
+drops out of the result. Re-peels of an index holding a nonzero value are still counted
 as conflicts for diagnostics. The decoder stops at a fixed point: the
 first full sweep that leaves the recovered spectrum unchanged.
 """
@@ -22,6 +22,8 @@ import numpy as np
 from . import bin_detect, kernels
 from .frontend import PlanError
 from .signal_model import SparseSpectrum
+
+VALUE_TOL = 1e-9  # largest difference between recovered and true values that verify_support accepts
 
 
 @dataclass
@@ -48,17 +50,11 @@ class SupportCheck:
 
 def _peel(data: np.ndarray, plan, offsets, k_words: np.ndarray, values: np.ndarray, pending: np.ndarray) -> None:
     """Subtract the single-tons (k_words, values) from their bin in every
-    group and mark those bins pending. Each group's (B, P) slice is
-    scattered flat, at cells j P + p, by one 1-D ``np.subtract.at``; it
-    applies repeated bins in the order given, so the floats equal one
-    peel at a time."""
-    rows = data.shape[2]
-    for c2 in range(data.shape[0]):
-        j2 = plan.bins_of_many(c2, k_words).astype(np.intp)
-        signs = kernels.sign_matrix(k_words, offsets.rows_u64(c2))
-        cells = j2[:, None] * rows + np.arange(rows)
-        np.subtract.at(data[c2].reshape(-1), cells.reshape(-1), (values[:, None] * signs).reshape(-1))
-        pending[c2, j2] = True
+    group and mark those bins pending, by one ``kernels.scatter_signed``
+    of ``-values``; it applies repeated bins in the order given, so the
+    floats equal one peel at a time."""
+    js = kernels.scatter_signed(data, k_words, -values, plan.col_words, offsets.groups)
+    pending[np.arange(data.shape[0]), js] = True
 
 
 def decode(obs, plan, offsets, cfg, sweep_hook=None):
@@ -69,8 +65,8 @@ def decode(obs, plan, offsets, cfg, sweep_hook=None):
     call with the thresholds ``cfg``; ``offsets`` must be the ones the
     observations were generated with. The detector answers in arrays,
     and the verified single-tons (index, value) are peeled afterwards, in
-    bin order, by one flat ``np.subtract.at`` per group over its (B, P)
-    slice, which applies repeated bins in that order. This equals
+    bin order, by one ``kernels.scatter_signed`` over the whole tensor,
+    which applies repeated bins in that order. This equals
     classifying and peeling one bin at a time: a coefficient hashes to
     exactly one bin per group and a single-ton is only reported for its
     own bin, so a peel made during group c's pass never changes another
@@ -132,12 +128,13 @@ def decode(obs, plan, offsets, cfg, sweep_hook=None):
     return SparseSpectrum(obs.n, recovered), report
 
 
-def verify_support(recovered: SparseSpectrum, truth: SparseSpectrum, value_tol: float = 1e-9) -> SupportCheck:
-    """Set equality of supports; value agreement reported separately."""
+def verify_support(recovered: SparseSpectrum, truth: SparseSpectrum) -> SupportCheck:
+    """Set equality of supports; value agreement, within ``VALUE_TOL``,
+    reported separately."""
     if recovered.n != truth.n:
         raise ValueError("spectra live in different dimensions")
     support_match = recovered.support() == truth.support()
     values_match = support_match and all(
-        abs(recovered.entries[k] - truth.entries[k]) <= value_tol for k in truth.entries
+        abs(recovered.entries[k] - truth.entries[k]) <= VALUE_TOL for k in truth.entries
     )
     return SupportCheck(support_match, values_match)

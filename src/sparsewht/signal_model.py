@@ -6,10 +6,11 @@ and, in the default constellation mode, coefficient values +/-rho with
 equal probability. Noise attaches to the sample, not the query: a
 position read twice returns one consistent realization.
 
-Every sample oracle answers ``take_cosets(cols, rows)``, the (B, P) block
-of samples u[M l + d], and ``samples_queried``, the distinct positions
-read so far. An oracle that logs its reads as a sorted array of distinct
-words merges each read into it with :func:`merge_reads`.
+Every sample oracle answers ``take_cosets(cols, rows)``, the (C, B, P)
+tensor of samples u[M_c l + d_{c,p}] of C groups, and
+``samples_queried``, the distinct positions read so far. An oracle that
+logs its reads as a sorted array of distinct words merges each read into
+it with :func:`merge_reads`.
 """
 from __future__ import annotations
 
@@ -155,11 +156,11 @@ def merge_reads(log: np.ndarray, positions) -> tuple:
 class NoisyAccess:
     """Noise-corrupted sample access u[m] = x[m] + w[m], w ~ N(0, sigma^2).
 
-    ``take_cosets`` reads whole coset blocks u[M l + d] for all l through
+    ``take_cosets`` reads whole coset blocks u[M_c l + d] for all l through
     the aliasing identity: the B samples of one offset row d are the
     B-point unnormalized WHT of the alias vector
-    a_d[j] = sum_{M^T k = j} X[k] (-1)^<d,k>, divided by sqrt(N), so a row
-    costs O(K + B log B) rather than O(B K). ``take`` reads arbitrary
+    a_d[j] = sum_{M_c^T k = j} X[k] (-1)^<d,k>, divided by sqrt(N), so a
+    row costs O(K + B log B) rather than O(B K). ``take`` reads arbitrary
     positions, synthesizing each in O(K). Both read paths agree (exactly
     for constellation values) and share the noise and the read accounting.
 
@@ -220,29 +221,22 @@ class NoisyAccess:
         return self._read(positions, synthesize_many(self.spectrum, positions))
 
     def take_cosets(self, cols, rows) -> np.ndarray:
-        """The (B, P) block of samples u[M l + d] for the b column words
-        ``cols`` of M and the P offset words ``rows``.
+        """The (C, B, P) tensor of samples u[M_c l + d_{c,p}] for the
+        (C, b) column words ``cols`` of the M_c and the (C, P) offset
+        words ``rows``.
 
-        Row l is ordered by the word of l, as in ``gf2.span_words``;
-        column p holds offset ``rows[p]``. The block is C-contiguous
-        float64 and the caller's to keep.
+        Row l of group c is ordered by the word of l, as in
+        ``gf2.span_words``; column p holds offset ``rows[c, p]``. The
+        tensor is C-contiguous float64 and the caller's to keep.
         """
         cols = np.asarray(cols, dtype=np.uint64)
         rows = np.asarray(rows, dtype=np.uint64)
-        p, bins = len(rows), 1 << len(cols)
-        k_words, values = self.spectrum.as_arrays()
-        if len(k_words):
-            # alias[j, p] sums the signed coefficients X[k] (-1)^<d_p,k> of every k hashing to j
-            signed = kernels.sign_matrix(k_words, rows) * values[:, None]
-            cells = kernels.hash_words(k_words, cols).astype(np.intp)[:, None] * p + np.arange(p)
-            # bincount of no cells is int64 whatever the weights
-            alias = np.bincount(cells.reshape(-1), weights=signed.reshape(-1), minlength=bins * p)
-            alias = alias.astype(np.float64, copy=False)
-            block = kernels.fwht_rows_inplace(alias.reshape(bins, p))
-            block /= math.sqrt(2.0**self.n)
-        else:
-            block = np.zeros((bins, p), dtype=np.float64)
-        positions = gf2.span_words(cols.tolist())[:, None] ^ rows[None, :]
+        # alias[c, j, p] sums the signed coefficients X[k] (-1)^<d_{c,p},k> of every k hashing to j
+        alias = np.zeros((len(cols), 1 << cols.shape[1], rows.shape[1]), dtype=np.float64)
+        kernels.scatter_signed(alias, *self.spectrum.as_arrays(), cols, rows)
+        block = kernels.fwht_rows_inplace(alias)
+        block /= math.sqrt(2.0**self.n)
+        positions = gf2.span_words(cols)[:, :, None] ^ rows[:, None, :]
         return self._read(positions, block)
 
     @property

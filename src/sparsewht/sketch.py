@@ -26,6 +26,8 @@ from . import frontend, gf2, peeling
 from .experiments import recover
 from .signal_model import SparseSpectrum, merge_reads
 
+EDGE_TOL = 1e-9  # largest difference from the edges' analytic spectrum that reconstruct_edges accepts
+
 
 @dataclass(frozen=True)
 class Hypergraph:
@@ -156,7 +158,7 @@ class CutQueryAccess:
     ``take`` merges its positions into a new log, asks the oracle only for
     the fresh words, once each and in ascending order, and commits the
     new log and values once the oracle has answered. ``take_cosets``
-    reads a (B, P) coset block through ``take``.
+    reads the (C, B, P) coset tensor through one ``take``.
 
     The oracle must return one finite value per word asked, and every
     position must fit in n bits; otherwise ``take`` raises ValueError and
@@ -191,8 +193,9 @@ class CutQueryAccess:
         return self._values[at].reshape(positions.shape)
 
     def take_cosets(self, cols, rows) -> np.ndarray:
-        """The (B, P) block of samples u[M l + d], as ``NoisyAccess.take_cosets``."""
-        return self.take(gf2.span_words(cols)[:, None] ^ np.asarray(rows, dtype=np.uint64)[None, :])
+        """The (C, B, P) tensor of samples u[M_c l + d_{c,p}], as
+        ``NoisyAccess.take_cosets``, in one ``take``."""
+        return self.take(gf2.span_words(cols)[:, :, None] ^ np.asarray(rows, dtype=np.uint64)[:, None, :])
 
     def _ask(self, words: np.ndarray) -> np.ndarray:
         """The oracle's values for the sorted distinct ``words``, one finite
@@ -218,59 +221,27 @@ class SketchResult:
     partial: bool
 
 
-def _components(supports):
-    """Group vertex-support sets that share vertices (union-find)."""
-    parent = {}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for sup in supports:
-        for v in sup:
-            parent.setdefault(v, v)
-        root = find(next(iter(sup)))
-        for v in sup:
-            parent[find(v)] = root
-    groups: dict = {}
-    for sup in supports:
-        groups.setdefault(find(next(iter(sup))), []).append(sup)
-    return list(groups.values())
-
-
-def reconstruct_edges(spectrum: SparseSpectrum, tol: float = 1e-9):
+def reconstruct_edges(spectrum: SparseSpectrum):
     """Rebuild a vertex-disjoint edge list from the cut spectrum.
 
-    Each connected component of the recovered supports must consist of
-    exactly the even-cardinality subsets of one vertex set, all carrying
-    -2^(1-|e|); the edge is that union. Returns None when any component
-    fails the pattern or the DC term is inconsistent.
+    Supports that share vertices merge into one vertex set; the edges are
+    those sets when their analytic spectrum matches ``spectrum`` within
+    ``EDGE_TOL`` at every index. Returns None otherwise, and when a set
+    holds a single vertex.
     """
-    by_support = {}
-    dc = 0.0
-    for word, value in spectrum.entries.items():
-        if word == 0:
-            dc = value
-            continue
-        by_support[frozenset(t + 1 for t in range(spectrum.n) if (word >> t) & 1)] = value
-    if not by_support:
-        return [] if abs(dc) <= tol else None
-    edges = []
-    for component in _components(by_support):
-        union = frozenset().union(*component)
-        size = len(union)
-        expected_count = (1 << (size - 1)) - 1
-        expected_value = -(2.0 ** (1 - size))
-        if len(component) != expected_count:
-            return None
-        for sup in component:
-            if len(sup) % 2 or abs(by_support[sup] - expected_value) > tol:
-                return None
-        edges.append(union)
-    expected_dc = len(edges) - sum(2.0 ** (1 - len(e)) for e in edges)
-    if abs(dc - expected_dc) > tol:
+    unions = []
+    for word in spectrum.entries:
+        for other in [u for u in unions if u & word]:
+            unions.remove(other)
+            word |= other
+        if word:
+            unions.append(word)
+    if any(word.bit_count() < 2 for word in unions):
+        return None
+    edges = [frozenset(t + 1 for t in range(spectrum.n) if word >> t & 1) for word in unions]
+    expected = analytic_spectrum(Hypergraph(spectrum.n, tuple(edges))).entries
+    got = spectrum.entries
+    if any(abs(got.get(k, 0.0) - expected.get(k, 0.0)) > EDGE_TOL for k in got.keys() | expected.keys()):
         return None
     return sorted(edges, key=sorted)
 

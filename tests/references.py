@@ -1,5 +1,5 @@
-"""Loop references for the hash, the encoder, the batched detectors, the
-bit-flip decoder, the stall level and LDPC set-up.
+"""Loop references for the hash, the alias sums, the encoder, the batched
+detectors, the bit-flip decoder, the stall level and LDPC set-up.
 
 These are the one-column (and one-word) bodies the library ran before it
 classified a group's bins in one call and before it carried indices only
@@ -19,12 +19,28 @@ def parity(word: int) -> int:
     return bin(word).count("1") & 1
 
 
-def bin_of_loop(plan, c, k_word):
-    """The bin word M_c^T k, one column at a time: bit t is the parity of
-    column t of M_c ANDed with k."""
+def hash_loop(col_words, k_word):
+    """The bin word M^T k, one column at a time: bit t is the parity of
+    column word t of M ANDed with k."""
     out = 0
-    for t, col in enumerate(plan.matrices[c].col_words):
-        out |= parity(col & k_word) << t
+    for t, col in enumerate(col_words):
+        out |= parity(int(col) & k_word) << t
+    return out
+
+
+def bin_of_loop(plan, c, k_word):
+    """The bin word M_c^T k of group c of ``plan``."""
+    return hash_loop(plan.matrices[c].col_words, k_word)
+
+
+def alias_loop(out, k_words, values, col_words, offset_words):
+    """``out[c, M_c^T k, p] += value (-1)^<d_{c,p}, k>``, one coefficient,
+    one group and one cell at a time, in the order given; returns ``out``."""
+    for k_word, value in zip(k_words.tolist(), values.tolist()):
+        for c in range(len(col_words)):
+            j = hash_loop(col_words[c], k_word)
+            for p, d in enumerate(offset_words[c].tolist()):
+                out[c, j, p] += -value if parity(d & k_word) else value
     return out
 
 
@@ -107,7 +123,7 @@ def detect_nso_loop(u, j_word, c, plan, offsets, cfg):
             k_word |= 1 << q
     if bin_of_loop(plan, c, k_word) != j_word:
         return Detection(MULTI_TON)
-    return _confirm_single(base, offsets.rows_u64(c)[:p1], k_word, cfg)
+    return _confirm_single(base, offsets.groups[c, :p1], k_word, cfg)
 
 
 def detect_so_loop(u, j_word, c, plan, offsets, cfg):
@@ -124,7 +140,7 @@ def detect_so_loop(u, j_word, c, plan, offsets, cfg):
         return Detection(MULTI_TON)
     if bin_of_loop(plan, c, decoded) != j_word:
         return Detection(MULTI_TON)
-    return _confirm_single(rand, offsets.rows_u64(c)[r0:r1], decoded, cfg)
+    return _confirm_single(rand, offsets.groups[c, r0:r1], decoded, cfg)
 
 
 def bitflip_round_loop(code, bits):

@@ -68,7 +68,7 @@ def _exhaustive_bin_sums(spectrum, plan, offsets):
     out = np.zeros((plan.c_groups, plan.bins, offsets.rows))
     for c in range(plan.c_groups):
         bins = plan.bins_of_many(c, all_k).astype(np.int64)
-        signs = sign_matrix(all_k, offsets.rows_u64(c))
+        signs = sign_matrix(all_k, offsets.groups[c])
         for j in range(plan.bins):
             members = bins == j
             out[c, j] = dense[members] @ signs[members]
@@ -192,7 +192,7 @@ def test_criterion_08_bsc_reduction():
         snr = 10 ** (snr_db / 10)
         sigma = sigma_for_snr(1.0, k_sparsity, 1 << n, snr)
         flips = total = 0
-        signs = sign_matrix(np.array([k], dtype=np.uint64), offsets.rows_u64(0))[0]
+        signs = sign_matrix(np.array([k], dtype=np.uint64), offsets.groups[0])[0]
         expected = np.sign(spectrum.entries[k]) * signs
         for trial in range(300):
             access = NoisyAccess(spectrum, sigma, np.random.default_rng(8800 + trial))

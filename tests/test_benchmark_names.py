@@ -52,7 +52,7 @@ def test_detector_hooks_count_each_kind(monkeypatch):
     plan = build_plan(8, 4)
     offsets = {v: build_offsets(v, plan, code=build_regular_ldpc(8, rng) if v == "so" else None, rng=rng)
                for v in ("noiseless", "near-linear", "nso", "so")}
-    zero = {v: np.zeros(len(o.rows_u64(0))) for v, o in offsets.items()}
+    zero = {v: np.zeros(len(o.groups[0])) for v, o in offsets.items()}
     cfg = bin_detect.DetectorConfig()
     recorder.install()
     try:

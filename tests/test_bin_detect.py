@@ -101,7 +101,7 @@ def test_noiseless_rejects_hash_inconsistent_column():
 
 
 def _single_ton_column(plan, offsets, c, k, value, nu, rng):
-    rows = offsets.rows_u64(c)
+    rows = offsets.groups[c]
     signs = sign_matrix(np.array([k], dtype=np.uint64), rows)[0]
     return value * signs + nu * rng.standard_normal(len(rows))
 
@@ -357,7 +357,7 @@ def test_crossover_bound_dominates_empirical_flip_rate():
             obs = observe(access, plan, offsets)
             j = references.bin_of_loop(plan, 0, k)
             col = obs.data[0, j]
-            signs = sign_matrix(np.array([k], dtype=np.uint64), offsets.rows_u64(0))[0]
+            signs = sign_matrix(np.array([k], dtype=np.uint64), offsets.groups[0])[0]
             expected_sign = np.sign(spectrum.entries[k]) * signs
             flips += int(np.sum(np.sign(col) != expected_sign))
             total += len(col)

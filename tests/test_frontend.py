@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsewht import NoisyAccess, SparseSpectrum, build_regular_ldpc, draw_spectrum, sigma_for_snr
+from sparsewht import NoisyAccess, SparseSpectrum, build_regular_ldpc, draw_spectrum, sigma_for_snr, synthesize_many
 from sparsewht.frontend import (
     PlanError,
     build_offsets,
@@ -85,7 +85,7 @@ def test_build_plan_is_the_window_design(n_k):
 def test_noiseless_offsets_layout():
     plan = golden_plan()
     offsets = build_offsets("noiseless", plan)
-    rows = offsets.rows_u64(0)
+    rows = offsets.groups[0]
     assert rows[0] == 0
     assert list(rows[1:]) == [1, 2, 4, 8]
     assert offsets.nominal_rows == 5
@@ -94,7 +94,7 @@ def test_noiseless_offsets_layout():
 def test_nso_offsets_modulation():
     plan = window_plan(6, 2, 2)
     offsets = build_offsets("nso", plan, p1=3, rng=np.random.default_rng(0))
-    rows = offsets.rows_u64(0)
+    rows = offsets.groups[0]
     p1, n = 3, 6
     assert len(rows) == p1 * (n + 1)
     base = rows[:p1]
@@ -120,7 +120,7 @@ def test_so_layout_and_zero_rows():
     r0, r1 = offsets.layout["random"]
     ref = offsets.layout["reference"]
     c0, c1 = offsets.layout["coded"]
-    rows = offsets.rows_u64(0)
+    rows = offsets.groups[0]
     assert (r1 - r0, c0 - ref, c1 - c0) == (8, 1, 16)
     assert (r1, offsets.rows) == (ref, c1)
     assert rows[ref] == 0
@@ -141,8 +141,8 @@ def test_so_single_reference_row_observes_like_n_copies(n, log_k, sigma, seed):
     spectrum = draw_spectrum(n, k, 1.0, rng)
     offsets = build_offsets("so", plan, code=build_regular_ldpc(n, rng), rng=rng)
     ref = offsets.layout["reference"]
-    copies = dataclasses.replace(offsets, groups=tuple(
-        np.insert(g, ref, np.zeros(n - 1, dtype=np.uint64)) for g in offsets.groups))
+    copies = dataclasses.replace(offsets, groups=np.stack([
+        np.insert(g, ref, np.zeros(n - 1, dtype=np.uint64)) for g in offsets.groups]))
     assert copies.rows == offsets.rows + n - 1
     one = observe(NoisyAccess(spectrum, sigma, np.random.default_rng(seed)), plan, offsets)
     many = observe(NoisyAccess(spectrum, sigma, np.random.default_rng(seed)), plan, copies)
@@ -177,7 +177,7 @@ def _exhaustive_bin_sums(spectrum, plan, offsets):
     out = np.zeros((plan.c_groups, plan.bins, offsets.rows))
     for c in range(plan.c_groups):
         bins = plan.bins_of_many(c, all_k).astype(np.int64)
-        signs = sign_matrix(all_k, offsets.rows_u64(c))
+        signs = sign_matrix(all_k, offsets.groups[c])
         for j in range(plan.bins):
             members = bins == j
             out[c, j] = dense[members] @ signs[members]
@@ -240,6 +240,40 @@ def test_sample_counts():
     assert obs.nominal_samples == 2 * 4 * 5
     assert obs.distinct_samples == access.samples_queried
     assert obs.distinct_samples <= obs.nominal_samples
+
+
+class _CountingAccess:
+    """Passes ``take_cosets`` on to an oracle and records the shapes of each call."""
+
+    def __init__(self, inner):
+        self.inner, self.n, self.calls = inner, inner.n, []
+
+    def take_cosets(self, cols, rows):
+        self.calls.append((cols.shape, rows.shape))
+        return self.inner.take_cosets(cols, rows)
+
+    @property
+    def samples_queried(self):
+        return self.inner.samples_queried
+
+
+@pytest.mark.parametrize("variant", ["noiseless", "near-linear", "nso", "so"])
+def test_observe_reads_the_oracle_once(variant):
+    rng = np.random.default_rng(22)
+    n, k = 10, 8
+    spectrum = draw_spectrum(n, k, 1.0, rng)
+    plan = build_plan(n, k)
+    offsets = build_offsets(variant, plan, code=build_regular_ldpc(n, rng) if variant == "so" else None, rng=rng)
+    counting = _CountingAccess(NoisyAccess(spectrum, 0.1, np.random.default_rng(23)))
+    obs = observe(counting, plan, offsets)
+    assert counting.calls == [((plan.c_groups, plan.b), (plan.c_groups, offsets.rows))]
+    direct = observe(NoisyAccess(spectrum, 0.1, np.random.default_rng(23)), plan, offsets)
+    assert np.array_equal(obs.data, direct.data) and obs.distinct_samples == direct.distinct_samples
+    # a cut-query oracle is asked once, for the fresh words of all C groups
+    asked = []
+    cut = CutQueryAccess(lambda words: asked.append(len(words)) or synthesize_many(spectrum, words), n=n)
+    observe(cut, plan, offsets)
+    assert asked == [cut.samples_queried] and cut.samples_queried == direct.distinct_samples
 
 
 @pytest.mark.parametrize("variant,n,k,constellation", [

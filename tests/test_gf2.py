@@ -32,7 +32,7 @@ def _words(*words) -> np.ndarray:
 
 def _hash(m: BitMatrix, k_words) -> list:
     """M^T k for each packed word k, as ints."""
-    return hash_words(np.asarray(k_words, dtype=np.uint64), m.col_words_u64()).tolist()
+    return hash_words(k_words, m.col_words).tolist()
 
 
 def test_inner_product_examples():
@@ -171,6 +171,12 @@ def test_solve_units_matches_per_unit_solve_affine(n, b, seed):
 def test_span_words():
     got = set(int(w) for w in span_words([0b01, 0b10]))
     assert got == {0, 1, 2, 3}
+
+
+def test_span_words_of_a_stack_spans_each_row():
+    stack = np.array([[0b0011, 0b0100], [0b1000, 0b1001], [0, 0b0110]], dtype=np.uint64)
+    assert span_words(stack).tolist() == [span_words(row).tolist() for row in stack]
+    assert span_words(np.zeros((2, 0), dtype=np.uint64)).tolist() == [[0], [0]]
 
 
 def test_bitmatrix_dense_round_trip():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,7 @@ from sparsewht import kernels
 from sparsewht.gf2 import span_words
 
 from helpers import random_plan
-from references import parity
+from references import alias_loop, hash_loop, parity
 
 
 def test_fwht_rows_small_known_values():
@@ -49,6 +51,18 @@ def test_fwht_rows_every_column_matches_loop_butterflies(b, m, seed):
     expected = _columns_reference(mat)
     assert kernels.fwht_rows_inplace(mat) is mat
     assert np.array_equal(mat, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lead=st.lists(st.integers(0, 3), max_size=2), b=st.integers(0, 5), m=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+@example(lead=[3], b=4, m=0, seed=0)  # a stack of zero-column slices
+@example(lead=[0], b=2, m=3, seed=0)  # an empty stack
+def test_fwht_rows_stack_matches_each_slice(lead, b, m, seed):
+    stack = np.random.default_rng(seed).standard_normal((*lead, 1 << b, m))
+    expected = np.array([_columns_reference(mat) for mat in stack.reshape(math.prod(lead), 1 << b, m)])
+    assert kernels.fwht_rows_inplace(stack) is stack
+    assert np.array_equal(stack, expected.reshape(stack.shape))
 
 
 def test_parity_words():
@@ -112,6 +126,50 @@ def test_singleton_search_matches_brute_force(n, b, p, m, integer_cols, seed):
             assert idx[r] == np.argmax(np.abs(brute))
 
 
+@st.composite
+def _scatter_case(draw):
+    """A bin tensor with random contents, and K index words, some repeated,
+    with values, for C groups of random column and offset words."""
+    n, c_groups = draw(st.integers(1, 10)), draw(st.integers(1, 3))
+    b, p = draw(st.integers(0, min(n, 4))), draw(st.integers(0, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, 1 << n, size=draw(st.integers(1, 6)), dtype=np.int64).astype(np.uint64)
+    k_words = pool[rng.integers(0, len(pool), size=draw(st.integers(0, 12)))]
+    values = rng.standard_normal(len(k_words)) * 10.0 ** rng.integers(-3, 4, size=len(k_words))
+    cols = rng.integers(0, 1 << n, size=(c_groups, b), dtype=np.int64).astype(np.uint64)
+    rows = rng.integers(0, 1 << n, size=(c_groups, p), dtype=np.int64).astype(np.uint64)
+    return rng.standard_normal((c_groups, 1 << b, p)), k_words, values, cols, rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(_scatter_case())
+@example((np.ones((2, 4, 3)), np.zeros(0, dtype=np.uint64), np.zeros(0), np.array([[1, 2], [3, 4]], dtype=np.uint64),
+          np.array([[0, 5, 6], [1, 2, 7]], dtype=np.uint64)))  # K = 0
+@example((np.zeros((2, 2, 0)), np.array([3, 3, 1], dtype=np.uint64), np.array([1.0, -2.5, 0.1]),
+          np.array([[1], [2]], dtype=np.uint64), np.zeros((2, 0), dtype=np.uint64)))  # P = 0
+@example((np.zeros((1, 2, 2)), np.array([5, 5, 5], dtype=np.uint64), np.array([1e16, 1.0, -1e16]),
+          np.array([[4]], dtype=np.uint64), np.array([[0, 1]], dtype=np.uint64)))  # order decides the float
+def test_scatter_signed_matches_alias_loop(case):
+    out, k_words, values, cols, rows = case
+    expected = alias_loop(out.copy(), k_words, values, cols, rows)
+    js = kernels.scatter_signed(out, k_words, values, cols, rows)
+    assert out.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    assert js.shape == (len(k_words), len(cols))
+    assert js.tolist() == [[hash_loop(cols[c], int(k)) for c in range(len(cols))] for k in k_words]
+
+
+@pytest.mark.parametrize("out", [
+    np.asfortranarray(np.zeros((2, 2, 3))),  # a reshape of it would be a copy
+    np.zeros((2, 2, 3), dtype=np.float32),
+], ids=["fortran-order", "float32"])
+def test_scatter_signed_rejects_tensors_it_cannot_scatter_into(out):
+    with pytest.raises(ValueError, match="C-contiguous float64 bin tensor"):
+        kernels.scatter_signed(out, np.array([1], dtype=np.uint64), np.array([1.0]),
+                               np.array([[1], [2]], dtype=np.uint64), np.zeros((2, 3), dtype=np.uint64))
+    assert not out.any()
+
+
 def test_non_power_of_two_rows_rejected():
     with pytest.raises(ValueError, match="power of two"):
         kernels.fwht_rows_inplace(np.ones((3, 1)))
@@ -125,6 +183,6 @@ def test_non_power_of_two_rows_rejected():
 ], ids=["fortran-order", "strided", "float32", "1-d"])
 def test_fwht_rows_rejects_arrays_it_cannot_transform_in_place(mat):
     before = mat.copy()
-    with pytest.raises(ValueError, match="C-contiguous 2-D float64"):
+    with pytest.raises(ValueError, match="C-contiguous float64 array of two or more dimensions"):
         kernels.fwht_rows_inplace(mat)
     assert np.array_equal(mat, before)

@@ -85,7 +85,7 @@ def test_conservation_of_bin_sums():
     def hook(data, recovered, sweep):
         current = data.sum(axis=1)
         for c in range(plan.c_groups):
-            rows = offsets.rows_u64(c)
+            rows = offsets.groups[c]
             for k, v in recovered.items():
                 signs = sign_matrix(np.array([k], dtype=np.uint64), rows)[0]
                 current[c] += v * signs
@@ -103,7 +103,7 @@ def test_idempotent_on_peeled_tensor():
     for k, v in recovered.entries.items():
         for c in range(plan.c_groups):
             j = references.bin_of_loop(plan, c, k)
-            signs = sign_matrix(np.array([k], dtype=np.uint64), offsets.rows_u64(c))[0]
+            signs = sign_matrix(np.array([k], dtype=np.uint64), offsets.groups[c])[0]
             obs.data[c, j] -= v * signs
     again, report = decode(obs, plan, offsets, cfg)
     assert again.sparsity == 0 and report.peels == 0
@@ -228,7 +228,7 @@ def test_report_json_round_trip():
 
 def _coset_enumeration_near_linear(u, j, c, plan, offsets, cfg):
     """Near-linear detection by scoring every coset candidate's signature."""
-    rows = offsets.rows_u64(c)
+    rows = offsets.groups[c]
     limit = (1.0 + cfg.gamma) * cfg.nu2
     if np.mean(u * u) <= limit:
         return Detection(ZERO_TON)
@@ -273,7 +273,7 @@ def _reference_decode(obs, plan, offsets, column_detector, cfg):
                     recovered[k_word] = total
                 peels += 1
                 for c2 in range(c_groups):
-                    signs = sign_matrix(np.array([k_word], dtype=np.uint64), offsets.rows_u64(c2))[0]
+                    signs = sign_matrix(np.array([k_word], dtype=np.uint64), offsets.groups[c2])[0]
                     j2 = references.bin_of_loop(plan, c2, k_word)
                     data[c2, j2] -= value * signs
                     pending[c2].add(j2)

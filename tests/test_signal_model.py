@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsewht import NoisyAccess, SparseSpectrum, build_plan, draw_spectrum, sigma_for_snr, synthesize_many
+from sparsewht.frontend import SubsamplingPlan
 from sparsewht.fwht import densify, fwht
+from sparsewht.gf2 import BitMatrix
 from sparsewht.signal_model import snr_from_db
 from sparsewht.sketch import CutQueryAccess
 
@@ -119,53 +121,58 @@ def test_spectrum_drops_exact_zeros():
 
 
 def _coset_positions(cols, rows):
-    """u[M l + d] read positions, one row per word l and one column per
-    offset d, by direct XOR sums."""
-    span = [0] * (1 << len(cols))
-    for word in range(len(span)):
-        for t, col in enumerate(cols):
-            if word >> t & 1:
-                span[word] ^= int(col)
-    return np.array([[m ^ int(d) for d in rows] for m in span], dtype=np.uint64)
+    """u[M_c l + d] read positions of a (C, b) stack of column words and a
+    (C, P) stack of offset words: per group, one row per word l and one
+    column per offset d, by direct XOR sums."""
+    out = []
+    for group_cols, group_rows in zip(cols, rows):
+        span = [0] * (1 << len(group_cols))
+        for word in range(len(span)):
+            for t, col in enumerate(group_cols):
+                if word >> t & 1:
+                    span[word] ^= int(col)
+        out.append([[m ^ int(d) for d in group_rows] for m in span])
+    return np.array(out, dtype=np.uint64).reshape(len(cols), 1 << cols.shape[1], rows.shape[1])
 
 
 @settings(max_examples=80, deadline=None)
-@given(n=st.integers(1, 12), b=st.integers(1, 6), k=st.integers(0, 12), p=st.integers(1, 8),
-       zero_rows=st.integers(0, 3), sigma=st.sampled_from([0.0, 0.4]),
+@given(n=st.integers(1, 12), b=st.integers(1, 6), c_groups=st.integers(1, 3), k=st.integers(0, 12),
+       p=st.integers(1, 8), zero_rows=st.integers(0, 3), sigma=st.sampled_from([0.0, 0.4]),
        rho=st.sampled_from([1.0, 0.5, 2.5]), constellation=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_take_cosets_matches_pointwise_take(n, b, k, p, zero_rows, sigma, rho, constellation, seed):
+def test_take_cosets_matches_pointwise_take(n, b, c_groups, k, p, zero_rows, sigma, rho, constellation, seed):
     rng = np.random.default_rng(seed)
     k = min(k, 1 << n)
     spectrum = draw_spectrum(n, k, rho, rng, constellation=constellation)
-    cols = rng.integers(0, 1 << n, size=min(b, n), dtype=np.int64).astype(np.uint64)
+    cols = rng.integers(0, 1 << n, size=(c_groups, min(b, n)), dtype=np.int64).astype(np.uint64)
     # random offsets plus repeated zero rows: a repeated position reads the same sample
-    rows = np.concatenate([rng.integers(0, 1 << n, size=p, dtype=np.int64),
-                           np.zeros(zero_rows, dtype=np.int64)]).astype(np.uint64)
+    rows = np.concatenate([rng.integers(0, 1 << n, size=(c_groups, p), dtype=np.int64),
+                           np.zeros((c_groups, zero_rows), dtype=np.int64)], axis=1).astype(np.uint64)
     coset_access = NoisyAccess(spectrum, sigma, np.random.default_rng(seed))
     point_access = NoisyAccess(spectrum, sigma, np.random.default_rng(seed))
 
     block = coset_access.take_cosets(cols, rows)
     positions = _coset_positions(cols, rows)
     expected = point_access.take(positions.reshape(-1)).reshape(positions.shape)
-    assert block.shape == positions.shape
+    assert block.shape == positions.shape and block.flags.c_contiguous
     if constellation:
         # sums of +/-rho are exact, so both paths round identically
         assert np.array_equal(block, expected)
     else:
         assert np.max(np.abs(block - expected)) <= 1e-12
     assert coset_access.samples_queried == point_access.samples_queried == len(np.unique(positions))
-    # a second read of the same block sees the same noise and no new samples
+    # a second read of the same tensor sees the same noise and no new samples
     assert np.array_equal(coset_access.take_cosets(cols, rows), block)
     assert coset_access.samples_queried == point_access.samples_queried
 
 
 def test_take_cosets_noiseless_beyond_dense_bitmap():
-    # n > 24 keeps read positions in a sorted read log instead of a 2^n bitmap
+    # n > 24 keeps read positions in a sorted read log instead of a 2^n bitmap;
+    # the second group reads the first group's positions again
     n = 40
     spectrum = draw_spectrum(n, 6, 1.0, np.random.default_rng(12))
     access = NoisyAccess(spectrum, 0.0, np.random.default_rng(13))
-    cols = np.array([1 << 3, 1 << 17, (1 << 39) | 5], dtype=np.uint64)
-    rows = np.array([0, 0, 1 << 38, 12345], dtype=np.uint64)
+    cols = np.array([[1 << 3, 1 << 17, (1 << 39) | 5]] * 2, dtype=np.uint64)
+    rows = np.array([[0, 0, 1 << 38, 12345], [12345, 0, 1 << 38, 0]], dtype=np.uint64)
     block = access.take_cosets(cols, rows)
     positions = _coset_positions(cols, rows)
     assert np.array_equal(block, synthesize_many(spectrum, positions.reshape(-1)).reshape(positions.shape))
@@ -175,8 +182,8 @@ def test_take_cosets_noiseless_beyond_dense_bitmap():
 @st.composite
 def _sparse_reads(draw):
     """n above the bitmap limit, a spectrum seed, and up to six reads, each
-    ``take`` or ``take_cosets``, over a small pool of words so that reads
-    repeat positions inside a read and across reads."""
+    ``take`` or ``take_cosets`` of one or two groups, over a small pool of
+    words so that reads repeat positions inside a read and across reads."""
     n = draw(st.integers(25, 63))
     pool = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=5))
     word = st.sampled_from(pool)
@@ -186,8 +193,10 @@ def _sparse_reads(draw):
             pairs = draw(st.lists(st.tuples(word, word), max_size=10))
             reads.append((np.array([a ^ b for a, b in pairs], dtype=np.uint64),))
         else:
-            cols = np.array(draw(st.lists(word, max_size=3)), dtype=np.uint64)
-            reads.append((cols, np.array(draw(st.lists(word, max_size=4)), dtype=np.uint64)))
+            c_groups, b, p = draw(st.integers(1, 2)), draw(st.integers(0, 3)), draw(st.integers(0, 4))
+            words = st.lists(word, min_size=c_groups * (b + p), max_size=c_groups * (b + p))
+            stack = np.array(draw(words), dtype=np.uint64).reshape(c_groups, b + p)
+            reads.append((stack[:, :b], stack[:, b:]))
     return n, draw(st.integers(0, 2**32 - 1)), reads
 
 
@@ -217,7 +226,7 @@ def test_sparse_read_log_refuses_positions_beyond_n(n, sigma):
         with pytest.raises(ValueError, match=f"position {word} has a bit at or above n={n}"):
             access.take(np.array([3, word, 1], dtype=np.uint64))
         with pytest.raises(ValueError, match=f"at or above n={n}"):
-            access.take_cosets(np.array([word], dtype=np.uint64), np.array([0], dtype=np.uint64))
+            access.take_cosets(np.array([[1], [word]], dtype=np.uint64), np.array([[0], [0]], dtype=np.uint64))
     assert access.samples_queried == 2  # a refused read leaves the count as it was
 
 
@@ -227,10 +236,10 @@ def test_sparse_read_log_refuses_positions_beyond_n(n, sigma):
 ], ids=["noisy", "cut-query"])
 def test_take_cosets_with_no_rows_reads_nothing(make):
     access = make(draw_spectrum(8, 3, 1.0, np.random.default_rng(16)))
-    cols = np.array([1, 6], dtype=np.uint64)
-    access.take_cosets(cols, np.array([3], dtype=np.uint64))
-    block = access.take_cosets(cols, np.zeros(0, dtype=np.uint64))
-    assert block.shape == (4, 0) and block.dtype == np.float64
+    cols = np.array([[1, 6], [1, 6]], dtype=np.uint64)
+    access.take_cosets(cols, np.array([[3], [3]], dtype=np.uint64))
+    block = access.take_cosets(cols, np.zeros((2, 0), dtype=np.uint64))
+    assert block.shape == (2, 4, 0) and block.dtype == np.float64
     assert access.samples_queried == 4
 
 
@@ -242,6 +251,8 @@ def test_index_length_outside_packed_words_is_rejected(n):
         NoisyAccess(SparseSpectrum(n, {}), 0.0, np.random.default_rng(0))
     with pytest.raises(ValueError, match="outside 1..63"):
         build_plan(n, 1)
+    with pytest.raises(ValueError, match="outside 1..63"):
+        SubsamplingPlan(n, 1, 1, (BitMatrix(n, 1, (0,) * n),))
 
 
 def test_draw_at_widest_index_length():

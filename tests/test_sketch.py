@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsewht.fwht import synthesize_many
+from sparsewht.signal_model import SparseSpectrum
 from sparsewht.sketch import (
     CutQueryAccess,
     Hypergraph,
@@ -240,6 +241,19 @@ def test_reconstruct_edges_from_analytic():
 def test_reconstruct_edges_rejects_overlap():
     h = Hypergraph.from_edge_lists(4, [{1, 2, 3}, {2, 3, 4}])
     assert reconstruct_edges(analytic_spectrum(h)) is None
+
+
+def test_reconstruct_edges_rejects_spectra_off_the_pattern():
+    h = Hypergraph.from_edge_lists(8, [{1, 2, 3, 4}, {6, 7}])
+    exact = analytic_spectrum(h).entries
+    assert reconstruct_edges(SparseSpectrum(8, {k: v + 1e-12 for k, v in exact.items()})) is not None
+    edge_word = 0b1111
+    missing = {k: v for k, v in exact.items() if k != 0b0011}
+    off_value = {**exact, edge_word: exact[edge_word] + 1e-6}
+    off_dc = {**exact, 0: exact[0] + 0.5}
+    odd = {**exact, 0b10000: -0.5}  # one vertex alone
+    for entries in (missing, off_value, off_dc, odd):
+        assert reconstruct_edges(SparseSpectrum(8, entries)) is None
 
 
 def test_sketch_recover_empty_graph():
