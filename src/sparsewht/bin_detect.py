@@ -1,9 +1,9 @@
 """Bin classification: zero-ton / single-ton / multi-ton tests.
 
-The four variants share one array contract, and each classifies a batch
-of bins in one call:
+Two detectors share one array contract, and each classifies a batch of
+bins in one call:
 
-    detect_<variant>_many(cols, js, c, plan, offsets, cfg) -> (live, k_words, values, single)
+    detect_*_many(cols, js, c, plan, offsets, cfg) -> (live, k_words, values, single)
 
 Row i of ``cols`` is the (P,) column of group c's bin ``js[i]`` (an
 integer array); the caller selects the rows. ``live`` indexes the rows
@@ -11,21 +11,22 @@ above the noise level, in increasing order; every other row is a
 zero-ton. For row ``live[i]`` the detector returns its candidate index
 ``k_words[i]`` (uint64), the candidate's value ``values[i]`` and whether
 it verified, ``single[i]``. A live row that did not verify is a
-multi-ton. ``DETECTORS`` holds the four functions by variant. The
+multi-ton. ``DETECTORS`` holds the detector of each variant. The
 one-column ``detect_*`` functions are the one-row case, returned as a
 :class:`Detection`.
 
-The noiseless detector reads the index bits from sign ratios against the
-zero-offset reference row (it takes ``offsets`` only to share the
-signature). The near-linear detector scores every candidate in the bin's
-hash coset with one small Walsh-Hadamard transform (a coset is an affine
-subspace, so its signature correlations are a transform of the column,
-see ``kernels.singleton_search``). The two structured variants recover
-the index through repetition voting over an (m, P1, n) sign array or
-through batched channel decoding, then check the hashes and verify with
-the random rows. Anything failing verification is classified multi-ton:
-multi-tons need no action during peeling, so erring toward them only
-delays recovery, never corrupts it.
+The coded detector serves noiseless, NSO and SO: each reads code bits
+as sign changes between a base offset d and the offsets d xor g, and
+the variants differ only in their bases and code rows (the zero base
+and the identity code; random bases and the identity code, a majority
+vote; the zero base and the (3,6) LDPC code, bit flipping). A decoded
+index is confirmed on the random verify rows, or by an exact ratio test
+when there are none. The near-linear detector scores every candidate in
+the bin's hash coset with one small Walsh-Hadamard transform (a coset is
+an affine subspace, so its signature correlations are a transform of
+the column, see ``kernels.singleton_search``). Anything failing
+verification is classified multi-ton: multi-tons need no action during
+peeling, so erring toward them only delays recovery, never corrupts it.
 
 Sign convention: sgn(x) = 1 for x < 0 and 0 for x > 0 (sgn(0) = 0), so
 that x = |x| * (-1)^sgn(x).
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import codes, kernels
+from . import codes, frontend, kernels
 
 ZERO_TON = "zero-ton"
 SINGLE_TON = "single-ton"
@@ -135,106 +136,91 @@ def _verified(u: np.ndarray, signs: np.ndarray, values, cfg: DetectorConfig):
     return _within_noise(u - values[..., None] * signs, cfg)
 
 
-def _confirm(u: np.ndarray, rows: np.ndarray, k_words: np.ndarray, js: np.ndarray, c: int, plan,
+def _confirm(cols: np.ndarray, rows: np.ndarray, k_words: np.ndarray, js: np.ndarray, c: int, plan, offsets,
              cfg: DetectorConfig):
-    """Values and single-ton flags of the candidates ``k_words`` for the
-    columns ``u`` (one row each) of the bins ``js``: a candidate is a
-    single-ton when it hashes back to its bin and the residual after
-    removing it stays within the noise level."""
-    signs = kernels.sign_matrix(k_words, rows)
-    # a stack of row-by-column products sums each row as one vector dot does
-    score = np.matmul(signs[:, None, :], u[:, :, None])[:, 0, 0]
-    values = _estimate_value(score, len(rows), cfg)
-    single = (plan.bins_of_many(c, k_words).astype(np.int64) == js) & _verified(u, signs, values, cfg)
-    return values, single
+    """Values and single-ton flags of the decoded indices ``k_words`` of
+    the columns ``cols[rows]`` of the bins ``js``. An index must hash back
+    to its bin and leave a residual within the noise level on the verify
+    rows or, with none, pass the exact ratio test: a reference (the first
+    base row, then the zero offset) outside ``zero_tol`` and every row
+    within ``RATIO_TOL`` of +/- the reference, whose value it takes."""
+    v0, v1 = offsets.layout["verify"]
+    if v1 > v0:
+        u, offset_words = cols[rows, v0:v1], offsets.groups[c, v0:v1]
+        signs = kernels.sign_matrix(k_words, offset_words)
+        # a stack of row-by-column products sums each row as one vector dot does
+        score = np.matmul(signs[:, None, :], u[:, :, None])[:, 0, 0]
+        values = _estimate_value(score, v1 - v0, cfg)
+        verified = _verified(u, signs, values, cfg)
+    else:
+        u = cols[rows]
+        values = u[:, offsets.layout["bases"][0]]
+        verified = np.abs(values) > cfg.zero_tol
+        # a reference within zero_tol already fails; divide those rows by 1 instead
+        ratios = u / np.where(verified, values, 1.0)[:, None]
+        verified &= ~np.any(np.abs(np.abs(ratios) - 1.0) > RATIO_TOL, axis=1)
+    return values, verified & (plan.bins_of_many(c, k_words).astype(np.int64) == js)
 
 
-def _as_detection(result) -> Detection:
-    """The detection of the one row a batched detector was given."""
-    live, k_words, values, single = result
+def detect_coded_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig):
+    """Decode each bin's index from the signs of its code rows over its bases.
+
+    The offsets carry the layout of :func:`frontend.build_offsets`: the
+    ``verify`` rows, the ``bases`` d_p and the ``code`` block, where row
+    (p, q) is d_p xor g_q. For a single-ton k, sgn(u[d_p xor g_q]) xor
+    sgn(u[d_p]) is bit q of the codeword G k. A bin is a zero-ton when its
+    verify rows are within (1 + gamma) nu^2, or, with no verify rows, when
+    every row is within ``zero_tol``. For any other bin each code bit is
+    the majority over the bases (a tie reads 0), and the codeword decodes
+    to the index: the identity code packs the bits, and ``offsets.code``
+    goes through :func:`codes.bitflip_decode_many`. A decoded index is
+    confirmed by :func:`_confirm`; a bin whose word does not decode is a
+    multi-ton and is not confirmed.
+    """
+    v0, v1 = offsets.layout["verify"]
+    b0, b1 = offsets.layout["bases"]
+    c0, c1 = offsets.layout["code"]
+    if v1 > v0:
+        live = np.flatnonzero(~_within_noise(cols[:, v0:v1], cfg))
+    else:
+        live = np.flatnonzero(~np.all(np.abs(cols) <= cfg.zero_tol, axis=1))
+    js = js[live]
+    # sign copies only: the code block is read as a (bases, code rows) bool block per bin
+    neg, bases = (cols < 0)[live], b1 - b0
+    if bases == 1:
+        bits = neg[:, c0:c1] ^ neg[:, b0:b1]
+    else:
+        votes = (neg[:, c0:c1].reshape(len(live), bases, (c1 - c0) // bases) ^ neg[:, b0:b1, None]).sum(axis=1)
+        bits = 2 * votes > bases
+    if offsets.code is None:
+        k_words = kernels.pack_rows(bits)
+        return live, k_words, *_confirm(cols, live, k_words, js, c, plan, offsets, cfg)
+    k_words, ok = codes.bitflip_decode_many(offsets.code, bits)
+    values, single = np.zeros(len(live)), np.zeros(len(live), dtype=bool)
+    values[ok], single[ok] = _confirm(cols, live[ok], k_words[ok], js[ok], c, plan, offsets, cfg)
+    return live, k_words, values, single
+
+
+def _one_row(detect, u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig) -> Detection:
+    """The detection of one column ``u`` of bin ``j_word`` by a batched detector."""
+    live, k_words, values, single = detect(np.array([u], dtype=float), np.array([j_word]), c, plan, offsets, cfg)
     if not len(live):
         return _ZERO
     return Detection(SINGLE_TON, k_words[0].item(), values[0].item()) if single[0] else _MULTI
 
 
-def detect_noiseless_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig):
-    """Ratio tests against the zero-offset reference row.
-
-    Expects the noiseless offset layout: row 0 is the reference, rows
-    1..n are the unit offsets, so sgn(u_t) xor sgn(u_0) is bit t of k.
-    A column within ``zero_tol`` everywhere is a zero-ton. A single-ton
-    needs a reference outside ``zero_tol``, every ratio u_t / u_0 within
-    ``RATIO_TOL`` of +/-1 and an index that hashes back to its bin; its
-    value is the reference row's.
-    """
-    tol = cfg.zero_tol
-    live = np.flatnonzero(~np.all(np.abs(cols) <= tol, axis=1))
-    u = cols[live]
-    ref = u[:, 0]
-    single = np.abs(ref) > tol
-    # a reference within zero_tol already fails; divide those rows by 1 instead
-    ratios = u[:, 1:] / np.where(single, ref, 1.0)[:, None]
-    single &= ~np.any(np.abs(np.abs(ratios) - 1.0) > RATIO_TOL, axis=1)
-    neg = u < 0
-    k_words = kernels.pack_rows(neg[:, 1:] ^ neg[:, :1])
-    single &= plan.bins_of_many(c, k_words).astype(np.int64) == js[live]
-    return live, k_words, ref, single
-
-
 def detect_noiseless(u: np.ndarray, j_word: int, c: int, plan, cfg: DetectorConfig) -> Detection:
-    """The one-column case of :func:`detect_noiseless_many`."""
-    return _as_detection(detect_noiseless_many(np.array([u], dtype=float), np.array([j_word]), c, plan, None, cfg))
-
-
-def detect_nso_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig):
-    """Majority vote per index bit over the modulated offset blocks.
-
-    Columns have P1 + P1 n rows. A bin whose P1 base rows are within
-    (1 + gamma) nu^2 is a zero-ton. For any other bin, bit q of the index
-    is set when more than half of the base rows change sign under the
-    unit offset e_q; the index must hash back to its bin and leave a
-    residual within the same level on the base rows.
-    """
-    p1, n = offsets.layout["base"][1], plan.n
-    live = np.flatnonzero(~_within_noise(cols[:, :p1], cfg))
-    # sign copies only: the modulated rows are read as P1 x n bool blocks
-    neg = (cols < 0)[live]
-    votes = (neg[:, p1:].reshape(-1, p1, n) ^ neg[:, :p1, None]).sum(axis=1)
-    k_words = kernels.pack_rows(2 * votes > p1)
-    values, single = _confirm(cols[live, :p1], offsets.groups[c, :p1], k_words, js[live], c, plan, cfg)
-    return live, k_words, values, single
+    """The one-column case of :func:`detect_coded_many` on the noiseless offsets."""
+    return _one_row(detect_coded_many, u, j_word, c, plan, frontend.build_offsets("noiseless", plan), cfg)
 
 
 def detect_nso(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig) -> Detection:
-    """The one-column case of :func:`detect_nso_many`."""
-    return _as_detection(detect_nso_many(np.array([u], dtype=float), np.array([j_word]), c, plan, offsets, cfg))
+    """The one-column case of :func:`detect_coded_many`, for NSO or SO offsets."""
+    return _one_row(detect_coded_many, u, j_word, c, plan, offsets, cfg)
 
 
-def detect_so_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig):
-    """Channel-decode the coded offset signs, after removing the sign
-    reference read from the zero-offset row.
-
-    A bin whose random rows are within (1 + gamma) nu^2 is a zero-ton.
-    Every other bin's coded signs, flipped by the sign of its zero-offset
-    row, go through one batched :func:`codes.bitflip_decode_many` with
-    ``offsets.code``; a decoded index must hash back to its bin and leave
-    a residual within the same level on the random rows.
-    """
-    code = offsets.code
-    r0, r1 = offsets.layout["random"]
-    c0, c1 = offsets.layout["coded"]
-    live = np.flatnonzero(~_within_noise(cols[:, r0:r1], cfg))
-    u = cols[live]
-    neg = u < 0
-    ref = neg[:, offsets.layout["reference"]]
-    k_words, decoded = codes.bitflip_decode_many(code, neg[:, c0:c1] ^ ref[:, None])
-    values, single = _confirm(u[:, r0:r1], offsets.groups[c, r0:r1], k_words, js[live], c, plan, cfg)
-    return live, k_words, values, decoded & single
-
-
-def detect_so(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig) -> Detection:
-    """The one-column case of :func:`detect_so_many`."""
-    return _as_detection(detect_so_many(np.array([u], dtype=float), np.array([j_word]), c, plan, offsets, cfg))
+# perfbench times the one-column detectors by these names
+detect_so = detect_nso
 
 
 def detect_near_linear_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig):
@@ -257,12 +243,12 @@ def detect_near_linear_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offs
 
 def detect_near_linear(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig) -> Detection:
     """The one-column case of :func:`detect_near_linear_many`."""
-    return _as_detection(detect_near_linear_many(np.array([u], dtype=float), np.array([j_word]), c, plan, offsets, cfg))
+    return _one_row(detect_near_linear_many, u, j_word, c, plan, offsets, cfg)
 
 
 DETECTORS = {
-    "noiseless": detect_noiseless_many,
+    "noiseless": detect_coded_many,
     "near-linear": detect_near_linear_many,
-    "nso": detect_nso_many,
-    "so": detect_so_many,
+    "nso": detect_coded_many,
+    "so": detect_coded_many,
 }

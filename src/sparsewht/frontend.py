@@ -22,6 +22,9 @@ from . import gf2, kernels
 VARIANTS = ("noiseless", "near-linear", "nso", "so")
 # random offset rows per bit of n that each randomized variant draws by default
 _P1_PER_BIT = {"near-linear": 3, "nso": 2, "so": 1}
+# per coded variant: are its bases its random rows (else the one zero row), and
+# are its code rows an LDPC generator's (else the n unit rows, the identity code)?
+_CODED = {"noiseless": (False, False), "nso": (True, False), "so": (False, True)}
 
 
 class PlanError(ValueError):
@@ -122,9 +125,10 @@ class OffsetPlan:
     """Per-group offset matrices D_c: row c of the (C, P) uint64 array
     ``groups`` holds the packed offset words of group c.
 
-    ``layout`` names each row role once, by row index or range;
-    ``nominal_rows`` is the row count entering the sample-cost formula
-    (:func:`nominal_rows`). ``code`` is the LDPC code SO's detector decodes.
+    ``layout`` names each row role once, by (start, stop) row range (see
+    :func:`build_offsets`); ``nominal_rows`` is the row count entering the
+    sample-cost formula (:func:`nominal_rows`). ``code`` is the LDPC code
+    of the code rows, or None for the identity code.
     """
 
     variant: str
@@ -157,52 +161,46 @@ def build_offsets(variant: str, plan: SubsamplingPlan, p1: int | None = None, co
                   rng=None) -> OffsetPlan:
     """Construct the offset rows for one detector variant.
 
-    noiseless: n+1 rows, the zero reference then the n unit rows.
-    near-linear: p1 fully random rows (default 3n).
-    nso: p1 random base rows (default 2n) each followed later by its n
-        modulated rows d_p xor e_q, ordered [bases..., block_1, block_2, ...].
-    so: p1 random rows (default n), the zero-offset reference row, then
-        the 2n generator rows of the rate-1/2 code.
+    near-linear: p1 fully random rows (default 3n), layout ``random``.
+    The coded variants store, in this order, p1 random ``verify`` rows,
+    the ``bases`` unless they are the verify rows themselves, and the
+    ``code`` block of rows base_p xor g_q, base-major, for every base p
+    and code row g_q; each layout entry is a (start, stop) row range.
+    noiseless: no verify rows, the zero base, the n unit rows (the
+        identity code): n+1 rows.
+    nso: p1 random rows (default 2n) that are also the bases, over the
+        unit rows: p1 (n+1) rows.
+    so: p1 random rows (default n), the zero base, the 2n generator rows
+        of the rate-1/2 ``code``; ``OffsetPlan.code`` keeps it.
     """
-    n = plan.n
+    n, c_groups = plan.n, plan.c_groups
     nominal = nominal_rows(variant, n, p1)
     if variant == "noiseless":
-        words = np.zeros(n + 1, dtype=np.uint64)
-        words[1:] = np.uint64(1) << np.arange(n, dtype=np.uint64)
-        groups = np.tile(words, (plan.c_groups, 1))
-        layout = {"reference": 0, "units": (1, n + 1)}
-        return OffsetPlan(variant, n, groups, layout, nominal)
-
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    p1 = p1 or _P1_PER_BIT[variant] * n
-
+        verify = np.zeros((c_groups, 0), dtype=np.uint64)
+    else:
+        rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        p1 = p1 or _P1_PER_BIT[variant] * n
+        verify = np.stack([_random_words(n, p1, rng) for _ in range(c_groups)])
     if variant == "near-linear":
-        groups = np.stack([_random_words(n, p1, rng) for _ in range(plan.c_groups)])
-        layout = {"random": (0, p1)}
-        return OffsetPlan(variant, n, groups, layout, nominal)
+        return OffsetPlan(variant, n, verify, {"random": (0, p1)}, nominal)
 
-    if variant == "nso":
-        groups = []
-        for _ in range(plan.c_groups):
-            base = _random_words(n, p1, rng)
-            units = np.uint64(1) << np.arange(n, dtype=np.uint64)
-            blocks = base[:, None] ^ units[None, :]
-            groups.append(np.concatenate([base, blocks.reshape(-1)]))
-        layout = {"base": (0, p1)}
-        return OffsetPlan(variant, n, np.stack(groups), layout, nominal)
-
-    # so
-    if code is None:
-        raise ValueError("so offsets require a linear code")
-    if code.n_info != n:
-        raise ValueError(f"code has {code.n_info} information bits, plan needs {n}")
-    coded = np.array(code.generator_rows(), dtype=np.uint64)
-    groups = []
-    for _ in range(plan.c_groups):
-        rand = _random_words(n, p1, rng)
-        groups.append(np.concatenate([rand, np.zeros(1, dtype=np.uint64), coded]))
-    layout = {"random": (0, p1), "reference": p1, "coded": (p1 + 1, p1 + 1 + code.n_block)}
-    return OffsetPlan("so", n, np.stack(groups), layout, nominal, code=code)
+    shared, ldpc = _CODED[variant]
+    if ldpc:
+        if code is None:
+            raise ValueError(f"{variant} offsets require a linear code")
+        if code.n_info != n:
+            raise ValueError(f"code has {code.n_info} information bits, plan needs {n}")
+        code_rows = np.array(code.generator_rows(), dtype=np.uint64)
+    else:
+        code, code_rows = None, np.uint64(1) << np.arange(n, dtype=np.uint64)
+    bases = verify if shared else np.zeros((c_groups, 1), dtype=np.uint64)
+    block = (bases[:, :, None] ^ code_rows).reshape(c_groups, -1)
+    groups = np.concatenate([verify, block] if shared else [verify, bases, block], axis=1)
+    v1 = verify.shape[1]
+    b0 = 0 if shared else v1
+    c0 = b0 + bases.shape[1]
+    layout = {"verify": (0, v1), "bases": (b0, c0), "code": (c0, c0 + block.shape[1])}
+    return OffsetPlan(variant, n, groups, layout, nominal, code=code)
 
 
 @dataclass

@@ -7,9 +7,10 @@ groups, and its value is accumulated into the running spectrum.
 Accumulation (rather than insert-once) matters: a multi-ton whose column
 aliases exactly onto a valid signature triggers a false peel, but the
 resulting ghost later isolates as the same index with the opposite value
-and the second peel cancels the first everywhere, so the net-zero entry
-drops out of the result. Re-peels of an index holding a nonzero value are still counted
-as conflicts for diagnostics. The decoder stops at a fixed point: the
+and the second peel cancels the first everywhere, so the entry, zero up
+to round-off (``cfg.zero_tol``), drops out of the result. Re-peels of an
+index holding a nonzero value are still counted as conflicts for
+diagnostics. The decoder stops at a fixed point: the
 first full sweep that leaves the recovered spectrum unchanged.
 """
 from __future__ import annotations
@@ -108,7 +109,7 @@ def decode(obs, plan, offsets, cfg, sweep_hook=None):
                 if recovered.get(k_word, 0.0) != 0.0:
                     report.conflicts += 1
                 total = recovered.get(k_word, 0.0) + value
-                if total == 0.0:
+                if abs(total) <= cfg.zero_tol:
                     recovered.pop(k_word, None)
                 else:
                     recovered[k_word] = total

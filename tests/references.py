@@ -109,7 +109,7 @@ def detect_noiseless_loop(u, j_word, c, plan, cfg):
 
 def detect_nso_loop(u, j_word, c, plan, offsets, cfg):
     u = np.asarray(u, dtype=np.float64)
-    p1 = offsets.layout["base"][1]
+    p1 = offsets.layout["bases"][1]
     n = plan.n
     base = u[:p1]
     if _within_noise(base, cfg):
@@ -128,12 +128,12 @@ def detect_nso_loop(u, j_word, c, plan, offsets, cfg):
 
 def detect_so_loop(u, j_word, c, plan, offsets, cfg):
     u = np.asarray(u, dtype=np.float64)
-    r0, r1 = offsets.layout["random"]
-    c0, c1 = offsets.layout["coded"]
+    r0, r1 = offsets.layout["verify"]
+    c0, c1 = offsets.layout["code"]
     rand = u[r0:r1]
     if _within_noise(rand, cfg):
         return Detection(ZERO_TON)
-    ref_sign = sgn(u[offsets.layout["reference"]])
+    ref_sign = sgn(u[offsets.layout["bases"][0]])
     received = (u[c0:c1] < 0).astype(np.uint8) ^ ref_sign
     decoded = bitflip_decode_loop(offsets.code, received, max_rounds=DECODE_ROUNDS)
     if decoded is None:

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from sparsewht import NoisyAccess, crossover_bound, draw_spectrum, sigma_for_snr
+from sparsewht import NoisyAccess, bin_detect, crossover_bound, draw_spectrum, sigma_for_snr
 from sparsewht.bin_detect import (
     DETECTORS,
     MULTI_TON,
     SINGLE_TON,
     ZERO_TON,
     DetectorConfig,
+    detect_coded_many,
     detect_near_linear,
     detect_near_linear_many,
     detect_noiseless,
@@ -17,8 +18,8 @@ from sparsewht.bin_detect import (
     detect_so,
     sgn,
 )
-from sparsewht.codes import build_regular_ldpc
-from sparsewht.frontend import VARIANTS, build_offsets, build_plan, observe
+from sparsewht.codes import bitflip_decode_many, build_regular_ldpc, code_for
+from sparsewht.frontend import VARIANTS, OffsetPlan, build_offsets, build_plan, observe
 from sparsewht.kernels import sign_matrix
 from sparsewht.signal_model import snr_from_db
 
@@ -31,6 +32,75 @@ NOISELESS_CFG = DetectorConfig(zero_tol=1e-9 * 4.0 * 4.0)
 
 def test_detectors_cover_every_variant():
     assert tuple(DETECTORS) == VARIANTS
+    # one coded detector serves every variant but near-linear
+    assert {DETECTORS[v] for v in ("noiseless", "nso", "so")} == {detect_coded_many}
+    assert DETECTORS["near-linear"] is detect_near_linear_many
+
+
+def _two_bases_over_the_ldpc_rows(n, plan, verify_rows, rng):
+    """Offsets no variant builds: ``verify_rows`` random rows, then two
+    bases over the rows of ``code_for(n)``, base-major. The bases are
+    random, but with no verify rows the first is the zero offset, whose
+    row reads the value."""
+    code = code_for(n)
+    shape = (plan.c_groups, verify_rows + 2)
+    verify_and_bases = rng.integers(0, 1 << n, size=shape, dtype=np.int64).astype(np.uint64)
+    if not verify_rows:
+        verify_and_bases[:, 0] = 0
+    coded = np.array(code.generator_rows(), dtype=np.uint64)
+    block = (verify_and_bases[:, verify_rows:, None] ^ coded).reshape(plan.c_groups, -1)
+    groups = np.concatenate([verify_and_bases, block], axis=1)
+    layout = {"verify": (0, verify_rows), "bases": (verify_rows, verify_rows + 2),
+              "code": (verify_rows + 2, groups.shape[1])}
+    return OffsetPlan("so", n, groups, layout, groups.shape[1], code=code)
+
+
+@pytest.mark.parametrize("verify_rows", [10, 0])
+def test_coded_detector_two_bases_over_the_ldpc_rows(verify_rows):
+    # every noise-free single-ton decodes through the majority over both
+    # bases and the bit flipping; a bin holding two coefficients does not
+    # pass as one, on the verify rows or, without them, the ratio test
+    n = 10
+    plan = window_plan(n, 3, 2)
+    rng = np.random.default_rng(12)
+    offsets = _two_bases_over_the_ldpc_rows(n, plan, verify_rows, rng)
+    cfg = DetectorConfig(gamma=1.0, nu2=1e-12, rho=1.0, zero_tol=1e-9)
+    ks = np.arange(1 << n, dtype=np.uint64)
+    values = np.where(ks % 3 == 0, -1.0, 1.0)
+    for c in range(plan.c_groups):
+        js = plan.bins_of_many(c, ks).astype(np.int64)
+        cols = values[:, None] * sign_matrix(ks, offsets.groups[c])
+        live, k_words, got, single = detect_coded_many(cols, js, c, plan, offsets, cfg)
+        assert np.array_equal(live, np.arange(len(ks))) and single.all()
+        assert np.array_equal(k_words, ks) and np.array_equal(got, values)
+
+        pairs = ks[:64] ^ plan.coset_basis(c)[rng.integers(0, n - plan.b, size=64)]
+        two = cols[:64] + 0.5 * values[pairs.astype(np.int64), None] * sign_matrix(pairs, offsets.groups[c])
+        live, _, _, single = detect_coded_many(two, js[:64], c, plan, offsets, cfg)
+        assert np.array_equal(live, np.arange(64)) and not single.any()
+
+
+def test_coded_detector_confirms_only_decoded_words(monkeypatch):
+    # random-sign columns: many SO words fail to decode, and only the ones
+    # that decode reach the residual check on the verify rows
+    _, plan, offsets, cfg, obs = next(seeded_instances("so", 12, 16, 5.0, True, seeds=[0]))
+    confirmed = []
+    verified = bin_detect._verified
+
+    def recorded(u, signs, values, cfg):
+        confirmed.append(len(u))
+        return verified(u, signs, values, cfg)
+
+    monkeypatch.setattr(bin_detect, "_verified", recorded)
+    signs = np.where(np.random.default_rng(0).random(obs.data[0].shape) < 0.5, -1.0, 1.0)
+    js = np.arange(plan.bins)
+    live, _, _, _ = detect_coded_many(signs, js, 0, plan, offsets, cfg)
+    b0, _ = offsets.layout["bases"]
+    c0, c1 = offsets.layout["code"]
+    neg = signs[live] < 0
+    _, decoded = bitflip_decode_many(offsets.code, neg[:, c0:c1] ^ neg[:, b0:b0 + 1])
+    assert 0 < decoded.sum() < len(live)
+    assert confirmed == [decoded.sum()]
 
 
 @pytest.mark.parametrize("n,k,snr_db,rho", [
@@ -298,7 +368,7 @@ def test_so_negative_coefficient_sign_reference():
     cfg = DetectorConfig(gamma=1.0, nu2=1e-12, rho=1.0)
     k = 345
     col = _single_ton_column(plan, offsets, 0, k, -1.0, 0.0, rng)
-    assert col[offsets.layout["reference"]] == -1.0
+    assert col[offsets.layout["bases"][0]] == -1.0
     det = detect_so(col, references.bin_of_loop(plan, 0, k), 0, plan, offsets, cfg)
     assert det.kind == SINGLE_TON and det.index == k and det.value == -1.0
 

@@ -86,6 +86,8 @@ def test_noiseless_offsets_layout():
     plan = golden_plan()
     offsets = build_offsets("noiseless", plan)
     rows = offsets.groups[0]
+    assert offsets.layout == {"verify": (0, 0), "bases": (0, 1), "code": (1, 5)}
+    assert offsets.code is None
     assert rows[0] == 0
     assert list(rows[1:]) == [1, 2, 4, 8]
     assert offsets.nominal_rows == 5
@@ -96,6 +98,9 @@ def test_nso_offsets_modulation():
     offsets = build_offsets("nso", plan, p1=3, rng=np.random.default_rng(0))
     rows = offsets.groups[0]
     p1, n = 3, 6
+    # the bases are the verify rows, stored once
+    assert offsets.layout == {"verify": (0, p1), "bases": (0, p1), "code": (p1, p1 * (n + 1))}
+    assert offsets.code is None
     assert len(rows) == p1 * (n + 1)
     base = rows[:p1]
     blocks = rows[p1:].reshape(p1, n)
@@ -117,13 +122,15 @@ def test_so_layout_and_zero_rows():
     plan = window_plan(8, 2, 2)
     code = build_regular_ldpc(8, np.random.default_rng(1))
     offsets = build_offsets("so", plan, code=code, rng=np.random.default_rng(2))
-    r0, r1 = offsets.layout["random"]
-    ref = offsets.layout["reference"]
-    c0, c1 = offsets.layout["coded"]
+    r0, r1 = offsets.layout["verify"]
+    ref, c0 = offsets.layout["bases"]
+    assert offsets.layout["code"][0] == c0
+    c1 = offsets.layout["code"][1]
     rows = offsets.groups[0]
-    assert (r1 - r0, c0 - ref, c1 - c0) == (8, 1, 16)
+    assert (r0, r1 - r0, c0 - ref, c1 - c0) == (0, 8, 1, 16)
     assert (r1, offsets.rows) == (ref, c1)
     assert rows[ref] == 0
+    assert offsets.code is code
     assert list(rows[c0:c1]) == list(code.generator_rows())
     # the formula counts n zero-offset reads; the plan stores one row
     assert offsets.nominal_rows == 32
@@ -140,7 +147,7 @@ def test_so_single_reference_row_observes_like_n_copies(n, log_k, sigma, seed):
     plan = build_plan(n, k)
     spectrum = draw_spectrum(n, k, 1.0, rng)
     offsets = build_offsets("so", plan, code=build_regular_ldpc(n, rng), rng=rng)
-    ref = offsets.layout["reference"]
+    ref = offsets.layout["bases"][0]
     copies = dataclasses.replace(offsets, groups=np.stack([
         np.insert(g, ref, np.zeros(n - 1, dtype=np.uint64)) for g in offsets.groups]))
     assert copies.rows == offsets.rows + n - 1

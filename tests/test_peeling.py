@@ -12,7 +12,7 @@ from sparsewht.bin_detect import (
     DetectorConfig,
     detect_near_linear,
 )
-from sparsewht.experiments import noise_sigma, recover
+from sparsewht.experiments import ExperimentConfig, noise_sigma, recover, run_trial
 from sparsewht.frontend import PlanError, build_offsets, build_plan, observe
 from sparsewht.fwht import densify, fwht
 from sparsewht.kernels import sign_matrix
@@ -135,6 +135,15 @@ def test_phantom_peel_self_heals():
             hit = seed
             break
     assert hit is not None, "expected at least one self-healed phantom in 40 seeds"
+
+
+def test_round_off_ghost_drops_out():
+    # seed 5, (17, 40), trial 49: a multi-ton peels as a ghost and a later
+    # peel cancels it, but the two floats differ in their last bits; the
+    # ~1e-16 left over is round-off, within zero_tol, and drops out
+    result = run_trial(ExperimentConfig(algorithm="noiseless", seed=5), 17, 40, None, 49)
+    assert result.conflicts == 1
+    assert result.support_ok and result.values_ok and not result.stalled
 
 
 def test_unsettled_decode_stops_at_the_guard():
