@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import codes, frontend, kernels
+from . import codes, kernels
 
 ZERO_TON = "zero-ton"
 SINGLE_TON = "single-ton"
@@ -142,8 +142,8 @@ def _confirm(cols: np.ndarray, rows: np.ndarray, k_words: np.ndarray, js: np.nda
     the columns ``cols[rows]`` of the bins ``js``. An index must hash back
     to its bin and leave a residual within the noise level on the verify
     rows or, with none, pass the exact ratio test: a reference (the first
-    base row, then the zero offset) outside ``zero_tol`` and every row
-    within ``RATIO_TOL`` of +/- the reference, whose value it takes."""
+    base row times the index's sign there) outside ``zero_tol`` and every
+    row within ``RATIO_TOL`` of +/- the reference, whose value it takes."""
     v0, v1 = offsets.layout["verify"]
     if v1 > v0:
         u, offset_words = cols[rows, v0:v1], offsets.groups[c, v0:v1]
@@ -153,8 +153,8 @@ def _confirm(cols: np.ndarray, rows: np.ndarray, k_words: np.ndarray, js: np.nda
         values = _estimate_value(score, v1 - v0, cfg)
         verified = _verified(u, signs, values, cfg)
     else:
-        u = cols[rows]
-        values = u[:, offsets.layout["bases"][0]]
+        u, b0 = cols[rows], offsets.layout["bases"][0]
+        values = u[:, b0] * kernels.sign_matrix(k_words, offsets.groups[c, b0:b0 + 1])[:, 0]
         verified = np.abs(values) > cfg.zero_tol
         # a reference within zero_tol already fails; divide those rows by 1 instead
         ratios = u / np.where(verified, values, 1.0)[:, None]
@@ -187,11 +187,8 @@ def detect_coded_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, c
     js = js[live]
     # sign copies only: the code block is read as a (bases, code rows) bool block per bin
     neg, bases = (cols < 0)[live], b1 - b0
-    if bases == 1:
-        bits = neg[:, c0:c1] ^ neg[:, b0:b1]
-    else:
-        votes = (neg[:, c0:c1].reshape(len(live), bases, (c1 - c0) // bases) ^ neg[:, b0:b1, None]).sum(axis=1)
-        bits = 2 * votes > bases
+    votes = (neg[:, c0:c1].reshape(len(live), bases, (c1 - c0) // bases) ^ neg[:, b0:b1, None]).sum(axis=1)
+    bits = 2 * votes > bases
     if offsets.code is None:
         k_words = kernels.pack_rows(bits)
         return live, k_words, *_confirm(cols, live, k_words, js, c, plan, offsets, cfg)
@@ -211,6 +208,8 @@ def _one_row(detect, u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: Det
 
 def detect_noiseless(u: np.ndarray, j_word: int, c: int, plan, cfg: DetectorConfig) -> Detection:
     """The one-column case of :func:`detect_coded_many` on the noiseless offsets."""
+    from . import frontend
+
     return _one_row(detect_coded_many, u, j_word, c, plan, frontend.build_offsets("noiseless", plan), cfg)
 
 

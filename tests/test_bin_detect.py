@@ -39,14 +39,10 @@ def test_detectors_cover_every_variant():
 
 def _two_bases_over_the_ldpc_rows(n, plan, verify_rows, rng):
     """Offsets no variant builds: ``verify_rows`` random rows, then two
-    bases over the rows of ``code_for(n)``, base-major. The bases are
-    random, but with no verify rows the first is the zero offset, whose
-    row reads the value."""
+    random bases over the rows of ``code_for(n)``, base-major."""
     code = code_for(n)
     shape = (plan.c_groups, verify_rows + 2)
-    verify_and_bases = rng.integers(0, 1 << n, size=shape, dtype=np.int64).astype(np.uint64)
-    if not verify_rows:
-        verify_and_bases[:, 0] = 0
+    verify_and_bases = rng.integers(1, 1 << n, size=shape, dtype=np.int64).astype(np.uint64)
     coded = np.array(code.generator_rows(), dtype=np.uint64)
     block = (verify_and_bases[:, verify_rows:, None] ^ coded).reshape(plan.c_groups, -1)
     groups = np.concatenate([verify_and_bases, block], axis=1)
@@ -59,7 +55,8 @@ def _two_bases_over_the_ldpc_rows(n, plan, verify_rows, rng):
 def test_coded_detector_two_bases_over_the_ldpc_rows(verify_rows):
     # every noise-free single-ton decodes through the majority over both
     # bases and the bit flipping; a bin holding two coefficients does not
-    # pass as one, on the verify rows or, without them, the ratio test
+    # pass as one, on the verify rows or, without them, the ratio test,
+    # whose reference is a nonzero base: its sign must be undone
     n = 10
     plan = window_plan(n, 3, 2)
     rng = np.random.default_rng(12)
