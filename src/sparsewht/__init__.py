@@ -3,8 +3,8 @@
 Coding-theoretic subsampling hashes the K nonzero spectral coefficients
 into small bins, robust bin detectors classify each bin and read off
 single coefficients, and a peeling decoder subtracts what it finds until
-the spectrum is recovered. Includes exact brute-force oracles, the
-redundancy-threshold analysis, and a hypergraph cut-sketching front end.
+the spectrum is recovered. Includes the redundancy-threshold analysis and
+a hypergraph cut-sketching front end.
 
 Importing the package fixes glibc's malloc thresholds (see ``_malloc``)
 so that repeated trials reuse heap pages instead of re-faulting them.
@@ -26,10 +26,10 @@ from .bin_detect import (
 )
 from .codes import LdpcCode, bitflip_decode, build_regular_ldpc
 from .frontend import BinObservations, OffsetPlan, SubsamplingPlan, build_offsets, build_plan, observe
-from .fwht import fwht, naive_wht, synthesize_many
-from .gf2 import BitMatrix, solve_affine
+from .gf2 import BitMatrix
+from .kernels import fwht
 from .peeling import DecodeReport, SupportCheck, decode, verify_support
-from .signal_model import NoisyAccess, SparseSpectrum, draw_spectrum, sigma_for_snr
+from .signal_model import NoisyAccess, SparseSpectrum, draw_spectrum, sigma_for_snr, synthesize_many
 from .sketch import Hypergraph, analytic_spectrum, cut_value, sketch_recover
 
 __version__ = "0.1.0"
@@ -65,11 +65,9 @@ __all__ = [
     "draw_spectrum",
     "fwht",
     "min_eta",
-    "naive_wht",
     "observe",
     "sigma_for_snr",
     "sketch_recover",
-    "solve_affine",
     "synthesize_many",
     "verify_support",
 ]

@@ -106,10 +106,6 @@ class DetectorConfig:
         return max((1.0 + self.gamma) * self.nu2, self.zero_tol**2)
 
 
-def sgn(x: float) -> int:
-    return 1 if x < 0 else 0
-
-
 def crossover_bound(eta: float, snr_linear: float) -> float:
     """Upper bound exp(-eta SNR / 2) on the sign-flip probability of a
     noisy single-ton observation."""

@@ -22,7 +22,6 @@ import sys
 import numpy as np
 
 from . import analysis, codes, frontend, gf2, peeling, sketch
-from .fwht import fwht
 from .experiments import (
     SCALING_COLUMNS,
     SNR_COLUMNS,
@@ -34,6 +33,7 @@ from .experiments import (
     run_snr_sweep,
     write_csv,
 )
+from .kernels import fwht
 from .signal_model import NoisyAccess, SparseSpectrum, draw_spectrum
 
 
@@ -74,7 +74,10 @@ def _cmd_synth(args) -> int:
 
 def _cmd_wht(args) -> int:
     values = np.loadtxt(args.infile, dtype=np.float64, ndmin=1)
+    finite = np.isfinite(values)
     try:
+        if not finite.all():
+            raise ValueError(f"sample {int(np.argmin(finite))} (counting from 0) is not finite")
         transformed = fwht(values)
         n = gf2.check_bits(len(values).bit_length() - 1)
     except ValueError as exc:

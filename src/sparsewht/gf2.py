@@ -152,30 +152,13 @@ def _null_basis(pivot_rows: dict, n: int) -> list:
     return basis
 
 
-def solve_affine(m: BitMatrix, j: int):
-    """Solve M^T k = j over GF(2)^rows for the cols-bit word ``j``.
-
-    Returns ``(particular, basis)`` as packed words: every solution is the
-    particular word XORed with a GF(2)-combination of the basis words; the
-    basis has exactly rows - rank(M) elements.
-    """
-    if not 0 <= j < (1 << m.cols):
-        raise DimensionError(f"rhs word {j} is out of range for {m.cols} cols")
-    system = [(col, (j >> t) & 1) for t, col in enumerate(m.col_words)]
-    pivot_rows, pivot_rhs = eliminate(system)
-    particular = 0
-    for pbit, rhs in pivot_rhs.items():
-        particular |= rhs << pbit
-    return particular, _null_basis(pivot_rows, m.rows)
-
-
 def solve_units(m: BitMatrix):
     """Solve M^T k = 1 << t for every column t of a full-column-rank M in
     one elimination, the right-hand sides carried as words.
 
-    Returns ``(particulars, basis)``: ``particulars[t]`` is the word
-    ``solve_affine(m, 1 << t)`` returns, since the pivots do not depend
-    on the right-hand side, and ``basis`` is its null-space basis.
+    Returns ``(particulars, basis)`` as packed words: every solution for
+    column t is ``particulars[t]`` XORed with a GF(2)-combination of the
+    rows - rank(M) words of ``basis``, the null space of M^T.
     """
     pivot_rows, pivot_rhs = eliminate((col, 1 << t) for t, col in enumerate(m.col_words))
     particulars = [0] * m.cols

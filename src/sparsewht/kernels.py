@@ -1,5 +1,6 @@
-"""Hot numeric kernels: batched Walsh-Hadamard butterflies, GF(2)
-parities of packed words, signature signs and the coset matched filter.
+"""Hot numeric kernels: batched Walsh-Hadamard butterflies, the
+orthonormal transform, GF(2) parities of packed words, signature signs
+and the coset matched filter.
 
 Everything runs on numpy. All GF(2) index words are carried as
 ``uint64``; only parities of ANDed words are ever needed, and they come
@@ -46,6 +47,38 @@ def fwht_rows_inplace(mat: np.ndarray) -> np.ndarray:
         np.subtract(a, b, out=b)
         h *= 2
     return mat
+
+
+def _check_length(x: np.ndarray) -> int:
+    n = len(x)
+    if n == 0 or n & (n - 1):
+        raise ValueError(f"signal length {n} is not a power of two")
+    return n
+
+
+def fwht(x: np.ndarray) -> np.ndarray:
+    """Orthonormal transform, N log N butterflies on a copy of the input.
+
+    The kernel is (-1)^<k, m> in natural (Hadamard) order with a symmetric
+    1/sqrt(N) normalization, so the transform is its own inverse and
+    keeps Parseval exact.
+    """
+    return fwht_inplace(np.array(x, dtype=np.float64, copy=True))
+
+
+def fwht_inplace(x: np.ndarray) -> np.ndarray:
+    """In-place variant of :func:`fwht`; the caller owns the buffer.
+
+    A strided or non-float64 ``x`` is transformed in a contiguous copy
+    that is written back.
+    """
+    size = _check_length(x)
+    work = np.ascontiguousarray(x, dtype=np.float64)
+    fwht_rows_inplace(work.reshape(-1, 1))
+    work *= 1.0 / math.sqrt(size)
+    if work is not x:
+        x[...] = work
+    return x
 
 
 # ---------------------------------------------------------------------------

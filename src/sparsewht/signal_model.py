@@ -20,14 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2, kernels
-from .fwht import synthesize_many
 
 _DENSE_NOISE_LIMIT = 24  # full-array noise cache; 2^24 doubles = 128 MiB
 
 
 @dataclass
 class SparseSpectrum:
-    """Map from packed index word to nonzero coefficient value."""
+    """Map from packed index word to nonzero coefficient value; a value
+    that is not finite is refused."""
 
     n: int
     entries: dict = field(default_factory=dict)
@@ -39,8 +39,11 @@ class SparseSpectrum:
             k = int(k)
             if not 0 <= k < limit:
                 raise ValueError(f"index {k} out of range for n={self.n}")
+            v = float(v)
+            if not math.isfinite(v):
+                raise ValueError(f"value {v} at index {k} is not finite")
             if v != 0.0:
-                clean[k] = float(v)
+                clean[k] = v
         self.entries = clean
 
     @property
@@ -67,8 +70,8 @@ class SparseSpectrum:
 
     @classmethod
     def load(cls, path) -> "SparseSpectrum":
-        """Read the :meth:`save` format; a malformed line raises ValueError
-        naming the file and the line."""
+        """Read the :meth:`save` format; a malformed line or a value that is
+        not finite raises ValueError naming the file and the line."""
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline()
             try:
@@ -88,8 +91,10 @@ class SparseSpectrum:
                     if k >> n:
                         raise ValueError(f"index exceeds n={n} bits")
                     entries[k] = float(value)
+                    if not math.isfinite(entries[k]):
+                        raise ValueError("value is not finite")
                 except ValueError as exc:
-                    raise ValueError(f"{path} line {lineno}: expected '<{n}-bit string> <value>', "
+                    raise ValueError(f"{path} line {lineno}: expected '<{n}-bit string> <finite value>', "
                                      f"got {line.strip()!r}") from exc
         spec = cls(n, entries)
         if declared is not None and spec.sparsity != declared:
@@ -131,26 +136,35 @@ def snr_from_db(snr_db: float) -> float:
     return 10.0 ** (snr_db / 10.0)
 
 
+def synthesize_many(spectrum, m_words) -> np.ndarray:
+    """Time-domain samples of a sparse spectrum at the given positions.
+
+    Costs O(K) per position and never materializes all N samples; the
+    spectrum only needs ``n`` and ``as_arrays()``.
+    """
+    m_words = np.atleast_1d(np.asarray(m_words, dtype=np.uint64))
+    k_words, values = spectrum.as_arrays()
+    if len(k_words) == 0:
+        return np.zeros(len(m_words), dtype=np.float64)
+    signs = kernels.sign_matrix(m_words, k_words)
+    return (signs @ values) / math.sqrt(2.0**spectrum.n)
+
+
 def merge_reads(log: np.ndarray, positions) -> tuple:
     """Merge the read ``positions`` into ``log``, the sorted distinct words
     read so far, without changing ``log``.
 
     Returns ``(words, at, fresh)``: the new log, the slot in it of each
     position in ``positions.reshape(-1)`` order, and a mask over ``words``
-    of the words not in ``log``. One sort dedupes the positions; one
-    stable argsort of the log and the distinct words, two sorted runs that
-    timsort merges, lays them into one log, where a word in both keeps the
-    log's copy.
+    of the words not in ``log``. One sort of the log and the positions
+    together dedupes them into the new log; its inverse gives every slot,
+    and the log's own slots are the words that are not fresh.
     """
-    distinct, inverse = np.unique(np.asarray(positions, dtype=np.uint64).reshape(-1), return_inverse=True)
-    both = np.concatenate([log, distinct])
-    order = np.argsort(both, kind="stable")
-    merged = both[order]
-    keep = np.ones(len(merged), dtype=bool)
-    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-    slots = np.empty(len(both), dtype=np.intp)
-    slots[order] = np.cumsum(keep) - 1
-    return merged[keep], slots[len(log):][inverse], (order >= len(log))[keep]
+    words, inverse = np.unique(np.concatenate([log, np.asarray(positions, dtype=np.uint64).reshape(-1)]),
+                               return_inverse=True)
+    fresh = np.ones(len(words), dtype=bool)
+    fresh[inverse[:len(log)]] = False
+    return words, inverse[len(log):], fresh
 
 
 class NoisyAccess:

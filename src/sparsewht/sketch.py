@@ -133,23 +133,6 @@ def analytic_spectrum(h: Hypergraph) -> SparseSpectrum:
     return SparseSpectrum(h.n, entries)
 
 
-def random_disjoint_hypergraph(n: int, s: int, rng, min_size: int = 2, max_size: int = 6) -> Hypergraph:
-    """s vertex-disjoint edges with sizes uniform in [min_size, max_size]."""
-    if s * min_size > n:
-        raise ValueError("edges cannot fit disjointly")
-    while True:
-        sizes = rng.integers(min_size, max_size + 1, size=s)
-        if sizes.sum() <= n:
-            break
-    verts = list(rng.permutation(np.arange(1, n + 1)))
-    edges = []
-    at = 0
-    for size in sizes:
-        edges.append(frozenset(int(v) for v in verts[at : at + size]))
-        at += size
-    return Hypergraph(n, tuple(edges))
-
-
 class CutQueryAccess:
     """Sample access backed by a cut oracle, queried once per distinct position.
 

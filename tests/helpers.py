@@ -1,11 +1,12 @@
-"""Shared fixtures: the four-coefficient worked instance, bit helpers and
-seeded pipeline instances."""
+"""Shared fixtures: the four-coefficient worked instance, bit helpers,
+seeded pipeline instances and random disjoint hypergraphs."""
 import numpy as np
 
 from sparsewht import NoisyAccess, SparseSpectrum, build_regular_ldpc, draw_spectrum, sigma_for_snr
 from sparsewht.bin_detect import DetectorConfig
 from sparsewht.frontend import SubsamplingPlan, build_offsets, build_plan, observe
 from sparsewht.gf2 import random_full_column_rank, selection_matrix
+from sparsewht.sketch import Hypergraph
 
 
 def bits(s: str) -> int:
@@ -67,3 +68,20 @@ def seeded_instances(variant, n, k, snr_db, constellation, seeds=range(6)):
         obs = observe(access, plan, offsets)
         cfg = DetectorConfig.for_noise(n, plan.bins, sigma, 1.0, snr, np.abs(obs.data).max(), constellation)
         yield spectrum, plan, offsets, cfg, obs
+
+
+def random_disjoint_hypergraph(n: int, s: int, rng, min_size: int = 2, max_size: int = 6) -> Hypergraph:
+    """s vertex-disjoint edges with sizes uniform in [min_size, max_size]."""
+    if s * min_size > n:
+        raise ValueError("edges cannot fit disjointly")
+    while True:
+        sizes = rng.integers(min_size, max_size + 1, size=s)
+        if sizes.sum() <= n:
+            break
+    verts = list(rng.permutation(np.arange(1, n + 1)))
+    edges = []
+    at = 0
+    for size in sizes:
+        edges.append(frozenset(int(v) for v in verts[at : at + size]))
+        at += size
+    return Hypergraph(n, tuple(edges))

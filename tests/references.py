@@ -1,5 +1,6 @@
 """Loop references for the hash, the alias sums, the encoder, the batched
-detectors, the bit-flip decoder, the stall level and LDPC set-up.
+detectors, the bit-flip decoder, the stall level and LDPC set-up, plus the
+brute-force transform, the dense spectrum and the one-rhs affine solve.
 
 These are the one-column (and one-word) bodies the library ran before it
 classified a group's bins in one call and before it carried indices only
@@ -7,11 +8,70 @@ as packed words. They stay here so that the batched code is checked
 against independent code rather than against itself. The LDPC set-up is
 the library's bitmask construction redone on dense arrays.
 """
+import math
+from functools import lru_cache
+
 import numpy as np
 
-from sparsewht.bin_detect import MULTI_TON, RATIO_TOL, SINGLE_TON, ZERO_TON, Detection, sgn
+from sparsewht.bin_detect import MULTI_TON, RATIO_TOL, SINGLE_TON, ZERO_TON, Detection
 from sparsewht.codes import DECODE_ROUNDS
-from sparsewht.kernels import sign_matrix
+from sparsewht.gf2 import BitMatrix, DimensionError, _null_basis, eliminate
+from sparsewht.kernels import _check_length, sign_matrix
+
+
+def sgn(x: float) -> int:
+    """Sign bit: 1 for x < 0 and 0 otherwise, so that x = |x| (-1)^sgn(x)."""
+    return 1 if x < 0 else 0
+
+
+@lru_cache(maxsize=1)
+def _sign_kernel(size: int) -> np.ndarray:
+    """The full N x N kernel matrix (-1)^<k,m> (cached for the last N)."""
+    ms = np.arange(size, dtype=np.uint64)
+    kernel = np.empty((size, size), dtype=np.float64)
+    chunk = 1024
+    for start in range(0, size, chunk):
+        ks = np.arange(start, min(start + chunk, size), dtype=np.uint64)
+        par = np.bitwise_count(ks[:, None] & ms[None, :])
+        np.bitwise_and(par, 1, out=par)
+        kernel[start : start + len(ks)] = 1.0 - 2.0 * par.astype(np.float64)
+    return kernel
+
+
+def naive_wht(x: np.ndarray) -> np.ndarray:
+    """Direct O(N^2) double sum; the independent test oracle for fwht."""
+    size = _check_length(x)
+    x = np.asarray(x, dtype=np.float64)
+    if size > (1 << 13):
+        raise ValueError("quadratic oracle is limited to n <= 13")
+    return (_sign_kernel(size) @ x) / math.sqrt(size)
+
+
+def densify(spectrum) -> np.ndarray:
+    """Dense coefficient vector of a sparse spectrum (small n only)."""
+    size = 1 << spectrum.n
+    out = np.zeros(size, dtype=np.float64)
+    k_words, values = spectrum.as_arrays()
+    out[k_words.astype(np.int64)] = values
+    return out
+
+
+def solve_affine(m: BitMatrix, j: int):
+    """Solve M^T k = j over GF(2)^rows for the cols-bit word ``j``.
+
+    Returns ``(particular, basis)`` as packed words: every solution is the
+    particular word XORed with a GF(2)-combination of the basis words; the
+    basis has exactly rows - rank(M) elements. The reference for
+    ``gf2.solve_units``, which solves every unit rhs in one elimination.
+    """
+    if not 0 <= j < (1 << m.cols):
+        raise DimensionError(f"rhs word {j} is out of range for {m.cols} cols")
+    system = [(col, (j >> t) & 1) for t, col in enumerate(m.col_words)]
+    pivot_rows, pivot_rhs = eliminate(system)
+    particular = 0
+    for pbit, rhs in pivot_rhs.items():
+        particular |= rhs << pbit
+    return particular, _null_basis(pivot_rows, m.rows)
 
 
 def parity(word: int) -> int:

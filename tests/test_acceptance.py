@@ -16,7 +16,6 @@ from sparsewht import (
     draw_spectrum,
     fwht,
     min_eta,
-    naive_wht,
     sigma_for_snr,
 )
 from sparsewht.bin_detect import DetectorConfig
@@ -27,11 +26,11 @@ from sparsewht.peeling import decode
 from sparsewht.sketch import (
     analytic_spectrum,
     cut_values,
-    random_disjoint_hypergraph,
     sketch_recover,
 )
 
-from helpers import GOLDEN_BINS_G1, GOLDEN_BINS_G2, golden_plan, golden_spectrum, window_plan
+from helpers import GOLDEN_BINS_G1, GOLDEN_BINS_G2, golden_plan, golden_spectrum, random_disjoint_hypergraph, window_plan
+from references import naive_wht
 
 
 def _report(num, name, ok, detail):

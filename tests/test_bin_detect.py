@@ -16,7 +16,6 @@ from sparsewht.bin_detect import (
     detect_noiseless,
     detect_nso,
     detect_so,
-    sgn,
 )
 from sparsewht.codes import bitflip_decode_many, build_regular_ldpc, code_for
 from sparsewht.frontend import VARIANTS, OffsetPlan, build_offsets, build_plan, observe
@@ -25,6 +24,7 @@ from sparsewht.signal_model import snr_from_db
 
 import references
 from helpers import bits, golden_plan, seeded_instances, window_plan
+from references import sgn
 
 
 NOISELESS_CFG = DetectorConfig(zero_tol=1e-9 * 4.0 * 4.0)

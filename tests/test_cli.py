@@ -7,11 +7,12 @@ import pytest
 from sparsewht import cli
 from sparsewht.cli import main
 from sparsewht.peeling import DecodeReport
-from sparsewht.fwht import densify, fwht
+from sparsewht.kernels import fwht
 from sparsewht.signal_model import SparseSpectrum
 from sparsewht.sketch import Hypergraph
 
 from helpers import golden_spectrum
+from references import densify
 
 
 def test_synth_writes_spectrum(tmp_path, capsys):
@@ -39,6 +40,16 @@ def test_wht_rejects_a_length_without_index_bits(tmp_path, capsys, samples):
     assert main(["wht", str(infile), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {infile}: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_wht_rejects_a_non_finite_sample(tmp_path, capsys):
+    infile = tmp_path / "signal.txt"
+    infile.write_text("1\nnan\n0\n0\n")
+    out = tmp_path / "spec.txt"
+    assert main(["wht", str(infile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {infile}: ") and "not finite" in err and len(err.splitlines()) == 1
     assert not out.exists()
 
 
@@ -139,6 +150,19 @@ def test_recover_bad_input_exits_2(tmp_path, capsys, content, extra):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("value, extra", [("nan", []), ("inf", ["--snr-db", "10"]), ("-inf", [])])
+def test_recover_non_finite_value_exits_2(tmp_path, capsys, value, extra):
+    # a NaN or infinite coefficient is refused where the file is read, naming the file and the line
+    spec_path = tmp_path / "truth.txt"
+    spec_path.write_text(f"n=8 K=2\n00000001 1.0\n00000011 {value}\n")
+    out = tmp_path / "r.txt"
+    code = main(["recover", "--spectrum", str(spec_path), "--out", str(out), *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec_path} line 3: ") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_recover_so_below_code_length_exits_2(tmp_path, capsys):

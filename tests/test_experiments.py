@@ -23,7 +23,9 @@ from sparsewht.experiments import (
     write_csv,
 )
 from sparsewht.peeling import verify_support
-from sparsewht.sketch import random_disjoint_hypergraph, sketch_recover
+from sparsewht.sketch import sketch_recover
+
+from helpers import random_disjoint_hypergraph
 
 
 def test_nominal_formulas_exact():

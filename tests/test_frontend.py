@@ -12,12 +12,12 @@ from sparsewht.frontend import (
     build_plan,
     observe,
 )
-from sparsewht.gf2 import rank_transpose, solve_affine, span_words
+from sparsewht.gf2 import rank_transpose, span_words
 from sparsewht.kernels import sign_matrix
 from sparsewht.sketch import CutQueryAccess
 
 from helpers import GOLDEN_BINS_G1, GOLDEN_BINS_G2, golden_plan, golden_spectrum, random_plan, window_plan
-from references import bin_of_loop
+from references import bin_of_loop, solve_affine
 
 
 def _window_bits(m):

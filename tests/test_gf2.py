@@ -11,7 +11,6 @@ from sparsewht.gf2 import (
     random_full_column_rank,
     rank_transpose,
     selection_matrix,
-    solve_affine,
     solve_units,
     span_words,
 )
@@ -19,6 +18,7 @@ from sparsewht.kernels import hash_words, pack_rows, parity_words
 
 import references
 from helpers import bits
+from references import solve_affine
 
 
 def _from_dense(dense) -> BitMatrix:

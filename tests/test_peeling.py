@@ -14,12 +14,12 @@ from sparsewht.bin_detect import (
 )
 from sparsewht.experiments import ExperimentConfig, noise_sigma, recover, run_trial
 from sparsewht.frontend import PlanError, build_offsets, build_plan, observe
-from sparsewht.fwht import densify, fwht
-from sparsewht.kernels import sign_matrix
+from sparsewht.kernels import fwht, sign_matrix
 from sparsewht.peeling import DecodeReport, decode
 
 import references
 from helpers import golden_plan, golden_spectrum, seeded_instances, window_plan
+from references import densify
 
 
 def _noiseless_setup(spectrum, plan, seed=0):

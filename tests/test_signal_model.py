@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsewht import NoisyAccess, SparseSpectrum, build_plan, draw_spectrum, sigma_for_snr, synthesize_many
 from sparsewht.frontend import SubsamplingPlan
-from sparsewht.fwht import densify, fwht
 from sparsewht.gf2 import BitMatrix
-from sparsewht.signal_model import snr_from_db
+from sparsewht.kernels import fwht
+from sparsewht.signal_model import merge_reads, snr_from_db
 from sparsewht.sketch import CutQueryAccess
+
+from references import densify
 
 
 def test_draw_empty_and_determinism():
@@ -120,6 +122,12 @@ def test_spectrum_drops_exact_zeros():
     assert spec.support() == {5}
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spectrum_refuses_a_non_finite_value(value):
+    with pytest.raises(ValueError, match="not finite"):
+        SparseSpectrum(4, {3: 1.0, 5: value})
+
+
 def _coset_positions(cols, rows):
     """u[M_c l + d] read positions of a (C, b) stack of column words and a
     (C, P) stack of offset words: per group, one row per word l and one
@@ -218,6 +226,36 @@ def test_sparse_read_log_counts_distinct_positions(case):
 
 
 # n=30 counts reads in the sorted log, n=8 in the bitmap, where a word cast to intp could alias
+@st.composite
+def _log_and_read(draw):
+    """A read log (sorted distinct words) and a read whose positions may
+    repeat each other and the log's words; either may be empty."""
+    pool = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12, unique=True))
+    log = sorted(draw(st.sets(st.sampled_from(pool))))
+    shape = draw(st.sampled_from([(0,), (1,), (6,), (2, 3), (3, 1, 2)]))
+    size = math.prod(shape)
+    read = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    return np.array(log, dtype=np.uint64), np.array(read, dtype=np.uint64).reshape(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_log_and_read())
+@example((np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint64)))
+@example((np.array([3, 9], dtype=np.uint64), np.zeros((0, 4), dtype=np.uint64)))
+@example((np.zeros(0, dtype=np.uint64), np.array([[7, 7], [2, 7]], dtype=np.uint64)))
+def test_merge_reads_matches_a_set_merge(case):
+    log, read = case
+    before = log.copy()
+    words, at, fresh = merge_reads(log, read)
+    flat = read.reshape(-1).tolist()
+    old = set(log.tolist())
+    expected = sorted(old | set(flat))
+    assert words.dtype == np.uint64 and words.tolist() == expected
+    assert len(at) == len(flat) and words[at].tolist() == flat
+    assert fresh.dtype == bool and fresh.tolist() == [w not in old for w in expected]
+    assert np.array_equal(log, before)
+
+
 @pytest.mark.parametrize("n,sigma", [(30, 0.0), (8, 0.5)])
 def test_sparse_read_log_refuses_positions_beyond_n(n, sigma):
     access = NoisyAccess(draw_spectrum(n, 5, 1.0, np.random.default_rng(17)), sigma, np.random.default_rng(17))

@@ -3,18 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsewht.fwht import synthesize_many
-from sparsewht.signal_model import SparseSpectrum
+from sparsewht.signal_model import SparseSpectrum, synthesize_many
 from sparsewht.sketch import (
     CutQueryAccess,
     Hypergraph,
     analytic_spectrum,
     cut_value,
     cut_values,
-    random_disjoint_hypergraph,
     reconstruct_edges,
     sketch_recover,
 )
+
+from helpers import random_disjoint_hypergraph
 
 
 def _cut_oracle_by_sets(h, m_word):
