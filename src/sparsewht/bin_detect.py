@@ -19,14 +19,20 @@ The coded detector serves noiseless, NSO and SO: each reads code bits
 as sign changes between a base offset d and the offsets d xor g, and
 the variants differ only in their bases and code rows (the zero base
 and the identity code; random bases and the identity code, a majority
-vote; the zero base and the (3,6) LDPC code, bit flipping). A decoded
-index is confirmed on the random verify rows, or by an exact ratio test
-when there are none. The near-linear detector scores every candidate in
-the bin's hash coset with one small Walsh-Hadamard transform (a coset is
-an affine subspace, so its signature correlations are a transform of
-the column, see ``kernels.singleton_search``). Anything failing
-verification is classified multi-ton: multi-tons need no action during
-peeling, so erring toward them only delays recovery, never corrupts it.
+vote; the zero base and the (3,6) LDPC code, bit flipping). The
+near-linear detector scores every candidate in the bin's hash coset
+with one small Walsh-Hadamard transform (a coset is an affine subspace,
+so its signature correlations are a transform of the column, see
+``kernels.singleton_search``).
+
+Both decide with one test, as SPRIGHT and SparseFHT do: is the mean
+square of a bin's tested rows at the noise level, before (zero-ton) and
+after (single-ton) removing one candidate? The tested rows are the
+layout's ``verify`` rows at (1 + gamma) nu^2; a layout without them
+(noiseless) tests every row at the round-off level zero_tol^2, so under
+noise it finds no single-ton. Anything failing verification is a
+multi-ton: multi-tons need no action during peeling, so erring toward
+them only delays recovery, never corrupts it.
 
 Sign convention: sgn(x) = 1 for x < 0 and 0 for x > 0 (sgn(0) = 0), so
 that x = |x| * (-1)^sgn(x).
@@ -43,9 +49,6 @@ from . import codes, kernels
 ZERO_TON = "zero-ton"
 SINGLE_TON = "single-ton"
 MULTI_TON = "multi-ton"
-
-# a noiseless single-ton's ratios u_t / u_0 are +/-1 up to rounding
-RATIO_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -65,10 +68,10 @@ class DetectorConfig:
 
     ``gamma`` is the verification slack (must sit in (0, SNR/2));
     ``nu2`` the per-entry bin noise variance N sigma^2 / B; ``rho`` the
-    constellation amplitude. ``zero_tol`` serves the exact noiseless
-    tests; ``constellation`` says whether values are +/-``rho`` or
-    continuous. :meth:`for_noise` derives the thresholds from the noise
-    level.
+    constellation amplitude. ``zero_tol`` is the round-off level of the
+    noiseless layout and of the peeled values; ``constellation`` says
+    whether values are +/-``rho`` or continuous. :meth:`for_noise`
+    derives the thresholds from the noise level.
     """
 
     gamma: float = 1.0
@@ -100,10 +103,16 @@ class DetectorConfig:
                    constellation=constellation, zero_tol=1e-9 * scale)
 
     @property
+    def noise_level(self) -> float:
+        """(1 + gamma) nu^2: the largest mean energy of the verify rows
+        that the detectors read as noise."""
+        return (1.0 + self.gamma) * self.nu2
+
+    @property
     def zero_ton_level(self) -> float:
-        """The larger zero-ton level of mean bin energy: (1 + gamma) nu^2
+        """The larger zero-ton level of mean bin energy: ``noise_level``
         (robust detectors) or zero_tol^2 (noiseless); ``decode``'s stall level."""
-        return max((1.0 + self.gamma) * self.nu2, self.zero_tol**2)
+        return max(self.noise_level, self.zero_tol**2)
 
 
 def crossover_bound(eta: float, snr_linear: float) -> float:
@@ -114,48 +123,36 @@ def crossover_bound(eta: float, snr_linear: float) -> float:
     return math.exp(-0.5 * eta * snr_linear)
 
 
-def _within_noise(u: np.ndarray, cfg: DetectorConfig):
-    """Per row of ``u``: is the mean energy at most (1 + gamma) nu^2?"""
-    return np.mean(u * u, axis=-1) <= (1.0 + cfg.gamma) * cfg.nu2
-
-
-def _estimate_value(score, rows: int, cfg: DetectorConfig):
-    """Per entry of ``score``, the value of the single-ton it correlates with."""
-    if cfg.constellation:
-        return np.where(score >= 0, cfg.rho, -cfg.rho)
-    return score / rows
-
-
-def _verified(u: np.ndarray, signs: np.ndarray, values, cfg: DetectorConfig):
-    """Per row: does the residual after removing ``values * signs`` stay
-    within the noise level?"""
-    return _within_noise(u - values[..., None] * signs, cfg)
-
-
-def _confirm(cols: np.ndarray, rows: np.ndarray, k_words: np.ndarray, js: np.ndarray, c: int, plan, offsets,
-             cfg: DetectorConfig):
-    """Values and single-ton flags of the decoded indices ``k_words`` of
-    the columns ``cols[rows]`` of the bins ``js``. An index must hash back
-    to its bin and leave a residual within the noise level on the verify
-    rows or, with none, pass the exact ratio test: a reference (the first
-    base row times the index's sign there) outside ``zero_tol`` and every
-    row within ``RATIO_TOL`` of +/- the reference, whose value it takes."""
+def _tested(offsets, cfg: DetectorConfig):
+    """The rows a bin is tested on and the level of their mean energy:
+    the layout's ``verify`` rows at (1 + gamma) nu^2 or, in a layout
+    without them (noiseless), every row at the round-off level zero_tol^2."""
     v0, v1 = offsets.layout["verify"]
     if v1 > v0:
-        u, offset_words = cols[rows, v0:v1], offsets.groups[c, v0:v1]
-        signs = kernels.sign_matrix(k_words, offset_words)
-        # a stack of row-by-column products sums each row as one vector dot does
-        score = np.matmul(signs[:, None, :], u[:, :, None])[:, 0, 0]
-        values = _estimate_value(score, v1 - v0, cfg)
-        verified = _verified(u, signs, values, cfg)
-    else:
-        u, b0 = cols[rows], offsets.layout["bases"][0]
-        values = u[:, b0] * kernels.sign_matrix(k_words, offsets.groups[c, b0:b0 + 1])[:, 0]
-        verified = np.abs(values) > cfg.zero_tol
-        # a reference within zero_tol already fails; divide those rows by 1 instead
-        ratios = u / np.where(verified, values, 1.0)[:, None]
-        verified &= ~np.any(np.abs(np.abs(ratios) - 1.0) > RATIO_TOL, axis=1)
-    return values, verified & (plan.bins_of_many(c, k_words).astype(np.int64) == js)
+        return slice(v0, v1), cfg.noise_level
+    return slice(None), cfg.zero_tol**2
+
+
+def _within_noise(u: np.ndarray, level: float):
+    """Per row of ``u``: is the mean energy at most ``level``?"""
+    return np.mean(u * u, axis=-1) <= level
+
+
+def _confirm(u: np.ndarray, offset_words: np.ndarray, level: float, k_words: np.ndarray, js: np.ndarray, c: int,
+             plan, cfg: DetectorConfig):
+    """Values and single-ton flags of the candidate indices ``k_words`` of
+    the bins ``js``, from the bins' tested rows ``u``, read at the offsets
+    ``offset_words``. A candidate's value comes from its signature
+    correlation s.u: +/-rho by its sign when ``cfg.constellation``,
+    otherwise its mean (the least-squares value). It is a single-ton when
+    the residual u - value s is within ``level`` and it hashes back to
+    its bin."""
+    signs = kernels.sign_matrix(k_words, offset_words)
+    # a stack of row-by-column products sums each row as one vector dot does
+    score = np.matmul(signs[:, None, :], u[:, :, None])[:, 0, 0]
+    values = np.where(score >= 0, cfg.rho, -cfg.rho) if cfg.constellation else score / len(offset_words)
+    single = _within_noise(u - values[:, None] * signs, level)
+    return values, single & (plan.bins_of_many(c, k_words).astype(np.int64) == js)
 
 
 def detect_coded_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig):
@@ -164,33 +161,32 @@ def detect_coded_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, c
     The offsets carry the layout of :func:`frontend.build_offsets`: the
     ``verify`` rows, the ``bases`` d_p and the ``code`` block, where row
     (p, q) is d_p xor g_q. For a single-ton k, sgn(u[d_p xor g_q]) xor
-    sgn(u[d_p]) is bit q of the codeword G k. A bin is a zero-ton when its
-    verify rows are within (1 + gamma) nu^2, or, with no verify rows, when
-    every row is within ``zero_tol``. For any other bin each code bit is
-    the majority over the bases (a tie reads 0), and the codeword decodes
-    to the index: the identity code packs the bits, and ``offsets.code``
-    goes through :func:`codes.bitflip_decode_many`. A decoded index is
-    confirmed by :func:`_confirm`; a bin whose word does not decode is a
-    multi-ton and is not confirmed.
+    sgn(u[d_p]) is bit q of the codeword G k. A bin is a zero-ton when
+    its tested rows (:func:`_tested`) are within their level. For any
+    other bin each code bit is the majority over the bases (a tie reads
+    0), and the codeword decodes to the index: the identity code packs
+    the bits, and ``offsets.code`` goes through
+    :func:`codes.bitflip_decode_many`. A decoded index is confirmed by
+    :func:`_confirm` on the tested rows; a bin whose word does not decode
+    is a multi-ton and is not confirmed.
     """
-    v0, v1 = offsets.layout["verify"]
+    rows, level = _tested(offsets, cfg)
     b0, b1 = offsets.layout["bases"]
     c0, c1 = offsets.layout["code"]
-    if v1 > v0:
-        live = np.flatnonzero(~_within_noise(cols[:, v0:v1], cfg))
-    else:
-        live = np.flatnonzero(~np.all(np.abs(cols) <= cfg.zero_tol, axis=1))
+    live = np.flatnonzero(~_within_noise(cols[:, rows], level))
     js = js[live]
     # sign copies only: the code block is read as a (bases, code rows) bool block per bin
     neg, bases = (cols < 0)[live], b1 - b0
     votes = (neg[:, c0:c1].reshape(len(live), bases, (c1 - c0) // bases) ^ neg[:, b0:b1, None]).sum(axis=1)
     bits = 2 * votes > bases
     if offsets.code is None:
-        k_words = kernels.pack_rows(bits)
-        return live, k_words, *_confirm(cols, live, k_words, js, c, plan, offsets, cfg)
-    k_words, ok = codes.bitflip_decode_many(offsets.code, bits)
+        # the identity code: every word decodes
+        k_words, ok = kernels.pack_rows(bits), slice(None)
+    else:
+        k_words, ok = codes.bitflip_decode_many(offsets.code, bits)
     values, single = np.zeros(len(live)), np.zeros(len(live), dtype=bool)
-    values[ok], single[ok] = _confirm(cols, live[ok], k_words[ok], js[ok], c, plan, offsets, cfg)
+    values[ok], single[ok] = _confirm(cols[live[ok], rows], offsets.groups[c, rows], level, k_words[ok], js[ok], c,
+                                      plan, cfg)
     return live, k_words, values, single
 
 
@@ -221,19 +217,18 @@ detect_so = detect_nso
 def detect_near_linear_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig):
     """Matched-filter search over the hash cosets of the bins.
 
-    Rows whose energy is within (1 + gamma) nu^2 are zero-tons. Every
-    other row takes its best coset candidate from one batched
-    ``kernels.singleton_search`` and is a single-ton only if the residual
-    after removing that candidate stays within the same level.
+    A bin is a zero-ton when its tested rows (:func:`_tested`, the
+    ``verify`` rows) are within their level. Every other bin takes its
+    best coset candidate from one batched ``kernels.singleton_search``,
+    which :func:`_confirm` checks on the same rows.
     """
-    live = np.flatnonzero(~_within_noise(cols, cfg))
-    u = cols[live]
-    rows = offsets.groups[c]
-    part = plan.particular_words(c)[js[live]]
-    idx, score = kernels.singleton_search(u, rows, plan.coset_basis(c), part)
+    rows, level = _tested(offsets, cfg)
+    live = np.flatnonzero(~_within_noise(cols[:, rows], level))
+    u, offset_words, js = cols[live, rows], offsets.groups[c, rows], js[live]
+    part = plan.particular_words(c)[js]
+    idx, _ = kernels.singleton_search(u, offset_words, plan.coset_basis(c), part)
     k_words = part ^ plan.coset_span(c)[idx]
-    values = _estimate_value(score, len(rows), cfg)
-    return live, k_words, values, _verified(u, kernels.sign_matrix(k_words, rows), values, cfg)
+    return live, k_words, *_confirm(u, offset_words, level, k_words, js, c, plan, cfg)
 
 
 def detect_near_linear(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig) -> Detection:

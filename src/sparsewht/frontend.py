@@ -161,7 +161,7 @@ def build_offsets(variant: str, plan: SubsamplingPlan, p1: int | None = None, co
                   rng=None) -> OffsetPlan:
     """Construct the offset rows for one detector variant.
 
-    near-linear: p1 fully random rows (default 3n), layout ``random``.
+    near-linear: p1 random ``verify`` rows (default 3n), its only rows.
     The coded variants store, in this order, p1 random ``verify`` rows,
     the ``bases`` unless they are the verify rows themselves, and the
     ``code`` block of rows base_p xor g_q, base-major, for every base p
@@ -182,7 +182,7 @@ def build_offsets(variant: str, plan: SubsamplingPlan, p1: int | None = None, co
         p1 = p1 or _P1_PER_BIT[variant] * n
         verify = np.stack([_random_words(n, p1, rng) for _ in range(c_groups)])
     if variant == "near-linear":
-        return OffsetPlan(variant, n, verify, {"random": (0, p1)}, nominal)
+        return OffsetPlan(variant, n, verify, {"verify": (0, p1)}, nominal)
 
     shared, ldpc = _CODED[variant]
     if ldpc:

@@ -189,8 +189,8 @@ class NoisyAccess:
 
     def __init__(self, spectrum: SparseSpectrum, sigma: float, rng):
         gf2.check_bits(spectrum.n)
-        if sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 <= sigma < math.inf:
+            raise ValueError(f"sigma must be a finite nonnegative number, got {sigma}")
         if sigma > 0 and spectrum.n > _DENSE_NOISE_LIMIT:
             raise ValueError(f"noise cache supports n <= {_DENSE_NOISE_LIMIT}")
         self.spectrum = spectrum

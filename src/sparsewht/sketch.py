@@ -237,13 +237,16 @@ def sketch_recover(source, n: int | None = None, sparsity_budget: int = 1, seed:
     ``sparsity_budget`` must be at least 1 and dominate the true spectral
     sparsity (at most s 2^(d-1) for s edges of size at most d); with a
     smaller one, bins stay unresolved and the result is partial.
-    ``coeff_resolution`` snaps recovered coefficients to multiples of it
-    (2^(1-d) for cut spectra). The plan has the benchmark shape for the
-    budget, but its matrices are random full-column-rank: a window plan
-    hashes all of an edge that no window touches to bin 0 of every group.
+    ``coeff_resolution``, positive and finite, snaps recovered values to
+    its multiples (2^(1-d) for cut spectra). The plan has the benchmark
+    shape for the budget, but its matrices are random full-column-rank: a
+    window plan hashes all of an edge that no window touches to bin 0 of
+    every group.
     """
     if sparsity_budget < 1:
         raise ValueError(f"sparsity budget must be >= 1, got {sparsity_budget}")
+    if coeff_resolution is not None and not 0 < coeff_resolution < math.inf:
+        raise ValueError(f"coeff_resolution must be a positive finite number, got {coeff_resolution}")
     access = CutQueryAccess(source, n)
     n = access.n
     rng = np.random.default_rng(seed)

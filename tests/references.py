@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from sparsewht.bin_detect import MULTI_TON, RATIO_TOL, SINGLE_TON, ZERO_TON, Detection
+from sparsewht.bin_detect import MULTI_TON, SINGLE_TON, ZERO_TON, Detection
 from sparsewht.codes import DECODE_ROUNDS
 from sparsewht.gf2 import BitMatrix, DimensionError, _null_basis, eliminate
 from sparsewht.kernels import _check_length, sign_matrix
@@ -110,8 +110,12 @@ def codeword_bits(code, k_word):
     return np.array([parity(row & k_word) for row in code.g.row_words], dtype=np.uint8)
 
 
-def _within_noise(u, cfg):
-    return np.mean(u * u) <= (1.0 + cfg.gamma) * cfg.nu2
+def _within_noise(u, level):
+    return np.mean(u * u) <= level
+
+
+def _noise_level(cfg):
+    return (1.0 + cfg.gamma) * cfg.nu2
 
 
 def stall_energy(cfg, c_groups, bins):
@@ -121,14 +125,14 @@ def stall_energy(cfg, c_groups, bins):
     return c_groups * bins * max((1.0 + cfg.gamma) * cfg.nu2, cfg.zero_tol ** 2)
 
 
-def _confirm_single(u, row_words, k_word, cfg):
+def _confirm_single(u, row_words, k_word, cfg, level):
     signs = sign_matrix(np.array([k_word], dtype=np.uint64), row_words)[0]
     score = float(signs @ u)
     if cfg.constellation:
         value = cfg.rho if score >= 0 else -cfg.rho
     else:
         value = score / len(u)
-    if _within_noise(u - value * signs, cfg):
+    if _within_noise(u - value * signs, level):
         return Detection(SINGLE_TON, int(k_word), value)
     return Detection(MULTI_TON)
 
@@ -148,23 +152,19 @@ def as_detections(result, count):
 
 
 def detect_noiseless_loop(u, j_word, c, plan, cfg):
+    # no verify rows: every row is tested, at the round-off level
     u = np.asarray(u, dtype=np.float64)
-    tol = cfg.zero_tol
-    if np.all(np.abs(u) <= tol):
+    level = cfg.zero_tol ** 2
+    if _within_noise(u, level):
         return Detection(ZERO_TON)
-    ref = u[0]
-    if abs(ref) <= tol:
-        return Detection(MULTI_TON)
-    ratios = u[1:] / ref
-    if np.any(np.abs(np.abs(ratios) - 1.0) > RATIO_TOL):
-        return Detection(MULTI_TON)
     k_word = 0
-    ref_sign = sgn(ref)
+    ref_sign = sgn(u[0])
     for t, val in enumerate(u[1:]):
         k_word |= (sgn(val) ^ ref_sign) << t
     if bin_of_loop(plan, c, k_word) != j_word:
         return Detection(MULTI_TON)
-    return Detection(SINGLE_TON, k_word, float(ref))
+    rows = np.array([0] + [1 << t for t in range(plan.n)], dtype=np.uint64)
+    return _confirm_single(u, rows, k_word, cfg, level)
 
 
 def detect_nso_loop(u, j_word, c, plan, offsets, cfg):
@@ -172,7 +172,7 @@ def detect_nso_loop(u, j_word, c, plan, offsets, cfg):
     p1 = offsets.layout["bases"][1]
     n = plan.n
     base = u[:p1]
-    if _within_noise(base, cfg):
+    if _within_noise(base, _noise_level(cfg)):
         return Detection(ZERO_TON)
     base_sign = base < 0
     block_sign = u[p1:].reshape(p1, n) < 0
@@ -183,7 +183,7 @@ def detect_nso_loop(u, j_word, c, plan, offsets, cfg):
             k_word |= 1 << q
     if bin_of_loop(plan, c, k_word) != j_word:
         return Detection(MULTI_TON)
-    return _confirm_single(base, offsets.groups[c, :p1], k_word, cfg)
+    return _confirm_single(base, offsets.groups[c, :p1], k_word, cfg, _noise_level(cfg))
 
 
 def detect_so_loop(u, j_word, c, plan, offsets, cfg):
@@ -191,7 +191,7 @@ def detect_so_loop(u, j_word, c, plan, offsets, cfg):
     r0, r1 = offsets.layout["verify"]
     c0, c1 = offsets.layout["code"]
     rand = u[r0:r1]
-    if _within_noise(rand, cfg):
+    if _within_noise(rand, _noise_level(cfg)):
         return Detection(ZERO_TON)
     ref_sign = sgn(u[offsets.layout["bases"][0]])
     received = (u[c0:c1] < 0).astype(np.uint8) ^ ref_sign
@@ -200,7 +200,7 @@ def detect_so_loop(u, j_word, c, plan, offsets, cfg):
         return Detection(MULTI_TON)
     if bin_of_loop(plan, c, decoded) != j_word:
         return Detection(MULTI_TON)
-    return _confirm_single(rand, offsets.groups[c, r0:r1], decoded, cfg)
+    return _confirm_single(rand, offsets.groups[c, r0:r1], decoded, cfg, _noise_level(cfg))
 
 
 def bitflip_round_loop(code, bits):

@@ -110,7 +110,7 @@ def test_criterion_03_golden_worked_instance():
     obs = observe(NoisyAccess(spectrum, 0.0, np.random.default_rng(0)), plan, offsets)
     sums_ok = (np.array_equal(obs.data[0, :, 0], GOLDEN_BINS_G1)
                and np.array_equal(obs.data[1, :, 0], GOLDEN_BINS_G2))
-    cfg = DetectorConfig(zero_tol=1e-9 * 4.0 * 4.0)
+    cfg = DetectorConfig(constellation=False, zero_tol=1e-9 * 4.0 * 4.0)
     recovered, report = decode(obs, plan, offsets, cfg)
     decode_ok = recovered.entries == spectrum.entries and not report.stalled
     _report(3, "golden worked instance", sums_ok and decode_ok,

@@ -27,7 +27,7 @@ from helpers import bits, golden_plan, seeded_instances, window_plan
 from references import sgn
 
 
-NOISELESS_CFG = DetectorConfig(zero_tol=1e-9 * 4.0 * 4.0)
+NOISELESS_CFG = DetectorConfig(constellation=False, zero_tol=1e-9 * 4.0 * 4.0)
 
 
 def test_detectors_cover_every_variant():
@@ -54,9 +54,9 @@ def _two_bases_over_the_ldpc_rows(n, plan, verify_rows, rng):
 @pytest.mark.parametrize("verify_rows", [10, 0])
 def test_coded_detector_two_bases_over_the_ldpc_rows(verify_rows):
     # every noise-free single-ton decodes through the majority over both
-    # bases and the bit flipping; a bin holding two coefficients does not
-    # pass as one, on the verify rows or, without them, the ratio test,
-    # whose reference is a nonzero base: its sign must be undone
+    # bases and the bit flipping, with its sign; a bin holding two
+    # coefficients does not pass as one, on the verify rows or, without
+    # them, on every row at the round-off level, nonzero bases included
     n = 10
     plan = window_plan(n, 3, 2)
     rng = np.random.default_rng(12)
@@ -82,13 +82,13 @@ def test_coded_detector_confirms_only_decoded_words(monkeypatch):
     # that decode reach the residual check on the verify rows
     _, plan, offsets, cfg, obs = next(seeded_instances("so", 12, 16, 5.0, True, seeds=[0]))
     confirmed = []
-    verified = bin_detect._verified
+    confirm = bin_detect._confirm
 
-    def recorded(u, signs, values, cfg):
+    def recorded(u, *args):
         confirmed.append(len(u))
-        return verified(u, signs, values, cfg)
+        return confirm(u, *args)
 
-    monkeypatch.setattr(bin_detect, "_verified", recorded)
+    monkeypatch.setattr(bin_detect, "_confirm", recorded)
     signs = np.where(np.random.default_rng(0).random(obs.data[0].shape) < 0.5, -1.0, 1.0)
     js = np.arange(plan.bins)
     live, _, _, _ = detect_coded_many(signs, js, 0, plan, offsets, cfg)
@@ -116,6 +116,7 @@ def test_for_noise_matches_the_separate_formulas(n, k, snr_db, rho):
     nu2 = max(size * sigma * sigma / plan.bins, (1e-9 * rho) ** 2)
     gamma = 1.0 if snr is None else DetectorConfig.default_gamma(snr)
     assert cfg == DetectorConfig(gamma=gamma, nu2=nu2, rho=rho, constellation=False, zero_tol=1e-9 * scale)
+    assert cfg.noise_level == (1.0 + gamma) * nu2
     if rho == 1.0:
         # the seeded test instances' spelling of the same formula
         assert cfg.nu2 == max(size * sigma * sigma / plan.bins, 1e-18)

@@ -15,6 +15,7 @@ from sparsewht.experiments import (
     SNR_COLUMNS,
     ConfigError,
     ExperimentConfig,
+    noise_sigma,
     nominal_sample_count,
     recover,
     run_scaling_sweep,
@@ -88,15 +89,36 @@ def test_near_linear_full_pipeline():
 # NSO stores 2n + 2n^2 rows per group: a small K keeps each example near 50 ms
 @settings(max_examples=30, deadline=None)
 @given(variant=st.sampled_from(["noiseless", "nso", "so"]), n=st.integers(25, 63), k=st.integers(1, 6),
-       seed=st.integers(0, 2**32 - 1))
-@example(variant="noiseless", n=60, k=6, seed=0)  # the round-off tolerance once outgrew a single-ton
-@example(variant="noiseless", n=63, k=3, seed=1)
-def test_noise_free_recover_is_exact_or_flagged(variant, n, k, seed):
+       seed=st.integers(0, 2**32 - 1), constellation=st.booleans())
+@example(variant="noiseless", n=60, k=6, seed=0, constellation=True)  # the round-off tolerance once outgrew a single-ton
+@example(variant="noiseless", n=63, k=3, seed=1, constellation=True)
+@example(variant="noiseless", n=63, k=3, seed=1, constellation=False)
+def test_noise_free_recover_is_exact_or_flagged(variant, n, k, seed, constellation):
+    # continuous values take the least-squares value, the mean of s.u
     rng = np.random.default_rng(seed)
-    spectrum = draw_spectrum(n, k, 1.0, rng)
+    spectrum = draw_spectrum(n, k, 1.0, rng, constellation=constellation)
     recovered, report, _, _ = recover(NoisyAccess(spectrum, 0.0, rng), k, variant, snr_db=None, rho=1.0,
-                                      rng_offsets=rng)
+                                      constellation=constellation, rng_offsets=rng)
     assert verify_support(recovered, spectrum).values_match or report.stalled
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(8, 16), k=st.integers(1, 24), snr_db=st.floats(-5.0, 40.0), seed=st.integers(0, 2**32 - 1),
+       constellation=st.booleans())
+@example(n=8, k=1, snr_db=0.0, seed=0, constellation=False)  # missed by the stall level, but nothing returned
+def test_noiseless_under_noise_fails_loudly(n, k, snr_db, seed, constellation):
+    # the noiseless layout tests its bins at round-off: under noise no bin
+    # passes, so nothing is peeled and no wrong coefficient is returned
+    rng = np.random.default_rng(seed)
+    spectrum = draw_spectrum(n, k, 1.0, rng, constellation=constellation)
+    access = NoisyAccess(spectrum, noise_sigma(1.0, k, n, snr_db), rng)
+    recovered, report, _, _ = recover(access, k, "noiseless", snr_db=snr_db, rho=1.0,
+                                      constellation=constellation, rng_offsets=rng)
+    assert report.peels == 0 and not recovered.entries
+    # below ~10 dB the missing signal can hide under the stall level: few
+    # bins, or two coefficients that nearly cancel over the n + 1 rows
+    if snr_db >= 15.0:
+        assert verify_support(recovered, spectrum).support_match or report.stalled
 
 
 # (support_ok, values_ok, samples_distinct, samples_nominal, sweeps, peels, stalled, conflicts)

@@ -93,6 +93,14 @@ def test_noiseless_offsets_layout():
     assert offsets.nominal_rows == 5
 
 
+def test_near_linear_offsets_layout():
+    # its random rows are all it stores, under the key both detectors test
+    plan = window_plan(8, 3, 2)
+    offsets = build_offsets("near-linear", plan, p1=12, rng=np.random.default_rng(3))
+    assert offsets.layout == {"verify": (0, 12)} and offsets.code is None
+    assert offsets.groups.shape == (plan.c_groups, 12) and offsets.nominal_rows == 12
+
+
 def test_nso_offsets_modulation():
     plan = window_plan(6, 2, 2)
     offsets = build_offsets("nso", plan, p1=3, rng=np.random.default_rng(0))

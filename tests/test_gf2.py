@@ -35,6 +35,17 @@ def _hash(m: BitMatrix, k_words) -> list:
     return hash_words(k_words, m.col_words).tolist()
 
 
+def _solve(m: BitMatrix, j: int):
+    """``(particular, basis)`` of M^T k = j through ``solve_units``, as a
+    bin's particular word is built: the XOR of the unit particulars over
+    the set bits of j."""
+    particulars, basis = solve_units(m)
+    particular = 0
+    for t, word in enumerate(particulars):
+        particular ^= word if j >> t & 1 else 0
+    return particular, basis
+
+
 def test_inner_product_examples():
     # <i, j> over GF(2) is the parity of i & j
     assert parity_words(_words(bits("1010") & bits("0110"))).tolist() == [1]
@@ -60,9 +71,9 @@ def test_mat_transpose_vec_groups_worked_example_bin():
 def test_mat_transpose_vec_zero_and_dimension():
     m = selection_matrix(5, [0, 2])
     assert _hash(m, [0]) == [0]
-    # a right-hand side wider than the matrix's columns is rejected
+    # a row word wider than the matrix's columns is rejected
     with pytest.raises(DimensionError):
-        solve_affine(m, 1 << 2)
+        BitMatrix.from_rows([1 << 2] * 5, 2)
 
 
 def _naive_transpose_apply(dense, k_bits):
@@ -96,7 +107,7 @@ def test_mat_transpose_vec_linearity():
 
 def test_solve_affine_window_structure():
     m = selection_matrix(6, [1, 3])
-    particular, basis = solve_affine(m, 0b10)
+    particular, basis = _solve(m, 0b10)
     assert (particular >> 1) & 1 == 0 and (particular >> 3) & 1 == 1
     assert len(basis) == 4
     frozen = {0, 2, 4, 5}
@@ -105,22 +116,20 @@ def test_solve_affine_window_structure():
 
 def test_solve_affine_full_rank_unique():
     m = BitMatrix.from_rows([1 << t for t in range(4)], 4)  # the identity
-    particular, basis = solve_affine(m, 0b1011)
+    particular, basis = _solve(m, 0b1011)
     assert particular == 0b1011
     assert basis == []
 
 
 def test_solve_affine_exhaustive_scan():
+    # full column rank 1 to 3: cosets of 2^7 down to 2^5 words
     rng = np.random.default_rng(5)
     every_k = np.arange(256, dtype=np.uint64)
     for _ in range(10):
-        while True:
-            m = _from_dense(rng.integers(0, 2, size=(8, 3)))
-            if rank_transpose(m) >= 1:
-                break
+        m = random_full_column_rank(8, int(rng.integers(1, 4)), rng)
         k0 = int(rng.integers(0, 256))
         j = _hash(m, [k0])[0]
-        particular, basis = solve_affine(m, j)
+        particular, basis = _solve(m, j)
         coset = set((span_words(basis) ^ np.uint64(particular)).tolist())
         brute = {k for k, h in enumerate(_hash(m, every_k)) if h == j}
         assert coset == brute
@@ -128,9 +137,9 @@ def test_solve_affine_exhaustive_scan():
 
 
 def test_solve_affine_inconsistent():
-    m = BitMatrix.from_rows([0] * 4, 2)  # the 4 x 2 zero matrix
+    m = BitMatrix.from_rows([0] * 4, 2)  # the 4 x 2 zero matrix: no column reaches a unit
     with pytest.raises(InconsistentSystemError):
-        solve_affine(m, 1)
+        solve_units(m)
 
 
 def test_eliminate_with_unit_rhs_inverts():

@@ -26,7 +26,7 @@ def _noiseless_setup(spectrum, plan, seed=0):
     access = NoisyAccess(spectrum, 0.0, np.random.default_rng(seed))
     offsets = build_offsets("noiseless", plan)
     obs = observe(access, plan, offsets)
-    cfg = DetectorConfig(zero_tol=1e-9 * (2.0 ** (plan.n / 2)) * 4.0)
+    cfg = DetectorConfig(constellation=False, zero_tol=1e-9 * (2.0 ** (plan.n / 2)) * 4.0)
     return obs, offsets, cfg
 
 

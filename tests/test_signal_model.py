@@ -41,6 +41,14 @@ def test_draw_rejects_oversparse():
         draw_spectrum(3, 9, 1.0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -0.5])
+def test_noisy_access_refuses_a_sigma_that_is_not_finite_and_nonnegative(sigma):
+    # NaN compares false with everything, so a sign test alone would let it skip the noise
+    spec = draw_spectrum(6, 3, 1.0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="sigma must be a finite nonnegative number"):
+        NoisyAccess(spec, sigma, 0)
+
+
 def test_support_uniformity_chi_square():
     rng = np.random.default_rng(2024)
     n, k, draws = 14, 40, 2000

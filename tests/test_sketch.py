@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -312,6 +314,14 @@ def test_sketch_recover_is_exact_or_flagged_at_odd_and_even_n():
             assert set(map(frozenset, result.edges)) == set(h.edges), (n, trial)
             exact += 1
     assert exact >= 300
+
+
+@pytest.mark.parametrize("resolution", [0.0, -0.25, math.nan, math.inf])
+def test_sketch_recover_refuses_a_resolution_that_is_not_positive_and_finite(resolution):
+    # refused before the decode: no value snaps to a multiple of these
+    h = Hypergraph.from_edge_lists(12, [{1, 2, 3, 4}])
+    with pytest.raises(ValueError, match="coeff_resolution must be a positive finite number"):
+        sketch_recover(h, sparsity_budget=8, seed=5, coeff_resolution=resolution)
 
 
 def test_sketch_recover_partial_when_budget_too_small():
