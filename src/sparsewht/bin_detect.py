@@ -138,21 +138,19 @@ def _within_noise(u: np.ndarray, level: float):
     return np.mean(u * u, axis=-1) <= level
 
 
-def _confirm(u: np.ndarray, offset_words: np.ndarray, level: float, k_words: np.ndarray, js: np.ndarray, c: int,
-             plan, cfg: DetectorConfig):
-    """Values and single-ton flags of the candidate indices ``k_words`` of
-    the bins ``js``, from the bins' tested rows ``u``, read at the offsets
+def _confirm(u: np.ndarray, offset_words: np.ndarray, level: float, k_words: np.ndarray, cfg: DetectorConfig):
+    """Values and single-ton flags of the candidate indices ``k_words``,
+    from their bins' tested rows ``u``, read at the offsets
     ``offset_words``. A candidate's value comes from its signature
     correlation s.u: +/-rho by its sign when ``cfg.constellation``,
     otherwise its mean (the least-squares value). It is a single-ton when
-    the residual u - value s is within ``level`` and it hashes back to
-    its bin."""
+    the residual u - value s is within ``level``."""
     signs = kernels.sign_matrix(k_words, offset_words)
     # a stack of row-by-column products sums each row as one vector dot does
     score = np.matmul(signs[:, None, :], u[:, :, None])[:, 0, 0]
     values = np.where(score >= 0, cfg.rho, -cfg.rho) if cfg.constellation else score / len(offset_words)
     single = _within_noise(u - values[:, None] * signs, level)
-    return values, single & (plan.bins_of_many(c, k_words).astype(np.int64) == js)
+    return values, single
 
 
 def detect_coded_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig):
@@ -161,14 +159,16 @@ def detect_coded_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, c
     The offsets carry the layout of :func:`frontend.build_offsets`: the
     ``verify`` rows, the ``bases`` d_p and the ``code`` block, where row
     (p, q) is d_p xor g_q. For a single-ton k, sgn(u[d_p xor g_q]) xor
-    sgn(u[d_p]) is bit q of the codeword G k. A bin is a zero-ton when
-    its tested rows (:func:`_tested`) are within their level. For any
-    other bin each code bit is the majority over the bases (a tie reads
-    0), and the codeword decodes to the index: the identity code packs
-    the bits, and ``offsets.code`` goes through
-    :func:`codes.bitflip_decode_many`. A decoded index is confirmed by
-    :func:`_confirm` on the tested rows; a bin whose word does not decode
-    is a multi-ton and is not confirmed.
+    sgn(u[d_p]) is the code bit <g_q, k>. A bin is a zero-ton when its
+    tested rows (:func:`_tested`) are within their level. For any other
+    bin each code bit is the majority over the bases (a tie reads 0), and
+    the codeword decodes to the index: the identity code ORs the stored
+    unit rows g_q of the set bits with ``offsets.known[c, j]``, the bits
+    bin j fixes (NSO's, of the unit rows in colspan(M_c) it leaves out), and
+    ``offsets.code`` goes through :func:`codes.bitflip_decode_many`. A
+    decoded index is a single-ton when it hashes to its bin and
+    :func:`_confirm` passes it on the tested rows; a bin whose word does
+    not decode is a multi-ton.
     """
     rows, level = _tested(offsets, cfg)
     b0, b1 = offsets.layout["bases"]
@@ -181,13 +181,12 @@ def detect_coded_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, c
     bits = 2 * votes > bases
     if offsets.code is None:
         # the identity code: every word decodes
-        k_words, ok = kernels.pack_rows(bits), slice(None)
+        k_words, ok = bits @ offsets.code_rows[c] | offsets.known[c, js], slice(None)
     else:
         k_words, ok = codes.bitflip_decode_many(offsets.code, bits)
     values, single = np.zeros(len(live)), np.zeros(len(live), dtype=bool)
-    values[ok], single[ok] = _confirm(cols[live[ok], rows], offsets.groups[c, rows], level, k_words[ok], js[ok], c,
-                                      plan, cfg)
-    return live, k_words, values, single
+    values[ok], single[ok] = _confirm(cols[live[ok], rows], offsets.groups[c, rows], level, k_words[ok], cfg)
+    return live, k_words, values, single & (plan.bins_of_many(c, k_words).astype(np.int64) == js)
 
 
 def _one_row(detect, u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig) -> Detection:
@@ -228,7 +227,7 @@ def detect_near_linear_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offs
     part = plan.particular_words(c)[js]
     idx, _ = kernels.singleton_search(u, offset_words, plan.coset_basis(c), part)
     k_words = part ^ plan.coset_span(c)[idx]
-    return live, k_words, *_confirm(u, offset_words, level, k_words, js, c, plan, cfg)
+    return live, k_words, *_confirm(u, offset_words, level, k_words, cfg)
 
 
 def detect_near_linear(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig) -> Detection:

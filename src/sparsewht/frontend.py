@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -23,7 +23,7 @@ VARIANTS = ("noiseless", "near-linear", "nso", "so")
 # random offset rows per bit of n that each randomized variant draws by default
 _P1_PER_BIT = {"near-linear": 3, "nso": 2, "so": 1}
 # per coded variant: are its bases its random rows (else the one zero row), and
-# are its code rows an LDPC generator's (else the n unit rows, the identity code)?
+# are its code rows an LDPC generator's (else unit rows, the identity code)?
 _CODED = {"noiseless": (False, False), "nso": (True, False), "so": (False, True)}
 
 
@@ -128,7 +128,10 @@ class OffsetPlan:
     ``layout`` names each row role once, by (start, stop) row range (see
     :func:`build_offsets`); ``nominal_rows`` is the row count entering the
     sample-cost formula (:func:`nominal_rows`). ``code`` is the LDPC code
-    of the code rows, or None for the identity code.
+    of the code rows, or None for the identity code. ``code_rows`` holds
+    the code-row words g_q: the LDPC generator's rows, or the (C, Q) unit
+    rows each group stores; ``known[c, j]``, the index bits that bin j of
+    group c fixes, whose unit rows are not stored (None under LDPC).
     """
 
     variant: str
@@ -137,6 +140,8 @@ class OffsetPlan:
     layout: dict
     nominal_rows: int
     code: object = None
+    code_rows: np.ndarray | None = None
+    known: np.ndarray | None = None
 
     @property
     def rows(self) -> int:
@@ -146,7 +151,9 @@ class OffsetPlan:
 def nominal_rows(variant: str, n: int, p1: int | None = None) -> int:
     """Offset rows per group in the sample cost C B P: n + 1 (noiseless),
     p1 (near-linear), p1 n (NSO) and p1 + 3n (SO, which counts n reads of
-    its one stored zero-offset row, as in the paper's design)."""
+    its one stored zero-offset row, as in the paper's design). NSO stores
+    p1 (1 + n - b) rows on a window plan (:func:`build_offsets`), with the
+    same distinct samples."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     p1 = p1 or _P1_PER_BIT.get(variant, 0) * n
@@ -155,6 +162,30 @@ def nominal_rows(variant: str, n: int, p1: int | None = None) -> int:
 
 def _random_words(n: int, count: int, rng) -> np.ndarray:
     return rng.integers(0, 1 << n, size=count, dtype=np.int64).astype(np.uint64)
+
+
+@lru_cache(maxsize=8)
+def _identity_code(n: int, col_words: tuple, drop_known: bool):
+    """The identity code's (C, Q) unit rows and (C, B) known bits for the
+    column words of the M_c, read-only and cached: trials reuse a design.
+    With ``drop_known`` each group leaves out every e_q = M_c l, word l of
+    ``gf2.span_words`` of its columns: <e_q, k> = <l, M_c^T k>, so bit q
+    of k is parity(l & j) in bin j. Groups that would keep different row
+    counts keep every row, as does ``drop_known`` False."""
+    c_groups, bins = len(col_words), 1 << len(col_words[0])
+    units = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    code_rows, known = np.repeat(units[None], c_groups, axis=0), np.zeros((c_groups, bins), dtype=np.uint64)
+    if drop_known:
+        span = gf2.span_words(col_words)
+        cs, ls = np.nonzero(np.bitwise_count(span) == 1)
+        if np.all(np.bincount(cs, minlength=c_groups) == len(cs) // c_groups):
+            in_span = span[cs, ls]  # the unit words e_q = M_c l, group by group
+            dropped = in_span.reshape(c_groups, -1).sum(axis=1, dtype=np.uint64, keepdims=True)
+            code_rows = code_rows[(code_rows & dropped) == 0].reshape(c_groups, -1)
+            bits = kernels.parity_words(ls.astype(np.uint64)[:, None] & np.arange(bins, dtype=np.uint64))
+            known = (bits * in_span[:, None]).reshape(c_groups, -1, bins).sum(axis=1, dtype=np.uint64)
+    code_rows.flags.writeable = known.flags.writeable = False
+    return code_rows, known
 
 
 def build_offsets(variant: str, plan: SubsamplingPlan, p1: int | None = None, code=None,
@@ -169,7 +200,12 @@ def build_offsets(variant: str, plan: SubsamplingPlan, p1: int | None = None, co
     noiseless: no verify rows, the zero base, the n unit rows (the
         identity code): n+1 rows.
     nso: p1 random rows (default 2n) that are also the bases, over the
-        unit rows: p1 (n+1) rows.
+        unit rows e_q outside colspan(M_c): p1 (1 + n - b) rows on a window
+        plan, against the nominal p1 n. A row d xor e_q with e_q = M_c l
+        would read d's coset, at the sign (-1)^<l, j>, so
+        ``OffsetPlan.known`` holds those b bits of every bin j instead. A
+        plan whose groups hold different numbers of unit columns in their
+        span keeps all p1 (n + 1) rows, so that P is one count.
     so: p1 random rows (default n), the zero base, the 2n generator rows
         of the rate-1/2 ``code``; ``OffsetPlan.code`` keeps it.
     """
@@ -190,17 +226,17 @@ def build_offsets(variant: str, plan: SubsamplingPlan, p1: int | None = None, co
             raise ValueError(f"{variant} offsets require a linear code")
         if code.n_info != n:
             raise ValueError(f"code has {code.n_info} information bits, plan needs {n}")
-        code_rows = np.array(code.generator_rows(), dtype=np.uint64)
+        code_rows, known = np.array(code.generator_rows(), dtype=np.uint64), None
     else:
-        code, code_rows = None, np.uint64(1) << np.arange(n, dtype=np.uint64)
+        code, (code_rows, known) = None, _identity_code(n, tuple(m.col_words for m in plan.matrices), shared)
     bases = verify if shared else np.zeros((c_groups, 1), dtype=np.uint64)
-    block = (bases[:, :, None] ^ code_rows).reshape(c_groups, -1)
+    block = (bases[:, :, None] ^ code_rows[..., None, :]).reshape(c_groups, -1)
     groups = np.concatenate([verify, block] if shared else [verify, bases, block], axis=1)
     v1 = verify.shape[1]
     b0 = 0 if shared else v1
     c0 = b0 + bases.shape[1]
     layout = {"verify": (0, v1), "bases": (b0, c0), "code": (c0, c0 + block.shape[1])}
-    return OffsetPlan(variant, n, groups, layout, nominal, code=code)
+    return OffsetPlan(variant, n, groups, layout, nominal, code=code, code_rows=code_rows, known=known)
 
 
 @dataclass

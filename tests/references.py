@@ -170,17 +170,18 @@ def detect_noiseless_loop(u, j_word, c, plan, cfg):
 def detect_nso_loop(u, j_word, c, plan, offsets, cfg):
     u = np.asarray(u, dtype=np.float64)
     p1 = offsets.layout["bases"][1]
-    n = plan.n
     base = u[:p1]
     if _within_noise(base, _noise_level(cfg)):
         return Detection(ZERO_TON)
+    # the stored unit rows over each base; the bin fixes the other bits
+    code_rows = offsets.code_rows[c].tolist()
     base_sign = base < 0
-    block_sign = u[p1:].reshape(p1, n) < 0
+    block_sign = u[p1:].reshape(p1, len(code_rows)) < 0
     votes = (block_sign ^ base_sign[:, None]).sum(axis=0)
-    k_word = 0
-    for q in range(n):
+    k_word = int(offsets.known[c, j_word])
+    for q, row in enumerate(code_rows):
         if 2 * int(votes[q]) > p1:
-            k_word |= 1 << q
+            k_word |= row
     if bin_of_loop(plan, c, k_word) != j_word:
         return Detection(MULTI_TON)
     return _confirm_single(base, offsets.groups[c, :p1], k_word, cfg, _noise_level(cfg))

@@ -104,18 +104,49 @@ def test_near_linear_offsets_layout():
 def test_nso_offsets_modulation():
     plan = window_plan(6, 2, 2)
     offsets = build_offsets("nso", plan, p1=3, rng=np.random.default_rng(0))
-    rows = offsets.groups[0]
-    p1, n = 3, 6
-    # the bases are the verify rows, stored once
-    assert offsets.layout == {"verify": (0, p1), "bases": (0, p1), "code": (p1, p1 * (n + 1))}
+    p1, n, b = 3, 6, 2
+    # the bases are the verify rows, stored once; the unit rows of the
+    # window, whose bits the bin gives, are left out
+    assert offsets.layout == {"verify": (0, p1), "bases": (0, p1), "code": (p1, p1 * (1 + n - b))}
     assert offsets.code is None
-    assert len(rows) == p1 * (n + 1)
-    base = rows[:p1]
-    blocks = rows[p1:].reshape(p1, n)
-    for p in range(p1):
-        for q in range(n):
-            assert blocks[p, q] == base[p] ^ np.uint64(1 << q)
+    assert offsets.groups.shape == (plan.c_groups, p1 * (1 + n - b))
+    for c, window in enumerate(([0, 1], [2, 3])):
+        rows = offsets.groups[c]
+        outside = [q for q in range(n) if q not in window]
+        assert offsets.code_rows[c].tolist() == [1 << q for q in outside]
+        base = rows[:p1]
+        blocks = rows[p1:].reshape(p1, n - b)
+        for p in range(p1):
+            for i, q in enumerate(outside):
+                assert blocks[p, i] == base[p] ^ np.uint64(1 << q)
     assert offsets.nominal_rows == p1 * n
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 12), window=st.booleans(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_nso_leaves_out_exactly_the_unit_rows_the_bin_gives(n, window, seed, data):
+    # a window plan, or random full-column-rank matrices, whose groups may
+    # hold different numbers of unit columns in their span: then every row stays
+    b, c_groups = data.draw(st.integers(1, n)), data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(seed)
+    plan = window_plan(n, b, c_groups) if window else random_plan(n, b, c_groups, rng)
+    p1 = 3
+    offsets = build_offsets("nso", plan, p1=p1, rng=rng)
+    spans = [span_words(m.col_words) for m in plan.matrices]
+    in_span = [{q for q in range(n) if 1 << q in set(span.tolist())} for span in spans]
+    rectangular = len({len(qs) for qs in in_span}) == 1
+    ks = rng.integers(0, 1 << n, size=16).tolist()
+    for c, span in enumerate(spans):
+        stored = offsets.code_rows[c].tolist()
+        dropped = {q for q in range(n) if 1 << q not in stored}
+        assert dropped == (in_span[c] if rectangular else set())
+        assert offsets.rows == p1 * (1 + n - len(dropped))
+        mask = sum(1 << q for q in dropped)
+        assert [int(offsets.known[c, bin_of_loop(plan, c, k)]) for k in ks] == [k & mask for k in ks]
+        # a dropped row d xor e_q would read the positions d reads
+        for d in offsets.groups[c, :p1]:
+            for q in dropped:
+                assert set((span ^ d ^ np.uint64(1 << q)).tolist()) == set((span ^ d).tolist())
 
 
 def test_so_requires_code():
