@@ -110,6 +110,8 @@ def test_nso_offsets_modulation():
     assert offsets.layout == {"verify": (0, p1), "bases": (0, p1), "code": (p1, p1 * (1 + n - b))}
     assert offsets.code is None
     assert offsets.groups.shape == (plan.c_groups, p1 * (1 + n - b))
+    # the tables are cached per design, so no caller may write them
+    assert not offsets.code_rows.flags.writeable and not offsets.known.flags.writeable
     for c, window in enumerate(([0, 1], [2, 3])):
         rows = offsets.groups[c]
         outside = [q for q in range(n) if q not in window]
