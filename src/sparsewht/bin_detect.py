@@ -201,7 +201,8 @@ def detect_noiseless(u: np.ndarray, j_word: int, c: int, plan, cfg: DetectorConf
     """The one-column case of :func:`detect_coded_many` on the noiseless offsets."""
     from . import frontend
 
-    return _one_row(detect_coded_many, u, j_word, c, plan, frontend.build_offsets("noiseless", plan), cfg)
+    offsets = frontend.build_offsets(frontend.design("noiseless", plan.n, plan.bins), plan)
+    return _one_row(detect_coded_many, u, j_word, c, plan, offsets, cfg)
 
 
 def detect_nso(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig) -> Detection:

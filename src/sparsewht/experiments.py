@@ -4,9 +4,9 @@
 the noise level: the trials here and the ``recover`` command run it on
 the window plan, ``sketch.sketch_recover`` on a random plan. A trial
 draws a +/-1 spectrum, noise and offsets from streams of (seed, trial
-index); SO's code depends on n alone. So results are reproducible and
-independent of how trials are distributed over workers. Runtime covers
-observing and decoding only, not drawing the spectrum and the noise.
+index); ``frontend.design`` fixes the rest from (algorithm, n, K). So
+results are reproducible and independent of how trials are distributed
+over workers. Runtime covers observing and decoding only.
 """
 from __future__ import annotations
 
@@ -91,11 +91,8 @@ class TrialResult:
 
 
 def nominal_sample_count(algorithm: str, n: int, k: int) -> int:
-    """The sample-cost formula value C B P of ``recover``'s design: C
-    groups of B bins from ``frontend.benchmark_shape`` and P offset rows
-    per group from ``frontend.nominal_rows``."""
-    c_groups, b = frontend.benchmark_shape(k)
-    return c_groups * (1 << b) * frontend.nominal_rows(algorithm, n)
+    """The sample-cost formula value C B P of ``recover``'s design."""
+    return frontend.design(algorithm, n, k).nominal_samples
 
 
 def noise_sigma(rho: float, k: int, n: int, snr_db: float | None) -> float:
@@ -110,8 +107,8 @@ def recover(access, k: int, algorithm: str, *, snr_db: float | None, rho: float,
             constellation: bool = True, rng_offsets, plan=None):
     """Hash, classify and peel a K-sparse spectrum read through ``access``.
 
-    ``plan`` defaults to the window design for K; the offsets take their
-    default row counts, and SO's are coded by ``codes.code_for(n)``.
+    ``frontend.design(algorithm, n, K)`` fixes every design number;
+    ``plan`` defaults to its window plan.
     ``DetectorConfig.for_noise`` derives every threshold, the stall level
     included, from the noise level of amplitude ``rho`` at ``snr_db``
     (None: noise-free) and the round-off tolerance from the largest
@@ -121,10 +118,10 @@ def recover(access, k: int, algorithm: str, *, snr_db: float | None, rho: float,
     decoding only, not the set-up.
     """
     n = access.n
+    design = frontend.design(algorithm, n, max(k, 1))
     if plan is None:
-        plan = frontend.build_plan(n, max(k, 1))
-    code = codes.code_for(n) if algorithm == "so" else None
-    offsets = frontend.build_offsets(algorithm, plan, code=code, rng=rng_offsets)
+        plan = frontend.build_plan(design)
+    offsets = frontend.build_offsets(design, plan, rng=rng_offsets)
 
     t0 = time.perf_counter_ns()
     obs = frontend.observe(access, plan, offsets)

@@ -8,6 +8,7 @@ yields U_{c,p}[j] = sum_{M_c^T k = j} X[k] (-1)^<d_{c,p}, k> plus noise of
 variance N sigma^2 / B per entry. The (C, B, P) tensor of samples of all
 groups is one ``take_cosets`` read, the only read ``observe`` makes. It
 stays bins-major, one column per offset row, from the read to the peel.
+:func:`design` chooses every number of the plan and the offsets.
 """
 from __future__ import annotations
 
@@ -17,14 +18,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import gf2, kernels
+from . import codes, gf2, kernels
 
 VARIANTS = ("noiseless", "near-linear", "nso", "so")
-# random offset rows per bit of n that each randomized variant draws by default
-_P1_PER_BIT = {"near-linear": 3, "nso": 2, "so": 1}
-# per coded variant: are its bases its random rows (else the one zero row), and
-# are its code rows an LDPC generator's (else unit rows, the identity code)?
-_CODED = {"noiseless": (False, False), "nso": (True, False), "so": (False, True)}
+GROUPS = 3  # C, the hash groups, as in FFAST's three-stage design
 
 
 class PlanError(ValueError):
@@ -54,8 +51,9 @@ class SubsamplingPlan:
 
     @cached_property
     def col_words(self) -> np.ndarray:
-        """The (C, b) uint64 column words of the M_c, group c in row c."""
-        return np.array([m.col_words for m in self.matrices], dtype=np.uint64).reshape(self.c_groups, self.b)
+        """The (C, b) uint64 column words of the M_c, group c in row c, read-only."""
+        words = np.array([m.col_words for m in self.matrices], dtype=np.uint64)
+        return _read_only(words.reshape(self.c_groups, self.b))[0]
 
     def bins_of_many(self, c: int, k_words: np.ndarray) -> np.ndarray:
         return kernels.hash_words(k_words, self.col_words[c])
@@ -83,41 +81,81 @@ class SubsamplingPlan:
 
     @cached_property
     def _cosets(self) -> tuple:
-        """Per group, the null-space span and the particular words, built once."""
+        """Per group, the null-space span and the particular words, built once, read-only."""
         if self.n - self.b > 24:
             raise PlanError("coset enumeration limited to n - b <= 24")
         solved = (gf2.solve_units(m) for m in self.matrices)
-        return tuple((gf2.span_words(basis), gf2.span_words(units)) for units, basis in solved)
+        return tuple(_read_only(gf2.span_words(basis), gf2.span_words(units)) for units, basis in solved)
 
 
-def benchmark_shape(k: int) -> tuple:
-    """(C, b) of the benchmark design for sparsity K: three groups of
-    B = 2^b bins with b = ceil(log2 K), at least 1."""
-    return 3, max(1, math.ceil(math.log2(k)))
+def _read_only(*arrays: np.ndarray) -> tuple:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
-def build_plan(n: int, k: int) -> SubsamplingPlan:
-    """The window design for sparsity K at signal size N = 2^n.
+@dataclass(frozen=True)
+class Design:
+    """Every number of one design (:func:`design`): C groups of 2^b bins,
+    the window starts, p1 verify rows per group, the ``bases`` under the code
+    rows ("verify", "zero" or None: none) and the LDPC ``code`` (None: unit rows)."""
 
-    Its shape is :func:`benchmark_shape`: C = 3 groups of B = 2^b bins,
-    b = ceil(log2 K). Group c's matrix selects b consecutive index bits,
-    so k hashes to that window of its bits. The windows are disjoint when
-    C b <= n; otherwise their starts spread evenly from bit 0 to bit
-    n - b, so that every bit lies in at least one window. Raises
-    PlanError unless 1 <= K <= 2^n and b < n.
-    """
+    variant: str
+    n: int
+    c_groups: int
+    b: int
+    starts: tuple
+    p1: int
+    bases: str | None
+    code: object = None
+
+    def __post_init__(self):
+        if self.variant == "so" and self.code is None:
+            raise ValueError("so offsets require a linear code")
+        if self.code is not None and self.code.n_info != self.n:
+            raise ValueError(f"code has {self.code.n_info} information bits, the design needs {self.n}")
+
+    @property
+    def nominal_rows(self) -> int:
+        """P in the sample cost C B P: SO counts n reads of its one stored
+        zero row, and NSO p1 n rows, of which it stores p1 (1 + n - b)."""
+        n, p1 = self.n, self.p1
+        return {"noiseless": n + 1, "near-linear": p1, "nso": p1 * n, "so": p1 + 3 * n}[self.variant]
+
+    @property
+    def nominal_samples(self) -> int:
+        return (self.c_groups << self.b) * self.nominal_rows
+
+
+@lru_cache(maxsize=8)
+def design(variant: str, n: int, k: int) -> Design:
+    """The one design of ``variant`` for sparsity K at N = 2^n, cached: b =
+    ceil(log2 K), at least 1 and below n (else PlanError); the windows are
+    disjoint when C b <= n, else spread evenly to cover bits 0..n-1."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     gf2.check_bits(n)
-    if not 1 <= k <= (1 << n):
-        raise PlanError(f"need 1 <= K <= 2^n, got K={k}, n={n}")
-    c_groups, b = benchmark_shape(k)
-    if b >= n:
-        raise PlanError(f"the window design needs b < n, got b={b}, n={n}")
-    if c_groups * b <= n:
-        starts = [c * b for c in range(c_groups)]
-    else:
-        starts = [round((n - b) * c / (c_groups - 1)) for c in range(c_groups)]
+    b = max(1, (int(k) - 1).bit_length())  # exact ceil(log2 K): a float log2 rounds 2^49 + 1 down
+    if k < 1 or b >= n:
+        raise PlanError(f"the window design needs K >= 1 and b = ceil(log2 K) < n, got K={k}, n={n}")
+    spread = GROUPS * b > n
+    starts = tuple(round((n - b) * c / (GROUPS - 1)) if spread else c * b for c in range(GROUPS))
+    p1 = {"noiseless": 0, "near-linear": 3 * n, "nso": 2 * n, "so": n}[variant]
+    bases = {"near-linear": None, "nso": "verify"}.get(variant, "zero")
+    code = codes.code_for(n) if variant == "so" else None
+    return Design(variant, n, GROUPS, b, starts, p1, bases, code)
+
+
+def build_plan(d: Design) -> SubsamplingPlan:
+    """The window plan of ``d``, built once: group c hashes k to its b bits
+    from ``d.starts[c]``. Its column words and coset tables are read-only."""
+    return _window_plan(d.n, d.b, d.starts)
+
+
+@lru_cache(maxsize=8)
+def _window_plan(n: int, b: int, starts: tuple) -> SubsamplingPlan:
     mats = tuple(gf2.selection_matrix(n, range(s, s + b)) for s in starts)
-    return SubsamplingPlan(n, b, c_groups, mats)
+    return SubsamplingPlan(n, b, len(starts), mats)
 
 
 @dataclass(frozen=True)
@@ -126,12 +164,11 @@ class OffsetPlan:
     ``groups`` holds the packed offset words of group c.
 
     ``layout`` names each row role once, by (start, stop) row range (see
-    :func:`build_offsets`); ``nominal_rows`` is the row count entering the
-    sample-cost formula (:func:`nominal_rows`). ``code`` is the LDPC code
-    of the code rows, or None for the identity code. ``code_rows`` holds
-    the code-row words g_q: the LDPC generator's rows, or the (C, Q) unit
-    rows each group stores; ``known[c, j]``, the index bits that bin j of
-    group c fixes, whose unit rows are not stored (None under LDPC).
+    :func:`build_offsets`); ``variant``, ``nominal_rows`` and ``code`` are
+    the :class:`Design`'s. ``code_rows`` holds the code-row words g_q: the
+    LDPC generator's rows, or the (C, Q) unit rows each group stores;
+    ``known[c, j]``, the index bits that bin j of group c fixes, whose
+    unit rows are not stored (None under LDPC).
     """
 
     variant: str
@@ -146,22 +183,6 @@ class OffsetPlan:
     @property
     def rows(self) -> int:
         return self.groups.shape[1]
-
-
-def nominal_rows(variant: str, n: int, p1: int | None = None) -> int:
-    """Offset rows per group in the sample cost C B P: n + 1 (noiseless),
-    p1 (near-linear), p1 n (NSO) and p1 + 3n (SO, which counts n reads of
-    its one stored zero-offset row, as in the paper's design). NSO stores
-    p1 (1 + n - b) rows on a window plan (:func:`build_offsets`), with the
-    same distinct samples."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    p1 = p1 or _P1_PER_BIT.get(variant, 0) * n
-    return {"noiseless": n + 1, "near-linear": p1, "nso": p1 * n, "so": p1 + 3 * n}[variant]
-
-
-def _random_words(n: int, count: int, rng) -> np.ndarray:
-    return rng.integers(0, 1 << n, size=count, dtype=np.int64).astype(np.uint64)
 
 
 @lru_cache(maxsize=8)
@@ -184,59 +205,41 @@ def _identity_code(n: int, col_words: tuple, drop_known: bool):
             code_rows = code_rows[(code_rows & dropped) == 0].reshape(c_groups, -1)
             bits = kernels.parity_words(ls.astype(np.uint64)[:, None] & np.arange(bins, dtype=np.uint64))
             known = (bits * in_span[:, None]).reshape(c_groups, -1, bins).sum(axis=1, dtype=np.uint64)
-    code_rows.flags.writeable = known.flags.writeable = False
-    return code_rows, known
+    return _read_only(code_rows, known)
 
 
-def build_offsets(variant: str, plan: SubsamplingPlan, p1: int | None = None, code=None,
-                  rng=None) -> OffsetPlan:
-    """Construct the offset rows for one detector variant.
+def build_offsets(d: Design, plan: SubsamplingPlan, rng=None) -> OffsetPlan:
+    """The offset rows of design ``d`` on ``plan``: the design's window
+    plan, or another of its n (the sketch's random plan).
 
-    near-linear: p1 random ``verify`` rows (default 3n), its only rows.
-    The coded variants store, in this order, p1 random ``verify`` rows,
-    the ``bases`` unless they are the verify rows themselves, and the
+    Each group stores ``d.p1`` random ``verify`` rows (near-linear's only
+    rows), then the ``bases`` unless they are the verify rows, then the
     ``code`` block of rows base_p xor g_q, base-major, for every base p
     and code row g_q; each layout entry is a (start, stop) row range.
-    noiseless: no verify rows, the zero base, the n unit rows (the
-        identity code): n+1 rows.
-    nso: p1 random rows (default 2n) that are also the bases, over the
-        unit rows e_q outside colspan(M_c): p1 (1 + n - b) rows on a window
-        plan, against the nominal p1 n. A row d xor e_q with e_q = M_c l
-        would read d's coset, at the sign (-1)^<l, j>, so
-        ``OffsetPlan.known`` holds those b bits of every bin j instead. A
-        plan whose groups hold different numbers of unit columns in their
-        span keeps all p1 (n + 1) rows, so that P is one count.
-    so: p1 random rows (default n), the zero base, the 2n generator rows
-        of the rate-1/2 ``code``; ``OffsetPlan.code`` keeps it.
+    noiseless: the zero base and the n unit rows (the identity code).
+    nso: the verify rows are the bases, over the unit rows e_q outside
+        colspan(M_c): p1 (1 + n - b) rows on a window plan. A row d xor
+        e_q with e_q = M_c l would read d's coset, at the sign (-1)^<l, j>,
+        so ``OffsetPlan.known`` holds those b bits of every bin j instead.
+        A plan whose groups hold different numbers of unit columns in
+        their span keeps all p1 (n + 1) rows, so that P is one count.
+    so: the zero base and the 2n generator rows of the rate-1/2 ``d.code``.
     """
-    n, c_groups = plan.n, plan.c_groups
-    nominal = nominal_rows(variant, n, p1)
-    if variant == "noiseless":
-        verify = np.zeros((c_groups, 0), dtype=np.uint64)
-    else:
-        rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        p1 = p1 or _P1_PER_BIT[variant] * n
-        verify = np.stack([_random_words(n, p1, rng) for _ in range(c_groups)])
-    if variant == "near-linear":
-        return OffsetPlan(variant, n, verify, {"verify": (0, p1)}, nominal)
+    n, c_groups, rng = d.n, plan.c_groups, np.random.default_rng(rng)
+    verify = rng.integers(0, 1 << n, size=(c_groups, d.p1), dtype=np.int64).astype(np.uint64)
+    if d.bases is None:
+        return OffsetPlan(d.variant, n, verify, {"verify": (0, d.p1)}, d.nominal_rows)
 
-    shared, ldpc = _CODED[variant]
-    if ldpc:
-        if code is None:
-            raise ValueError(f"{variant} offsets require a linear code")
-        if code.n_info != n:
-            raise ValueError(f"code has {code.n_info} information bits, plan needs {n}")
-        code_rows, known = np.array(code.generator_rows(), dtype=np.uint64), None
-    else:
-        code, (code_rows, known) = None, _identity_code(n, tuple(m.col_words for m in plan.matrices), shared)
+    shared = d.bases == "verify"
+    code_rows, known = (_identity_code(n, tuple(m.col_words for m in plan.matrices), shared) if d.code is None
+                        else (np.array(d.code.generator_rows(), dtype=np.uint64), None))
     bases = verify if shared else np.zeros((c_groups, 1), dtype=np.uint64)
     block = (bases[:, :, None] ^ code_rows[..., None, :]).reshape(c_groups, -1)
     groups = np.concatenate([verify, block] if shared else [verify, bases, block], axis=1)
-    v1 = verify.shape[1]
-    b0 = 0 if shared else v1
+    b0 = 0 if shared else d.p1
     c0 = b0 + bases.shape[1]
-    layout = {"verify": (0, v1), "bases": (b0, c0), "code": (c0, c0 + block.shape[1])}
-    return OffsetPlan(variant, n, groups, layout, nominal, code=code, code_rows=code_rows, known=known)
+    layout = {"verify": (0, d.p1), "bases": (b0, c0), "code": (c0, c0 + block.shape[1])}
+    return OffsetPlan(d.variant, n, groups, layout, d.nominal_rows, code=d.code, code_rows=code_rows, known=known)
 
 
 @dataclass

@@ -234,12 +234,12 @@ def sketch_recover(source, n: int | None = None, sparsity_budget: int = 1, seed:
     """Recover the cut spectrum (and, when possible, the edges) by
     ``experiments.recover``'s noiseless pipeline over the cut oracle.
 
-    ``sparsity_budget`` must be at least 1 and dominate the true spectral
-    sparsity (at most s 2^(d-1) for s edges of size at most d); with a
-    smaller one, bins stay unresolved and the result is partial.
+    ``sparsity_budget`` must lie in 1..2^(n-1) and dominate the true
+    spectral sparsity (at most s 2^(d-1) for s edges of size at most d);
+    with a smaller one, bins stay unresolved and the result is partial.
     ``coeff_resolution``, positive and finite, snaps recovered values to
-    its multiples (2^(1-d) for cut spectra). The plan has the benchmark
-    shape for the budget, but its matrices are random full-column-rank: a
+    its multiples (2^(1-d) for cut spectra). The plan has the groups and
+    bins of ``frontend.design``, but random full-column-rank matrices: a
     window plan hashes all of an edge that no window touches to bin 0 of
     every group.
     """
@@ -250,13 +250,11 @@ def sketch_recover(source, n: int | None = None, sparsity_budget: int = 1, seed:
     access = CutQueryAccess(source, n)
     n = access.n
     rng = np.random.default_rng(seed)
-    c_groups, b = frontend.benchmark_shape(sparsity_budget)
-    if b >= n:
-        raise ValueError("sparsity budget needs b < n")
-    mats = tuple(gf2.random_full_column_rank(n, b, rng) for _ in range(c_groups))
-    plan = frontend.SubsamplingPlan(n, b, c_groups, mats)
+    design = frontend.design("noiseless", n, sparsity_budget)
+    mats = tuple(gf2.random_full_column_rank(n, design.b, rng) for _ in range(design.c_groups))
+    plan = frontend.SubsamplingPlan(n, design.b, design.c_groups, mats)
     machine, report, _, _ = recover(access, sparsity_budget, "noiseless", snr_db=None, rho=1.0,
-                                    constellation=False, rng_offsets=None, plan=plan)
+                                    constellation=False, rng_offsets=rng, plan=plan)
     root_n = math.sqrt(2.0**n)
     entries = {k: v / root_n for k, v in machine.entries.items()}
     if coeff_resolution is not None:

@@ -1,10 +1,12 @@
 """Shared fixtures: the four-coefficient worked instance, bit helpers,
 seeded pipeline instances and random disjoint hypergraphs."""
+import dataclasses
+
 import numpy as np
 
 from sparsewht import NoisyAccess, SparseSpectrum, build_regular_ldpc, draw_spectrum, sigma_for_snr
 from sparsewht.bin_detect import DetectorConfig
-from sparsewht.frontend import SubsamplingPlan, build_offsets, build_plan, observe
+from sparsewht.frontend import Design, SubsamplingPlan, build_offsets, build_plan, design, observe
 from sparsewht.gf2 import random_full_column_rank, selection_matrix
 from sparsewht.sketch import Hypergraph
 
@@ -36,10 +38,17 @@ def random_plan(n: int, b: int, c_groups: int, rng) -> SubsamplingPlan:
     return SubsamplingPlan(n, b, c_groups, mats)
 
 
+def plan_design(variant: str, plan: SubsamplingPlan, **changes) -> Design:
+    """``design(variant, n, B)`` at the plan's n and bins, with ``changes``
+    (``p1=``, ``code=``) replaced: ``build_offsets`` takes the rows, bases
+    and code from the design and the groups from the plan."""
+    return dataclasses.replace(design(variant, plan.n, plan.bins), **changes)
+
+
 def window_plan(n: int, b: int, c_groups: int) -> SubsamplingPlan:
     """C groups hashing k to b consecutive bits of its index: windows at
     bits c b when they fit side by side, else spread evenly over 0..n-b.
-    Gives fixtures a window plan of any shape, not only build_plan's."""
+    Gives fixtures a window plan of any shape, not only design()'s."""
     if c_groups * b <= n:
         starts = [c * b for c in range(c_groups)]
     else:
@@ -56,15 +65,17 @@ GOLDEN_BINS_G2 = np.array([0.0, 1.0, 6.0, 1.0])
 def seeded_instances(variant, n, k, snr_db, constellation, seeds=range(6)):
     """Seeded observations with the detector settings of the benchmark:
     (spectrum, plan, offsets, cfg, obs) per seed."""
-    plan = build_plan(n, k)
+    d = design(variant, n, k)
+    plan = build_plan(d)
     for seed in seeds:
         rng = np.random.default_rng(seed)
         spectrum = draw_spectrum(n, k, 1.0, rng, constellation=constellation)
         snr = None if snr_db is None else 10 ** (snr_db / 10)
         sigma = 0.0 if snr is None else sigma_for_snr(1.0, k, 1 << n, snr)
         access = NoisyAccess(spectrum, sigma, rng)
-        code = build_regular_ldpc(n, rng) if variant == "so" else None
-        offsets = build_offsets(variant, plan, code=code, rng=rng)
+        # a random code per seed, drawn from the seed's stream
+        seeded = dataclasses.replace(d, code=build_regular_ldpc(n, rng)) if variant == "so" else d
+        offsets = build_offsets(seeded, plan, rng=rng)
         obs = observe(access, plan, offsets)
         cfg = DetectorConfig.for_noise(n, plan.bins, sigma, 1.0, snr, np.abs(obs.data).max(), constellation)
         yield spectrum, plan, offsets, cfg, obs

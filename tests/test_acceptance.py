@@ -3,6 +3,7 @@
 Each test exercises one numbered criterion at its stated tolerance and
 prints a single pass/fail line (run with ``pytest -s`` to see them all).
 """
+import dataclasses
 import math
 import time
 
@@ -20,7 +21,7 @@ from sparsewht import (
 )
 from sparsewht.bin_detect import DetectorConfig
 from sparsewht.experiments import ExperimentConfig, nominal_sample_count, run_trial
-from sparsewht.frontend import build_offsets, build_plan, observe
+from sparsewht.frontend import build_offsets, build_plan, design, observe
 from sparsewht.kernels import sign_matrix
 from sparsewht.peeling import decode
 from sparsewht.sketch import (
@@ -29,7 +30,8 @@ from sparsewht.sketch import (
     sketch_recover,
 )
 
-from helpers import GOLDEN_BINS_G1, GOLDEN_BINS_G2, golden_plan, golden_spectrum, random_disjoint_hypergraph, window_plan
+from helpers import (GOLDEN_BINS_G1, GOLDEN_BINS_G2, golden_plan, golden_spectrum, plan_design,
+                     random_disjoint_hypergraph, window_plan)
 from references import naive_wht
 
 
@@ -79,17 +81,19 @@ def test_criterion_02_observation_model():
     worst = 0.0
     for n, k, variant in ((8, 6, "noiseless"), (9, 12, "nso"), (10, 10, "near-linear")):
         spectrum = draw_spectrum(n, k, 1.0, rng)
-        plan = build_plan(n, k)
-        offsets = build_offsets(variant, plan, rng=rng)
+        d = design(variant, n, k)
+        plan = build_plan(d)
+        offsets = build_offsets(d, plan, rng=rng)
         obs = observe(NoisyAccess(spectrum, 0.0, rng), plan, offsets)
         expected = _exhaustive_bin_sums(spectrum, plan, offsets)
         worst = max(worst, float(np.max(np.abs(obs.data - expected))))
     sums_ok = worst < 1e-9
 
-    plan = build_plan(6, 4)
+    d = design("near-linear", 6, 4)
+    plan = build_plan(d)
     sigma = 0.8
     nu2 = (1 << 6) * sigma**2 / plan.bins
-    offsets = build_offsets("near-linear", plan, p1=8, rng=rng)
+    offsets = build_offsets(dataclasses.replace(d, p1=8), plan, rng=rng)
     pooled = []
     draws = 0
     while draws < 10_000:
@@ -106,7 +110,7 @@ def test_criterion_02_observation_model():
 def test_criterion_03_golden_worked_instance():
     spectrum = golden_spectrum()
     plan = golden_plan()
-    offsets = build_offsets("noiseless", plan)
+    offsets = build_offsets(plan_design("noiseless", plan), plan)
     obs = observe(NoisyAccess(spectrum, 0.0, np.random.default_rng(0)), plan, offsets)
     sums_ok = (np.array_equal(obs.data[0, :, 0], GOLDEN_BINS_G1)
                and np.array_equal(obs.data[1, :, 0], GOLDEN_BINS_G2))
@@ -184,7 +188,7 @@ def test_criterion_08_bsc_reduction():
     rng = np.random.default_rng(88)
     spectrum = draw_spectrum(n, 1, 1.0, rng)
     k = next(iter(spectrum.entries))
-    offsets = build_offsets("near-linear", plan, p1=50, rng=rng)
+    offsets = build_offsets(plan_design("near-linear", plan, p1=50), plan, rng=rng)
     details = []
     ok = True
     for snr_db in (5.0, 10.0):

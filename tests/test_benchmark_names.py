@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 
 import sparsewht
-from sparsewht import bin_detect, build_offsets, build_plan, build_regular_ldpc, kernels
+from sparsewht import bin_detect, build_offsets, build_plan, kernels
+from sparsewht.frontend import design
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -49,9 +50,8 @@ def test_detector_hooks_count_each_kind(monkeypatch):
     pipeline = _load_pipeline(monkeypatch)
     recorder = pipeline.layer_recorder()
     rng = np.random.default_rng(0)
-    plan = build_plan(8, 4)
-    offsets = {v: build_offsets(v, plan, code=build_regular_ldpc(8, rng) if v == "so" else None, rng=rng)
-               for v in ("noiseless", "near-linear", "nso", "so")}
+    plan = build_plan(design("noiseless", 8, 4))
+    offsets = {v: build_offsets(design(v, 8, 4), plan, rng=rng) for v in ("noiseless", "near-linear", "nso", "so")}
     zero = {v: np.zeros(len(o.groups[0])) for v, o in offsets.items()}
     cfg = bin_detect.DetectorConfig()
     recorder.install()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,12 +19,12 @@ from sparsewht.bin_detect import (
     detect_so,
 )
 from sparsewht.codes import bitflip_decode_many, build_regular_ldpc, code_for
-from sparsewht.frontend import VARIANTS, OffsetPlan, build_offsets, build_plan, observe
+from sparsewht.frontend import VARIANTS, OffsetPlan, build_offsets, build_plan, design, observe
 from sparsewht.kernels import sign_matrix
 from sparsewht.signal_model import snr_from_db
 
 import references
-from helpers import bits, golden_plan, seeded_instances, window_plan
+from helpers import bits, golden_plan, plan_design, seeded_instances, window_plan
 from references import sgn
 
 
@@ -107,7 +108,7 @@ def test_coded_detector_confirms_only_decoded_words(monkeypatch):
 def test_for_noise_matches_the_separate_formulas(n, k, snr_db, rho):
     # the thresholds and stall levels that recover, sketch_recover and the
     # seeded test instances each used to compute for themselves
-    plan = build_plan(n, k)
+    plan = build_plan(design("noiseless", n, k))
     c_bins, size = plan.c_groups * plan.bins, 1 << n
     snr = None if snr_db is None else snr_from_db(snr_db)
     sigma = 0.0 if snr is None else sigma_for_snr(rho, k, size, snr)
@@ -176,7 +177,7 @@ def _single_ton_column(plan, offsets, c, k, value, nu, rng):
 
 def test_near_linear_exact_codeword():
     plan = window_plan(8, 3, 2)
-    offsets = build_offsets("near-linear", plan, p1=20, rng=np.random.default_rng(0))
+    offsets = build_offsets(plan_design("near-linear", plan, p1=20), plan, rng=np.random.default_rng(0))
     k = 173
     col = _single_ton_column(plan, offsets, 0, k, 2.0, 0.0, np.random.default_rng(1))
     cfg = DetectorConfig(gamma=1.0, nu2=1e-12, rho=2.0)
@@ -189,7 +190,7 @@ def test_near_linear_exact_codeword():
 
 def test_near_linear_zero_column_is_zero_ton():
     plan = window_plan(8, 3, 2)
-    offsets = build_offsets("near-linear", plan, p1=20, rng=np.random.default_rng(2))
+    offsets = build_offsets(plan_design("near-linear", plan, p1=20), plan, rng=np.random.default_rng(2))
     cfg = DetectorConfig(gamma=0.5, nu2=0.3)
     assert detect_near_linear(np.zeros(20), 0, 0, plan, offsets, cfg).kind == ZERO_TON
 
@@ -201,7 +202,7 @@ def test_near_linear_batch_matches_one_column_at_a_time():
     plan = window_plan(n, 3, 2)
     spectrum = draw_spectrum(n, k_sparsity, 1.0, rng)
     sigma = sigma_for_snr(1.0, k_sparsity, 1 << n, 10.0)
-    offsets = build_offsets("near-linear", plan, rng=rng)
+    offsets = build_offsets(plan_design("near-linear", plan), plan, rng=rng)
     obs = observe(NoisyAccess(spectrum, sigma, rng), plan, offsets)
     cfg = DetectorConfig(gamma=DetectorConfig.default_gamma(10.0), nu2=(1 << n) * sigma**2 / plan.bins)
     kinds = set()
@@ -281,7 +282,7 @@ def test_near_linear_monte_carlo_accuracy():
     n, b, k_sparsity = 10, 6, 16
     plan = window_plan(n, b, 1)
     rng = np.random.default_rng(3)
-    offsets = build_offsets("near-linear", plan, p1=3 * n, rng=rng)
+    offsets = build_offsets(plan_design("near-linear", plan, p1=3 * n), plan, rng=rng)
     eta, snr = (1 << b) / k_sparsity, 10.0
     nu = math.sqrt(1.0 / (eta * snr))
     cfg = DetectorConfig(gamma=DetectorConfig.default_gamma(snr), nu2=nu**2, rho=1.0)
@@ -305,7 +306,7 @@ def test_nso_exact_recovery_no_noise():
     n = 8
     plan = window_plan(n, 3, 2)
     rng = np.random.default_rng(4)
-    offsets = build_offsets("nso", plan, p1=6, rng=rng)
+    offsets = build_offsets(plan_design("nso", plan, p1=6), plan, rng=rng)
     cfg = DetectorConfig(gamma=1.0, nu2=1e-12, rho=1.0)
     for k in (0, 7, 201, 255):
         col = _single_ton_column(plan, offsets, 0, k, -1.0, 0.0, rng)
@@ -317,7 +318,7 @@ def test_nso_hash_inconsistency_goes_multi():
     n = 8
     plan = window_plan(n, 3, 2)
     rng = np.random.default_rng(5)
-    offsets = build_offsets("nso", plan, p1=6, rng=rng)
+    offsets = build_offsets(plan_design("nso", plan, p1=6), plan, rng=rng)
     cfg = DetectorConfig(gamma=1.0, nu2=1e-12, rho=1.0)
     k = 201
     col = _single_ton_column(plan, offsets, 0, k, 1.0, 0.0, rng)
@@ -327,9 +328,10 @@ def test_nso_hash_inconsistency_goes_multi():
 
 def test_nso_monte_carlo_accuracy():
     n, k_sparsity = 14, 20
-    plan = build_plan(n, k_sparsity)
+    d = design("nso", n, k_sparsity)
+    plan = build_plan(d)
     rng = np.random.default_rng(6)
-    offsets = build_offsets("nso", plan, p1=2 * n, rng=rng)
+    offsets = build_offsets(d, plan, rng=rng)
     eta, snr = plan.bins / k_sparsity, 10.0
     nu = math.sqrt(1.0 / (eta * snr))
     cfg = DetectorConfig(gamma=DetectorConfig.default_gamma(snr), nu2=nu**2, rho=1.0)
@@ -348,7 +350,7 @@ def test_so_exact_decode_no_noise():
     plan = window_plan(n, 3, 2)
     rng = np.random.default_rng(7)
     code = build_regular_ldpc(n, rng)
-    offsets = build_offsets("so", plan, code=code, rng=rng)
+    offsets = build_offsets(plan_design("so", plan, code=code), plan, rng=rng)
     cfg = DetectorConfig(gamma=1.0, nu2=1e-12, rho=1.0)
     k = 777
     col = _single_ton_column(plan, offsets, 0, k, 1.0, 0.0, rng)
@@ -362,7 +364,7 @@ def test_so_negative_coefficient_sign_reference():
     plan = window_plan(n, 3, 2)
     rng = np.random.default_rng(8)
     code = build_regular_ldpc(n, rng)
-    offsets = build_offsets("so", plan, code=code, rng=rng)
+    offsets = build_offsets(plan_design("so", plan, code=code), plan, rng=rng)
     cfg = DetectorConfig(gamma=1.0, nu2=1e-12, rho=1.0)
     k = 345
     col = _single_ton_column(plan, offsets, 0, k, -1.0, 0.0, rng)
@@ -373,15 +375,15 @@ def test_so_negative_coefficient_sign_reference():
 
 def test_so_monte_carlo_accuracy():
     n, k_sparsity = 14, 20
-    plan = build_plan(n, k_sparsity)
+    d = design("so", n, k_sparsity)
+    plan = build_plan(d)
     rng = np.random.default_rng(9)
     eta, snr = plan.bins / k_sparsity, 10.0
     nu = math.sqrt(1.0 / (eta * snr))
     cfg = DetectorConfig(gamma=DetectorConfig.default_gamma(snr), nu2=nu**2, rho=1.0)
     hits = 0
     trials = 1000
-    code = build_regular_ldpc(n, rng)
-    offsets = build_offsets("so", plan, code=code, rng=rng)
+    offsets = build_offsets(dataclasses.replace(d, code=build_regular_ldpc(n, rng)), plan, rng=rng)
     for _ in range(trials):
         k = int(rng.integers(0, 1 << n))
         col = _single_ton_column(plan, offsets, 0, k, 1.0, nu, rng)
@@ -417,7 +419,7 @@ def test_crossover_bound_dominates_empirical_flip_rate():
         plan = window_plan(n, b, 1)
         eta = plan.bins / k_sparsity
         assert eta == 1.0
-        offsets = build_offsets("near-linear", plan, p1=64, rng=rng)
+        offsets = build_offsets(plan_design("near-linear", plan, p1=64), plan, rng=rng)
         flips = 0
         total = 0
         for trial in range(200):

@@ -23,19 +23,26 @@ from sparsewht.experiments import (
     run_trial,
     write_csv,
 )
+from sparsewht.frontend import build_offsets, build_plan, design, observe
 from sparsewht.peeling import verify_support
-from sparsewht.sketch import sketch_recover
+from sparsewht.sketch import CutQueryAccess, sketch_recover
 
 from helpers import random_disjoint_hypergraph
 
 
 def test_nominal_formulas_exact():
+    # the design, the sweeps' count and observe's count each equal the closed form C B P
+    zeros = lambda words: np.zeros(len(words))
     for n in range(7, 18):
         for k in (10, 20, 40):
             bins = 1 << int(np.ceil(np.log2(k)))
-            assert nominal_sample_count("nso", n, k) == 2 * 3 * bins * n * n
-            assert nominal_sample_count("so", n, k) == 4 * 3 * bins * n
-            assert nominal_sample_count("noiseless", n, k) == 3 * bins * (n + 1)
+            closed_forms = {"noiseless": 3 * bins * (n + 1), "near-linear": 3 * 3 * bins * n,
+                            "nso": 2 * 3 * bins * n * n, "so": 4 * 3 * bins * n}
+            for variant, count in closed_forms.items():
+                d = design(variant, n, k)
+                plan = build_plan(d)
+                obs = observe(CutQueryAccess(zeros, n=n), plan, build_offsets(d, plan, rng=0))
+                assert (d.nominal_samples, nominal_sample_count(variant, n, k), obs.nominal_samples) == (count,) * 3
 
 
 def test_config_validation():

@@ -2,14 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsewht import NoisyAccess, SparseSpectrum, build_regular_ldpc, draw_spectrum, sigma_for_snr, synthesize_many
+from sparsewht.codes import code_for
 from sparsewht.frontend import (
     PlanError,
     build_offsets,
     build_plan,
+    design,
     observe,
 )
 from sparsewht.gf2 import rank_transpose, span_words
@@ -27,14 +29,14 @@ def _window_bits(m):
 
 
 def test_auto_very_sparse_uses_disjoint_windows():
-    plan = build_plan(12, 16)  # delta = 1/3
+    plan = build_plan(design("noiseless", 12, 16))  # delta = 1/3
     assert plan.c_groups == 3
     covered = [t for m in plan.matrices for t in _window_bits(m)]
     assert len(set(covered)) == len(covered)  # disjoint bit windows
 
 
 def test_benchmark_profile_overlapping_windows_cover_all_bits():
-    plan = build_plan(14, 40)
+    plan = build_plan(design("noiseless", 14, 40))
     assert plan.b == 6 and plan.c_groups == 3
     covered = {t for m in plan.matrices for t in _window_bits(m)}
     assert covered == set(range(14))
@@ -42,16 +44,17 @@ def test_benchmark_profile_overlapping_windows_cover_all_bits():
 
 def test_window_regime_rejects_oversize():
     with pytest.raises(PlanError):
-        build_plan(8, 200)
+        design("noiseless", 8, 200)
 
 
 @pytest.mark.parametrize("plan_n", [8, 12])
 def test_observe_refuses_an_access_of_another_n(plan_n):
     rng = np.random.default_rng(plan_n)
     access = NoisyAccess(draw_spectrum(10, 4, 1.0, rng), 0.0, rng)
-    plan = build_plan(plan_n, 4)
+    d = design("noiseless", plan_n, 4)
+    plan = build_plan(d)
     with pytest.raises(PlanError, match="disagree on n"):
-        observe(access, plan, build_offsets("noiseless", plan))
+        observe(access, plan, build_offsets(d, plan))
     assert access.samples_queried == 0
 
 
@@ -62,19 +65,22 @@ def test_coset_enumeration_refuses_more_than_24_free_bits():
 
 
 @settings(max_examples=200, deadline=None)
-@given(n_k=st.integers(2, 63).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 1 << min(n, 30)))))
+@given(n_k=st.integers(2, 63).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 1 << n))))
+@example(n_k=(63, (1 << 49) + 1))  # B = 2^b must reach K where a float log2 rounds down
 def test_build_plan_is_the_window_design(n_k):
     n, k = n_k
     b = (k - 1).bit_length()  # ceil(log2 K)
     if b >= n:
         with pytest.raises(PlanError):
-            build_plan(n, k)
+            design("noiseless", n, k)
         return
-    plan = build_plan(n, k)
-    assert (plan.c_groups, len(plan.matrices), plan.b) == (3, 3, max(b, 1))
+    d = design("noiseless", n, k)
+    plan = build_plan(d)
+    assert (plan.c_groups, len(plan.matrices), plan.b) == (3, 3, max(b, 1)) == (d.c_groups, 3, d.b)
     assert all(rank_transpose(m) == plan.b for m in plan.matrices)
     windows = [_window_bits(m) for m in plan.matrices]
     assert all(w == list(range(w[0], w[0] + plan.b)) for w in windows)
+    assert tuple(w[0] for w in windows) == d.starts
     covered = [t for w in windows for t in w]
     if 3 * plan.b <= n:
         assert len(set(covered)) == len(covered)
@@ -84,7 +90,7 @@ def test_build_plan_is_the_window_design(n_k):
 
 def test_noiseless_offsets_layout():
     plan = golden_plan()
-    offsets = build_offsets("noiseless", plan)
+    offsets = build_offsets(design("noiseless", 4, 4), plan)
     rows = offsets.groups[0]
     assert offsets.layout == {"verify": (0, 0), "bases": (0, 1), "code": (1, 5)}
     assert offsets.code is None
@@ -96,14 +102,15 @@ def test_noiseless_offsets_layout():
 def test_near_linear_offsets_layout():
     # its random rows are all it stores, under the key both detectors test
     plan = window_plan(8, 3, 2)
-    offsets = build_offsets("near-linear", plan, p1=12, rng=np.random.default_rng(3))
+    d = dataclasses.replace(design("near-linear", 8, 8), p1=12)
+    offsets = build_offsets(d, plan, rng=np.random.default_rng(3))
     assert offsets.layout == {"verify": (0, 12)} and offsets.code is None
     assert offsets.groups.shape == (plan.c_groups, 12) and offsets.nominal_rows == 12
 
 
 def test_nso_offsets_modulation():
     plan = window_plan(6, 2, 2)
-    offsets = build_offsets("nso", plan, p1=3, rng=np.random.default_rng(0))
+    offsets = build_offsets(dataclasses.replace(design("nso", 6, 4), p1=3), plan, rng=np.random.default_rng(0))
     p1, n, b = 3, 6, 2
     # the bases are the verify rows, stored once; the unit rows of the
     # window, whose bits the bin gives, are left out
@@ -133,7 +140,7 @@ def test_nso_leaves_out_exactly_the_unit_rows_the_bin_gives(n, window, seed, dat
     rng = np.random.default_rng(seed)
     plan = window_plan(n, b, c_groups) if window else random_plan(n, b, c_groups, rng)
     p1 = 3
-    offsets = build_offsets("nso", plan, p1=p1, rng=rng)
+    offsets = build_offsets(dataclasses.replace(design("nso", n, 1), p1=p1), plan, rng=rng)
     spans = [span_words(m.col_words) for m in plan.matrices]
     in_span = [{q for q in range(n) if 1 << q in set(span.tolist())} for span in spans]
     rectangular = len({len(qs) for qs in in_span}) == 1
@@ -152,9 +159,23 @@ def test_nso_leaves_out_exactly_the_unit_rows_the_bin_gives(n, window, seed, dat
 
 
 def test_so_requires_code():
-    plan = window_plan(8, 2, 2)
-    with pytest.raises(ValueError):
-        build_offsets("so", plan, rng=np.random.default_rng(0))
+    # the design holds SO's one code, and refuses none or one of another n
+    d = design("so", 8, 4)
+    assert d.code is code_for(8)
+    with pytest.raises(ValueError, match="require a linear code"):
+        dataclasses.replace(d, code=None)
+    with pytest.raises(ValueError, match="has 9 information bits"):
+        dataclasses.replace(d, code=build_regular_ldpc(9, np.random.default_rng(0)))
+
+
+def test_design_and_window_plan_are_cached_read_only():
+    # trials of one design share its record and its plan, so no caller may write the plan's tables
+    d = design("near-linear", 12, 16)
+    assert design("near-linear", 12, 16) is d and build_plan(d) is build_plan(d)
+    plan = build_plan(d)
+    for table in (plan.col_words, plan.coset_span(1), plan.particular_words(1)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
 
 
 def test_so_layout_and_zero_rows():
@@ -162,7 +183,7 @@ def test_so_layout_and_zero_rows():
 
     plan = window_plan(8, 2, 2)
     code = build_regular_ldpc(8, np.random.default_rng(1))
-    offsets = build_offsets("so", plan, code=code, rng=np.random.default_rng(2))
+    offsets = build_offsets(dataclasses.replace(design("so", 8, 4), code=code), plan, rng=np.random.default_rng(2))
     r0, r1 = offsets.layout["verify"]
     ref, c0 = offsets.layout["bases"]
     assert offsets.layout["code"][0] == c0
@@ -185,9 +206,10 @@ def test_so_single_reference_row_observes_like_n_copies(n, log_k, sigma, seed):
     # returns the same sample, so storing it once loses nothing
     k = min(1 << log_k, 1 << (n - 1))
     rng = np.random.default_rng(seed)
-    plan = build_plan(n, k)
+    d = design("so", n, k)
+    plan = build_plan(d)
     spectrum = draw_spectrum(n, k, 1.0, rng)
-    offsets = build_offsets("so", plan, code=build_regular_ldpc(n, rng), rng=rng)
+    offsets = build_offsets(dataclasses.replace(d, code=build_regular_ldpc(n, rng)), plan, rng=rng)
     ref = offsets.layout["bases"][0]
     copies = dataclasses.replace(offsets, groups=np.stack([
         np.insert(g, ref, np.zeros(n - 1, dtype=np.uint64)) for g in offsets.groups]))
@@ -203,7 +225,7 @@ def test_so_single_reference_row_observes_like_n_copies(n, log_k, sigma, seed):
 
 def test_observe_golden_sums():
     obs = observe(NoisyAccess(golden_spectrum(), 0.0, np.random.default_rng(0)),
-                  golden_plan(), build_offsets("noiseless", golden_plan()))
+                  golden_plan(), build_offsets(design("noiseless", 4, 4), golden_plan()))
     assert np.allclose(obs.data[0, :, 0], GOLDEN_BINS_G1, atol=1e-12)
     assert np.allclose(obs.data[1, :, 0], GOLDEN_BINS_G2, atol=1e-12)
 
@@ -211,7 +233,7 @@ def test_observe_golden_sums():
 def test_observe_zero_spectrum_noiseless():
     plan = window_plan(8, 1, 3)
     access = NoisyAccess(SparseSpectrum(8, {}), 0.0, np.random.default_rng(0))
-    obs = observe(access, plan, build_offsets("noiseless", plan))
+    obs = observe(access, plan, build_offsets(design("noiseless", 8, 2), plan))
     assert np.all(obs.data == 0)
 
 
@@ -237,7 +259,7 @@ def test_observe_matches_exhaustive_sum(variant):
     rng = np.random.default_rng(6)
     spectrum = draw_spectrum(8, 6, 1.0, rng)
     plan = window_plan(8, 3, 2)
-    offsets = build_offsets(variant, plan, rng=rng)
+    offsets = build_offsets(design(variant, 8, 8), plan, rng=rng)
     obs = observe(NoisyAccess(spectrum, 0.0, rng), plan, offsets)
     expected = _exhaustive_bin_sums(spectrum, plan, offsets)
     assert np.max(np.abs(obs.data - expected)) < 1e-9
@@ -257,7 +279,8 @@ def test_observe_noise_variance_calibration():
     plan = window_plan(6, 1, 3)
     sigma = 0.7
     nu2 = (1 << 6) * sigma**2 / plan.bins
-    offsets = build_offsets("near-linear", plan, p1=8, rng=np.random.default_rng(8))
+    d = dataclasses.replace(design("near-linear", 6, 2), p1=8)
+    offsets = build_offsets(d, plan, rng=np.random.default_rng(8))
     pooled = []
     for trial in range(120):
         access = NoisyAccess(SparseSpectrum(6, {}), sigma, np.random.default_rng(1000 + trial))
@@ -274,7 +297,8 @@ def test_observation_energy_constant_across_offsets_when_bins_isolated():
     spectrum = SparseSpectrum(10, {0b001001001: 1.0, 0b010010010: -1.0, 0b100100100: 1.0})
     bins_used = [set(bin_of_loop(plan, c, k) for k in spectrum.entries) for c in range(plan.c_groups)]
     assert all(len(b) == spectrum.sparsity for b in bins_used)
-    offsets = build_offsets("near-linear", plan, p1=12, rng=np.random.default_rng(9))
+    d = dataclasses.replace(design("near-linear", 10, 8), p1=12)
+    offsets = build_offsets(d, plan, rng=np.random.default_rng(9))
     obs = observe(NoisyAccess(spectrum, 0.0, np.random.default_rng(0)), plan, offsets)
     energies = (obs.data**2).sum(axis=1)
     assert np.max(np.abs(energies - energies[:, :1])) < 1e-9
@@ -282,7 +306,7 @@ def test_observation_energy_constant_across_offsets_when_bins_isolated():
 
 def test_sample_counts():
     plan = golden_plan()
-    offsets = build_offsets("noiseless", plan)
+    offsets = build_offsets(design("noiseless", 4, 4), plan)
     access = NoisyAccess(golden_spectrum(), 0.0, np.random.default_rng(0))
     obs = observe(access, plan, offsets)
     assert obs.nominal_samples == 2 * 4 * 5
@@ -310,8 +334,11 @@ def test_observe_reads_the_oracle_once(variant):
     rng = np.random.default_rng(22)
     n, k = 10, 8
     spectrum = draw_spectrum(n, k, 1.0, rng)
-    plan = build_plan(n, k)
-    offsets = build_offsets(variant, plan, code=build_regular_ldpc(n, rng) if variant == "so" else None, rng=rng)
+    d = design(variant, n, k)
+    plan = build_plan(d)
+    if variant == "so":
+        d = dataclasses.replace(d, code=build_regular_ldpc(n, rng))
+    offsets = build_offsets(d, plan, rng=rng)
     counting = _CountingAccess(NoisyAccess(spectrum, 0.1, np.random.default_rng(23)))
     obs = observe(counting, plan, offsets)
     assert counting.calls == [((plan.c_groups, plan.b), (plan.c_groups, offsets.rows))]
@@ -335,9 +362,11 @@ def test_observe_coset_and_point_reads_agree(variant, n, k, constellation):
     rng = np.random.default_rng(20)
     spectrum = draw_spectrum(n, k, 1.0, rng, constellation=constellation)
     sigma = sigma_for_snr(1.0, k, 1 << n, 10.0)
-    plan = build_plan(n, k)
-    code = build_regular_ldpc(n, rng) if variant == "so" else None
-    offsets = build_offsets(variant, plan, code=code, rng=rng)
+    d = design(variant, n, k)
+    plan = build_plan(d)
+    if variant == "so":
+        d = dataclasses.replace(d, code=build_regular_ldpc(n, rng))
+    offsets = build_offsets(d, plan, rng=rng)
     by_coset = observe(NoisyAccess(spectrum, sigma, np.random.default_rng(21)), plan, offsets)
     point = NoisyAccess(spectrum, sigma, np.random.default_rng(21))
     by_point = observe(CutQueryAccess(point.take, n=n), plan, offsets)

@@ -13,18 +13,18 @@ from sparsewht.bin_detect import (
     detect_near_linear,
 )
 from sparsewht.experiments import ExperimentConfig, noise_sigma, recover, run_trial
-from sparsewht.frontend import PlanError, build_offsets, build_plan, observe
+from sparsewht.frontend import PlanError, build_offsets, build_plan, design, observe
 from sparsewht.kernels import fwht, sign_matrix
 from sparsewht.peeling import DecodeReport, decode
 
 import references
-from helpers import golden_plan, golden_spectrum, seeded_instances, window_plan
+from helpers import golden_plan, golden_spectrum, plan_design, seeded_instances, window_plan
 from references import densify
 
 
 def _noiseless_setup(spectrum, plan, seed=0):
     access = NoisyAccess(spectrum, 0.0, np.random.default_rng(seed))
-    offsets = build_offsets("noiseless", plan)
+    offsets = build_offsets(plan_design("noiseless", plan), plan)
     obs = observe(access, plan, offsets)
     cfg = DetectorConfig(constellation=False, zero_tol=1e-9 * (2.0 ** (plan.n / 2)) * 4.0)
     return obs, offsets, cfg
@@ -125,7 +125,7 @@ def test_phantom_peel_self_heals():
     # valid signature: the decoder peels the phantom, later re-detects it
     # with the opposite value, and the cancellation drops it
     n, k = 14, 40
-    plan = build_plan(n, k)
+    plan = build_plan(design("noiseless", n, k))
     hit = None
     for seed in range(40):
         spectrum = draw_spectrum(n, k, 1.0, np.random.default_rng(seed))
@@ -156,7 +156,7 @@ def test_unsettled_decode_stops_at_the_guard():
     access.prepare()
     _, report, _, _ = recover(access, k, "nso", snr_db=snr_db, rho=1.0, constellation=False,
                               rng_offsets=rng)
-    plan = build_plan(n, k)
+    plan = build_plan(design("noiseless", n, k))
     assert report.sweeps == 2 * plan.c_groups * plan.bins + 10
     assert report.stalled
 
@@ -184,7 +184,7 @@ def test_stall_flag_sees_a_stuck_multi_ton():
     exact = SparseSpectrum(n, {1 << 6: 1.0, 5: -1.0})
     sigma = sigma_for_snr(1.0, 3, 1 << n, snr)
     for variant, sigma, snr in (("nso", sigma, snr), ("noiseless", 0.0, None)):
-        offsets = build_offsets(variant, plan, rng=np.random.default_rng(0))
+        offsets = build_offsets(plan_design(variant, plan), plan, rng=np.random.default_rng(0))
         for spectrum, stalled in ((stuck, True), (exact, False)):
             obs = observe(NoisyAccess(spectrum, sigma, np.random.default_rng(1)), plan, offsets)
             cfg = DetectorConfig.for_noise(n, plan.bins, sigma, 1.0, snr, np.abs(obs.data).max())
@@ -197,16 +197,16 @@ def test_stall_flag_sees_a_stuck_multi_ton():
 def test_decode_refuses_observations_of_another_plan():
     n = 12
     spectrum = draw_spectrum(n, 40, 1.0, np.random.default_rng(4))
-    plan = build_plan(n, 40)
+    plan = build_plan(design("noiseless", n, 40))
     obs, offsets, cfg = _noiseless_setup(spectrum, plan)
     assert plan.bins == 64
     with pytest.raises(PlanError, match=r"shape \(3, 64, 13\).*\(3, 32, 13\)"):
-        decode(obs, build_plan(n, 20), offsets, cfg)
-    nso = build_offsets("nso", plan, rng=np.random.default_rng(0))
+        decode(obs, build_plan(design("noiseless", n, 20)), offsets, cfg)
+    nso = build_offsets(plan_design("nso", plan), plan, rng=np.random.default_rng(0))
     with pytest.raises(PlanError, match=rf"\(3, 64, {nso.rows}\)"):
         decode(obs, plan, nso, cfg)
     with pytest.raises(PlanError, match="disagree on n: 12, 13, 12"):
-        decode(obs, build_plan(13, 40), offsets, cfg)
+        decode(obs, build_plan(design("noiseless", 13, 40)), offsets, cfg)
 
 
 def test_verify_support_cases():

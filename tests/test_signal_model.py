@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsewht import NoisyAccess, SparseSpectrum, build_plan, draw_spectrum, sigma_for_snr, synthesize_many
-from sparsewht.frontend import SubsamplingPlan
+from sparsewht import NoisyAccess, SparseSpectrum, draw_spectrum, sigma_for_snr, synthesize_many
+from sparsewht.frontend import SubsamplingPlan, design
 from sparsewht.gf2 import BitMatrix
 from sparsewht.kernels import fwht
 from sparsewht.signal_model import merge_reads, snr_from_db
@@ -296,7 +296,7 @@ def test_index_length_outside_packed_words_is_rejected(n):
     with pytest.raises(ValueError, match="outside 1..63"):
         NoisyAccess(SparseSpectrum(n, {}), 0.0, np.random.default_rng(0))
     with pytest.raises(ValueError, match="outside 1..63"):
-        build_plan(n, 1)
+        design("noiseless", n, 1)
     with pytest.raises(ValueError, match="outside 1..63"):
         SubsamplingPlan(n, 1, 1, (BitMatrix(n, 1, (0,) * n),))
 

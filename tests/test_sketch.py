@@ -324,6 +324,14 @@ def test_sketch_recover_refuses_a_resolution_that_is_not_positive_and_finite(res
         sketch_recover(h, sparsity_budget=8, seed=5, coeff_resolution=resolution)
 
 
+@pytest.mark.parametrize("budget", [256, 257])
+def test_sketch_recover_refuses_a_budget_the_design_cannot_bin(budget):
+    # at n = 8, a budget of 256 needs b = 8 = n bins bits, and 257 exceeds 2^n
+    h = Hypergraph.from_edge_lists(8, [{1, 2}])
+    with pytest.raises(ValueError, match=r"b = ceil\(log2 K\) < n"):
+        sketch_recover(h, sparsity_budget=budget, seed=0)
+
+
 def test_sketch_recover_partial_when_budget_too_small():
     rng = np.random.default_rng(6)
     h = random_disjoint_hypergraph(16, 3, rng, min_size=4, max_size=5)
