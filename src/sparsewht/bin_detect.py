@@ -28,11 +28,12 @@ so its signature correlations are a transform of the column, see
 Both decide with one test, as SPRIGHT and SparseFHT do: is the mean
 square of a bin's tested rows at the noise level, before (zero-ton) and
 after (single-ton) removing one candidate? The tested rows are the
-layout's ``verify`` rows at (1 + gamma) nu^2; a layout without them
-(noiseless) tests every row at the round-off level zero_tol^2, so under
-noise it finds no single-ton. Anything failing verification is a
-multi-ton: multi-tons need no action during peeling, so erring toward
-them only delays recovery, never corrupts it.
+layout's ``verify`` rows at max((1 + gamma) nu^2, zero_tol^2); a layout
+without them (noiseless) tests every row at the round-off level
+zero_tol^2, so under noise it finds no single-ton, and the decoder's
+stall flag, at the same level, fails it loudly. Anything failing
+verification is a multi-ton: multi-tons need no action during peeling,
+so erring toward them only delays recovery, never corrupts it.
 
 Sign convention: sgn(x) = 1 for x < 0 and 0 for x > 0 (sgn(0) = 0), so
 that x = |x| * (-1)^sgn(x).
@@ -64,12 +65,13 @@ _MULTI = Detection(MULTI_TON)
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Thresholds shared by the detectors and the decoder's stall flag.
+    """Thresholds of the bin test, which the detectors and the decoder's
+    stall flag share (:func:`tested`).
 
     ``gamma`` is the verification slack (must sit in (0, SNR/2));
     ``nu2`` the per-entry bin noise variance N sigma^2 / B; ``rho`` the
-    constellation amplitude. ``zero_tol`` is the round-off level of the
-    noiseless layout and of the peeled values; ``constellation`` says
+    constellation amplitude. ``zero_tol`` is the one round-off level, of
+    the bin test and of the peeled values; ``constellation`` says
     whether values are +/-``rho`` or continuous. :meth:`for_noise`
     derives the thresholds from the noise level.
     """
@@ -90,8 +92,8 @@ class DetectorConfig:
                   scale: float, constellation: bool = True) -> "DetectorConfig":
         """Thresholds for B = ``bins`` bins of N = 2^n samples with noise
         ``sigma`` at linear SNR ``snr_linear`` (None: noise-free): nu^2 =
-        N sigma^2 / B floored at (1e-9 rho)^2, gamma from :meth:`default_gamma`
-        (1 when noise-free), and zero_tol = 1e-9 ``scale`` for round-off.
+        N sigma^2 / B, gamma from :meth:`default_gamma` (1 when
+        noise-free), and zero_tol = 1e-9 ``scale`` for round-off.
 
         ``scale`` is the largest |value| of the observations. The
         orthonormal transforms and the peels keep round-off within a few
@@ -99,20 +101,15 @@ class DetectorConfig:
         it and, whatever N, far below a single-ton's value. A tolerance of
         1e-9 sqrt(N) rho outgrows a single-ton's value once n >= 60."""
         return cls(gamma=1.0 if snr_linear is None else cls.default_gamma(snr_linear),
-                   nu2=max((1 << n) * sigma * sigma / bins, (1e-9 * rho) ** 2), rho=rho,
+                   nu2=(1 << n) * sigma * sigma / bins, rho=rho,
                    constellation=constellation, zero_tol=1e-9 * scale)
 
     @property
     def noise_level(self) -> float:
-        """(1 + gamma) nu^2: the largest mean energy of the verify rows
-        that the detectors read as noise."""
-        return (1.0 + self.gamma) * self.nu2
-
-    @property
-    def zero_ton_level(self) -> float:
-        """The larger zero-ton level of mean bin energy: ``noise_level``
-        (robust detectors) or zero_tol^2 (noiseless); ``decode``'s stall level."""
-        return max(self.noise_level, self.zero_tol**2)
+        """max((1 + gamma) nu^2, zero_tol^2): the largest mean energy of
+        the verify rows that the detectors read as noise; a noise-free run
+        tests at the round-off level."""
+        return max((1.0 + self.gamma) * self.nu2, self.zero_tol**2)
 
 
 def crossover_bound(eta: float, snr_linear: float) -> float:
@@ -123,10 +120,11 @@ def crossover_bound(eta: float, snr_linear: float) -> float:
     return math.exp(-0.5 * eta * snr_linear)
 
 
-def _tested(offsets, cfg: DetectorConfig):
+def tested(offsets, cfg: DetectorConfig):
     """The rows a bin is tested on and the level of their mean energy:
-    the layout's ``verify`` rows at (1 + gamma) nu^2 or, in a layout
-    without them (noiseless), every row at the round-off level zero_tol^2."""
+    the layout's ``verify`` rows at ``cfg.noise_level`` or, in a layout
+    without them (noiseless), every row at the round-off level zero_tol^2.
+    ``peeling.decode`` flags a stall at the same level."""
     v0, v1 = offsets.layout["verify"]
     if v1 > v0:
         return slice(v0, v1), cfg.noise_level
@@ -160,7 +158,7 @@ def detect_coded_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, c
     ``verify`` rows, the ``bases`` d_p and the ``code`` block, where row
     (p, q) is d_p xor g_q. For a single-ton k, sgn(u[d_p xor g_q]) xor
     sgn(u[d_p]) is the code bit <g_q, k>. A bin is a zero-ton when its
-    tested rows (:func:`_tested`) are within their level. For any other
+    tested rows (:func:`tested`) are within their level. For any other
     bin each code bit is the majority over the bases (a tie reads 0), and
     the codeword decodes to the index: the identity code ORs the stored
     unit rows g_q of the set bits with ``offsets.known[c, j]``, the bits
@@ -170,7 +168,7 @@ def detect_coded_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, c
     :func:`_confirm` passes it on the tested rows; a bin whose word does
     not decode is a multi-ton.
     """
-    rows, level = _tested(offsets, cfg)
+    rows, level = tested(offsets, cfg)
     b0, b1 = offsets.layout["bases"]
     c0, c1 = offsets.layout["code"]
     live = np.flatnonzero(~_within_noise(cols[:, rows], level))
@@ -217,12 +215,12 @@ detect_so = detect_nso
 def detect_near_linear_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig):
     """Matched-filter search over the hash cosets of the bins.
 
-    A bin is a zero-ton when its tested rows (:func:`_tested`, the
+    A bin is a zero-ton when its tested rows (:func:`tested`, the
     ``verify`` rows) are within their level. Every other bin takes its
     best coset candidate from one batched ``kernels.singleton_search``,
     which :func:`_confirm` checks on the same rows.
     """
-    rows, level = _tested(offsets, cfg)
+    rows, level = tested(offsets, cfg)
     live = np.flatnonzero(~_within_noise(cols[:, rows], level))
     u, offset_words, js = cols[live, rows], offsets.groups[c, rows], js[live]
     part = plan.particular_words(c)[js]

@@ -115,14 +115,15 @@ def _within_noise(u, level):
 
 
 def _noise_level(cfg):
-    return (1.0 + cfg.gamma) * cfg.nu2
+    return max((1.0 + cfg.gamma) * cfg.nu2, cfg.zero_tol ** 2)
 
 
-def stall_energy(cfg, c_groups, bins):
+def stall_energy(cfg, offsets, c_groups, bins):
     """The summed residual energy above which a stopped decode is stalled:
-    C B times the larger zero-ton level, (1 + gamma) nu^2 of the robust
-    detectors or zero_tol^2 of the noiseless one."""
-    return c_groups * bins * max((1.0 + cfg.gamma) * cfg.nu2, cfg.zero_tol ** 2)
+    C B times the level of the layout's bin test, the verify rows' noise
+    level or, without verify rows (noiseless), zero_tol^2."""
+    v0, v1 = offsets.layout["verify"]
+    return c_groups * bins * (_noise_level(cfg) if v1 > v0 else cfg.zero_tol ** 2)
 
 
 def _confirm_single(u, row_words, k_word, cfg, level):

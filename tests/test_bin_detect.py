@@ -106,30 +106,32 @@ def test_coded_detector_confirms_only_decoded_words(monkeypatch):
     (24, 100, 30.0, 1.0), (12, 10, None, 1.0), (15, 30, None, 3.0),
 ])
 def test_for_noise_matches_the_separate_formulas(n, k, snr_db, rho):
-    # the thresholds and stall levels that recover, sketch_recover and the
-    # seeded test instances each used to compute for themselves
+    # the thresholds and the one bin-test level that recover, sketch_recover,
+    # the seeded test instances and the stall flag read
     plan = build_plan(design("noiseless", n, k))
-    c_bins, size = plan.c_groups * plan.bins, 1 << n
+    size = 1 << n
     snr = None if snr_db is None else snr_from_db(snr_db)
     sigma = 0.0 if snr is None else sigma_for_snr(rho, k, size, snr)
     scale = 3.0 * rho  # the largest observed |value|: three coefficients in one bin
     cfg = DetectorConfig.for_noise(n, plan.bins, sigma, rho, snr, scale, constellation=False)
-    nu2 = max(size * sigma * sigma / plan.bins, (1e-9 * rho) ** 2)
+    nu2 = size * sigma * sigma / plan.bins
     gamma = 1.0 if snr is None else DetectorConfig.default_gamma(snr)
     assert cfg == DetectorConfig(gamma=gamma, nu2=nu2, rho=rho, constellation=False, zero_tol=1e-9 * scale)
-    assert cfg.noise_level == (1.0 + gamma) * nu2
-    if rho == 1.0:
-        # the seeded test instances' spelling of the same formula
-        assert cfg.nu2 == max(size * sigma * sigma / plan.bins, 1e-18)
+    assert cfg.noise_level == max((1.0 + gamma) * nu2, cfg.zero_tol ** 2)
     if snr is None:
-        # noise-free: the noiseless detector's level, above the float floor of nu^2
-        assert c_bins * cfg.zero_ton_level == c_bins * cfg.zero_tol ** 2 > c_bins * (1.0 + gamma) * nu2
+        # noise-free: no floor under nu^2, so every layout tests at the round-off level
+        assert cfg.nu2 == 0.0 and cfg.noise_level == cfg.zero_tol ** 2
     else:
-        assert c_bins * cfg.zero_ton_level == pytest.approx(c_bins * (1.0 + gamma) * nu2, rel=1e-15)
+        assert cfg.noise_level == (1.0 + gamma) * nu2 > cfg.zero_tol ** 2
+    # the layout's test: every row at zero_tol^2 without verify rows, else the verify rows at noise_level
+    noiseless = build_offsets(design("noiseless", n, k), plan)
+    verify = build_offsets(design("near-linear", n, k), plan, rng=0)
+    assert bin_detect.tested(noiseless, cfg) == (slice(None), cfg.zero_tol ** 2)
+    assert bin_detect.tested(verify, cfg) == (slice(0, 3 * n), cfg.noise_level)
     # a sketch: noise-free, unit amplitude, continuous values carrying sqrt(N)
     sketch = DetectorConfig.for_noise(n, plan.bins, 0.0, 1.0, None, math.sqrt(2.0**n), constellation=False)
     assert sketch.zero_tol == 1e-9 * math.sqrt(2.0**n) and not sketch.constellation
-    assert c_bins * sketch.zero_ton_level == c_bins * sketch.zero_tol**2
+    assert bin_detect.tested(noiseless, sketch)[1] == sketch.zero_tol ** 2 == sketch.noise_level
 
 
 def test_sgn_convention():

@@ -134,6 +134,19 @@ def test_recover_failure_exits_1(tmp_path):
     assert json.loads(report.read_text())["stalled"] is True
 
 
+def test_recover_noiseless_under_weak_noise_reports_the_stall(tmp_path):
+    # two coefficients whose residual, 4.18, sits under C B (1 + gamma) nu^2:
+    # only the noiseless layout's own level, zero_tol^2, flags the empty result
+    spec_path = tmp_path / "truth.txt"
+    spec_path.write_text("n=12 K=2\n110001101011 -1.0\n111101001011 1.0\n")
+    report = tmp_path / "report.json"
+    code = main(["recover", "--spectrum", str(spec_path), "--algo", "noiseless", "--snr-db", "3",
+                 "--seed", "2", "--out", str(tmp_path / "recovered.txt"), "--report", str(report)])
+    assert code == 1
+    parsed = json.loads(report.read_text())
+    assert parsed["peels"] == 0 and parsed["stalled"] is True
+
+
 @pytest.mark.parametrize("content, extra", [
     ("n=70 K=1\n", []),
     ("garbage\n", []),
@@ -221,6 +234,8 @@ def test_bench_config_not_an_object_exits_2(tmp_path, capsys):
     {"n_values": 12}, {"snr_db_values": [float("nan")]}, {"trials": True},
     # SO's rate-1/2 code needs n >= codes.MIN_INFO_BITS
     {"n_values": [5]},
+    # fixed in the library as experiments.SUCCESS_THRESHOLD
+    {"success_threshold": 0.95},
 ])
 def test_bench_bad_setting_exits_2(tmp_path, capsys, cfg):
     cfg_path = tmp_path / "cfg.json"

@@ -54,9 +54,9 @@ def test_config_validation():
         ExperimentConfig.from_dict({"nonsense": 1})
     cfg = ExperimentConfig.from_dict({"algorithm": "nso", "n_values": [10], "k_values": [4]})
     assert cfg.n_values == (10,)
-    ExperimentConfig.from_dict({"success_threshold": 1.0})
     # one value each, derived or fixed in the library: not config keys
-    for key, value in (("decode_rounds", 0), ("p1", 1), ("gamma", 1e-3), ("profile", "theory"), ("rho", 2.0)):
+    for key, value in (("decode_rounds", 0), ("p1", 1), ("gamma", 1e-3), ("profile", "theory"), ("rho", 2.0),
+                       ("success_threshold", 1.0)):
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict({key: value})
 
@@ -112,20 +112,20 @@ def test_noise_free_recover_is_exact_or_flagged(variant, n, k, seed, constellati
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(8, 16), k=st.integers(1, 24), snr_db=st.floats(-5.0, 40.0), seed=st.integers(0, 2**32 - 1),
        constellation=st.booleans())
-@example(n=8, k=1, snr_db=0.0, seed=0, constellation=False)  # missed by the stall level, but nothing returned
+# both leave a residual under C B (1 + gamma) nu^2: only the round-off level flags them
+@example(n=8, k=1, snr_db=0.0, seed=0, constellation=False)
+@example(n=15, k=1, snr_db=3.34, seed=2650, constellation=False)
 def test_noiseless_under_noise_fails_loudly(n, k, snr_db, seed, constellation):
     # the noiseless layout tests its bins at round-off: under noise no bin
-    # passes, so nothing is peeled and no wrong coefficient is returned
+    # passes, so nothing is peeled and no wrong coefficient is returned, and
+    # the stall flag, at the same level, sees the noise left in the bins
     rng = np.random.default_rng(seed)
     spectrum = draw_spectrum(n, k, 1.0, rng, constellation=constellation)
     access = NoisyAccess(spectrum, noise_sigma(1.0, k, n, snr_db), rng)
     recovered, report, _, _ = recover(access, k, "noiseless", snr_db=snr_db, rho=1.0,
                                       constellation=constellation, rng_offsets=rng)
     assert report.peels == 0 and not recovered.entries
-    # below ~10 dB the missing signal can hide under the stall level: few
-    # bins, or two coefficients that nearly cancel over the n + 1 rows
-    if snr_db >= 15.0:
-        assert verify_support(recovered, spectrum).support_match or report.stalled
+    assert verify_support(recovered, spectrum).support_match or report.stalled
 
 
 # (support_ok, values_ok, samples_distinct, samples_nominal, sweeps, peels, stalled, conflicts)
@@ -245,8 +245,7 @@ def test_workers_do_not_change_results(algorithm):
 
 def test_scaling_sweep_rows():
     cfg = ExperimentConfig(algorithm="so", n_values=(9, 10), k_values=(4,),
-                           snr_db_values=(10.0,), trials=2, seed=1,
-                           success_threshold=0.95)
+                           snr_db_values=(10.0,), trials=2, seed=1)
     rows = run_scaling_sweep(cfg)
     assert len(rows) == 2
     for row in rows:

@@ -191,7 +191,8 @@ def test_stall_flag_sees_a_stuck_multi_ton():
             recovered, report = decode(obs, plan, offsets, cfg)
             assert (recovered.support() == spectrum.support()) != stalled
             assert report.stalled == stalled, (variant, spectrum.entries)
-            assert report.stalled == (report.residual_energy > references.stall_energy(cfg, 2, plan.bins))
+            stall = references.stall_energy(cfg, offsets, 2, plan.bins)
+            assert report.stalled == (report.residual_energy > stall)
 
 
 def test_decode_refuses_observations_of_another_plan():
@@ -290,7 +291,7 @@ def _reference_decode(obs, plan, offsets, column_detector, cfg):
         if recovered == before:
             break
     residual = float((data * data).mean(axis=2).sum())
-    stalled = residual > references.stall_energy(cfg, c_groups, bins)
+    stalled = residual > references.stall_energy(cfg, offsets, c_groups, bins)
     report = DecodeReport(sweeps, peels, conflicts, stalled, residual, obs.distinct_samples)
     return recovered, report
 
