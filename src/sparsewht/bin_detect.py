@@ -26,14 +26,14 @@ so its signature correlations are a transform of the column, see
 ``kernels.singleton_search``).
 
 Both decide with one test, as SPRIGHT and SparseFHT do: is the mean
-square of a bin's tested rows at the noise level, before (zero-ton) and
-after (single-ton) removing one candidate? The tested rows are the
-layout's ``verify`` rows at max((1 + gamma) nu^2, zero_tol^2); a layout
-without them (noiseless) tests every row at the round-off level
-zero_tol^2, so under noise it finds no single-ton, and the decoder's
-stall flag, at the same level, fails it loudly. Anything failing
-verification is a multi-ton: multi-tons need no action during peeling,
-so erring toward them only delays recovery, never corrupts it.
+square of every row a bin stores at the noise level, before (zero-ton)
+and after (single-ton) removing one candidate? The level
+(:func:`tested`) is max((1 + gamma) nu^2, zero_tol^2) for a layout with
+random ``verify`` rows; the noiseless layout has none and tests at the
+round-off level zero_tol^2, so under noise it finds no single-ton, and
+the decoder's stall flag, at the same level, fails it loudly. Anything
+failing verification is a multi-ton: multi-tons need no action during
+peeling, so erring toward them only delays recovery, never corrupts it.
 
 Sign convention: sgn(x) = 1 for x < 0 and 0 for x > 0 (sgn(0) = 0), so
 that x = |x| * (-1)^sgn(x).
@@ -65,8 +65,8 @@ _MULTI = Detection(MULTI_TON)
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Thresholds of the bin test, which the detectors and the decoder's
-    stall flag share (:func:`tested`).
+    """Thresholds of the bin test over every row of a bin, which the
+    detectors and the decoder's stall flag share (:func:`tested`).
 
     ``gamma`` is the verification slack (must sit in (0, SNR/2));
     ``nu2`` the per-entry bin noise variance N sigma^2 / B; ``rho`` the
@@ -107,7 +107,7 @@ class DetectorConfig:
     @property
     def noise_level(self) -> float:
         """max((1 + gamma) nu^2, zero_tol^2): the largest mean energy of
-        the verify rows that the detectors read as noise; a noise-free run
+        a bin's rows that the detectors read as noise; a noise-free run
         tests at the round-off level."""
         return max((1.0 + self.gamma) * self.nu2, self.zero_tol**2)
 
@@ -120,15 +120,13 @@ def crossover_bound(eta: float, snr_linear: float) -> float:
     return math.exp(-0.5 * eta * snr_linear)
 
 
-def tested(offsets, cfg: DetectorConfig):
-    """The rows a bin is tested on and the level of their mean energy:
-    the layout's ``verify`` rows at ``cfg.noise_level`` or, in a layout
-    without them (noiseless), every row at the round-off level zero_tol^2.
+def tested(offsets, cfg: DetectorConfig) -> float:
+    """The level of the mean energy of a bin's rows, every row it stores:
+    ``cfg.noise_level`` for a layout with random ``verify`` rows or, for
+    the noiseless layout, which has none, the round-off level zero_tol^2.
     ``peeling.decode`` flags a stall at the same level."""
     v0, v1 = offsets.layout["verify"]
-    if v1 > v0:
-        return slice(v0, v1), cfg.noise_level
-    return slice(None), cfg.zero_tol**2
+    return cfg.noise_level if v1 > v0 else cfg.zero_tol**2
 
 
 def _within_noise(u: np.ndarray, level: float):
@@ -138,7 +136,7 @@ def _within_noise(u: np.ndarray, level: float):
 
 def _confirm(u: np.ndarray, offset_words: np.ndarray, level: float, k_words: np.ndarray, cfg: DetectorConfig):
     """Values and single-ton flags of the candidate indices ``k_words``,
-    from their bins' tested rows ``u``, read at the offsets
+    from every row ``u`` of their bins, read at the offsets
     ``offset_words``. A candidate's value comes from its signature
     correlation s.u: +/-rho by its sign when ``cfg.constellation``,
     otherwise its mean (the least-squares value). It is a single-ton when
@@ -158,20 +156,20 @@ def detect_coded_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, c
     ``verify`` rows, the ``bases`` d_p and the ``code`` block, where row
     (p, q) is d_p xor g_q. For a single-ton k, sgn(u[d_p xor g_q]) xor
     sgn(u[d_p]) is the code bit <g_q, k>. A bin is a zero-ton when its
-    tested rows (:func:`tested`) are within their level. For any other
+    rows are within the level of :func:`tested`. For any other
     bin each code bit is the majority over the bases (a tie reads 0), and
     the codeword decodes to the index: the identity code ORs the stored
     unit rows g_q of the set bits with ``offsets.known[c, j]``, the bits
     bin j fixes (NSO's, of the unit rows in colspan(M_c) it leaves out), and
     ``offsets.code`` goes through :func:`codes.bitflip_decode_many`. A
     decoded index is a single-ton when it hashes to its bin and
-    :func:`_confirm` passes it on the tested rows; a bin whose word does
-    not decode is a multi-ton.
+    :func:`_confirm` passes it on every row; a bin whose word does not
+    decode is a multi-ton.
     """
-    rows, level = tested(offsets, cfg)
+    level = tested(offsets, cfg)
     b0, b1 = offsets.layout["bases"]
     c0, c1 = offsets.layout["code"]
-    live = np.flatnonzero(~_within_noise(cols[:, rows], level))
+    live = np.flatnonzero(~_within_noise(cols, level))
     js = js[live]
     # sign copies only: the code block is read as a (bases, code rows) bool block per bin
     neg, bases = (cols < 0)[live], b1 - b0
@@ -183,7 +181,7 @@ def detect_coded_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, c
     else:
         k_words, ok = codes.bitflip_decode_many(offsets.code, bits)
     values, single = np.zeros(len(live)), np.zeros(len(live), dtype=bool)
-    values[ok], single[ok] = _confirm(cols[live[ok], rows], offsets.groups[c, rows], level, k_words[ok], cfg)
+    values[ok], single[ok] = _confirm(cols[live[ok]], offsets.groups[c], level, k_words[ok], cfg)
     return live, k_words, values, single & (plan.bins_of_many(c, k_words).astype(np.int64) == js)
 
 
@@ -215,14 +213,14 @@ detect_so = detect_nso
 def detect_near_linear_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig):
     """Matched-filter search over the hash cosets of the bins.
 
-    A bin is a zero-ton when its tested rows (:func:`tested`, the
-    ``verify`` rows) are within their level. Every other bin takes its
-    best coset candidate from one batched ``kernels.singleton_search``,
-    which :func:`_confirm` checks on the same rows.
+    A bin is a zero-ton when its rows, all of them ``verify`` rows, are
+    within the level of :func:`tested`. Every other bin takes its best
+    coset candidate from one batched ``kernels.singleton_search``, which
+    :func:`_confirm` checks on the same rows.
     """
-    rows, level = tested(offsets, cfg)
-    live = np.flatnonzero(~_within_noise(cols[:, rows], level))
-    u, offset_words, js = cols[live, rows], offsets.groups[c, rows], js[live]
+    level = tested(offsets, cfg)
+    live = np.flatnonzero(~_within_noise(cols, level))
+    u, offset_words, js = cols[live], offsets.groups[c], js[live]
     part = plan.particular_words(c)[js]
     idx, _ = kernels.singleton_search(u, offset_words, plan.coset_basis(c), part)
     k_words = part ^ plan.coset_span(c)[idx]

@@ -78,8 +78,8 @@ def decode(obs, plan, offsets, cfg, sweep_hook=None):
     A decode whose spectrum never settles stops after 2 C B + 10 sweeps
     and is flagged as stalled. A settled decode is flagged when the
     residual energy summed over the C B bins exceeds C B times the level
-    of the layout's own bin test (``bin_detect.tested``): the verify
-    rows' ``cfg.noise_level``, or zero_tol^2 for the noiseless layout,
+    of the layout's own bin test (``bin_detect.tested``): ``cfg.noise_level``
+    for a layout with random rows, or zero_tol^2 for the noiseless layout,
     which so flags every decode that leaves noise in its bins.
     Raises PlanError when ``obs`` was not built for ``plan`` and ``offsets``.
     """
@@ -127,7 +127,7 @@ def decode(obs, plan, offsets, cfg, sweep_hook=None):
     # each bin's mean square over its offset rows is comparable to nu^2
     report.residual_energy = float((data * data).mean(axis=2).sum())
     # the last sweep changed the spectrum only when the guard ended the loop
-    _, level = bin_detect.tested(offsets, cfg)
+    level = bin_detect.tested(offsets, cfg)
     report.stalled = recovered != before or report.residual_energy > c_groups * bins * level
     return SparseSpectrum(obs.n, recovered), report
 

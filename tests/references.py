@@ -120,7 +120,7 @@ def _noise_level(cfg):
 
 def stall_energy(cfg, offsets, c_groups, bins):
     """The summed residual energy above which a stopped decode is stalled:
-    C B times the level of the layout's bin test, the verify rows' noise
+    C B times the level of the layout's bin test over every row: the noise
     level or, without verify rows (noiseless), zero_tol^2."""
     v0, v1 = offsets.layout["verify"]
     return c_groups * bins * (_noise_level(cfg) if v1 > v0 else cfg.zero_tol ** 2)
@@ -169,11 +169,12 @@ def detect_noiseless_loop(u, j_word, c, plan, cfg):
 
 
 def detect_nso_loop(u, j_word, c, plan, offsets, cfg):
+    # every stored row is tested, at the noise level
     u = np.asarray(u, dtype=np.float64)
+    if _within_noise(u, _noise_level(cfg)):
+        return Detection(ZERO_TON)
     p1 = offsets.layout["bases"][1]
     base = u[:p1]
-    if _within_noise(base, _noise_level(cfg)):
-        return Detection(ZERO_TON)
     # the stored unit rows over each base; the bin fixes the other bits
     code_rows = offsets.code_rows[c].tolist()
     base_sign = base < 0
@@ -185,15 +186,14 @@ def detect_nso_loop(u, j_word, c, plan, offsets, cfg):
             k_word |= row
     if bin_of_loop(plan, c, k_word) != j_word:
         return Detection(MULTI_TON)
-    return _confirm_single(base, offsets.groups[c, :p1], k_word, cfg, _noise_level(cfg))
+    return _confirm_single(u, offsets.groups[c], k_word, cfg, _noise_level(cfg))
 
 
 def detect_so_loop(u, j_word, c, plan, offsets, cfg):
+    # every stored row is tested, at the noise level
     u = np.asarray(u, dtype=np.float64)
-    r0, r1 = offsets.layout["verify"]
     c0, c1 = offsets.layout["code"]
-    rand = u[r0:r1]
-    if _within_noise(rand, _noise_level(cfg)):
+    if _within_noise(u, _noise_level(cfg)):
         return Detection(ZERO_TON)
     ref_sign = sgn(u[offsets.layout["bases"][0]])
     received = (u[c0:c1] < 0).astype(np.uint8) ^ ref_sign
@@ -202,7 +202,7 @@ def detect_so_loop(u, j_word, c, plan, offsets, cfg):
         return Detection(MULTI_TON)
     if bin_of_loop(plan, c, decoded) != j_word:
         return Detection(MULTI_TON)
-    return _confirm_single(rand, offsets.groups[c, r0:r1], decoded, cfg, _noise_level(cfg))
+    return _confirm_single(u, offsets.groups[c], decoded, cfg, _noise_level(cfg))
 
 
 def bitflip_round_loop(code, bits):

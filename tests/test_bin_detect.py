@@ -56,8 +56,8 @@ def _two_bases_over_the_ldpc_rows(n, plan, verify_rows, rng):
 def test_coded_detector_two_bases_over_the_ldpc_rows(verify_rows):
     # every noise-free single-ton decodes through the majority over both
     # bases and the bit flipping, with its sign; a bin holding two
-    # coefficients does not pass as one, on the verify rows or, without
-    # them, on every row at the round-off level, nonzero bases included
+    # coefficients does not pass as one over every row, at the noise level
+    # or, without verify rows, at the round-off level, nonzero bases included
     n = 10
     plan = window_plan(n, 3, 2)
     rng = np.random.default_rng(12)
@@ -80,13 +80,13 @@ def test_coded_detector_two_bases_over_the_ldpc_rows(verify_rows):
 
 def test_coded_detector_confirms_only_decoded_words(monkeypatch):
     # random-sign columns: many SO words fail to decode, and only the ones
-    # that decode reach the residual check on the verify rows
+    # that decode reach the residual check, on every row
     _, plan, offsets, cfg, obs = next(seeded_instances("so", 12, 16, 5.0, True, seeds=[0]))
     confirmed = []
     confirm = bin_detect._confirm
 
     def recorded(u, *args):
-        confirmed.append(len(u))
+        confirmed.append(u.shape)
         return confirm(u, *args)
 
     monkeypatch.setattr(bin_detect, "_confirm", recorded)
@@ -98,7 +98,7 @@ def test_coded_detector_confirms_only_decoded_words(monkeypatch):
     neg = signs[live] < 0
     _, decoded = bitflip_decode_many(offsets.code, neg[:, c0:c1] ^ neg[:, b0:b0 + 1])
     assert 0 < decoded.sum() < len(live)
-    assert confirmed == [decoded.sum()]
+    assert confirmed == [(decoded.sum(), offsets.rows)]
 
 
 @pytest.mark.parametrize("n,k,snr_db,rho", [
@@ -123,15 +123,15 @@ def test_for_noise_matches_the_separate_formulas(n, k, snr_db, rho):
         assert cfg.nu2 == 0.0 and cfg.noise_level == cfg.zero_tol ** 2
     else:
         assert cfg.noise_level == (1.0 + gamma) * nu2 > cfg.zero_tol ** 2
-    # the layout's test: every row at zero_tol^2 without verify rows, else the verify rows at noise_level
+    # the level of the layout's test over every row: zero_tol^2 without verify rows, else noise_level
     noiseless = build_offsets(design("noiseless", n, k), plan)
-    verify = build_offsets(design("near-linear", n, k), plan, rng=0)
-    assert bin_detect.tested(noiseless, cfg) == (slice(None), cfg.zero_tol ** 2)
-    assert bin_detect.tested(verify, cfg) == (slice(0, 3 * n), cfg.noise_level)
+    assert bin_detect.tested(noiseless, cfg) == cfg.zero_tol ** 2
+    for variant in ("near-linear", "nso", "so"):
+        assert bin_detect.tested(build_offsets(design(variant, n, k), plan, rng=0), cfg) == cfg.noise_level
     # a sketch: noise-free, unit amplitude, continuous values carrying sqrt(N)
     sketch = DetectorConfig.for_noise(n, plan.bins, 0.0, 1.0, None, math.sqrt(2.0**n), constellation=False)
     assert sketch.zero_tol == 1e-9 * math.sqrt(2.0**n) and not sketch.constellation
-    assert bin_detect.tested(noiseless, sketch)[1] == sketch.zero_tol ** 2 == sketch.noise_level
+    assert bin_detect.tested(noiseless, sketch) == sketch.zero_tol ** 2 == sketch.noise_level
 
 
 def test_sgn_convention():
@@ -175,6 +175,34 @@ def _single_ton_column(plan, offsets, c, k, value, nu, rng):
     rows = offsets.groups[c]
     signs = sign_matrix(np.array([k], dtype=np.uint64), rows)[0]
     return value * signs + nu * rng.standard_normal(len(rows))
+
+
+@pytest.mark.parametrize("variant", ["nso", "so"])
+@pytest.mark.parametrize("snr_db", [None, 10.0])
+def test_single_ton_is_tested_on_every_row(variant, snr_db):
+    # a spike on one code row, outside the verify rows, keeps the decoded
+    # index (it only grows that row's magnitude) but leaves a residual the
+    # single-ton test must see
+    n, k_sparsity = 12, 10
+    d = design(variant, n, k_sparsity)
+    plan = build_plan(d)
+    rng = np.random.default_rng(14)
+    offsets = build_offsets(d, plan, rng=rng)
+    snr = None if snr_db is None else snr_from_db(snr_db)
+    sigma = 0.0 if snr is None else sigma_for_snr(1.0, k_sparsity, 1 << n, snr)
+    v0, v1 = offsets.layout["verify"]
+    row = offsets.layout["code"][1] - 1
+    assert v0 <= v1 <= row
+    for k in rng.integers(0, 1 << n, size=20).tolist():
+        c = k % plan.c_groups
+        col = _single_ton_column(plan, offsets, c, k, 1.0, math.sqrt((1 << n) * sigma**2 / plan.bins), rng)
+        spiked = col.copy()
+        spiked[row] += 100.0 * np.sign(col[row])
+        js = np.full(2, plan.bins_of_many(c, np.array([k], dtype=np.uint64))[0], dtype=np.int64)
+        cfg = DetectorConfig.for_noise(n, plan.bins, sigma, 1.0, snr, np.abs(spiked).max())
+        live, k_words, values, single = detect_coded_many(np.array([col, spiked]), js, c, plan, offsets, cfg)
+        assert live.tolist() == [0, 1] and k_words.tolist() == [k, k] and values.tolist() == [1.0, 1.0]
+        assert single.tolist() == [True, False]
 
 
 def test_near_linear_exact_codeword():

@@ -159,7 +159,7 @@ def test_seeded_trials_pinned(algorithm):
 # (support_ok, stalled, samples_distinct) of NSO trials 0..9 at seed 77, a
 # slice of the low-SNR set; a change to the offset layout keeps each decision
 NSO_SEED77 = {
-    (12, 10, 0.0): [(True, False, 3823), (True, False, 3773), (False, False, 3764), (False, False, 3790),
+    (12, 10, 0.0): [(True, False, 3823), (True, False, 3773), (True, False, 3764), (True, False, 3790),
                     (True, False, 3875), (True, False, 3774), (True, False, 3738), (True, False, 3659),
                     (True, False, 3833), (True, False, 3761)],
     (17, 40, 3.0): [(True, False, 57806), (True, False, 58285), (True, False, 59335), (True, False, 57811),
@@ -173,6 +173,42 @@ def test_nso_low_snr_decisions_pinned(n, k, snr_db):
     cfg = ExperimentConfig(algorithm="nso", seed=77)
     got = [run_trial(cfg, n, k, snr_db, t) for t in range(10)]
     assert [(r.support_ok, r.stalled, r.samples_distinct) for r in got] == NSO_SEED77[(n, k, snr_db)]
+
+
+# the same for SO, whose low-SNR failures are mostly LDPC words that do not decode
+SO_SEED77 = {
+    (12, 10, 0.0): [(False, True, 1230), (False, False, 1286), (False, True, 1252), (False, True, 1243),
+                    (False, True, 1275), (False, False, 1281), (False, True, 1210), (False, True, 1261),
+                    (True, False, 1259), (True, False, 1298)],
+    (17, 40, 3.0): [(True, False, 8436), (False, False, 8458), (True, False, 8459), (True, False, 8436),
+                    (True, False, 8337), (False, False, 8453), (True, False, 8430), (True, False, 8456),
+                    (True, False, 8313), (True, False, 8467)],
+}
+
+
+@pytest.mark.parametrize("n,k,snr_db", sorted(SO_SEED77))
+def test_so_low_snr_decisions_pinned(n, k, snr_db):
+    cfg = ExperimentConfig(algorithm="so", seed=77)
+    got = [run_trial(cfg, n, k, snr_db, t) for t in range(10)]
+    assert [(r.support_ok, r.stalled, r.samples_distinct) for r in got] == SO_SEED77[(n, k, snr_db)]
+
+
+@pytest.mark.parametrize("snr_db", [15.0, 30.0])
+def test_continuous_nso_recovers_or_flags(snr_db):
+    # continuous NSO at (14, 10): trials 43, 78, 145 and 149 recover only
+    # when a bin is tested on every row it stores, not on its verify rows
+    # alone; trial 89 misses two indices that share their bin in every
+    # group (XOR 0x3000), and is flagged
+    n, k = 14, 10
+    got = {}
+    for t in (43, 78, 89, 145, 149):
+        rng = np.random.default_rng(t)
+        spectrum = draw_spectrum(n, k, 1.0, rng, constellation=False)
+        access = NoisyAccess(spectrum, noise_sigma(1.0, k, n, snr_db), rng)
+        recovered, report, _, _ = recover(access, k, "nso", snr_db=snr_db, rho=1.0, constellation=False,
+                                          rng_offsets=rng)
+        got[t] = (recovered.support() == spectrum.support(), report.stalled)
+    assert got == {43: (True, False), 78: (True, False), 89: (False, True), 145: (True, False), 149: (True, False)}
 
 
 # (spectrum, queries, (sweeps, peels, conflicts, stalled, residual_energy, samples_used), partial)

@@ -147,14 +147,14 @@ def test_round_off_ghost_drops_out():
 
 
 def test_unsettled_decode_stops_at_the_guard():
-    # a continuous-amplitude NSO decode at 0 dB whose spectrum keeps
-    # changing from sweep to sweep: only the structural guard stops it
+    # a continuous-amplitude near-linear decode at 0 dB whose spectrum
+    # keeps changing from sweep to sweep: only the structural guard stops it
     n, k, snr_db = 12, 10, 0.0
     rng = np.random.default_rng([91, n, k, 6, 0])
     spectrum = draw_spectrum(n, k, 1.0, rng, constellation=False)
     access = NoisyAccess(spectrum, noise_sigma(1.0, k, n, snr_db), rng)
     access.prepare()
-    _, report, _, _ = recover(access, k, "nso", snr_db=snr_db, rho=1.0, constellation=False,
+    _, report, _, _ = recover(access, k, "near-linear", snr_db=snr_db, rho=1.0, constellation=False,
                               rng_offsets=rng)
     plan = build_plan(design("noiseless", n, k))
     assert report.sweeps == 2 * plan.c_groups * plan.bins + 10
