@@ -15,12 +15,12 @@ multi-ton. ``DETECTORS`` holds the detector of each variant. The
 one-column ``detect_*`` functions are the one-row case, returned as a
 :class:`Detection`.
 
-The coded detector serves noiseless, NSO and SO: each reads code bits
-as sign changes between a base offset d and the offsets d xor g, and
-the variants differ only in their bases and code rows (the zero base
-and the identity code; random bases and the identity code, a majority
-vote; the zero base and the (3,6) LDPC code, bit flipping). The
-near-linear detector scores every candidate in the bin's hash coset
+The coded detector serves noiseless, NSO and SO: each reads the code
+bit of row g as the sgn of u[d xor g] u[d] summed over the bases d,
+and the variants differ only in their bases and code rows (the zero
+base and the identity code; random bases and the identity code; the
+zero base and the (3,6) LDPC code, bit flipping). The near-linear
+detector scores every candidate in the bin's hash coset
 with one small Walsh-Hadamard transform (a coset is an affine subspace,
 so its signature correlations are a transform of the column, see
 ``kernels.singleton_search``).
@@ -150,38 +150,36 @@ def _confirm(u: np.ndarray, offset_words: np.ndarray, level: float, k_words: np.
 
 
 def detect_coded_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig):
-    """Decode each bin's index from the signs of its code rows over its bases.
+    """Decode each bin's index from its code rows' correlations with its bases.
 
     The offsets carry the layout of :func:`frontend.build_offsets`: the
     ``verify`` rows, the ``bases`` d_p and the ``code`` block, where row
-    (p, q) is d_p xor g_q. For a single-ton k, sgn(u[d_p xor g_q]) xor
-    sgn(u[d_p]) is the code bit <g_q, k>. A bin is a zero-ton when its
-    rows are within the level of :func:`tested`. For any other
-    bin each code bit is the majority over the bases (a tie reads 0), and
-    the codeword decodes to the index: the identity code ORs the stored
-    unit rows g_q of the set bits with ``offsets.known[c, j]``, the bits
-    bin j fixes (NSO's, of the unit rows in colspan(M_c) it leaves out), and
-    ``offsets.code`` goes through :func:`codes.bitflip_decode_many`. A
-    decoded index is a single-ton when it hashes to its bin and
-    :func:`_confirm` passes it on every row; a bin whose word does not
-    decode is a multi-ton.
+    (p, q) is d_p xor g_q. For a single-ton k of value a, u[d_p xor g_q]
+    u[d_p] is a^2 (-1)^<g_q, k> plus noise. A bin is a zero-ton when its
+    rows are within the level of :func:`tested`. For any other bin, code
+    bit q is the sgn of that product summed over the bases (a strong base
+    weighs more than a weak one), and the codeword decodes to the index:
+    the identity code ORs the stored unit rows g_q of the set bits with
+    ``offsets.known[c, j]``, the bits bin j fixes (NSO's, of the unit rows
+    in colspan(M_c) it leaves out), and ``offsets.code`` goes through
+    :func:`codes.bitflip_decode_many`. A decoded index is a single-ton
+    when it hashes to its bin and :func:`_confirm` passes it on every
+    row; a bin whose word does not decode is a multi-ton.
     """
     level = tested(offsets, cfg)
     b0, b1 = offsets.layout["bases"]
     c0, c1 = offsets.layout["code"]
     live = np.flatnonzero(~_within_noise(cols, level))
-    js = js[live]
-    # sign copies only: the code block is read as a (bases, code rows) bool block per bin
-    neg, bases = (cols < 0)[live], b1 - b0
-    votes = (neg[:, c0:c1].reshape(len(live), bases, (c1 - c0) // bases) ^ neg[:, b0:b1, None]).sum(axis=1)
-    bits = 2 * votes > bases
+    u, js = cols[live], js[live]
+    block = u[:, c0:c1].reshape(len(live), b1 - b0, (c1 - c0) // (b1 - b0))
+    bits = np.einsum("mpq,mp->mq", block, u[:, b0:b1]) < 0
     if offsets.code is None:
         # the identity code: every word decodes
         k_words, ok = bits @ offsets.code_rows[c] | offsets.known[c, js], slice(None)
     else:
         k_words, ok = codes.bitflip_decode_many(offsets.code, bits)
     values, single = np.zeros(len(live)), np.zeros(len(live), dtype=bool)
-    values[ok], single[ok] = _confirm(cols[live[ok]], offsets.groups[c], level, k_words[ok], cfg)
+    values[ok], single[ok] = _confirm(u[ok], offsets.groups[c], level, k_words[ok], cfg)
     return live, k_words, values, single & (plan.bins_of_many(c, k_words).astype(np.int64) == js)
 
 

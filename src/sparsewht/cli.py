@@ -73,7 +73,11 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_wht(args) -> int:
-    values = np.loadtxt(args.infile, dtype=np.float64, ndmin=1)
+    # two dimensions always, so that one line of several values is refused too
+    values = np.loadtxt(args.infile, dtype=np.float64, ndmin=2)
+    if values.shape[1] != 1:
+        raise ValueError(f"{args.infile}: expected one sample per line, got {values.shape[1]} values per line")
+    values = values[:, 0]
     finite = np.isfinite(values)
     try:
         if not finite.all():

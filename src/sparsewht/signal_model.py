@@ -70,8 +70,9 @@ class SparseSpectrum:
 
     @classmethod
     def load(cls, path) -> "SparseSpectrum":
-        """Read the :meth:`save` format; a malformed line or a value that is
-        not finite raises ValueError naming the file and the line."""
+        """Read the :meth:`save` format; a malformed line, a value that is
+        not finite or an index that repeats raises ValueError naming the
+        file and the line (both lines, for a repeat)."""
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline()
             try:
@@ -81,7 +82,7 @@ class SparseSpectrum:
             except (KeyError, ValueError) as exc:
                 raise ValueError(f"{path} line 1: expected 'n=<n> K=<K>' with 1 <= n <= {gf2.MAX_BITS}, "
                                  f"got {header.strip()!r}") from exc
-            entries = {}
+            entries, first_line = {}, {}
             for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
@@ -96,6 +97,9 @@ class SparseSpectrum:
                 except ValueError as exc:
                     raise ValueError(f"{path} line {lineno}: expected '<{n}-bit string> <finite value>', "
                                      f"got {line.strip()!r}") from exc
+                if k in first_line:
+                    raise ValueError(f"{path} lines {first_line[k]} and {lineno}: index {bits} repeats")
+                first_line[k] = lineno
         spec = cls(n, entries)
         if declared is not None and spec.sparsity != declared:
             raise ValueError(f"{path}: {spec.sparsity} nonzero entries, header says K={declared}")

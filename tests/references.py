@@ -177,12 +177,11 @@ def detect_nso_loop(u, j_word, c, plan, offsets, cfg):
     base = u[:p1]
     # the stored unit rows over each base; the bin fixes the other bits
     code_rows = offsets.code_rows[c].tolist()
-    base_sign = base < 0
-    block_sign = u[p1:].reshape(p1, len(code_rows)) < 0
-    votes = (block_sign ^ base_sign[:, None]).sum(axis=0)
+    block = u[p1:].reshape(p1, len(code_rows))
     k_word = int(offsets.known[c, j_word])
     for q, row in enumerate(code_rows):
-        if 2 * int(votes[q]) > p1:
+        # the bit is the sign of the row's correlations with the bases, summed in order
+        if sum(float(base[p] * block[p, q]) for p in range(p1)) < 0:
             k_word |= row
     if bin_of_loop(plan, c, k_word) != j_word:
         return Detection(MULTI_TON)

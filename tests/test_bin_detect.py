@@ -54,8 +54,8 @@ def _two_bases_over_the_ldpc_rows(n, plan, verify_rows, rng):
 
 @pytest.mark.parametrize("verify_rows", [10, 0])
 def test_coded_detector_two_bases_over_the_ldpc_rows(verify_rows):
-    # every noise-free single-ton decodes through the majority over both
-    # bases and the bit flipping, with its sign; a bin holding two
+    # every noise-free single-ton decodes through the sum over both bases
+    # and the bit flipping, with its sign; a bin holding two
     # coefficients does not pass as one over every row, at the noise level
     # or, without verify rows, at the round-off level, nonzero bases included
     n = 10
@@ -292,7 +292,7 @@ def test_batched_detectors_equal_column_loops(monkeypatch, variant, n, k_sparsit
             moved = np.ascontiguousarray(block[js ^ 1])
             moved_batch = many(moved, js, c)
             assert moved_batch == [loop(moved[j], j, c) for j in js] == [one(moved[j], j, c) for j in js]
-            # columns of random signs: ties in the sign votes
+            # columns of random signs: sums over the bases that cancel to 0
             signs = np.where(np.random.default_rng(seed).random(block.shape) < 0.5, -1.0, 1.0)
             noise = np.abs(block).mean() * signs
             assert many(noise, js, c) == [loop(noise[j], j, c) for j in js] == [one(noise[j], j, c) for j in js]
@@ -327,9 +327,26 @@ def test_near_linear_monte_carlo_accuracy():
     assert hits / trials >= 0.99
 
 
-def test_nso_majority_example():
-    votes = np.array([0, 0, 1, 0, 1])
-    assert not bool(2 * votes.sum() > len(votes))  # majority says bit 0
+def test_nso_code_bit_sums_its_base_correlations():
+    # a noise-free single-ton whose row d_p xor e_q is weak and flipped in
+    # 13 of the 24 bases: a majority of the base signs reads bit q wrong,
+    # but the 11 strong bases outweigh them, and the residual of the weak
+    # rows is within the noise level
+    n, k, c, q = 12, 1234, 0, 0
+    d = design("nso", n, 16)
+    plan = build_plan(d)
+    offsets = build_offsets(d, plan, rng=np.random.default_rng(3))
+    b0, b1 = offsets.layout["bases"]
+    c0, c1 = offsets.layout["code"]
+    rows = c0 + np.arange(13) * ((c1 - c0) // (b1 - b0)) + q
+    assert b1 - b0 == 24
+    assert np.array_equal(offsets.groups[c][rows], offsets.groups[c][b0:b0 + 13] ^ offsets.code_rows[c][q])
+    col = sign_matrix(np.array([k], dtype=np.uint64), offsets.groups[c])
+    col[0, rows] *= -0.05
+    js = plan.bins_of_many(c, np.array([k], dtype=np.uint64)).astype(np.int64)
+    live, k_words, values, single = detect_coded_many(col, js, c, plan, offsets,
+                                                      DetectorConfig(gamma=1.0, nu2=0.05, rho=1.0))
+    assert live.tolist() == [0] and k_words.tolist() == [k] and values.tolist() == [1.0] and single.tolist() == [True]
 
 
 def test_nso_exact_recovery_no_noise():

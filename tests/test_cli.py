@@ -53,6 +53,16 @@ def test_wht_rejects_a_non_finite_sample(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content", ["1 2\n3 4\n5 6\n7 8\n", "1 2\n"])
+def test_wht_rejects_more_than_one_value_per_line(tmp_path, capsys, content):
+    infile = tmp_path / "signal.txt"
+    infile.write_text(content)
+    out = tmp_path / "spec.txt"
+    assert main(["wht", str(infile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {infile}: expected one sample per line, got 2 values per line\n"
+    assert not out.exists()
+
+
 def test_recover_round_trip(tmp_path, capsys):
     spec_path = tmp_path / "truth.txt"
     out = tmp_path / "recovered.txt"
@@ -154,6 +164,7 @@ def test_recover_noiseless_under_weak_noise_reports_the_stall(tmp_path):
     (None, []),
     ("n=12 K=0\n", ["--snr-db", "10"]),
     ("n=12 K=1\n000000000001 1.0\n", ["--snr-db", "nan"]),
+    ("n=4 K=2\n0011 1.0\n0011 -1.0\n0101 2.0\n", []),
 ])
 def test_recover_bad_input_exits_2(tmp_path, capsys, content, extra):
     spec_path = tmp_path / "truth.txt"

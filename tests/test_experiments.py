@@ -162,6 +162,10 @@ NSO_SEED77 = {
     (12, 10, 0.0): [(True, False, 3823), (True, False, 3773), (True, False, 3764), (True, False, 3790),
                     (True, False, 3875), (True, False, 3774), (True, False, 3738), (True, False, 3659),
                     (True, False, 3833), (True, False, 3761)],
+    # trial 3 recovers only when each code bit sums its base correlations
+    (13, 16, 0.0): [(True, False, 6490), (True, False, 6322), (True, False, 6368), (True, False, 6621),
+                    (True, False, 6444), (True, False, 6314), (True, False, 6390), (True, False, 6406),
+                    (True, False, 6445), (True, False, 6317)],
     (17, 40, 3.0): [(True, False, 57806), (True, False, 58285), (True, False, 59335), (True, False, 57811),
                     (True, False, 58805), (True, False, 59649), (True, False, 58847), (True, False, 59282),
                     (True, False, 59496), (True, False, 59053)],

@@ -125,6 +125,16 @@ def test_spectrum_serialization_round_trip(tmp_path):
     assert loaded.n == spec.n and loaded.entries == spec.entries
 
 
+def test_spectrum_load_refuses_a_repeated_index(tmp_path):
+    # the header's K matches the entries once the repeat overwrites its
+    # first value, so only the repeat itself can be refused
+    path = tmp_path / "spectrum.txt"
+    path.write_text("n=4 K=2\n0011 1.0\n0011 -1.0\n0101 2.0\n")
+    with pytest.raises(ValueError) as info:
+        SparseSpectrum.load(path)
+    assert str(info.value) == f"{path} lines 2 and 3: index 0011 repeats"
+
+
 def test_spectrum_drops_exact_zeros():
     spec = SparseSpectrum(4, {3: 0.0, 5: 1.0})
     assert spec.support() == {5}
