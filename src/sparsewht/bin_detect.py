@@ -21,8 +21,9 @@ and the variants differ only in their bases and code rows (the zero
 base and the identity code; random bases and the identity code; the
 zero base and the (3,6) LDPC code, bit flipping). The near-linear
 detector scores every candidate in the bin's hash coset
-with one small Walsh-Hadamard transform (a coset is an affine subspace,
-so its signature correlations are a transform of the column, see
+with one matrix product (a coset is an affine subspace, so its signature
+correlations are a Walsh-Hadamard transform of the column, whose sign
+kernel factors into a high and a low half, see
 ``kernels.singleton_search``).
 
 Both decide with one test, as SPRIGHT and SparseFHT do: is the mean

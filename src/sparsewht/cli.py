@@ -73,8 +73,13 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_wht(args) -> int:
+    with open(args.infile) as f:
+        lines = f.readlines()
+    # refused here, since numpy would first warn of a file with no data
+    if not any(line.partition("#")[0].strip() for line in lines):
+        raise ValueError(f"{args.infile}: no samples")
     # two dimensions always, so that one line of several values is refused too
-    values = np.loadtxt(args.infile, dtype=np.float64, ndmin=2)
+    values = np.loadtxt(lines, dtype=np.float64, ndmin=2)
     if values.shape[1] != 1:
         raise ValueError(f"{args.infile}: expected one sample per line, got {values.shape[1]} values per line")
     values = values[:, 0]

@@ -1,6 +1,7 @@
 """Hot numeric kernels: batched Walsh-Hadamard butterflies, the
 orthonormal transform, GF(2) parities of packed words, signature signs
-and the coset matched filter.
+and the coset matched filter, which scores a whole coset as one product
+of two small sign matrices.
 
 Everything runs on numpy. All GF(2) index words are carried as
 ``uint64``; only parities of ANDed words are ever needed, and they come
@@ -151,13 +152,20 @@ def singleton_search(cols: np.ndarray, offset_words: np.ndarray, basis_words: np
     the coset k = part_r xor span(v_1..v_d), with ``part_words[r]`` the
     bin's particular word and ``basis_words`` the d null-space words v_i.
     Candidate alpha is ``part_r ^ gf2.span_words(basis_words)[alpha]``.
-    The scores over a coset are one d-point Walsh-Hadamard transform:
+    The scores over a coset are a d-point Walsh-Hadamard transform:
 
         s_k^T u = sum_p u_p (-1)^<d_p, part> (-1)^<alpha, y_p>,
 
-    where bit i of y_p is <d_p, v_i>. So the P signed values are summed
-    into 2^d slots at y_p, column r of a (2^d, m) score block, and one
-    butterfly pass down the columns gives every score.
+    where bit i of y_p is <d_p, v_i>. Split alpha and y_p into their high
+    d - l and low l = ceil(d / 2) bits; the sign factors,
+
+        (-1)^<alpha, y_p> = (-1)^<alpha_hi, y_hi,p> (-1)^<alpha_lo, y_lo,p>,
+
+    so with the (2^(d-l), P) high and (P, 2^l) low sign matrices, and the
+    signed values times the high signs as a (m 2^(d-l), P) block z, the
+    scores of all m bins are one product z @ low: P 2^d multiply-adds per
+    bin in one BLAS call, whose (m, 2^(d-l), 2^l) result is already the
+    (m, 2^d) score block in alpha order.
 
     Returns ``(idx, score)`` arrays of length m: ``idx[r]`` selects the
     candidate maximizing |s_k^T u| and ``score[r]`` is that (signed)
@@ -165,14 +173,18 @@ def singleton_search(cols: np.ndarray, offset_words: np.ndarray, basis_words: np
     argmax because ||u - (s^T u / P) s||^2 = ||u||^2 - (s^T u)^2 / P.
     """
     cols = np.asarray(cols, dtype=np.float64)
+    rows = len(cols)
+    if rows == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0)
     offset_words = np.ascontiguousarray(offset_words, dtype=np.uint64)
     basis_words = np.ascontiguousarray(basis_words, dtype=np.uint64)
-    rows, size = cols.shape[0], 1 << len(basis_words)
-    slots = hash_words(offset_words, basis_words).astype(np.int64)
+    d = len(basis_words)
+    lo = (d + 1) // 2
+    ys = hash_words(offset_words, basis_words)
+    high = sign_matrix(np.arange(1 << (d - lo), dtype=np.uint64), ys >> np.uint64(lo))
+    low = sign_matrix(ys & np.uint64((1 << lo) - 1), np.arange(1 << lo, dtype=np.uint64))
     signed = cols * sign_matrix(part_words, offset_words)
-    at = (slots[None, :] * rows + np.arange(rows, dtype=np.int64)[:, None]).reshape(-1)
-    scores = np.bincount(at, weights=signed.reshape(-1), minlength=size * rows)
-    # bincount of no cells is int64 whatever the weights
-    scores = fwht_rows_inplace(scores.astype(np.float64, copy=False).reshape(size, rows))
-    idx = np.argmax(np.abs(scores), axis=0)
-    return idx, scores[idx, np.arange(rows)]
+    z = (signed[:, None, :] * high).reshape(rows << (d - lo), len(offset_words))
+    scores = (z @ low).reshape(rows, 1 << d)
+    idx = np.argmax(np.abs(scores), axis=1)
+    return idx, scores[np.arange(rows), idx]

@@ -1,6 +1,7 @@
 """Loop references for the hash, the alias sums, the encoder, the batched
 detectors, the bit-flip decoder, the stall level and LDPC set-up, plus the
-brute-force transform, the dense spectrum and the one-rhs affine solve.
+brute-force transform, the dense spectrum, the one-rhs affine solve and
+the butterfly coset search.
 
 These are the one-column (and one-word) bodies the library ran before it
 classified a group's bins in one call and before it carried indices only
@@ -16,7 +17,7 @@ import numpy as np
 from sparsewht.bin_detect import MULTI_TON, SINGLE_TON, ZERO_TON, Detection
 from sparsewht.codes import DECODE_ROUNDS
 from sparsewht.gf2 import BitMatrix, DimensionError, _null_basis, eliminate
-from sparsewht.kernels import _check_length, sign_matrix
+from sparsewht.kernels import _check_length, fwht_rows_inplace, hash_words, sign_matrix
 
 
 def sgn(x: float) -> int:
@@ -72,6 +73,25 @@ def solve_affine(m: BitMatrix, j: int):
     for pbit, rhs in pivot_rhs.items():
         particular |= rhs << pbit
     return particular, _null_basis(pivot_rows, m.rows)
+
+
+def singleton_search_butterfly(cols, offset_words, basis_words, part_words):
+    """``kernels.singleton_search`` as a butterfly pass: the P signed values
+    u_p (-1)^<d_p, part> are summed into 2^d slots at y_p, column r of a
+    (2^d, m) score block, and one d-point transform down the columns gives
+    every score. Returns the same ``(idx, score)`` arrays."""
+    cols = np.asarray(cols, dtype=np.float64)
+    offset_words = np.ascontiguousarray(offset_words, dtype=np.uint64)
+    basis_words = np.ascontiguousarray(basis_words, dtype=np.uint64)
+    rows, size = cols.shape[0], 1 << len(basis_words)
+    slots = hash_words(offset_words, basis_words).astype(np.int64)
+    signed = cols * sign_matrix(part_words, offset_words)
+    at = (slots[None, :] * rows + np.arange(rows, dtype=np.int64)[:, None]).reshape(-1)
+    scores = np.bincount(at, weights=signed.reshape(-1), minlength=size * rows)
+    # bincount of no cells is int64 whatever the weights
+    scores = fwht_rows_inplace(scores.astype(np.float64, copy=False).reshape(size, rows))
+    idx = np.argmax(np.abs(scores), axis=0)
+    return idx, scores[idx, np.arange(rows)]
 
 
 def parity(word: int) -> int:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,19 @@ def test_wht_rejects_more_than_one_value_per_line(tmp_path, capsys, content):
     out = tmp_path / "spec.txt"
     assert main(["wht", str(infile), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {infile}: expected one sample per line, got 2 values per line\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", ["", "\n  \n", "# a comment\n\n"])
+def test_wht_refuses_a_file_without_samples(tmp_path, capsys, content):
+    infile = tmp_path / "signal.txt"
+    infile.write_text(content)
+    out = tmp_path / "spec.txt"
+    with warnings.catch_warnings():
+        # numpy's warning of a file with no data would be a second stderr line
+        warnings.simplefilter("error")
+        assert main(["wht", str(infile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {infile}: no samples\n"
     assert not out.exists()
 
 

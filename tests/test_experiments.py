@@ -197,6 +197,34 @@ def test_so_low_snr_decisions_pinned(n, k, snr_db):
     assert [(r.support_ok, r.stalled, r.samples_distinct) for r in got] == SO_SEED77[(n, k, snr_db)]
 
 
+# (support_ok, stalled, samples_distinct, peels) of near-linear trials at the
+# benchmark's shape, n=16, K=32: trials 60..89 at 10 dB and seed 3, where
+# trials 66 and 81 stop at 30 peels on a stopping pair, and trials 0..9 at
+# 2 dB and seed 77, where ghost peels make near-ties in the coset search
+# likeliest (trials 1 and 3 peel 34 and still hold the support)
+NEARLINEAR_SEEDED = {
+    (3, 10.0, 60): [(True, False, 4470, 32), (True, False, 4507, 32), (True, False, 4392, 32), (True, False, 4422, 32),
+                    (True, False, 4410, 32), (True, False, 4505, 32), (False, False, 4410, 30), (True, False, 4414, 32),
+                    (True, False, 4480, 32), (True, False, 4472, 32), (True, False, 4464, 32), (True, False, 4479, 32),
+                    (True, False, 4508, 32), (True, False, 4417, 32), (True, False, 4399, 32), (True, False, 4519, 32),
+                    (True, False, 4476, 32), (True, False, 4469, 32), (True, False, 4408, 32), (True, False, 4493, 32),
+                    (True, False, 4460, 32), (False, False, 4358, 30), (True, False, 4436, 32), (True, False, 4444, 32),
+                    (True, False, 4477, 32), (True, False, 4505, 32), (True, False, 4489, 32), (True, False, 4467, 32),
+                    (True, False, 4477, 32), (True, False, 4409, 32)],
+    (77, 2.0, 0): [(True, False, 4487, 32), (True, False, 4431, 34), (True, False, 4439, 32), (True, False, 4461, 34),
+                   (True, False, 4489, 32), (True, False, 4490, 32), (True, False, 4469, 32), (True, False, 4458, 32),
+                   (True, False, 4443, 32), (True, False, 4374, 32)],
+}
+
+
+@pytest.mark.parametrize("seed,snr_db,first", sorted(NEARLINEAR_SEEDED))
+def test_near_linear_decisions_pinned(seed, snr_db, first):
+    cfg = ExperimentConfig(algorithm="near-linear", seed=seed)
+    expected = NEARLINEAR_SEEDED[(seed, snr_db, first)]
+    got = [run_trial(cfg, 16, 32, snr_db, t) for t in range(first, first + len(expected))]
+    assert [(r.support_ok, r.stalled, r.samples_distinct, r.peels) for r in got] == expected
+
+
 @pytest.mark.parametrize("snr_db", [15.0, 30.0])
 def test_continuous_nso_recovers_or_flags(snr_db):
     # continuous NSO at (14, 10): trials 43, 78, 145 and 149 recover only

@@ -9,7 +9,7 @@ from sparsewht import kernels
 from sparsewht.gf2 import span_words
 
 from helpers import random_plan
-from references import alias_loop, hash_loop, parity
+from references import alias_loop, hash_loop, parity, singleton_search_butterfly
 
 
 def test_fwht_rows_small_known_values():
@@ -124,6 +124,39 @@ def test_singleton_search_matches_brute_force(n, b, p, m, integer_cols, seed):
         assert abs(abs(brute[idx[r]]) - best) <= tol
         if np.sum(np.abs(brute) >= best - tol) == 1:
             assert idx[r] == np.argmax(np.abs(brute))
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(0, 13), extra=st.integers(0, 8), p=st.integers(1, 16), m=st.integers(0, 5),
+       integer_cols=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(d=0, extra=3, p=4, m=2, integer_cols=False, seed=0)  # one candidate per bin
+@example(d=1, extra=0, p=3, m=3, integer_cols=True, seed=1)  # no high bits
+@example(d=12, extra=2, p=9, m=4, integer_cols=False, seed=2)  # even d: equal halves
+@example(d=13, extra=1, p=16, m=5, integer_cols=True, seed=3)  # odd d: one more low bit
+@example(d=7, extra=2, p=1, m=4, integer_cols=False, seed=4)  # a single offset row
+@example(d=9, extra=2, p=6, m=0, integer_cols=False, seed=5)  # no pending bins
+def test_singleton_search_matches_butterflies(d, extra, p, m, integer_cols, seed):
+    rng = np.random.default_rng(seed)
+    n = d + extra
+    basis, _ = _random_coset(n, d, rng)
+    parts = rng.integers(0, 1 << n, size=m, dtype=np.int64).astype(np.uint64)
+    rows = rng.integers(0, 1 << n, size=p, dtype=np.int64).astype(np.uint64)
+    # small integers make exact ties common; they must still pick a best
+    cols = (rng.integers(-2, 3, size=(m, p)).astype(np.float64) if integer_cols
+            else rng.standard_normal((m, p)))
+    idx, score = kernels.singleton_search(cols, rows, basis, parts)
+    ref_idx, ref_score = singleton_search_butterfly(cols, rows, basis, parts)
+    assert idx.shape == score.shape == (m,)
+    if integer_cols:
+        # integer sums are exact in any order, so a tie picks the same first index
+        assert idx.tolist() == ref_idx.tolist() and score.tolist() == ref_score.tolist()
+    span = span_words(basis.tolist())
+    for r in range(m):
+        tol = 1e-9 * p * float(np.max(np.abs(cols[r])))
+        assert abs(abs(score[r]) - abs(ref_score[r])) <= tol
+        brute = np.abs(kernels.sign_matrix(span ^ parts[r], rows) @ cols[r])
+        if np.sum(brute >= brute.max() - tol) == 1:
+            assert idx[r] == ref_idx[r] and abs(score[r] - ref_score[r]) <= tol
 
 
 @st.composite
