@@ -19,7 +19,8 @@ The coded detector serves noiseless, NSO and SO: each reads the code
 bit of row g as the sgn of u[d xor g] u[d] summed over the bases d,
 and the variants differ only in their bases and code rows (the zero
 base and the identity code; random bases and the identity code; the
-zero base and the (3,6) LDPC code, bit flipping). The near-linear
+zero base and the (3,6) LDPC code, bit flipping); none stores a code
+row whose bit the bin index gives. The near-linear
 detector scores every candidate in the bin's hash coset
 with one matrix product (a coset is an affine subspace, so its signature
 correlations are a Walsh-Hadamard transform of the column, whose sign
@@ -155,14 +156,16 @@ def detect_coded_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, c
 
     The offsets carry the layout of :func:`frontend.build_offsets`: the
     ``verify`` rows, the ``bases`` d_p and the ``code`` block, where row
-    (p, q) is d_p xor g_q. For a single-ton k of value a, u[d_p xor g_q]
-    u[d_p] is a^2 (-1)^<g_q, k> plus noise. A bin is a zero-ton when its
-    rows are within the level of :func:`tested`. For any other bin, code
-    bit q is the sgn of that product summed over the bases (a strong base
-    weighs more than a weak one), and the codeword decodes to the index:
-    the identity code ORs the stored unit rows g_q of the set bits with
-    ``offsets.known[c, j]``, the bits bin j fixes (NSO's, of the unit rows
-    in colspan(M_c) it leaves out), and ``offsets.code`` goes through
+    (p, q) is d_p xor g_q for the code rows g_q the group stores. For a
+    single-ton k of value a, u[d_p xor g_q] u[d_p] is a^2 (-1)^<g_q, k>
+    plus noise. A bin is a zero-ton when its rows are within the level of
+    :func:`tested`. For any other bin, code bit q is the sgn of that
+    product summed over the bases (a strong base weighs more than a weak
+    one). Each bin's received word holds the bits that bin j gives
+    (<g_r, k> from ``offsets.known[c, j]``, for the unit rows in
+    colspan(M_c) that no group stores), then these measured bits at the
+    positions ``offsets.stored[c]``. The identity code packs it to the
+    index, and ``offsets.code`` decodes it through
     :func:`codes.bitflip_decode_many`. A decoded index is a single-ton
     when it hashes to its bin and :func:`_confirm` passes it on every
     row; a bin whose word does not decode is a multi-ton.
@@ -173,12 +176,13 @@ def detect_coded_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, c
     live = np.flatnonzero(~_within_noise(cols, level))
     u, js = cols[live], js[live]
     block = u[:, c0:c1].reshape(len(live), b1 - b0, (c1 - c0) // (b1 - b0))
-    bits = np.einsum("mpq,mp->mq", block, u[:, b0:b1]) < 0
+    received = kernels.parity_words(offsets.code_words & offsets.known[c, js, None])
+    received[:, offsets.stored[c]] = np.einsum("mpq,mp->mq", block, u[:, b0:b1]) < 0
     if offsets.code is None:
-        # the identity code: every word decodes
-        k_words, ok = bits @ offsets.code_rows[c] | offsets.known[c, js], slice(None)
+        # the identity code: every word decodes, to the sum of its set bits' unit rows
+        k_words, ok = received @ offsets.code_words, slice(None)
     else:
-        k_words, ok = codes.bitflip_decode_many(offsets.code, bits)
+        k_words, ok = codes.bitflip_decode_many(offsets.code, received)
     values, single = np.zeros(len(live)), np.zeros(len(live), dtype=bool)
     values[ok], single[ok] = _confirm(u[ok], offsets.groups[c], level, k_words[ok], cfg)
     return live, k_words, values, single & (plan.bins_of_many(c, k_words).astype(np.int64) == js)

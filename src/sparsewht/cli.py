@@ -131,7 +131,8 @@ def _cmd_bench_snr(args) -> int:
 
 
 def _cmd_bench_scaling(args) -> int:
-    rows = run_scaling_sweep(_load_config(args, n_values=list(range(7, 18))))
+    # noise-free and n = 7..17 unless a flag or the config file says otherwise
+    rows = run_scaling_sweep(_load_config(args, n_values=list(range(7, 18)), snr_db_values=[None]))
     write_csv(args.out, rows, SCALING_COLUMNS)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -197,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = bench_sub.add_parser("snr", help="success rate over an SNR grid")
     _add_experiment_flags(p)
     p.set_defaults(fn=_cmd_bench_snr)
-    p = bench_sub.add_parser("scaling", help="runtime and samples over n")
+    p = bench_sub.add_parser("scaling", help="runtime and samples over n, noise-free by default")
     _add_experiment_flags(p)
     p.set_defaults(fn=_cmd_bench_scaling)
 

@@ -42,12 +42,27 @@ class SubsamplingPlan:
         for m in self.matrices:
             if m.rows != self.n or m.cols != self.b:
                 raise PlanError("matrix shape mismatch")
-            if gf2.rank_transpose(m) != self.b:
-                raise PlanError("subsampling matrix lacks full column rank")
+        self.unit_span  # eliminates each M_c once, raising PlanError unless it has full column rank
 
     @property
     def bins(self) -> int:
         return 1 << self.b
+
+    @cached_property
+    def unit_span(self) -> tuple:
+        """Per group c, the pairs (e_q, l) of the unit words e_q = M_c l in
+        colspan(M_c), from one elimination of the columns with their
+        indices carried as words: a unit word in the span is a reduced row
+        of weight one, and its right-hand side is l. A column that reduces
+        to zero raises PlanError, since M_c lacks full column rank."""
+        pairs = []
+        for m in self.matrices:
+            try:
+                reduced, rhs = gf2.eliminate((col, 1 << t) for t, col in enumerate(m.col_words))
+            except gf2.InconsistentSystemError:
+                raise PlanError("subsampling matrix lacks full column rank") from None
+            pairs.append(tuple((row, rhs[p]) for p, row in reduced.items() if row & (row - 1) == 0))
+        return tuple(pairs)
 
     @cached_property
     def col_words(self) -> np.ndarray:
@@ -117,8 +132,11 @@ class Design:
 
     @property
     def nominal_rows(self) -> int:
-        """P in the sample cost C B P: SO counts n reads of its one stored
-        zero row, and NSO p1 n rows, of which it stores p1 (1 + n - b)."""
+        """P in the sample cost C B P, the paper's count: n + 1 for
+        noiseless, p1 + 3n for SO (n reads of the zero row) and p1 n for
+        NSO. The plan stores fewer (:func:`build_offsets`): one zero row,
+        and no code row whose bits the bin index gives, so b fewer per
+        base on a window plan: n + 1 - b, p1 + 1 + 2n - b and p1 (1 + n - b)."""
         n, p1 = self.n, self.p1
         return {"noiseless": n + 1, "near-linear": p1, "nso": p1 * n, "so": p1 + 3 * n}[self.variant]
 
@@ -165,10 +183,11 @@ class OffsetPlan:
 
     ``layout`` names each row role once, by (start, stop) row range (see
     :func:`build_offsets`); ``variant``, ``nominal_rows`` and ``code`` are
-    the :class:`Design`'s. ``code_rows`` holds the code-row words g_q: the
-    LDPC generator's rows, or the (C, Q) unit rows each group stores;
-    ``known[c, j]``, the index bits that bin j of group c fixes, whose
-    unit rows are not stored (None under LDPC).
+    the :class:`Design`'s. ``code_words`` holds every row g_r of the code,
+    the n unit rows of the identity code or the 2n generator rows of the
+    LDPC ``code``; ``stored[c]``, the positions r of the rows group c
+    stores; ``known[c, j]``, the index bits that bin j of group c gives,
+    those of the unit rows e_q in colspan(M_c), which no group stores.
     """
 
     variant: str
@@ -177,8 +196,9 @@ class OffsetPlan:
     layout: dict
     nominal_rows: int
     code: object = None
-    code_rows: np.ndarray | None = None
-    known: np.ndarray | None = None
+    code_words: np.ndarray | None = None  # (R,) uint64, every code row
+    stored: np.ndarray | None = None  # (C, Q) positions of the stored code rows
+    known: np.ndarray | None = None  # (C, B) uint64 index bits each bin gives
 
     @property
     def rows(self) -> int:
@@ -186,26 +206,26 @@ class OffsetPlan:
 
 
 @lru_cache(maxsize=8)
-def _identity_code(n: int, col_words: tuple, drop_known: bool):
-    """The identity code's (C, Q) unit rows and (C, B) known bits for the
-    column words of the M_c, read-only and cached: trials reuse a design.
-    With ``drop_known`` each group leaves out every e_q = M_c l, word l of
-    ``gf2.span_words`` of its columns: <e_q, k> = <l, M_c^T k>, so bit q
-    of k is parity(l & j) in bin j. Groups that would keep different row
-    counts keep every row, as does ``drop_known`` False."""
-    c_groups, bins = len(col_words), 1 << len(col_words[0])
-    units = np.uint64(1) << np.arange(n, dtype=np.uint64)
-    code_rows, known = np.repeat(units[None], c_groups, axis=0), np.zeros((c_groups, bins), dtype=np.uint64)
-    if drop_known:
-        span = gf2.span_words(col_words)
-        cs, ls = np.nonzero(np.bitwise_count(span) == 1)
-        if np.all(np.bincount(cs, minlength=c_groups) == len(cs) // c_groups):
-            in_span = span[cs, ls]  # the unit words e_q = M_c l, group by group
-            dropped = in_span.reshape(c_groups, -1).sum(axis=1, dtype=np.uint64, keepdims=True)
-            code_rows = code_rows[(code_rows & dropped) == 0].reshape(c_groups, -1)
-            bits = kernels.parity_words(ls.astype(np.uint64)[:, None] & np.arange(bins, dtype=np.uint64))
-            known = (bits * in_span[:, None]).reshape(c_groups, -1, bins).sum(axis=1, dtype=np.uint64)
-    return _read_only(code_rows, known)
+def _code_split(code_words: tuple, unit_span: tuple, bins: int):
+    """The code rows ``code_words`` as uint64, the (C, Q) positions of the
+    rows each group stores and the (C, B) index bits that each of the
+    ``bins`` bins gives, for a plan's ``unit_span``; read-only and cached,
+    as trials reuse a design and a random plan seldom holds a unit word
+    in its span. Group c leaves out every row that is a unit word
+    e_q = M_c l: <e_q, k> = <l, M_c^T k>, so bit q of every k in bin j is
+    parity(l & j). Every unit word is a row of both codes (the LDPC
+    generator is systematic). Groups that would store different row
+    counts store every row, so that P is one count."""
+    units = [dict(pairs) for pairs in unit_span]
+    if len({sum(g in in_span for g in code_words) for in_span in units}) > 1:
+        units = [{}] * len(units)
+    stored = np.array([[r for r, g in enumerate(code_words) if g not in in_span] for in_span in units], dtype=np.int64)
+    js = np.arange(bins, dtype=np.uint64)
+    known = np.zeros((len(units), len(js)), dtype=np.uint64)
+    for c, in_span in enumerate(units):
+        for e_q, l in in_span.items():
+            known[c] |= np.uint64(e_q) * kernels.parity_words(np.uint64(l) & js)
+    return _read_only(np.array(code_words, dtype=np.uint64), stored, known)
 
 
 def build_offsets(d: Design, plan: SubsamplingPlan, rng=None) -> OffsetPlan:
@@ -214,32 +234,37 @@ def build_offsets(d: Design, plan: SubsamplingPlan, rng=None) -> OffsetPlan:
 
     Each group stores ``d.p1`` random ``verify`` rows (near-linear's only
     rows), then the ``bases`` unless they are the verify rows, then the
-    ``code`` block of rows base_p xor g_q, base-major, for every base p
-    and code row g_q; each layout entry is a (start, stop) row range.
-    noiseless: the zero base and the n unit rows (the identity code).
-    nso: the verify rows are the bases, over the unit rows e_q outside
-        colspan(M_c): p1 (1 + n - b) rows on a window plan. A row d xor
-        e_q with e_q = M_c l would read d's coset, at the sign (-1)^<l, j>,
-        so ``OffsetPlan.known`` holds those b bits of every bin j instead.
-        A plan whose groups hold different numbers of unit columns in
-        their span keeps all p1 (n + 1) rows, so that P is one count.
-    so: the zero base and the 2n generator rows of the rate-1/2 ``d.code``.
+    ``code`` block of rows base_p xor g_r, base-major, for every base p
+    and every code row g_r the group stores; each layout entry is a
+    (start, stop) row range. No group stores a code row e_q in
+    colspan(M_c): d xor e_q would read the coset of d, at the sign
+    (-1)^<l, j> that bin j gives for e_q = M_c l, so ``OffsetPlan.known``
+    holds those bits of every bin instead (b per group on a window plan,
+    and none on a random plan that holds no unit word in its span). A
+    plan whose groups hold different numbers of them keeps every row, so
+    that P is one count.
+    noiseless: the zero base and the n - b unit rows outside the window.
+    nso: the verify rows are the bases, over the same n - b unit rows:
+        p1 (1 + n - b) rows on a window plan.
+    so: the zero base and the 2n - b generator rows of the rate-1/2
+        ``d.code`` that are not unit rows of the window.
     """
     n, c_groups, rng = d.n, plan.c_groups, np.random.default_rng(rng)
     verify = rng.integers(0, 1 << n, size=(c_groups, d.p1), dtype=np.int64).astype(np.uint64)
     if d.bases is None:
         return OffsetPlan(d.variant, n, verify, {"verify": (0, d.p1)}, d.nominal_rows)
 
+    code_words = tuple(1 << q for q in range(n)) if d.code is None else d.code.generator_rows()
+    code_words, stored, known = _code_split(code_words, plan.unit_span, plan.bins)
     shared = d.bases == "verify"
-    code_rows, known = (_identity_code(n, tuple(m.col_words for m in plan.matrices), shared) if d.code is None
-                        else (np.array(d.code.generator_rows(), dtype=np.uint64), None))
     bases = verify if shared else np.zeros((c_groups, 1), dtype=np.uint64)
-    block = (bases[:, :, None] ^ code_rows[..., None, :]).reshape(c_groups, -1)
+    block = (bases[:, :, None] ^ code_words[stored][:, None, :]).reshape(c_groups, -1)
     groups = np.concatenate([verify, block] if shared else [verify, bases, block], axis=1)
     b0 = 0 if shared else d.p1
     c0 = b0 + bases.shape[1]
     layout = {"verify": (0, d.p1), "bases": (b0, c0), "code": (c0, c0 + block.shape[1])}
-    return OffsetPlan(d.variant, n, groups, layout, d.nominal_rows, code=d.code, code_rows=code_rows, known=known)
+    return OffsetPlan(d.variant, n, groups, layout, d.nominal_rows, code=d.code,
+                      code_words=code_words, stored=stored, known=known)
 
 
 @dataclass

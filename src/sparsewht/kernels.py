@@ -97,7 +97,8 @@ def parity_words(words: np.ndarray) -> np.ndarray:
 def pack_rows(bits: np.ndarray) -> np.ndarray:
     """Row r of a (m, t) 0/1 array as the packed word sum_t bits[r, t] 2^t."""
     weights = np.uint64(1) << np.arange(bits.shape[1], dtype=np.uint64)
-    return (np.asarray(bits).astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+    # an integer product: uint8 times uint64 sums exactly in uint64
+    return np.asarray(bits, dtype=np.uint8) @ weights
 
 
 def hash_words(k_words: np.ndarray, col_words: np.ndarray) -> np.ndarray:

@@ -172,20 +172,21 @@ def as_detections(result, count):
     return out
 
 
-def detect_noiseless_loop(u, j_word, c, plan, cfg):
+def detect_noiseless_loop(u, j_word, c, plan, offsets, cfg):
     # no verify rows: every row is tested, at the round-off level
     u = np.asarray(u, dtype=np.float64)
     level = cfg.zero_tol ** 2
     if _within_noise(u, level):
         return Detection(ZERO_TON)
-    k_word = 0
+    # the stored unit rows against the zero row; the bin fixes the other bits
+    k_word = int(offsets.known[c, j_word])
     ref_sign = sgn(u[0])
-    for t, val in enumerate(u[1:]):
-        k_word |= (sgn(val) ^ ref_sign) << t
+    for row, val in zip(offsets.code_words[offsets.stored[c]].tolist(), u[1:]):
+        if sgn(val) ^ ref_sign:
+            k_word |= row
     if bin_of_loop(plan, c, k_word) != j_word:
         return Detection(MULTI_TON)
-    rows = np.array([0] + [1 << t for t in range(plan.n)], dtype=np.uint64)
-    return _confirm_single(u, rows, k_word, cfg, level)
+    return _confirm_single(u, offsets.groups[c], k_word, cfg, level)
 
 
 def detect_nso_loop(u, j_word, c, plan, offsets, cfg):
@@ -196,7 +197,7 @@ def detect_nso_loop(u, j_word, c, plan, offsets, cfg):
     p1 = offsets.layout["bases"][1]
     base = u[:p1]
     # the stored unit rows over each base; the bin fixes the other bits
-    code_rows = offsets.code_rows[c].tolist()
+    code_rows = offsets.code_words[offsets.stored[c]].tolist()
     block = u[p1:].reshape(p1, len(code_rows))
     k_word = int(offsets.known[c, j_word])
     for q, row in enumerate(code_rows):
@@ -211,11 +212,15 @@ def detect_nso_loop(u, j_word, c, plan, offsets, cfg):
 def detect_so_loop(u, j_word, c, plan, offsets, cfg):
     # every stored row is tested, at the noise level
     u = np.asarray(u, dtype=np.float64)
-    c0, c1 = offsets.layout["code"]
+    c0 = offsets.layout["code"][0]
     if _within_noise(u, _noise_level(cfg)):
         return Detection(ZERO_TON)
     ref_sign = sgn(u[offsets.layout["bases"][0]])
-    received = (u[c0:c1] < 0).astype(np.uint8) ^ ref_sign
+    # the bin gives the bits of the rows it leaves out, <g_r, k> = parity(g_r & known)
+    known = int(offsets.known[c, j_word])
+    received = np.array([bin(g & known).count("1") & 1 for g in offsets.code_words.tolist()], dtype=np.uint8)
+    for i, r in enumerate(offsets.stored[c].tolist()):
+        received[r] = sgn(u[c0 + i]) ^ ref_sign
     decoded = bitflip_decode_loop(offsets.code, received, max_rounds=DECODE_ROUNDS)
     if decoded is None:
         return Detection(MULTI_TON)

@@ -19,8 +19,9 @@ from sparsewht.bin_detect import (
     detect_so,
 )
 from sparsewht.codes import bitflip_decode_many, build_regular_ldpc, code_for
-from sparsewht.frontend import VARIANTS, OffsetPlan, build_offsets, build_plan, design, observe
-from sparsewht.kernels import sign_matrix
+from sparsewht.frontend import VARIANTS, OffsetPlan, SubsamplingPlan, build_offsets, build_plan, design, observe
+from sparsewht.gf2 import BitMatrix
+from sparsewht.kernels import parity_words, sign_matrix
 from sparsewht.signal_model import snr_from_db
 
 import references
@@ -40,7 +41,8 @@ def test_detectors_cover_every_variant():
 
 def _two_bases_over_the_ldpc_rows(n, plan, verify_rows, rng):
     """Offsets no variant builds: ``verify_rows`` random rows, then two
-    random bases over the rows of ``code_for(n)``, base-major."""
+    random bases over every row of ``code_for(n)``, base-major, so that
+    no bit comes from the bin."""
     code = code_for(n)
     shape = (plan.c_groups, verify_rows + 2)
     verify_and_bases = rng.integers(1, 1 << n, size=shape, dtype=np.int64).astype(np.uint64)
@@ -49,7 +51,10 @@ def _two_bases_over_the_ldpc_rows(n, plan, verify_rows, rng):
     groups = np.concatenate([verify_and_bases, block], axis=1)
     layout = {"verify": (0, verify_rows), "bases": (verify_rows, verify_rows + 2),
               "code": (verify_rows + 2, groups.shape[1])}
-    return OffsetPlan("so", n, groups, layout, groups.shape[1], code=code)
+    stored = np.repeat(np.arange(len(coded))[None], plan.c_groups, axis=0)
+    known = np.zeros((plan.c_groups, plan.bins), dtype=np.uint64)
+    return OffsetPlan("so", n, groups, layout, groups.shape[1], code=code,
+                      code_words=coded, stored=stored, known=known)
 
 
 @pytest.mark.parametrize("verify_rows", [10, 0])
@@ -96,7 +101,10 @@ def test_coded_detector_confirms_only_decoded_words(monkeypatch):
     b0, _ = offsets.layout["bases"]
     c0, c1 = offsets.layout["code"]
     neg = signs[live] < 0
-    _, decoded = bitflip_decode_many(offsets.code, neg[:, c0:c1] ^ neg[:, b0:b0 + 1])
+    # each word holds the bits bin j gives, then the signs of the stored rows
+    received = parity_words(offsets.code_words & offsets.known[0, js[live], None])
+    received[:, offsets.stored[0]] = neg[:, c0:c1] ^ neg[:, b0:b0 + 1]
+    _, decoded = bitflip_decode_many(offsets.code, received)
     assert 0 < decoded.sum() < len(live)
     assert confirmed == [(decoded.sum(), offsets.rows)]
 
@@ -138,9 +146,14 @@ def test_sgn_convention():
     assert sgn(-2.5) == 1 and sgn(3.0) == 0 and sgn(0.0) == 0
 
 
+# group 0 of the worked plan hashes the two high positions, which the bin
+# gives: it stores the zero row and the unit rows e_0 and e_1
+GOLDEN_ROWS_G1 = np.array([0, 1, 2], dtype=np.uint64)
+
+
 def test_noiseless_single_ton_from_worked_instance():
-    # X = 2 at position-order index "0100": signs +,+,-,+,+ scaled by 2
-    column = 2.0 * np.array([1.0, 1.0, -1.0, 1.0, 1.0])
+    # X = 2 at position-order index "0100": signs +,+,- scaled by 2
+    column = 2.0 * np.array([1.0, 1.0, -1.0])
     k = bits("0100")
     plan = golden_plan()
     j = references.bin_of_loop(plan, 0, k)
@@ -149,26 +162,35 @@ def test_noiseless_single_ton_from_worked_instance():
 
 
 def test_noiseless_zero_ton():
-    det = detect_noiseless(np.zeros(5), 0, 0, golden_plan(), NOISELESS_CFG)
+    det = detect_noiseless(np.zeros(3), 0, 0, golden_plan(), NOISELESS_CFG)
     assert det.kind == ZERO_TON
 
 
 def test_noiseless_multi_ton_two_coefficients():
     # 4 X[0110] + 1 X[1010]: unequal magnitudes across offsets
     plan = golden_plan()
-    rows = np.array([0, 1, 2, 4, 8], dtype=np.uint64)
-    col = 4.0 * sign_matrix(np.array([bits("0110")], dtype=np.uint64), rows)[0]
-    col += 1.0 * sign_matrix(np.array([bits("1010")], dtype=np.uint64), rows)[0]
+    col = 4.0 * sign_matrix(np.array([bits("0110")], dtype=np.uint64), GOLDEN_ROWS_G1)[0]
+    col += 1.0 * sign_matrix(np.array([bits("1010")], dtype=np.uint64), GOLDEN_ROWS_G1)[0]
     det = detect_noiseless(col, references.bin_of_loop(plan, 0, bits("0110")), 0, plan, NOISELESS_CFG)
     assert det.kind == MULTI_TON
 
 
 def test_noiseless_rejects_hash_inconsistent_column():
-    plan = golden_plan()
+    # hash column words 3 and 5 span no unit word, so the plan stores every
+    # unit row and the decoded index fixes its own bin: read in another bin,
+    # the column is a multi-ton
+    plan = SubsamplingPlan(4, 2, 1, (BitMatrix.from_rows([3, 1, 2, 0], 2),))
     k = bits("0100")
     column = 2.0 * np.array([1.0, 1.0, -1.0, 1.0, 1.0])
-    wrong_bin = references.bin_of_loop(plan, 0, k) ^ 1
-    assert detect_noiseless(column, wrong_bin, 0, plan, NOISELESS_CFG).kind == MULTI_TON
+    j = references.bin_of_loop(plan, 0, k)
+    det = detect_noiseless(column, j, 0, plan, NOISELESS_CFG)
+    assert (det.kind, det.index, det.value) == (SINGLE_TON, k, 2.0)
+    assert detect_noiseless(column, j ^ 1, 0, plan, NOISELESS_CFG).kind == MULTI_TON
+    # on the worked window plan the bin gives the bits its stored rows do
+    # not see, so the column reads as the index of the bin it sits in
+    det = detect_noiseless(2.0 * np.array([1.0, 1.0, -1.0]), references.bin_of_loop(golden_plan(), 0, k) ^ 1,
+                           0, golden_plan(), NOISELESS_CFG)
+    assert (det.kind, det.index) == (SINGLE_TON, bits("0110"))
 
 
 def _single_ton_column(plan, offsets, c, k, value, nu, rng):
@@ -258,7 +280,7 @@ def test_batched_detectors_equal_column_loops(monkeypatch, variant, n, k_sparsit
     # each bin is classified by the batch, by the one-column case of the
     # batch and by the old one-column loop; a second block moves every
     # column to the bin j ^ 1, where a single-ton's index no longer hashes
-    # to the bin it sits in
+    # to the bin it sits in, unless the bin gives every bit that tells them apart
     decodes = []
     loop_bitflip = references.bitflip_decode_loop
 
@@ -273,7 +295,7 @@ def test_batched_detectors_equal_column_loops(monkeypatch, variant, n, k_sparsit
             seeded_instances(variant, n, k_sparsity, snr_db, True, seeds=range(3))):
         one, loop = {
             "noiseless": (lambda u, j, c: detect_noiseless(u, j, c, plan, cfg),
-                          lambda u, j, c: references.detect_noiseless_loop(u, j, c, plan, cfg)),
+                          lambda u, j, c: references.detect_noiseless_loop(u, j, c, plan, offsets, cfg)),
             "nso": (lambda u, j, c: detect_nso(u, j, c, plan, offsets, cfg),
                     lambda u, j, c: references.detect_nso_loop(u, j, c, plan, offsets, cfg)),
             "so": (lambda u, j, c: detect_so(u, j, c, plan, offsets, cfg),
@@ -298,10 +320,15 @@ def test_batched_detectors_equal_column_loops(monkeypatch, variant, n, k_sparsit
             assert many(noise, js, c) == [loop(noise[j], j, c) for j in js] == [one(noise[j], j, c) for j in js]
             assert many(block[:0], js[:0], c) == []
             kinds.update(det.kind for det in batch)
-            moved_singles += sum(det.kind == SINGLE_TON and moved_batch[j ^ 1].kind == MULTI_TON
-                                 for j, det in enumerate(batch))
+            for j, det in enumerate(batch):
+                if det.kind == SINGLE_TON and variant == "noiseless":
+                    # no stored row sees the window bits, which the bin gives:
+                    # the column reads as the index of the bin it sits in
+                    moved_det = moved_batch[j ^ 1]
+                    assert (moved_det.kind, moved_det.index) == (SINGLE_TON, det.index ^ int(plan.col_words[c, 0]))
+                moved_singles += det.kind == SINGLE_TON and moved_batch[j ^ 1].kind == MULTI_TON
     assert kinds == {ZERO_TON, SINGLE_TON, MULTI_TON}
-    assert moved_singles > 0
+    assert (moved_singles > 0) == (variant != "noiseless")
     if variant == "so":
         assert any(decoded is None for decoded, _ in decodes)
         assert any(decoded is not None and first is None for decoded, first in decodes)
@@ -340,7 +367,8 @@ def test_nso_code_bit_sums_its_base_correlations():
     c0, c1 = offsets.layout["code"]
     rows = c0 + np.arange(13) * ((c1 - c0) // (b1 - b0)) + q
     assert b1 - b0 == 24
-    assert np.array_equal(offsets.groups[c][rows], offsets.groups[c][b0:b0 + 13] ^ offsets.code_rows[c][q])
+    g_q = offsets.code_words[offsets.stored[c, q]]
+    assert np.array_equal(offsets.groups[c][rows], offsets.groups[c][b0:b0 + 13] ^ g_q)
     col = sign_matrix(np.array([k], dtype=np.uint64), offsets.groups[c])
     col[0, rows] *= -0.05
     js = plan.bins_of_many(c, np.array([k], dtype=np.uint64)).astype(np.int64)

@@ -310,12 +310,18 @@ def test_sketch_bad_graph_exits_2(tmp_path, capsys, content, line):
 
 
 def test_scaling_command(tmp_path):
+    # noise-free unless a flag or the config file names an SNR: the
+    # noiseless variant recovers every trial, and at 0 dB none
     out = tmp_path / "scaling.csv"
     code = main(["bench", "scaling", "--algo", "noiseless", "--n", "9", "10",
                  "--k", "4", "--trials", "2", "--seed", "0", "--out", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 3
+    assert [line.split(",")[3] for line in lines] == ["success_rate", "1.0", "1.0"]
+    assert main(["bench", "scaling", "--algo", "noiseless", "--n", "9", "--k", "4", "--snr-db", "0",
+                 "--trials", "2", "--seed", "0", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].split(",")[3] == "0.0"
 
 
 @pytest.mark.parametrize("flags, cfg, ns", [

@@ -179,14 +179,17 @@ def test_nso_low_snr_decisions_pinned(n, k, snr_db):
     assert [(r.support_ok, r.stalled, r.samples_distinct) for r in got] == NSO_SEED77[(n, k, snr_db)]
 
 
-# the same for SO, whose low-SNR failures are mostly LDPC words that do not decode
+# the same for SO, whose low-SNR failures are mostly LDPC words that do not
+# decode; each word takes the b bits its bin gives from the bin index, not
+# from in-window rows, which trial 5 at (12, 10) and (17, 40) needs, and
+# which leaves trials 2 and 9 at (17, 40) wrong, not stalled
 SO_SEED77 = {
     (12, 10, 0.0): [(False, True, 1230), (False, False, 1286), (False, True, 1252), (False, True, 1243),
-                    (False, True, 1275), (False, False, 1281), (False, True, 1210), (False, True, 1261),
+                    (False, True, 1275), (True, False, 1281), (False, True, 1210), (False, True, 1261),
                     (True, False, 1259), (True, False, 1298)],
-    (17, 40, 3.0): [(True, False, 8436), (False, False, 8458), (True, False, 8459), (True, False, 8436),
-                    (True, False, 8337), (False, False, 8453), (True, False, 8430), (True, False, 8456),
-                    (True, False, 8313), (True, False, 8467)],
+    (17, 40, 3.0): [(True, False, 8436), (False, False, 8458), (False, False, 8459), (True, False, 8436),
+                    (True, False, 8337), (True, False, 8453), (True, False, 8430), (True, False, 8456),
+                    (True, False, 8313), (False, False, 8467)],
 }
 
 

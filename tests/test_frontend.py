@@ -9,12 +9,13 @@ from sparsewht import NoisyAccess, SparseSpectrum, build_regular_ldpc, draw_spec
 from sparsewht.codes import code_for
 from sparsewht.frontend import (
     PlanError,
+    SubsamplingPlan,
     build_offsets,
     build_plan,
     design,
     observe,
 )
-from sparsewht.gf2 import rank_transpose, span_words
+from sparsewht.gf2 import BitMatrix, rank_transpose, span_words
 from sparsewht.kernels import sign_matrix
 from sparsewht.sketch import CutQueryAccess
 
@@ -58,6 +59,13 @@ def test_observe_refuses_an_access_of_another_n(plan_n):
     assert access.samples_queried == 0
 
 
+def test_plan_refuses_a_matrix_without_full_column_rank():
+    # column words 3, 5 and their sum 6: the third reduces to zero
+    dependent = BitMatrix.from_rows([3, 5, 6, 0], 3)
+    with pytest.raises(PlanError, match="lacks full column rank"):
+        SubsamplingPlan(4, 3, 1, (dependent,))
+
+
 def test_coset_enumeration_refuses_more_than_24_free_bits():
     plan = random_plan(31, 6, 2, np.random.default_rng(0))
     with pytest.raises(PlanError, match="n - b <= 24"):
@@ -89,13 +97,14 @@ def test_build_plan_is_the_window_design(n_k):
 
 
 def test_noiseless_offsets_layout():
+    # the zero row and the unit rows outside each group's window: group 1
+    # hashes the two high positions, group 2 the two low ones, whose bits the bin gives
     plan = golden_plan()
     offsets = build_offsets(design("noiseless", 4, 4), plan)
-    rows = offsets.groups[0]
-    assert offsets.layout == {"verify": (0, 0), "bases": (0, 1), "code": (1, 5)}
+    assert offsets.layout == {"verify": (0, 0), "bases": (0, 1), "code": (1, 3)}
     assert offsets.code is None
-    assert rows[0] == 0
-    assert list(rows[1:]) == [1, 2, 4, 8]
+    assert offsets.groups.tolist() == [[0, 1, 2], [0, 4, 8]]
+    assert offsets.known.tolist() == [[0, 4, 8, 12], [0, 1, 2, 3]]
     assert offsets.nominal_rows == 5
 
 
@@ -118,11 +127,11 @@ def test_nso_offsets_modulation():
     assert offsets.code is None
     assert offsets.groups.shape == (plan.c_groups, p1 * (1 + n - b))
     # the tables are cached per design, so no caller may write them
-    assert not offsets.code_rows.flags.writeable and not offsets.known.flags.writeable
+    assert not any(table.flags.writeable for table in (offsets.code_words, offsets.stored, offsets.known))
     for c, window in enumerate(([0, 1], [2, 3])):
         rows = offsets.groups[c]
         outside = [q for q in range(n) if q not in window]
-        assert offsets.code_rows[c].tolist() == [1 << q for q in outside]
+        assert offsets.code_words[offsets.stored[c]].tolist() == [1 << q for q in outside]
         base = rows[:p1]
         blocks = rows[p1:].reshape(p1, n - b)
         for p in range(p1):
@@ -131,31 +140,43 @@ def test_nso_offsets_modulation():
     assert offsets.nominal_rows == p1 * n
 
 
+@pytest.mark.parametrize("variant", ["noiseless", "nso", "so"])
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(2, 12), window=st.booleans(), seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_nso_leaves_out_exactly_the_unit_rows_the_bin_gives(n, window, seed, data):
+@given(window=st.booleans(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_coded_layouts_leave_out_exactly_the_unit_rows_the_bin_gives(variant, window, seed, data):
     # a window plan, or random full-column-rank matrices, whose groups may
-    # hold different numbers of unit columns in their span: then every row stays
+    # hold different numbers of in-span unit rows: then every row stays
+    n = data.draw(st.integers(6 if variant == "so" else 2, 12))
     b, c_groups = data.draw(st.integers(1, n)), data.draw(st.integers(1, 3))
     rng = np.random.default_rng(seed)
     plan = window_plan(n, b, c_groups) if window else random_plan(n, b, c_groups, rng)
-    p1 = 3
-    offsets = build_offsets(dataclasses.replace(design("nso", n, 1), p1=p1), plan, rng=rng)
+    p1 = 0 if variant == "noiseless" else 3
+    offsets = build_offsets(dataclasses.replace(design(variant, n, 1), p1=p1), plan, rng=rng)
+    code_words = [1 << q for q in range(n)] if variant != "so" else list(code_for(n).generator_rows())
+    assert offsets.code_words.tolist() == code_words
     spans = [span_words(m.col_words) for m in plan.matrices]
-    in_span = [{q for q in range(n) if 1 << q in set(span.tolist())} for span in spans]
-    rectangular = len({len(qs) for qs in in_span}) == 1
+    in_span = [{r for r, g in enumerate(code_words) if bin(g).count("1") == 1 and g in set(span.tolist())}
+               for span in spans]
+    rectangular = len({len(rs) for rs in in_span}) == 1
+    bases = p1 if variant == "nso" else 1
     ks = rng.integers(0, 1 << n, size=16).tolist()
     for c, span in enumerate(spans):
-        stored = offsets.code_rows[c].tolist()
-        dropped = {q for q in range(n) if 1 << q not in stored}
+        dropped = set(range(len(code_words))) - set(offsets.stored[c].tolist())
         assert dropped == (in_span[c] if rectangular else set())
-        assert offsets.rows == p1 * (1 + n - len(dropped))
-        mask = sum(1 << q for q in dropped)
+        assert offsets.rows == p1 * (variant != "nso") + bases * (1 + len(code_words) - len(dropped))
+        mask = sum({code_words[r] for r in dropped})
         assert [int(offsets.known[c, bin_of_loop(plan, c, k)]) for k in ks] == [k & mask for k in ks]
         # a dropped row d xor e_q would read the positions d reads
-        for d in offsets.groups[c, :p1]:
-            for q in dropped:
-                assert set((span ^ d ^ np.uint64(1 << q)).tolist()) == set((span ^ d).tolist())
+        for d in offsets.groups[c, slice(*offsets.layout["bases"])]:
+            for r in dropped:
+                assert set((span ^ d ^ np.uint64(code_words[r])).tolist()) == set((span ^ d).tolist())
+        if window and rectangular:
+            # over each base, the base and its distinct stored unit rows read
+            # distinct cosets; the random bases, and SO's parity rows, which may
+            # repeat a unit row, may share one by chance
+            window_mask = sum(plan.matrices[c].col_words)
+            units = {0} | {g for g in offsets.code_words[offsets.stored[c]].tolist() if bin(g).count("1") == 1}
+            assert len({g & ~window_mask for g in units}) == len(units)
 
 
 def test_so_requires_code():
@@ -189,11 +210,13 @@ def test_so_layout_and_zero_rows():
     assert offsets.layout["code"][0] == c0
     c1 = offsets.layout["code"][1]
     rows = offsets.groups[0]
-    assert (r0, r1 - r0, c0 - ref, c1 - c0) == (0, 8, 1, 16)
+    # the 2n generator rows but the unit rows of the window, bits 0 and 1 in group 0
+    assert (r0, r1 - r0, c0 - ref, c1 - c0) == (0, 8, 1, 14)
     assert (r1, offsets.rows) == (ref, c1)
     assert rows[ref] == 0
     assert offsets.code is code
-    assert list(rows[c0:c1]) == list(code.generator_rows())
+    assert list(rows[c0:c1]) == [g for g in code.generator_rows() if g not in (1, 2)]
+    assert list(offsets.groups[1, c0:c1]) == [g for g in code.generator_rows() if g not in (4, 8)]
     # the formula counts n zero-offset reads; the plan stores one row
     assert offsets.nominal_rows == 32
 

@@ -201,7 +201,7 @@ def test_decode_refuses_observations_of_another_plan():
     plan = build_plan(design("noiseless", n, 40))
     obs, offsets, cfg = _noiseless_setup(spectrum, plan)
     assert plan.bins == 64
-    with pytest.raises(PlanError, match=r"shape \(3, 64, 13\).*\(3, 32, 13\)"):
+    with pytest.raises(PlanError, match=r"shape \(3, 64, 7\).*\(3, 32, 7\)"):
         decode(obs, build_plan(design("noiseless", n, 20)), offsets, cfg)
     nso = build_offsets(plan_design("nso", plan), plan, rng=np.random.default_rng(0))
     with pytest.raises(PlanError, match=rf"\(3, 64, {nso.rows}\)"):
@@ -300,7 +300,7 @@ def _column_detector(variant, plan, offsets, cfg):
     """The one-column detector of ``variant``: the old loops, and for
     near-linear the one-column case of the batch."""
     return {
-        "noiseless": lambda u, j, c: references.detect_noiseless_loop(u, j, c, plan, cfg),
+        "noiseless": lambda u, j, c: references.detect_noiseless_loop(u, j, c, plan, offsets, cfg),
         "near-linear": lambda u, j, c: detect_near_linear(u, j, c, plan, offsets, cfg),
         "nso": lambda u, j, c: references.detect_nso_loop(u, j, c, plan, offsets, cfg),
         "so": lambda u, j, c: references.detect_so_loop(u, j, c, plan, offsets, cfg),

@@ -35,10 +35,10 @@ _SPECTRUM_12 = "72aaea6e2471e6996dd71275e295f8b2d023ffa0ce2ba25506e2d0c15b41fa08
 
 
 @pytest.mark.parametrize("variant,n,snr_db,data_sha,entries_sha", [
-    ("noiseless", 10, None, "65c09611957b599e87a13e1c415f8a45a50fcc1ef204a760871afec935555d68", _SPECTRUM_10),
+    ("noiseless", 10, None, "d8866dff5027e28fe8b9b4cc5affb7d82382f391177693cba96005e485828095", _SPECTRUM_10),
     ("near-linear", 12, 10.0, "45c2b13b11c88e845f0770cd0adce40a15e31b0664b5a185683925fc00f7f17e", _SPECTRUM_12),
     ("nso", 12, 10.0, "ca855d6a2311d922c17cfa5ba39559cb5d6ac202cdea72aeb97bb13d87a68ab6", _SPECTRUM_12),
-    ("so", 12, 10.0, "34edb73658f3f936ee94c37d8bc174cddceedc0d3a661f4a7b3ec2d9d487ff54", _SPECTRUM_12),
+    ("so", 12, 10.0, "5fd3bf5b4c89a9fe1e55195cad6a8771eb99a1c9184ae15764ebee25dfa6a294", _SPECTRUM_12),
 ])
 def test_seeded_trial_outputs_are_pinned(variant, n, snr_db, data_sha, entries_sha):
     k = 16
