@@ -161,11 +161,10 @@ def detect_coded_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, c
     plus noise. A bin is a zero-ton when its rows are within the level of
     :func:`tested`. For any other bin, code bit q is the sgn of that
     product summed over the bases (a strong base weighs more than a weak
-    one). Each bin's received word holds the bits that bin j gives
-    (<g_r, k> from ``offsets.known[c, j]``, for the unit rows in
-    colspan(M_c) that no group stores), then these measured bits at the
-    positions ``offsets.stored[c]``. The identity code packs it to the
-    index, and ``offsets.code`` decodes it through
+    one). Bin j's received word holds <g_r, ``plan.particular_words[c, j]``>,
+    which is <g_r, k> for the unit rows in colspan(M_c) that no group
+    stores, then these measured bits at the positions ``offsets.stored[c]``.
+    The identity code packs it to the index, and ``offsets.code`` decodes it through
     :func:`codes.bitflip_decode_many`. A decoded index is a single-ton
     when it hashes to its bin and :func:`_confirm` passes it on every
     row; a bin whose word does not decode is a multi-ton.
@@ -176,7 +175,7 @@ def detect_coded_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, c
     live = np.flatnonzero(~_within_noise(cols, level))
     u, js = cols[live], js[live]
     block = u[:, c0:c1].reshape(len(live), b1 - b0, (c1 - c0) // (b1 - b0))
-    received = kernels.parity_words(offsets.code_words & offsets.known[c, js, None])
+    received = kernels.parity_words(offsets.code_words & plan.particular_words[c, js, None])
     received[:, offsets.stored[c]] = np.einsum("mpq,mp->mq", block, u[:, b0:b1]) < 0
     if offsets.code is None:
         # the identity code: every word decodes, to the sum of its set bits' unit rows
@@ -217,16 +216,17 @@ def detect_near_linear_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offs
     """Matched-filter search over the hash cosets of the bins.
 
     A bin is a zero-ton when its rows, all of them ``verify`` rows, are
-    within the level of :func:`tested`. Every other bin takes its best
-    coset candidate from one batched ``kernels.singleton_search``, which
-    :func:`_confirm` checks on the same rows.
+    within the level of :func:`tested`. Every other bin j takes its best
+    candidate in ``plan.particular_words[c, j]`` xor span(``plan.coset_basis[c]``)
+    from one batched ``kernels.singleton_search``, checked by :func:`_confirm`.
     """
     level = tested(offsets, cfg)
     live = np.flatnonzero(~_within_noise(cols, level))
     u, offset_words, js = cols[live], offsets.groups[c], js[live]
-    part = plan.particular_words(c)[js]
-    idx, _ = kernels.singleton_search(u, offset_words, plan.coset_basis(c), part)
-    k_words = part ^ plan.coset_span(c)[idx]
+    part, basis = plan.particular_words[c, js], plan.coset_basis[c]
+    idx, _ = kernels.singleton_search(u, offset_words, basis, part)
+    picked = (idx[:, None] >> np.arange(len(basis))) & 1
+    k_words = part ^ np.bitwise_xor.reduce(basis * picked.astype(np.uint64), axis=1)
     return live, k_words, *_confirm(u, offset_words, level, k_words, cfg)
 
 

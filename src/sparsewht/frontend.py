@@ -22,6 +22,7 @@ from . import codes, gf2, kernels
 
 VARIANTS = ("noiseless", "near-linear", "nso", "so")
 GROUPS = 3  # C, the hash groups, as in FFAST's three-stage design
+MAX_COSET_BITS = 24  # n - b: near-linear scores all 2^(n-b) words of a bin's coset
 
 
 class PlanError(ValueError):
@@ -30,6 +31,11 @@ class PlanError(ValueError):
 
 @dataclass(frozen=True)
 class SubsamplingPlan:
+    """C hash matrices M_c (n x b), each solved once, at construction, by
+    one ``gf2.eliminate`` of M_c^T k = j, which is also the rank check.
+    ``unit_mask``, ``particular_words`` and ``coset_basis`` derive from
+    it: bin j of group c is ``particular_words[c, j]`` xor span(``coset_basis[c]``)."""
+
     n: int
     b: int
     c_groups: int
@@ -42,27 +48,43 @@ class SubsamplingPlan:
         for m in self.matrices:
             if m.rows != self.n or m.cols != self.b:
                 raise PlanError("matrix shape mismatch")
-        self.unit_span  # eliminates each M_c once, raising PlanError unless it has full column rank
+        self._solved  # the rank check
 
     @property
     def bins(self) -> int:
         return 1 << self.b
 
     @cached_property
-    def unit_span(self) -> tuple:
-        """Per group c, the pairs (e_q, l) of the unit words e_q = M_c l in
-        colspan(M_c), from one elimination of the columns with their
-        indices carried as words: a unit word in the span is a reduced row
-        of weight one, and its right-hand side is l. A column that reduces
-        to zero raises PlanError, since M_c lacks full column rank."""
-        pairs = []
-        for m in self.matrices:
-            try:
-                reduced, rhs = gf2.eliminate((col, 1 << t) for t, col in enumerate(m.col_words))
-            except gf2.InconsistentSystemError:
-                raise PlanError("subsampling matrix lacks full column rank") from None
-            pairs.append(tuple((row, rhs[p]) for p, row in reduced.items() if row & (row - 1) == 0))
-        return tuple(pairs)
+    def _solved(self) -> tuple:
+        """Per group, the reduced rows of M_c^T by pivot bit and each pivot p's rhs
+        word r_p (column t has rhs 1 << t), so bit p of a solution for bin j is <r_p, j>."""
+        try:
+            return tuple(gf2.eliminate((col, 1 << t) for t, col in enumerate(m.col_words)) for m in self.matrices)
+        except gf2.InconsistentSystemError:
+            raise PlanError("subsampling matrix lacks full column rank") from None
+
+    @cached_property
+    def unit_mask(self) -> tuple:
+        """Per group c, the OR of the unit words e_q in colspan(M_c), the
+        reduced rows of weight one. For e_q = M_c l, every k in bin j has
+        <e_q, k> = <l, j>: ``k & unit_mask[c]`` is
+        ``particular_words[c, j] & unit_mask[c]``."""
+        return tuple(sum(row for row in reduced.values() if row & (row - 1) == 0) for reduced, _ in self._solved)
+
+    @cached_property
+    def particular_words(self) -> np.ndarray:
+        """The (C, B) uint64 table of one solution p_c(j) of M_c^T k = j per
+        group c and bin word j, read-only. p_c is linear in j, so row c is
+        the ``gf2.span_words`` of the b solutions for the unit words j."""
+        units = [[sum((rhs >> t & 1) << p for p, rhs in rhs_by_pivot.items()) for t in range(self.b)]
+                 for _, rhs_by_pivot in self._solved]
+        return _read_only(gf2.span_words(np.array(units, dtype=np.uint64).reshape(self.c_groups, self.b)))[0]
+
+    @cached_property
+    def coset_basis(self) -> np.ndarray:
+        """The (C, n - b) uint64 words spanning the null space of each M_c^T, read-only."""
+        words = [gf2._null_basis(reduced, self.n) for reduced, _ in self._solved]
+        return _read_only(np.array(words, dtype=np.uint64).reshape(self.c_groups, self.n - self.b))[0]
 
     @cached_property
     def col_words(self) -> np.ndarray:
@@ -74,33 +96,12 @@ class SubsamplingPlan:
         return kernels.hash_words(k_words, self.col_words[c])
 
     def coset(self, c: int, j_word: int) -> np.ndarray:
-        """All k hashing to bin j in group c, as packed uint64 words.
-
-        Word alpha is ``particular_words(c)[j] ^ coset_span(c)[alpha]``.
-        """
-        span, particular = self._cosets[c]
-        return span ^ particular[j_word]
-
-    def coset_span(self, c: int) -> np.ndarray:
-        """The null space of M_c^T, the XOR-combinations of ``coset_basis(c)``
-        in ``gf2.span_words`` order: bit i of alpha selects basis word i."""
-        return self._cosets[c][0]
-
-    def coset_basis(self, c: int) -> np.ndarray:
-        """The n - b words spanning the null space of M_c^T."""
-        return self.coset_span(c)[1 << np.arange(self.n - self.b)]
-
-    def particular_words(self, c: int) -> np.ndarray:
-        """One solution of M_c^T k = j per bin word j, indexed by j."""
-        return self._cosets[c][1]
-
-    @cached_property
-    def _cosets(self) -> tuple:
-        """Per group, the null-space span and the particular words, built once, read-only."""
-        if self.n - self.b > 24:
-            raise PlanError("coset enumeration limited to n - b <= 24")
-        solved = (gf2.solve_units(m) for m in self.matrices)
-        return tuple(_read_only(gf2.span_words(basis), gf2.span_words(units)) for units, basis in solved)
+        """All k hashing to bin j in group c, as packed uint64 words, for
+        n - b <= ``MAX_COSET_BITS``: word alpha is ``particular_words[c, j]``
+        xor the ``coset_basis[c]`` words that the set bits of alpha select."""
+        if self.n - self.b > MAX_COSET_BITS:
+            raise PlanError(f"coset enumeration limited to n - b <= {MAX_COSET_BITS}")
+        return gf2.span_words(self.coset_basis[c]) ^ self.particular_words[c, j_word]
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:
@@ -149,13 +150,17 @@ class Design:
 def design(variant: str, n: int, k: int) -> Design:
     """The one design of ``variant`` for sparsity K at N = 2^n, cached: b =
     ceil(log2 K), at least 1 and below n (else PlanError); the windows are
-    disjoint when C b <= n, else spread evenly to cover bits 0..n-1."""
+    disjoint when C b <= n, else spread evenly to cover bits 0..n-1.
+    Near-linear's coset search costs P 2^(n-b) per bin, 2^(n-b) about N / K,
+    so it needs n - b <= ``MAX_COSET_BITS`` (else PlanError, before any read)."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     gf2.check_bits(n)
     b = max(1, (int(k) - 1).bit_length())  # exact ceil(log2 K): a float log2 rounds 2^49 + 1 down
     if k < 1 or b >= n:
         raise PlanError(f"the window design needs K >= 1 and b = ceil(log2 K) < n, got K={k}, n={n}")
+    if variant == "near-linear" and n - b > MAX_COSET_BITS:
+        raise PlanError(f"the near-linear coset search needs n - b <= {MAX_COSET_BITS}, got n - b = {n - b}")
     spread = GROUPS * b > n
     starts = tuple(round((n - b) * c / (GROUPS - 1)) if spread else c * b for c in range(GROUPS))
     p1 = {"noiseless": 0, "near-linear": 3 * n, "nso": 2 * n, "so": n}[variant]
@@ -166,7 +171,7 @@ def design(variant: str, n: int, k: int) -> Design:
 
 def build_plan(d: Design) -> SubsamplingPlan:
     """The window plan of ``d``, built once: group c hashes k to its b bits
-    from ``d.starts[c]``. Its column words and coset tables are read-only."""
+    from ``d.starts[c]``. Its column words and bin tables are read-only."""
     return _window_plan(d.n, d.b, d.starts)
 
 
@@ -186,8 +191,8 @@ class OffsetPlan:
     the :class:`Design`'s. ``code_words`` holds every row g_r of the code,
     the n unit rows of the identity code or the 2n generator rows of the
     LDPC ``code``; ``stored[c]``, the positions r of the rows group c
-    stores; ``known[c, j]``, the index bits that bin j of group c gives,
-    those of the unit rows e_q in colspan(M_c), which no group stores.
+    stores. A row it leaves out is a unit word in ``plan.unit_mask[c]``,
+    whose bit bin j gives as <g_r, ``plan.particular_words[c, j]``>.
     """
 
     variant: str
@@ -198,7 +203,6 @@ class OffsetPlan:
     code: object = None
     code_words: np.ndarray | None = None  # (R,) uint64, every code row
     stored: np.ndarray | None = None  # (C, Q) positions of the stored code rows
-    known: np.ndarray | None = None  # (C, B) uint64 index bits each bin gives
 
     @property
     def rows(self) -> int:
@@ -206,26 +210,18 @@ class OffsetPlan:
 
 
 @lru_cache(maxsize=8)
-def _code_split(code_words: tuple, unit_span: tuple, bins: int):
-    """The code rows ``code_words`` as uint64, the (C, Q) positions of the
-    rows each group stores and the (C, B) index bits that each of the
-    ``bins`` bins gives, for a plan's ``unit_span``; read-only and cached,
-    as trials reuse a design and a random plan seldom holds a unit word
-    in its span. Group c leaves out every row that is a unit word
-    e_q = M_c l: <e_q, k> = <l, M_c^T k>, so bit q of every k in bin j is
-    parity(l & j). Every unit word is a row of both codes (the LDPC
-    generator is systematic). Groups that would store different row
-    counts store every row, so that P is one count."""
-    units = [dict(pairs) for pairs in unit_span]
-    if len({sum(g in in_span for g in code_words) for in_span in units}) > 1:
-        units = [{}] * len(units)
-    stored = np.array([[r for r, g in enumerate(code_words) if g not in in_span] for in_span in units], dtype=np.int64)
-    js = np.arange(bins, dtype=np.uint64)
-    known = np.zeros((len(units), len(js)), dtype=np.uint64)
-    for c, in_span in enumerate(units):
-        for e_q, l in in_span.items():
-            known[c] |= np.uint64(e_q) * kernels.parity_words(np.uint64(l) & js)
-    return _read_only(np.array(code_words, dtype=np.uint64), stored, known)
+def _code_split(code_words: tuple, unit_mask: tuple):
+    """The code rows ``code_words`` as uint64 and the (C, Q) positions of
+    the rows each group stores, for a plan's ``unit_mask``; read-only and
+    cached, as trials reuse a design and a random plan seldom holds a unit
+    word in its span. Group c leaves out every row that is a unit word in
+    ``unit_mask[c]``, whose bit the bin gives. Every unit word is a row of
+    both codes (the LDPC generator is systematic). Groups that would store
+    different row counts store every row, so that P is one count."""
+    stored = [[r for r, g in enumerate(code_words) if g & (g - 1) or not g & mask] for mask in unit_mask]
+    if len({len(rows) for rows in stored}) > 1:
+        stored = [range(len(code_words))] * len(unit_mask)
+    return _read_only(np.array(code_words, dtype=np.uint64), np.array(stored, dtype=np.int64))
 
 
 def build_offsets(d: Design, plan: SubsamplingPlan, rng=None) -> OffsetPlan:
@@ -237,9 +233,10 @@ def build_offsets(d: Design, plan: SubsamplingPlan, rng=None) -> OffsetPlan:
     ``code`` block of rows base_p xor g_r, base-major, for every base p
     and every code row g_r the group stores; each layout entry is a
     (start, stop) row range. No group stores a code row e_q in
-    colspan(M_c): d xor e_q would read the coset of d, at the sign
-    (-1)^<l, j> that bin j gives for e_q = M_c l, so ``OffsetPlan.known``
-    holds those bits of every bin instead (b per group on a window plan,
+    colspan(M_c), a unit word of ``plan.unit_mask[c]``: d xor e_q would
+    read the coset of d, at the sign (-1)^<l, j> that bin j gives for
+    e_q = M_c l, so the detector takes that bit from
+    ``plan.particular_words[c, j]`` (b rows per group on a window plan,
     and none on a random plan that holds no unit word in its span). A
     plan whose groups hold different numbers of them keeps every row, so
     that P is one count.
@@ -255,7 +252,7 @@ def build_offsets(d: Design, plan: SubsamplingPlan, rng=None) -> OffsetPlan:
         return OffsetPlan(d.variant, n, verify, {"verify": (0, d.p1)}, d.nominal_rows)
 
     code_words = tuple(1 << q for q in range(n)) if d.code is None else d.code.generator_rows()
-    code_words, stored, known = _code_split(code_words, plan.unit_span, plan.bins)
+    code_words, stored = _code_split(code_words, plan.unit_mask)
     shared = d.bases == "verify"
     bases = verify if shared else np.zeros((c_groups, 1), dtype=np.uint64)
     block = (bases[:, :, None] ^ code_words[stored][:, None, :]).reshape(c_groups, -1)
@@ -264,7 +261,7 @@ def build_offsets(d: Design, plan: SubsamplingPlan, rng=None) -> OffsetPlan:
     c0 = b0 + bases.shape[1]
     layout = {"verify": (0, d.p1), "bases": (b0, c0), "code": (c0, c0 + block.shape[1])}
     return OffsetPlan(d.variant, n, groups, layout, d.nominal_rows, code=d.code,
-                      code_words=code_words, stored=stored, known=known)
+                      code_words=code_words, stored=stored)
 
 
 @dataclass

@@ -152,22 +152,6 @@ def _null_basis(pivot_rows: dict, n: int) -> list:
     return basis
 
 
-def solve_units(m: BitMatrix):
-    """Solve M^T k = 1 << t for every column t of a full-column-rank M in
-    one elimination, the right-hand sides carried as words.
-
-    Returns ``(particulars, basis)`` as packed words: every solution for
-    column t is ``particulars[t]`` XORed with a GF(2)-combination of the
-    rows - rank(M) words of ``basis``, the null space of M^T.
-    """
-    pivot_rows, pivot_rhs = eliminate((col, 1 << t) for t, col in enumerate(m.col_words))
-    particulars = [0] * m.cols
-    for pbit, rhs in pivot_rhs.items():
-        for t in range(m.cols):
-            particulars[t] |= ((rhs >> t) & 1) << pbit
-    return particulars, _null_basis(pivot_rows, m.rows)
-
-
 def span_words(basis_words) -> np.ndarray:
     """All 2^len XOR-combinations of the given words, as uint64.
 

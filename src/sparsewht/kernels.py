@@ -64,21 +64,10 @@ def fwht(x: np.ndarray) -> np.ndarray:
     1/sqrt(N) normalization, so the transform is its own inverse and
     keeps Parseval exact.
     """
-    return fwht_inplace(np.array(x, dtype=np.float64, copy=True))
-
-
-def fwht_inplace(x: np.ndarray) -> np.ndarray:
-    """In-place variant of :func:`fwht`; the caller owns the buffer.
-
-    A strided or non-float64 ``x`` is transformed in a contiguous copy
-    that is written back.
-    """
+    x = np.array(x, dtype=np.float64, copy=True)
     size = _check_length(x)
-    work = np.ascontiguousarray(x, dtype=np.float64)
-    fwht_rows_inplace(work.reshape(-1, 1))
-    work *= 1.0 / math.sqrt(size)
-    if work is not x:
-        x[...] = work
+    fwht_rows_inplace(x.reshape(-1, 1))
+    x *= 1.0 / math.sqrt(size)
     return x
 
 
@@ -151,9 +140,9 @@ def singleton_search(cols: np.ndarray, offset_words: np.ndarray, basis_words: np
 
     Row r of ``cols`` (shape (m, P)) is a bin column whose candidates are
     the coset k = part_r xor span(v_1..v_d), with ``part_words[r]`` the
-    bin's particular word and ``basis_words`` the d null-space words v_i.
-    Candidate alpha is ``part_r ^ gf2.span_words(basis_words)[alpha]``.
-    The scores over a coset are a d-point Walsh-Hadamard transform:
+    bin's particular word and ``basis_words`` the d null-space words v_i
+    (``plan.particular_words[c, j]`` and ``plan.coset_basis[c]``): candidate
+    alpha XORs the v_i that its set bits select. Its scores are a d-point WHT:
 
         s_k^T u = sum_p u_p (-1)^<d_p, part> (-1)^<alpha, y_p>,
 

@@ -63,7 +63,8 @@ def solve_affine(m: BitMatrix, j: int):
     Returns ``(particular, basis)`` as packed words: every solution is the
     particular word XORed with a GF(2)-combination of the basis words; the
     basis has exactly rows - rank(M) elements. The reference for
-    ``gf2.solve_units``, which solves every unit rhs in one elimination.
+    ``SubsamplingPlan.particular_words`` and ``coset_basis``, which one
+    elimination with every unit rhs gives.
     """
     if not 0 <= j < (1 << m.cols):
         raise DimensionError(f"rhs word {j} is out of range for {m.cols} cols")
@@ -172,6 +173,13 @@ def as_detections(result, count):
     return out
 
 
+def _bin_bits(plan, c, j_word, offsets):
+    """The bits of the code rows group c leaves out, which every index in
+    bin j shares: those of a solution of M_c^T k = j."""
+    left_out = set(offsets.code_words.tolist()) - set(offsets.code_words[offsets.stored[c]].tolist())
+    return solve_affine(plan.matrices[c], j_word)[0] & sum(left_out)
+
+
 def detect_noiseless_loop(u, j_word, c, plan, offsets, cfg):
     # no verify rows: every row is tested, at the round-off level
     u = np.asarray(u, dtype=np.float64)
@@ -179,7 +187,7 @@ def detect_noiseless_loop(u, j_word, c, plan, offsets, cfg):
     if _within_noise(u, level):
         return Detection(ZERO_TON)
     # the stored unit rows against the zero row; the bin fixes the other bits
-    k_word = int(offsets.known[c, j_word])
+    k_word = _bin_bits(plan, c, j_word, offsets)
     ref_sign = sgn(u[0])
     for row, val in zip(offsets.code_words[offsets.stored[c]].tolist(), u[1:]):
         if sgn(val) ^ ref_sign:
@@ -199,7 +207,7 @@ def detect_nso_loop(u, j_word, c, plan, offsets, cfg):
     # the stored unit rows over each base; the bin fixes the other bits
     code_rows = offsets.code_words[offsets.stored[c]].tolist()
     block = u[p1:].reshape(p1, len(code_rows))
-    k_word = int(offsets.known[c, j_word])
+    k_word = _bin_bits(plan, c, j_word, offsets)
     for q, row in enumerate(code_rows):
         # the bit is the sign of the row's correlations with the bases, summed in order
         if sum(float(base[p] * block[p, q]) for p in range(p1)) < 0:
@@ -216,9 +224,9 @@ def detect_so_loop(u, j_word, c, plan, offsets, cfg):
     if _within_noise(u, _noise_level(cfg)):
         return Detection(ZERO_TON)
     ref_sign = sgn(u[offsets.layout["bases"][0]])
-    # the bin gives the bits of the rows it leaves out, <g_r, k> = parity(g_r & known)
-    known = int(offsets.known[c, j_word])
-    received = np.array([bin(g & known).count("1") & 1 for g in offsets.code_words.tolist()], dtype=np.uint8)
+    # the bin gives the bits of the rows it leaves out, <g_r, k> for any k in bin j
+    particular, _ = solve_affine(plan.matrices[c], j_word)
+    received = np.array([parity(g & particular) for g in offsets.code_words.tolist()], dtype=np.uint8)
     for i, r in enumerate(offsets.stored[c].tolist()):
         received[r] = sgn(u[c0 + i]) ^ ref_sign
     decoded = bitflip_decode_loop(offsets.code, received, max_rounds=DECODE_ROUNDS)

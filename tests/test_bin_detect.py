@@ -52,9 +52,7 @@ def _two_bases_over_the_ldpc_rows(n, plan, verify_rows, rng):
     layout = {"verify": (0, verify_rows), "bases": (verify_rows, verify_rows + 2),
               "code": (verify_rows + 2, groups.shape[1])}
     stored = np.repeat(np.arange(len(coded))[None], plan.c_groups, axis=0)
-    known = np.zeros((plan.c_groups, plan.bins), dtype=np.uint64)
-    return OffsetPlan("so", n, groups, layout, groups.shape[1], code=code,
-                      code_words=coded, stored=stored, known=known)
+    return OffsetPlan("so", n, groups, layout, groups.shape[1], code=code, code_words=coded, stored=stored)
 
 
 @pytest.mark.parametrize("verify_rows", [10, 0])
@@ -77,7 +75,7 @@ def test_coded_detector_two_bases_over_the_ldpc_rows(verify_rows):
         assert np.array_equal(live, np.arange(len(ks))) and single.all()
         assert np.array_equal(k_words, ks) and np.array_equal(got, values)
 
-        pairs = ks[:64] ^ plan.coset_basis(c)[rng.integers(0, n - plan.b, size=64)]
+        pairs = ks[:64] ^ plan.coset_basis[c, rng.integers(0, n - plan.b, size=64)]
         two = cols[:64] + 0.5 * values[pairs.astype(np.int64), None] * sign_matrix(pairs, offsets.groups[c])
         live, _, _, single = detect_coded_many(two, js[:64], c, plan, offsets, cfg)
         assert np.array_equal(live, np.arange(64)) and not single.any()
@@ -102,7 +100,7 @@ def test_coded_detector_confirms_only_decoded_words(monkeypatch):
     c0, c1 = offsets.layout["code"]
     neg = signs[live] < 0
     # each word holds the bits bin j gives, then the signs of the stored rows
-    received = parity_words(offsets.code_words & offsets.known[0, js[live], None])
+    received = parity_words(offsets.code_words & plan.particular_words[0, js[live], None])
     received[:, offsets.stored[0]] = neg[:, c0:c1] ^ neg[:, b0:b0 + 1]
     _, decoded = bitflip_decode_many(offsets.code, received)
     assert 0 < decoded.sum() < len(live)

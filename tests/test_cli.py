@@ -9,7 +9,7 @@ from sparsewht import cli
 from sparsewht.cli import main
 from sparsewht.peeling import DecodeReport
 from sparsewht.kernels import fwht
-from sparsewht.signal_model import SparseSpectrum
+from sparsewht.signal_model import NoisyAccess, SparseSpectrum
 from sparsewht.sketch import Hypergraph
 
 from helpers import golden_spectrum
@@ -212,6 +212,21 @@ def test_recover_so_below_code_length_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"error: --algo so needs n >= 6, but {spec_path} has n=5\n"
+
+
+def test_recover_near_linear_refuses_more_than_24_free_bits(tmp_path, capsys, monkeypatch):
+    # n = 30, K = 32: b = 5 leaves 25 free bits, and the design refuses them before any read
+    spec_path = tmp_path / "truth.txt"
+    main(["synth", "--n", "30", "--k", "32", "--seed", "1", "--out", str(spec_path)])
+    capsys.readouterr()
+    reads = []
+    for name in ("take", "take_cosets"):
+        monkeypatch.setattr(NoisyAccess, name, lambda self, *args: reads.append(args))
+    out = tmp_path / "r.txt"
+    assert main(["recover", "--spectrum", str(spec_path), "--algo", "near-linear", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n - b = 25" in err and len(err.splitlines()) == 1
+    assert not reads and not out.exists()
 
 
 def test_de_table_command(tmp_path):

@@ -15,7 +15,8 @@ from sparsewht.frontend import (
     design,
     observe,
 )
-from sparsewht.gf2 import BitMatrix, rank_transpose, span_words
+from sparsewht import gf2
+from sparsewht.gf2 import BitMatrix, eliminate, random_full_column_rank, rank_transpose, span_words
 from sparsewht.kernels import sign_matrix
 from sparsewht.sketch import CutQueryAccess
 
@@ -67,9 +68,36 @@ def test_plan_refuses_a_matrix_without_full_column_rank():
 
 
 def test_coset_enumeration_refuses_more_than_24_free_bits():
+    # near-linear scores every word of a bin's coset: its design refuses
+    # n - b = 25 before any plan is built; the other variants list no coset
+    with pytest.raises(PlanError, match=r"n - b <= 24, got n - b = 25"):
+        design("near-linear", 30, 32)
+    assert design("near-linear", 29, 32).b == design("so", 30, 32).b == 5
     plan = random_plan(31, 6, 2, np.random.default_rng(0))
+    assert plan.coset_basis.shape == (2, 25)
     with pytest.raises(PlanError, match="n - b <= 24"):
-        plan.coset_span(1)
+        plan.coset(1, 0)
+
+
+def test_sketch_shaped_plan_has_a_coset_basis():
+    # n = 50, b = 7: 43 free bits, each group's basis spans the bin-0 coset
+    plan = random_plan(50, 7, 3, np.random.default_rng(5))
+    for c in range(plan.c_groups):
+        basis = plan.coset_basis[c]
+        assert len(basis) == 43 and not plan.bins_of_many(c, basis).any()
+        assert len(eliminate((int(w), 0) for w in basis)[0]) == 43
+
+
+def test_plan_eliminates_each_group_once(monkeypatch):
+    # the matrices and SO's code are drawn first: both run eliminations of their own
+    mats = tuple(random_full_column_rank(12, 4, np.random.default_rng(s)) for s in range(3))
+    d = design("so", 12, 16)
+    calls = []
+    monkeypatch.setattr(gf2, "eliminate", lambda rows: calls.append(1) or eliminate(rows))
+    plan = SubsamplingPlan(12, 4, 3, mats)
+    plan.unit_mask, plan.particular_words, plan.coset_basis, plan.coset(2, 5)
+    build_offsets(d, plan, rng=np.random.default_rng(0))
+    assert len(calls) == 3
 
 
 @settings(max_examples=200, deadline=None)
@@ -104,7 +132,9 @@ def test_noiseless_offsets_layout():
     assert offsets.layout == {"verify": (0, 0), "bases": (0, 1), "code": (1, 3)}
     assert offsets.code is None
     assert offsets.groups.tolist() == [[0, 1, 2], [0, 4, 8]]
-    assert offsets.known.tolist() == [[0, 4, 8, 12], [0, 1, 2, 3]]
+    assert plan.unit_mask == (12, 3)
+    given = [[p & mask for p in row] for row, mask in zip(plan.particular_words.tolist(), plan.unit_mask)]
+    assert given == [[0, 4, 8, 12], [0, 1, 2, 3]]
     assert offsets.nominal_rows == 5
 
 
@@ -127,7 +157,7 @@ def test_nso_offsets_modulation():
     assert offsets.code is None
     assert offsets.groups.shape == (plan.c_groups, p1 * (1 + n - b))
     # the tables are cached per design, so no caller may write them
-    assert not any(table.flags.writeable for table in (offsets.code_words, offsets.stored, offsets.known))
+    assert not any(table.flags.writeable for table in (offsets.code_words, offsets.stored))
     for c, window in enumerate(([0, 1], [2, 3])):
         rows = offsets.groups[c]
         outside = [q for q in range(n) if q not in window]
@@ -155,8 +185,10 @@ def test_coded_layouts_leave_out_exactly_the_unit_rows_the_bin_gives(variant, wi
     code_words = [1 << q for q in range(n)] if variant != "so" else list(code_for(n).generator_rows())
     assert offsets.code_words.tolist() == code_words
     spans = [span_words(m.col_words) for m in plan.matrices]
-    in_span = [{r for r, g in enumerate(code_words) if bin(g).count("1") == 1 and g in set(span.tolist())}
-               for span in spans]
+    # the unit words of each group's brute-force column span
+    assert plan.unit_mask == tuple(sum(1 << q for q in range(n) if 1 << q in set(span.tolist())) for span in spans)
+    in_span = [{r for r, g in enumerate(code_words) if bin(g).count("1") == 1 and g & mask}
+               for mask in plan.unit_mask]
     rectangular = len({len(rs) for rs in in_span}) == 1
     bases = p1 if variant == "nso" else 1
     ks = rng.integers(0, 1 << n, size=16).tolist()
@@ -164,8 +196,10 @@ def test_coded_layouts_leave_out_exactly_the_unit_rows_the_bin_gives(variant, wi
         dropped = set(range(len(code_words))) - set(offsets.stored[c].tolist())
         assert dropped == (in_span[c] if rectangular else set())
         assert offsets.rows == p1 * (variant != "nso") + bases * (1 + len(code_words) - len(dropped))
-        mask = sum({code_words[r] for r in dropped})
-        assert [int(offsets.known[c, bin_of_loop(plan, c, k)]) for k in ks] == [k & mask for k in ks]
+        # the bin's particular word gives the bits of every k in it at the unit words
+        for k in ks:
+            j = bin_of_loop(plan, c, k)
+            assert k & plan.unit_mask[c] == int(plan.particular_words[c, j]) & plan.unit_mask[c]
         # a dropped row d xor e_q would read the positions d reads
         for d in offsets.groups[c, slice(*offsets.layout["bases"])]:
             for r in dropped:
@@ -194,7 +228,7 @@ def test_design_and_window_plan_are_cached_read_only():
     d = design("near-linear", 12, 16)
     assert design("near-linear", 12, 16) is d and build_plan(d) is build_plan(d)
     plan = build_plan(d)
-    for table in (plan.col_words, plan.coset_span(1), plan.particular_words(1)):
+    for table in (plan.col_words, plan.coset_basis, plan.particular_words):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0
 
@@ -430,8 +464,8 @@ def test_coset_is_the_bin_preimage(plan_args):
         assert np.all(plan.bins_of_many(c, words) == j)
         # the cached particular word is solve_affine's, up to the span
         particular, _ = solve_affine(plan.matrices[c], j)
-        assert int(plan.particular_words(c)[j]) ^ particular in set(span.tolist())
+        assert int(plan.particular_words[c, j]) ^ particular in set(span.tolist())
     # the basis words generate the null space, the bin-0 coset
-    basis = plan.coset_basis(c)
+    basis = plan.coset_basis[c]
     assert len(basis) == n - b and np.all(plan.bins_of_many(c, basis) == 0)
     assert set(span_words(basis.tolist()).tolist()) == set(span.tolist())

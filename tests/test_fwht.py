@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sparsewht import SparseSpectrum, fwht, synthesize_many
-from sparsewht.kernels import fwht_inplace
 
 from helpers import golden_spectrum
 from references import densify, naive_wht
@@ -59,21 +58,6 @@ def test_non_power_of_two_rejected():
         fwht(np.ones(6))
     with pytest.raises(ValueError):
         naive_wht(np.ones(3))
-
-
-def test_fwht_inplace_owns_buffer():
-    x = np.array([1.0, 1.0])
-    out = fwht_inplace(x)
-    assert out is x and np.allclose(x, [math.sqrt(2), 0.0])
-
-
-def test_fwht_inplace_transforms_a_strided_view():
-    base = np.arange(16.0)
-    view = base[::2]
-    expected = naive_wht(view.copy())
-    assert fwht_inplace(view) is view
-    assert np.max(np.abs(view - expected)) < 1e-12
-    assert np.array_equal(base[1::2], np.arange(1.0, 16.0, 2.0))  # the skipped entries are untouched
 
 
 def test_synthesize_empty_and_dc():

@@ -11,9 +11,9 @@ from sparsewht.gf2 import (
     random_full_column_rank,
     rank_transpose,
     selection_matrix,
-    solve_units,
     span_words,
 )
+from sparsewht.frontend import PlanError, SubsamplingPlan
 from sparsewht.kernels import hash_words, pack_rows, parity_words
 
 import references
@@ -36,14 +36,10 @@ def _hash(m: BitMatrix, k_words) -> list:
 
 
 def _solve(m: BitMatrix, j: int):
-    """``(particular, basis)`` of M^T k = j through ``solve_units``, as a
-    bin's particular word is built: the XOR of the unit particulars over
-    the set bits of j."""
-    particulars, basis = solve_units(m)
-    particular = 0
-    for t, word in enumerate(particulars):
-        particular ^= word if j >> t & 1 else 0
-    return particular, basis
+    """``(particular, basis)`` of M^T k = j as a one-group plan solves it:
+    its bin-j particular word and its null-space basis."""
+    plan = SubsamplingPlan(m.rows, m.cols, 1, (m,))
+    return int(plan.particular_words[0, j]), plan.coset_basis[0].tolist()
 
 
 def test_inner_product_examples():
@@ -139,7 +135,9 @@ def test_solve_affine_exhaustive_scan():
 def test_solve_affine_inconsistent():
     m = BitMatrix.from_rows([0] * 4, 2)  # the 4 x 2 zero matrix: no column reaches a unit
     with pytest.raises(InconsistentSystemError):
-        solve_units(m)
+        eliminate((col, 1 << t) for t, col in enumerate(m.col_words))
+    with pytest.raises(PlanError, match="lacks full column rank"):
+        SubsamplingPlan(4, 2, 1, (m,))
 
 
 def test_eliminate_with_unit_rhs_inverts():
@@ -168,13 +166,16 @@ def test_eliminate_with_unit_rhs_inverts():
 @given(n=st.integers(1, 20), b=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
 @example(n=6, b=6, seed=0)  # square: an empty null space
 @example(n=9, b=1, seed=1)  # one unit target
-def test_solve_units_matches_per_unit_solve_affine(n, b, seed):
-    m = random_full_column_rank(n, min(b, n), np.random.default_rng(seed))
-    particulars, basis = solve_units(m)
+def test_plan_solve_matches_per_bin_solve_affine(n, b, seed):
+    rng = np.random.default_rng(seed)
+    m = random_full_column_rank(n, min(b, n), rng)
+    plan = SubsamplingPlan(n, m.cols, 1, (m,))
+    js = [1 << t for t in range(m.cols)] + rng.integers(0, plan.bins, size=8).tolist()
+    particulars = [int(plan.particular_words[0, j]) for j in js]
     # same pivots, so the same particular words, not just words in the same coset
-    assert particulars == [solve_affine(m, 1 << t)[0] for t in range(m.cols)]
-    assert basis == solve_affine(m, 0)[1]
-    assert all(_hash(m, [w]) == [1 << t] for t, w in enumerate(particulars))
+    assert particulars == [solve_affine(m, j)[0] for j in js]
+    assert plan.coset_basis[0].tolist() == solve_affine(m, 0)[1]
+    assert [_hash(m, [w])[0] for w in particulars] == js
 
 
 def test_span_words():

@@ -114,7 +114,7 @@ def test_singleton_search_matches_brute_force(n, b, p, m, integer_cols, seed):
     # small integers make exact ties common; they must still pick a best
     cols = (rng.integers(-2, 3, size=(m, p)).astype(np.float64) if integer_cols
             else rng.standard_normal((m, p)))
-    idx, score = kernels.singleton_search(cols, rows, plan.coset_basis(0), plan.particular_words(0)[js])
+    idx, score = kernels.singleton_search(cols, rows, plan.coset_basis[0], plan.particular_words[0, js])
     assert idx.shape == score.shape == (m,)
     for r, j in enumerate(js):
         brute = kernels.sign_matrix(plan.coset(0, int(j)), rows) @ cols[r]
