@@ -73,6 +73,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_wht(args) -> int:
+    if not 0 <= args.tol < math.inf:
+        raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
     with open(args.infile) as f:
         lines = f.readlines()
     # refused here, since numpy would first warn of a file with no data

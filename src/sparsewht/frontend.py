@@ -1,7 +1,7 @@
 """Observation generator: subsampling plans, offset plans, bin observations.
 
-A plan holds C subsampling matrices M_c (n x b, full column rank); the
-hash of coefficient k in group c is j = M_c^T k. Observations are built
+A plan holds the column words of C subsampling matrices M_c (n x b,
+full column rank); group c hashes k to bin j = M_c^T k. Observations are built
 by reading the B = 2^b samples u[M_c l + d] for each offset row d,
 applying a B-point unnormalized butterfly and scaling by sqrt(N)/B, which
 yields U_{c,p}[j] = sum_{M_c^T k = j} X[k] (-1)^<d_{c,p}, k> plus noise of
@@ -31,24 +31,30 @@ class PlanError(ValueError):
 
 @dataclass(frozen=True)
 class SubsamplingPlan:
-    """C hash matrices M_c (n x b), each solved once, at construction, by
-    one ``gf2.eliminate`` of M_c^T k = j, which is also the rank check.
-    ``unit_mask``, ``particular_words`` and ``coset_basis`` derive from
-    it: bin j of group c is ``particular_words[c, j]`` xor span(``coset_basis[c]``)."""
+    """C hash matrices M_c (n x b) as their read-only (C, b) uint64 column
+    words below 2^n, group c in row c. Each group is solved once, at
+    construction, by one ``gf2.eliminate`` of M_c^T k = j, which is also
+    the rank check. ``unit_mask``, ``particular_words`` and ``coset_basis``
+    derive from it: bin j of group c is ``particular_words[c, j]`` xor span(``coset_basis[c]``)."""
 
     n: int
-    b: int
-    c_groups: int
-    matrices: tuple  # C BitMatrix values, each n x b
+    col_words: np.ndarray  # (C, b) uint64, read-only
 
     def __post_init__(self):
         gf2.check_bits(self.n)
-        if len(self.matrices) != self.c_groups:
-            raise PlanError("group count does not match matrices")
-        for m in self.matrices:
-            if m.rows != self.n or m.cols != self.b:
-                raise PlanError("matrix shape mismatch")
+        words = np.array(self.col_words, dtype=np.uint64)
+        if words.ndim != 2 or (words >> np.uint64(self.n)).any():
+            raise PlanError(f"column words must be a (C, b) array of words below 2^{self.n}, got {words.shape}")
+        object.__setattr__(self, "col_words", _read_only(words)[0])
         self._solved  # the rank check
+
+    @property
+    def c_groups(self) -> int:
+        return self.col_words.shape[0]
+
+    @property
+    def b(self) -> int:
+        return self.col_words.shape[1]
 
     @property
     def bins(self) -> int:
@@ -59,7 +65,7 @@ class SubsamplingPlan:
         """Per group, the reduced rows of M_c^T by pivot bit and each pivot p's rhs
         word r_p (column t has rhs 1 << t), so bit p of a solution for bin j is <r_p, j>."""
         try:
-            return tuple(gf2.eliminate((col, 1 << t) for t, col in enumerate(m.col_words)) for m in self.matrices)
+            return tuple(gf2.eliminate((col, 1 << t) for t, col in enumerate(m)) for m in self.col_words.tolist())
         except gf2.InconsistentSystemError:
             raise PlanError("subsampling matrix lacks full column rank") from None
 
@@ -85,12 +91,6 @@ class SubsamplingPlan:
         """The (C, n - b) uint64 words spanning the null space of each M_c^T, read-only."""
         words = [gf2._null_basis(reduced, self.n) for reduced, _ in self._solved]
         return _read_only(np.array(words, dtype=np.uint64).reshape(self.c_groups, self.n - self.b))[0]
-
-    @cached_property
-    def col_words(self) -> np.ndarray:
-        """The (C, b) uint64 column words of the M_c, group c in row c, read-only."""
-        words = np.array([m.col_words for m in self.matrices], dtype=np.uint64)
-        return _read_only(words.reshape(self.c_groups, self.b))[0]
 
     def bins_of_many(self, c: int, k_words: np.ndarray) -> np.ndarray:
         return kernels.hash_words(k_words, self.col_words[c])
@@ -177,8 +177,8 @@ def build_plan(d: Design) -> SubsamplingPlan:
 
 @lru_cache(maxsize=8)
 def _window_plan(n: int, b: int, starts: tuple) -> SubsamplingPlan:
-    mats = tuple(gf2.selection_matrix(n, range(s, s + b)) for s in starts)
-    return SubsamplingPlan(n, b, len(starts), mats)
+    """Group c hashes k to its b bits from ``starts[c]``: column t is the word 1 << (starts[c] + t)."""
+    return SubsamplingPlan(n, [[1 << (start + t) for t in range(b)] for start in starts])
 
 
 @dataclass(frozen=True)

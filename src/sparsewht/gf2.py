@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class BitMatrix:
     """A rows x cols matrix over GF(2), rows packed into integer words.
 
     Row word r carries entry (r, t) at bit t. Columns are derived lazily
-    as packed words, which is what hashing k to M^T k reads.
+    as packed words, which the bit-flip decoder reads of the LDPC code's H.
     """
 
     rows: int
@@ -76,33 +76,6 @@ class BitMatrix:
         return out
 
 
-def selection_matrix(n: int, positions: Sequence[int]) -> BitMatrix:
-    """The n x b matrix whose column t is the unit vector at positions[t].
-
-    Positions are 0-based bit positions; the induced hash extracts exactly
-    those bits. Always has full column rank when positions are distinct.
-    """
-    if len(set(positions)) != len(positions):
-        raise DimensionError("positions must be distinct")
-    words = [0] * n
-    for t, pos in enumerate(positions):
-        if not 0 <= pos < n:
-            raise DimensionError(f"position {pos} outside 0..{n - 1}")
-        words[pos] |= 1 << t
-    return BitMatrix(n, len(positions), tuple(words))
-
-
-def random_full_column_rank(n: int, b: int, rng) -> BitMatrix:
-    """Uniformly random n x b matrix conditioned on column rank b."""
-    if b > n:
-        raise DimensionError("cannot have column rank b > n")
-    while True:
-        words = [int(x) for x in rng.integers(0, 1 << b, size=n, dtype=np.int64)]
-        m = BitMatrix(n, b, tuple(words))
-        if rank_transpose(m) == b:
-            return m
-
-
 def eliminate(system_rows):
     """Row-reduce packed equations ``(word, rhs)`` to RREF.
 
@@ -131,12 +104,6 @@ def eliminate(system_rows):
         pivot_rows[pbit] = word
         pivot_rhs[pbit] = rhs
     return pivot_rows, pivot_rhs
-
-
-def rank_transpose(m: BitMatrix) -> int:
-    """Rank of M^T (equals rank of M); operates on packed column words."""
-    rows, _ = eliminate([(w, 0) for w in m.col_words])
-    return len(rows)
 
 
 def _null_basis(pivot_rows: dict, n: int) -> list:

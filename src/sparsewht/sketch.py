@@ -6,11 +6,11 @@ s - sum_e 2^(1-|e|) and, for every edge e and every nonempty
 even-cardinality subset S of e, a coefficient -2^(1-|e|) at the index
 supported on S (contributions from overlapping edges accumulate). Cut
 values are integers and noiseless, so ``experiments.recover``'s
-noiseless pipeline, on a random plan, recovers the expansion from
-Theta(K n) queries. The cut oracle is asked once per distinct position:
-``CutQueryAccess`` answers repeats from its sorted read log and merges
-each read's fresh words into it with ``signal_model.merge_reads``, the
-log ``NoisyAccess`` keeps above n = 24.
+noiseless pipeline, on a plan of random column words, recovers the
+expansion from Theta(K n) queries. The cut oracle is asked once per
+distinct position: ``CutQueryAccess`` answers repeats from its sorted
+read log and merges each read's fresh words into it with
+``signal_model.merge_reads``, the log ``NoisyAccess`` keeps above n = 24.
 
 Vertices are numbered 1..n and vertex i maps to index position i.
 """
@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import frontend, gf2, peeling
+from . import frontend, gf2, kernels, peeling
 from .experiments import recover
 from .signal_model import SparseSpectrum, merge_reads
 
@@ -229,6 +229,17 @@ def reconstruct_edges(spectrum: SparseSpectrum):
     return sorted(edges, key=sorted)
 
 
+def _random_plan(n: int, b: int, c_groups: int, rng) -> frontend.SubsamplingPlan:
+    """Uniformly random full-column-rank n x b matrices: the n rows of M_c are drawn b-bit words,
+    and column t packs their bits t. A plan whose own solve finds a group short of rank b is drawn again."""
+    while True:
+        bits = rng.integers(0, 1 << b, size=(c_groups, 1, n), dtype=np.int64) >> np.arange(b)[:, None] & 1
+        try:
+            return frontend.SubsamplingPlan(n, kernels.pack_rows(bits.reshape(-1, n)).reshape(c_groups, b))
+        except frontend.PlanError:
+            continue
+
+
 def sketch_recover(source, n: int | None = None, sparsity_budget: int = 1, seed: int = 0,
                    coeff_resolution: float | None = None) -> SketchResult:
     """Recover the cut spectrum (and, when possible, the edges) by
@@ -239,9 +250,9 @@ def sketch_recover(source, n: int | None = None, sparsity_budget: int = 1, seed:
     with a smaller one, bins stay unresolved and the result is partial.
     ``coeff_resolution``, positive and finite, snaps recovered values to
     its multiples (2^(1-d) for cut spectra). The plan has the groups and
-    bins of ``frontend.design``, but random full-column-rank matrices: a
-    window plan hashes all of an edge that no window touches to bin 0 of
-    every group.
+    bins of ``frontend.design``, but random full-column-rank matrices
+    (:func:`_random_plan`, from ``seed``'s stream): a window plan hashes
+    all of an edge that no window touches to bin 0 of every group.
     """
     if sparsity_budget < 1:
         raise ValueError(f"sparsity budget must be >= 1, got {sparsity_budget}")
@@ -251,8 +262,7 @@ def sketch_recover(source, n: int | None = None, sparsity_budget: int = 1, seed:
     n = access.n
     rng = np.random.default_rng(seed)
     design = frontend.design("noiseless", n, sparsity_budget)
-    mats = tuple(gf2.random_full_column_rank(n, design.b, rng) for _ in range(design.c_groups))
-    plan = frontend.SubsamplingPlan(n, design.b, design.c_groups, mats)
+    plan = _random_plan(n, design.b, design.c_groups, rng)
     machine, report, _, _ = recover(access, sparsity_budget, "noiseless", snr_db=None, rho=1.0,
                                     constellation=False, rng_offsets=rng, plan=plan)
     root_n = math.sqrt(2.0**n)

@@ -7,8 +7,9 @@ import numpy as np
 from sparsewht import NoisyAccess, SparseSpectrum, build_regular_ldpc, draw_spectrum, sigma_for_snr
 from sparsewht.bin_detect import DetectorConfig
 from sparsewht.frontend import Design, SubsamplingPlan, build_offsets, build_plan, design, observe
-from sparsewht.gf2 import random_full_column_rank, selection_matrix
 from sparsewht.sketch import Hypergraph
+
+from references import plan_of, random_full_column_rank
 
 
 def bits(s: str) -> int:
@@ -27,15 +28,12 @@ def golden_spectrum() -> SparseSpectrum:
 
 def golden_plan() -> SubsamplingPlan:
     # group 1 hashes the two high positions, group 2 the two low ones
-    m1 = selection_matrix(4, [2, 3])
-    m2 = selection_matrix(4, [0, 1])
-    return SubsamplingPlan(4, 2, 2, (m1, m2))
+    return SubsamplingPlan(4, [[1 << 2, 1 << 3], [1 << 0, 1 << 1]])
 
 
 def random_plan(n: int, b: int, c_groups: int, rng) -> SubsamplingPlan:
     """A plan of uniformly random full-column-rank hash matrices."""
-    mats = tuple(random_full_column_rank(n, b, rng) for _ in range(c_groups))
-    return SubsamplingPlan(n, b, c_groups, mats)
+    return plan_of([random_full_column_rank(n, b, rng) for _ in range(c_groups)])
 
 
 def plan_design(variant: str, plan: SubsamplingPlan, **changes) -> Design:
@@ -53,8 +51,7 @@ def window_plan(n: int, b: int, c_groups: int) -> SubsamplingPlan:
         starts = [c * b for c in range(c_groups)]
     else:
         starts = [round((n - b) * c / (c_groups - 1)) for c in range(c_groups)]
-    mats = tuple(selection_matrix(n, list(range(s, s + b))) for s in starts)
-    return SubsamplingPlan(n, b, c_groups, mats)
+    return SubsamplingPlan(n, [[1 << (s + t) for t in range(b)] for s in starts])
 
 
 # aliasing sums of the worked instance, per group and bin word

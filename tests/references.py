@@ -1,7 +1,9 @@
 """Loop references for the hash, the alias sums, the encoder, the batched
 detectors, the bit-flip decoder, the stall level and LDPC set-up, plus the
-brute-force transform, the dense spectrum, the one-rhs affine solve and
-the butterfly coset search.
+brute-force transform, the dense spectrum, the one-rhs affine solve, the
+butterfly coset search and hash matrices as ``BitMatrix`` values: the
+selection matrix, the per-group random draw and the rank, with the plan
+of given matrices and the matrix of a plan's group.
 
 These are the one-column (and one-word) bodies the library ran before it
 classified a group's bins in one call and before it carried indices only
@@ -16,6 +18,7 @@ import numpy as np
 
 from sparsewht.bin_detect import MULTI_TON, SINGLE_TON, ZERO_TON, Detection
 from sparsewht.codes import DECODE_ROUNDS
+from sparsewht.frontend import SubsamplingPlan
 from sparsewht.gf2 import BitMatrix, DimensionError, _null_basis, eliminate
 from sparsewht.kernels import _check_length, fwht_rows_inplace, hash_words, sign_matrix
 
@@ -55,6 +58,53 @@ def densify(spectrum) -> np.ndarray:
     k_words, values = spectrum.as_arrays()
     out[k_words.astype(np.int64)] = values
     return out
+
+
+def selection_matrix(n: int, positions) -> BitMatrix:
+    """The n x b matrix whose column t is the unit vector at positions[t].
+
+    Positions are 0-based bit positions; the induced hash extracts exactly
+    those bits. Always has full column rank when positions are distinct.
+    """
+    if len(set(positions)) != len(positions):
+        raise DimensionError("positions must be distinct")
+    words = [0] * n
+    for t, pos in enumerate(positions):
+        if not 0 <= pos < n:
+            raise DimensionError(f"position {pos} outside 0..{n - 1}")
+        words[pos] |= 1 << t
+    return BitMatrix(n, len(positions), tuple(words))
+
+
+def random_full_column_rank(n: int, b: int, rng) -> BitMatrix:
+    """Uniformly random n x b matrix conditioned on column rank b: n
+    b-bit row words per draw, drawn again until the rank is b."""
+    if b > n:
+        raise DimensionError("cannot have column rank b > n")
+    while True:
+        words = [int(x) for x in rng.integers(0, 1 << b, size=n, dtype=np.int64)]
+        m = BitMatrix(n, b, tuple(words))
+        if rank_transpose(m) == b:
+            return m
+
+
+def rank_transpose(m: BitMatrix) -> int:
+    """Rank of M^T (equals rank of M); operates on packed column words."""
+    rows, _ = eliminate([(w, 0) for w in m.col_words])
+    return len(rows)
+
+
+def plan_of(mats) -> SubsamplingPlan:
+    """The plan whose group c hashes by the n x b ``BitMatrix`` mats[c]."""
+    return SubsamplingPlan(mats[0].rows, [m.col_words for m in mats])
+
+
+def matrix_of(plan, c: int) -> BitMatrix:
+    """M_c of group c of ``plan`` as a ``BitMatrix``: bit t of row word r
+    is bit r of column word t."""
+    cols = plan.col_words[c].tolist()
+    return BitMatrix.from_rows([sum((col >> r & 1) << t for t, col in enumerate(cols)) for r in range(plan.n)],
+                               plan.b)
 
 
 def solve_affine(m: BitMatrix, j: int):
@@ -111,7 +161,7 @@ def hash_loop(col_words, k_word):
 
 def bin_of_loop(plan, c, k_word):
     """The bin word M_c^T k of group c of ``plan``."""
-    return hash_loop(plan.matrices[c].col_words, k_word)
+    return hash_loop(plan.col_words[c].tolist(), k_word)
 
 
 def alias_loop(out, k_words, values, col_words, offset_words):
@@ -177,7 +227,7 @@ def _bin_bits(plan, c, j_word, offsets):
     """The bits of the code rows group c leaves out, which every index in
     bin j shares: those of a solution of M_c^T k = j."""
     left_out = set(offsets.code_words.tolist()) - set(offsets.code_words[offsets.stored[c]].tolist())
-    return solve_affine(plan.matrices[c], j_word)[0] & sum(left_out)
+    return solve_affine(matrix_of(plan, c), j_word)[0] & sum(left_out)
 
 
 def detect_noiseless_loop(u, j_word, c, plan, offsets, cfg):
@@ -225,7 +275,7 @@ def detect_so_loop(u, j_word, c, plan, offsets, cfg):
         return Detection(ZERO_TON)
     ref_sign = sgn(u[offsets.layout["bases"][0]])
     # the bin gives the bits of the rows it leaves out, <g_r, k> for any k in bin j
-    particular, _ = solve_affine(plan.matrices[c], j_word)
+    particular, _ = solve_affine(matrix_of(plan, c), j_word)
     received = np.array([parity(g & particular) for g in offsets.code_words.tolist()], dtype=np.uint8)
     for i, r in enumerate(offsets.stored[c].tolist()):
         received[r] = sgn(u[c0 + i]) ^ ref_sign

@@ -20,7 +20,6 @@ from sparsewht.bin_detect import (
 )
 from sparsewht.codes import bitflip_decode_many, build_regular_ldpc, code_for
 from sparsewht.frontend import VARIANTS, OffsetPlan, SubsamplingPlan, build_offsets, build_plan, design, observe
-from sparsewht.gf2 import BitMatrix
 from sparsewht.kernels import parity_words, sign_matrix
 from sparsewht.signal_model import snr_from_db
 
@@ -177,7 +176,7 @@ def test_noiseless_rejects_hash_inconsistent_column():
     # hash column words 3 and 5 span no unit word, so the plan stores every
     # unit row and the decoded index fixes its own bin: read in another bin,
     # the column is a multi-ton
-    plan = SubsamplingPlan(4, 2, 1, (BitMatrix.from_rows([3, 1, 2, 0], 2),))
+    plan = SubsamplingPlan(4, [[3, 5]])
     k = bits("0100")
     column = 2.0 * np.array([1.0, 1.0, -1.0, 1.0, 1.0])
     j = references.bin_of_loop(plan, 0, k)

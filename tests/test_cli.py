@@ -54,6 +54,17 @@ def test_wht_rejects_a_non_finite_sample(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_wht_refuses_a_tolerance_that_is_not_finite_and_nonnegative(tmp_path, capsys, tol):
+    # a NaN or infinite tolerance would keep no coefficient and write an empty spectrum
+    infile = tmp_path / "signal.txt"
+    infile.write_text("1\n0\n0\n0\n")
+    out = tmp_path / "spec.txt"
+    assert main(["wht", str(infile), f"--tol={tol}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --tol must be a finite number >= 0, got {float(tol)}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content", ["1 2\n3 4\n5 6\n7 8\n", "1 2\n"])
 def test_wht_rejects_more_than_one_value_per_line(tmp_path, capsys, content):
     infile = tmp_path / "signal.txt"

@@ -16,31 +16,31 @@ from sparsewht.frontend import (
     observe,
 )
 from sparsewht import gf2
-from sparsewht.gf2 import BitMatrix, eliminate, random_full_column_rank, rank_transpose, span_words
+from sparsewht.gf2 import eliminate, span_words
 from sparsewht.kernels import sign_matrix
 from sparsewht.sketch import CutQueryAccess
 
 from helpers import GOLDEN_BINS_G1, GOLDEN_BINS_G2, golden_plan, golden_spectrum, random_plan, window_plan
-from references import bin_of_loop, solve_affine
+from references import bin_of_loop, matrix_of, random_full_column_rank, rank_transpose, solve_affine
 
 
-def _window_bits(m):
-    """The index bits a selection matrix's columns pick, in column order."""
-    assert all(bin(col).count("1") == 1 for col in m.col_words)
-    return [col.bit_length() - 1 for col in m.col_words]
+def _window_bits(cols):
+    """The index bits a selection matrix's column words pick, in column order."""
+    assert all(bin(col).count("1") == 1 for col in cols)
+    return [col.bit_length() - 1 for col in cols]
 
 
 def test_auto_very_sparse_uses_disjoint_windows():
     plan = build_plan(design("noiseless", 12, 16))  # delta = 1/3
     assert plan.c_groups == 3
-    covered = [t for m in plan.matrices for t in _window_bits(m)]
+    covered = [t for cols in plan.col_words.tolist() for t in _window_bits(cols)]
     assert len(set(covered)) == len(covered)  # disjoint bit windows
 
 
 def test_benchmark_profile_overlapping_windows_cover_all_bits():
     plan = build_plan(design("noiseless", 14, 40))
     assert plan.b == 6 and plan.c_groups == 3
-    covered = {t for m in plan.matrices for t in _window_bits(m)}
+    covered = {t for cols in plan.col_words.tolist() for t in _window_bits(cols)}
     assert covered == set(range(14))
 
 
@@ -62,9 +62,26 @@ def test_observe_refuses_an_access_of_another_n(plan_n):
 
 def test_plan_refuses_a_matrix_without_full_column_rank():
     # column words 3, 5 and their sum 6: the third reduces to zero
-    dependent = BitMatrix.from_rows([3, 5, 6, 0], 3)
     with pytest.raises(PlanError, match="lacks full column rank"):
-        SubsamplingPlan(4, 3, 1, (dependent,))
+        SubsamplingPlan(4, [[3, 5, 6]])
+
+
+def test_plan_is_its_column_words():
+    # n and the (C, b) column words are the whole plan; C, b and B are the array's shape
+    words = np.array([[1 << 2, 1 << 3], [3, 5], [1 << 7, 1]], dtype=np.uint64)
+    plan = SubsamplingPlan(8, words)
+    assert [f.name for f in dataclasses.fields(plan)] == ["n", "col_words"]
+    assert (plan.c_groups, plan.b, plan.bins) == (3, 2, 4)
+    words[0, 0] = 1  # the plan holds its own read-only copy
+    assert plan.col_words.tolist() == [[4, 8], [3, 5], [128, 1]] and plan.col_words.dtype == np.uint64
+    with pytest.raises(ValueError, match="read-only"):
+        plan.col_words[0, 0] = 0
+
+
+@pytest.mark.parametrize("words", [[[1 << 8]], [[1, 2], [3, 1 << 9]], [1, 2], [[[1]]], 5])
+def test_plan_refuses_a_word_at_or_above_n_or_an_array_not_2d(words):
+    with pytest.raises(PlanError, match=r"must be a \(C, b\) array of words below 2\^8"):
+        SubsamplingPlan(8, words)
 
 
 def test_coset_enumeration_refuses_more_than_24_free_bits():
@@ -90,11 +107,11 @@ def test_sketch_shaped_plan_has_a_coset_basis():
 
 def test_plan_eliminates_each_group_once(monkeypatch):
     # the matrices and SO's code are drawn first: both run eliminations of their own
-    mats = tuple(random_full_column_rank(12, 4, np.random.default_rng(s)) for s in range(3))
+    cols = [random_full_column_rank(12, 4, np.random.default_rng(s)).col_words for s in range(3)]
     d = design("so", 12, 16)
     calls = []
     monkeypatch.setattr(gf2, "eliminate", lambda rows: calls.append(1) or eliminate(rows))
-    plan = SubsamplingPlan(12, 4, 3, mats)
+    plan = SubsamplingPlan(12, cols)
     plan.unit_mask, plan.particular_words, plan.coset_basis, plan.coset(2, 5)
     build_offsets(d, plan, rng=np.random.default_rng(0))
     assert len(calls) == 3
@@ -112,9 +129,9 @@ def test_build_plan_is_the_window_design(n_k):
         return
     d = design("noiseless", n, k)
     plan = build_plan(d)
-    assert (plan.c_groups, len(plan.matrices), plan.b) == (3, 3, max(b, 1)) == (d.c_groups, 3, d.b)
-    assert all(rank_transpose(m) == plan.b for m in plan.matrices)
-    windows = [_window_bits(m) for m in plan.matrices]
+    assert (plan.c_groups, len(plan.col_words), plan.b) == (3, 3, max(b, 1)) == (d.c_groups, 3, d.b)
+    assert all(rank_transpose(matrix_of(plan, c)) == plan.b for c in range(plan.c_groups))
+    windows = [_window_bits(cols) for cols in plan.col_words.tolist()]
     assert all(w == list(range(w[0], w[0] + plan.b)) for w in windows)
     assert tuple(w[0] for w in windows) == d.starts
     covered = [t for w in windows for t in w]
@@ -184,7 +201,7 @@ def test_coded_layouts_leave_out_exactly_the_unit_rows_the_bin_gives(variant, wi
     offsets = build_offsets(dataclasses.replace(design(variant, n, 1), p1=p1), plan, rng=rng)
     code_words = [1 << q for q in range(n)] if variant != "so" else list(code_for(n).generator_rows())
     assert offsets.code_words.tolist() == code_words
-    spans = [span_words(m.col_words) for m in plan.matrices]
+    spans = [span_words(cols) for cols in plan.col_words]
     # the unit words of each group's brute-force column span
     assert plan.unit_mask == tuple(sum(1 << q for q in range(n) if 1 << q in set(span.tolist())) for span in spans)
     in_span = [{r for r, g in enumerate(code_words) if bin(g).count("1") == 1 and g & mask}
@@ -208,7 +225,7 @@ def test_coded_layouts_leave_out_exactly_the_unit_rows_the_bin_gives(variant, wi
             # over each base, the base and its distinct stored unit rows read
             # distinct cosets; the random bases, and SO's parity rows, which may
             # repeat a unit row, may share one by chance
-            window_mask = sum(plan.matrices[c].col_words)
+            window_mask = sum(plan.col_words[c].tolist())
             units = {0} | {g for g in offsets.code_words[offsets.stored[c]].tolist() if bin(g).count("1") == 1}
             assert len({g & ~window_mask for g in units}) == len(units)
 
@@ -463,7 +480,7 @@ def test_coset_is_the_bin_preimage(plan_args):
         assert len(np.unique(words)) == len(words) == 1 << (n - b)
         assert np.all(plan.bins_of_many(c, words) == j)
         # the cached particular word is solve_affine's, up to the span
-        particular, _ = solve_affine(plan.matrices[c], j)
+        particular, _ = solve_affine(matrix_of(plan, c), j)
         assert int(plan.particular_words[c, j]) ^ particular in set(span.tolist())
     # the basis words generate the null space, the bin-0 coset
     basis = plan.coset_basis[c]

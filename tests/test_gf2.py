@@ -3,22 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsewht.gf2 import (
-    BitMatrix,
-    DimensionError,
-    InconsistentSystemError,
-    eliminate,
-    random_full_column_rank,
-    rank_transpose,
-    selection_matrix,
-    span_words,
-)
-from sparsewht.frontend import PlanError, SubsamplingPlan
+from sparsewht.gf2 import BitMatrix, DimensionError, InconsistentSystemError, eliminate, span_words
+from sparsewht.frontend import PlanError
 from sparsewht.kernels import hash_words, pack_rows, parity_words
 
 import references
 from helpers import bits
-from references import solve_affine
+from references import plan_of, random_full_column_rank, rank_transpose, selection_matrix, solve_affine
 
 
 def _from_dense(dense) -> BitMatrix:
@@ -38,7 +29,7 @@ def _hash(m: BitMatrix, k_words) -> list:
 def _solve(m: BitMatrix, j: int):
     """``(particular, basis)`` of M^T k = j as a one-group plan solves it:
     its bin-j particular word and its null-space basis."""
-    plan = SubsamplingPlan(m.rows, m.cols, 1, (m,))
+    plan = plan_of([m])
     return int(plan.particular_words[0, j]), plan.coset_basis[0].tolist()
 
 
@@ -137,7 +128,7 @@ def test_solve_affine_inconsistent():
     with pytest.raises(InconsistentSystemError):
         eliminate((col, 1 << t) for t, col in enumerate(m.col_words))
     with pytest.raises(PlanError, match="lacks full column rank"):
-        SubsamplingPlan(4, 2, 1, (m,))
+        plan_of([m])
 
 
 def test_eliminate_with_unit_rhs_inverts():
@@ -169,7 +160,7 @@ def test_eliminate_with_unit_rhs_inverts():
 def test_plan_solve_matches_per_bin_solve_affine(n, b, seed):
     rng = np.random.default_rng(seed)
     m = random_full_column_rank(n, min(b, n), rng)
-    plan = SubsamplingPlan(n, m.cols, 1, (m,))
+    plan = plan_of([m])
     js = [1 << t for t in range(m.cols)] + rng.integers(0, plan.bins, size=8).tolist()
     particulars = [int(plan.particular_words[0, j]) for j in js]
     # same pivots, so the same particular words, not just words in the same coset

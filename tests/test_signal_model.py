@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sparsewht import NoisyAccess, SparseSpectrum, draw_spectrum, sigma_for_snr, synthesize_many
 from sparsewht.frontend import SubsamplingPlan, design
-from sparsewht.gf2 import BitMatrix
 from sparsewht.kernels import fwht
 from sparsewht.signal_model import merge_reads, snr_from_db
 from sparsewht.sketch import CutQueryAccess
@@ -308,7 +307,7 @@ def test_index_length_outside_packed_words_is_rejected(n):
     with pytest.raises(ValueError, match="outside 1..63"):
         design("noiseless", n, 1)
     with pytest.raises(ValueError, match="outside 1..63"):
-        SubsamplingPlan(n, 1, 1, (BitMatrix(n, 1, (0,) * n),))
+        SubsamplingPlan(n, [[0]])
 
 
 def test_draw_at_widest_index_length():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsewht import experiments, frontend, gf2, sketch
 from sparsewht.signal_model import SparseSpectrum, synthesize_many
 from sparsewht.sketch import (
     CutQueryAccess,
@@ -17,6 +18,7 @@ from sparsewht.sketch import (
 )
 
 from helpers import random_disjoint_hypergraph
+from references import random_full_column_rank
 
 
 def _cut_oracle_by_sets(h, m_word):
@@ -337,3 +339,64 @@ def test_sketch_recover_partial_when_budget_too_small():
     h = random_disjoint_hypergraph(16, 3, rng, min_size=4, max_size=5)
     result = sketch_recover(h, sparsity_budget=4, seed=7)
     assert result.partial and result.edges is None
+
+
+def _ci_graph():
+    """The n = 50 graph of the console-script check: a budget of 4 + 2 + 8 = 14 gives b = 4."""
+    return Hypergraph.from_edge_lists(50, [{1, 7, 20}, {3, 40}, {11, 12, 13, 50}])
+
+
+def _recording_plans(monkeypatch):
+    """The plans ``sketch_recover`` passes to ``recover``, in call order."""
+    plans = []
+
+    def recording(*args, **kwargs):
+        plans.append(kwargs["plan"])
+        return experiments.recover(*args, **kwargs)
+
+    monkeypatch.setattr(sketch, "recover", recording)
+    return plans
+
+
+def test_sketch_eliminates_each_group_once(monkeypatch):
+    # the plan's own solve is the rank check of the random draw: no second elimination
+    calls = []
+    eliminate = gf2.eliminate
+    monkeypatch.setattr(gf2, "eliminate", lambda rows: calls.append(1) or eliminate(rows))
+    result = sketch_recover(_ci_graph(), sparsity_budget=14, seed=0, coeff_resolution=2.0**-3)
+    assert set(map(frozenset, result.edges)) == set(_ci_graph().edges)
+    assert len(calls) == frontend.design("noiseless", 50, 14).c_groups == 3
+
+
+def test_sketch_builds_no_particular_word_table_without_unit_rows(monkeypatch):
+    # the random plan's span holds no unit word, so every code row is measured
+    # and the detector reads no bit from the bin; a window plan keeps its table
+    plans = _recording_plans(monkeypatch)
+    result = sketch_recover(_ci_graph(), sparsity_budget=14, seed=0, coeff_resolution=2.0**-3)
+    (plan,) = plans
+    assert result.queries == 2346 and plan.unit_mask == (0, 0, 0)
+    assert "particular_words" not in plan.__dict__
+    window = frontend.build_plan(frontend.design("noiseless", 12, 16))
+    rng = np.random.default_rng(0)
+    access = sketch.CutQueryAccess(Hypergraph.from_edge_lists(12, [{1, 2}, {5, 9, 11}]))
+    experiments.recover(access, 16, "noiseless", snr_db=None, rho=1.0, rng_offsets=rng, plan=window)
+    assert all(window.unit_mask) and "particular_words" in window.__dict__
+
+
+def test_sketch_plan_is_the_per_group_draw_where_none_was_rejected(monkeypatch):
+    # at n = 6, b = 3 about one plan in three holds a rank-deficient first
+    # draw: the reference draws that group again, the sketch the whole plan
+    plans = _recording_plans(monkeypatch)
+    h = Hypergraph.from_edge_lists(6, [{1, 2, 3}, {4, 5}])
+    kept = 0
+    for seed in range(40):
+        sketch_recover(h, sparsity_budget=8, seed=seed)
+        rng = np.random.default_rng(seed)
+        reference = [list(random_full_column_rank(6, 3, rng).col_words) for _ in range(3)]
+        # the stream went exactly C n words further when no draw was rejected
+        unrejected = np.random.default_rng(seed)
+        unrejected.integers(0, 1 << 3, size=3 * 6, dtype=np.int64)
+        if rng.bit_generator.state == unrejected.bit_generator.state:
+            assert plans[-1].col_words.tolist() == reference, seed
+            kept += 1
+    assert 0 < kept < 40
