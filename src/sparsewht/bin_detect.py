@@ -162,11 +162,11 @@ def detect_coded_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, c
     :func:`tested`. For any other bin, code bit q is the sgn of that
     product summed over the bases (a strong base weighs more than a weak
     one). Bin j's received word holds <g_r, ``plan.particular_words[c, j]``>,
-    which is <g_r, k> for the unit rows in colspan(M_c) that no group
-    stores (none when ``plan.unit_mask[c]`` is 0), then these measured
-    bits at the positions ``offsets.stored[c]``. The identity code packs
-    it to the index, and ``offsets.code`` decodes it through
-    :func:`codes.bitflip_decode_many`. A decoded index is a single-ton
+    which is <g_r, k> for the unit rows in colspan(M_c) that the group
+    leaves out (a group that stores every row reads no such table), then
+    these measured bits at the positions ``offsets.stored[c]``. The
+    identity code packs it to the index, and ``offsets.code`` decodes it
+    through :func:`codes.bitflip_decode_many`. A decoded index is a single-ton
     when it hashes to its bin and :func:`_confirm` passes it on every
     row; a bin whose word does not decode is a multi-ton.
     """
@@ -176,7 +176,8 @@ def detect_coded_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, c
     live = np.flatnonzero(~_within_noise(cols, level))
     u, js = cols[live], js[live]
     block = u[:, c0:c1].reshape(len(live), b1 - b0, (c1 - c0) // (b1 - b0))
-    received = (kernels.parity_words(offsets.code_words & plan.particular_words[c, js, None]) if plan.unit_mask[c]
+    received = (kernels.parity_words(offsets.code_words & plan.particular_words[c, js, None])
+                if len(offsets.stored[c]) < len(offsets.code_words)
                 else np.zeros((len(live), len(offsets.code_words)), dtype=np.uint8))
     received[:, offsets.stored[c]] = np.einsum("mpq,mp->mq", block, u[:, b0:b1]) < 0
     if offsets.code is None:

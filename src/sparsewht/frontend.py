@@ -3,8 +3,10 @@
 A plan holds the column words of C subsampling matrices M_c (n x b,
 full column rank); group c hashes k to bin j = M_c^T k. Observations are built
 by reading the B = 2^b samples u[M_c l + d] for each offset row d,
-applying a B-point unnormalized butterfly and scaling by sqrt(N)/B, which
-yields U_{c,p}[j] = sum_{M_c^T k = j} X[k] (-1)^<d_{c,p}, k> plus noise of
+applying a B-point unnormalized Walsh-Hadamard transform (products of
+small Hadamard matrices, ``kernels.fwht_rows_inplace``) and scaling by
+sqrt(N)/B, which yields
+U_{c,p}[j] = sum_{M_c^T k = j} X[k] (-1)^<d_{c,p}, k> plus noise of
 variance N sigma^2 / B per entry. The (C, B, P) tensor of samples of all
 groups is one ``take_cosets`` read, the only read ``observe`` makes. It
 stays bins-major, one column per offset row, from the read to the peel.
@@ -281,8 +283,12 @@ def observe(access, plan: SubsamplingPlan, offsets: OffsetPlan) -> BinObservatio
     ``take_cosets(cols, rows)``, which returns the (C, B, P) sample tensor
     of the (C, b) column words ``plan.col_words`` and the (C, P) offset
     words ``offsets.groups`` as a C-contiguous float64 array the caller
-    owns, and ``samples_queried``. The butterflies run down the tensor's
-    columns and the scaling follows, both in place.
+    owns, and ``samples_queried``. The B-point transform runs down the
+    tensor's columns and the scaling follows, both in place. Where every
+    partial sum is exact, as for the noise-free samples of a +/-1
+    spectrum at even n (integers times 2^(-n/2)), the observations are
+    the same on every machine; otherwise their low bits depend on the
+    BLAS kernel that ``kernels.fwht_rows_inplace`` runs on.
     """
     if not access.n == offsets.n == plan.n:
         raise PlanError(f"access, plan and offsets disagree on n: {access.n}, {plan.n}, {offsets.n}")

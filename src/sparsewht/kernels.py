@@ -1,7 +1,8 @@
-"""Hot numeric kernels: batched Walsh-Hadamard butterflies, the
-orthonormal transform, GF(2) parities of packed words, signature signs
-and the coset matched filter, which scores a whole coset as one product
-of two small sign matrices.
+"""Hot numeric kernels: the batched Walsh-Hadamard transform as products
+of small Hadamard matrices (one BLAS call per field of up to 5 bits),
+the orthonormal transform, GF(2) parities of packed words, signature
+signs and the coset matched filter, which scores a whole coset as one
+product of two small sign matrices.
 
 Everything runs on numpy. All GF(2) index words are carried as
 ``uint64``; only parities of ANDed words are ever needed, and they come
@@ -10,6 +11,7 @@ from ``np.bitwise_count`` (a hardware popcount where the CPU has one).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,33 +22,65 @@ def backend_name() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Walsh-Hadamard butterflies (unnormalized: output[j] = sum_l (-1)^<j,l> x[l])
+# Walsh-Hadamard transforms (unnormalized: output[j] = sum_l (-1)^<j,l> x[l])
 # ---------------------------------------------------------------------------
+
+_FIELD_BITS = 5  # the widest factor H_{2^p}, chosen by timing shapes from (3, 64, 46) to (2^20, 1)
+
+
+@lru_cache(maxsize=None)
+def _hadamard(bits: int) -> np.ndarray:
+    """The read-only 2^bits x 2^bits matrix (-1)^<i,j>, which is symmetric."""
+    words = np.arange(1 << bits, dtype=np.uint64)
+    h = sign_matrix(words, words)
+    h.flags.writeable = False
+    return h
+
+
+def _field_bits(b: int) -> list:
+    """The widths p_1, ..., p_m of the m = ceil(b / 5) near-equal fields
+    of a b-bit index, high field first and wider fields first, so that
+    H_{2^b} = H_{2^p_1} (x) ... (x) H_{2^p_m}."""
+    m = -(-b // _FIELD_BITS)
+    return [b // m + (i < b % m) for i in range(m)]
 
 
 def fwht_rows_inplace(mat: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard butterflies applied to every column in place.
+    """Unnormalized Walsh-Hadamard transform of every column, in place.
 
     ``mat`` must be C-contiguous float64 of shape (..., 2**b, m): one
     transform runs down each of its m columns, in every slice of the
     leading axes. Raises ValueError for any other array, since a reshape
-    of it would be a copy that the butterflies left untouched.
+    of it would be a copy that the transform left untouched.
+
+    H_{2^b} is the Kronecker product of the small Hadamard matrices of
+    :func:`_field_bits`, so the transform is one ``np.matmul`` per field:
+    the cached 2^p x 2^p matrix times the (pre, 2^p, post) view of the
+    tensor whose middle axis holds that field's bits, the last product
+    written into ``mat``. Each output sums 2^p_1 + ... + 2^p_m terms in
+    an order that the BLAS kernel picked at run time decides. A column
+    whose partial sums are all exact, such as integers of magnitude below
+    2^53 / 2^b, comes out bit for bit the same on every machine; the low
+    bits of any other column depend on that kernel.
     """
     if mat.ndim < 2 or mat.dtype != np.float64 or not mat.flags.c_contiguous:
         raise ValueError("expected a C-contiguous float64 array of two or more dimensions")
-    size, cols = mat.shape[-2:]
-    rows = math.prod(mat.shape[:-1])
+    size = mat.shape[-2]
     if size & (size - 1):
         raise ValueError("column length must be a power of two")
-    # bins-major: every stage streams runs of h * cols contiguous values
-    h = 1
-    while h < size:
-        view = mat.reshape(rows // (2 * h), 2, h * cols)
-        a = view[:, 0, :].copy()
-        b = view[:, 1, :]
-        np.add(a, b, out=view[:, 0, :])
-        np.subtract(a, b, out=b)
-        h *= 2
+    if size == 1 or mat.size == 0:
+        return mat
+    fields = _field_bits(size.bit_length() - 1)
+    post = size * mat.shape[-1]
+    pre, src = mat.size // post, mat
+    for i, p in enumerate(fields):
+        post >>= p
+        h = _hadamard(p)
+        # at post 1, one (pre, 2^p) product by the symmetric H replaces pre matrix-vector ones
+        shape = (pre, 1 << p) if post == 1 else (pre, 1 << p, post)
+        operands = (src.reshape(shape), h) if post == 1 else (h, src.reshape(shape))
+        src = np.matmul(*operands, out=mat.reshape(shape) if i == len(fields) - 1 else None)
+        pre <<= p
     return mat
 
 
@@ -58,11 +92,14 @@ def _check_length(x: np.ndarray) -> int:
 
 
 def fwht(x: np.ndarray) -> np.ndarray:
-    """Orthonormal transform, N log N butterflies on a copy of the input.
+    """Orthonormal transform of a copy of the input, by
+    :func:`fwht_rows_inplace` on one column of N values.
 
     The kernel is (-1)^<k, m> in natural (Hadamard) order with a symmetric
     1/sqrt(N) normalization, so the transform is its own inverse and
-    keeps Parseval exact.
+    keeps Parseval exact. Integer inputs below 2^53 / N in magnitude
+    give the same bits on every machine; the low bits of other outputs
+    depend on the BLAS kernel (see :func:`fwht_rows_inplace`).
     """
     x = np.array(x, dtype=np.float64, copy=True)
     size = _check_length(x)

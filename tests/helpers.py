@@ -1,10 +1,13 @@
 """Shared fixtures: the four-coefficient worked instance, bit helpers,
-seeded pipeline instances and random disjoint hypergraphs."""
+seeded pipeline instances, random disjoint hypergraphs, and the round-off
+bounds that hold the library's transform to the reference butterflies."""
 import dataclasses
+import math
 
 import numpy as np
+import pytest
 
-from sparsewht import NoisyAccess, SparseSpectrum, build_regular_ldpc, draw_spectrum, sigma_for_snr
+from sparsewht import NoisyAccess, SparseSpectrum, build_regular_ldpc, draw_spectrum, kernels, sigma_for_snr
 from sparsewht.bin_detect import DetectorConfig
 from sparsewht.frontend import Design, SubsamplingPlan, build_offsets, build_plan, design, observe
 from sparsewht.sketch import Hypergraph
@@ -93,3 +96,71 @@ def random_disjoint_hypergraph(n: int, s: int, rng, min_size: int = 2, max_size:
         edges.append(frozenset(int(v) for v in verts[at : at + size]))
         at += size
     return Hypergraph(n, tuple(edges))
+
+
+def _field_terms(size: int) -> int:
+    """s = sum_i 2^p_i, the terms each output of the library's B-point
+    transform sums over its Kronecker factors (``kernels._field_bits``)."""
+    return sum(1 << p for p in kernels._field_bits(size.bit_length() - 1))
+
+
+def transform_bound(mat: np.ndarray) -> np.ndarray:
+    """Per column of ``mat`` (shape (..., B, m)), the largest difference
+    between ``kernels.fwht_rows_inplace`` of it and the reference
+    butterflies of it.
+
+    With unit round-off u = eps / 2, a sum of k terms, in any order and
+    with or without fused multiply-adds by +/-1, is within (k - 1) u of
+    the sum of their magnitudes, to first order in u. The kernel applies
+    one Kronecker factor of 2^p_i points per field, so each output is
+    within sum_i (2^p_i - 1) u sum|x| of the exact transform; the
+    butterflies make b two-term stages, within b u sum|x|. As p <= 2^p - 1,
+    the two together stay below (s - m) eps sum|x|, s = sum_i 2^p_i. The
+    bound s eps B max|x| is larger by m eps B max|x|, which covers the
+    terms of order u^2. With no field (B = 1) it is 0: exact.
+    """
+    size = mat.shape[-2]
+    return _field_terms(size) * np.finfo(np.float64).eps * size * np.max(np.abs(mat), axis=-2, keepdims=True)
+
+
+def with_transform(transform, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with ``kernels.fwht_rows_inplace`` replaced
+    by ``transform``; returns its result and a copy of every array the
+    transform was given, in call order."""
+    inputs = []
+
+    def recording(mat):
+        inputs.append(mat.copy())
+        return transform(mat)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "fwht_rows_inplace", recording)
+        return fn(*args, **kwargs), inputs
+
+
+def observation_bound(n: int, obs, ref, inputs, ref_inputs) -> np.ndarray:
+    """Per (group, offset row) column, the largest difference between the
+    (C, B, P) observations ``obs`` of a ``NoisyAccess`` at N = 2^n, made
+    with the library's transform, and ``ref``, made from the same
+    spectrum, offsets and noise with the reference butterflies.
+    ``inputs`` and ``ref_inputs`` are what the transforms were given
+    (:func:`with_transform`): the oracle's alias sums x, then the samples v.
+
+    Each side computes v = x^ / sqrt(N) + z and U = (sqrt(N) / B) v^,
+    where ^ is the B-point transform. By :func:`transform_bound` the two
+    x^ differ by at most s eps B X, X = max|x| over the column. The
+    division and the noise add round each v twice, so the two v differ
+    by at most (s + 1) eps B X / sqrt(N) + eps V, V = max|v| over both
+    sides. The two v^ then differ by the rounding of the transforms, s eps
+    B V, plus B times the largest difference of the v (|H| has row sums
+    B), and the last scaling rounds each U once, eps O, O = max|U| over
+    both sides. Together: (s + 1) eps (sqrt(N) V + B X) + eps O.
+    """
+    (x, v), (_, v_ref) = inputs, ref_inputs
+    size, eps = x.shape[-2], np.finfo(np.float64).eps
+
+    def column_max(*arrays):
+        return np.max([np.max(np.abs(a), axis=-2, keepdims=True) for a in arrays], axis=0)
+
+    rounding = (_field_terms(size) + 1) * eps * (math.sqrt(2.0**n) * column_max(v, v_ref) + size * column_max(x))
+    return rounding + eps * column_max(obs, ref)

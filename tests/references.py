@@ -1,9 +1,10 @@
 """Loop references for the hash, the alias sums, the encoder, the batched
 detectors, the bit-flip decoder, the stall level and LDPC set-up, plus the
-brute-force transform, the dense spectrum, the one-rhs affine solve, the
-butterfly coset search and hash matrices as ``BitMatrix`` values: the
-selection matrix, the per-group random draw and the rank, with the plan
-of given matrices and the matrix of a plan's group.
+brute-force transform, the batched butterflies, the dense spectrum, the
+one-rhs affine solve, the butterfly coset search and hash matrices as
+``BitMatrix`` values: the selection matrix, the per-group random draw and
+the rank, with the plan of given matrices and the matrix of a plan's
+group.
 
 These are the one-column (and one-word) bodies the library ran before it
 classified a group's bins in one call and before it carried indices only
@@ -20,7 +21,7 @@ from sparsewht.bin_detect import MULTI_TON, SINGLE_TON, ZERO_TON, Detection
 from sparsewht.codes import DECODE_ROUNDS
 from sparsewht.frontend import SubsamplingPlan
 from sparsewht.gf2 import BitMatrix, DimensionError, _null_basis, eliminate
-from sparsewht.kernels import _check_length, fwht_rows_inplace, hash_words, sign_matrix
+from sparsewht.kernels import _check_length, hash_words, sign_matrix
 
 
 def sgn(x: float) -> int:
@@ -49,6 +50,29 @@ def naive_wht(x: np.ndarray) -> np.ndarray:
     if size > (1 << 13):
         raise ValueError("quadratic oracle is limited to n <= 13")
     return (_sign_kernel(size) @ x) / math.sqrt(size)
+
+
+def fwht_rows_butterflies(mat: np.ndarray) -> np.ndarray:
+    """``kernels.fwht_rows_inplace`` as the b butterfly stages the library
+    ran before it took products of small Hadamard matrices: same contract,
+    in place, and one fixed order of two-term sums, so every column's
+    result depends on that column alone."""
+    if mat.ndim < 2 or mat.dtype != np.float64 or not mat.flags.c_contiguous:
+        raise ValueError("expected a C-contiguous float64 array of two or more dimensions")
+    size, cols = mat.shape[-2:]
+    rows = math.prod(mat.shape[:-1])
+    if size & (size - 1):
+        raise ValueError("column length must be a power of two")
+    # bins-major: every stage streams runs of h * cols contiguous values
+    h = 1
+    while h < size:
+        view = mat.reshape(rows // (2 * h), 2, h * cols)
+        a = view[:, 0, :].copy()
+        b = view[:, 1, :]
+        np.add(a, b, out=view[:, 0, :])
+        np.subtract(a, b, out=b)
+        h *= 2
+    return mat
 
 
 def densify(spectrum) -> np.ndarray:
@@ -140,7 +164,7 @@ def singleton_search_butterfly(cols, offset_words, basis_words, part_words):
     at = (slots[None, :] * rows + np.arange(rows, dtype=np.int64)[:, None]).reshape(-1)
     scores = np.bincount(at, weights=signed.reshape(-1), minlength=size * rows)
     # bincount of no cells is int64 whatever the weights
-    scores = fwht_rows_inplace(scores.astype(np.float64, copy=False).reshape(size, rows))
+    scores = fwht_rows_butterflies(scores.astype(np.float64, copy=False).reshape(size, rows))
     idx = np.argmax(np.abs(scores), axis=0)
     return idx, scores[idx, np.arange(rows)]
 

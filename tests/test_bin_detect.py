@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from sparsewht import NoisyAccess, bin_detect, crossover_bound, draw_spectrum, sigma_for_snr
+from sparsewht import (NoisyAccess, bin_detect, crossover_bound, draw_spectrum, experiments, sigma_for_snr,
+                       verify_support)
 from sparsewht.bin_detect import (
     DETECTORS,
     MULTI_TON,
@@ -78,6 +79,23 @@ def test_coded_detector_two_bases_over_the_ldpc_rows(verify_rows):
         two = cols[:64] + 0.5 * values[pairs.astype(np.int64), None] * sign_matrix(pairs, offsets.groups[c])
         live, _, _, single = detect_coded_many(two, js[:64], c, plan, offsets, cfg)
         assert np.array_equal(live, np.arange(64)) and not single.any()
+
+
+@pytest.mark.parametrize("variant,n,k,left_out", [("so", 13, 16, 0), ("nso", 17, 40, 6)])
+def test_coded_detector_builds_no_particular_word_table_where_every_row_is_stored(variant, n, k, left_out):
+    # every window of both designs holds unit words in its span; code_for(13)
+    # holds a different number of them in each, so SO stores all 26 rows and
+    # the bin gives no bit, while NSO leaves out the b = 6 unit rows per group
+    d = design(variant, n, k)
+    plan = window_plan(n, d.b, d.c_groups)  # fresh: build_plan's is cached and shared
+    assert plan.col_words.tolist() == build_plan(d).col_words.tolist() and all(plan.unit_mask)
+    offsets = build_offsets(d, plan, rng=np.random.default_rng(0))
+    assert len(offsets.code_words) - offsets.stored.shape[1] == left_out
+    rng = np.random.default_rng(1)
+    access = NoisyAccess(draw_spectrum(n, k, 1.0, rng), sigma_for_snr(1.0, k, 1 << n, snr_from_db(10.0)), rng)
+    recovered, report, _, _ = experiments.recover(access, k, variant, snr_db=10.0, rho=1.0, rng_offsets=rng, plan=plan)
+    assert report.peels >= k and verify_support(recovered, access.spectrum)
+    assert ("particular_words" in plan.__dict__) == bool(left_out)
 
 
 def test_coded_detector_confirms_only_decoded_words(monkeypatch):

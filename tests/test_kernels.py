@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from sparsewht import kernels
 from sparsewht.gf2 import span_words
 
-from helpers import random_plan
-from references import alias_loop, hash_loop, parity, singleton_search_butterfly
+from helpers import random_plan, transform_bound
+from references import alias_loop, fwht_rows_butterflies, hash_loop, parity, singleton_search_butterfly
 
 
 def test_fwht_rows_small_known_values():
@@ -36,9 +36,9 @@ def _columns_reference(mat):
 @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (16, 5), (64, 7), (256, 2)])
 def test_fwht_rows_numpy_matches_loop_butterflies(shape):
     mat = np.random.default_rng(shape[0]).standard_normal(shape)
-    expected = _columns_reference(mat)
+    expected, bound = _columns_reference(mat), transform_bound(mat)
     kernels.fwht_rows_inplace(mat)
-    assert np.array_equal(mat, expected)
+    assert np.all(np.abs(mat - expected) <= bound)
 
 
 @settings(max_examples=60, deadline=None)
@@ -46,23 +46,60 @@ def test_fwht_rows_numpy_matches_loop_butterflies(shape):
 @example(b=0, m=1, seed=0)  # one bin, one column
 @example(b=5, m=1, seed=1)  # one column
 @example(b=0, m=6, seed=2)  # one bin
+@example(b=7, m=3, seed=3)  # two fields
 def test_fwht_rows_every_column_matches_loop_butterflies(b, m, seed):
     mat = np.random.default_rng(seed).standard_normal((1 << b, m))
-    expected = _columns_reference(mat)
+    expected, bound = _columns_reference(mat), transform_bound(mat)
     assert kernels.fwht_rows_inplace(mat) is mat
-    assert np.array_equal(mat, expected)
+    assert np.all(np.abs(mat - expected) <= bound)
 
 
 @settings(max_examples=40, deadline=None)
-@given(lead=st.lists(st.integers(0, 3), max_size=2), b=st.integers(0, 5), m=st.integers(0, 4),
+@given(lead=st.lists(st.integers(0, 3), max_size=2), b=st.integers(0, 7), m=st.integers(0, 4),
        seed=st.integers(0, 2**32 - 1))
 @example(lead=[3], b=4, m=0, seed=0)  # a stack of zero-column slices
 @example(lead=[0], b=2, m=3, seed=0)  # an empty stack
+@example(lead=[2, 3], b=7, m=1, seed=1)  # two fields over one column
 def test_fwht_rows_stack_matches_each_slice(lead, b, m, seed):
     stack = np.random.default_rng(seed).standard_normal((*lead, 1 << b, m))
     expected = np.array([_columns_reference(mat) for mat in stack.reshape(math.prod(lead), 1 << b, m)])
+    bound = transform_bound(stack)
     assert kernels.fwht_rows_inplace(stack) is stack
-    assert np.array_equal(stack, expected.reshape(stack.shape))
+    assert np.all(np.abs(stack - expected.reshape(stack.shape)) <= bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lead=st.lists(st.integers(0, 3), max_size=2), b=st.integers(0, 12), m=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+@example(lead=[], b=12, m=1, seed=0)  # three fields over one column
+@example(lead=[3], b=6, m=5, seed=1)  # nso-17-40's two fields
+@example(lead=[2], b=5, m=3, seed=2)  # one field
+def test_fwht_rows_integers_match_butterflies_bit_for_bit(lead, b, m, seed):
+    # integers of magnitude <= 2^20 keep every partial sum below 2^32, so
+    # both orders of summation are exact: the noise-free pins rely on it
+    stack = np.random.default_rng(seed).integers(-(1 << 20), (1 << 20) + 1, size=(*lead, 1 << b, m)).astype(float)
+    expected = fwht_rows_butterflies(stack.copy())
+    assert kernels.fwht_rows_inplace(stack) is stack
+    assert stack.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(lead=st.lists(st.integers(0, 3), max_size=2), b=st.integers(0, 6), m=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_butterfly_reference_equals_loop_butterflies(lead, b, m, seed):
+    # the batched reference makes the loop's two-term sums in the loop's order
+    stack = np.random.default_rng(seed).standard_normal((*lead, 1 << b, m))
+    expected = np.array([_columns_reference(mat) for mat in stack.reshape(math.prod(lead), 1 << b, m)])
+    assert fwht_rows_butterflies(stack) is stack
+    assert stack.view(np.uint64).tolist() == expected.reshape(stack.shape).view(np.uint64).tolist()
+
+
+def test_fields_split_the_index_into_near_equal_widths_of_at_most_five_bits():
+    for b in range(64):
+        widths = kernels._field_bits(b)
+        assert sum(widths) == b and len(widths) == -(-b // 5)
+        assert widths == sorted(widths, reverse=True) and (not widths or widths[0] - widths[-1] <= 1)
+        assert all(1 <= p <= 5 for p in widths)
 
 
 def test_parity_words():
@@ -216,6 +253,7 @@ def test_non_power_of_two_rows_rejected():
 ], ids=["fortran-order", "strided", "float32", "1-d"])
 def test_fwht_rows_rejects_arrays_it_cannot_transform_in_place(mat):
     before = mat.copy()
-    with pytest.raises(ValueError, match="C-contiguous float64 array of two or more dimensions"):
-        kernels.fwht_rows_inplace(mat)
+    for transform in (kernels.fwht_rows_inplace, fwht_rows_butterflies):
+        with pytest.raises(ValueError, match="C-contiguous float64 array of two or more dimensions"):
+            transform(mat)
     assert np.array_equal(mat, before)

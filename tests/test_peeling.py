@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sparsewht import NoisyAccess, SparseSpectrum, draw_spectrum, sigma_for_snr, verify_support
+from sparsewht import NoisyAccess, SparseSpectrum, bin_detect, draw_spectrum, sigma_for_snr, verify_support
 from sparsewht.bin_detect import (
     MULTI_TON,
     SINGLE_TON,
@@ -146,9 +146,15 @@ def test_round_off_ghost_drops_out():
     assert result.support_ok and result.values_ok and not result.stalled
 
 
-def test_unsettled_decode_stops_at_the_guard():
-    # a continuous-amplitude near-linear decode at 0 dB whose spectrum
-    # keeps changing from sweep to sweep: only the structural guard stops it
+def test_unsettled_decode_stops_at_the_guard(monkeypatch):
+    # a stub detector calls every pending bin a single-ton of its particular
+    # word at +1: each peel adds 1 to a recovered value, so none cancels,
+    # and marks that word's bin pending in every group, its own included,
+    # so every sweep changes the spectrum and only the structural guard stops it
+    def never_settles(cols, js, c, plan, offsets, cfg):
+        return np.arange(len(js)), plan.particular_words[c, js], np.ones(len(js)), np.ones(len(js), dtype=bool)
+
+    monkeypatch.setitem(bin_detect.DETECTORS, "near-linear", never_settles)
     n, k, snr_db = 12, 10, 0.0
     rng = np.random.default_rng([91, n, k, 6, 0])
     spectrum = draw_spectrum(n, k, 1.0, rng, constellation=False)
