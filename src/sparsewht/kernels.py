@@ -75,11 +75,9 @@ def fwht_rows_inplace(mat: np.ndarray) -> np.ndarray:
     pre, src = mat.size // post, mat
     for i, p in enumerate(fields):
         post >>= p
-        h = _hadamard(p)
-        # at post 1, one (pre, 2^p) product by the symmetric H replaces pre matrix-vector ones
-        shape = (pre, 1 << p) if post == 1 else (pre, 1 << p, post)
-        operands = (src.reshape(shape), h) if post == 1 else (h, src.reshape(shape))
-        src = np.matmul(*operands, out=mat.reshape(shape) if i == len(fields) - 1 else None)
+        shape = (pre, 1 << p, post)
+        last = mat.reshape(shape) if i == len(fields) - 1 else None
+        src = np.matmul(_hadamard(p), src.reshape(shape), out=last)
         pre <<= p
     return mat
 
