@@ -26,7 +26,6 @@ from .bin_detect import (
 )
 from .codes import LdpcCode, bitflip_decode, build_regular_ldpc
 from .frontend import BinObservations, OffsetPlan, SubsamplingPlan, build_offsets, build_plan, observe
-from .gf2 import BitMatrix
 from .kernels import fwht
 from .peeling import DecodeReport, SupportCheck, decode, verify_support
 from .signal_model import NoisyAccess, SparseSpectrum, draw_spectrum, sigma_for_snr, synthesize_many
@@ -35,7 +34,6 @@ from .sketch import Hypergraph, analytic_spectrum, cut_value, sketch_recover
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitMatrix",
     "BinObservations",
     "DecodeReport",
     "DeTrace",

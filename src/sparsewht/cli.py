@@ -163,7 +163,7 @@ def _cmd_sketch(args) -> int:
     if result.edges is not None:
         for e in result.edges:
             print("edge:", " ".join(str(v) for v in sorted(e)))
-    return 0
+    return 1 if result.partial else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

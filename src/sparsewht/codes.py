@@ -3,10 +3,13 @@
 Rate is fixed at 1/2 (block length 2 q for q information bits), so 3 * 2q
 variable sockets meet 6 * q check sockets. The graph grows by progressive
 edge growth, which keeps short cycles out, and one GF(2) elimination gives
-the systematic generator. Construction works on Python-int bitmask rows
-and columns; :func:`code_for` builds the design's one code per n once per
-process. Bit flipping runs on each received word's syndrome, as an
-integer mask, until the word decodes, cycles or reaches the round cap.
+the systematic generator. A code is its words: H's check rows and G's
+rows as Python-int bitmasks, and H's column words derived once.
+Construction works on bitmask rows and columns; :func:`code_for` builds
+the design's one code per n once per process. Bit flipping starts from
+each received word's syndrome, the XOR of H's column words at its set
+bits, and runs on that integer mask until the word decodes, cycles or
+reaches the round cap.
 """
 from __future__ import annotations
 
@@ -29,24 +32,22 @@ class CodeConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class LdpcCode:
-    n_info: int
-    n_block: int
-    h: gf2.BitMatrix  # parity checks, n_info x n_block
-    g: gf2.BitMatrix  # systematic generator, n_block x n_info
+    """A rate-1/2 code as packed words: ``h_rows`` holds H's n_info checks
+    over the 2 n_info code bits (bit t of check r is H[r, t]), and
+    ``g_rows`` G's 2 n_info rows over the information bits (bit q of row
+    p is G[p, q]), so code bit p of the codeword of k is <g_rows[p], k>."""
 
-    def generator_rows(self) -> tuple:
-        """Rows of G as packed n_info-bit words (the coded offsets)."""
-        return self.g.row_words
+    n_info: int
+    h_rows: tuple
+    g_rows: tuple
 
     @cached_property
-    def _h_dense(self) -> np.ndarray:
-        dense = self.h.to_dense()
-        dense.flags.writeable = False
-        return dense
-
-    def h_dense(self) -> np.ndarray:
-        """H as a read-only uint8 array, built once per code."""
-        return self._h_dense
+    def h_cols(self) -> np.ndarray:
+        """H's 2 n_info columns as read-only uint64 words: bit r of column t is H[r, t]."""
+        cols = np.array([sum((row >> t & 1) << r for r, row in enumerate(self.h_rows))
+                         for t in range(2 * self.n_info)], dtype=np.uint64)
+        cols.flags.writeable = False
+        return cols
 
 
 def _union(words: list, mask: int) -> int:
@@ -111,19 +112,17 @@ def build_regular_ldpc(n_info: int, rng) -> LdpcCode:
     """
     if n_info < MIN_INFO_BITS:
         raise ValueError(f"n_info must be at least {MIN_INFO_BITS}")
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    n_block = 2 * n_info
+    rng = np.random.default_rng(rng)
     for _ in range(GRAPH_DRAWS):
         rows = _peg_rows(n_info, rng)
         pivots, _ = gf2.eliminate((row, 0) for row in rows or [])
         if len(pivots) < n_info:
             continue
         pivot_cols = sorted(pivots)
-        order = [t for t in range(n_block) if t not in pivots] + pivot_cols
+        order = [t for t in range(2 * n_info) if t not in pivots] + pivot_cols
         h = [sum(((row >> t) & 1) << i for i, t in enumerate(order)) for row in rows]
         parity = [sum(((pivots[p] >> t) & 1) << i for i, t in enumerate(order[:n_info])) for p in pivot_cols]
-        g = gf2.BitMatrix.from_rows([1 << t for t in range(n_info)] + parity, n_info)
-        return LdpcCode(n_info, n_block, gf2.BitMatrix.from_rows(h, n_block), g)
+        return LdpcCode(n_info, tuple(h), tuple(1 << t for t in range(n_info)) + tuple(parity))
     raise CodeConstructionError(f"no full-rank (3,6) code after {GRAPH_DRAWS} graphs")
 
 
@@ -163,13 +162,14 @@ def bitflip_decode_many(code: LdpcCode, bits, max_rounds: int = DECODE_ROUNDS):
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
     words = np.array(bits, dtype=np.uint8, ndmin=2)
-    if words.shape[1] != code.n_block:
-        raise gf2.DimensionError(f"expected {code.n_block} received bits per word")
     n = code.n_info
+    if words.shape[1] != 2 * n:
+        raise gf2.DimensionError(f"expected {2 * n} received bits per word")
     # info and syndrome packed apart: each fits a uint64, the 2n-bit word may not
     info = kernels.pack_rows(words[:, :n])
-    syndromes = kernels.pack_rows((words @ code.h_dense().T) & 1).tolist()
-    rows, cols, info_mask = code.h.row_words, code.h.col_words, (1 << n) - 1
+    # the starting syndrome H x: the XOR of H's columns at x's set bits
+    syndromes = np.bitwise_xor.reduce(np.where(words & 1, code.h_cols, np.uint64(0)), axis=1).tolist()
+    rows, cols, info_mask = code.h_rows, code.h_cols.tolist(), (1 << n) - 1
     ok, fixes = [], []
     for s in syndromes:
         flips, last, before = 0, -1, -1
@@ -199,7 +199,7 @@ def bitflip_decode(code: LdpcCode, bits, max_rounds: int = DECODE_ROUNDS):
     """The one-word case of :func:`bitflip_decode_many` on a 0/1 array;
     returns the information word as an int, or None when decoding fails."""
     bits = np.asarray(bits, dtype=np.uint8)
-    if bits.shape != (code.n_block,):
-        raise gf2.DimensionError(f"expected {code.n_block} received bits")
+    if bits.shape != (2 * code.n_info,):
+        raise gf2.DimensionError(f"expected {2 * code.n_info} received bits")
     info, ok = bitflip_decode_many(code, bits, max_rounds)
     return int(info[0]) if ok[0] else None

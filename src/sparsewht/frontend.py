@@ -253,7 +253,7 @@ def build_offsets(d: Design, plan: SubsamplingPlan, rng=None) -> OffsetPlan:
     if d.bases is None:
         return OffsetPlan(d.variant, n, verify, {"verify": (0, d.p1)}, d.nominal_rows)
 
-    code_words = tuple(1 << q for q in range(n)) if d.code is None else d.code.generator_rows()
+    code_words = tuple(1 << q for q in range(n)) if d.code is None else d.code.g_rows
     code_words, stored = _code_split(code_words, plan.unit_mask)
     shared = d.bases == "verify"
     bases = verify if shared else np.zeros((c_groups, 1), dtype=np.uint64)

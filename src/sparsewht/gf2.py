@@ -3,14 +3,12 @@
 Index vectors over GF(2)^n are packed into integers: position ``t``
 (1-based, the t-th component of the vector) is bit ``t - 1`` of the word,
 so position 1 is the least significant bit and the packed word equals the
-integer the index represents. Matrices are stored row-major, one packed
-word per row.
+integer the index represents. A matrix is its packed words, one per row
+or one per column as its user reads it: a subsampling plan keeps the
+column words of each M_c, an LDPC code the rows of H and G and the
+columns of H.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -31,49 +29,6 @@ class DimensionError(ValueError):
 
 class InconsistentSystemError(ValueError):
     """The affine system has no solution."""
-
-
-@dataclass(frozen=True)
-class BitMatrix:
-    """A rows x cols matrix over GF(2), rows packed into integer words.
-
-    Row word r carries entry (r, t) at bit t. Columns are derived lazily
-    as packed words, which the bit-flip decoder reads of the LDPC code's H.
-    """
-
-    rows: int
-    cols: int
-    row_words: tuple = field(repr=False)
-
-    def __post_init__(self):
-        if len(self.row_words) != self.rows:
-            raise DimensionError("row count mismatch")
-        limit = 1 << self.cols
-        for w in self.row_words:
-            if not 0 <= w < limit:
-                raise DimensionError("row word wider than cols")
-
-    @classmethod
-    def from_rows(cls, words: Iterable[int], cols: int) -> "BitMatrix":
-        words = tuple(int(w) for w in words)
-        return cls(len(words), cols, words)
-
-    @cached_property
-    def col_words(self) -> tuple:
-        cols = [0] * self.cols
-        for r, w in enumerate(self.row_words):
-            while w:
-                t = (w & -w).bit_length() - 1
-                cols[t] |= 1 << r
-                w &= w - 1
-        return tuple(cols)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        for r, w in enumerate(self.row_words):
-            for t in range(self.cols):
-                out[r, t] = (w >> t) & 1
-        return out
 
 
 def eliminate(system_rows):

@@ -199,7 +199,7 @@ class NoisyAccess:
             raise ValueError(f"noise cache supports n <= {_DENSE_NOISE_LIMIT}")
         self.spectrum = spectrum
         self.sigma = float(sigma)
-        self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        self._rng = np.random.default_rng(rng)
         self._noise = None
         self._queried = np.zeros(1 << spectrum.n, dtype=bool) if spectrum.n <= _DENSE_NOISE_LIMIT else None
         self._log = np.zeros(0, dtype=np.uint64)

@@ -12,7 +12,7 @@ from sparsewht.bin_detect import DetectorConfig
 from sparsewht.frontend import Design, SubsamplingPlan, build_offsets, build_plan, design, observe
 from sparsewht.sketch import Hypergraph
 
-from references import plan_of, random_full_column_rank
+from references import random_full_column_rank
 
 
 def bits(s: str) -> int:
@@ -36,7 +36,7 @@ def golden_plan() -> SubsamplingPlan:
 
 def random_plan(n: int, b: int, c_groups: int, rng) -> SubsamplingPlan:
     """A plan of uniformly random full-column-rank hash matrices."""
-    return plan_of([random_full_column_rank(n, b, rng) for _ in range(c_groups)])
+    return SubsamplingPlan(n, [random_full_column_rank(n, b, rng) for _ in range(c_groups)])
 
 
 def plan_design(variant: str, plan: SubsamplingPlan, **changes) -> Design:

@@ -1,10 +1,9 @@
 """Loop references for the hash, the alias sums, the encoder, the batched
 detectors, the bit-flip decoder, the stall level and LDPC set-up, plus the
 brute-force transform, the batched butterflies, the dense spectrum, the
-one-rhs affine solve, the butterfly coset search and hash matrices as
-``BitMatrix`` values: the selection matrix, the per-group random draw and
-the rank, with the plan of given matrices and the matrix of a plan's
-group.
+one-rhs affine solve, the butterfly coset search, the dense 0/1 matrix of
+packed words, and hash matrices as their column words: the selection
+matrix, the per-group random draw and the rank.
 
 These are the one-column (and one-word) bodies the library ran before it
 classified a group's bins in one call and before it carried indices only
@@ -19,8 +18,7 @@ import numpy as np
 
 from sparsewht.bin_detect import MULTI_TON, SINGLE_TON, ZERO_TON, Detection
 from sparsewht.codes import DECODE_ROUNDS
-from sparsewht.frontend import SubsamplingPlan
-from sparsewht.gf2 import BitMatrix, DimensionError, _null_basis, eliminate
+from sparsewht.gf2 import DimensionError, _null_basis, eliminate
 from sparsewht.kernels import _check_length, hash_words, sign_matrix
 
 
@@ -84,70 +82,64 @@ def densify(spectrum) -> np.ndarray:
     return out
 
 
-def selection_matrix(n: int, positions) -> BitMatrix:
-    """The n x b matrix whose column t is the unit vector at positions[t].
+def dense(words, width: int) -> np.ndarray:
+    """The 0/1 uint8 matrix whose row r holds the ``width`` low bits of
+    packed word r (bit t in column t); words may be wider than 64 bits."""
+    return np.array([[int(w) >> t & 1 for t in range(width)] for w in words], dtype=np.uint8).reshape(-1, width)
+
+
+def selection_matrix(n: int, positions) -> list:
+    """The column words of the n x b matrix whose column t is the unit
+    vector at positions[t].
 
     Positions are 0-based bit positions; the induced hash extracts exactly
     those bits. Always has full column rank when positions are distinct.
     """
     if len(set(positions)) != len(positions):
         raise DimensionError("positions must be distinct")
-    words = [0] * n
-    for t, pos in enumerate(positions):
+    for pos in positions:
         if not 0 <= pos < n:
             raise DimensionError(f"position {pos} outside 0..{n - 1}")
-        words[pos] |= 1 << t
-    return BitMatrix(n, len(positions), tuple(words))
+    return [1 << pos for pos in positions]
 
 
-def random_full_column_rank(n: int, b: int, rng) -> BitMatrix:
-    """Uniformly random n x b matrix conditioned on column rank b: n
-    b-bit row words per draw, drawn again until the rank is b."""
+def random_full_column_rank(n: int, b: int, rng) -> list:
+    """The column words of a uniformly random n x b matrix conditioned on
+    column rank b: n b-bit row words per draw, drawn again until the rank
+    is b. Bit r of column word t is bit t of row word r."""
     if b > n:
         raise DimensionError("cannot have column rank b > n")
     while True:
-        words = [int(x) for x in rng.integers(0, 1 << b, size=n, dtype=np.int64)]
-        m = BitMatrix(n, b, tuple(words))
-        if rank_transpose(m) == b:
-            return m
+        rows = [int(x) for x in rng.integers(0, 1 << b, size=n, dtype=np.int64)]
+        cols = [sum((row >> t & 1) << r for r, row in enumerate(rows)) for t in range(b)]
+        if rank_transpose(cols) == b:
+            return cols
 
 
-def rank_transpose(m: BitMatrix) -> int:
-    """Rank of M^T (equals rank of M); operates on packed column words."""
-    rows, _ = eliminate([(w, 0) for w in m.col_words])
+def rank_transpose(cols) -> int:
+    """Rank of M^T (equals rank of M) from M's packed column words."""
+    rows, _ = eliminate([(int(w), 0) for w in cols])
     return len(rows)
 
 
-def plan_of(mats) -> SubsamplingPlan:
-    """The plan whose group c hashes by the n x b ``BitMatrix`` mats[c]."""
-    return SubsamplingPlan(mats[0].rows, [m.col_words for m in mats])
-
-
-def matrix_of(plan, c: int) -> BitMatrix:
-    """M_c of group c of ``plan`` as a ``BitMatrix``: bit t of row word r
-    is bit r of column word t."""
-    cols = plan.col_words[c].tolist()
-    return BitMatrix.from_rows([sum((col >> r & 1) << t for t, col in enumerate(cols)) for r in range(plan.n)],
-                               plan.b)
-
-
-def solve_affine(m: BitMatrix, j: int):
-    """Solve M^T k = j over GF(2)^rows for the cols-bit word ``j``.
+def solve_affine(n: int, cols, j: int):
+    """Solve M^T k = j over GF(2)^n for the n x b matrix M of column words
+    ``cols`` and the b-bit word ``j``.
 
     Returns ``(particular, basis)`` as packed words: every solution is the
     particular word XORed with a GF(2)-combination of the basis words; the
-    basis has exactly rows - rank(M) elements. The reference for
+    basis has exactly n - rank(M) elements. The reference for
     ``SubsamplingPlan.particular_words`` and ``coset_basis``, which one
     elimination with every unit rhs gives.
     """
-    if not 0 <= j < (1 << m.cols):
-        raise DimensionError(f"rhs word {j} is out of range for {m.cols} cols")
-    system = [(col, (j >> t) & 1) for t, col in enumerate(m.col_words)]
+    if not 0 <= j < (1 << len(cols)):
+        raise DimensionError(f"rhs word {j} is out of range for {len(cols)} cols")
+    system = [(int(col), (j >> t) & 1) for t, col in enumerate(cols)]
     pivot_rows, pivot_rhs = eliminate(system)
     particular = 0
     for pbit, rhs in pivot_rhs.items():
         particular |= rhs << pbit
-    return particular, _null_basis(pivot_rows, m.rows)
+    return particular, _null_basis(pivot_rows, n)
 
 
 def singleton_search_butterfly(cols, offset_words, basis_words, part_words):
@@ -202,7 +194,7 @@ def alias_loop(out, k_words, values, col_words, offset_words):
 def codeword_bits(code, k_word):
     """The codeword G k as a 0/1 array: bit p is the parity of generator
     row p ANDed with k."""
-    return np.array([parity(row & k_word) for row in code.g.row_words], dtype=np.uint8)
+    return np.array([parity(row & k_word) for row in code.g_rows], dtype=np.uint8)
 
 
 def _within_noise(u, level):
@@ -251,7 +243,7 @@ def _bin_bits(plan, c, j_word, offsets):
     """The bits of the code rows group c leaves out, which every index in
     bin j shares: those of a solution of M_c^T k = j."""
     left_out = set(offsets.code_words.tolist()) - set(offsets.code_words[offsets.stored[c]].tolist())
-    return solve_affine(matrix_of(plan, c), j_word)[0] & sum(left_out)
+    return solve_affine(plan.n, plan.col_words[c].tolist(), j_word)[0] & sum(left_out)
 
 
 def detect_noiseless_loop(u, j_word, c, plan, offsets, cfg):
@@ -299,7 +291,7 @@ def detect_so_loop(u, j_word, c, plan, offsets, cfg):
         return Detection(ZERO_TON)
     ref_sign = sgn(u[offsets.layout["bases"][0]])
     # the bin gives the bits of the rows it leaves out, <g_r, k> for any k in bin j
-    particular, _ = solve_affine(matrix_of(plan, c), j_word)
+    particular, _ = solve_affine(plan.n, plan.col_words[c].tolist(), j_word)
     received = np.array([parity(g & particular) for g in offsets.code_words.tolist()], dtype=np.uint8)
     for i, r in enumerate(offsets.stored[c].tolist()):
         received[r] = sgn(u[c0 + i]) ^ ref_sign
@@ -311,10 +303,18 @@ def detect_so_loop(u, j_word, c, plan, offsets, cfg):
     return _confirm_single(u, offsets.groups[c], decoded, cfg, _noise_level(cfg))
 
 
+@lru_cache(maxsize=8)
+def h_matrix(code) -> np.ndarray:
+    """The code's H as a dense n_info x 2 n_info 0/1 array, unpacked from its check words."""
+    h = dense(code.h_rows, 2 * code.n_info)
+    h.flags.writeable = False
+    return h
+
+
 def bitflip_round_loop(code, bits):
     """One bit-flip round on a 0/1 word: every bit tied at the largest
     count of failing checks flipped, or None when no check fails."""
-    h = code.h_dense()
+    h = h_matrix(code)
     syndrome = (h @ bits) & 1
     if not syndrome.any():
         return None

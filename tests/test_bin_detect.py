@@ -46,7 +46,7 @@ def _two_bases_over_the_ldpc_rows(n, plan, verify_rows, rng):
     code = code_for(n)
     shape = (plan.c_groups, verify_rows + 2)
     verify_and_bases = rng.integers(1, 1 << n, size=shape, dtype=np.int64).astype(np.uint64)
-    coded = np.array(code.generator_rows(), dtype=np.uint64)
+    coded = np.array(code.g_rows, dtype=np.uint64)
     block = (verify_and_bases[:, verify_rows:, None] ^ coded).reshape(plan.c_groups, -1)
     groups = np.concatenate([verify_and_bases, block], axis=1)
     layout = {"verify": (0, verify_rows), "bases": (verify_rows, verify_rows + 2),

@@ -310,6 +310,17 @@ def test_sketch_command(tmp_path, capsys):
     assert "edge: 1 2 3" in printed and "edge: 5 6" in printed
 
 
+@pytest.mark.parametrize("budget", ["1", "2", "4"])
+def test_sketch_partial_result_exits_1(tmp_path, capsys, budget):
+    # three disjoint edges at n = 50 need a budget of 4 + 2 + 8 = 14
+    graph_path = tmp_path / "graph.txt"
+    graph_path.write_text("n=50\n1 7 20\n3 40\n11 12 13 50\n")
+    out = tmp_path / "sketched.txt"
+    assert main(["sketch", "--graph", str(graph_path), "--budget", budget, "--out", str(out)]) == 1
+    assert "partial: budget exceeded, some bins unresolved" in capsys.readouterr().out.splitlines()
+    assert out.exists()
+
+
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_sketch_budget_below_one_exits_2(tmp_path, capsys, budget):
     graph_path = tmp_path / "graph.txt"

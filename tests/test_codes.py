@@ -7,8 +7,8 @@ from sparsewht import codes, gf2
 from sparsewht.codes import bitflip_decode, bitflip_decode_many, build_regular_ldpc
 from sparsewht.kernels import pack_rows
 
-from references import (bitflip_decode_loop, bitflip_round_loop, build_regular_ldpc_loop, codeword_bits,
-                        gf2_rref_loop)
+from references import (bitflip_decode_loop, bitflip_round_loop, build_regular_ldpc_loop, codeword_bits, dense,
+                        gf2_rref_loop, h_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -17,18 +17,19 @@ def code():
 
 
 def test_regular_degrees(code):
-    dense = code.h_dense()
-    assert np.all(dense.sum(axis=0) == 3)
-    assert np.all(dense.sum(axis=1) == 6)
-    assert dense.shape == (14, 28)
+    h = h_matrix(code)
+    assert np.all(h.sum(axis=0) == 3)
+    assert np.all(h.sum(axis=1) == 6)
+    assert h.shape == (14, 28)
 
 
-def test_dense_h_is_cached_and_read_only(code):
-    dense = code.h_dense()
-    assert dense is code.h_dense()
-    assert np.array_equal(dense, code.h.to_dense())
+def test_h_cols_are_cached_and_read_only(code):
+    cols = code.h_cols
+    assert cols is code.h_cols
+    # column word t packs column t of the H that the check words spell out
+    assert cols.dtype == np.uint64 and cols.tolist() == pack_rows(h_matrix(code).T).tolist()
     with pytest.raises(ValueError):
-        dense[0, 0] ^= 1
+        cols[0] ^= np.uint64(1)
 
 
 def test_systematic_prefix(code):
@@ -41,11 +42,11 @@ def test_systematic_prefix(code):
 
 def test_codewords_satisfy_checks(code):
     rng = np.random.default_rng(2)
-    dense = code.h_dense()
+    h = h_matrix(code)
     for _ in range(100):
         k = int(rng.integers(0, 1 << 14))
         bits = codeword_bits(code, k)
-        assert not ((dense @ bits) & 1).any()
+        assert not ((h @ bits) & 1).any()
 
 
 def test_encode_zero_and_linearity(code):
@@ -124,7 +125,18 @@ def test_nonconvergence_returns_none(code):
 
 def test_negative_round_cap_rejected(code):
     with pytest.raises(ValueError, match="max_rounds"):
-        bitflip_decode_many(code, np.zeros((2, code.n_block), dtype=np.uint8), -1)
+        bitflip_decode_many(code, np.zeros((2, 28), dtype=np.uint8), -1)
+
+
+@pytest.mark.parametrize("length", [0, 27, 29, 56])
+def test_received_length_other_than_2n_rejected(code, length):
+    with pytest.raises(gf2.DimensionError, match="expected 28 received bits per word"):
+        bitflip_decode_many(code, np.zeros((2, length), dtype=np.uint8))
+    with pytest.raises(gf2.DimensionError, match="expected 28 received bits$"):
+        bitflip_decode(code, np.zeros(length, dtype=np.uint8))
+    # one word must be one row: a (1, 2n) array is refused as well
+    with pytest.raises(gf2.DimensionError, match="expected 28 received bits$"):
+        bitflip_decode(code, np.zeros((1, 28), dtype=np.uint8))
 
 
 def test_min_info_length():
@@ -141,8 +153,8 @@ def test_construction_matches_loop_reference(n_info):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         code = build_regular_ldpc(n_info, rng)
         h, g = build_regular_ldpc_loop(n_info, ref_rng, codes.GRAPH_DRAWS)
-        assert np.array_equal(code.h_dense(), h)
-        assert np.array_equal(code.g.to_dense(), g)
+        assert np.array_equal(h_matrix(code), h)
+        assert np.array_equal(dense(code.g_rows, n_info), g)
         assert rng.integers(0, 1 << 62) == ref_rng.integers(0, 1 << 62)
 
 
@@ -150,20 +162,20 @@ def test_code_for_builds_one_seeded_code_per_n():
     for n in range(codes.MIN_INFO_BITS, gf2.MAX_BITS + 1):
         code = codes.code_for(n)
         assert codes.code_for(n) is code
-        assert code.h.row_words == build_regular_ldpc(n, np.random.default_rng(n)).h.row_words
-        dense = code.h_dense().astype(np.int64)
-        assert np.all(dense.sum(axis=0) == 3) and np.all(dense.sum(axis=1) == 6)
-        assert len(gf2_rref_loop(dense)[1]) == n
+        assert code.h_rows == build_regular_ldpc(n, np.random.default_rng(n)).h_rows
+        h = h_matrix(code).astype(np.int64)
+        assert np.all(h.sum(axis=0) == 3) and np.all(h.sum(axis=1) == 6)
+        assert len(gf2_rref_loop(h)[1]) == n
         # systematic: G's first n rows are the unit words
-        assert code.generator_rows()[:n] == tuple(1 << t for t in range(n))
+        assert code.g_rows[:n] == tuple(1 << t for t in range(n))
         # H G = 0: the codeword of every information bit satisfies every check
-        assert not ((dense @ code.g.to_dense()) & 1).any()
+        assert not ((h @ dense(code.g_rows, n)) & 1).any()
 
 
 def test_code_for_has_distinct_columns():
     # two equal columns of H would give the code minimum distance 2
     for n in range(codes.MIN_INFO_BITS, gf2.MAX_BITS + 1):
-        cols = codes.code_for(n).h.col_words
+        cols = codes.code_for(n).h_cols.tolist()
         assert len(set(cols)) == len(cols), n
 
 
@@ -173,7 +185,7 @@ def test_code_for_has_few_four_cycles():
     # over n = 13..63, and progressive edge growth leaves 67
     pairs = 0
     for n in range(13, gf2.MAX_BITS + 1):
-        rows = codes.code_for(n).h.row_words
+        rows = codes.code_for(n).h_rows
         pairs += sum((a & b).bit_count() >= 2 for i, a in enumerate(rows) for b in rows[i + 1:])
     assert pairs <= 160
 
@@ -218,7 +230,7 @@ def test_bitflip_many_fails_a_word_in_a_two_cycle():
 
 
 def test_bitflip_many_of_no_words(code):
-    info, ok = bitflip_decode_many(code, np.zeros((0, code.n_block), dtype=np.uint8))
+    info, ok = bitflip_decode_many(code, np.zeros((0, 28), dtype=np.uint8))
     assert info.shape == ok.shape == (0,)
     assert info.dtype == np.uint64 and ok.dtype == bool
 
@@ -232,8 +244,8 @@ def _received_words(draw):
     """A code and up to 10 received words: codewords with any set of bits flipped."""
     code = draw(st.sampled_from(_CODES))
     rows = draw(st.lists(st.tuples(st.integers(0, (1 << code.n_info) - 1),
-                                   st.sets(st.integers(0, code.n_block - 1))), max_size=10))
-    received = np.zeros((len(rows), code.n_block), dtype=np.uint8)
+                                   st.sets(st.integers(0, 2 * code.n_info - 1))), max_size=10))
+    received = np.zeros((len(rows), 2 * code.n_info), dtype=np.uint8)
     for r, (k, flips) in enumerate(rows):
         received[r] = codeword_bits(code, k)
         received[r, sorted(flips)] ^= 1

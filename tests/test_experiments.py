@@ -79,6 +79,13 @@ def test_config_rejects_bad_setting(field, value):
         ExperimentConfig.from_dict({field: value})
 
 
+@pytest.mark.parametrize("field", ["n_values", "k_values"])
+@pytest.mark.parametrize("values", [(), (12.0,), (12, "3"), (0,), (True,)], ids=["empty", "float", "str", "zero", "bool"])
+def test_config_rejects_sizes_that_are_not_positive_integers(field, values):
+    with pytest.raises(ConfigError, match=f"{field} must list one or more positive integers"):
+        ExperimentConfig(**{field: values}).validate()
+
+
 def test_trial_nominal_matches_formula():
     cfg = ExperimentConfig(algorithm="nso", trials=1)
     r = run_trial(cfg, 10, 8, 10.0, 0)

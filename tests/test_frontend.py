@@ -22,8 +22,7 @@ from sparsewht.sketch import CutQueryAccess
 
 from helpers import (GOLDEN_BINS_G1, GOLDEN_BINS_G2, golden_plan, golden_spectrum, observation_bound, random_plan,
                      window_plan, with_transform)
-from references import (bin_of_loop, fwht_rows_butterflies, matrix_of, random_full_column_rank, rank_transpose,
-                        solve_affine)
+from references import bin_of_loop, fwht_rows_butterflies, random_full_column_rank, rank_transpose, solve_affine
 
 
 def _window_bits(cols):
@@ -60,6 +59,22 @@ def test_observe_refuses_an_access_of_another_n(plan_n):
     with pytest.raises(PlanError, match="disagree on n"):
         observe(access, plan, build_offsets(d, plan))
     assert access.samples_queried == 0
+
+
+def test_observe_refuses_offsets_of_another_group_count():
+    rng = np.random.default_rng(3)
+    access = NoisyAccess(draw_spectrum(10, 4, 1.0, rng), 0.0, rng)
+    d = design("noiseless", 10, 4)
+    plan = build_plan(d)
+    with pytest.raises(PlanError, match="plan and offsets disagree on group count"):
+        observe(access, plan, build_offsets(d, SubsamplingPlan(10, plan.col_words[:2])))
+    assert access.samples_queried == 0
+
+
+@pytest.mark.parametrize("variant", ["fast", "NSO", ""])
+def test_design_refuses_an_unknown_variant(variant):
+    with pytest.raises(ValueError, match=f"unknown variant {variant!r}"):
+        design(variant, 10, 4)
 
 
 def test_plan_refuses_a_matrix_without_full_column_rank():
@@ -109,7 +124,7 @@ def test_sketch_shaped_plan_has_a_coset_basis():
 
 def test_plan_eliminates_each_group_once(monkeypatch):
     # the matrices and SO's code are drawn first: both run eliminations of their own
-    cols = [random_full_column_rank(12, 4, np.random.default_rng(s)).col_words for s in range(3)]
+    cols = [random_full_column_rank(12, 4, np.random.default_rng(s)) for s in range(3)]
     d = design("so", 12, 16)
     calls = []
     monkeypatch.setattr(gf2, "eliminate", lambda rows: calls.append(1) or eliminate(rows))
@@ -132,7 +147,7 @@ def test_build_plan_is_the_window_design(n_k):
     d = design("noiseless", n, k)
     plan = build_plan(d)
     assert (plan.c_groups, len(plan.col_words), plan.b) == (3, 3, max(b, 1)) == (d.c_groups, 3, d.b)
-    assert all(rank_transpose(matrix_of(plan, c)) == plan.b for c in range(plan.c_groups))
+    assert all(rank_transpose(cols) == plan.b for cols in plan.col_words.tolist())
     windows = [_window_bits(cols) for cols in plan.col_words.tolist()]
     assert all(w == list(range(w[0], w[0] + plan.b)) for w in windows)
     assert tuple(w[0] for w in windows) == d.starts
@@ -201,7 +216,7 @@ def test_coded_layouts_leave_out_exactly_the_unit_rows_the_bin_gives(variant, wi
     plan = window_plan(n, b, c_groups) if window else random_plan(n, b, c_groups, rng)
     p1 = 0 if variant == "noiseless" else 3
     offsets = build_offsets(dataclasses.replace(design(variant, n, 1), p1=p1), plan, rng=rng)
-    code_words = [1 << q for q in range(n)] if variant != "so" else list(code_for(n).generator_rows())
+    code_words = [1 << q for q in range(n)] if variant != "so" else list(code_for(n).g_rows)
     assert offsets.code_words.tolist() == code_words
     spans = [span_words(cols) for cols in plan.col_words]
     # the unit words of each group's brute-force column span
@@ -268,8 +283,8 @@ def test_so_layout_and_zero_rows():
     assert (r1, offsets.rows) == (ref, c1)
     assert rows[ref] == 0
     assert offsets.code is code
-    assert list(rows[c0:c1]) == [g for g in code.generator_rows() if g not in (1, 2)]
-    assert list(offsets.groups[1, c0:c1]) == [g for g in code.generator_rows() if g not in (4, 8)]
+    assert list(rows[c0:c1]) == [g for g in code.g_rows if g not in (1, 2)]
+    assert list(offsets.groups[1, c0:c1]) == [g for g in code.g_rows if g not in (4, 8)]
     # the formula counts n zero-offset reads; the plan stores one row
     assert offsets.nominal_rows == 32
 
@@ -498,7 +513,7 @@ def test_coset_is_the_bin_preimage(plan_args):
         assert len(np.unique(words)) == len(words) == 1 << (n - b)
         assert np.all(plan.bins_of_many(c, words) == j)
         # the cached particular word is solve_affine's, up to the span
-        particular, _ = solve_affine(matrix_of(plan, c), j)
+        particular, _ = solve_affine(n, plan.col_words[c].tolist(), j)
         assert int(plan.particular_words[c, j]) ^ particular in set(span.tolist())
     # the basis words generate the null space, the bin-0 coset
     basis = plan.coset_basis[c]

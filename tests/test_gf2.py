@@ -3,33 +3,33 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsewht.gf2 import BitMatrix, DimensionError, InconsistentSystemError, eliminate, span_words
-from sparsewht.frontend import PlanError
+from sparsewht.gf2 import DimensionError, InconsistentSystemError, eliminate, span_words
+from sparsewht.frontend import PlanError, SubsamplingPlan
 from sparsewht.kernels import hash_words, pack_rows, parity_words
 
 import references
 from helpers import bits
-from references import plan_of, random_full_column_rank, rank_transpose, selection_matrix, solve_affine
+from references import random_full_column_rank, rank_transpose, selection_matrix, solve_affine
 
 
-def _from_dense(dense) -> BitMatrix:
-    dense = np.asarray(dense)
-    return BitMatrix.from_rows(pack_rows(dense), dense.shape[1])
+def _cols(dense) -> list:
+    """The column words of a 0/1 matrix: bit r of word t is entry (r, t)."""
+    return pack_rows(np.asarray(dense).T).tolist()
 
 
 def _words(*words) -> np.ndarray:
     return np.array(words, dtype=np.uint64)
 
 
-def _hash(m: BitMatrix, k_words) -> list:
-    """M^T k for each packed word k, as ints."""
-    return hash_words(k_words, m.col_words).tolist()
+def _hash(cols, k_words) -> list:
+    """M^T k for each packed word k, as ints, for M of column words ``cols``."""
+    return hash_words(k_words, cols).tolist()
 
 
-def _solve(m: BitMatrix, j: int):
+def _solve(n: int, cols, j: int):
     """``(particular, basis)`` of M^T k = j as a one-group plan solves it:
     its bin-j particular word and its null-space basis."""
-    plan = plan_of([m])
+    plan = SubsamplingPlan(n, [cols])
     return int(plan.particular_words[0, j]), plan.coset_basis[0].tolist()
 
 
@@ -58,9 +58,11 @@ def test_mat_transpose_vec_groups_worked_example_bin():
 def test_mat_transpose_vec_zero_and_dimension():
     m = selection_matrix(5, [0, 2])
     assert _hash(m, [0]) == [0]
-    # a row word wider than the matrix's columns is rejected
+    # a unit column outside the n rows is rejected, and so is a plan's column word of n + 1 bits
     with pytest.raises(DimensionError):
-        BitMatrix.from_rows([1 << 2] * 5, 2)
+        selection_matrix(5, [0, 5])
+    with pytest.raises(PlanError, match="below 2\\^5"):
+        SubsamplingPlan(5, [[1, 1 << 5]])
 
 
 def _naive_transpose_apply(dense, k_bits):
@@ -77,7 +79,7 @@ def test_mat_transpose_vec_against_naive_loop():
     rng = np.random.default_rng(11)
     for _ in range(25):
         dense = rng.integers(0, 2, size=(6, 3)).astype(np.uint8)
-        m = _from_dense(dense)
+        m = _cols(dense)
         k = int(rng.integers(0, 64))
         got = _hash(m, [k])[0]
         expected = _naive_transpose_apply(dense, [(k >> r) & 1 for r in range(6)])
@@ -86,7 +88,7 @@ def test_mat_transpose_vec_against_naive_loop():
 
 def test_mat_transpose_vec_linearity():
     rng = np.random.default_rng(3)
-    m = _from_dense(rng.integers(0, 2, size=(8, 4)))
+    m = _cols(rng.integers(0, 2, size=(8, 4)))
     a = rng.integers(0, 256, size=30).astype(np.uint64)
     b = rng.integers(0, 256, size=30).astype(np.uint64)
     assert _hash(m, a ^ b) == [x ^ y for x, y in zip(_hash(m, a), _hash(m, b))]
@@ -94,7 +96,7 @@ def test_mat_transpose_vec_linearity():
 
 def test_solve_affine_window_structure():
     m = selection_matrix(6, [1, 3])
-    particular, basis = _solve(m, 0b10)
+    particular, basis = _solve(6, m, 0b10)
     assert (particular >> 1) & 1 == 0 and (particular >> 3) & 1 == 1
     assert len(basis) == 4
     frozen = {0, 2, 4, 5}
@@ -102,8 +104,8 @@ def test_solve_affine_window_structure():
 
 
 def test_solve_affine_full_rank_unique():
-    m = BitMatrix.from_rows([1 << t for t in range(4)], 4)  # the identity
-    particular, basis = _solve(m, 0b1011)
+    m = [1 << t for t in range(4)]  # the identity
+    particular, basis = _solve(4, m, 0b1011)
     assert particular == 0b1011
     assert basis == []
 
@@ -116,7 +118,7 @@ def test_solve_affine_exhaustive_scan():
         m = random_full_column_rank(8, int(rng.integers(1, 4)), rng)
         k0 = int(rng.integers(0, 256))
         j = _hash(m, [k0])[0]
-        particular, basis = _solve(m, j)
+        particular, basis = _solve(8, m, j)
         coset = set((span_words(basis) ^ np.uint64(particular)).tolist())
         brute = {k for k, h in enumerate(_hash(m, every_k)) if h == j}
         assert coset == brute
@@ -124,11 +126,11 @@ def test_solve_affine_exhaustive_scan():
 
 
 def test_solve_affine_inconsistent():
-    m = BitMatrix.from_rows([0] * 4, 2)  # the 4 x 2 zero matrix: no column reaches a unit
+    m = [0, 0]  # the 4 x 2 zero matrix: no column reaches a unit
     with pytest.raises(InconsistentSystemError):
-        eliminate((col, 1 << t) for t, col in enumerate(m.col_words))
+        eliminate((col, 1 << t) for t, col in enumerate(m))
     with pytest.raises(PlanError, match="lacks full column rank"):
-        plan_of([m])
+        SubsamplingPlan(4, [m])
 
 
 def test_eliminate_with_unit_rhs_inverts():
@@ -160,12 +162,12 @@ def test_eliminate_with_unit_rhs_inverts():
 def test_plan_solve_matches_per_bin_solve_affine(n, b, seed):
     rng = np.random.default_rng(seed)
     m = random_full_column_rank(n, min(b, n), rng)
-    plan = plan_of([m])
-    js = [1 << t for t in range(m.cols)] + rng.integers(0, plan.bins, size=8).tolist()
+    plan = SubsamplingPlan(n, [m])
+    js = [1 << t for t in range(len(m))] + rng.integers(0, plan.bins, size=8).tolist()
     particulars = [int(plan.particular_words[0, j]) for j in js]
     # same pivots, so the same particular words, not just words in the same coset
-    assert particulars == [solve_affine(m, j)[0] for j in js]
-    assert plan.coset_basis[0].tolist() == solve_affine(m, 0)[1]
+    assert particulars == [solve_affine(n, m, j)[0] for j in js]
+    assert plan.coset_basis[0].tolist() == solve_affine(n, m, 0)[1]
     assert [_hash(m, [w])[0] for w in particulars] == js
 
 
@@ -178,9 +180,3 @@ def test_span_words_of_a_stack_spans_each_row():
     stack = np.array([[0b0011, 0b0100], [0b1000, 0b1001], [0, 0b0110]], dtype=np.uint64)
     assert span_words(stack).tolist() == [span_words(row).tolist() for row in stack]
     assert span_words(np.zeros((2, 0), dtype=np.uint64)).tolist() == [[0], [0]]
-
-
-def test_bitmatrix_dense_round_trip():
-    rng = np.random.default_rng(9)
-    dense = rng.integers(0, 2, size=(5, 7)).astype(np.uint8)
-    assert np.array_equal(_from_dense(dense).to_dense(), dense)

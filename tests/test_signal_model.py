@@ -40,6 +40,27 @@ def test_draw_rejects_oversparse():
         draw_spectrum(3, 9, 1.0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("rho", [0.0, -1.0])
+def test_draw_rejects_a_rho_that_is_not_positive(rho):
+    with pytest.raises(ValueError, match="rho must be positive"):
+        draw_spectrum(6, 3, rho, np.random.default_rng(0))
+
+
+def test_noisy_access_refuses_noise_above_the_dense_noise_limit():
+    # the noise realization is one dense array over 2^n positions, up to n = 24
+    spec = SparseSpectrum(25, {3: 1.0})
+    with pytest.raises(ValueError, match="noise cache supports n <= 24"):
+        NoisyAccess(spec, 0.1, 0)
+    assert NoisyAccess(spec, 0.0, 0).take([3]).tolist() == [synthesize_many(spec, [3])[0]]
+
+
+def test_noisy_access_draws_one_stream_from_a_seed_or_its_generator():
+    spec = draw_spectrum(8, 3, 1.0, np.random.default_rng(0))
+    positions = np.arange(256, dtype=np.uint64)
+    by_seed = NoisyAccess(spec, 0.5, 5).take(positions)
+    assert np.array_equal(NoisyAccess(spec, 0.5, np.random.default_rng(5)).take(positions), by_seed)
+
+
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -0.5])
 def test_noisy_access_refuses_a_sigma_that_is_not_finite_and_nonnegative(sigma):
     # NaN compares false with everything, so a sign test alone would let it skip the noise
@@ -132,6 +153,33 @@ def test_spectrum_load_refuses_a_repeated_index(tmp_path):
     with pytest.raises(ValueError) as info:
         SparseSpectrum.load(path)
     assert str(info.value) == f"{path} lines 2 and 3: index 0011 repeats"
+
+
+@pytest.mark.parametrize("content, problem", [
+    # an index one bit wider than n
+    ("n=4 K=1\n10011 1.0\n", " line 2: expected '<4-bit string> <finite value>', got '10011 1.0'"),
+    ("n=4 K=3\n0011 1.0\n0101 2.0\n", ": 2 nonzero entries, header says K=3"),
+    # K counts nonzero entries, and an exact zero is dropped
+    ("n=4 K=2\n0011 1.0\n0101 0.0\n", ": 1 nonzero entries, header says K=2"),
+], ids=["wide-index", "fewer-entries", "zero-entry"])
+def test_spectrum_load_refuses_a_wide_index_or_a_wrong_count(tmp_path, content, problem):
+    path = tmp_path / "spectrum.txt"
+    path.write_text(content)
+    with pytest.raises(ValueError) as info:
+        SparseSpectrum.load(path)
+    assert str(info.value) == f"{path}{problem}"
+
+
+def test_spectrum_load_skips_a_blank_line(tmp_path):
+    path = tmp_path / "spectrum.txt"
+    path.write_text("n=4 K=2\n0011 1.0\n\n   \n0101 -2.0\n")
+    assert SparseSpectrum.load(path).entries == {0b0011: 1.0, 0b0101: -2.0}
+
+
+@pytest.mark.parametrize("k", [16, 17, -1])
+def test_spectrum_refuses_an_index_outside_n_bits(k):
+    with pytest.raises(ValueError, match=f"index {k} out of range for n=4"):
+        SparseSpectrum(4, {3: 1.0, k: 1.0})
 
 
 def test_spectrum_drops_exact_zeros():
