@@ -88,9 +88,9 @@ class SparseSpectrum:
                     continue
                 try:
                     bits, value = line.split()
+                    if len(bits) != n or not set(bits) <= {"0", "1"}:
+                        raise ValueError(f"index is not {n} characters of 0 and 1")
                     k = int(bits, 2)
-                    if k >> n:
-                        raise ValueError(f"index exceeds n={n} bits")
                     entries[k] = float(value)
                     if not math.isfinite(entries[k]):
                         raise ValueError("value is not finite")

@@ -139,6 +139,20 @@ def test_received_length_other_than_2n_rejected(code, length):
         bitflip_decode(code, np.zeros((1, 28), dtype=np.uint8))
 
 
+@pytest.mark.parametrize("entry, dtype", [(2, np.uint8), (255, np.uint8), (256, np.int64), (-1, np.int64),
+                                          (0.5, np.float64)])
+def test_received_entry_other_than_0_or_1_rejected(entry, dtype):
+    # the syndrome reads an entry's low bit and the information word its
+    # value, so an all-zero word with a 2 at bit 0 would decode to 2
+    code = codes.code_for(8)
+    word = np.zeros(16, dtype=dtype)
+    word[0] = entry
+    with pytest.raises(ValueError, match=f"received bits must be 0 or 1, got {entry}$"):
+        bitflip_decode(code, word)
+    with pytest.raises(ValueError, match=f"received bits must be 0 or 1, got {entry}$"):
+        bitflip_decode_many(code, np.array([np.zeros(16, dtype=dtype), word]))
+
+
 def test_min_info_length():
     with pytest.raises(ValueError):
         build_regular_ldpc(4, np.random.default_rng(0))

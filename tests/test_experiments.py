@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -205,6 +206,22 @@ def test_so_low_snr_decisions_pinned(n, k, snr_db):
     cfg = ExperimentConfig(algorithm="so", seed=77)
     got = [run_trial(cfg, n, k, snr_db, t) for t in range(10)]
     assert [(r.support_ok, r.stalled, r.samples_distinct) for r in got] == SO_SEED77[(n, k, snr_db)]
+
+
+# the seed-77 low-SNR set: seven (n, K, SNR) points, trials 0..59 each
+SEED77_POINTS = [(12, 10, 0.0), (14, 20, 1.0), (15, 30, 2.0), (13, 16, 0.0), (16, 32, 2.0), (17, 40, 3.0),
+                 (12, 16, 1.0)]
+
+
+def test_so_seed77_set_pinned():
+    # every SO decision on the set, as the first 16 hex of the sha256 of the
+    # per-trial tuples' repr (370 failed, 76 of them not stalled); a change
+    # to bit flipping that moves any word's decision moves some tuple
+    cfg = ExperimentConfig(algorithm="so", seed=77)
+    got = [(r.support_ok, r.stalled, r.samples_distinct, r.sweeps, r.peels, r.conflicts, r.samples_nominal)
+           for r in (run_trial(cfg, n, k, snr_db, t) for n, k, snr_db in SEED77_POINTS for t in range(60))]
+    assert (sum(not r[0] for r in got), sum(not (r[0] or r[1]) for r in got)) == (370, 76)
+    assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "2e20571c7bfbb3db"
 
 
 # (support_ok, stalled, samples_distinct, peels) of near-linear trials at the

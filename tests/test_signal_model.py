@@ -158,10 +158,16 @@ def test_spectrum_load_refuses_a_repeated_index(tmp_path):
 @pytest.mark.parametrize("content, problem", [
     # an index one bit wider than n
     ("n=4 K=1\n10011 1.0\n", " line 2: expected '<4-bit string> <finite value>', got '10011 1.0'"),
+    # int(bits, 2) reads each of these as an index, but none is 4 characters of 0 and 1
+    ("n=4 K=1\n0b11 1.0\n", " line 2: expected '<4-bit string> <finite value>', got '0b11 1.0'"),
+    ("n=4 K=1\n1_0 1.0\n", " line 2: expected '<4-bit string> <finite value>', got '1_0 1.0'"),
+    ("n=4 K=1\n+011 1.0\n", " line 2: expected '<4-bit string> <finite value>', got '+011 1.0'"),
+    ("n=4 K=1\n11 1.0\n", " line 2: expected '<4-bit string> <finite value>', got '11 1.0'"),
     ("n=4 K=3\n0011 1.0\n0101 2.0\n", ": 2 nonzero entries, header says K=3"),
     # K counts nonzero entries, and an exact zero is dropped
     ("n=4 K=2\n0011 1.0\n0101 0.0\n", ": 1 nonzero entries, header says K=2"),
-], ids=["wide-index", "fewer-entries", "zero-entry"])
+], ids=["wide-index", "prefixed-index", "underscored-index", "signed-index", "short-index",
+        "fewer-entries", "zero-entry"])
 def test_spectrum_load_refuses_a_wide_index_or_a_wrong_count(tmp_path, content, problem):
     path = tmp_path / "spectrum.txt"
     path.write_text(content)
