@@ -19,8 +19,9 @@ The coded detector serves noiseless, NSO and SO: each reads the code
 bit of row g as the sgn of u[d xor g] u[d] summed over the bases d,
 and the variants differ only in their bases and code rows (the zero
 base and the identity code; random bases and the identity code; the
-zero base and the (3,6) LDPC code, bit flipping); none stores a code
-row whose bit the bin index gives. The near-linear
+zero base and the (3,6) LDPC code, bit flipping); each stores the
+code's systematic rows only at the plan's free bits, whose values and
+bin j give the other b bits of the index. The near-linear
 detector scores every candidate in the bin's hash coset
 with one matrix product (a coset is an affine subspace, so its signature
 correlations are a Walsh-Hadamard transform of the column, whose sign
@@ -161,14 +162,14 @@ def detect_coded_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, c
     plus noise. A bin is a zero-ton when its rows are within the level of
     :func:`tested`. For any other bin, code bit q is the sgn of that
     product summed over the bases (a strong base weighs more than a weak
-    one). Bin j's received word holds <g_r, ``plan.particular_words[c, j]``>,
-    which is <g_r, k> for the unit rows in colspan(M_c) that the group
-    leaves out (a group that stores every row reads no such table), then
-    these measured bits at the positions ``offsets.stored[c]``. The
-    identity code packs it to the index, and ``offsets.code`` decodes it
-    through :func:`codes.bitflip_decode_many`. A decoded index is a single-ton
-    when it hashes to its bin and :func:`_confirm` passes it on every
-    row; a bin whose word does not decode is a multi-ton.
+    one). The first n - b measured bits, those of the systematic rows at
+    ``plan.free_bits[c]``, are k's free bits, and k0 is the word of bin j
+    with them (``plan.bin_words``). The identity code returns k0; for
+    ``offsets.code`` the received word is the codeword of k0 with the
+    measured bits written at the positions ``offsets.stored[c]``, decoded
+    through :func:`codes.bitflip_decode_many`. A decoded index is a
+    single-ton when it hashes to its bin and :func:`_confirm` passes it on
+    every row; a bin whose word does not decode is a multi-ton.
     """
     level = tested(offsets, cfg)
     b0, b1 = offsets.layout["bases"]
@@ -176,14 +177,11 @@ def detect_coded_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, c
     live = np.flatnonzero(~_within_noise(cols, level))
     u, js = cols[live], js[live]
     block = u[:, c0:c1].reshape(len(live), b1 - b0, (c1 - c0) // (b1 - b0))
-    received = (kernels.parity_words(offsets.code_words & plan.particular_words[c, js, None])
-                if len(offsets.stored[c]) < len(offsets.code_words)
-                else np.zeros((len(live), len(offsets.code_words)), dtype=np.uint8))
-    received[:, offsets.stored[c]] = np.einsum("mpq,mp->mq", block, u[:, b0:b1]) < 0
-    if offsets.code is None:
-        # the identity code: every word decodes, to the sum of its set bits' unit rows
-        k_words, ok = received @ offsets.code_words, slice(None)
-    else:
+    measured = np.einsum("mpq,mp->mq", block, u[:, b0:b1]) < 0
+    k_words, ok = plan.bin_words(c, js, measured[:, :plan.n - plan.b]), slice(None)
+    if offsets.code is not None:
+        received = kernels.parity_words(offsets.code_words & k_words[:, None])
+        received[:, offsets.stored[c]] = measured
         k_words, ok = codes.bitflip_decode_many(offsets.code, received)
     values, single = np.zeros(len(live)), np.zeros(len(live), dtype=bool)
     values[ok], single[ok] = _confirm(u[ok], offsets.groups[c], level, k_words[ok], cfg)
@@ -226,10 +224,9 @@ def detect_near_linear_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offs
     level = tested(offsets, cfg)
     live = np.flatnonzero(~_within_noise(cols, level))
     u, offset_words, js = cols[live], offsets.groups[c], js[live]
-    part, basis = plan.particular_words[c, js], plan.coset_basis[c]
-    idx, _ = kernels.singleton_search(u, offset_words, basis, part)
-    picked = (idx[:, None] >> np.arange(len(basis))) & 1
-    k_words = part ^ np.bitwise_xor.reduce(basis * picked.astype(np.uint64), axis=1)
+    basis = plan.coset_basis[c]
+    idx, _ = kernels.singleton_search(u, offset_words, basis, plan.particular_words[c, js])
+    k_words = plan.bin_words(c, js, (idx[:, None] >> np.arange(len(basis))) & 1)
     return live, k_words, *_confirm(u, offset_words, level, k_words, cfg)
 
 

@@ -1,7 +1,9 @@
 """Observation generator: subsampling plans, offset plans, bin observations.
 
 A plan holds the column words of C subsampling matrices M_c (n x b,
-full column rank); group c hashes k to bin j = M_c^T k. Observations are built
+full column rank); group c hashes k to bin j = M_c^T k, which fixes b of
+k's bits once the other n - b, its free bits, are known, so a group's
+code rows read only the free bits (:func:`build_offsets`). Observations are built
 by reading the B = 2^b samples u[M_c l + d] for each offset row d,
 applying a B-point unnormalized Walsh-Hadamard transform (products of
 small Hadamard matrices, ``kernels.fwht_rows_inplace``) and scaling by
@@ -36,8 +38,10 @@ class SubsamplingPlan:
     """C hash matrices M_c (n x b) as their read-only (C, b) uint64 column
     words below 2^n, group c in row c. Each group is solved once, at
     construction, by one ``gf2.eliminate`` of M_c^T k = j, which is also
-    the rank check. ``unit_mask``, ``particular_words`` and ``coset_basis``
-    derive from it: bin j of group c is ``particular_words[c, j]`` xor span(``coset_basis[c]``)."""
+    the rank check. The solve splits k's n bits into b pivot bits, which
+    bin j fixes once the others are known, and the n - b ``free_bits``:
+    the word of bin j with given free bits is ``particular_words[c, j]``
+    xor the ``coset_basis[c]`` words they select (:meth:`bin_words`)."""
 
     n: int
     col_words: np.ndarray  # (C, b) uint64, read-only
@@ -64,35 +68,62 @@ class SubsamplingPlan:
 
     @cached_property
     def _solved(self) -> tuple:
-        """Per group, the reduced rows of M_c^T by pivot bit and each pivot p's rhs
-        word r_p (column t has rhs 1 << t), so bit p of a solution for bin j is <r_p, j>."""
+        """The reduced M_c^T of every group as three (C, b) uint64 arrays:
+        the pivot bits, the reduced row of each pivot p and its rhs word r_p
+        (column t has rhs 1 << t), so bit p of a solution for bin j is <r_p, j>."""
         try:
-            return tuple(gf2.eliminate((col, 1 << t) for t, col in enumerate(m)) for m in self.col_words.tolist())
+            solved = [gf2.eliminate((col, 1 << t) for t, col in enumerate(m)) for m in self.col_words.tolist()]
         except gf2.InconsistentSystemError:
             raise PlanError("subsampling matrix lacks full column rank") from None
+        tables = [list(r) for r, _ in solved], [list(r.values()) for r, _ in solved], [[h[p] for p in r] for r, h in solved]
+        return tuple(np.array(table, dtype=np.uint64).reshape(self.col_words.shape) for table in tables)
 
     @cached_property
-    def unit_mask(self) -> tuple:
-        """Per group c, the OR of the unit words e_q in colspan(M_c), the
-        reduced rows of weight one. For e_q = M_c l, every k in bin j has
-        <e_q, k> = <l, j>: ``k & unit_mask[c]`` is
-        ``particular_words[c, j] & unit_mask[c]``."""
-        return tuple(sum(row for row in reduced.values() if row & (row - 1) == 0) for reduced, _ in self._solved)
+    def free_bits(self) -> np.ndarray:
+        """The (C, n - b) int64 bits of k that are not pivot bits of group
+        c's solve, ascending per group, read-only: bin j fixes the other b."""
+        pivot = np.zeros((self.c_groups, self.n), dtype=bool)
+        pivot[np.arange(self.c_groups)[:, None], self._solved[0].astype(np.int64)] = True
+        return _read_only(np.nonzero(~pivot)[1].reshape(self.c_groups, self.n - self.b))[0]
+
+    @cached_property
+    def _k_basis(self) -> np.ndarray:
+        """Per group c, the n uint64 words whose XOR over the set bits of
+        (j, f) is the k of bin j with free bits f, read-only: the b solutions
+        for the unit words j with free bits 0, then ``coset_basis[c]``."""
+        pivots, reduced, rhs = self._solved
+        free = self.free_bits.astype(np.uint64)
+
+        def at_pivots(words, bits):
+            # per group, bit t of each pivot p's word moved to bit p, for each t in ``bits``
+            return np.bitwise_or.reduce((words[:, :, None] >> bits[:, None, :] & np.uint64(1)) << pivots[:, :, None],
+                                        axis=1)
+
+        units = at_pivots(rhs, np.broadcast_to(np.arange(self.b, dtype=np.uint64), rhs.shape))
+        basis = np.uint64(1) << free | at_pivots(reduced, free)
+        return _read_only(np.concatenate([units, basis], axis=1))[0]
 
     @cached_property
     def particular_words(self) -> np.ndarray:
-        """The (C, B) uint64 table of one solution p_c(j) of M_c^T k = j per
-        group c and bin word j, read-only. p_c is linear in j, so row c is
-        the ``gf2.span_words`` of the b solutions for the unit words j."""
-        units = [[sum((rhs >> t & 1) << p for p, rhs in rhs_by_pivot.items()) for t in range(self.b)]
-                 for _, rhs_by_pivot in self._solved]
-        return _read_only(gf2.span_words(np.array(units, dtype=np.uint64).reshape(self.c_groups, self.b)))[0]
+        """The (C, B) uint64 table of the solution p_c(j) of M_c^T k = j
+        whose free bits are 0, per group c and bin word j, read-only: p_c is
+        linear in j, so row c is the ``gf2.span_words`` of the b solutions
+        for the unit words j."""
+        return _read_only(gf2.span_words(self._k_basis[:, :self.b]))[0]
 
-    @cached_property
+    @property
     def coset_basis(self) -> np.ndarray:
-        """The (C, n - b) uint64 words spanning the null space of each M_c^T, read-only."""
-        words = [gf2._null_basis(reduced, self.n) for reduced, _ in self._solved]
-        return _read_only(np.array(words, dtype=np.uint64).reshape(self.c_groups, self.n - self.b))[0]
+        """The (C, n - b) uint64 words spanning the null space of each
+        M_c^T, read-only: word i has free bit ``free_bits[c, i]`` and no other."""
+        return self._k_basis[:, self.b:]
+
+    def bin_words(self, c: int, js: np.ndarray, free: np.ndarray) -> np.ndarray:
+        """The words of group c's bins ``js`` whose free bits are the 0/1
+        rows of the (m, n - b) array ``free``, in ``free_bits[c]`` order:
+        ``particular_words[c, j]`` xor the ``coset_basis[c]`` words they
+        select, without the table: the bits of j select p_c(j)'s b words."""
+        bits = np.concatenate([np.asarray(js)[:, None] >> np.arange(self.b) & 1, free], axis=1)
+        return np.bitwise_xor.reduce(self._k_basis[c] * bits.astype(np.uint64), axis=1)
 
     def bins_of_many(self, c: int, k_words: np.ndarray) -> np.ndarray:
         return kernels.hash_words(k_words, self.col_words[c])
@@ -138,8 +169,9 @@ class Design:
         """P in the sample cost C B P, the paper's count: n + 1 for
         noiseless, p1 + 3n for SO (n reads of the zero row) and p1 n for
         NSO. The plan stores fewer (:func:`build_offsets`): one zero row,
-        and no code row whose bits the bin index gives, so b fewer per
-        base on a window plan: n + 1 - b, p1 + 1 + 2n - b and p1 (1 + n - b)."""
+        and no systematic code row at a pivot bit, whose bit the bin index
+        gives, so b fewer per base on every plan: n + 1 - b, p1 + 1 + 2n - b
+        and p1 (1 + n - b)."""
         n, p1 = self.n, self.p1
         return {"noiseless": n + 1, "near-linear": p1, "nso": p1 * n, "so": p1 + 3 * n}[self.variant]
 
@@ -192,9 +224,9 @@ class OffsetPlan:
     :func:`build_offsets`); ``variant``, ``nominal_rows`` and ``code`` are
     the :class:`Design`'s. ``code_words`` holds every row g_r of the code,
     the n unit rows of the identity code or the 2n generator rows of the
-    LDPC ``code``; ``stored[c]``, the positions r of the rows group c
-    stores. A row it leaves out is a unit word in ``plan.unit_mask[c]``,
-    whose bit bin j gives as <g_r, ``plan.particular_words[c, j]``>.
+    LDPC ``code``, systematic rows first; ``stored[c]``, the positions r
+    of the rows group c stores: the systematic rows at ``plan.free_bits[c]``,
+    then the parity rows. The bin gives the bits of the rows it leaves out.
     """
 
     variant: str
@@ -204,26 +236,11 @@ class OffsetPlan:
     nominal_rows: int
     code: object = None
     code_words: np.ndarray | None = None  # (R,) uint64, every code row
-    stored: np.ndarray | None = None  # (C, Q) positions of the stored code rows
+    stored: np.ndarray | None = None  # (C, R - b) positions of the stored code rows
 
     @property
     def rows(self) -> int:
         return self.groups.shape[1]
-
-
-@lru_cache(maxsize=8)
-def _code_split(code_words: tuple, unit_mask: tuple):
-    """The code rows ``code_words`` as uint64 and the (C, Q) positions of
-    the rows each group stores, for a plan's ``unit_mask``; read-only and
-    cached, as trials reuse a design and a random plan seldom holds a unit
-    word in its span. Group c leaves out every row that is a unit word in
-    ``unit_mask[c]``, whose bit the bin gives. Every unit word is a row of
-    both codes (the LDPC generator is systematic). Groups that would store
-    different row counts store every row, so that P is one count."""
-    stored = [[r for r, g in enumerate(code_words) if g & (g - 1) or not g & mask] for mask in unit_mask]
-    if len({len(rows) for rows in stored}) > 1:
-        stored = [range(len(code_words))] * len(unit_mask)
-    return _read_only(np.array(code_words, dtype=np.uint64), np.array(stored, dtype=np.int64))
 
 
 def build_offsets(d: Design, plan: SubsamplingPlan, rng=None) -> OffsetPlan:
@@ -234,27 +251,24 @@ def build_offsets(d: Design, plan: SubsamplingPlan, rng=None) -> OffsetPlan:
     rows), then the ``bases`` unless they are the verify rows, then the
     ``code`` block of rows base_p xor g_r, base-major, for every base p
     and every code row g_r the group stores; each layout entry is a
-    (start, stop) row range. No group stores a code row e_q in
-    colspan(M_c), a unit word of ``plan.unit_mask[c]``: d xor e_q would
-    read the coset of d, at the sign (-1)^<l, j> that bin j gives for
-    e_q = M_c l, so the detector takes that bit from
-    ``plan.particular_words[c, j]`` (b rows per group on a window plan,
-    and none on a random plan that holds no unit word in its span). A
-    plan whose groups hold different numbers of them keeps every row, so
-    that P is one count.
-    noiseless: the zero base and the n - b unit rows outside the window.
+    (start, stop) row range. Group c stores the code's systematic rows
+    e_q at its free bits q (``plan.free_bits[c]``, ascending), then its
+    parity rows: the bin fixes k's b pivot bits once the free bits are
+    measured, so every group stores b rows fewer than the code has.
+    noiseless: the zero base and the n - b unit rows at the free bits.
     nso: the verify rows are the bases, over the same n - b unit rows:
-        p1 (1 + n - b) rows on a window plan.
-    so: the zero base and the 2n - b generator rows of the rate-1/2
-        ``d.code`` that are not unit rows of the window.
+        p1 (1 + n - b) rows.
+    so: the zero base and the 2n - b rows of the rate-1/2 ``d.code``
+        (n - b systematic, n parity).
     """
     n, c_groups, rng = d.n, plan.c_groups, np.random.default_rng(rng)
     verify = rng.integers(0, 1 << n, size=(c_groups, d.p1), dtype=np.int64).astype(np.uint64)
     if d.bases is None:
         return OffsetPlan(d.variant, n, verify, {"verify": (0, d.p1)}, d.nominal_rows)
 
-    code_words = tuple(1 << q for q in range(n)) if d.code is None else d.code.g_rows
-    code_words, stored = _code_split(code_words, plan.unit_mask)
+    code_words = np.array([1 << q for q in range(n)] if d.code is None else d.code.g_rows, dtype=np.uint64)
+    parity = np.broadcast_to(np.arange(n, len(code_words)), (c_groups, len(code_words) - n))
+    code_words, stored = _read_only(code_words, np.concatenate([plan.free_bits, parity], axis=1))
     shared = d.bases == "verify"
     bases = verify if shared else np.zeros((c_groups, 1), dtype=np.uint64)
     block = (bases[:, :, None] ^ code_words[stored][:, None, :]).reshape(c_groups, -1)

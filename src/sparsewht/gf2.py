@@ -61,19 +61,6 @@ def eliminate(system_rows):
     return pivot_rows, pivot_rhs
 
 
-def _null_basis(pivot_rows: dict, n: int) -> list:
-    """The n - rank null-space words of a reduced system: one per free bit."""
-    basis = []
-    for f in range(n):
-        if f in pivot_rows:
-            continue
-        vec = 1 << f
-        for pbit, prow in pivot_rows.items():
-            vec |= ((prow >> f) & 1) << pbit
-        basis.append(vec)
-    return basis
-
-
 def span_words(basis_words) -> np.ndarray:
     """All 2^len XOR-combinations of the given words, as uint64.
 

@@ -252,7 +252,8 @@ def sketch_recover(source, n: int | None = None, sparsity_budget: int = 1, seed:
     its multiples (2^(1-d) for cut spectra). The plan has the groups and
     bins of ``frontend.design``, but random full-column-rank matrices
     (:func:`_random_plan`, from ``seed``'s stream): a window plan hashes
-    all of an edge that no window touches to bin 0 of every group.
+    all of an edge that no window touches to bin 0 of every group. Each
+    group reads the zero row and the n - b unit rows at its free bits.
     """
     if sparsity_budget < 1:
         raise ValueError(f"sparsity budget must be >= 1, got {sparsity_budget}")

@@ -62,13 +62,14 @@ GOLDEN_BINS_G1 = np.array([2.0, 5.0, 0.0, 1.0])
 GOLDEN_BINS_G2 = np.array([0.0, 1.0, 6.0, 1.0])
 
 
-def seeded_instances(variant, n, k, snr_db, constellation, seeds=range(6)):
+def seeded_instances(variant, n, k, snr_db, constellation, seeds=range(6), random=False):
     """Seeded observations with the detector settings of the benchmark:
-    (spectrum, plan, offsets, cfg, obs) per seed."""
+    (spectrum, plan, offsets, cfg, obs) per seed, on the design's window
+    plan or, with ``random``, on random matrices drawn first from the seed's stream."""
     d = design(variant, n, k)
-    plan = build_plan(d)
     for seed in seeds:
         rng = np.random.default_rng(seed)
+        plan = random_plan(n, d.b, d.c_groups, rng) if random else build_plan(d)
         spectrum = draw_spectrum(n, k, 1.0, rng, constellation=constellation)
         snr = None if snr_db is None else 10 ** (snr_db / 10)
         sigma = 0.0 if snr is None else sigma_for_snr(1.0, k, 1 << n, snr)

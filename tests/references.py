@@ -1,9 +1,9 @@
 """Loop references for the hash, the alias sums, the encoder, the batched
 detectors, the bit-flip decoder, the stall level and LDPC set-up, plus the
 brute-force transform, the batched butterflies, the dense spectrum, the
-one-rhs affine solve, the butterfly coset search, the dense 0/1 matrix of
-packed words, and hash matrices as their column words: the selection
-matrix, the per-group random draw and the rank.
+one-rhs affine solve and its null-space basis, the butterfly coset
+search, the dense 0/1 matrix of packed words, and hash matrices as their
+column words: the selection matrix, the per-group random draw and the rank.
 
 These are the one-column (and one-word) bodies the library ran before it
 classified a group's bins in one call and before it carried indices only
@@ -18,7 +18,7 @@ import numpy as np
 
 from sparsewht.bin_detect import MULTI_TON, SINGLE_TON, ZERO_TON, Detection
 from sparsewht.codes import DECODE_ROUNDS
-from sparsewht.gf2 import DimensionError, _null_basis, eliminate
+from sparsewht.gf2 import DimensionError, eliminate
 from sparsewht.kernels import _check_length, hash_words, sign_matrix
 
 
@@ -120,6 +120,20 @@ def rank_transpose(cols) -> int:
     """Rank of M^T (equals rank of M) from M's packed column words."""
     rows, _ = eliminate([(int(w), 0) for w in cols])
     return len(rows)
+
+
+def _null_basis(pivot_rows: dict, n: int) -> list:
+    """The n - rank null-space words of a reduced system: one per free bit,
+    in increasing order of it. The reference for ``SubsamplingPlan.coset_basis``."""
+    basis = []
+    for f in range(n):
+        if f in pivot_rows:
+            continue
+        vec = 1 << f
+        for pbit, prow in pivot_rows.items():
+            vec |= ((prow >> f) & 1) << pbit
+        basis.append(vec)
+    return basis
 
 
 def solve_affine(n: int, cols, j: int):
@@ -239,11 +253,19 @@ def as_detections(result, count):
     return out
 
 
-def _bin_bits(plan, c, j_word, offsets):
-    """The bits of the code rows group c leaves out, which every index in
-    bin j shares: those of a solution of M_c^T k = j."""
-    left_out = set(offsets.code_words.tolist()) - set(offsets.code_words[offsets.stored[c]].tolist())
-    return solve_affine(plan.n, plan.col_words[c].tolist(), j_word)[0] & sum(left_out)
+def _bin_word(plan, c, j_word, measured):
+    """The word of bin j whose free bits are the measured ones: ``measured``
+    maps a stored unit row e_q to its 0/1 bit, and the free bit q selects
+    the null-space word that holds it (no other holds q), XORed onto the
+    solution of M_c^T k = j."""
+    particular, basis = solve_affine(plan.n, plan.col_words[c].tolist(), j_word)
+    for row, bit in measured.items():
+        assert row & (row - 1) == 0
+        holding = [w for w in basis if w & row]
+        assert len(holding) == 1, "a stored unit row sits at a pivot bit"
+        if bit:
+            particular ^= holding[0]
+    return particular
 
 
 def detect_noiseless_loop(u, j_word, c, plan, offsets, cfg):
@@ -253,11 +275,9 @@ def detect_noiseless_loop(u, j_word, c, plan, offsets, cfg):
     if _within_noise(u, level):
         return Detection(ZERO_TON)
     # the stored unit rows against the zero row; the bin fixes the other bits
-    k_word = _bin_bits(plan, c, j_word, offsets)
     ref_sign = sgn(u[0])
-    for row, val in zip(offsets.code_words[offsets.stored[c]].tolist(), u[1:]):
-        if sgn(val) ^ ref_sign:
-            k_word |= row
+    code_rows = offsets.code_words[offsets.stored[c]].tolist()
+    k_word = _bin_word(plan, c, j_word, {row: sgn(val) ^ ref_sign for row, val in zip(code_rows, u[1:])})
     if bin_of_loop(plan, c, k_word) != j_word:
         return Detection(MULTI_TON)
     return _confirm_single(u, offsets.groups[c], k_word, cfg, level)
@@ -273,11 +293,9 @@ def detect_nso_loop(u, j_word, c, plan, offsets, cfg):
     # the stored unit rows over each base; the bin fixes the other bits
     code_rows = offsets.code_words[offsets.stored[c]].tolist()
     block = u[p1:].reshape(p1, len(code_rows))
-    k_word = _bin_bits(plan, c, j_word, offsets)
-    for q, row in enumerate(code_rows):
-        # the bit is the sign of the row's correlations with the bases, summed in order
-        if sum(float(base[p] * block[p, q]) for p in range(p1)) < 0:
-            k_word |= row
+    # the bit is the sign of the row's correlations with the bases, summed in order
+    measured = {row: int(sum(float(base[p] * block[p, q]) for p in range(p1)) < 0) for q, row in enumerate(code_rows)}
+    k_word = _bin_word(plan, c, j_word, measured)
     if bin_of_loop(plan, c, k_word) != j_word:
         return Detection(MULTI_TON)
     return _confirm_single(u, offsets.groups[c], k_word, cfg, _noise_level(cfg))
@@ -290,11 +308,13 @@ def detect_so_loop(u, j_word, c, plan, offsets, cfg):
     if _within_noise(u, _noise_level(cfg)):
         return Detection(ZERO_TON)
     ref_sign = sgn(u[offsets.layout["bases"][0]])
-    # the bin gives the bits of the rows it leaves out, <g_r, k> for any k in bin j
-    particular, _ = solve_affine(plan.n, plan.col_words[c].tolist(), j_word)
-    received = np.array([parity(g & particular) for g in offsets.code_words.tolist()], dtype=np.uint8)
-    for i, r in enumerate(offsets.stored[c].tolist()):
-        received[r] = sgn(u[c0 + i]) ^ ref_sign
+    measured = {r: sgn(u[c0 + i]) ^ ref_sign for i, r in enumerate(offsets.stored[c].tolist())}
+    # the word of bin j whose free bits the stored systematic rows measure
+    # gives the bits of the rows the group leaves out
+    k0 = _bin_word(plan, c, j_word, {1 << r: bit for r, bit in measured.items() if r < plan.n})
+    received = np.array([parity(g & k0) for g in offsets.code_words.tolist()], dtype=np.uint8)
+    for r, bit in measured.items():
+        received[r] = bit
     decoded = bitflip_decode_loop(offsets.code, received, max_rounds=DECODE_ROUNDS)
     if decoded is None:
         return Detection(MULTI_TON)

@@ -81,21 +81,24 @@ def test_coded_detector_two_bases_over_the_ldpc_rows(verify_rows):
         assert np.array_equal(live, np.arange(64)) and not single.any()
 
 
-@pytest.mark.parametrize("variant,n,k,left_out", [("so", 13, 16, 0), ("nso", 17, 40, 6)])
-def test_coded_detector_builds_no_particular_word_table_where_every_row_is_stored(variant, n, k, left_out):
-    # every window of both designs holds unit words in its span; code_for(13)
-    # holds a different number of them in each, so SO stores all 26 rows and
-    # the bin gives no bit, while NSO leaves out the b = 6 unit rows per group
-    d = design(variant, n, k)
-    plan = window_plan(n, d.b, d.c_groups)  # fresh: build_plan's is cached and shared
-    assert plan.col_words.tolist() == build_plan(d).col_words.tolist() and all(plan.unit_mask)
-    offsets = build_offsets(d, plan, rng=np.random.default_rng(0))
-    assert len(offsets.code_words) - offsets.stored.shape[1] == left_out
-    rng = np.random.default_rng(1)
-    access = NoisyAccess(draw_spectrum(n, k, 1.0, rng), sigma_for_snr(1.0, k, 1 << n, snr_from_db(10.0)), rng)
-    recovered, report, _, _ = experiments.recover(access, k, variant, snr_db=10.0, rho=1.0, rng_offsets=rng, plan=plan)
-    assert report.peels >= k and verify_support(recovered, access.spectrum)
-    assert ("particular_words" in plan.__dict__) == bool(left_out)
+def test_coded_detector_reads_the_free_bits_on_window_plans():
+    # every group of both designs stores the code rows less the b at its
+    # window bits: code_for(13)'s weight-1 parity row e_10, in group 2's
+    # window, is stored too. The detector builds no particular word table,
+    # as the bits of j select the words of p_c(j)
+    for variant, n, k in (("so", 13, 16), ("nso", 17, 40)):
+        d = design(variant, n, k)
+        plan = window_plan(n, d.b, d.c_groups)  # fresh: build_plan's is cached and shared
+        assert plan.col_words.tolist() == build_plan(d).col_words.tolist()
+        offsets = build_offsets(d, plan, rng=np.random.default_rng(0))
+        assert offsets.stored.shape == (d.c_groups, len(offsets.code_words) - d.b)
+        assert offsets.rows == {"so": 13 + 1 + 22, "nso": 34 * (1 + 11)}[variant]
+        rng = np.random.default_rng(1)
+        access = NoisyAccess(draw_spectrum(n, k, 1.0, rng), sigma_for_snr(1.0, k, 1 << n, snr_from_db(10.0)), rng)
+        recovered, report, _, _ = experiments.recover(access, k, variant, snr_db=10.0, rho=1.0,
+                                                      rng_offsets=rng, plan=plan)
+        assert report.peels >= k and verify_support(recovered, access.spectrum)
+        assert "particular_words" not in plan.__dict__
 
 
 def test_coded_detector_confirms_only_decoded_words(monkeypatch):
@@ -116,9 +119,12 @@ def test_coded_detector_confirms_only_decoded_words(monkeypatch):
     b0, _ = offsets.layout["bases"]
     c0, c1 = offsets.layout["code"]
     neg = signs[live] < 0
-    # each word holds the bits bin j gives, then the signs of the stored rows
-    received = parity_words(offsets.code_words & plan.particular_words[0, js[live], None])
-    received[:, offsets.stored[0]] = neg[:, c0:c1] ^ neg[:, b0:b0 + 1]
+    measured = neg[:, c0:c1] ^ neg[:, b0:b0 + 1]
+    # each word is the codeword of the bin's word with the measured free
+    # bits, then the signs of the stored rows
+    k0 = plan.bin_words(0, js[live], measured[:, :plan.n - plan.b])
+    received = parity_words(offsets.code_words & k0[:, None])
+    received[:, offsets.stored[0]] = measured
     _, decoded = bitflip_decode_many(offsets.code, received)
     assert 0 < decoded.sum() < len(live)
     assert confirmed == [(decoded.sum(), offsets.rows)]
@@ -190,22 +196,21 @@ def test_noiseless_multi_ton_two_coefficients():
     assert det.kind == MULTI_TON
 
 
-def test_noiseless_rejects_hash_inconsistent_column():
-    # hash column words 3 and 5 span no unit word, so the plan stores every
-    # unit row and the decoded index fixes its own bin: read in another bin,
-    # the column is a multi-ton
-    plan = SubsamplingPlan(4, [[3, 5]])
-    k = bits("0100")
-    column = 2.0 * np.array([1.0, 1.0, -1.0, 1.0, 1.0])
-    j = references.bin_of_loop(plan, 0, k)
-    det = detect_noiseless(column, j, 0, plan, NOISELESS_CFG)
-    assert (det.kind, det.index, det.value) == (SINGLE_TON, k, 2.0)
-    assert detect_noiseless(column, j ^ 1, 0, plan, NOISELESS_CFG).kind == MULTI_TON
-    # on the worked window plan the bin gives the bits its stored rows do
-    # not see, so the column reads as the index of the bin it sits in
-    det = detect_noiseless(2.0 * np.array([1.0, 1.0, -1.0]), references.bin_of_loop(golden_plan(), 0, k) ^ 1,
-                           0, golden_plan(), NOISELESS_CFG)
-    assert (det.kind, det.index) == (SINGLE_TON, bits("0110"))
+def test_noiseless_column_reads_as_the_index_of_the_bin_it_sits_in():
+    # the stored rows see only the free bits, and the bin gives the rest:
+    # read in bin j ^ 1, a column is the single-ton k xor p_c(1), on hash
+    # column words 3 and 5, which span no unit word, as on the worked window plan
+    for plan in (SubsamplingPlan(4, [[3, 5]]), golden_plan()):
+        offsets = build_offsets(design("noiseless", 4, 4), plan)
+        k = bits("0110")
+        column = 2.0 * sign_matrix(np.array([k], dtype=np.uint64), offsets.groups[0])[0]
+        j = references.bin_of_loop(plan, 0, k)
+        det = detect_noiseless(column, j, 0, plan, NOISELESS_CFG)
+        assert (det.kind, det.index, det.value) == (SINGLE_TON, k, 2.0)
+        moved = detect_noiseless(column, j ^ 1, 0, plan, NOISELESS_CFG)
+        assert (moved.kind, moved.index, moved.value) == (SINGLE_TON, k ^ int(plan.particular_words[0, 1]), 2.0)
+        assert references.bin_of_loop(plan, 0, moved.index) == j ^ 1
+    assert moved.index == bits("0100")
 
 
 def _single_ton_column(plan, offsets, c, k, value, nu, rng):
@@ -296,6 +301,21 @@ def test_batched_detectors_equal_column_loops(monkeypatch, variant, n, k_sparsit
     # batch and by the old one-column loop; a second block moves every
     # column to the bin j ^ 1, where a single-ton's index no longer hashes
     # to the bin it sits in, unless the bin gives every bit that tells them apart
+    _batched_detectors_equal_column_loops(monkeypatch, variant, n, k_sparsity, snr_db, random=False)
+
+
+@pytest.mark.parametrize("variant,n,k_sparsity,snr_db", [
+    ("noiseless", 10, 12, None),
+    ("nso", 12, 16, 5.0),
+    ("so", 12, 16, 5.0),
+])
+def test_batched_detectors_equal_column_loops_on_random_plans(monkeypatch, variant, n, k_sparsity, snr_db):
+    # the same on a plan of random full-column-rank matrices, the sketch's kind,
+    # whose coset basis words are not unit words
+    _batched_detectors_equal_column_loops(monkeypatch, variant, n, k_sparsity, snr_db, random=True)
+
+
+def _batched_detectors_equal_column_loops(monkeypatch, variant, n, k_sparsity, snr_db, random):
     decodes = []
     loop_bitflip = references.bitflip_decode_loop
 
@@ -307,7 +327,7 @@ def test_batched_detectors_equal_column_loops(monkeypatch, variant, n, k_sparsit
     monkeypatch.setattr(references, "bitflip_decode_loop", recorded_decode)
     kinds, moved_singles = set(), 0
     for seed, (_, plan, offsets, cfg, obs) in enumerate(
-            seeded_instances(variant, n, k_sparsity, snr_db, True, seeds=range(3))):
+            seeded_instances(variant, n, k_sparsity, snr_db, True, seeds=range(3), random=random)):
         one, loop = {
             "noiseless": (lambda u, j, c: detect_noiseless(u, j, c, plan, cfg),
                           lambda u, j, c: references.detect_noiseless_loop(u, j, c, plan, offsets, cfg)),
@@ -337,10 +357,11 @@ def test_batched_detectors_equal_column_loops(monkeypatch, variant, n, k_sparsit
             kinds.update(det.kind for det in batch)
             for j, det in enumerate(batch):
                 if det.kind == SINGLE_TON and variant == "noiseless":
-                    # no stored row sees the window bits, which the bin gives:
+                    # no stored row sees the pivot bits, which the bin gives:
                     # the column reads as the index of the bin it sits in
                     moved_det = moved_batch[j ^ 1]
-                    assert (moved_det.kind, moved_det.index) == (SINGLE_TON, det.index ^ int(plan.col_words[c, 0]))
+                    assert (moved_det.kind, moved_det.index) == \
+                        (SINGLE_TON, det.index ^ int(plan.particular_words[c, 1]))
                 moved_singles += det.kind == SINGLE_TON and moved_batch[j ^ 1].kind == MULTI_TON
     assert kinds == {ZERO_TON, SINGLE_TON, MULTI_TON}
     assert (moved_singles > 0) == (variant != "noiseless")

@@ -216,12 +216,14 @@ SEED77_POINTS = [(12, 10, 0.0), (14, 20, 1.0), (15, 30, 2.0), (13, 16, 0.0), (16
 def test_so_seed77_set_pinned():
     # every SO decision on the set, as the first 16 hex of the sha256 of the
     # per-trial tuples' repr (370 failed, 76 of them not stalled); a change
-    # to bit flipping that moves any word's decision moves some tuple
+    # to bit flipping that moves any word's decision moves some tuple.
+    # Recorded where each group stores the systematic rows at its free bits
+    # and every parity row, code_for(13)'s weight-1 row e_10 included
     cfg = ExperimentConfig(algorithm="so", seed=77)
     got = [(r.support_ok, r.stalled, r.samples_distinct, r.sweeps, r.peels, r.conflicts, r.samples_nominal)
            for r in (run_trial(cfg, n, k, snr_db, t) for n, k, snr_db in SEED77_POINTS for t in range(60))]
     assert (sum(not r[0] for r in got), sum(not (r[0] or r[1]) for r in got)) == (370, 76)
-    assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "2e20571c7bfbb3db"
+    assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "20e35116671fe7e7"
 
 
 # (support_ok, stalled, samples_distinct, peels) of near-linear trials at the
@@ -274,19 +276,19 @@ def test_continuous_nso_recovers_or_flags(snr_db):
 # of sketch_recover on 3 disjoint edges of sizes 2..4 over n=20 vertices, seeds 0..4, budget 8
 PINNED_SKETCHES = [
     ({68: -0.25, 2050: -0.25, 2056: -0.25, 4160: -0.25},
-     462, (3, 4, 0, True, 15672466.285714285, 462), True),
+     398, (3, 4, 0, True, 15684949.333333332, 398), True),
     ({0: 2.375, 66: -0.25, 2050: -0.25, 2112: -0.25, 4224: -0.25, 32896: -0.25, 36864: -0.25,
       65540: -0.125, 131076: -0.125, 196608: -0.125, 524292: -0.125, 589824: -0.125, 655360: -0.125,
       720900: -0.125},
-     462, (2, 14, 0, False, 0.0, 462), False),
+     399, (2, 14, 0, False, 0.0, 399), False),
     ({0: 1.875, 66: -0.5, 16640: -0.125, 65664: -0.5, 262400: -0.125, 278528: -0.125,
       524544: -0.125, 540672: -0.125, 786432: -0.125, 803072: -0.125},
-     462, (2, 10, 0, False, 0.0, 462), False),
+     398, (2, 10, 0, False, 0.0, 398), False),
     ({40960: -0.5, 524296: -0.5},
-     462, (2, 2, 0, True, 9249938.285714285, 462), True),
+     398, (2, 2, 0, True, 9349802.666666666, 398), True),
     ({160: -0.125, 384: -0.125, 513: -0.125, 8320: -0.125, 8608: -0.125, 32769: -0.125,
       33280: -0.125, 524289: -0.125, 524800: -0.125, 557056: -0.125},
-     462, (3, 10, 0, True, 20046214.095238093, 462), True),
+     397, (3, 10, 0, True, 19966634.666666664, 397), True),
 ]
 
 

@@ -129,7 +129,7 @@ def test_plan_eliminates_each_group_once(monkeypatch):
     calls = []
     monkeypatch.setattr(gf2, "eliminate", lambda rows: calls.append(1) or eliminate(rows))
     plan = SubsamplingPlan(12, cols)
-    plan.unit_mask, plan.particular_words, plan.coset_basis, plan.coset(2, 5)
+    plan.free_bits, plan.particular_words, plan.coset_basis, plan.coset(2, 5)
     build_offsets(d, plan, rng=np.random.default_rng(0))
     assert len(calls) == 3
 
@@ -159,16 +159,17 @@ def test_build_plan_is_the_window_design(n_k):
 
 
 def test_noiseless_offsets_layout():
-    # the zero row and the unit rows outside each group's window: group 1
-    # hashes the two high positions, group 2 the two low ones, whose bits the bin gives
+    # the zero row and the unit rows at each group's free bits, outside its
+    # window: group 1 hashes the two high positions, group 2 the two low
+    # ones, whose bits the bin gives
     plan = golden_plan()
     offsets = build_offsets(design("noiseless", 4, 4), plan)
     assert offsets.layout == {"verify": (0, 0), "bases": (0, 1), "code": (1, 3)}
     assert offsets.code is None
     assert offsets.groups.tolist() == [[0, 1, 2], [0, 4, 8]]
-    assert plan.unit_mask == (12, 3)
-    given = [[p & mask for p in row] for row, mask in zip(plan.particular_words.tolist(), plan.unit_mask)]
-    assert given == [[0, 4, 8, 12], [0, 1, 2, 3]]
+    assert plan.free_bits.tolist() == [[0, 1], [2, 3]]
+    # the particular word of bin j has free bits 0 and the window bits j
+    assert plan.particular_words.tolist() == [[0, 4, 8, 12], [0, 1, 2, 3]]
     assert offsets.nominal_rows == 5
 
 
@@ -208,8 +209,8 @@ def test_nso_offsets_modulation():
 @settings(max_examples=60, deadline=None)
 @given(window=st.booleans(), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_coded_layouts_leave_out_exactly_the_unit_rows_the_bin_gives(variant, window, seed, data):
-    # a window plan, or random full-column-rank matrices, whose groups may
-    # hold different numbers of in-span unit rows: then every row stays
+    # a window plan, or random full-column-rank matrices: every group stores
+    # the systematic rows at its free bits, then every parity row
     n = data.draw(st.integers(6 if variant == "so" else 2, 12))
     b, c_groups = data.draw(st.integers(1, n)), data.draw(st.integers(1, 3))
     rng = np.random.default_rng(seed)
@@ -218,33 +219,73 @@ def test_coded_layouts_leave_out_exactly_the_unit_rows_the_bin_gives(variant, wi
     offsets = build_offsets(dataclasses.replace(design(variant, n, 1), p1=p1), plan, rng=rng)
     code_words = [1 << q for q in range(n)] if variant != "so" else list(code_for(n).g_rows)
     assert offsets.code_words.tolist() == code_words
-    spans = [span_words(cols) for cols in plan.col_words]
-    # the unit words of each group's brute-force column span
-    assert plan.unit_mask == tuple(sum(1 << q for q in range(n) if 1 << q in set(span.tolist())) for span in spans)
-    in_span = [{r for r, g in enumerate(code_words) if bin(g).count("1") == 1 and g & mask}
-               for mask in plan.unit_mask]
-    rectangular = len({len(rs) for rs in in_span}) == 1
     bases = p1 if variant == "nso" else 1
+    assert offsets.rows == p1 * (variant != "nso") + bases * (1 + len(code_words) - b)
     ks = rng.integers(0, 1 << n, size=16).tolist()
-    for c, span in enumerate(spans):
-        dropped = set(range(len(code_words))) - set(offsets.stored[c].tolist())
-        assert dropped == (in_span[c] if rectangular else set())
-        assert offsets.rows == p1 * (variant != "nso") + bases * (1 + len(code_words) - len(dropped))
-        # the bin's particular word gives the bits of every k in it at the unit words
+    for c, span in enumerate(span_words(cols) for cols in plan.col_words):
+        free = plan.free_bits[c].tolist()
+        assert offsets.stored[c].tolist() == free + list(range(n, len(code_words)))
+        # the rows left out are the systematic rows at the b pivot bits, and
+        # every unit word in the group's brute-force column span is one of them
+        pivots = set(range(n)) - set(free)
+        assert len(pivots) == b
+        assert {q for q in range(n) if 1 << q in set(span.tolist())} <= pivots
+        # the bin and the free bits give every k in it
         for k in ks:
             j = bin_of_loop(plan, c, k)
-            assert k & plan.unit_mask[c] == int(plan.particular_words[c, j]) & plan.unit_mask[c]
-        # a dropped row d xor e_q would read the positions d reads
-        for d in offsets.groups[c, slice(*offsets.layout["bases"])]:
-            for r in dropped:
-                assert set((span ^ d ^ np.uint64(code_words[r])).tolist()) == set((span ^ d).tolist())
-        if window and rectangular:
-            # over each base, the base and its distinct stored unit rows read
-            # distinct cosets; the random bases, and SO's parity rows, which may
-            # repeat a unit row, may share one by chance
+            measured = np.array([[k >> q & 1 for q in free]])
+            assert plan.bin_words(c, np.array([j]), measured).tolist() == [k]
+        if window:
+            # over each base, the base and its stored systematic rows read
+            # distinct cosets; the random bases, and SO's parity rows, which
+            # may repeat a unit row, may share one by chance
             window_mask = sum(plan.col_words[c].tolist())
-            units = {0} | {g for g in offsets.code_words[offsets.stored[c]].tolist() if bin(g).count("1") == 1}
+            units = {0} | {1 << q for q in free}
             assert len({g & ~window_mask for g in units}) == len(units)
+
+
+_rules = st.integers(1, 63).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, n), st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rule=_rules)
+def test_free_bits_and_the_bin_give_every_index(rule):
+    # on window and random plans up to n = 63: the free bits and the b
+    # pivot bits partition 0..n-1, M_c^T is invertible on the pivots, coset
+    # basis word i holds free bit i and no other, and the word of k's bin
+    # with k's free bits is k
+    n, b, c_groups, window, seed = rule
+    rng = np.random.default_rng(seed)
+    plan = window_plan(n, b, c_groups) if window else random_plan(n, b, c_groups, rng)
+    assert plan.free_bits.shape == (c_groups, n - b) and plan.coset_basis.shape == (c_groups, n - b)
+    ks = rng.integers(0, 1 << n, size=8, dtype=np.uint64)
+    for c in range(c_groups):
+        free = plan.free_bits[c].tolist()
+        assert free == sorted(set(free)) and all(0 <= q < n for q in free)
+        free_mask = sum(1 << q for q in free)
+        pivot_mask = ((1 << n) - 1) ^ free_mask
+        assert rank_transpose([w & pivot_mask for w in plan.col_words[c].tolist()]) == b
+        basis = plan.coset_basis[c].tolist()
+        assert [w & free_mask for w in basis] == [1 << q for q in free]
+        js = plan.bins_of_many(c, ks).astype(np.int64)
+        measured = (ks[:, None] >> plan.free_bits[c].astype(np.uint64)) & np.uint64(1)
+        assert np.array_equal(plan.bin_words(c, js, measured), ks)
+
+
+def test_every_coded_design_stores_its_code_less_b_rows():
+    # at n = 6..40 and every b below n: each group of noiseless, NSO and
+    # SO stores len(code) - b code rows per base, b fewer than the code has
+    for n in range(6, 41):
+        for b in range(1, n):
+            for variant in ("noiseless", "nso", "so"):
+                d = design(variant, n, 1 << b)
+                offsets = build_offsets(d, build_plan(d), rng=np.random.default_rng(0))
+                code_rows = len(offsets.code_words)
+                assert code_rows == (2 * n if variant == "so" else n)
+                assert offsets.stored.shape == (d.c_groups, code_rows - b)
+                assert offsets.layout["code"][1] - offsets.layout["code"][0] == \
+                    (d.p1 if variant == "nso" else 1) * (code_rows - b)
 
 
 def test_so_requires_code():

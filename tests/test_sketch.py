@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from sparsewht.sketch import (
     sketch_recover,
 )
 
-from helpers import random_disjoint_hypergraph
+from helpers import random_disjoint_hypergraph, window_plan
 from references import random_full_column_rank
 
 
@@ -225,14 +226,16 @@ def test_cut_query_access_take_matches_cut_values(sequence):
     assert len(flat) == len(set(flat)) == len(read)  # no word is asked twice
 
 
-# (queries, sweeps, peels, conflicts, stalled) per seed, recorded with the
-# unsorted-search read log that the one-sort read log replaced
+# (queries, sweeps, peels, conflicts, stalled) per seed; the sweeps, peels,
+# conflicts and stall were recorded with the unsorted-search read log that
+# the one-sort read log replaced, the queries where each group stores only
+# its free bits' unit rows
 _SKETCH_50_3 = {
-    0: (19482, 2, 54, 0, False),
-    1: (19482, 2, 30, 0, False),
-    2: (19482, 2, 36, 0, False),
-    3: (19482, 2, 34, 0, False),
-    4: (19482, 2, 78, 0, False),
+    0: (16810, 2, 54, 0, False),
+    1: (16810, 2, 30, 0, False),
+    2: (16810, 2, 36, 0, False),
+    3: (16809, 2, 34, 0, False),
+    4: (16811, 2, 78, 0, False),
 }
 
 
@@ -243,6 +246,24 @@ def test_sketch_recover_pinned_at_benchmark_size(seed):
     assert result.spectrum.entries == analytic_spectrum(h).entries
     report = result.report
     assert (result.queries, report.sweeps, report.peels, report.conflicts, report.stalled) == _SKETCH_50_3[seed]
+
+
+def test_sketch_decisions_pinned_over_many_graphs():
+    # 200 graphs of the benchmark's shape and settings: the first 16 hex of
+    # the sha256 of the per-graph (exact, partial, sweeps, peels) tuples'
+    # repr (197 exact, 3 partial, none wrong and unflagged), and the queries
+    # of all 200 apart from it, so a layout change that keeps the decisions
+    # moves only the second
+    got, queries = [], 0
+    for t in range(200):
+        h = random_disjoint_hypergraph(50, 3, np.random.default_rng([50, t]), max_size=6)
+        result = sketch_recover(h, sparsity_budget=3 << 5, seed=t, coeff_resolution=2.0 ** -5)
+        exact = result.spectrum.entries == analytic_spectrum(h).entries
+        got.append((exact, result.partial, result.report.sweeps, result.report.peels))
+        queries += result.queries
+    assert (sum(g[0] for g in got), sum(g[1] for g in got), sum(not (g[0] or g[1]) for g in got)) == (197, 3, 0)
+    assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "b4aa8c44a4c4817a"
+    assert queries == 3362009
 
 
 def test_reconstruct_edges_from_analytic():
@@ -379,19 +400,23 @@ def test_sketch_eliminates_each_group_once(monkeypatch):
     assert len(calls) == frontend.design("noiseless", 50, 14).c_groups == 3
 
 
-def test_sketch_builds_no_particular_word_table_without_unit_rows(monkeypatch):
-    # the random plan's span holds no unit word, so every code row is measured
-    # and the detector reads no bit from the bin; a window plan keeps its table
+def test_sketch_plan_stores_the_free_bits_and_builds_no_particular_word_table(monkeypatch):
+    # the random plan's span holds no unit word, yet each group stores the
+    # zero row and only the n - b = 46 unit rows at its free bits, as a window
+    # plan does; neither detector run builds a particular word table
     plans = _recording_plans(monkeypatch)
+    observed = []
+    observe = frontend.observe
+    monkeypatch.setattr(frontend, "observe", lambda *args: observed.append(observe(*args)) or observed[-1])
     result = sketch_recover(_ci_graph(), sparsity_budget=14, seed=0, coeff_resolution=2.0**-3)
-    (plan,) = plans
-    assert result.queries == 2346 and plan.unit_mask == (0, 0, 0)
+    (plan,), (obs,) = plans, observed
+    assert obs.data.shape == (3, 16, 1 + 46) and result.queries == 2163
     assert "particular_words" not in plan.__dict__
-    window = frontend.build_plan(frontend.design("noiseless", 12, 16))
+    window = window_plan(12, 4, 3)  # fresh: build_plan's is cached and shared
     rng = np.random.default_rng(0)
     access = sketch.CutQueryAccess(Hypergraph.from_edge_lists(12, [{1, 2}, {5, 9, 11}]))
     experiments.recover(access, 16, "noiseless", snr_db=None, rho=1.0, rng_offsets=rng, plan=window)
-    assert all(window.unit_mask) and "particular_words" in window.__dict__
+    assert "particular_words" not in window.__dict__
 
 
 def test_sketch_plan_is_the_per_group_draw_where_none_was_rejected(monkeypatch):
