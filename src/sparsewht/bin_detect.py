@@ -1,19 +1,27 @@
 """Bin classification: zero-ton / single-ton / multi-ton tests.
 
-Two detectors share one array contract, and each classifies a batch of
-bins in one call:
+A bin's rows are triaged once by their mean energy E, every row the bin
+stores, before any detector runs (:func:`triage`):
 
-    detect_*_many(cols, js, c, plan, offsets, cfg) -> (live, k_words, values, single)
+- E <= :func:`tested`, the level of the layout: a zero-ton;
+- with constellation values, (sqrt(E) - rho)^2 above that level by a
+  round-off margin: a multi-ton, since no +/-rho single-ton can pass the
+  residual test there (the bound is derived in :func:`triage`);
+- every other bin is a candidate, and goes to a detector.
+
+Two detectors share one array contract, and each classifies a batch of
+candidate bins in one call:
+
+    detect_*_many(cols, js, c, plan, offsets, cfg) -> (k_words, values, single)
 
 Row i of ``cols`` is the (P,) column of group c's bin ``js[i]`` (an
-integer array); the caller selects the rows. ``live`` indexes the rows
-above the noise level, in increasing order; every other row is a
-zero-ton. For row ``live[i]`` the detector returns its candidate index
-``k_words[i]`` (uint64), the candidate's value ``values[i]`` and whether
-it verified, ``single[i]``. A live row that did not verify is a
-multi-ton. ``DETECTORS`` holds the detector of each variant. The
-one-column ``detect_*`` functions are the one-row case, returned as a
-:class:`Detection`.
+integer array); the caller selects the rows, and the detector classifies
+exactly those. For row i it returns the candidate index ``k_words[i]``
+(uint64), the candidate's value ``values[i]`` and whether it verified,
+``single[i]``; a row that did not verify is a multi-ton. ``DETECTORS``
+holds the detector of each variant, and ``peeling.decode`` hands it the
+candidates of :func:`triage`. The one-column ``detect_*`` functions are
+the one-row case, triage first, returned as a :class:`Detection`.
 
 The coded detector serves noiseless, NSO and SO: each reads the code
 bit of row g as the sgn of u[d xor g] u[d] summed over the bases d,
@@ -28,15 +36,17 @@ correlations are a Walsh-Hadamard transform of the column, whose sign
 kernel factors into a high and a low half, see
 ``kernels.singleton_search``).
 
-Both decide with one test, as SPRIGHT and SparseFHT do: is the mean
+Every decision is one test, as in SPRIGHT and SparseFHT: is the mean
 square of every row a bin stores at the noise level, before (zero-ton)
 and after (single-ton) removing one candidate? The level
 (:func:`tested`) is max((1 + gamma) nu^2, zero_tol^2) for a layout with
 random ``verify`` rows; the noiseless layout has none and tests at the
 round-off level zero_tol^2, so under noise it finds no single-ton, and
-the decoder's stall flag, at the same level, fails it loudly. Anything
-failing verification is a multi-ton: multi-tons need no action during
-peeling, so erring toward them only delays recovery, never corrupts it.
+the decoder's stall flag, at the same level, fails it loudly. The energy
+gate of :func:`triage` only skips bins whose residual test would fail,
+so it changes no decision. Anything failing verification is a multi-ton:
+multi-tons need no action during peeling, so erring toward them only
+delays recovery, never corrupts it.
 
 Sign convention: sgn(x) = 1 for x < 0 and 0 for x > 0 (sgn(0) = 0), so
 that x = |x| * (-1)^sgn(x).
@@ -137,6 +147,38 @@ def _within_noise(u: np.ndarray, level: float):
     return np.mean(u * u, axis=-1) <= level
 
 
+def triage(cols: np.ndarray, level: float, cfg: DetectorConfig):
+    """The zero-tons and the gated multi-tons among the bin rows ``cols``,
+    from each row's mean energy E over every row the bin stores; returns
+    two disjoint boolean masks ``(zero, gated)``. The other rows are the
+    candidates a detector classifies.
+
+    A row is a zero-ton when E <= ``level`` (:func:`tested`). With
+    ``cfg.constellation`` a single-ton's value v is +/-rho, and for any
+    signature s in {+/-1}^P
+
+        mean((u - v s)^2) = E - 2 v mean(u s) + rho^2 >= (sqrt(E) - rho)^2,
+
+    as |mean(u s)| <= sqrt(E mean(s^2)) = sqrt(E) by Cauchy-Schwarz. So
+    :func:`_confirm` refuses every candidate of a row whose (sqrt(E) -
+    rho)^2 exceeds ``level``, whatever index a detector would find: the row
+    is gated, a multi-ton. The gate asks for a margin, level (1 + 1e-9) +
+    1e-12 (E + rho^2), over round-off: E, the gap and the residual are
+    sums of P squares whose computed values lie within c eps (E + rho^2)
+    of the exact ones, with c < 2 P + 10 in any order of summation and of
+    order log2 P in numpy's pairwise sums, while 1e-12 is about 4,500 eps.
+    A gated row's computed residual therefore exceeds ``level`` too, and
+    no decision changes. Continuous values have no such bound, and only the
+    zero-tons are sorted out.
+    """
+    energy = np.mean(cols * cols, axis=-1)
+    zero = energy <= level
+    if not cfg.constellation:
+        return zero, np.zeros_like(zero)
+    gap = (np.sqrt(energy) - cfg.rho) ** 2
+    return zero, ~zero & (gap > level * (1.0 + 1e-9) + 1e-12 * (energy + cfg.rho**2))
+
+
 def _confirm(u: np.ndarray, offset_words: np.ndarray, level: float, k_words: np.ndarray, cfg: DetectorConfig):
     """Values and single-ton flags of the candidate indices ``k_words``,
     from every row ``u`` of their bins, read at the offsets
@@ -159,40 +201,41 @@ def detect_coded_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, c
     ``verify`` rows, the ``bases`` d_p and the ``code`` block, where row
     (p, q) is d_p xor g_q for the code rows g_q the group stores. For a
     single-ton k of value a, u[d_p xor g_q] u[d_p] is a^2 (-1)^<g_q, k>
-    plus noise. A bin is a zero-ton when its rows are within the level of
-    :func:`tested`. For any other bin, code bit q is the sgn of that
-    product summed over the bases (a strong base weighs more than a weak
-    one). The first n - b measured bits, those of the systematic rows at
-    ``plan.free_bits[c]``, are k's free bits, and k0 is the word of bin j
-    with them (``plan.bin_words``). The identity code returns k0; for
+    plus noise. Code bit q is the sgn of that product summed over the
+    bases (a strong base weighs more than a weak one). The first n - b
+    measured bits, those of the systematic rows at ``plan.free_bits[c]``,
+    are k's free bits, and k0 is the word of bin j with them
+    (``plan.bin_words``). The identity code returns k0; for
     ``offsets.code`` the received word is the codeword of k0 with the
     measured bits written at the positions ``offsets.stored[c]``, decoded
     through :func:`codes.bitflip_decode_many`. A decoded index is a
     single-ton when it hashes to its bin and :func:`_confirm` passes it on
-    every row; a bin whose word does not decode is a multi-ton.
+    every row, at the level of :func:`tested`; a bin whose word does not
+    decode is a multi-ton with value 0. Every row given is classified:
+    the caller leaves out the rows :func:`triage` sorts out.
     """
-    level = tested(offsets, cfg)
     b0, b1 = offsets.layout["bases"]
     c0, c1 = offsets.layout["code"]
-    live = np.flatnonzero(~_within_noise(cols, level))
-    u, js = cols[live], js[live]
-    block = u[:, c0:c1].reshape(len(live), b1 - b0, (c1 - c0) // (b1 - b0))
-    measured = np.einsum("mpq,mp->mq", block, u[:, b0:b1]) < 0
+    block = cols[:, c0:c1].reshape(len(cols), b1 - b0, (c1 - c0) // (b1 - b0))
+    measured = np.einsum("mpq,mp->mq", block, cols[:, b0:b1]) < 0
     k_words, ok = plan.bin_words(c, js, measured[:, :plan.n - plan.b]), slice(None)
     if offsets.code is not None:
         received = kernels.parity_words(offsets.code_words & k_words[:, None])
         received[:, offsets.stored[c]] = measured
         k_words, ok = codes.bitflip_decode_many(offsets.code, received)
-    values, single = np.zeros(len(live)), np.zeros(len(live), dtype=bool)
-    values[ok], single[ok] = _confirm(u[ok], offsets.groups[c], level, k_words[ok], cfg)
-    return live, k_words, values, single & (plan.bins_of_many(c, k_words).astype(np.int64) == js)
+    values, single = np.zeros(len(cols)), np.zeros(len(cols), dtype=bool)
+    values[ok], single[ok] = _confirm(cols[ok], offsets.groups[c], tested(offsets, cfg), k_words[ok], cfg)
+    return k_words, values, single & (plan.bins_of_many(c, k_words).astype(np.int64) == js)
 
 
 def _one_row(detect, u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig) -> Detection:
-    """The detection of one column ``u`` of bin ``j_word`` by a batched detector."""
-    live, k_words, values, single = detect(np.array([u], dtype=float), np.array([j_word]), c, plan, offsets, cfg)
-    if not len(live):
-        return _ZERO
+    """The detection of one column ``u`` of bin ``j_word``: :func:`triage`,
+    then, for a candidate, the batched detector ``detect``."""
+    cols = np.array([u], dtype=float)
+    zero, gated = triage(cols, tested(offsets, cfg), cfg)
+    if zero[0] or gated[0]:
+        return _ZERO if zero[0] else _MULTI
+    k_words, values, single = detect(cols, np.array([j_word]), c, plan, offsets, cfg)
     return Detection(SINGLE_TON, k_words[0].item(), values[0].item()) if single[0] else _MULTI
 
 
@@ -216,18 +259,17 @@ detect_so = detect_nso
 def detect_near_linear_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig):
     """Matched-filter search over the hash cosets of the bins.
 
-    A bin is a zero-ton when its rows, all of them ``verify`` rows, are
-    within the level of :func:`tested`. Every other bin j takes its best
-    candidate in ``plan.particular_words[c, j]`` xor span(``plan.coset_basis[c]``)
-    from one batched ``kernels.singleton_search``, checked by :func:`_confirm`.
+    Every bin j takes its best candidate in ``plan.particular_words[c, j]``
+    xor span(``plan.coset_basis[c]``) from one batched
+    ``kernels.singleton_search`` over its rows, all of them ``verify``
+    rows, checked by :func:`_confirm` at the level of :func:`tested`.
+    Every row given is classified: the caller leaves out the rows
+    :func:`triage` sorts out.
     """
-    level = tested(offsets, cfg)
-    live = np.flatnonzero(~_within_noise(cols, level))
-    u, offset_words, js = cols[live], offsets.groups[c], js[live]
-    basis = plan.coset_basis[c]
-    idx, _ = kernels.singleton_search(u, offset_words, basis, plan.particular_words[c, js])
+    offset_words, basis = offsets.groups[c], plan.coset_basis[c]
+    idx, _ = kernels.singleton_search(cols, offset_words, basis, plan.particular_words[c, js])
     k_words = plan.bin_words(c, js, (idx[:, None] >> np.arange(len(basis))) & 1)
-    return live, k_words, *_confirm(u, offset_words, level, k_words, cfg)
+    return k_words, *_confirm(cols, offset_words, tested(offsets, cfg), k_words, cfg)
 
 
 def detect_near_linear(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig) -> Detection:

@@ -1,5 +1,11 @@
 """Iterative peeling decoder over bin observations.
 
+Each group's pending bins are triaged by their mean energy before any
+detector runs (``bin_detect.triage``): zero-tons, and with +/-rho values
+the bins whose energy no single-ton can explain, (sqrt(E) - rho)^2 above
+the level of the bin test, are settled there; the detector sees only the
+rest, in one call, and a group with none makes no call. The gate skips
+only bins whose residual test would fail, so no decision changes.
 Every single-ton detected in a group's pass is peeled before the next
 group is classified: its contribution is subtracted from the matching
 bin of every group, all of the pass's peels in one scatter over the C
@@ -35,6 +41,11 @@ class DecodeReport:
     stalled: bool = False
     residual_energy: float = 0.0
     samples_used: int = 0
+    # bins classified, summed over the sweeps: multi-tons are the bins the
+    # energy gate refused (``gated``) plus those the detector did not verify
+    zero_tons: int = 0
+    multi_tons: int = 0
+    gated: int = 0
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
@@ -61,10 +72,19 @@ def _peel(data: np.ndarray, plan, offsets, k_words: np.ndarray, values: np.ndarr
 def decode(obs, plan, offsets, cfg, sweep_hook=None):
     """Run peeling until fixed point; returns (spectrum, report).
 
-    Each group's pending bins, in increasing bin order, go to the
-    detector of ``offsets.variant`` (``bin_detect.DETECTORS``) in one
-    call with the thresholds ``cfg``; ``offsets`` must be the ones the
-    observations were generated with. The detector answers in arrays,
+    Each group's pending bins, in increasing bin order, are triaged once
+    by their mean energy E over every stored row (``bin_detect.triage``):
+    E at most the level of the layout's bin test (``bin_detect.tested``)
+    is a zero-ton; with ``cfg.constellation``, (sqrt(E) - rho)^2 above that
+    level (plus a round-off margin) is a multi-ton, since by
+    Cauchy-Schwarz every candidate's residual, mean((u - v s)^2) for v =
+    +/-rho and s in {+/-1}^P, is at least that gap, so the detector's
+    residual test would refuse it. The other bins go to the detector of
+    ``offsets.variant`` (``bin_detect.DETECTORS``) in one call with the
+    thresholds ``cfg``; a group with none makes no call. ``offsets`` must
+    be the ones the observations were generated with. The report sums
+    the zero-tons, the multi-tons and the gate's share of them over the
+    sweeps. The detector answers in arrays,
     and the verified single-tons (index, value) are peeled afterwards, in
     bin order, by one ``kernels.scatter_signed`` over the whole tensor,
     which applies repeated bins in that order. This equals
@@ -89,6 +109,7 @@ def decode(obs, plan, offsets, cfg, sweep_hook=None):
         raise PlanError(f"observations of shape {obs.data.shape} do not fit the plan and offsets, "
                         f"which need {(plan.c_groups, plan.bins, offsets.rows)}")
     detect = bin_detect.DETECTORS[offsets.variant]
+    level = bin_detect.tested(offsets, cfg)
     data = obs.data.copy()
     c_groups, bins, _ = data.shape
     recovered: dict = {}
@@ -105,7 +126,17 @@ def decode(obs, plan, offsets, cfg, sweep_hook=None):
             pending[c] = False
             if not len(js):
                 continue
-            _, k_words, values, single = detect(data[c][js], js, c, plan, offsets, cfg)
+            cols = data[c][js]
+            zero, gated = bin_detect.triage(cols, level, cfg)
+            live = np.flatnonzero(~(zero | gated))
+            refused = int(np.count_nonzero(gated))
+            report.zero_tons += int(np.count_nonzero(zero))
+            report.gated += refused
+            report.multi_tons += refused
+            if not len(live):
+                continue
+            k_words, values, single = detect(cols[live], js[live], c, plan, offsets, cfg)
+            report.multi_tons += int(np.count_nonzero(~single))
             k_words, values = k_words[single], values[single]
             for k_word, value in zip(k_words.tolist(), values.tolist()):
                 if recovered.get(k_word, 0.0) != 0.0:
@@ -127,7 +158,6 @@ def decode(obs, plan, offsets, cfg, sweep_hook=None):
     # each bin's mean square over its offset rows is comparable to nu^2
     report.residual_energy = float((data * data).mean(axis=2).sum())
     # the last sweep changed the spectrum only when the guard ended the loop
-    level = bin_detect.tested(offsets, cfg)
     report.stalled = recovered != before or report.residual_energy > c_groups * bins * level
     return SparseSpectrum(obs.n, recovered), report
 

@@ -1,5 +1,6 @@
 """Loop references for the hash, the alias sums, the encoder, the batched
-detectors, the bit-flip decoder, the stall level and LDPC set-up, plus the
+detectors, the bit-flip decoder, the stall level and LDPC set-up, the
+decode before its energy gate, plus the
 brute-force transform, the batched butterflies, the dense spectrum, the
 one-rhs affine solve and its null-space basis, the butterfly coset
 search, the dense 0/1 matrix of packed words, and hash matrices as their
@@ -16,10 +17,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from sparsewht import bin_detect
 from sparsewht.bin_detect import MULTI_TON, SINGLE_TON, ZERO_TON, Detection
 from sparsewht.codes import DECODE_ROUNDS
 from sparsewht.gf2 import DimensionError, eliminate
-from sparsewht.kernels import _check_length, hash_words, sign_matrix
+from sparsewht.kernels import _check_length, hash_words, scatter_signed, sign_matrix
+from sparsewht.peeling import DecodeReport
 
 
 def sgn(x: float) -> int:
@@ -239,18 +242,78 @@ def _confirm_single(u, row_words, k_word, cfg, level):
     return Detection(MULTI_TON)
 
 
-def as_detections(result, count):
-    """The batched detector result ``(live, k_words, values, single)`` over
-    ``count`` rows as one detection per row, in the form the loops return.
-    Also checks the shape of the result: ``live`` increasing, one uint64
-    index, value and flag per live row."""
-    live, k_words, values, single = result
-    assert len(k_words) == len(values) == len(single) == len(live) <= count
-    assert k_words.dtype == np.uint64 and single.dtype == bool and np.all(np.diff(live) > 0)
-    out = [Detection(ZERO_TON)] * count
+def as_detections(detect, cols, js, c, plan, offsets, cfg, gate=True):
+    """One detection per row of ``cols``, in the form the loops return, by
+    the batched ``detect`` after ``bin_detect.triage``: its zero-tons are
+    zero-tons and, with ``gate``, its gated rows multi-tons; ``detect``
+    classifies the rest in one call. Without ``gate`` every row above the
+    noise level goes to ``detect``, as before the gate. Also checks the
+    shape of the result: one uint64 index, value and flag per row given."""
+    level = bin_detect.tested(offsets, cfg)
+    zero, gated = bin_detect.triage(cols, level, cfg)
+    refused = gated if gate else np.zeros_like(gated)
+    live = np.flatnonzero(~(zero | refused))
+    k_words, values, single = detect(cols[live], js[live], c, plan, offsets, cfg)
+    assert len(k_words) == len(values) == len(single) == len(live)
+    assert k_words.dtype == np.uint64 and single.dtype == bool
+    out = [Detection(ZERO_TON) if z else Detection(MULTI_TON) for z in zero.tolist()]
     for r, k_word, value, ok in zip(live.tolist(), k_words.tolist(), values.tolist(), single.tolist()):
         out[r] = Detection(SINGLE_TON, k_word, value) if ok else Detection(MULTI_TON)
     return out
+
+
+def gated(u, level, cfg):
+    """Whether the energy gate refuses one bin row ``u``: a ``cfg.constellation``
+    row above ``level`` whose (sqrt(E) - rho)^2, E its mean square, exceeds
+    ``level`` by the gate's round-off margin."""
+    energy = np.mean(u * u)
+    gap = (math.sqrt(energy) - cfg.rho) ** 2
+    return bool(cfg.constellation and energy > level
+                and gap > level * (1.0 + 1e-9) + 1e-12 * (energy + cfg.rho ** 2))
+
+
+def decode_untriaged(obs, plan, offsets, cfg):
+    """``peeling.decode`` before the energy gate: each group's pending bins
+    above the level go to the batched detector in one call, the rows a
+    constellation bound refuses included, and the others are zero-tons.
+    Returns the recovered dict and the report, whose ``gated`` stays 0."""
+    detect = bin_detect.DETECTORS[offsets.variant]
+    level = bin_detect.tested(offsets, cfg)
+    data = obs.data.copy()
+    c_groups, bins, _ = data.shape
+    recovered = {}
+    report = DecodeReport(samples_used=obs.distinct_samples)
+    pending = np.ones((c_groups, bins), dtype=bool)
+    while report.sweeps < 2 * c_groups * bins + 10:
+        before = dict(recovered)
+        for c in range(c_groups):
+            js = np.flatnonzero(pending[c])
+            pending[c] = False
+            cols = data[c][js]
+            live = np.flatnonzero(np.mean(cols * cols, axis=1) > level)
+            report.zero_tons += len(js) - len(live)
+            if not len(live):
+                continue
+            k_words, values, single = detect(cols[live], js[live], c, plan, offsets, cfg)
+            report.multi_tons += int(np.count_nonzero(~single))
+            k_words, values = k_words[single], values[single]
+            for k_word, value in zip(k_words.tolist(), values.tolist()):
+                report.conflicts += recovered.get(k_word, 0.0) != 0.0
+                total = recovered.get(k_word, 0.0) + value
+                if abs(total) <= cfg.zero_tol:
+                    recovered.pop(k_word, None)
+                else:
+                    recovered[k_word] = total
+            report.peels += len(k_words)
+            if len(k_words):
+                js2 = scatter_signed(data, k_words, -values, plan.col_words, offsets.groups)
+                pending[np.arange(c_groups), js2] = True
+        report.sweeps += 1
+        if recovered == before:
+            break
+    report.residual_energy = float((data * data).mean(axis=2).sum())
+    report.stalled = recovered != before or report.residual_energy > stall_energy(cfg, offsets, c_groups, bins)
+    return recovered, report
 
 
 def _bin_word(plan, c, j_word, measured):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsewht import (NoisyAccess, bin_detect, crossover_bound, draw_spectrum, experiments, sigma_for_snr,
                        verify_support)
@@ -71,14 +73,14 @@ def test_coded_detector_two_bases_over_the_ldpc_rows(verify_rows):
     for c in range(plan.c_groups):
         js = plan.bins_of_many(c, ks).astype(np.int64)
         cols = values[:, None] * sign_matrix(ks, offsets.groups[c])
-        live, k_words, got, single = detect_coded_many(cols, js, c, plan, offsets, cfg)
-        assert np.array_equal(live, np.arange(len(ks))) and single.all()
+        k_words, got, single = detect_coded_many(cols, js, c, plan, offsets, cfg)
+        assert single.all()
         assert np.array_equal(k_words, ks) and np.array_equal(got, values)
 
         pairs = ks[:64] ^ plan.coset_basis[c, rng.integers(0, n - plan.b, size=64)]
         two = cols[:64] + 0.5 * values[pairs.astype(np.int64), None] * sign_matrix(pairs, offsets.groups[c])
-        live, _, _, single = detect_coded_many(two, js[:64], c, plan, offsets, cfg)
-        assert np.array_equal(live, np.arange(64)) and not single.any()
+        _, _, single = detect_coded_many(two, js[:64], c, plan, offsets, cfg)
+        assert len(single) == 64 and not single.any()
 
 
 def test_coded_detector_reads_the_free_bits_on_window_plans():
@@ -115,18 +117,21 @@ def test_coded_detector_confirms_only_decoded_words(monkeypatch):
     monkeypatch.setattr(bin_detect, "_confirm", recorded)
     signs = np.where(np.random.default_rng(0).random(obs.data[0].shape) < 0.5, -1.0, 1.0)
     js = np.arange(plan.bins)
-    live, _, _, _ = detect_coded_many(signs, js, 0, plan, offsets, cfg)
+    # unit rows: each is a candidate, neither a zero-ton nor gated
+    zero, gated = bin_detect.triage(signs, bin_detect.tested(offsets, cfg), cfg)
+    assert not (zero | gated).any()
+    detect_coded_many(signs, js, 0, plan, offsets, cfg)
     b0, _ = offsets.layout["bases"]
     c0, c1 = offsets.layout["code"]
-    neg = signs[live] < 0
+    neg = signs < 0
     measured = neg[:, c0:c1] ^ neg[:, b0:b0 + 1]
     # each word is the codeword of the bin's word with the measured free
     # bits, then the signs of the stored rows
-    k0 = plan.bin_words(0, js[live], measured[:, :plan.n - plan.b])
+    k0 = plan.bin_words(0, js, measured[:, :plan.n - plan.b])
     received = parity_words(offsets.code_words & k0[:, None])
     received[:, offsets.stored[0]] = measured
     _, decoded = bitflip_decode_many(offsets.code, received)
-    assert 0 < decoded.sum() < len(live)
+    assert 0 < decoded.sum() < len(js)
     assert confirmed == [(decoded.sum(), offsets.rows)]
 
 
@@ -161,6 +166,38 @@ def test_for_noise_matches_the_separate_formulas(n, k, snr_db, rho):
     sketch = DetectorConfig.for_noise(n, plan.bins, 0.0, 1.0, None, math.sqrt(2.0**n), constellation=False)
     assert sketch.zero_tol == 1e-9 * math.sqrt(2.0**n) and not sketch.constellation
     assert bin_detect.tested(noiseless, sketch) == sketch.zero_tol ** 2 == sketch.noise_level
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.integers(1, 500), rho=st.floats(0.05, 20.0), log_level=st.floats(-20.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_gated_rows_admit_no_single_ton(p, rho, log_level, seed):
+    # whenever the energy gate refuses a row u, no v = +/-rho and no s in
+    # {+/-1}^P gives mean((u - v s)^2) within the level, as the detectors
+    # compute it: s = sign(u) minimises it, and random s are tried too. The
+    # rows sit on both sides of the boundary (sqrt(E) - rho)^2 = level, as
+    # (rho +/- sqrt(level) (1 + delta)) s, and around it, with noise; the
+    # level runs from round-off (zero_tol^2) to the noise of a low SNR
+    rng = np.random.default_rng(seed)
+    level = rho * rho * 10.0**log_level
+    cfg = DetectorConfig(rho=rho, constellation=True)
+    deltas = np.concatenate([-np.logspace(-1, -12, 12), [0.0], np.logspace(-12, -1, 12)])
+    signs = np.where(rng.random((len(deltas), p)) < 0.5, -1.0, 1.0)
+    above = (rho + math.sqrt(level) * (1.0 + deltas))[:, None] * signs
+    below = (rho - math.sqrt(level) * (1.0 + deltas))[:, None] * signs
+    noisy = above + math.sqrt(level) * rng.standard_normal(above.shape)
+    spread = rho * rng.uniform(0.0, 3.0, size=(8, 1)) * rng.standard_normal((8, p))
+    rows = np.concatenate([above, below, noisy, spread])
+    zero, gated = bin_detect.triage(rows, level, cfg)
+    assert not (zero & gated).any()
+    u = rows[gated]
+    best = np.where(u < 0, -1.0, 1.0)
+    for v in (rho, -rho):
+        for s in (best, -best, np.where(rng.random(u.shape) < 0.5, -1.0, 1.0)):
+            assert not bin_detect._within_noise(u - v * s, level).any()
+    # the gate is not empty: far from the boundary, rows are refused
+    if log_level > -9:
+        assert gated[:len(deltas)][deltas >= 1e-2].all()
 
 
 def test_sgn_convention():
@@ -224,7 +261,9 @@ def _single_ton_column(plan, offsets, c, k, value, nu, rng):
 def test_single_ton_is_tested_on_every_row(variant, snr_db):
     # a spike on one code row, outside the verify rows, keeps the decoded
     # index (it only grows that row's magnitude) but leaves a residual the
-    # single-ton test must see
+    # single-ton test must see: a spike of sqrt(2 P level) passes the energy
+    # gate and fails the residual test; a 100x spike is already gated, and
+    # the detector, given it anyway, refuses it too
     n, k_sparsity = 12, 10
     d = design(variant, n, k_sparsity)
     plan = build_plan(d)
@@ -238,13 +277,19 @@ def test_single_ton_is_tested_on_every_row(variant, snr_db):
     for k in rng.integers(0, 1 << n, size=20).tolist():
         c = k % plan.c_groups
         col = _single_ton_column(plan, offsets, c, k, 1.0, math.sqrt((1 << n) * sigma**2 / plan.bins), rng)
-        spiked = col.copy()
-        spiked[row] += 100.0 * np.sign(col[row])
-        js = np.full(2, plan.bins_of_many(c, np.array([k], dtype=np.uint64))[0], dtype=np.int64)
-        cfg = DetectorConfig.for_noise(n, plan.bins, sigma, 1.0, snr, np.abs(spiked).max())
-        live, k_words, values, single = detect_coded_many(np.array([col, spiked]), js, c, plan, offsets, cfg)
-        assert live.tolist() == [0, 1] and k_words.tolist() == [k, k] and values.tolist() == [1.0, 1.0]
-        assert single.tolist() == [True, False]
+        js = np.full(3, plan.bins_of_many(c, np.array([k], dtype=np.uint64))[0], dtype=np.int64)
+        cols = np.array([col, col, col])
+        cols[2, row] += 100.0 * np.sign(col[row])
+        cfg = DetectorConfig.for_noise(n, plan.bins, sigma, 1.0, snr, np.abs(cols).max())
+        level = bin_detect.tested(offsets, cfg)
+        cols[1, row] += math.sqrt(2 * offsets.rows * level) * np.sign(col[row])
+        zero, gated = bin_detect.triage(cols, level, cfg)
+        assert zero.tolist() == [False] * 3 and gated.tolist() == [False, False, True]
+        k_words, values, single = detect_coded_many(cols, js, c, plan, offsets, cfg)
+        assert k_words.tolist() == [k] * 3 and values.tolist() == [1.0] * 3
+        assert single.tolist() == [True, False, False]
+        one = [detect_nso(u, js[0], c, plan, offsets, cfg) for u in cols]
+        assert [det.kind for det in one] == [SINGLE_TON, MULTI_TON, MULTI_TON]
 
 
 def test_near_linear_exact_codeword():
@@ -281,11 +326,12 @@ def test_near_linear_batch_matches_one_column_at_a_time():
     for c in range(plan.c_groups):
         block = obs.data[c]
         js = np.array([0, 2, 3, 5, 6, 7])
-        batch = references.as_detections(detect_near_linear_many(block[js], js, c, plan, offsets, cfg), len(js))
-        assert batch == [detect_near_linear(block[j], j, c, plan, offsets, cfg) for j in js]
+        for gate in (True, False):
+            batch = references.as_detections(detect_near_linear_many, block[js], js, c, plan, offsets, cfg, gate)
+            assert batch == [detect_near_linear(block[j], j, c, plan, offsets, cfg) for j in js]
         kinds.update(det.kind for det in batch)
         empty = js[:0]
-        assert references.as_detections(detect_near_linear_many(block[empty], empty, c, plan, offsets, cfg), 0) == []
+        assert references.as_detections(detect_near_linear_many, block[empty], empty, c, plan, offsets, cfg) == []
     assert kinds == {ZERO_TON, SINGLE_TON, MULTI_TON}
 
 
@@ -338,7 +384,10 @@ def _batched_detectors_equal_column_loops(monkeypatch, variant, n, k_sparsity, s
         }[variant]
 
         def many(cols, js, c):
-            return references.as_detections(DETECTORS[variant](cols, js, c, plan, offsets, cfg), len(js))
+            # the batch after the energy gate equals the batch without it
+            gated = references.as_detections(DETECTORS[variant], cols, js, c, plan, offsets, cfg)
+            assert gated == references.as_detections(DETECTORS[variant], cols, js, c, plan, offsets, cfg, False)
+            return gated
 
         # js holds every bin in order, so row j of a block is the column of bin j
         js = np.arange(plan.bins)
@@ -408,9 +457,11 @@ def test_nso_code_bit_sums_its_base_correlations():
     col = sign_matrix(np.array([k], dtype=np.uint64), offsets.groups[c])
     col[0, rows] *= -0.05
     js = plan.bins_of_many(c, np.array([k], dtype=np.uint64)).astype(np.int64)
-    live, k_words, values, single = detect_coded_many(col, js, c, plan, offsets,
-                                                      DetectorConfig(gamma=1.0, nu2=0.05, rho=1.0))
-    assert live.tolist() == [0] and k_words.tolist() == [k] and values.tolist() == [1.0] and single.tolist() == [True]
+    cfg = DetectorConfig(gamma=1.0, nu2=0.05, rho=1.0)
+    zero, gated = bin_detect.triage(col, bin_detect.tested(offsets, cfg), cfg)
+    assert zero.tolist() == gated.tolist() == [False]
+    k_words, values, single = detect_coded_many(col, js, c, plan, offsets, cfg)
+    assert k_words.tolist() == [k] and values.tolist() == [1.0] and single.tolist() == [True]
 
 
 def test_nso_exact_recovery_no_noise():

@@ -152,7 +152,7 @@ def test_unsettled_decode_stops_at_the_guard(monkeypatch):
     # and marks that word's bin pending in every group, its own included,
     # so every sweep changes the spectrum and only the structural guard stops it
     def never_settles(cols, js, c, plan, offsets, cfg):
-        return np.arange(len(js)), plan.particular_words[c, js], np.ones(len(js)), np.ones(len(js), dtype=bool)
+        return plan.particular_words[c, js], np.ones(len(js)), np.ones(len(js), dtype=bool)
 
     monkeypatch.setitem(bin_detect.DETECTORS, "near-linear", never_settles)
     n, k, snr_db = 12, 10, 0.0
@@ -238,7 +238,7 @@ def test_report_json_round_trip():
     _, report = decode(obs, plan, offsets, cfg)
     parsed = json.loads(report.to_json())
     assert set(parsed) == {"sweeps", "peels", "conflicts", "stalled",
-                           "residual_energy", "samples_used"}
+                           "residual_energy", "samples_used", "zero_tons", "multi_tons", "gated"}
     assert parsed["samples_used"] == obs.distinct_samples
 
 
@@ -265,11 +265,14 @@ def _coset_enumeration_near_linear(u, j, c, plan, offsets, cfg):
 def _reference_decode(obs, plan, offsets, column_detector, cfg):
     """Peeling that classifies and peels one bin at a time until a sweep
     leaves the recovered spectrum unchanged, or for at most 2 C B + 10
-    sweeps; ``cfg`` sets the stall level through ``references.stall_energy``."""
+    sweeps; ``cfg`` sets the stall level through ``references.stall_energy``
+    and the energy gate's count through ``references.gated``."""
     data = obs.data.copy()
     c_groups, bins, _ = data.shape
     recovered = {}
     sweeps = peels = conflicts = 0
+    kinds = {ZERO_TON: 0, MULTI_TON: 0, "gated": 0}
+    level = bin_detect.tested(offsets, cfg)
     pending = [set(range(bins)) for _ in range(c_groups)]
     while sweeps < 2 * c_groups * bins + 10:
         before = dict(recovered)
@@ -278,7 +281,9 @@ def _reference_decode(obs, plan, offsets, column_detector, cfg):
             pending[c].clear()
             for j in todo:
                 det = column_detector(data[c, j], j, c)
+                kinds["gated"] += references.gated(data[c, j], level, cfg)
                 if det.kind != "single-ton":
+                    kinds[det.kind] += 1
                     continue
                 k_word, value = det.index, det.value
                 conflicts += recovered.get(k_word, 0.0) != 0.0
@@ -298,7 +303,9 @@ def _reference_decode(obs, plan, offsets, column_detector, cfg):
             break
     residual = float((data * data).mean(axis=2).sum())
     stalled = residual > references.stall_energy(cfg, offsets, c_groups, bins)
-    report = DecodeReport(sweeps, peels, conflicts, stalled, residual, obs.distinct_samples)
+    report = DecodeReport(sweeps=sweeps, peels=peels, conflicts=conflicts, stalled=stalled,
+                          residual_energy=residual, samples_used=obs.distinct_samples,
+                          zero_tons=kinds[ZERO_TON], multi_tons=kinds[MULTI_TON], gated=kinds["gated"])
     return recovered, report
 
 
@@ -373,3 +380,32 @@ def test_near_linear_decode_matches_coset_enumeration(n, k, snr_db, constellatio
         _assert_same_decode_up_to_sums(report, expected_report, recovered, expected)
         recovered_supports += recovered.support() == spectrum.support()
     assert recovered_supports > 0
+
+
+@pytest.mark.parametrize("variant,n,k,snr_db,constellation,random", [
+    ("noiseless", 10, 8, None, True, False),
+    ("noiseless", 10, 8, None, False, True),
+    ("nso", 12, 10, 5.0, True, False),
+    ("nso", 12, 10, 20.0, False, True),
+    ("nso", 12, 10, None, True, True),
+    ("so", 12, 10, 5.0, True, False),
+    ("so", 12, 10, 5.0, True, True),
+    ("so", 12, 10, None, False, False),
+    ("near-linear", 12, 16, 5.0, True, False),
+    ("near-linear", 13, 16, 0.0, True, True),
+    ("near-linear", 14, 10, 20.0, False, False),
+])
+def test_energy_gate_changes_no_decision(variant, n, k, snr_db, constellation, random):
+    # the decode that sends every bin above the level to the detector, the
+    # ones the gate refuses included, recovers the same spectrum with the
+    # same report; the gate moves multi-tons from the detector to itself
+    gated = 0
+    for _, plan, offsets, cfg, obs in seeded_instances(variant, n, k, snr_db, constellation, random=random):
+        recovered, report = decode(obs, plan, offsets, cfg)
+        expected, expected_report = references.decode_untriaged(obs, plan, offsets, cfg)
+        assert recovered.entries == expected
+        assert dataclasses.replace(report, gated=0) == expected_report
+        assert report.gated <= report.multi_tons
+        gated += report.gated
+    # continuous values get no gate
+    assert (gated > 0) == constellation
