@@ -6,7 +6,9 @@ the window plan, ``sketch.sketch_recover`` on a random plan. A trial
 draws a +/-1 spectrum, noise and offsets from streams of (seed, trial
 index); ``frontend.design`` fixes the rest from (algorithm, n, K). So
 results are reproducible and independent of how trials are distributed
-over workers. Runtime covers observing and decoding only.
+over workers. The noise is drawn at the positions the design reads, so
+two variants at one (seed, trial) share the spectrum but not the noise.
+Runtime covers observing and decoding only.
 """
 from __future__ import annotations
 
@@ -111,7 +113,9 @@ def recover(access, k: int, algorithm: str, *, snr_db: float | None, rho: float,
     included, from the noise level of amplitude ``rho`` at ``snr_db``
     (None: noise-free) and the round-off tolerance from the largest
     observed |value|. ``constellation`` says whether every coefficient
-    is +/-``rho`` or the values are continuous. Returns ``(spectrum,
+    is +/-``rho`` or the values are continuous. An ``access`` with a
+    ``prepare(cols, rows)`` (``NoisyAccess``) draws the noise of
+    ``observe``'s read as part of the set-up. Returns ``(spectrum,
     report, obs, runtime_ns)``; ``runtime_ns`` times observing and
     decoding only, not the set-up.
     """
@@ -120,6 +124,8 @@ def recover(access, k: int, algorithm: str, *, snr_db: float | None, rho: float,
     if plan is None:
         plan = frontend.build_plan(design)
     offsets = frontend.build_offsets(design, plan, rng=rng_offsets)
+    if hasattr(access, "prepare"):
+        access.prepare(plan.col_words, offsets.groups)
 
     t0 = time.perf_counter_ns()
     obs = frontend.observe(access, plan, offsets)
@@ -131,13 +137,14 @@ def recover(access, k: int, algorithm: str, *, snr_db: float | None, rho: float,
 
 
 def run_trial(config: ExperimentConfig, n: int, k: int, snr_db: float | None, trial: int) -> TrialResult:
-    """One seeded draw-observe-decode-verify round (SO's code depends on n alone)."""
+    """One seeded draw-observe-decode-verify round (SO's code depends on n
+    alone); ``runtime_ns`` excludes the noise draw, which ``recover``
+    makes before it observes."""
     ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(n, k, trial))
     rng_spec, rng_noise, rng_offsets = (np.random.default_rng(s) for s in ss.spawn(3))
 
     spectrum = draw_spectrum(n, k, 1.0, rng_spec)
     access = NoisyAccess(spectrum, noise_sigma(1.0, k, n, snr_db), rng_noise)
-    access.prepare()
     recovered, report, obs, runtime_ns = recover(access, k, config.algorithm, snr_db=snr_db, rho=1.0,
                                                  rng_offsets=rng_offsets)
 

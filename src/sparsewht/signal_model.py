@@ -4,13 +4,15 @@ The ensemble draws K distinct support indices uniformly (exact-K
 sparsity; independent draws could collide and silently reduce sparsity)
 and, in the default constellation mode, coefficient values +/-rho with
 equal probability. Noise attaches to the sample, not the query: a
-position read twice returns one consistent realization.
+position read twice returns one consistent realization. It is drawn only
+at the positions read, or about to be read (``NoisyAccess.prepare``), in
+the order of their first draw.
 
 Every sample oracle answers ``take_cosets(cols, rows)``, the (C, B, P)
-tensor of samples u[M_c l + d_{c,p}] of C groups, and
-``samples_queried``, the distinct positions read so far. An oracle that
-logs its reads as a sorted array of distinct words merges each read into
-it with :func:`merge_reads`.
+tensor of samples u[M_c l + d_{c,p}] of C groups at the positions
+:func:`coset_positions` gives, and ``samples_queried``, the distinct
+positions read so far. An oracle that logs its reads as a sorted array
+of distinct words merges each read into it with :func:`merge_reads`.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import gf2, kernels
 
-_DENSE_NOISE_LIMIT = 24  # full-array noise cache; 2^24 doubles = 128 MiB
+_DENSE_NOISE_LIMIT = 24  # the 2^n noise store; 2^24 doubles = 128 MiB
 
 
 @dataclass
@@ -154,6 +156,13 @@ def synthesize_many(spectrum, m_words) -> np.ndarray:
     return (signs @ values) / math.sqrt(2.0**spectrum.n)
 
 
+def coset_positions(cols, rows) -> np.ndarray:
+    """The (C, B, P) positions M_c l + d_{c,p} that ``take_cosets(cols,
+    rows)`` reads: row l of group c in the order of ``gf2.span_words``
+    of the (C, b) column words ``cols``, column p at offset ``rows[c, p]``."""
+    return gf2.span_words(cols)[:, :, None] ^ np.asarray(rows, dtype=np.uint64)[:, None, :]
+
+
 def merge_reads(log: np.ndarray, positions) -> tuple:
     """Merge the read ``positions`` into ``log``, the sorted distinct words
     read so far, without changing ``log``.
@@ -182,13 +191,17 @@ class NoisyAccess:
     positions, synthesizing each in O(K). Both read paths agree (exactly
     for constellation values) and share the noise and the read accounting.
 
-    The full noise realization is drawn lazily from the seeded generator,
-    so repeated queries of one position agree and results do not depend
-    on query order. Reads are counted in a 2^n bitmap for n up to 24 and,
-    above that, where only noiseless reads are allowed, in a sorted read
-    log (:func:`merge_reads`). A position with a bit at or above n is
-    refused before any noise or count is touched. Single-writer:
-    concurrent experiments should use independent instances and seeds.
+    The noise is drawn from the seeded generator only where it is first
+    needed, one normal per distinct position, in ascending position order
+    within a draw, and kept in a 2^n store (NaN until drawn). So a
+    position read twice returns one sample, and ``prepare`` can draw a
+    read's noise ahead of the read, but the realization depends on the
+    order of the first draws. Reads are counted in a 2^n bitmap for n up
+    to 24 and, above that, where only noiseless reads are allowed, in a
+    sorted read log (:func:`merge_reads`). A position with a bit at or
+    above n is refused before any noise or count is touched.
+    Single-writer: concurrent experiments should use independent
+    instances and seeds.
     """
 
     def __init__(self, spectrum: SparseSpectrum, sigma: float, rng):
@@ -200,7 +213,7 @@ class NoisyAccess:
         self.spectrum = spectrum
         self.sigma = float(sigma)
         self._rng = np.random.default_rng(rng)
-        self._noise = None
+        self._noise = np.full(1 << spectrum.n, np.nan) if sigma > 0 else None
         self._queried = np.zeros(1 << spectrum.n, dtype=bool) if spectrum.n <= _DENSE_NOISE_LIMIT else None
         self._log = np.zeros(0, dtype=np.uint64)
 
@@ -208,25 +221,39 @@ class NoisyAccess:
     def n(self) -> int:
         return self.spectrum.n
 
-    def _noise_array(self) -> np.ndarray:
-        if self._noise is None:
-            self._noise = self.sigma * self._rng.standard_normal(1 << self.n)
-        return self._noise
+    def _index(self, positions: np.ndarray) -> np.ndarray:
+        """``positions`` as store indices; a position with a bit at or
+        above n raises ValueError."""
+        if positions.size and int(positions.max()) >> self.n:
+            raise ValueError(f"position {int(positions.max())} has a bit at or above n={self.n}")
+        return positions.astype(np.intp)
 
-    def prepare(self) -> None:
-        """Materialize the noise realization up front (keeps it out of
-        timed observation/decoding sections)."""
+    def _draw(self, at: np.ndarray) -> None:
+        """Draw the noise at the positions ``at`` that have none yet, once
+        per distinct position, in ascending position order."""
+        wanted = np.zeros(len(self._noise), dtype=bool)
+        wanted[at] = True
+        fresh = np.flatnonzero(wanted & np.isnan(self._noise))
+        self._noise[fresh] = self.sigma * self._rng.standard_normal(len(fresh))
+
+    def prepare(self, cols, rows) -> None:
+        """Draw the noise at the positions ``take_cosets(cols, rows)`` will
+        read, so that the read draws none (keeps the draw out of timed
+        observation); reads nothing and counts nothing. A position with a
+        bit at or above n is refused before anything is drawn."""
         if self.sigma > 0:
-            self._noise_array()
+            self._draw(self._index(coset_positions(cols, rows)))
 
     def _read(self, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Add the noise at ``positions`` to the clean ``values`` (same
         shape) in place and record the positions as read."""
-        if positions.size and int(positions.max()) >> self.n:
-            raise ValueError(f"position {int(positions.max())} has a bit at or above n={self.n}")
-        at = positions.astype(np.intp)
+        at = self._index(positions)
         if self.sigma > 0:
-            values += self._noise_array()[at]
+            noise = self._noise[at]
+            if np.isnan(noise).any():  # a read that was not prepared
+                self._draw(at)
+                noise = self._noise[at]
+            values += noise
         if self._queried is not None:
             self._queried[at] = True
         else:
@@ -241,7 +268,7 @@ class NoisyAccess:
     def take_cosets(self, cols, rows) -> np.ndarray:
         """The (C, B, P) tensor of samples u[M_c l + d_{c,p}] for the
         (C, b) column words ``cols`` of the M_c and the (C, P) offset
-        words ``rows``.
+        words ``rows``, at the :func:`coset_positions`.
 
         Row l of group c is ordered by the word of l, as in
         ``gf2.span_words``; column p holds offset ``rows[c, p]``. The
@@ -254,8 +281,7 @@ class NoisyAccess:
         kernels.scatter_signed(alias, *self.spectrum.as_arrays(), cols, rows)
         block = kernels.fwht_rows_inplace(alias)
         block /= math.sqrt(2.0**self.n)
-        positions = gf2.span_words(cols)[:, :, None] ^ rows[:, None, :]
-        return self._read(positions, block)
+        return self._read(coset_positions(cols, rows), block)
 
     @property
     def samples_queried(self) -> int:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import frontend, gf2, kernels, peeling
 from .experiments import recover
-from .signal_model import SparseSpectrum, merge_reads
+from .signal_model import SparseSpectrum, coset_positions, merge_reads
 
 EDGE_TOL = 1e-9  # largest difference from the edges' analytic spectrum that reconstruct_edges accepts
 
@@ -176,9 +176,10 @@ class CutQueryAccess:
         return self._values[at].reshape(positions.shape)
 
     def take_cosets(self, cols, rows) -> np.ndarray:
-        """The (C, B, P) tensor of samples u[M_c l + d_{c,p}], as
-        ``NoisyAccess.take_cosets``, in one ``take``."""
-        return self.take(gf2.span_words(cols)[:, :, None] ^ np.asarray(rows, dtype=np.uint64)[:, None, :])
+        """The (C, B, P) tensor of samples u[M_c l + d_{c,p}] at the
+        ``signal_model.coset_positions``, as ``NoisyAccess.take_cosets``,
+        in one ``take``."""
+        return self.take(coset_positions(cols, rows))
 
     def _ask(self, words: np.ndarray) -> np.ndarray:
         """The oracle's values for the sorted distinct ``words``, one finite

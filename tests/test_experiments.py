@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsewht import NoisyAccess, draw_spectrum
+from sparsewht import NoisyAccess, draw_spectrum, frontend
 from sparsewht.experiments import (
     SCALING_COLUMNS,
     SNR_COLUMNS,
@@ -164,6 +164,31 @@ def test_seeded_trials_pinned(algorithm):
     assert got == PINNED_TRIALS[algorithm]
 
 
+def test_recover_draws_the_noise_of_the_read_before_observing(monkeypatch):
+    # SO at (17, 40, 10 dB): recover draws noise at exactly the positions
+    # observe reads, before observe, whose read then draws nothing
+    n, k, snr_db = 17, 40, 10.0
+    rng = np.random.default_rng(19)
+    access = NoisyAccess(draw_spectrum(n, k, 1.0, rng), noise_sigma(1.0, k, n, snr_db), rng)
+    seen = []
+    observe = frontend.observe
+
+    def drawn():
+        return int(np.count_nonzero(~np.isnan(access._noise)))
+
+    def recording_observe(*args):
+        before = drawn(), access._rng.bit_generator.state
+        obs = observe(*args)
+        seen.append((before, (drawn(), access._rng.bit_generator.state)))
+        return obs
+
+    monkeypatch.setattr(frontend, "observe", recording_observe)
+    _, _, obs, _ = recover(access, k, "so", snr_db=snr_db, rho=1.0, rng_offsets=np.random.default_rng(20))
+    assert drawn() == access.samples_queried == obs.distinct_samples < (1 << n) // 10
+    ((before, after),) = seen
+    assert before == after
+
+
 # (support_ok, stalled, samples_distinct) of NSO trials 0..9 at seed 77, a
 # slice of the low-SNR set; a change to the offset layout keeps each decision
 NSO_SEED77 = {
@@ -189,15 +214,15 @@ def test_nso_low_snr_decisions_pinned(n, k, snr_db):
 
 # the same for SO, whose low-SNR failures are mostly LDPC words that do not
 # decode; each word takes the b bits its bin gives from the bin index, not
-# from in-window rows, which trial 5 at (12, 10) and (17, 40) needs, and
-# which leaves trials 2 and 9 at (17, 40) wrong, not stalled
+# from in-window rows. Trials 1 and 9 at (12, 10) and trials 0, 1, 2, 4 and
+# 8 at (17, 40) are wrong, not stalled
 SO_SEED77 = {
     (12, 10, 0.0): [(False, True, 1230), (False, False, 1286), (False, True, 1252), (False, True, 1243),
                     (False, True, 1275), (True, False, 1281), (False, True, 1210), (False, True, 1261),
-                    (True, False, 1259), (True, False, 1298)],
-    (17, 40, 3.0): [(True, False, 8436), (False, False, 8458), (False, False, 8459), (True, False, 8436),
-                    (True, False, 8337), (True, False, 8453), (True, False, 8430), (True, False, 8456),
-                    (True, False, 8313), (False, False, 8467)],
+                    (False, True, 1259), (False, False, 1298)],
+    (17, 40, 3.0): [(False, False, 8436), (False, False, 8458), (False, False, 8459), (True, False, 8436),
+                    (False, False, 8337), (True, False, 8453), (True, False, 8430), (True, False, 8456),
+                    (False, False, 8313), (True, False, 8467)],
 }
 
 
@@ -215,22 +240,23 @@ SEED77_POINTS = [(12, 10, 0.0), (14, 20, 1.0), (15, 30, 2.0), (13, 16, 0.0), (16
 
 def test_so_seed77_set_pinned():
     # every SO decision on the set, as the first 16 hex of the sha256 of the
-    # per-trial tuples' repr (370 failed, 76 of them not stalled); a change
+    # per-trial tuples' repr (373 failed, 96 of them not stalled); a change
     # to bit flipping that moves any word's decision moves some tuple.
     # Recorded where each group stores the systematic rows at its free bits
     # and every parity row, code_for(13)'s weight-1 row e_10 included
     cfg = ExperimentConfig(algorithm="so", seed=77)
     got = [(r.support_ok, r.stalled, r.samples_distinct, r.sweeps, r.peels, r.conflicts, r.samples_nominal)
            for r in (run_trial(cfg, n, k, snr_db, t) for n, k, snr_db in SEED77_POINTS for t in range(60))]
-    assert (sum(not r[0] for r in got), sum(not (r[0] or r[1]) for r in got)) == (370, 76)
-    assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "20e35116671fe7e7"
+    assert (sum(not r[0] for r in got), sum(not (r[0] or r[1]) for r in got)) == (373, 96)
+    assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "9c84c6a0f6d01105"
 
 
 # (support_ok, stalled, samples_distinct, peels) of near-linear trials at the
 # benchmark's shape, n=16, K=32: trials 60..89 at 10 dB and seed 3, where
 # trials 66 and 81 stop at 30 peels on a stopping pair, and trials 0..9 at
 # 2 dB and seed 77, where ghost peels make near-ties in the coset search
-# likeliest (trials 1 and 3 peel 34 and still hold the support)
+# likeliest (trials 1, 2, 3, 6 and 9 peel 34 to 38 and still hold the
+# support; trial 8 stops at 30 peels, not stalled)
 NEARLINEAR_SEEDED = {
     (3, 10.0, 60): [(True, False, 4470, 32), (True, False, 4507, 32), (True, False, 4392, 32), (True, False, 4422, 32),
                     (True, False, 4410, 32), (True, False, 4505, 32), (False, False, 4410, 30), (True, False, 4414, 32),
@@ -240,9 +266,9 @@ NEARLINEAR_SEEDED = {
                     (True, False, 4460, 32), (False, False, 4358, 30), (True, False, 4436, 32), (True, False, 4444, 32),
                     (True, False, 4477, 32), (True, False, 4505, 32), (True, False, 4489, 32), (True, False, 4467, 32),
                     (True, False, 4477, 32), (True, False, 4409, 32)],
-    (77, 2.0, 0): [(True, False, 4487, 32), (True, False, 4431, 34), (True, False, 4439, 32), (True, False, 4461, 34),
-                   (True, False, 4489, 32), (True, False, 4490, 32), (True, False, 4469, 32), (True, False, 4458, 32),
-                   (True, False, 4443, 32), (True, False, 4374, 32)],
+    (77, 2.0, 0): [(True, False, 4487, 32), (True, False, 4431, 38), (True, False, 4439, 34), (True, False, 4461, 36),
+                   (True, False, 4489, 32), (True, False, 4490, 32), (True, False, 4469, 36), (True, False, 4458, 32),
+                   (False, False, 4443, 30), (True, False, 4374, 36)],
 }
 
 

@@ -58,9 +58,9 @@ def _seeded_trial(variant, n, snr_db):
 
 @pytest.mark.parametrize("variant,n,snr_db,data_sha,entries_sha", [
     ("noiseless", 10, None, "d8866dff5027e28fe8b9b4cc5affb7d82382f391177693cba96005e485828095", _SPECTRUM_10),
-    ("near-linear", 12, 10.0, "45c2b13b11c88e845f0770cd0adce40a15e31b0664b5a185683925fc00f7f17e", _SPECTRUM_12),
-    ("nso", 12, 10.0, "ca855d6a2311d922c17cfa5ba39559cb5d6ac202cdea72aeb97bb13d87a68ab6", _SPECTRUM_12),
-    ("so", 12, 10.0, "5fd3bf5b4c89a9fe1e55195cad6a8771eb99a1c9184ae15764ebee25dfa6a294", _SPECTRUM_12),
+    ("near-linear", 12, 10.0, "cb13b294a5e5ab87f99b0d190c91f139a385af1dc8445a7f515fd606b10c828c", _SPECTRUM_12),
+    ("nso", 12, 10.0, "515baddf231cf418114414be0e47f1d0d372e58075e9be89d4d39f79b6340d7d", _SPECTRUM_12),
+    ("so", 12, 10.0, "16c9215b220ca8360d5770e8b2c7a5231ed9dcba5ffb6520184e254f61aff4a6", _SPECTRUM_12),
 ])
 def test_seeded_trial_outputs_are_pinned(variant, n, snr_db, data_sha, entries_sha):
     (_, _, _, ref), ref_inputs = with_transform(fwht_rows_butterflies, _seeded_trial, variant, n, snr_db)

@@ -110,6 +110,19 @@ def test_query_noise_statistics():
     samples = access.take(positions)
     assert abs(samples.mean()) < 3.0 / math.sqrt(len(samples))
     assert abs(samples.var() - 1.0) < 0.05
+    # the same through take_cosets, drawn in one prepare: three groups of
+    # 2^10 bins, 32 offset rows each, one sample per distinct position
+    rng = np.random.default_rng(6)
+    cols = rng.integers(0, 1 << 17, size=(3, 10), dtype=np.int64).astype(np.uint64)
+    rows = rng.integers(0, 1 << 17, size=(3, 32), dtype=np.int64).astype(np.uint64)
+    access = NoisyAccess(SparseSpectrum(17, {}), 1.0, np.random.default_rng(7))
+    access.prepare(cols, rows)
+    block = access.take_cosets(cols, rows)
+    _, first = np.unique(_coset_positions(cols, rows), return_index=True)
+    samples = block.reshape(-1)[first]
+    assert len(samples) == access.samples_queried > 60_000
+    assert abs(samples.mean()) < 3.0 / math.sqrt(len(samples))
+    assert abs(samples.var() - 1.0) < 0.05
 
 
 def test_noise_attaches_to_position():
@@ -256,6 +269,85 @@ def test_take_cosets_noiseless_beyond_dense_bitmap():
     positions = _coset_positions(cols, rows)
     assert np.array_equal(block, synthesize_many(spectrum, positions.reshape(-1)).reshape(positions.shape))
     assert access.samples_queried == len(np.unique(positions)) == 3 * 8
+
+
+@st.composite
+def _coset_read(draw):
+    """n, a spectrum and noise seed, and a (C, b) column and (C, P) offset
+    stack whose groups may share columns, with repeated and zero rows."""
+    n = draw(st.integers(1, 10))
+    word = st.integers(0, (1 << n) - 1)
+    c_groups, b, p = draw(st.integers(1, 3)), draw(st.integers(0, min(n, 4))), draw(st.integers(0, 5))
+    cols = [draw(st.lists(word, min_size=b, max_size=b))]
+    rows = [draw(st.lists(word, min_size=p, max_size=p))]
+    for _ in range(c_groups - 1):
+        # a later group repeats the first group's columns or rows, or draws its own
+        cols.append(cols[0] if draw(st.booleans()) else draw(st.lists(word, min_size=b, max_size=b)))
+        rows.append(rows[0] if draw(st.booleans()) else draw(st.lists(word, min_size=p, max_size=p)))
+    rows = [r + [0] * draw(st.integers(0, 2)) for r in rows]  # zero rows, possibly repeated
+    width = max(map(len, rows))
+    rows = [r + [r[-1] if r else 0] * (width - len(r)) for r in rows]  # repeated last rows
+    return (n, draw(st.integers(0, 2**32 - 1)), np.array(cols, dtype=np.uint64).reshape(c_groups, b),
+            np.array(rows, dtype=np.uint64).reshape(c_groups, width))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_coset_read())
+def test_prepared_read_equals_the_unprepared_read(case):
+    n, seed, cols, rows = case
+    spectrum = draw_spectrum(n, min(5, 1 << n), 1.0, np.random.default_rng(seed))
+    plain = NoisyAccess(spectrum, 0.3, np.random.default_rng(seed))
+    prepared = NoisyAccess(spectrum, 0.3, np.random.default_rng(seed))
+    prepared.prepare(cols, rows)
+    assert prepared.samples_queried == 0  # prepare draws but reads nothing
+    drawn = prepared._rng.bit_generator.state
+    block = prepared.take_cosets(cols, rows)
+    assert prepared._rng.bit_generator.state == drawn  # the prepared read draws nothing
+    assert np.array_equal(block, plain.take_cosets(cols, rows))
+    assert prepared.samples_queried == plain.samples_queried == len(np.unique(_coset_positions(cols, rows)))
+    assert prepared._rng.bit_generator.state == plain._rng.bit_generator.state
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_any_mix_of_reads_and_prepares_gives_one_sample_per_position(n, seed, data):
+    spectrum = draw_spectrum(n, min(4, 1 << n), 1.0, np.random.default_rng(seed))
+    access = NoisyAccess(spectrum, 0.7, np.random.default_rng(seed))
+    word = st.integers(0, (1 << n) - 1)
+    seen, read = {}, set()
+    for _ in range(data.draw(st.integers(1, 6))):
+        kind = data.draw(st.sampled_from(["take", "take_cosets", "prepare"]))
+        if kind == "take":
+            positions = np.array(data.draw(st.lists(word, max_size=8)), dtype=np.uint64)
+            values = access.take(positions)
+        else:
+            c_groups, b, p = data.draw(st.integers(1, 2)), data.draw(st.integers(0, min(n, 3))), data.draw(st.integers(0, 3))
+            words = data.draw(st.lists(word, min_size=c_groups * (b + p), max_size=c_groups * (b + p)))
+            stack = np.array(words, dtype=np.uint64).reshape(c_groups, b + p)
+            cols, rows = stack[:, :b], stack[:, b:]
+            if kind == "prepare":
+                access.prepare(cols, rows)
+                continue
+            positions, values = _coset_positions(cols, rows), access.take_cosets(cols, rows)
+        assert not np.isnan(values).any()
+        # constellation values make both read paths exact, so a position's sample is one float
+        for position, value in zip(positions.reshape(-1).tolist(), values.reshape(-1).tolist()):
+            assert seen.setdefault(position, value) == value
+        read.update(positions.reshape(-1).tolist())
+        assert access.samples_queried == len(read)
+
+
+def test_prepare_refuses_a_word_beyond_n_before_drawing():
+    n = 8
+    access = NoisyAccess(draw_spectrum(n, 3, 1.0, np.random.default_rng(18)), 0.5, np.random.default_rng(18))
+    state = access._rng.bit_generator.state
+    for word in (1 << n, 1 << 40, (1 << 64) - 1):
+        with pytest.raises(ValueError, match=f"position {word} has a bit at or above n={n}"):
+            access.prepare(np.array([[1], [word]], dtype=np.uint64), np.array([[0], [0]], dtype=np.uint64))
+        with pytest.raises(ValueError, match=f"at or above n={n}"):
+            access.prepare(np.array([[1]], dtype=np.uint64), np.array([[3, word]], dtype=np.uint64))
+    assert access._rng.bit_generator.state == state
+    assert np.isnan(access._noise).all() and access.samples_queried == 0
 
 
 @st.composite
