@@ -21,20 +21,19 @@ import sys
 
 import numpy as np
 
-from . import analysis, codes, frontend, gf2, peeling, sketch
+from . import analysis, codes, frontend, gf2, sketch
 from .experiments import (
     SCALING_COLUMNS,
     SNR_COLUMNS,
     ConfigError,
     ExperimentConfig,
-    noise_sigma,
-    recover,
+    recover_known,
     run_scaling_sweep,
     run_snr_sweep,
     write_csv,
 )
 from .kernels import fwht
-from .signal_model import NoisyAccess, SparseSpectrum, draw_spectrum
+from .signal_model import SparseSpectrum, draw_spectrum
 
 
 def _load_config(args, **defaults) -> ExperimentConfig:
@@ -108,21 +107,17 @@ def _cmd_recover(args) -> int:
     ss = np.random.SeedSequence(entropy=args.seed or 0)
     rng_noise, rng_offsets = (np.random.default_rng(s) for s in ss.spawn(2))
     magnitudes = {abs(v) for v in truth.entries.values()}
-    rho = max(magnitudes, default=1.0)
     snr_db = None if args.snr_db is None else args.snr_db[0]
     if snr_db is not None and not math.isfinite(snr_db):
         raise ValueError(f"--snr-db must be a finite number, got {snr_db}")
-    access = NoisyAccess(truth, noise_sigma(rho, k, n, snr_db), rng_noise)
-    recovered, report, _, _ = recover(access, k, algo, snr_db=snr_db, rho=rho,
-                                      constellation=len(magnitudes) <= 1,
-                                      rng_offsets=rng_offsets)
+    recovered, result = recover_known(truth, algo, snr_db, rng_noise, rng_offsets,
+                                      rho=max(magnitudes, default=1.0), constellation=len(magnitudes) <= 1)
     recovered.save(args.out)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
-    check = peeling.verify_support(recovered, truth)
-    print(f"recovered {recovered.sparsity}/{k} coefficients; support match: {check.support_match}")
-    return 0 if check.support_match and not report.stalled else 1
+            fh.write(result.to_json() + "\n")
+    print(f"recovered {recovered.sparsity}/{k} coefficients; support match: {result.support_ok}")
+    return 0 if result.support_ok and not result.stalled else 1
 
 
 def _cmd_bench_snr(args) -> int:

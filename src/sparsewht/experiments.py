@@ -1,14 +1,18 @@
 """Seeded Monte-Carlo sweeps: success-vs-SNR curves and scaling runs.
 
 ``recover`` is the one recovery pipeline, with thresholds derived from
-the noise level: the trials here and the ``recover`` command run it on
-the window plan, ``sketch.sketch_recover`` on a random plan. A trial
-draws a +/-1 spectrum, noise and offsets from streams of (seed, trial
+the noise level: ``sketch.sketch_recover`` runs it on a random plan,
+``recover_known`` on the window plan for a known spectrum. That is the
+one trial of ``run_trial`` and the ``recover`` command; its
+``TrialResult`` is the ``DecodeReport`` plus what only the truth tells.
+A trial draws a +/-1 spectrum, noise and offsets from streams of (seed, trial
 index); ``frontend.design`` fixes the rest from (algorithm, n, K). So
 results are reproducible and independent of how trials are distributed
 over workers. The noise is drawn at the positions the design reads, so
 two variants at one (seed, trial) share the spectrum but not the noise.
-Runtime covers observing and decoding only.
+Runtime covers observing and decoding only. Both sweeps count their
+trials in one ``_summary``: a failure is flagged when the decode
+stalled, else silent.
 """
 from __future__ import annotations
 
@@ -23,10 +27,10 @@ from . import codes, frontend, peeling
 from .bin_detect import DetectorConfig
 from .signal_model import NoisyAccess, draw_spectrum, sigma_for_snr, snr_from_db
 
-SNR_COLUMNS = ("n", "K", "snr_db", "algorithm", "trials", "successes", "success_rate",
-               "mean_samples", "mean_runtime_ns")
-SCALING_COLUMNS = ("n", "K", "algorithm", "success_rate", "samples", "nominal_samples",
-                   "runtime_ns", "meets_threshold")
+SUMMARY_COLUMNS = ("trials", "successes", "success_rate", "flagged", "silent", "false_alarms", "samples",
+                   "samples_fraction", "runtime_ns")
+SNR_COLUMNS = ("n", "K", "snr_db", "algorithm", *SUMMARY_COLUMNS)
+SCALING_COLUMNS = ("n", "K", "algorithm", *SUMMARY_COLUMNS, "nominal_samples", "meets_threshold")
 SUCCESS_THRESHOLD = 0.95  # a scaling row meets the threshold when its success rate reaches this
 
 
@@ -77,17 +81,16 @@ class ExperimentConfig:
         return cls(**clean).validate()
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    support_ok: bool
-    values_ok: bool
-    runtime_ns: int
-    samples_distinct: int
-    samples_nominal: int
-    sweeps: int
-    peels: int
-    stalled: bool
-    conflicts: int
+@dataclass
+class TrialResult(peeling.DecodeReport):
+    """A decode of a known spectrum: every ``DecodeReport`` field, then the
+    truth check (``support_ok``, ``values_ok``) and the cost (``runtime_ns``,
+    ``samples_nominal``; ``samples_distinct`` is ``samples_used``)."""
+    support_ok: bool = False
+    values_ok: bool = False
+    runtime_ns: int = 0
+    samples_nominal: int = 0
+    samples_distinct = property(lambda self: self.samples_used)
 
 
 def nominal_sample_count(algorithm: str, n: int, k: int) -> int:
@@ -136,22 +139,25 @@ def recover(access, k: int, algorithm: str, *, snr_db: float | None, rho: float,
     return recovered, report, obs, time.perf_counter_ns() - t0
 
 
+def recover_known(truth, algorithm: str, snr_db: float | None, rng_noise, rng_offsets, rho: float = 1.0,
+                  constellation: bool = True):
+    """``recover`` of ``truth`` read through a ``NoisyAccess`` at ``snr_db``
+    (None: noise-free), then one ``peeling.verify_support``. Returns
+    ``(recovered, TrialResult)``; ``runtime_ns`` excludes the noise draw."""
+    access = NoisyAccess(truth, noise_sigma(rho, truth.sparsity, truth.n, snr_db), rng_noise)
+    recovered, report, obs, runtime_ns = recover(access, truth.sparsity, algorithm, snr_db=snr_db, rho=rho,
+                                                 constellation=constellation, rng_offsets=rng_offsets)
+    check = peeling.verify_support(recovered, truth)
+    return recovered, TrialResult(**vars(report), support_ok=check.support_match, values_ok=check.values_match,
+                                  runtime_ns=runtime_ns, samples_nominal=obs.nominal_samples)
+
+
 def run_trial(config: ExperimentConfig, n: int, k: int, snr_db: float | None, trial: int) -> TrialResult:
-    """One seeded draw-observe-decode-verify round (SO's code depends on n
-    alone); ``runtime_ns`` excludes the noise draw, which ``recover``
-    makes before it observes."""
+    """One seeded trial: draw a K-sparse +/-1 spectrum, then
+    ``recover_known`` it (SO's code depends on n alone)."""
     ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(n, k, trial))
     rng_spec, rng_noise, rng_offsets = (np.random.default_rng(s) for s in ss.spawn(3))
-
-    spectrum = draw_spectrum(n, k, 1.0, rng_spec)
-    access = NoisyAccess(spectrum, noise_sigma(1.0, k, n, snr_db), rng_noise)
-    recovered, report, obs, runtime_ns = recover(access, k, config.algorithm, snr_db=snr_db, rho=1.0,
-                                                 rng_offsets=rng_offsets)
-
-    check = peeling.verify_support(recovered, spectrum)
-    return TrialResult(check.support_match, check.values_match, runtime_ns,
-                       obs.distinct_samples, obs.nominal_samples,
-                       report.sweeps, report.peels, report.stalled, report.conflicts)
+    return recover_known(draw_spectrum(n, k, 1.0, rng_spec), config.algorithm, snr_db, rng_noise, rng_offsets)[1]
 
 
 def _trial_star(args):
@@ -166,32 +172,37 @@ def _run_trials(config: ExperimentConfig, n: int, k: int, snr_db: float | None) 
         return list(pool.map(_trial_star, jobs))
 
 
+def _summary(results: list, n: int) -> dict:
+    """The ``SUMMARY_COLUMNS`` of trials at one n: a false alarm is a stall
+    on the right support; ``samples`` is the mean of the distinct samples
+    and ``samples_fraction`` that mean over 2^n."""
+    wrong_stalled = [(not r.support_ok, r.stalled) for r in results]
+    successes = sum(r.support_ok for r in results)
+    samples = float(np.mean([r.samples_distinct for r in results]))
+    return {
+        "trials": len(results),
+        "successes": successes,
+        "success_rate": successes / len(results),
+        "flagged": wrong_stalled.count((True, True)),
+        "silent": wrong_stalled.count((True, False)),
+        "false_alarms": wrong_stalled.count((False, True)),
+        "samples": samples,
+        "samples_fraction": samples / (1 << n),
+        "runtime_ns": float(np.mean([r.runtime_ns for r in results])),
+    }
+
+
 def run_snr_sweep(config: ExperimentConfig) -> list:
-    """Success-rate rows over the (n, K, SNR) grid. Fixed column order."""
+    """``SNR_COLUMNS`` rows over the (n, K, SNR) grid."""
     config.validate()
-    rows = []
-    for n in config.n_values:
-        for k in config.k_values:
-            for snr_db in config.snr_db_values or (None,):
-                results = _run_trials(config, n, k, snr_db)
-                successes = sum(r.support_ok for r in results)
-                rows.append({
-                    "n": n,
-                    "K": k,
-                    "snr_db": "" if snr_db is None else snr_db,
-                    "algorithm": config.algorithm,
-                    "trials": config.trials,
-                    "successes": successes,
-                    "success_rate": successes / config.trials,
-                    "mean_samples": float(np.mean([r.samples_distinct for r in results])),
-                    "mean_runtime_ns": float(np.mean([r.runtime_ns for r in results])),
-                })
-    return rows
+    return [{"n": n, "K": k, "snr_db": "" if snr_db is None else snr_db, "algorithm": config.algorithm,
+             **_summary(_run_trials(config, n, k, snr_db), n)}
+            for n in config.n_values for k in config.k_values for snr_db in config.snr_db_values or (None,)]
 
 
 def run_scaling_sweep(config: ExperimentConfig) -> list:
-    """Runtime/sample rows over ``config.n_values`` at fixed K and one SNR
-    (None or no value: noise-free), flagging points below
+    """``SCALING_COLUMNS`` rows over ``config.n_values`` at fixed K and one
+    SNR (None or no value: noise-free), flagging points below
     ``SUCCESS_THRESHOLD``; nominal counts come from the cost formulas."""
     config.validate()
     snr_db, *more = config.snr_db_values or (None,)
@@ -200,18 +211,10 @@ def run_scaling_sweep(config: ExperimentConfig) -> list:
     rows = []
     for k in config.k_values:
         for n in config.n_values:
-            results = _run_trials(config, n, k, snr_db)
-            rate = sum(r.support_ok for r in results) / config.trials
-            rows.append({
-                "n": n,
-                "K": k,
-                "algorithm": config.algorithm,
-                "success_rate": rate,
-                "samples": float(np.mean([r.samples_distinct for r in results])),
-                "nominal_samples": nominal_sample_count(config.algorithm, n, k),
-                "runtime_ns": float(np.mean([r.runtime_ns for r in results])),
-                "meets_threshold": int(rate >= SUCCESS_THRESHOLD),
-            })
+            row = {"n": n, "K": k, "algorithm": config.algorithm, **_summary(_run_trials(config, n, k, snr_db), n),
+                   "nominal_samples": nominal_sample_count(config.algorithm, n, k)}
+            row["meets_threshold"] = int(row["success_rate"] >= SUCCESS_THRESHOLD)
+            rows.append(row)
     return rows
 
 

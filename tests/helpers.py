@@ -1,6 +1,7 @@
 """Shared fixtures: the four-coefficient worked instance, bit helpers,
-seeded pipeline instances, random disjoint hypergraphs, and the round-off
-bounds that hold the library's transform to the reference butterflies."""
+seeded pipeline instances, a transformed sample access, random disjoint
+hypergraphs, and the round-off bounds that hold the library's transform
+to the reference butterflies."""
 import dataclasses
 import math
 
@@ -10,6 +11,7 @@ import pytest
 from sparsewht import NoisyAccess, SparseSpectrum, build_regular_ldpc, draw_spectrum, kernels, sigma_for_snr
 from sparsewht.bin_detect import DetectorConfig
 from sparsewht.frontend import Design, SubsamplingPlan, build_offsets, build_plan, design, observe
+from sparsewht.signal_model import coset_positions
 from sparsewht.sketch import Hypergraph
 
 from references import random_full_column_rank
@@ -80,6 +82,22 @@ def seeded_instances(variant, n, k, snr_db, constellation, seeds=range(6), rando
         obs = observe(access, plan, offsets)
         cfg = DetectorConfig.for_noise(n, plan.bins, sigma, 1.0, snr, np.abs(obs.data).max(), constellation)
         yield spectrum, plan, offsets, cfg, obs
+
+
+class TransformedAccess:
+    """``access`` whose ``take_cosets`` reads each sample u[m] as
+    ``scale`` (-1)^<k0, m> u[m], the samples of the spectrum shifted by
+    ``k0`` and scaled by ``scale``; every other attribute is ``access``'s."""
+
+    def __init__(self, access, k0: int = 0, scale: float = 1.0):
+        self.access, self.k0, self.scale = access, np.uint64(k0), scale
+
+    def __getattr__(self, name):
+        return getattr(self.access, name)
+
+    def take_cosets(self, cols, rows):
+        parity = np.bitwise_count(coset_positions(cols, rows) & self.k0) & 1
+        return self.access.take_cosets(cols, rows) * (self.scale * (1.0 - 2.0 * parity))
 
 
 def random_disjoint_hypergraph(n: int, s: int, rng, min_size: int = 2, max_size: int = 6) -> Hypergraph:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import warnings
@@ -5,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from sparsewht import cli
+from sparsewht import peeling
 from sparsewht.cli import main
+from sparsewht.experiments import TrialResult
 from sparsewht.peeling import DecodeReport
 from sparsewht.kernels import fwht
 from sparsewht.signal_model import NoisyAccess, SparseSpectrum
@@ -115,25 +117,31 @@ def test_recover_noise_free_at_n62(tmp_path):
 
 
 def test_recover_report_carries_every_field(tmp_path, monkeypatch):
-    # the --report file holds exactly the DecodeReport that recover returned
+    # the --report file holds the TrialResult: first exactly the DecodeReport
+    # that decode returned, then the truth check and the cost
     reports = []
-    original = cli.recover
+    original = peeling.decode
 
-    def recover_and_keep(*args, **kwargs):
+    def decode_and_keep(*args, **kwargs):
         result = original(*args, **kwargs)
         reports.append(result[1])
         return result
 
-    monkeypatch.setattr(cli, "recover", recover_and_keep)
+    monkeypatch.setattr(peeling, "decode", decode_and_keep)
     spec_path = tmp_path / "truth.txt"
+    out = tmp_path / "recovered.txt"
     report = tmp_path / "report.json"
     main(["synth", "--n", "12", "--k", "8", "--seed", "2", "--out", str(spec_path)])
     main(["recover", "--spectrum", str(spec_path), "--snr-db", "10", "--algo", "nso", "--seed", "1",
-          "--out", str(tmp_path / "recovered.txt"), "--report", str(report)])
+          "--out", str(out), "--report", str(report)])
     parsed = json.loads(report.read_text())
-    assert list(parsed) == [f.name for f in dataclasses.fields(DecodeReport)]
-    assert len(reports) == 1 and parsed == dataclasses.asdict(reports[0])
+    decode_fields = [f.name for f in dataclasses.fields(DecodeReport)]
+    assert list(parsed) == [f.name for f in dataclasses.fields(TrialResult)]
+    assert list(parsed)[:len(decode_fields)] == decode_fields
+    assert len(reports) == 1 and {f: parsed[f] for f in decode_fields} == dataclasses.asdict(reports[0])
+    assert parsed["support_ok"] is (SparseSpectrum.load(out).support() == SparseSpectrum.load(spec_path).support())
     assert parsed["residual_energy"] > 0 and parsed["samples_used"] > 0
+
 
 def test_recover_noisy_nso(tmp_path):
     spec_path = tmp_path / "truth.txt"
@@ -353,12 +361,10 @@ def test_scaling_command(tmp_path):
     code = main(["bench", "scaling", "--algo", "noiseless", "--n", "9", "10",
                  "--k", "4", "--trials", "2", "--seed", "0", "--out", str(out)])
     assert code == 0
-    lines = out.read_text().splitlines()
-    assert len(lines) == 3
-    assert [line.split(",")[3] for line in lines] == ["success_rate", "1.0", "1.0"]
+    assert [r["success_rate"] for r in csv.DictReader(out.read_text().splitlines())] == ["1.0", "1.0"]
     assert main(["bench", "scaling", "--algo", "noiseless", "--n", "9", "--k", "4", "--snr-db", "0",
                  "--trials", "2", "--seed", "0", "--out", str(out)]) == 0
-    assert out.read_text().splitlines()[1].split(",")[3] == "0.0"
+    assert [r["success_rate"] for r in csv.DictReader(out.read_text().splitlines())] == ["0.0"]
 
 
 @pytest.mark.parametrize("flags, cfg, ns", [

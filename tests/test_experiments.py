@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import re
@@ -10,12 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsewht import NoisyAccess, draw_spectrum, frontend
+from sparsewht import NoisyAccess, draw_spectrum, frontend, peeling
 from sparsewht.experiments import (
     SCALING_COLUMNS,
     SNR_COLUMNS,
     ConfigError,
     ExperimentConfig,
+    TrialResult,
     noise_sigma,
     nominal_sample_count,
     recover,
@@ -25,7 +27,7 @@ from sparsewht.experiments import (
     write_csv,
 )
 from sparsewht.frontend import build_offsets, build_plan, design, observe
-from sparsewht.peeling import verify_support
+from sparsewht.peeling import DecodeReport, verify_support
 from sparsewht.sketch import CutQueryAccess, sketch_recover
 
 from helpers import random_disjoint_hypergraph
@@ -231,6 +233,41 @@ def test_so_low_snr_decisions_pinned(n, k, snr_db):
     cfg = ExperimentConfig(algorithm="so", seed=77)
     got = [run_trial(cfg, n, k, snr_db, t) for t in range(10)]
     assert [(r.support_ok, r.stalled, r.samples_distinct) for r in got] == SO_SEED77[(n, k, snr_db)]
+
+
+def test_snr_sweep_counts_each_failure_as_flagged_or_silent():
+    # the row of SO's pinned (12, 10, 0 dB) trials: a wrong support is
+    # flagged when the decode stalled and silent when it did not, and a
+    # stall on the right support is a false alarm
+    pinned = SO_SEED77[(12, 10, 0.0)]
+    cfg = ExperimentConfig(algorithm="so", n_values=(12,), k_values=(10,), snr_db_values=(0.0,), trials=10, seed=77)
+    (row,) = run_snr_sweep(cfg)
+    samples = float(np.mean([s for _, _, s in pinned]))
+    expected = {"trials": 10, "successes": sum(ok for ok, _, _ in pinned),
+                "flagged": sum(not ok and stalled for ok, stalled, _ in pinned),
+                "silent": sum(not (ok or stalled) for ok, stalled, _ in pinned),
+                "false_alarms": sum(ok and stalled for ok, stalled, _ in pinned),
+                "samples": samples, "samples_fraction": samples / 2**12}
+    assert {key: row[key] for key in expected} == expected
+    assert (expected["flagged"], expected["silent"]) == (7, 2)
+
+
+def test_trial_record_is_the_decode_report_plus_the_truth(monkeypatch):
+    # every DecodeReport field, first and in its order, with the value decode returned
+    reports = []
+    original = peeling.decode
+
+    def decode_and_keep(*args, **kwargs):
+        result = original(*args, **kwargs)
+        reports.append(result[1])
+        return result
+
+    monkeypatch.setattr(peeling, "decode", decode_and_keep)
+    r = run_trial(ExperimentConfig(algorithm="so", seed=77), 12, 10, 0.0, 0)
+    decode_fields = [f.name for f in dataclasses.fields(DecodeReport)]
+    assert [f.name for f in dataclasses.fields(TrialResult)][:len(decode_fields)] == decode_fields
+    assert len(reports) == 1 and {f: getattr(r, f) for f in decode_fields} == dataclasses.asdict(reports[0])
+    assert r.samples_distinct == r.samples_used and (r.support_ok, r.stalled) == SO_SEED77[(12, 10, 0.0)][0][:2]
 
 
 # the seed-77 low-SNR set: seven (n, K, SNR) points, trials 0..59 each
