@@ -1,36 +1,37 @@
 """Bin classification: zero-ton / single-ton / multi-ton tests.
 
 A bin's rows are triaged once by their mean energy E, every row the bin
-stores, before any detector runs (:func:`triage`):
+stores, before any index finder runs (:func:`triage`):
 
 - E <= :func:`tested`, the level of the layout: a zero-ton;
 - with constellation values, (sqrt(E) - rho)^2 above that level by a
   round-off margin: a multi-ton, since no +/-rho single-ton can pass the
   residual test there (the bound is derived in :func:`triage`);
-- every other bin is a candidate, and goes to a detector.
+- every other bin is a candidate, and goes to the variant's finder.
 
-Two detectors share one array contract, and each classifies a batch of
-candidate bins in one call:
+Every bin decision is made by :func:`classify`, on a batch of bin rows
+of one group: it triages them, hands the candidates to the index finder
+of ``offsets.variant`` (``DETECTORS``) in one call, none when there are
+no candidates, and tests each index the finder found with
+:func:`_confirm`. The two finders share one array contract:
 
-    detect_*_many(cols, js, c, plan, offsets, cfg) -> (k_words, values, single)
+    detect_*_many(cols, js, c, plan, offsets) -> (k_words, found)
 
 Row i of ``cols`` is the (P,) column of group c's bin ``js[i]`` (an
-integer array); the caller selects the rows, and the detector classifies
-exactly those. For row i it returns the candidate index ``k_words[i]``
-(uint64), the candidate's value ``values[i]`` and whether it verified,
-``single[i]``; a row that did not verify is a multi-ton. ``DETECTORS``
-holds the detector of each variant, and ``peeling.decode`` hands it the
-candidates of :func:`triage`. The one-column ``detect_*`` functions are
-the one-row case, triage first, returned as a :class:`Detection`.
+integer array). For row i a finder proposes the index ``k_words[i]``
+(uint64), an index of bin ``js[i]`` wherever ``found[i]`` (a mask, or
+``slice(None)`` when every row is found); a row whose index is not found
+is a multi-ton with value 0. The one-column ``detect_*`` functions are
+:func:`classify` on one row, returned as a :class:`Detection`.
 
-The coded detector serves noiseless, NSO and SO: each reads the code
+The coded finder serves noiseless, NSO and SO: each reads the code
 bit of row g as the sgn of u[d xor g] u[d] summed over the bases d,
 and the variants differ only in their bases and code rows (the zero
 base and the identity code; random bases and the identity code; the
 zero base and the (3,6) LDPC code, bit flipping); each stores the
 code's systematic rows only at the plan's free bits, whose values and
 bin j give the other b bits of the index. The near-linear
-detector scores every candidate in the bin's hash coset
+finder scores every candidate in the bin's hash coset
 with one matrix product (a coset is an affine subspace, so its signature
 correlations are a Walsh-Hadamard transform of the column, whose sign
 kernel factors into a high and a low half, see
@@ -194,7 +195,7 @@ def _confirm(u: np.ndarray, offset_words: np.ndarray, level: float, k_words: np.
     return values, single
 
 
-def detect_coded_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig):
+def detect_coded_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets):
     """Decode each bin's index from its code rows' correlations with its bases.
 
     The offsets carry the layout of :func:`frontend.build_offsets`: the
@@ -205,76 +206,89 @@ def detect_coded_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, c
     bases (a strong base weighs more than a weak one). The first n - b
     measured bits, those of the systematic rows at ``plan.free_bits[c]``,
     are k's free bits, and k0 is the word of bin j with them
-    (``plan.bin_words``). The identity code returns k0; for
-    ``offsets.code`` the received word is the codeword of k0 with the
+    (``plan.bin_words``). The identity code returns k0, found on every row;
+    for ``offsets.code`` the received word is the codeword of k0 with the
     measured bits written at the positions ``offsets.stored[c]``, decoded
-    through :func:`codes.bitflip_decode_many`. A decoded index is a
-    single-ton when it hashes to its bin and :func:`_confirm` passes it on
-    every row, at the level of :func:`tested`; a bin whose word does not
-    decode is a multi-ton with value 0. Every row given is classified:
-    the caller leaves out the rows :func:`triage` sorts out.
+    through :func:`codes.bitflip_decode_many`, and found where it decodes
+    to a word that hashes to bin j.
     """
     b0, b1 = offsets.layout["bases"]
     c0, c1 = offsets.layout["code"]
     block = cols[:, c0:c1].reshape(len(cols), b1 - b0, (c1 - c0) // (b1 - b0))
     measured = np.einsum("mpq,mp->mq", block, cols[:, b0:b1]) < 0
-    k_words, ok = plan.bin_words(c, js, measured[:, :plan.n - plan.b]), slice(None)
-    if offsets.code is not None:
-        received = kernels.parity_words(offsets.code_words & k_words[:, None])
-        received[:, offsets.stored[c]] = measured
-        k_words, ok = codes.bitflip_decode_many(offsets.code, received)
-    values, single = np.zeros(len(cols)), np.zeros(len(cols), dtype=bool)
-    values[ok], single[ok] = _confirm(cols[ok], offsets.groups[c], tested(offsets, cfg), k_words[ok], cfg)
-    return k_words, values, single & (plan.bins_of_many(c, k_words).astype(np.int64) == js)
+    k_words = plan.bin_words(c, js, measured[:, :plan.n - plan.b])
+    if offsets.code is None:
+        return k_words, slice(None)
+    received = kernels.parity_words(offsets.code_words & k_words[:, None])
+    received[:, offsets.stored[c]] = measured
+    k_words, ok = codes.bitflip_decode_many(offsets.code, received)
+    return k_words, ok & (plan.bins_of_many(c, k_words).astype(np.int64) == js)
 
 
-def _one_row(detect, u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig) -> Detection:
-    """The detection of one column ``u`` of bin ``j_word``: :func:`triage`,
-    then, for a candidate, the batched detector ``detect``."""
-    cols = np.array([u], dtype=float)
-    zero, gated = triage(cols, tested(offsets, cfg), cfg)
-    if zero[0] or gated[0]:
-        return _ZERO if zero[0] else _MULTI
-    k_words, values, single = detect(cols, np.array([j_word]), c, plan, offsets, cfg)
-    return Detection(SINGLE_TON, k_words[0].item(), values[0].item()) if single[0] else _MULTI
+def classify(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig):
+    """Classify the bin rows ``cols`` of group c's bins ``js``, read at
+    ``offsets`` (those the observations were generated with), under the
+    thresholds ``cfg``: :func:`triage` at the level of :func:`tested`,
+    then, for the candidates, one call of the finder of ``offsets.variant``
+    (none when there are no candidates) and :func:`_confirm` of every index
+    it found. Returns ``(zero, gated, k_words, values, single)``: the two
+    triage masks over the rows, then each candidate's index, value and
+    verdict, in row order; a candidate that is not a single-ton is a
+    multi-ton."""
+    level = tested(offsets, cfg)
+    zero, gated = triage(cols, level, cfg)
+    live = np.flatnonzero(~(zero | gated))
+    values, single = np.zeros(len(live)), np.zeros(len(live), dtype=bool)
+    if not len(live):
+        return zero, gated, np.zeros(0, dtype=np.uint64), values, single
+    cols = cols[live]
+    k_words, found = DETECTORS[offsets.variant](cols, js[live], c, plan, offsets)
+    values[found], single[found] = _confirm(cols[found], offsets.groups[c], level, k_words[found], cfg)
+    return zero, gated, k_words, values, single
+
+
+def _one_row(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig) -> Detection:
+    """:func:`classify` of one column ``u`` of bin ``j_word``."""
+    zero, _, k_words, values, single = classify(np.array([u], dtype=float), np.array([j_word]), c, plan,
+                                                offsets, cfg)
+    if single.any():
+        return Detection(SINGLE_TON, k_words[0].item(), values[0].item())
+    return _ZERO if zero[0] else _MULTI
 
 
 def detect_noiseless(u: np.ndarray, j_word: int, c: int, plan, cfg: DetectorConfig) -> Detection:
-    """The one-column case of :func:`detect_coded_many` on the noiseless offsets."""
+    """:func:`classify` of one column on the noiseless offsets."""
     from . import frontend
 
     offsets = frontend.build_offsets(frontend.design("noiseless", plan.n, plan.bins), plan)
-    return _one_row(detect_coded_many, u, j_word, c, plan, offsets, cfg)
+    return _one_row(u, j_word, c, plan, offsets, cfg)
 
 
 def detect_nso(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig) -> Detection:
-    """The one-column case of :func:`detect_coded_many`, for NSO or SO offsets."""
-    return _one_row(detect_coded_many, u, j_word, c, plan, offsets, cfg)
+    """:func:`classify` of one column on NSO or SO offsets."""
+    return _one_row(u, j_word, c, plan, offsets, cfg)
 
 
 # perfbench times the one-column detectors by these names
 detect_so = detect_nso
 
 
-def detect_near_linear_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets, cfg: DetectorConfig):
+def detect_near_linear_many(cols: np.ndarray, js: np.ndarray, c: int, plan, offsets):
     """Matched-filter search over the hash cosets of the bins.
 
     Every bin j takes its best candidate in ``plan.particular_words[c, j]``
     xor span(``plan.coset_basis[c]``) from one batched
     ``kernels.singleton_search`` over its rows, all of them ``verify``
-    rows, checked by :func:`_confirm` at the level of :func:`tested`.
-    Every row given is classified: the caller leaves out the rows
-    :func:`triage` sorts out.
+    rows; every candidate lies in its bin, so every row is found.
     """
-    offset_words, basis = offsets.groups[c], plan.coset_basis[c]
-    idx, _ = kernels.singleton_search(cols, offset_words, basis, plan.particular_words[c, js])
-    k_words = plan.bin_words(c, js, (idx[:, None] >> np.arange(len(basis))) & 1)
-    return k_words, *_confirm(cols, offset_words, tested(offsets, cfg), k_words, cfg)
+    basis = plan.coset_basis[c]
+    idx, _ = kernels.singleton_search(cols, offsets.groups[c], basis, plan.particular_words[c, js])
+    return plan.bin_words(c, js, (idx[:, None] >> np.arange(len(basis))) & 1), slice(None)
 
 
 def detect_near_linear(u: np.ndarray, j_word: int, c: int, plan, offsets, cfg: DetectorConfig) -> Detection:
-    """The one-column case of :func:`detect_near_linear_many`."""
-    return _one_row(detect_near_linear_many, u, j_word, c, plan, offsets, cfg)
+    """:func:`classify` of one column on near-linear offsets."""
+    return _one_row(u, j_word, c, plan, offsets, cfg)
 
 
 DETECTORS = {

@@ -1,15 +1,11 @@
 """Iterative peeling decoder over bin observations.
 
-Each group's pending bins are triaged by their mean energy before any
-detector runs (``bin_detect.triage``): zero-tons, and with +/-rho values
-the bins whose energy no single-ton can explain, (sqrt(E) - rho)^2 above
-the level of the bin test, are settled there; the detector sees only the
-rest, in one call, and a group with none makes no call. The gate skips
-only bins whose residual test would fail, so no decision changes.
-Every single-ton detected in a group's pass is peeled before the next
-group is classified: its contribution is subtracted from the matching
-bin of every group, all of the pass's peels in one scatter over the C
-groups, and its value is accumulated into the running spectrum.
+Each group's pending bins are classified in one call of
+``bin_detect.classify``, and every single-ton found in a group's pass is
+peeled before the next group is classified: its contribution is
+subtracted from the matching bin of every group, all of the pass's peels
+in one scatter over the C groups, and its value is accumulated into the
+running spectrum.
 Accumulation (rather than insert-once) matters: a multi-ton whose column
 aliases exactly onto a valid signature triggers a false peel, but the
 resulting ghost later isolates as the same index with the opposite value
@@ -41,11 +37,13 @@ class DecodeReport:
     stalled: bool = False
     residual_energy: float = 0.0
     samples_used: int = 0
-    # bins classified, summed over the sweeps: multi-tons are the bins the
-    # energy gate refused (``gated``) plus those the detector did not verify
+    # summed over the sweeps: the bins classified, where multi-tons are the
+    # bins the energy gate refused (``gated``) plus the candidates that are
+    # not single-tons, and the calls of the variant's index finder
     zero_tons: int = 0
     multi_tons: int = 0
     gated: int = 0
+    detector_calls: int = 0
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
@@ -72,26 +70,17 @@ def _peel(data: np.ndarray, plan, offsets, k_words: np.ndarray, values: np.ndarr
 def decode(obs, plan, offsets, cfg, sweep_hook=None):
     """Run peeling until fixed point; returns (spectrum, report).
 
-    Each group's pending bins, in increasing bin order, are triaged once
-    by their mean energy E over every stored row (``bin_detect.triage``):
-    E at most the level of the layout's bin test (``bin_detect.tested``)
-    is a zero-ton; with ``cfg.constellation``, (sqrt(E) - rho)^2 above that
-    level (plus a round-off margin) is a multi-ton, since by
-    Cauchy-Schwarz every candidate's residual, mean((u - v s)^2) for v =
-    +/-rho and s in {+/-1}^P, is at least that gap, so the detector's
-    residual test would refuse it. The other bins go to the detector of
-    ``offsets.variant`` (``bin_detect.DETECTORS``) in one call with the
-    thresholds ``cfg``; a group with none makes no call. ``offsets`` must
-    be the ones the observations were generated with. The report sums
-    the zero-tons, the multi-tons and the gate's share of them over the
-    sweeps. The detector answers in arrays,
-    and the verified single-tons (index, value) are peeled afterwards, in
-    bin order, by one ``kernels.scatter_signed`` over the whole tensor,
-    which applies repeated bins in that order. This equals
-    classifying and peeling one bin at a time: a coefficient hashes to
-    exactly one bin per group and a single-ton is only reported for its
-    own bin, so a peel made during group c's pass never changes another
-    bin of group c.
+    Each group's pending bins, in increasing bin order, are classified by
+    ``bin_detect.classify`` under the thresholds ``cfg``; ``offsets`` must
+    be the ones the observations were generated with. The report sums the
+    zero-tons, the multi-tons, the energy gate's share of them and the
+    finder calls over the sweeps. The single-tons (index, value) are
+    peeled afterwards, in bin order, by one ``kernels.scatter_signed`` over
+    the whole tensor, which applies repeated bins in that order. This
+    equals classifying and peeling one bin at a time: a coefficient hashes
+    to exactly one bin per group and a finder proposes only indices of the
+    row's own bin, so a peel made during group c's pass never changes
+    another bin of group c.
     The loop ends after the first sweep that leaves the recovered
     spectrum unchanged: peels only move value between bins and spectrum,
     so the bins are unchanged too and every later sweep would replay it.
@@ -108,7 +97,6 @@ def decode(obs, plan, offsets, cfg, sweep_hook=None):
     if obs.data.shape != (plan.c_groups, plan.bins, offsets.rows):
         raise PlanError(f"observations of shape {obs.data.shape} do not fit the plan and offsets, "
                         f"which need {(plan.c_groups, plan.bins, offsets.rows)}")
-    detect = bin_detect.DETECTORS[offsets.variant]
     level = bin_detect.tested(offsets, cfg)
     data = obs.data.copy()
     c_groups, bins, _ = data.shape
@@ -126,17 +114,14 @@ def decode(obs, plan, offsets, cfg, sweep_hook=None):
             pending[c] = False
             if not len(js):
                 continue
-            cols = data[c][js]
-            zero, gated = bin_detect.triage(cols, level, cfg)
-            live = np.flatnonzero(~(zero | gated))
+            zero, gated, k_words, values, single = bin_detect.classify(data[c][js], js, c, plan, offsets, cfg)
             refused = int(np.count_nonzero(gated))
             report.zero_tons += int(np.count_nonzero(zero))
             report.gated += refused
-            report.multi_tons += refused
-            if not len(live):
+            report.multi_tons += refused + int(np.count_nonzero(~single))
+            if not len(single):
                 continue
-            k_words, values, single = detect(cols[live], js[live], c, plan, offsets, cfg)
-            report.multi_tons += int(np.count_nonzero(~single))
+            report.detector_calls += 1
             k_words, values = k_words[single], values[single]
             for k_word, value in zip(k_words.tolist(), values.tolist()):
                 if recovered.get(k_word, 0.0) != 0.0:

@@ -242,18 +242,31 @@ def _confirm_single(u, row_words, k_word, cfg, level):
     return Detection(MULTI_TON)
 
 
-def as_detections(detect, cols, js, c, plan, offsets, cfg, gate=True):
-    """One detection per row of ``cols``, in the form the loops return, by
-    the batched ``detect`` after ``bin_detect.triage``: its zero-tons are
-    zero-tons and, with ``gate``, its gated rows multi-tons; ``detect``
-    classifies the rest in one call. Without ``gate`` every row above the
-    noise level goes to ``detect``, as before the gate. Also checks the
-    shape of the result: one uint64 index, value and flag per row given."""
+def classify_ungated(cols, js, c, plan, offsets, cfg):
+    """``bin_detect.classify`` before the energy gate: every row above the
+    level is a candidate, the rows a constellation bound refuses included;
+    the finder of ``offsets.variant`` proposes their indices in one call
+    and ``bin_detect._confirm`` tests the ones it found. Returns the same
+    ``(zero, gated, k_words, values, single)``, with ``gated`` all False."""
     level = bin_detect.tested(offsets, cfg)
-    zero, gated = bin_detect.triage(cols, level, cfg)
-    refused = gated if gate else np.zeros_like(gated)
-    live = np.flatnonzero(~(zero | refused))
-    k_words, values, single = detect(cols[live], js[live], c, plan, offsets, cfg)
+    zero = np.mean(cols * cols, axis=-1) <= level
+    live = np.flatnonzero(~zero)
+    k_words, found = bin_detect.DETECTORS[offsets.variant](cols[live], js[live], c, plan, offsets)
+    values, single = np.zeros(len(live)), np.zeros(len(live), dtype=bool)
+    values[found], single[found] = bin_detect._confirm(cols[live][found], offsets.groups[c], level,
+                                                       k_words[found], cfg)
+    return zero, np.zeros_like(zero), k_words, values, single
+
+
+def as_detections(cols, js, c, plan, offsets, cfg, gate=True):
+    """One detection per row of ``cols``, in the form the loops return, by
+    ``bin_detect.classify`` or, without ``gate``, by :func:`classify_ungated`,
+    which sends every row above the noise level to the finder, as before
+    the gate. Also checks the shape of the result: one uint64 index, value
+    and flag per candidate row."""
+    zero, gated, k_words, values, single = (bin_detect.classify if gate else classify_ungated)(
+        cols, js, c, plan, offsets, cfg)
+    live = np.flatnonzero(~(zero | gated))
     assert len(k_words) == len(values) == len(single) == len(live)
     assert k_words.dtype == np.uint64 and single.dtype == bool
     out = [Detection(ZERO_TON) if z else Detection(MULTI_TON) for z in zero.tolist()]
@@ -274,11 +287,8 @@ def gated(u, level, cfg):
 
 def decode_untriaged(obs, plan, offsets, cfg):
     """``peeling.decode`` before the energy gate: each group's pending bins
-    above the level go to the batched detector in one call, the rows a
-    constellation bound refuses included, and the others are zero-tons.
-    Returns the recovered dict and the report, whose ``gated`` stays 0."""
-    detect = bin_detect.DETECTORS[offsets.variant]
-    level = bin_detect.tested(offsets, cfg)
+    are classified by :func:`classify_ungated`. Returns the recovered dict
+    and the report, whose ``gated`` stays 0."""
     data = obs.data.copy()
     c_groups, bins, _ = data.shape
     recovered = {}
@@ -289,13 +299,10 @@ def decode_untriaged(obs, plan, offsets, cfg):
         for c in range(c_groups):
             js = np.flatnonzero(pending[c])
             pending[c] = False
-            cols = data[c][js]
-            live = np.flatnonzero(np.mean(cols * cols, axis=1) > level)
-            report.zero_tons += len(js) - len(live)
-            if not len(live):
-                continue
-            k_words, values, single = detect(cols[live], js[live], c, plan, offsets, cfg)
+            zero, _, k_words, values, single = classify_ungated(data[c][js], js, c, plan, offsets, cfg)
+            report.zero_tons += int(np.count_nonzero(zero))
             report.multi_tons += int(np.count_nonzero(~single))
+            report.detector_calls += len(single) > 0
             k_words, values = k_words[single], values[single]
             for k_word, value in zip(k_words.tolist(), values.tolist()):
                 report.conflicts += recovered.get(k_word, 0.0) != 0.0

@@ -73,14 +73,16 @@ def test_coded_detector_two_bases_over_the_ldpc_rows(verify_rows):
     for c in range(plan.c_groups):
         js = plan.bins_of_many(c, ks).astype(np.int64)
         cols = values[:, None] * sign_matrix(ks, offsets.groups[c])
-        k_words, got, single = detect_coded_many(cols, js, c, plan, offsets, cfg)
-        assert single.all()
+        zero, gated, k_words, got, single = bin_detect.classify(cols, js, c, plan, offsets, cfg)
+        assert not (zero | gated).any() and single.all()
         assert np.array_equal(k_words, ks) and np.array_equal(got, values)
 
         pairs = ks[:64] ^ plan.coset_basis[c, rng.integers(0, n - plan.b, size=64)]
         two = cols[:64] + 0.5 * values[pairs.astype(np.int64), None] * sign_matrix(pairs, offsets.groups[c])
-        _, _, single = detect_coded_many(two, js[:64], c, plan, offsets, cfg)
+        # the finder and the residual test, given every row, refuse them all, as classify does
+        _, _, _, _, single = references.classify_ungated(two, js[:64], c, plan, offsets, cfg)
         assert len(single) == 64 and not single.any()
+        assert not bin_detect.classify(two, js[:64], c, plan, offsets, cfg)[4].any()
 
 
 def test_coded_detector_reads_the_free_bits_on_window_plans():
@@ -105,7 +107,7 @@ def test_coded_detector_reads_the_free_bits_on_window_plans():
 
 def test_coded_detector_confirms_only_decoded_words(monkeypatch):
     # random-sign columns: many SO words fail to decode, and only the ones
-    # that decode reach the residual check, on every row
+    # that decode to a word of their own bin reach the residual check, on every row
     _, plan, offsets, cfg, obs = next(seeded_instances("so", 12, 16, 5.0, True, seeds=[0]))
     confirmed = []
     confirm = bin_detect._confirm
@@ -120,7 +122,7 @@ def test_coded_detector_confirms_only_decoded_words(monkeypatch):
     # unit rows: each is a candidate, neither a zero-ton nor gated
     zero, gated = bin_detect.triage(signs, bin_detect.tested(offsets, cfg), cfg)
     assert not (zero | gated).any()
-    detect_coded_many(signs, js, 0, plan, offsets, cfg)
+    bin_detect.classify(signs, js, 0, plan, offsets, cfg)
     b0, _ = offsets.layout["bases"]
     c0, c1 = offsets.layout["code"]
     neg = signs < 0
@@ -130,9 +132,11 @@ def test_coded_detector_confirms_only_decoded_words(monkeypatch):
     k0 = plan.bin_words(0, js, measured[:, :plan.n - plan.b])
     received = parity_words(offsets.code_words & k0[:, None])
     received[:, offsets.stored[0]] = measured
-    _, decoded = bitflip_decode_many(offsets.code, received)
+    words, decoded = bitflip_decode_many(offsets.code, received)
     assert 0 < decoded.sum() < len(js)
-    assert confirmed == [(decoded.sum(), offsets.rows)]
+    hashed = decoded & (plan.bins_of_many(0, words).astype(np.int64) == js)
+    assert 0 < hashed.sum() <= decoded.sum()
+    assert confirmed == [(hashed.sum(), offsets.rows)]
 
 
 @pytest.mark.parametrize("n,k,snr_db,rho", [
@@ -263,7 +267,7 @@ def test_single_ton_is_tested_on_every_row(variant, snr_db):
     # index (it only grows that row's magnitude) but leaves a residual the
     # single-ton test must see: a spike of sqrt(2 P level) passes the energy
     # gate and fails the residual test; a 100x spike is already gated, and
-    # the detector, given it anyway, refuses it too
+    # the finder and the residual test, given it anyway, refuse it too
     n, k_sparsity = 12, 10
     d = design(variant, n, k_sparsity)
     plan = build_plan(d)
@@ -285,9 +289,12 @@ def test_single_ton_is_tested_on_every_row(variant, snr_db):
         cols[1, row] += math.sqrt(2 * offsets.rows * level) * np.sign(col[row])
         zero, gated = bin_detect.triage(cols, level, cfg)
         assert zero.tolist() == [False] * 3 and gated.tolist() == [False, False, True]
-        k_words, values, single = detect_coded_many(cols, js, c, plan, offsets, cfg)
+        _, _, k_words, values, single = references.classify_ungated(cols, js, c, plan, offsets, cfg)
         assert k_words.tolist() == [k] * 3 and values.tolist() == [1.0] * 3
         assert single.tolist() == [True, False, False]
+        zero, gated, k_words, values, single = bin_detect.classify(cols, js, c, plan, offsets, cfg)
+        assert zero.tolist() == [False] * 3 and gated.tolist() == [False, False, True]
+        assert k_words.tolist() == [k] * 2 and values.tolist() == [1.0] * 2 and single.tolist() == [True, False]
         one = [detect_nso(u, js[0], c, plan, offsets, cfg) for u in cols]
         assert [det.kind for det in one] == [SINGLE_TON, MULTI_TON, MULTI_TON]
 
@@ -327,11 +334,11 @@ def test_near_linear_batch_matches_one_column_at_a_time():
         block = obs.data[c]
         js = np.array([0, 2, 3, 5, 6, 7])
         for gate in (True, False):
-            batch = references.as_detections(detect_near_linear_many, block[js], js, c, plan, offsets, cfg, gate)
+            batch = references.as_detections(block[js], js, c, plan, offsets, cfg, gate)
             assert batch == [detect_near_linear(block[j], j, c, plan, offsets, cfg) for j in js]
         kinds.update(det.kind for det in batch)
         empty = js[:0]
-        assert references.as_detections(detect_near_linear_many, block[empty], empty, c, plan, offsets, cfg) == []
+        assert references.as_detections(block[empty], empty, c, plan, offsets, cfg) == []
     assert kinds == {ZERO_TON, SINGLE_TON, MULTI_TON}
 
 
@@ -385,8 +392,8 @@ def _batched_detectors_equal_column_loops(monkeypatch, variant, n, k_sparsity, s
 
         def many(cols, js, c):
             # the batch after the energy gate equals the batch without it
-            gated = references.as_detections(DETECTORS[variant], cols, js, c, plan, offsets, cfg)
-            assert gated == references.as_detections(DETECTORS[variant], cols, js, c, plan, offsets, cfg, False)
+            gated = references.as_detections(cols, js, c, plan, offsets, cfg)
+            assert gated == references.as_detections(cols, js, c, plan, offsets, cfg, False)
             return gated
 
         # js holds every bin in order, so row j of a block is the column of bin j
@@ -417,6 +424,38 @@ def _batched_detectors_equal_column_loops(monkeypatch, variant, n, k_sparsity, s
     if variant == "so":
         assert any(decoded is None for decoded, _ in decodes)
         assert any(decoded is not None and first is None for decoded, first in decodes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(variant=st.sampled_from(VARIANTS), random=st.booleans(), noisy=st.booleans(),
+       n=st.integers(8, 11), k=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_finders_propose_only_indices_of_their_own_bin(variant, random, noisy, n, k, seed):
+    # the finder contract, on each group's bins, the same columns moved to
+    # bin j ^ 1 and columns of random signs: every index a finder finds
+    # hashes to its row's bin, a candidate it does not find is a multi-ton
+    # of value 0, and classify of one row equals the batch
+    ((_, plan, offsets, cfg, obs),) = seeded_instances(variant, n, k, 5.0 if noisy else None, True, seeds=[seed],
+                                                       random=random)
+    one = {"noiseless": lambda u, j, c: detect_noiseless(u, j, c, plan, cfg),
+           "near-linear": lambda u, j, c: detect_near_linear(u, j, c, plan, offsets, cfg),
+           "nso": lambda u, j, c: detect_nso(u, j, c, plan, offsets, cfg),
+           "so": lambda u, j, c: detect_so(u, j, c, plan, offsets, cfg)}[variant]
+    js = np.arange(plan.bins)
+    rng = np.random.default_rng(seed)
+    for c in range(plan.c_groups):
+        block = obs.data[c]
+        signs = np.abs(block).mean() * np.where(rng.random(block.shape) < 0.5, -1.0, 1.0)
+        for cols in (block, np.ascontiguousarray(block[js ^ 1]), signs):
+            zero, gated, k_words, values, single = bin_detect.classify(cols, js, c, plan, offsets, cfg)
+            live = np.flatnonzero(~(zero | gated))
+            proposed, found = DETECTORS[variant](cols[live], js[live], c, plan, offsets)
+            mask = np.zeros(len(live), dtype=bool)
+            mask[found] = True
+            assert np.array_equal(proposed, k_words)
+            assert np.array_equal(plan.bins_of_many(c, k_words[mask]).astype(np.int64), js[live][mask])
+            assert not single[~mask].any() and not values[~mask].any()
+            batch = references.as_detections(cols, js, c, plan, offsets, cfg)
+            assert batch == [one(cols[j], j, c) for j in js]
 
 
 def test_near_linear_monte_carlo_accuracy():
@@ -458,9 +497,8 @@ def test_nso_code_bit_sums_its_base_correlations():
     col[0, rows] *= -0.05
     js = plan.bins_of_many(c, np.array([k], dtype=np.uint64)).astype(np.int64)
     cfg = DetectorConfig(gamma=1.0, nu2=0.05, rho=1.0)
-    zero, gated = bin_detect.triage(col, bin_detect.tested(offsets, cfg), cfg)
+    zero, gated, k_words, values, single = bin_detect.classify(col, js, c, plan, offsets, cfg)
     assert zero.tolist() == gated.tolist() == [False]
-    k_words, values, single = detect_coded_many(col, js, c, plan, offsets, cfg)
     assert k_words.tolist() == [k] and values.tolist() == [1.0] and single.tolist() == [True]
 
 

@@ -317,6 +317,18 @@ def test_near_linear_decisions_pinned(seed, snr_db, first):
     assert [(r.support_ok, r.stalled, r.samples_distinct, r.peels) for r in got] == expected
 
 
+# finder calls summed over trials 0..99 at seed 3 and 10 dB, at the
+# benchmark's shapes: a group pass calls its variant's finder once when
+# the energy triage leaves it a candidate bin, and not at all otherwise
+DETECTOR_CALLS = {("so", 17, 40): 307, ("nso", 17, 40): 307, ("near-linear", 16, 32): 393}
+
+
+@pytest.mark.parametrize("algorithm,n,k", sorted(DETECTOR_CALLS))
+def test_detector_calls_pinned(algorithm, n, k):
+    cfg = ExperimentConfig(algorithm=algorithm, seed=3)
+    assert sum(run_trial(cfg, n, k, 10.0, t).detector_calls for t in range(100)) == DETECTOR_CALLS[algorithm, n, k]
+
+
 @pytest.mark.parametrize("snr_db", [15.0, 30.0])
 def test_continuous_nso_recovers_or_flags(snr_db):
     # continuous NSO at (14, 10): trials 43, 78, 145 and 149 recover only

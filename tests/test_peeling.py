@@ -147,14 +147,19 @@ def test_round_off_ghost_drops_out():
 
 
 def test_unsettled_decode_stops_at_the_guard(monkeypatch):
-    # a stub detector calls every pending bin a single-ton of its particular
-    # word at +1: each peel adds 1 to a recovered value, so none cancels,
-    # and marks that word's bin pending in every group, its own included,
-    # so every sweep changes the spectrum and only the structural guard stops it
-    def never_settles(cols, js, c, plan, offsets, cfg):
-        return plan.particular_words[c, js], np.ones(len(js)), np.ones(len(js), dtype=bool)
+    # a stub finder proposes every candidate bin's particular word and a stub
+    # residual test calls it a single-ton at +1: each peel adds 1 to a
+    # recovered value, so none cancels, and marks that word's bin pending in
+    # every group, its own included, so every sweep changes the spectrum and
+    # only the structural guard stops it
+    def never_settles(cols, js, c, plan, offsets):
+        return plan.particular_words[c, js], slice(None)
+
+    def always_single(u, offset_words, level, k_words, cfg):
+        return np.ones(len(k_words)), np.ones(len(k_words), dtype=bool)
 
     monkeypatch.setitem(bin_detect.DETECTORS, "near-linear", never_settles)
+    monkeypatch.setattr(bin_detect, "_confirm", always_single)
     n, k, snr_db = 12, 10, 0.0
     rng = np.random.default_rng([91, n, k, 6, 0])
     spectrum = draw_spectrum(n, k, 1.0, rng, constellation=False)
@@ -249,8 +254,8 @@ def test_report_json_round_trip():
     obs, offsets, cfg = _noiseless_setup(spectrum, plan)
     _, report = decode(obs, plan, offsets, cfg)
     parsed = json.loads(report.to_json())
-    assert set(parsed) == {"sweeps", "peels", "conflicts", "stalled",
-                           "residual_energy", "samples_used", "zero_tons", "multi_tons", "gated"}
+    assert set(parsed) == {"sweeps", "peels", "conflicts", "stalled", "residual_energy", "samples_used",
+                           "zero_tons", "multi_tons", "gated", "detector_calls"}
     assert parsed["samples_used"] == obs.distinct_samples
 
 
@@ -278,11 +283,12 @@ def _reference_decode(obs, plan, offsets, column_detector, cfg):
     """Peeling that classifies and peels one bin at a time until a sweep
     leaves the recovered spectrum unchanged, or for at most 2 C B + 10
     sweeps; ``cfg`` sets the stall level through ``references.stall_energy``
-    and the energy gate's count through ``references.gated``."""
+    and the energy gate's count through ``references.gated``. A group pass
+    with a bin that is neither a zero-ton nor gated counts one finder call."""
     data = obs.data.copy()
     c_groups, bins, _ = data.shape
     recovered = {}
-    sweeps = peels = conflicts = 0
+    sweeps = peels = conflicts = calls = 0
     kinds = {ZERO_TON: 0, MULTI_TON: 0, "gated": 0}
     level = bin_detect.tested(offsets, cfg)
     pending = [set(range(bins)) for _ in range(c_groups)]
@@ -291,9 +297,12 @@ def _reference_decode(obs, plan, offsets, column_detector, cfg):
         for c in range(c_groups):
             todo = sorted(pending[c])
             pending[c].clear()
+            candidates = 0
             for j in todo:
                 det = column_detector(data[c, j], j, c)
-                kinds["gated"] += references.gated(data[c, j], level, cfg)
+                refused = references.gated(data[c, j], level, cfg)
+                kinds["gated"] += refused
+                candidates += det.kind != ZERO_TON and not refused
                 if det.kind != "single-ton":
                     kinds[det.kind] += 1
                     continue
@@ -310,6 +319,7 @@ def _reference_decode(obs, plan, offsets, column_detector, cfg):
                     j2 = references.bin_of_loop(plan, c2, k_word)
                     data[c2, j2] -= value * signs
                     pending[c2].add(j2)
+            calls += candidates > 0
         sweeps += 1
         if recovered == before:
             break
@@ -317,7 +327,8 @@ def _reference_decode(obs, plan, offsets, column_detector, cfg):
     stalled = residual > references.stall_energy(cfg, offsets, c_groups, bins)
     report = DecodeReport(sweeps=sweeps, peels=peels, conflicts=conflicts, stalled=stalled,
                           residual_energy=residual, samples_used=obs.distinct_samples,
-                          zero_tons=kinds[ZERO_TON], multi_tons=kinds[MULTI_TON], gated=kinds["gated"])
+                          zero_tons=kinds[ZERO_TON], multi_tons=kinds[MULTI_TON], gated=kinds["gated"],
+                          detector_calls=calls)
     return recovered, report
 
 
@@ -418,7 +429,8 @@ def test_energy_gate_changes_no_decision(variant, n, k, snr_db, constellation, r
         recovered, report = decode(obs, plan, offsets, cfg)
         expected, expected_report = references.decode_untriaged(obs, plan, offsets, cfg)
         assert recovered.entries == expected
-        assert dataclasses.replace(report, gated=0) == expected_report
+        assert dataclasses.replace(report, gated=0, detector_calls=expected_report.detector_calls) == expected_report
+        assert report.detector_calls <= expected_report.detector_calls
         assert report.gated <= report.multi_tons
         gated += report.gated
     # continuous values get no gate
